@@ -1,6 +1,6 @@
 # Convenience targets for the TensorKMC reproduction.
 
-.PHONY: install test bench bench-smoke perf-trajectory fault-suite backend-suite rebuild-suite campaign-suite rowcache-suite parallel-suite lint-backend check examples snapshot
+.PHONY: install test bench bench-smoke bench-e2e bench-e2e-selftest perf-trajectory fault-suite backend-suite rebuild-suite campaign-suite rowcache-suite parallel-suite lint-backend check examples snapshot
 
 install:
 	pip install -e . --no-build-isolation
@@ -18,6 +18,20 @@ bench:
 # cost scales with N or either batched path misses its gate.
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_kernel_smoke.py
+
+# The end-to-end + per-layer benchmark BENCHMARK.json declares: all four CLI
+# workloads interleaved, five full repeats each plus one traced repeat,
+# results file under benchmarks/e2e/out/ (see benchmarks/e2e/README.md for
+# the parent-vs-change recipe a performance claim needs).  Minutes, not
+# seconds — not part of `make check`.
+bench-e2e:
+	python3 -m benchmarks.e2e --seed 0
+
+# Self-test of that harness at 1/40 budgets (< 30 s): span nesting, metric
+# catalogue, correctness checks.  Measures nothing; CI runs it so a change
+# that breaks the benchmark's hooks into the program is caught on the PR.
+bench-e2e-selftest:
+	PYTHONPATH=src python3 -m pytest -q benchmarks/e2e/test_harness.py
 
 # Perf trajectory: diff the freshly written BENCH_kernel.json against the
 # committed copy (git:HEAD) and fail on any per-event time or per-phase
@@ -60,8 +74,8 @@ campaign-suite:
 # Row-cache suite: the persistent row-energy memoization contract tests —
 # LRU/eviction/epoch-invalidation unit behaviour, packed-signature
 # injectivity fuzz, serial/parallel/campaign trajectory identity with the
-# cache on vs off (incl. cold-cache checkpoint resume), the batch
-# Fenwick-refresh equivalence above the old cap — then the row_cache
+# cache on vs off (incl. cold-cache checkpoint resume), the Fenwick
+# batch-vs-sequential and history-independence properties — then the row_cache
 # section of the kernel smoke benchmark (rebuild-phase speedup gate at
 # vacancy 0.02, digest identity).
 rowcache-suite:
@@ -86,12 +100,13 @@ lint-backend:
 
 # What CI runs: the backend-import lint, tier-1 tests, the kernel and
 # campaign smoke benchmarks (followed by the perf-trajectory diff against
-# the committed baselines), the rebuild-path, row-cache, parallel-executor,
-# and fault suites.
+# the committed baselines), the e2e harness self-test, the rebuild-path,
+# row-cache, parallel-executor, and fault suites.
 check:
 	$(MAKE) lint-backend
 	PYTHONPATH=src python -m pytest -x -q
 	$(MAKE) bench-smoke
+	$(MAKE) bench-e2e-selftest
 	$(MAKE) campaign-suite
 	$(MAKE) perf-trajectory
 	$(MAKE) rebuild-suite

@@ -10,7 +10,7 @@ validation of Fig. 8.
 
 Both engines are thin drivers over the shared
 :class:`~repro.core.kernel.EventKernel`, which owns the rate cache, the
-two-level propensity selection and the spatial-hash invalidation index; the
+two-level propensity selection and the cell-narrowed invalidation; the
 parallel :class:`~repro.parallel.engine.RankState` sits on the very same
 kernel.  The engine keeps only the physics callbacks (vacancy-system
 construction from the live lattice) and the event loop.
@@ -201,7 +201,7 @@ class SerialAKMCBase:
             )
         self.kernel = EventKernel(
             self._build_for_site,
-            self._half_of_site,
+            lattice.half_of,
             threshold=tet.invalidation_radius,
             scale=lattice.a / 2.0,
             propensity=propensity,
@@ -231,6 +231,9 @@ class SerialAKMCBase:
                 else int(float(row_cache_mb) * 1024 * 1024)
             )
             self.attach_row_cache(RowEnergyCache(max_bytes=budget))
+        #: First-neighbour hop vectors as Python ints: the hop's coordinate
+        #: arithmetic is scalar, array round-trips would dominate it.
+        self._nn_half = [tuple(row) for row in tet.nn_offsets.tolist()]
         self.time = 0.0
         self.step_count = 0
         self.events: List[KMCEvent] = []
@@ -251,9 +254,6 @@ class SerialAKMCBase:
     def store(self) -> PropensityStore:
         """The kernel's propensity store."""
         return self.kernel.store
-
-    def _half_of_site(self, site: Hashable) -> np.ndarray:
-        return self.lattice.half_coords(np.asarray([int(site)], dtype=np.int64))[0]
 
     # ------------------------------------------------------------------
     # Vacancy-system (re)construction
@@ -330,14 +330,7 @@ class SerialAKMCBase:
         offsets = self.tet.all_offsets
         vet_ids = np.empty((len(keys), offsets.shape[0]), dtype=np.int64)
         for n, key in enumerate(keys):
-            sid = int(key)
-            k = sid % nz
-            j = (sid // nz) % ny
-            i = (sid // (nz * ny)) % nx
-            s = sid // (nz * ny * nx)
-            vet_half = offsets + np.array(
-                (2 * i + s, 2 * j + s, 2 * k + s), dtype=np.int64
-            )
+            vet_half = offsets + np.array(lat.half_of(key), dtype=np.int64)
             ss = vet_half[:, 0] & 1
             cells = (vet_half - ss[:, None]) >> 1
             cells %= lat._dims
@@ -379,20 +372,18 @@ class SerialAKMCBase:
             dt = residence_time(total, 1.0 - self.rng.random())
 
         with profiler.phase("hop"):
+            lattice = self.lattice
             from_site = entry.site
-            nn_offset = self.tet.nn_offsets[direction]
-            to_site = int(
-                self.lattice.neighbor_ids(from_site, nn_offset[None, :])[0]
+            from_half = lattice.half_of(from_site)
+            dx, dy, dz = self._nn_half[direction]
+            to_site = lattice.site_at_half(
+                from_half[0] + dx, from_half[1] + dy, from_half[2] + dz
             )
-            migrating = int(self.lattice.occupancy[to_site])
-            self.lattice.swap(from_site, to_site)
+            migrating = int(lattice.occupancy[to_site])
+            lattice.swap(from_site, to_site)
             kernel.move(slot, to_site)
         with profiler.phase("invalidate"):
-            kernel.invalidate_near(
-                self.lattice.half_coords(
-                    np.asarray([from_site, to_site], dtype=np.int64)
-                )
-            )
+            kernel.invalidate_near((from_half, lattice.half_of(to_site)))
 
         self.time += dt
         self.step_count += 1

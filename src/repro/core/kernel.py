@@ -10,9 +10,12 @@ live in separate implementations; this module owns them once:
 * a :class:`~repro.core.propensity.PropensityStore` over the per-slot total
   rates for the two-level selection — vacancy slot via the Fenwick tree,
   hop direction via the slot's cumulative rate row,
-* vectorised distance invalidation: one broadcast minimum-image query of the
-  changed positions against every fresh centre, instead of a Python loop
-  over candidate slots.
+* cell-narrowed distance invalidation: an always-maintained
+  :class:`SpatialHashIndex` (cell edge = one invalidation reach) hands back
+  the slots in the cells around each changed position, and one vectorised
+  (periodic minimum-image, where configured) distance test runs over those
+  candidates only — per-event cost follows the local vacancy density, not
+  the size of the registry.
 
 Drivers parameterise the kernel with two callbacks — ``build_entry(key)``
 computing a rate row (or a full :class:`CachedVacancySystem`) for a vacancy
@@ -21,13 +24,11 @@ key, and ``position_of(key)`` mapping a key to integer half-unit coordinates
 open for a rank's padded window).
 
 Two hot-path implementations coexist behind :meth:`EventKernel.set_hot_path`:
-``"vectorized"`` (default) runs invalidation/refresh/activation as array
-sweeps over the cache's slot arrays; ``"legacy"`` keeps the pre-SoA per-slot
-loops and the 27-bucket :class:`SpatialHashIndex` narrowing.  Both produce
-bit-identical trajectories — the vectorised query evaluates the same
-distance test in the same arithmetic — which the equivalence tests and the
-``hot_path`` section of ``BENCH_kernel.json`` (old-vs-new per-event time)
-both rely on.
+``"vectorized"`` (default) runs refresh/activation as array sweeps over the
+cache's slot arrays; ``"legacy"`` keeps the pre-SoA per-slot loops.
+Invalidation is one shared path.  Both modes produce bit-identical
+trajectories, which the equivalence tests and the ``hot_path`` section of
+``BENCH_kernel.json`` (old-vs-new per-event time) both rely on.
 
 Every kernel operation feeds the shared instrumentation counters
 (:class:`KernelStats` + the cache's hit/rebuild stats), which the engines
@@ -46,7 +47,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -74,7 +74,7 @@ class NoMovesError(RuntimeError):
 def make_store(kind: str, n_slots: int, backend=None) -> PropensityStore:
     """Construct a propensity store by name (``"tree"`` or ``"linear"``)."""
     if kind == "tree":
-        return FenwickPropensity(n_slots, backend=backend)
+        return FenwickPropensity(n_slots)  # host-side whichever backend
     if kind == "linear":
         return LinearPropensity(n_slots, backend=backend)
     raise ValueError(f"unknown propensity store {kind!r}")
@@ -116,113 +116,133 @@ class KernelStats:
     rate_batches: int = 0
     batched_rows: int = 0
     max_batch_size: int = 0
+    #: Non-empty ``invalidate_near`` calls and the slots the cell index
+    #: handed them (before the held/distance filters) — the "flat in N"
+    #: witness: their ratio follows the local density, not the registry.
+    invalidate_calls: int = 0
+    invalidation_candidates: int = 0
 
 
 class SpatialHashIndex:
-    """Cell-bucketed index of slot positions in integer half-unit coordinates.
+    """Cell index of slot positions in integer half-unit coordinates.
 
-    Buckets have an edge length of one invalidation reach, so any position
-    within the reach of a query point lies in one of the 27 neighbouring
-    buckets — ``candidates_near`` returns that superset and the kernel
-    applies the exact (optionally periodic minimum-image) distance test.
-
-    The default (vectorised) hot path replaced the bucket narrowing with a
-    broadcast distance query over the cache's centre matrix; this index
-    remains as the ``"legacy"`` hot path (the old-vs-new benchmark) and as a
-    standalone structure.
+    Cells have an edge of one invalidation reach, so every position within
+    the reach of a query point lies in one of the (at most three per axis,
+    four where a periodic dimension is not a multiple of the edge) cells
+    around it — :meth:`candidates_near` returns that superset and the kernel
+    applies the exact distance test.  Plain Python ints, dicts and lists: an
+    event inserts, moves or queries a handful of slots, which is cheaper
+    without array dispatch.
     """
 
     def __init__(
         self, bucket_half: int, periodic_half: Optional[Sequence[int]] = None
     ) -> None:
         self.bucket = max(1, int(bucket_half))
-        self.periodic = (
+        self.periodic: Optional[Tuple[int, int, int]] = (
             None
             if periodic_half is None
-            else np.asarray(periodic_half, dtype=np.int64)
+            else tuple(int(d) for d in periodic_half)
         )
-        self._buckets: Dict[Tuple[int, int, int], Set[int]] = {}
-        self._pos: Dict[int, np.ndarray] = {}
+        self._cells: Dict[Tuple[int, int, int], List[int]] = {}
+        self._cell_of: Dict[int, Tuple[int, int, int]] = {}
 
     def __len__(self) -> int:
-        return len(self._pos)
+        return len(self._cell_of)
 
-    def _canonical(self, half: np.ndarray) -> np.ndarray:
-        half = np.asarray(half, dtype=np.int64)
-        if self.periodic is None:
-            return half
-        return np.mod(half, self.periodic)
+    def canonical(self, half) -> Tuple[int, int, int]:
+        """A half-unit position as Python ints, wrapped into the box."""
+        x, y, z = half
+        if self.periodic is not None:
+            dx, dy, dz = self.periodic
+            x, y, z = x % dx, y % dy, z % dz
+        return (int(x), int(y), int(z))
 
-    def _bucket_key(self, canonical: np.ndarray) -> Tuple[int, int, int]:
-        b = canonical // self.bucket
-        return (int(b[0]), int(b[1]), int(b[2]))
+    def cell(self, half) -> Tuple[int, int, int]:
+        """Cell of a (not necessarily canonical) half-unit position."""
+        x, y, z = self.canonical(half)
+        b = self.bucket
+        return (x // b, y // b, z // b)
 
-    def insert(self, slot: int, half: np.ndarray) -> None:
-        canonical = self._canonical(half)
-        key = self._bucket_key(canonical)
-        self._buckets.setdefault(key, set()).add(slot)
-        self._pos[slot] = canonical
+    def cell_of(self, slot: int) -> Optional[Tuple[int, int, int]]:
+        """Cell a slot is indexed in, or ``None``."""
+        return self._cell_of.get(slot)
+
+    def cells(self):
+        """``(cell, member slots)`` pairs of every occupied cell."""
+        return self._cells.items()
+
+    def insert(self, slot: int, half) -> None:
+        """Index ``slot`` at ``half``; a slot already indexed moves there."""
+        cell = self.cell(half)
+        old = self._cell_of.get(slot)
+        if old == cell:
+            return
+        if old is not None:
+            self.remove(slot)
+        self._cells.setdefault(cell, []).append(slot)
+        self._cell_of[slot] = cell
 
     def remove(self, slot: int) -> None:
-        canonical = self._pos.pop(slot)
-        key = self._bucket_key(canonical)
-        members = self._buckets[key]
-        members.discard(slot)
+        cell = self._cell_of.pop(slot)
+        members = self._cells[cell]
+        members.remove(slot)
         if not members:
-            del self._buckets[key]
-
-    def move(self, slot: int, half: np.ndarray) -> None:
-        self.remove(slot)
-        self.insert(slot, half)
-
-    def position(self, slot: int) -> np.ndarray:
-        """Canonical stored position of a slot."""
-        return self._pos[slot]
+            del self._cells[cell]
 
     def clear(self) -> None:
-        self._buckets.clear()
-        self._pos.clear()
+        self._cells.clear()
+        self._cell_of.clear()
 
     # ------------------------------------------------------------------
-    def _axis_bucket_indices(self, lo: int, hi: int, axis: int) -> List[int]:
-        """Bucket indices covering the (possibly wrapped) interval [lo, hi]."""
+    def _axis_cells(self, p: int, axis: int):
+        """Cell indices covering ``[p - bucket, p + bucket]`` on one axis."""
         b = self.bucket
         if self.periodic is None:
-            return list(range(lo // b, hi // b + 1))
-        dims = int(self.periodic[axis])
-        if hi - lo + 1 >= dims:
-            return list(range(0, (dims - 1) // b + 1))
-        a, z = lo % dims, hi % dims
+            c = p // b
+            return (c - 1, c, c + 1)
+        dim = self.periodic[axis]
+        last = (dim - 1) // b
+        if 2 * b + 1 >= dim:
+            return range(last + 1)
+        a, z = (p - b) % dim, (p + b) % dim
         if a <= z:
-            return list(range(a // b, z // b + 1))
-        # The interval wraps: cover [0, z] and [a, dims-1].
-        return list(range(0, z // b + 1)) + list(
-            range(a // b, (dims - 1) // b + 1)
-        )
+            return range(a // b, z // b + 1)
+        # The interval wraps: cover [0, z] and [a, dim - 1].
+        return (*range(z // b + 1), *range(a // b, last + 1))
 
-    def candidates_near(self, half: np.ndarray, reach: int) -> Set[int]:
-        """Slots possibly within ``reach`` half-units of a point (superset)."""
-        half = np.asarray(half, dtype=np.int64)
-        axes = [
-            self._axis_bucket_indices(int(half[ax]) - reach, int(half[ax]) + reach, ax)
-            for ax in range(3)
-        ]
-        out: Set[int] = set()
-        for bx in axes[0]:
-            for by in axes[1]:
-                for bz in axes[2]:
-                    members = self._buckets.get((bx, by, bz))
-                    if members:
-                        out |= members
-        return out
+    def candidates_near(self, points) -> List[int]:
+        """Slots possibly within one cell edge of any of ``points``.
 
-    def displacement(self, slot: int, half: np.ndarray) -> np.ndarray:
-        """Float (minimum-image) half-unit displacement slot -> point."""
-        delta = (self._canonical(half) - self._pos[slot]).astype(np.float64)
-        if self.periodic is not None:
-            span = self.periodic.astype(np.float64)
-            delta -= span * np.round(delta / span)
-        return delta
+        ``points`` is a sequence of integer ``(x, y, z)`` half-unit
+        positions; the result is an ascending, duplicate-free superset of
+        the slots within ``bucket`` half-units of at least one of them.
+        """
+        if len(self._cell_of) <= 27 * len(points):
+            # Fewer slots than cells to probe: handing back every slot is
+            # the cheaper superset (a rank's few vacancies, a ghost
+            # exchange's many points).
+            return sorted(self._cell_of)
+        get = self._cells.get
+        out: List[int] = []
+        blocks = set()
+        for x, y, z in points:
+            block = (
+                self._axis_cells(x, 0),
+                self._axis_cells(y, 1),
+                self._axis_cells(z, 2),
+            )
+            if block in blocks:
+                continue  # a hop's two ends mostly share one cell block
+            blocks.add(block)
+            xs, ys, zs = block
+            for cx in xs:
+                for cy in ys:
+                    for cz in zs:
+                        members = get((cx, cy, cz))
+                        if members:
+                            out += members
+        return sorted(set(out))
 
 
 class EventKernel:
@@ -264,9 +284,9 @@ class EventKernel:
         semantics: no reuse at all, the OpenKMC baseline).
     hot_path:
         ``"vectorized"`` (default) for the SoA array sweeps, ``"legacy"``
-        for the historical per-slot loops + spatial-hash narrowing.  The two
-        are trajectory-equivalent; legacy exists for the old-vs-new
-        benchmark and the equivalence tests.
+        for the historical per-slot refresh/activation loops.  The two are
+        trajectory-equivalent; legacy exists for the old-vs-new benchmark
+        and the equivalence tests.
     build_entries_delta:
         Optional ``(keys, slots) -> BatchEntries`` callback for the
         incremental rebuild path: it may consult the cache's delta-ready
@@ -291,9 +311,9 @@ class EventKernel:
         inputs); ``"full"`` remains as the reference and fallback.
     backend:
         Array backend name/instance (see :mod:`repro.core.backend`) used for
-        the broadcast invalidation query and the propensity store's slot
-        arrays.  The cache's SoA arrays and all keys/positions stay
-        NumPy-resident (they are the checkpoint serialisation boundary).
+        the invalidation distance test and the linear store's slot array.
+        The cache's SoA arrays and all keys/positions stay NumPy-resident
+        (they are the checkpoint serialisation boundary).
     """
 
     def __init__(
@@ -331,13 +351,25 @@ class EventKernel:
         self.xp = get_backend(backend)
         self.cache = VacancyCache(keys)
         self.store = make_store(propensity, self.cache.n_slots, backend=self.xp)
-        self._reach = max(1, int(np.ceil((self.threshold + 1e-9) / self.scale)))
+        #: Inclusive limit of the distance test.
+        self._limit = self.threshold + 1e-9
         self.periodic = (
             None
             if periodic_half is None
             else np.asarray(periodic_half, dtype=np.int64)
         )
-        self.index: Optional[SpatialHashIndex] = None
+        #: Box span in the distance test's dtype.
+        self._span = (
+            None
+            if self.periodic is None
+            else self.xp.from_numpy(self.periodic.astype(np.float64))
+        )
+        #: Cell index of every live slot's centre, maintained by every
+        #: registry mutation (see :meth:`check_index`).  The cell edge is
+        #: the test's reach in whole half-units.
+        self.index = SpatialHashIndex(
+            int(np.ceil(self._limit / self.scale)), periodic_half
+        )
         self.stats = KernelStats()
         #: Physical active mask, or ``None`` meaning "all live slots" (the
         #: serial engines); the parallel driver narrows it per sector.
@@ -373,14 +405,14 @@ class EventKernel:
     @hot_path.setter
     def hot_path(self, mode: str) -> None:
         # Route direct assignment through set_hot_path so an unknown mode
-        # string can never silently disable the spatial index bookkeeping.
+        # string is rejected instead of silently selecting a path.
         self.set_hot_path(mode)
 
     def set_hot_path(self, mode: str) -> None:
         """Switch between the ``"vectorized"`` and ``"legacy"`` hot paths.
 
         Both compute identical stale sets and propensities; legacy re-runs
-        the pre-SoA per-slot loops (spatial-hash candidates + scalar Fenwick
+        the pre-SoA per-slot loops (per-slot stores + scalar Fenwick
         updates) for benchmarking and equivalence testing.  Raises
         :class:`ValueError` for anything outside :data:`HOT_PATHS`.
         """
@@ -398,13 +430,6 @@ class EventKernel:
         # neither patches nor consults them, so re-entering the vectorized
         # path must start from a clean full rebuild.
         self.cache.drop_delta_snapshots()
-        if mode == "legacy":
-            periodic = None if self.periodic is None else self.periodic
-            self.index = SpatialHashIndex(self._reach, periodic)
-            for slot in self.cache.live_slots():
-                self.index.insert(slot, self.cache.centres[slot])
-        else:
-            self.index = None
 
     # ------------------------------------------------------------------
     # Rebuild-path selection (full re-encode vs incremental re-rate)
@@ -465,14 +490,11 @@ class EventKernel:
             and self.use_cache
         )
 
-    def _canonical(self, half: np.ndarray) -> np.ndarray:
-        half = np.asarray(half, dtype=np.int64)
-        if self.periodic is None:
-            return half
-        return np.mod(half, self.periodic)
-
-    def _set_centre(self, slot: int, half: np.ndarray) -> None:
-        self.cache.centres[slot] = self._canonical(half)
+    def _set_centre(self, slot: int, half) -> None:
+        """Record a live slot's centre in the cache row and the cell index."""
+        centre = self.index.canonical(half)
+        self.cache.centres[slot] = centre
+        self.index.insert(slot, centre)
 
     def _pad_active_mask(self) -> None:
         """Keep the active mask aligned with the cache's physical arrays."""
@@ -503,16 +525,13 @@ class EventKernel:
             self.store.update(slot, 0.0)
         self._pad_active_mask()
         self._set_centre(slot, self.position_of(key))
-        if self.index is not None:
-            self.index.insert(slot, self.cache.centres[slot])
         return slot
 
     def remove(self, slot: int) -> None:
         """Unregister a vacancy; its slot parks at zero propensity."""
         self.cache.remove_slot(slot)
         self.store.update(slot, 0.0)
-        if self.index is not None:
-            self.index.remove(slot)
+        self.index.remove(slot)
         if self._active_mask is not None:
             self._active_mask[slot] = False
 
@@ -521,8 +540,6 @@ class EventKernel:
         self.cache.move(slot, new_key)
         self.store.update(slot, 0.0)
         self._set_centre(slot, self.position_of(new_key))
-        if self.index is not None:
-            self.index.move(slot, self.cache.centres[slot])
 
     def set_keys(
         self,
@@ -537,12 +554,9 @@ class EventKernel:
         self.cache.set_keys(keys, free_order=free_order)
         self.store.resize(self.cache.n_slots)
         self._active_mask = None
+        self.index.clear()
         for slot in self.cache.live_slots():
             self._set_centre(slot, self.position_of(self.cache.key_of(slot)))
-        if self.index is not None:
-            self.index.clear()
-            for slot in self.cache.live_slots():
-                self.index.insert(slot, self.cache.centres[slot])
 
     # ------------------------------------------------------------------
     # Sector activation (parallel sublattice protocol)
@@ -768,55 +782,66 @@ class EventKernel:
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
-    def invalidate_near(self, points_half: np.ndarray) -> int:
+    def invalidate_near(self, points_half) -> int:
         """Invalidate cached entries near changed positions (Sec. 3.2).
 
-        ``points_half`` is an ``(n, 3)`` array of half-unit coordinates.
-        The default path broadcasts them against every fresh centre in one
-        (periodic minimum-image, where configured) distance evaluation; the
-        legacy path narrows through the spatial hash and loops.  Both apply
-        the identical exact test ``|scale * delta| <= threshold + 1e-9`` in
-        the same floating-point operation order, so the stale sets agree
-        bitwise.  Returns the number of entries invalidated.
+        ``points_half`` is an ``(n, 3)`` array (or nested sequence) of
+        half-unit coordinates.  The cell index narrows the registry to the
+        slots in the cells around each point (ascending slot order); those
+        candidates then take the exact test
+        ``|scale * delta| <= threshold + 1e-9`` in one vectorised (periodic
+        minimum-image, where configured) evaluation.  The test is
+        element-wise per (point, centre) pair, so narrowing cannot change
+        a single hit.  Returns the number of entries invalidated.
 
-        When the delta rebuild path is active the same broadcast query also
-        covers stale-but-delta-ready slots, and every hit slot with a
-        snapshot is handed to ``patch_entries`` together with the changed
-        positions — invalidation then carries *what* changed, which is what
-        keeps the snapshots in sync with the lattice between refreshes.
-        The fresh->stale transitions and invalidation counters are computed
+        When the delta rebuild path is active the same query also covers
+        stale-but-delta-ready slots, and every hit slot with a snapshot is
+        handed to ``patch_entries`` together with the changed positions —
+        invalidation then carries *what* changed, which is what keeps the
+        snapshots in sync with the lattice between refreshes.  The
+        fresh->stale transitions and invalidation counters are computed
         exactly as in full mode (the extra snapshot slots never enter the
         stats), so trajectories and counters agree across modes.
         """
         points = np.asarray(points_half, dtype=np.int64).reshape(-1, 3)
         if points.shape[0] == 0:
             return 0
-        if self.hot_path == "legacy":
-            return self._invalidate_near_legacy(points)
+        point_list = points.tolist()
+        near = self.index.candidates_near(point_list)
+        self.stats.invalidate_calls += 1
+        self.stats.invalidation_candidates += len(near)
+        if not near:
+            return 0
         cache = self.cache
         delta_on = self.delta_active()
+        near = np.array(near, dtype=np.int64)
+        # Only slots that hold something — a fresh entry to drop, a delta
+        # snapshot to patch — take the test; a registry that is stale
+        # anyway (most ghost exchanges) ends here.
+        held = cache.fresh[near]
         if delta_on:
-            held = np.flatnonzero(
-                cache.live & (cache.fresh | cache.delta_ready)
-            )
-        else:
-            held = np.flatnonzero(cache.live & cache.fresh)
-        if held.size == 0:
+            held |= cache.delta_ready[near]
+        near = near[held]
+        if near.size == 0:
             return 0
-        # The broadcast distance query runs through the array backend; the
-        # NumPy backend executes the identical expression (same op order,
-        # same bits) the pre-refactor code inlined here.
+        # The distance test runs through the array backend; the NumPy
+        # backend executes the identical expression (same op order, same
+        # bits) the all-centres broadcast it replaced evaluated.  Integer
+        # coordinates are exact in float64 however they got there.
         xp = self.xp
-        pts = xp.from_numpy(self._canonical(points).astype(np.float64))
-        centres = xp.from_numpy(cache.centres[held].astype(np.float64))
+        canonical = self.index.canonical
+        pts = xp.from_numpy(
+            np.array([canonical(p) for p in point_list], dtype=np.float64)
+        )
+        centres = xp.from_numpy(cache.centres[near].astype(np.float64))
         delta = pts[:, None, :] - centres[None, :, :]
-        if self.periodic is not None:
-            span = xp.from_numpy(self.periodic.astype(np.float64))
+        span = self._span
+        if span is not None:
             delta = delta - span * xp.round(delta / span)
         delta = delta * self.scale
         dist = xp.sqrt(xp.sum(delta * delta, axis=-1))
-        hit = xp.to_numpy(xp.any(dist <= self.threshold + 1e-9, axis=0))
-        hits = held[hit]
+        hit = xp.to_numpy(xp.any(dist <= self._limit, axis=0))
+        hits = near[hit]
         if delta_on:
             fresh_hits = hits[cache.fresh[hits]]
             patch_slots = hits[cache.delta_ready[hits]]
@@ -833,17 +858,34 @@ class EventKernel:
         cache.stats.invalidations += int(fresh_hits.size)
         return int(fresh_hits.size)
 
-    def _invalidate_near_legacy(self, points: np.ndarray) -> int:
-        count = 0
-        for point in points:
-            for slot in self.index.candidates_near(point, self._reach):
-                if self.cache.get(slot) is None:
-                    continue
-                delta = self.index.displacement(slot, point) * self.scale
-                if np.sqrt(np.sum(delta * delta)) <= self.threshold + 1e-9:
-                    self.cache.invalidate_slot(slot)
-                    count += 1
-        return count
+    def check_index(self) -> List[str]:
+        """Audit the cell index against the cache; ``[]`` when consistent.
+
+        Every live slot must be indexed exactly once, in the cell of its
+        ``cache.centres`` row, and no parked slot may be indexed at all.
+        Returns one message per violation instead of asserting, so a
+        driver can run it in production at low frequency.
+        """
+        problems: List[str] = []
+        found: Dict[int, Tuple[int, int, int]] = {}
+        for cell, members in self.index.cells():
+            for slot in members:
+                if slot in found:
+                    problems.append(
+                        f"slot {slot} indexed in cells {found[slot]} and {cell}"
+                    )
+                found[slot] = cell
+        live = set(self.cache.live_slots())
+        for slot in sorted(found.keys() - live):
+            problems.append(f"parked slot {slot} indexed in cell {found[slot]}")
+        for slot in sorted(live):
+            want = self.index.cell(self.cache.centres[slot].tolist())
+            got = found.get(slot)
+            if got != want or self.index.cell_of(slot) != want:
+                problems.append(
+                    f"slot {slot}: centre lies in cell {want}, indexed in {got}"
+                )
+        return problems
 
     def invalidate_all(self) -> None:
         """Drop every live entry (cache-off mode / global resync)."""
@@ -895,6 +937,11 @@ class EventKernel:
         out["mean_batch_size"] = (
             self.stats.batched_rows / self.stats.rate_batches
             if self.stats.rate_batches
+            else 0.0
+        )
+        out["mean_invalidation_candidates"] = (
+            self.stats.invalidation_candidates / self.stats.invalidate_calls
+            if self.stats.invalidate_calls
             else 0.0
         )
         out["rebuild_path"] = "delta" if self.delta_active() else "full"

@@ -7,18 +7,19 @@ propensity update" (Sec. 4.4) keeps a Fenwick tree so that updates and
 selections are O(log n).  Both structures implement the same interface and
 the same selection semantics so the engines can use either.
 
-Both stores hold their slot arrays through an :class:`~.backend.ArrayBackend`
-handle (``backend=`` at construction); under the default NumPy backend every
-operation is the exact NumPy call the pre-refactor code made, so selection
-and update stay bit-identical.  Batch validation (`_checked_batch`) is
-host-side NumPy on purpose — slot indices and error reporting live at the
-serialisation boundary.
+The linear store holds its slot array through an
+:class:`~.backend.ArrayBackend` handle (``backend=`` at construction); the
+Fenwick tree is host-side Python lists (see :class:`FenwickPropensity`).
+Validation (`_checked_value`, `_checked_batch`) is shared: a propensity
+must be finite and non-negative, and a violation raises ``ValueError``
+naming the slot and the value — a NaN or infinite rate from a bad potential
+must end in a structured error, never in an undefined selection.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -27,30 +28,45 @@ from .backend import get_backend
 __all__ = ["PropensityStore", "LinearPropensity", "FenwickPropensity"]
 
 
+_INF = float("inf")
+
+
+def _bad_value(slot: int, value: float) -> ValueError:
+    return ValueError(
+        f"propensity of slot {slot} must be finite and >= 0, got {value!r}"
+    )
+
+
+def _checked_value(slot: int, value: float) -> float:
+    """``value`` as a Python float; ``ValueError`` unless finite and >= 0."""
+    value = float(value)
+    if not 0.0 <= value < _INF:  # NaN fails both comparisons
+        raise _bad_value(slot, value)
+    return value
+
+
 def _checked_batch(
     slots, values, n_slots: int
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[List[int], List[float]]:
     """Validate an ``update_many`` batch shared by every store.
 
-    Returns ``(slots, values)`` as flat int64/float64 arrays.  Raises
-    ``ValueError`` on length mismatch or negative propensities and
-    ``IndexError`` on out-of-range slots (negative slots included — fancy
-    indexing would silently wrap them).
+    Returns ``(slots, values)`` as flat Python lists, checked in one pass
+    before the caller writes anything.  Raises ``ValueError`` on length
+    mismatch or a negative / non-finite propensity and ``IndexError`` on
+    out-of-range slots (negative slots included — indexing would silently
+    wrap them).
     """
-    s = np.asarray(slots, dtype=np.int64).ravel()
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if s.shape != v.shape:
+    s = np.asarray(slots, dtype=np.int64).ravel().tolist()
+    v = np.asarray(values, dtype=np.float64).ravel().tolist()
+    if len(s) != len(v):
         raise ValueError(
-            f"update_many length mismatch: {s.size} slots vs {v.size} values"
+            f"update_many length mismatch: {len(s)} slots vs {len(v)} values"
         )
-    if s.size == 0:
-        return s, v
-    if np.any(v < 0):
-        bad = float(v[v < 0][0])
-        raise ValueError(f"propensity must be >= 0, got {bad!r}")
-    if np.any((s < 0) | (s >= n_slots)):
-        bad = int(s[(s < 0) | (s >= n_slots)][0])
-        raise IndexError(f"slot {bad} out of range [0, {n_slots})")
+    for slot, value in zip(s, v):
+        if not 0.0 <= value < _INF:
+            raise _bad_value(slot, value)
+        if not 0 <= slot < n_slots:
+            raise IndexError(f"slot {slot} out of range [0, {n_slots})")
     return s, v
 
 
@@ -96,7 +112,7 @@ class PropensityStore(ABC):
         """
         s, v = _checked_batch(slots, values, self.n_slots)
         for slot, value in zip(s, v):
-            self.update(int(slot), float(value))
+            self.update(slot, value)
 
     @abstractmethod
     def get(self, slot: int) -> float:
@@ -146,13 +162,13 @@ class LinearPropensity(PropensityStore):
         return int(self.values.shape[0])
 
     def update(self, slot: int, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"propensity must be >= 0, got {value!r}")
-        self.values[slot] = value
+        self.values[slot] = _checked_value(slot, value)
 
     def update_many(self, slots, values) -> None:
         s, v = _checked_batch(slots, values, self.n_slots)
-        self.values[self.xp.from_numpy(s)] = self.xp.from_numpy(v)
+        self.values[self.xp.from_numpy(np.asarray(s, dtype=np.int64))] = (
+            self.xp.from_numpy(np.asarray(v, dtype=np.float64))
+        )
 
     def get(self, slot: int) -> float:
         return float(self.values[slot])
@@ -176,10 +192,23 @@ class FenwickPropensity(PropensityStore):
 
     This is the "tree strategy for propensity update" used in all the
     paper's scalability runs.
+
+    ``values`` and ``tree`` are plain Python lists of floats — the one
+    representation scalar ``update``, ``update_many``, ``total`` and
+    ``select`` all work on in place.  Every operation touches O(log n)
+    nodes a few at a time, which the interpreter does faster on list
+    elements than through per-element array dispatch, and nothing is ever
+    copied per call.  The store is host-side bookkeeping whichever array
+    backend runs the rate math.
     """
 
-    def __init__(self, n_slots: int = 0, backend=None) -> None:
-        self.xp = get_backend(backend)
+    #: A batch touching at least 1/``REBUILD_FRACTION`` of the capacity
+    #: recomputes every node in one ascending sweep instead of collecting
+    #: the touched ancestor chains first.  Same nodes, same sums, same
+    #: bits either way — pure cost tuning.
+    REBUILD_FRACTION = 8
+
+    def __init__(self, n_slots: int = 0) -> None:
         self.resize(n_slots)
 
     def resize(self, n_slots: int) -> None:
@@ -188,26 +217,22 @@ class FenwickPropensity(PropensityStore):
         self._cap = 1
         while self._cap < max(self.n, 1):
             self._cap *= 2
-        self.tree = self.xp.zeros(self._cap + 1, dtype=self.xp.float64)
-        self.values = self.xp.zeros(self.n, dtype=self.xp.float64)
+        self.tree: List[float] = [0.0] * (self._cap + 1)
+        self.values: List[float] = [0.0] * self.n
 
     def grow(self, n_slots: int) -> None:
         n_slots = int(n_slots)
         if n_slots < self.n:
             raise ValueError(f"grow cannot shrink: {n_slots} < {self.n} slots")
-        if n_slots == self.n:
-            return
         if n_slots <= self._cap:
             # The tree already spans the new slots (they aggregate as zero);
-            # only the dense value array needs extending.
-            self.values = self.xp.concatenate(
-                [self.values, self.xp.zeros(n_slots - self.n, dtype=self.xp.float64)]
-            )
+            # only the dense value list needs extending.
+            self.values.extend([0.0] * (n_slots - self.n))
             self.n = n_slots
             return
         old = self.values
         self.resize(n_slots)
-        self.values[: old.shape[0]] = old
+        self.values[: len(old)] = old
         self._rebuild()
 
     @property
@@ -215,145 +240,81 @@ class FenwickPropensity(PropensityStore):
         return self.n
 
     def update(self, slot: int, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"propensity must be >= 0, got {value!r}")
+        value = _checked_value(slot, value)
         if not 0 <= slot < self.n:
             raise IndexError(f"slot {slot} out of range [0, {self.n})")
         self.values[slot] = value
-        self._refresh_ancestors(slot)
-
-    def _refresh_ancestors(self, slot: int) -> None:
-        # Recompute every ancestor node exactly from its children instead of
-        # propagating a float delta: the tree is then a pure function of the
-        # ``values`` array, independent of update history — which is what
-        # makes checkpoint/restart bit-exact (a rebuilt tree matches an
-        # incrementally-updated one).  O(log^2 n) instead of O(log n).
-        i = slot + 1
-        while i <= self._cap:
-            total = self.values[i - 1] if i - 1 < self.n else 0.0
-            k = 1
-            low = i & (-i)
-            while k < low:
-                total += self.tree[i - k]
-                k <<= 1
-            self.tree[i] = total
-            i += i & (-i)
-
-    #: Batch-refresh policy thresholds for :meth:`update_many`.  A batch
-    #: touching at least 1/``REBUILD_FRACTION`` of the tree's capacity is
-    #: cheaper to rebuild wholesale (one vectorized sweep); below that, the
-    #: host-side batch refresh pays one O(cap) tree/values copy up front,
-    #: which amortises once the batch touches at least
-    #: 1/``BATCH_REFRESH_FRACTION`` of the capacity (or the tree is small
-    #: enough — <= ``BATCH_REFRESH_MIN_CAP`` — for the copy to be noise).
-    #: All three strategies are bitwise identical, so the thresholds are
-    #: pure cost tuning.
-    REBUILD_FRACTION = 8
-    BATCH_REFRESH_FRACTION = 64
-    BATCH_REFRESH_MIN_CAP = 4096
+        self._recompute(self._chain(int(slot) + 1))
 
     def update_many(self, slots, values) -> None:
         s, v = _checked_batch(slots, values, self.n)
-        if s.size == 0:
-            return
-        # duplicates: last write wins, as sequentially
-        self.values[self.xp.from_numpy(s)] = self.xp.from_numpy(v)
-        # Each node's sum is formed child-by-child in the same order the
-        # scalar path uses, so either refresh strategy leaves the tree
-        # bitwise identical to a sequence of scalar updates.
-        if s.size * self.REBUILD_FRACTION >= self._cap:
+        dense = self.values
+        for slot, value in zip(s, v):
+            dense[slot] = value  # duplicates: last write wins, as sequentially
+        if len(s) * self.REBUILD_FRACTION >= self._cap:
             self._rebuild()
             return
-        u = np.unique(s)
-        if (
-            self._cap <= self.BATCH_REFRESH_MIN_CAP
-            or u.size * self.BATCH_REFRESH_FRACTION >= self._cap
-        ):
-            self._refresh_ancestors_batch(u)
-        else:
-            for slot in u:  # ascending: children refresh first
-                self._refresh_ancestors(int(slot))
+        # Union of the slots' ancestor chains, each node once.  A chain that
+        # reaches an already-collected node shares the rest of its way up.
+        nodes = set()
+        for slot in s:
+            for i in self._chain(slot + 1):
+                if i in nodes:
+                    break
+                nodes.add(i)
+        self._recompute(sorted(nodes))
 
-    def _refresh_ancestors_batch(self, slots: np.ndarray) -> None:
-        """Host-side ancestor refresh for a small ascending slot batch.
+    def _chain(self, i: int):
+        """Node ``i`` and its ancestors, bottom-up (ascending)."""
+        while i <= self._cap:
+            yield i
+            i += i & (-i)
 
-        Node-for-node the same arithmetic as :meth:`_refresh_ancestors` —
-        each ancestor recomputed child-by-child in ascending-lowbit order
-        with IEEE-double additions — but run on Python floats, so the
-        O(log^2 n) inner loops cost interpreter time instead of a per
-        element array dispatch.  Shared ancestors of later slots read the
-        refreshed host copy, exactly as the scalar path re-reads
-        ``self.tree``, and the touched nodes go back in one scatter.
-        Same additions, same order, same bits.
+    def _recompute(self, nodes) -> None:
+        """Recompute ``nodes`` (ascending) exactly from their children.
+
+        A node is its own value plus its child nodes ``i - k`` for
+        ``k = 1, 2, 4, ... < lowbit(i)``, added in that order — never a
+        propagated float delta.  The tree is then a pure function of
+        ``values``, independent of update history, which is what makes
+        checkpoint/restart bit-exact (a rebuilt tree matches an
+        incrementally-updated one).  Children sit at smaller indices than
+        their parents, so ascending order reads only finished nodes.
         """
-        tl = self.xp.to_numpy(self.tree).tolist()
-        vl = self.xp.to_numpy(self.values).tolist()
-        n = self.n
-        touched: dict = {}
-        for slot in slots.tolist():
-            i = slot + 1
-            while i <= self._cap:
-                total = vl[i - 1] if i - 1 < n else 0.0
-                k = 1
-                low = i & (-i)
-                while k < low:
-                    total += tl[i - k]
-                    k <<= 1
-                tl[i] = total
-                touched[i] = total
-                i += low
-        idx = np.fromiter(touched.keys(), dtype=np.int64, count=len(touched))
-        vals = np.fromiter(touched.values(), dtype=np.float64, count=len(touched))
-        self.tree[self.xp.from_numpy(idx)] = self.xp.from_numpy(vals)
+        tree, values, n = self.tree, self.values, self.n
+        for i in nodes:
+            total = values[i - 1] if i <= n else 0.0
+            k = 1
+            low = i & (-i)
+            while k < low:
+                total += tree[i - k]
+                k <<= 1
+            tree[i] = total
 
     def _rebuild(self) -> None:
-        """Recompute the whole tree from ``values`` in one vectorized sweep.
-
-        Level by level: seed every node with its own value, then for
-        ``k = 1, 2, 4, ...`` add ``tree[i - k]`` into each node ``i`` whose
-        lowbit exceeds ``k``.  At step ``k`` the nodes being read have
-        lowbit exactly ``k`` and were finalized in earlier steps, and each
-        node accumulates its children in the same ascending-``k`` order as
-        ``_refresh_ancestors`` — same additions, same order, same bits.
-        """
-        self.tree[:] = 0.0
-        self.tree[1 : self.n + 1] = self.values
-        # Node index bookkeeping stays host-side NumPy; only the float
-        # accumulations run through the backend arrays.
-        idx = np.arange(1, self._cap + 1, dtype=np.int64)
-        low = idx & (-idx)
-        k = 1
-        while k < self._cap:
-            nodes = self.xp.from_numpy(idx[low > k])
-            self.tree[nodes] += self.tree[nodes - k]
-            k <<= 1
+        """Recompute the whole tree from ``values``."""
+        self._recompute(range(1, self._cap + 1))
 
     def get(self, slot: int) -> float:
-        return float(self.values[slot])
+        return self.values[slot]
 
     @property
     def total(self) -> float:
-        return self._prefix(self._cap)
-
-    def _prefix(self, i: int) -> float:
-        s = 0.0
-        while i > 0:
-            s = s + float(self.tree[i])
-            i -= i & (-i)
-        return s
+        return self.tree[self._cap]
 
     def select(self, u: float) -> Tuple[int, float]:
-        total = self.total
+        tree, cap = self.tree, self._cap
+        total = tree[cap]
         if not 0.0 <= u < total:
             raise ValueError(f"u={u!r} outside [0, total={total!r})")
         pos = 0
         rem = u
-        step = self._cap
+        step = cap
         depth = 0
         while step > 0:
             nxt = pos + step
-            if nxt <= self._cap and float(self.tree[nxt]) <= rem:
-                rem -= float(self.tree[nxt])
+            if nxt <= cap and tree[nxt] <= rem:
+                rem -= tree[nxt]
                 pos = nxt
             step //= 2
             depth += 1
@@ -361,5 +322,5 @@ class FenwickPropensity(PropensityStore):
         slot = pos  # pos = count of slots with cumulative <= u
         if slot >= self.n:  # numerical edge: clamp onto the last live slot
             slot = self.n - 1
-            rem = min(rem, float(self.values[slot]))
+            rem = min(rem, self.values[slot])
         return slot, rem

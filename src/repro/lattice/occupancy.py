@@ -98,6 +98,30 @@ class LatticeState:
         s, i, j, k = self.site_coords(ids)
         return np.stack([2 * i + s, 2 * j + s, 2 * k + s], axis=-1)
 
+    def half_of(self, site: int) -> Tuple[int, int, int]:
+        """:meth:`half_coords` of one site, in Python ints.
+
+        The event loop moves one site per hop; decoding it through
+        1-element arrays costs more than the whole rest of the hop.
+        """
+        nx, ny, nz = self.shape
+        rest, k = divmod(int(site), nz)
+        rest, j = divmod(rest, ny)
+        s, i = divmod(rest, nx)
+        return (2 * i + s, 2 * j + s, 2 * k + s)
+
+    def site_at_half(self, x: int, y: int, z: int) -> int:
+        """:meth:`ids_from_half` of one position: parity check + periodic wrap."""
+        s = x & 1
+        if (y & 1) != s or (z & 1) != s:
+            raise ValueError(
+                "half coordinates with mixed parity are not BCC sites"
+            )
+        nx, ny, nz = self.shape
+        return (
+            (s * nx + ((x - s) >> 1) % nx) * ny + ((y - s) >> 1) % ny
+        ) * nz + ((z - s) >> 1) % nz
+
     def ids_from_half(self, half: np.ndarray, checked: bool = True) -> np.ndarray:
         """Flat site indices from half-unit coordinates with periodic wrap.
 

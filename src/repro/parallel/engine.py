@@ -117,7 +117,7 @@ class RankState:
         # radius from Angstrom through scale=1.
         self.kernel = EventKernel(
             self._build_rates,
-            lambda key: np.asarray(key, dtype=np.int64),
+            lambda key: key,  # keys are window half-coordinate tuples
             threshold=2.0 * self.tet.invalidation_radius / self.tet.geometry.a,
             scale=1.0,
             propensity="tree",

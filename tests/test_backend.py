@@ -320,15 +320,14 @@ class TestModeValidation:
         )
         with pytest.raises(ValueError, match="unknown hot path"):
             engine.kernel.set_hot_path("legacyy")
-        # Direct attribute assignment must validate too (it used to bypass
-        # the spatial-index bookkeeping entirely).
+        # Direct attribute assignment must validate too.
         with pytest.raises(ValueError, match="unknown hot path"):
             engine.kernel.hot_path = "vectorised"
         engine.kernel.hot_path = "legacy"
         assert engine.kernel.hot_path == "legacy"
-        assert engine.kernel.index is not None
         engine.kernel.set_hot_path("vectorized")
-        assert engine.kernel.index is None
+        # The cell index is maintained in every mode.
+        assert engine.kernel.check_index() == []
 
 
 # ----------------------------------------------------------------------

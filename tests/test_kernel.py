@@ -122,21 +122,26 @@ def test_candidates_cover_brute_force(periodic):
         if periodic is None:
             point = np.clip(point, 0, None)
         required = _brute_near(positions, np.mod(point, dims) if periodic is not None else point, 4.0, periodic)
-        candidates = index.candidates_near(point, 4)
-        assert required <= candidates, (point, required - candidates)
+        candidates = index.candidates_near([point.tolist()])
+        assert candidates == sorted(set(candidates))
+        assert required <= set(candidates), (point, required - set(candidates))
 
 
 def test_index_move_and_remove():
-    index = SpatialHashIndex(4, periodic_half=(16, 16, 16))
-    index.insert(0, np.array([1, 1, 1]))
-    index.insert(1, np.array([10, 10, 10]))
-    assert 0 in index.candidates_near(np.array([0, 0, 0]), 4)
-    index.move(0, np.array([10, 10, 10]))
-    assert 0 not in index.candidates_near(np.array([0, 0, 0]), 4)
-    assert 0 in index.candidates_near(np.array([9, 9, 9]), 4)
+    index = SpatialHashIndex(4, periodic_half=(48, 48, 48))
+    index.insert(0, (1, 1, 1))
+    index.insert(1, (10, 10, 10))
+    # Far-away filler: an index with fewer slots than a query probes cells
+    # hands back everyone, which is not what this test is about.
+    for slot in range(2, 32):
+        index.insert(slot, (30, 30, slot))
+    assert 0 in index.candidates_near([(0, 0, 0)])
+    index.insert(0, (10, 10, 10))  # re-inserting an indexed slot moves it
+    assert 0 not in index.candidates_near([(0, 0, 0)])
+    assert index.candidates_near([(9, 9, 9)]) == [0, 1]
     index.remove(0)
-    assert 0 not in index.candidates_near(np.array([9, 9, 9]), 4)
-    assert len(index) == 1
+    assert index.candidates_near([(9, 9, 9)]) == [1]
+    assert len(index) == 31
 
 
 # ----------------------------------------------------------------------

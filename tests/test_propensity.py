@@ -14,6 +14,11 @@ values_strategy = st.lists(
 )
 
 
+def _bits(floats):
+    """Exact bit pattern of a float sequence (``==`` equates 0.0 and -0.0)."""
+    return np.asarray(floats, dtype=np.float64).tobytes()
+
+
 def _filled(cls, values):
     store = cls(len(values))
     for i, v in enumerate(values):
@@ -200,15 +205,13 @@ class TestUpdateMany:
         assert batch_fen.total == seq_fen.total
 
 
-class TestUpdateManyAboveLegacyCap:
-    """Batch updates on trees larger than the old hardcoded 4096 cap.
+class TestUpdateManyLargeTree:
+    """Batch updates on an 8192-slot tree, sparse through dense.
 
-    ``update_many`` used to route every capacity above 4096 through the
-    per-slot scalar loop; the touched-fraction heuristic now picks between
-    scalar refresh, the host-side batch ancestor refresh, and a full
-    rebuild.  All three must stay bitwise identical to sequential updates
-    (they perform the same additions in the same order), so each branch is
-    pinned here on an 8192-capacity tree.
+    Whatever strategy ``update_many`` picks for a batch size (walking the
+    touched ancestor chains, recomputing every node), the result must be
+    bitwise what sequential scalar updates leave — same additions, same
+    order.  The sizes straddle every cost threshold the store has had.
     """
 
     N = 8192
@@ -218,41 +221,23 @@ class TestUpdateManyAboveLegacyCap:
         values = rng.uniform(0.0, 1e3, self.N)
         batch = FenwickPropensity(self.N)
         seq = FenwickPropensity(self.N)
-        batch.update_many(np.arange(self.N), values)  # rebuild-branch fill
+        batch.update_many(np.arange(self.N), values)
         for i, v in enumerate(values):
             seq.update(i, float(v))
         return batch, seq
 
-    def _assert_branch(self, n_unique, expect):
+    @pytest.mark.parametrize("n_unique", [1, 50, 400, 1023, 1024, 2048, 8192])
+    def test_batch_equals_sequential_bitwise(self, n_unique):
         batch, seq = self._pair()
-        assert batch._cap == self.N > FenwickPropensity.BATCH_REFRESH_MIN_CAP
         rng = np.random.default_rng(23)
         slots = rng.choice(self.N, size=n_unique, replace=False)
         news = rng.uniform(0.0, 1e3, n_unique)
-        # Pin which heuristic branch this batch lands in.
-        s = np.asarray(slots)
-        if expect == "rebuild":
-            assert s.size * batch.REBUILD_FRACTION >= batch._cap
-        elif expect == "batched":
-            assert s.size * batch.REBUILD_FRACTION < batch._cap
-            assert s.size * batch.BATCH_REFRESH_FRACTION >= batch._cap
-        else:
-            assert s.size * batch.BATCH_REFRESH_FRACTION < batch._cap
         batch.update_many(slots, news)
         for slot, v in zip(slots, news):
             seq.update(int(slot), float(v))
-        assert np.array_equal(batch.values, seq.values)
-        assert np.array_equal(batch.tree, seq.tree)
+        assert _bits(batch.values) == _bits(seq.values)
+        assert _bits(batch.tree) == _bits(seq.tree)
         assert batch.total == seq.total
-
-    def test_sparse_batch_uses_scalar_loop_bitwise(self):
-        self._assert_branch(50, "scalar")
-
-    def test_mid_batch_uses_ancestor_refresh_bitwise(self):
-        self._assert_branch(400, "batched")
-
-    def test_dense_batch_uses_rebuild_bitwise(self):
-        self._assert_branch(2048, "rebuild")
 
     def test_sample_draws_agree_after_large_batch(self):
         batch, seq = self._pair()
@@ -264,6 +249,31 @@ class TestUpdateManyAboveLegacyCap:
             assert batch.select(frac * batch.total) == seq.select(
                 frac * seq.total
             )
+
+
+class TestNonFiniteRejected:
+    """NaN / inf propensities end in a structured error (``v < 0`` is false
+    for NaN, so a sign check alone lets them poison ``total``)."""
+
+    @pytest.mark.parametrize("cls", [LinearPropensity, FenwickPropensity])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_update_names_slot_and_value(self, cls, bad):
+        store = _filled(cls, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=rf"slot 1 .*{bad!r}"):
+            store.update(1, bad)
+        assert store.total == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("cls", [LinearPropensity, FenwickPropensity])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_update_many_names_slot_and_value_and_writes_nothing(
+        self, cls, bad
+    ):
+        store = cls(8)
+        with pytest.raises(ValueError, match=rf"slot 5 .*{bad!r}"):
+            store.update_many([0, 5, 2], [1.0, bad, 2.0])
+        assert store.total == 0.0
+        store.update_many([0, 2], [1.0, 2.0])
+        assert store.select(1.5)[0] == 2
 
 
 class TestHistoryIndependence:
@@ -297,3 +307,54 @@ class TestHistoryIndependence:
         for i in reversed(range(5)):
             b.update(i, vals[i])
         assert np.array_equal(a.tree, b.tree)
+
+
+    @given(
+        n0=st.integers(min_value=0, max_value=40),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("update"), st.integers(0, 10**6),
+                          st.floats(min_value=0.0, max_value=1e6)),
+                st.tuples(
+                    st.just("update_many"),
+                    st.lists(st.tuples(
+                        st.integers(0, 10**6),
+                        st.floats(min_value=0.0, max_value=1e6)),
+                        max_size=40),
+                ),
+                st.tuples(st.just("grow"), st.integers(0, 70)),
+                st.tuples(st.just("resize"), st.integers(0, 40)),
+            ),
+            max_size=25,
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_any_interleaving_equals_from_scratch_rebuild(self, n0, ops):
+        """``tree`` is a pure function of ``values`` after *any* history of
+        update / update_many (duplicates included) / grow / resize, and
+        ``values`` is what a plain list would hold."""
+        store = FenwickPropensity(n0)
+        model = [0.0] * n0
+        for op in ops:
+            if op[0] == "update" and model:
+                slot = op[1] % len(model)
+                store.update(slot, op[2])
+                model[slot] = op[2]
+            elif op[0] == "update_many" and model:
+                pairs = [(s % len(model), v) for s, v in op[1]]
+                store.update_many([s for s, _ in pairs], [v for _, v in pairs])
+                for s, v in pairs:  # duplicates: last write wins
+                    model[s] = v
+            elif op[0] == "grow":
+                store.grow(len(model) + op[1])
+                model.extend([0.0] * op[1])
+            elif op[0] == "resize":
+                store.resize(op[1])
+                model = [0.0] * op[1]
+            assert store.n_slots == len(model)
+            assert _bits(store.values) == _bits(model)
+            scratch = FenwickPropensity(len(model))
+            scratch.values[:] = model
+            scratch._rebuild()
+            assert _bits(store.tree) == _bits(scratch.tree)
+            assert store.total == scratch.total
