@@ -1,6 +1,6 @@
 # Convenience targets for the TensorKMC reproduction.
 
-.PHONY: install test bench bench-smoke bench-e2e bench-e2e-selftest perf-trajectory fault-suite backend-suite rebuild-suite campaign-suite rowcache-suite parallel-suite lint-backend check examples snapshot
+.PHONY: install test bench experiments bench-smoke bench-e2e bench-e2e-selftest perf-trajectory fault-suite backend-suite campaign-suite rowcache-suite parallel-suite lint-backend check examples snapshot
 
 install:
 	pip install -e . --no-build-isolation
@@ -11,11 +11,17 @@ test:
 bench:
 	pytest benchmarks/ --benchmark-only
 
+# The regenerate command of EXPERIMENTS.md: every paper figure/table and
+# ablation bench under benchmarks/ (minutes, not seconds).  CI runs it as
+# its own step so a red experiment cannot go unnoticed.
+experiments:
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -q
+
 # Fast kernel regression check: times 500 parallel events at two box sizes,
-# the EAM cache-miss rebuild path (scalar vs batched), and the NNP miss path
-# through the deterministic tiled-GEMM kernel (scalar vs batched, bitwise
-# invariance + speedup gate).  Writes BENCH_kernel.json; fails if per-event
-# cost scales with N or either batched path misses its gate.
+# the NNP rebuild phase with the persistent row cache on vs off (digest
+# identity + speedup gate), and the per-backend NNP event cost.  Writes
+# BENCH_kernel.json; fails if per-event cost scales with N or the row cache
+# misses its gate.
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_kernel_smoke.py
 
@@ -53,18 +59,9 @@ backend-suite:
 	PYTHONPATH=src python -m pytest -x -q tests/test_backend.py
 	PYTHONPATH=src python benchmarks/bench_kernel_smoke.py
 
-# Rebuild-path suite: the incremental (delta) rebuild contract tests —
-# snapshot/bit-exactness fuzz plus serial and parallel trajectory identity
-# across rebuild_path modes — then the rebuild_path section of the kernel
-# smoke benchmark (delta vs full, rebuild-phase speedup gate, digest
-# identity).
-rebuild-suite:
-	PYTHONPATH=src python -m pytest -x -q tests/test_rebuild_path.py
-	PYTHONPATH=src python -m pytest -x -q benchmarks/bench_kernel_smoke.py::test_rebuild_path_is_faster_and_trajectory_identical
-
 # Campaign suite: run-loop hardening regressions, the cross-replica
 # campaign contract tests (bit-identity vs solo runs, hot swap, dead
-# replicas) and the cross-mode matrix, then the campaign smoke benchmark
+# replicas) and the golden digest table, then the campaign smoke benchmark
 # (R=8 sequential vs shared autobatched evaluation, digest identity +
 # aggregate events/sec speedup gate, writes BENCH_campaign.json).
 campaign-suite:
@@ -100,8 +97,9 @@ lint-backend:
 
 # What CI runs: the backend-import lint, tier-1 tests, the kernel and
 # campaign smoke benchmarks (followed by the perf-trajectory diff against
-# the committed baselines), the e2e harness self-test, the rebuild-path,
-# row-cache, parallel-executor, and fault suites.
+# the committed baselines), the e2e harness self-test, the row-cache,
+# parallel-executor, and fault suites.  `make experiments` is a separate
+# CI step.
 check:
 	$(MAKE) lint-backend
 	PYTHONPATH=src python -m pytest -x -q
@@ -109,7 +107,6 @@ check:
 	$(MAKE) bench-e2e-selftest
 	$(MAKE) campaign-suite
 	$(MAKE) perf-trajectory
-	$(MAKE) rebuild-suite
 	$(MAKE) rowcache-suite
 	$(MAKE) parallel-suite
 	$(MAKE) fault-suite

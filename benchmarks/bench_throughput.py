@@ -1,7 +1,7 @@
 """Engine throughput matrix — the performance-regression harness.
 
 Reports KMC events/second of this Python implementation across the
-configuration axes that matter (cutoff, potential, evaluation mode, cache),
+configuration axes that matter (cutoff, potential, cache),
 so optimisation work has a stable baseline.  Nothing here compares to the
 paper directly — this is repository infrastructure.
 """
@@ -29,7 +29,7 @@ def _throughput(engine) -> float:
     return N_STEPS / (time.perf_counter() - t0)
 
 
-def _make(rcut, nnp_tiny, evaluation="full", cached=True, seed=3):
+def _make(rcut, nnp_tiny, cached=True, seed=3):
     tet = TripleEncoding(rcut=rcut)
     if nnp_tiny is not None and rcut == 2.87:
         potential = nnp_tiny
@@ -42,21 +42,15 @@ def _make(rcut, nnp_tiny, evaluation="full", cached=True, seed=3):
         return OpenKMCEngine(
             lattice, potential, tet, maintain_atom_arrays=False, **kwargs
         )
-    return TensorKMCEngine(lattice, potential, tet, evaluation=evaluation, **kwargs)
+    return TensorKMCEngine(lattice, potential, tet, **kwargs)
 
 
 def test_throughput_matrix(nnp_tiny, experiment_reports, benchmark):
     rows: Dict[str, float] = {}
-    rows["EAM, rcut 2.87, full, cached"] = _throughput(_make(2.87, None))
-    rows["NNP, rcut 2.87, full, cached"] = _throughput(_make(2.87, nnp_tiny))
-    rows["EAM, rcut 2.87, delta, cached"] = _throughput(
-        _make(2.87, None, evaluation="delta")
-    )
-    rows["EAM, rcut 6.5, full, cached"] = _throughput(_make(6.5, None))
-    rows["EAM, rcut 6.5, delta, cached"] = _throughput(
-        _make(6.5, None, evaluation="delta")
-    )
-    rows["EAM, rcut 2.87, full, cache-all"] = _throughput(
+    rows["EAM, rcut 2.87, cached"] = _throughput(_make(2.87, None))
+    rows["NNP, rcut 2.87, cached"] = _throughput(_make(2.87, nnp_tiny))
+    rows["EAM, rcut 6.5, cached"] = _throughput(_make(6.5, None))
+    rows["EAM, rcut 2.87, cache-all"] = _throughput(
         _make(2.87, None, cached=False)
     )
 
@@ -68,8 +62,7 @@ def test_throughput_matrix(nnp_tiny, experiment_reports, benchmark):
     experiment_reports(report)
 
     # Structural expectations, loose enough to be timing-robust.
-    assert rows["EAM, rcut 6.5, delta, cached"] > rows["EAM, rcut 6.5, full, cached"]
-    assert rows["EAM, rcut 2.87, full, cached"] > rows["EAM, rcut 2.87, full, cache-all"]
+    assert rows["EAM, rcut 2.87, cached"] > rows["EAM, rcut 2.87, cache-all"]
     assert all(eps > 5.0 for eps in rows.values())
 
     engine = _make(2.87, None)

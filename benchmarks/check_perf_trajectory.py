@@ -59,40 +59,11 @@ def _dig(report: dict, path: str):
 
 def tracked_metrics(report: dict) -> list:
     """Dotted paths of every per-event time the trajectory gate watches."""
-    metrics = [
-        "small.per_event_us",
-        "large.per_event_us",
-        "miss_path.batched_per_event_us",
-        "nnp_miss_path.batched_per_event_us",
-    ]
+    metrics = ["small.per_event_us", "large.per_event_us"]
     for box in ("small", "large"):
         phases = _dig(report, f"{box}.phase_us_per_event")
         if isinstance(phases, dict):
             metrics.extend(f"{box}.phase_us_per_event.{p}" for p in phases)
-    densities = _dig(report, "hot_path.densities")
-    if isinstance(densities, list):
-        for i, entry in enumerate(densities):
-            metrics.append(f"hot_path.densities.{i}.vectorized_per_event_us")
-            phases = entry.get("phase_us_per_event", {})
-            metrics.extend(
-                f"hot_path.densities.{i}.phase_us_per_event.{p}"
-                for p in phases
-            )
-    densities = _dig(report, "rebuild_path.densities")
-    if isinstance(densities, list):
-        for i, entry in enumerate(densities):
-            metrics.append(
-                f"rebuild_path.densities.{i}.delta_per_event_us"
-            )
-            metrics.append(
-                f"rebuild_path.densities.{i}.delta_rebuild_us_per_event"
-            )
-            phases = entry.get("phase_us_per_event", {})
-            if isinstance(phases.get("delta"), dict):
-                metrics.extend(
-                    f"rebuild_path.densities.{i}.phase_us_per_event.delta.{p}"
-                    for p in phases["delta"]
-                )
     # The cached miss path: total and rebuild-phase per-event cost with the
     # persistent row-energy cache on (absent from pre-cache baselines, so
     # the predates-the-baseline skip in compare() keeps history green).

@@ -39,7 +39,7 @@ def age_at(temperature: float, steps: int, outdir: str):
 
     engine = TensorKMCEngine(
         lattice, potential, tet, temperature=temperature,
-        rng=np.random.default_rng(1), evaluation="full",
+        rng=np.random.default_rng(1),
     )
     initial_propensity = engine.total_propensity()
     engine.run(n_steps=steps)

@@ -80,9 +80,10 @@ def tensorkmc_memory_model(
     Only the occupancy array scales with the domain; the vacancy cache scales
     with the (dilute) vacancy count, and the shared TET/feature tables are
     O(1).  ``delta_snapshots`` charges the incremental-rebuild payload each
-    live entry carries under ``rebuild_path="delta"`` (the engine default via
-    ``"auto"``): the per-trial-state row-energy matrix plus the dirty-row
-    mask.  Pass ``False`` for the ``rebuild_path="full"`` footprint.
+    live entry carries on the engine's delta path: the per-trial-state
+    row-energy matrix plus the dirty-row mask.  Pass ``False`` for the
+    footprint of an engine that rebuilds in full (a campaign replica, or a
+    potential that is not ``batch_row_invariant``).
     ``row_cache`` charges the persistent row-energy memo by resident entry
     count at :data:`~repro.core.rowcache.ROW_ENTRY_BYTES` per entry — the
     same constant :meth:`RowEnergyCache.memory_bytes` reports, so the

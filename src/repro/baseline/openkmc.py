@@ -52,13 +52,11 @@ class OpenKMCEngine(SerialAKMCBase):
         tet: TripleEncoding,
         temperature: float = TEMPERATURE_RPV,
         rng: Optional[np.random.Generator] = None,
-        propensity: str = "tree",
         feature_table: Optional[FeatureTable] = None,
         maintain_atom_arrays: bool = True,
     ) -> None:
         super().__init__(
-            lattice, potential, tet, temperature=temperature, rng=rng,
-            propensity=propensity,
+            lattice, potential, tet, temperature=temperature, rng=rng
         )
         n = lattice.n_sites
         nx, ny, nz = lattice.shape

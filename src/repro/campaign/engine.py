@@ -129,7 +129,6 @@ def alloy_engine_factory(
     cu_fraction: float,
     vacancy_fraction: float = VACANCY_CONCENTRATION,
     backend=None,
-    rebuild_path: str = "full",
     row_cache: str = "auto",
     row_cache_mb: Optional[float] = None,
 ) -> Callable[[ReplicaSpec], TensorKMCEngine]:
@@ -138,10 +137,6 @@ def alloy_engine_factory(
     Every replica gets its own lattice (disorder drawn from
     ``default_rng(spec.seed)``) and its own engine RNG
     (``default_rng(spec.seed + 1)``); the potential and TET are shared.
-    ``rebuild_path`` defaults to ``"full"`` rather than the engine's
-    ``"auto"``: the incremental delta path patches rows *inside* the
-    kernel, which would fragment the campaign's shared batch — and the
-    rebuild paths are bit-identical anyway, so nothing is lost.
     """
 
     def build(spec: ReplicaSpec) -> TensorKMCEngine:
@@ -153,8 +148,7 @@ def alloy_engine_factory(
         return TensorKMCEngine(
             lattice, potential, tet, temperature=spec.temperature,
             rng=np.random.default_rng(spec.seed + 1), backend=backend,
-            rebuild_path=rebuild_path, row_cache=row_cache,
-            row_cache_mb=row_cache_mb,
+            row_cache=row_cache, row_cache_mb=row_cache_mb,
         )
 
     return build
@@ -333,6 +327,13 @@ class ReplicaCampaign:
                 f"replica {spec.name!r} is not batch-compatible with the "
                 "campaign (potential / element count / TET mismatch)"
             )
+        # The campaign evaluates every stale row itself and hands the
+        # results back through apply_refresh, so the kernel's incremental
+        # path would only patch snapshots nobody re-rates: unwire it and
+        # every replica rebuilds in full (bit-identical either way).
+        kernel = engine.kernel
+        kernel.build_entries_delta = kernel.patch_entries = None
+        kernel.cache.drop_delta_snapshots()
         # One cache for the whole campaign: every admitted engine (and the
         # shared `_evaluator` — it belongs to the first of them) consults
         # the same memo, so environments seen by any replica are hits for

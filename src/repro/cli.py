@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the final configuration to this .xyz file")
     run.add_argument("--potential", type=str, default=None,
                      help="path to a trained NNPotential .npz (default: EAM)")
-    run.add_argument("--evaluation", choices=("full", "delta"), default="full")
     run.add_argument("--restart", type=str, default=None,
                      help="resume bit-exactly from a checkpoint .npz")
     run.add_argument("--checkpoint", type=str, default=None,
@@ -251,7 +250,6 @@ def _cmd_run(args) -> int:
         engine = TensorKMCEngine(
             lattice, potential, tet, temperature=args.temperature,
             rng=np.random.default_rng(args.seed + 1),
-            evaluation=args.evaluation,
             backend=args.backend,
             row_cache=args.row_cache,
             row_cache_mb=args.row_cache_mb,

@@ -4,7 +4,7 @@ The full miss path re-derives everything for every stale slot: gather
 ``occupancy[vet_ids]``, re-encode all ``(9, n_all)`` trial states, run the
 potential over every row.  But a hop flips exactly two sites, so almost all
 of that work reproduces bits the cache already holds.  This module owns the
-driver-side half of the ``rebuild_path="delta"`` mode (paper Sec. 3.2's
+driver-side half of the incremental rebuild path (paper Sec. 3.2's
 keep-it-resident argument applied to the encoded state itself):
 
 * :meth:`DeltaRebuilder.patch_entries` — called by the kernel's distance

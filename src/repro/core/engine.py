@@ -30,7 +30,7 @@ from .backend import get_backend
 from .delta import DeltaRebuilder
 from .kernel import EventKernel, NoMovesError
 from .profiling import PhaseProfiler, merge_disjoint
-from .propensity import PropensityStore
+from .propensity import FenwickPropensity
 from .rates import RateModel, residence_time
 from .rowcache import RowEnergyCache, resolve_row_cache
 from .tet import TripleEncoding
@@ -72,38 +72,6 @@ class SerialAKMCBase:
         Random generator; the draw order is fixed (selection then time, see
         :func:`repro.core.rates.residence_time`), so identical seeds give
         identical trajectories across engine variants.
-    propensity:
-        ``"tree"`` (paper default) or ``"linear"``.
-    evaluation:
-        ``"full"`` rebuilds features for all 1+8 states (the paper's fast
-        feature operator semantics); ``"delta"`` patches only the affected
-        sites per direction (equal to ~1e-9 eV, faster in Python).
-    batching:
-        ``"batched"`` evaluates all cache-miss vacancies queued since the
-        last selection through one fused
-        :meth:`~repro.core.vacancy_system.VacancySystemEvaluator.evaluate_batch`
-        pipeline (the paper's big-fusion batching, Sec. 3.4/Fig. 9);
-        ``"scalar"`` keeps the one-VET-per-call miss path.  ``"auto"``
-        (default) batches exactly when the potential declares
-        ``batch_row_invariant`` — per-row rates are then bit-identical to the
-        scalar path, so fixed-seed trajectories do not depend on the mode.
-        Every shipped potential now qualifies: the tabulated/EAM reductions
-        are row independent by construction, and the NNP runs its inference
-        through the deterministic tiled-GEMM kernel
-        (:mod:`repro.operators.tilegemm`) whose fixed call shapes and
-        accumulation order make each row's bits batch-independent.
-        ``"full"`` evaluation only; the ``"delta"`` ablation always runs
-        scalar.
-    rebuild_path:
-        ``"auto"`` (default) turns the cache-miss rebuild into an
-        incremental re-rate whenever the batched miss path is active (full
-        evaluation, row-invariant potential, cache on): each slot's VET and
-        per-row trial-state energies stay resident in the cache, hops
-        scatter-patch them, and the refresh re-evaluates only the rows
-        whose inputs changed.  ``"full"`` forces the from-scratch rebuild;
-        ``"delta"`` demands the incremental path and raises when the
-        prerequisites are missing.  Trajectories are bit-identical across
-        the modes (see :mod:`repro.core.delta`).
     row_cache:
         ``"auto"`` (default) attaches a persistent
         :class:`~repro.core.rowcache.RowEnergyCache` exactly where in-batch
@@ -124,6 +92,18 @@ class SerialAKMCBase:
         evaluator and the event kernel thread the same handle.  Lattice
         occupancy, the cache's slot arrays, and all serialised state stay
         NumPy-resident whichever backend runs the math.
+
+    Cache misses take the batched path — every stale vacancy queued since
+    the last selection goes through one fused
+    :meth:`~repro.core.vacancy_system.VacancySystemEvaluator.evaluate_batch`
+    (the paper's big-fusion batching, Sec. 3.4/Fig. 9) — exactly when the
+    potential declares ``batch_row_invariant``: per-row rates are then
+    bit-identical to a one-VET evaluation, so batching cannot change a
+    trajectory.  Every shipped potential qualifies; one that does not is
+    evaluated one vacancy at a time.  With the cache on, the batched path is
+    incremental: each slot's VET and per-row trial-state energies stay
+    resident, hops scatter-patch them, and a refresh re-evaluates only the
+    rows whose inputs changed (see :mod:`repro.core.delta`).
     """
 
     #: Whether cached vacancy systems may be reused between steps.
@@ -136,38 +116,17 @@ class SerialAKMCBase:
         tet: TripleEncoding,
         temperature: float = TEMPERATURE_RPV,
         rng: Optional[np.random.Generator] = None,
-        propensity: str = "tree",
-        evaluation: str = "full",
-        batching: str = "auto",
         ea0=None,
         backend=None,
-        rebuild_path: str = "auto",
         row_cache: str = "auto",
         row_cache_mb: Optional[float] = None,
     ) -> None:
         if abs(lattice.a - tet.geometry.a) > 1e-12:
             raise ValueError("lattice constant mismatch between lattice and TET")
-        if evaluation not in ("full", "delta"):
-            raise ValueError(f"unknown evaluation mode {evaluation!r}")
-        if batching not in ("auto", "batched", "scalar"):
-            raise ValueError(f"unknown batching mode {batching!r}")
-        if rebuild_path not in EventKernel.REBUILD_PATHS:
-            raise ValueError(
-                f"unknown rebuild path {rebuild_path!r}; allowed modes: "
-                f"{EventKernel.REBUILD_PATHS}"
-            )
-        if batching == "auto":
-            batching = (
-                "batched" if getattr(potential, "batch_row_invariant", False)
-                else "scalar"
-            )
         # Validates the mode string (raising on typos) and decides whether
         # this potential gets a cache under "auto".
         row_cache_on = resolve_row_cache(row_cache, potential)
         self.row_cache_mode = row_cache
-        self.evaluation = evaluation
-        self.batching = batching
-        self.rebuild_path = rebuild_path
         self.lattice = lattice
         self.potential = potential
         self.tet = tet
@@ -184,34 +143,21 @@ class SerialAKMCBase:
         vac_sites = sorted(int(s) for s in lattice.vacancy_ids)
         if not vac_sites:
             raise ValueError("lattice contains no vacancies; nothing can evolve")
-        batched_miss = batching == "batched" and evaluation == "full"
-        # The incremental rebuild rides on the batched miss path: it needs
-        # the full BatchEntries payload in the cache, a row-invariant
-        # potential (cached rows must be batch-composition independent),
-        # and the cache itself.
-        delta_capable = (
-            batched_miss
-            and self.use_cache
-            and getattr(potential, "batch_row_invariant", False)
-        )
-        if rebuild_path == "delta" and not delta_capable:
-            raise ValueError(
-                "rebuild_path='delta' requires batched full evaluation, a "
-                "batch_row_invariant potential, and use_cache=True"
-            )
+        batched_miss = getattr(potential, "batch_row_invariant", False)
         self.kernel = EventKernel(
             self._build_for_site,
             lattice.half_of,
             threshold=tet.invalidation_radius,
             scale=lattice.a / 2.0,
-            propensity=propensity,
             periodic_half=2 * np.asarray(lattice.shape, dtype=np.int64),
             keys=vac_sites,
             use_cache=self.use_cache,
             build_entries=self._build_for_sites if batched_miss else None,
             backend=self.xp,
         )
-        if delta_capable:
+        # The incremental rebuild rides on the batched miss path and the
+        # cache (it keeps the full BatchEntries payload resident).
+        if batched_miss and self.use_cache:
             rebuilder = DeltaRebuilder(
                 self.kernel.cache,
                 self.evaluator,
@@ -222,8 +168,6 @@ class SerialAKMCBase:
             )
             self.kernel.build_entries_delta = rebuilder.build_entries
             self.kernel.patch_entries = rebuilder.patch_entries
-        if rebuild_path != "auto":
-            self.kernel.set_rebuild_path(rebuild_path)
         self.row_cache: Optional[RowEnergyCache] = None
         if row_cache_on:
             budget = (
@@ -251,7 +195,7 @@ class SerialAKMCBase:
         return self.kernel.cache
 
     @property
-    def store(self) -> PropensityStore:
+    def store(self) -> FenwickPropensity:
         """The kernel's propensity store."""
         return self.kernel.store
 
@@ -263,10 +207,7 @@ class SerialAKMCBase:
         site = int(site)
         vet_ids = self.lattice.neighbor_ids(site, self.tet.all_offsets)
         vet = self.lattice.occupancy[vet_ids]
-        if self.evaluation == "delta":
-            energies = self.evaluator.evaluate_delta(vet)
-        else:
-            energies = self.evaluator.evaluate(vet)
+        energies = self.evaluator.evaluate(vet)
         rates = self.rate_model.rates(energies)
         return CachedVacancySystem(
             site=site, vet_ids=vet_ids, vet=vet, energies=energies, rates=rates
@@ -450,7 +391,7 @@ class SerialAKMCBase:
         return executed
 
     def attach_cost_ledger(self, ledger):
-        """Charge all rate evaluations (scalar and batched miss paths) to
+        """Charge all rate evaluations (per-slot and batched miss paths) to
         ``ledger`` via the Fig. 9 operator cost model; see
         :meth:`~repro.core.vacancy_system.VacancySystemEvaluator.attach_cost_ledger`.
         """

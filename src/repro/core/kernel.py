@@ -7,9 +7,9 @@ live in separate implementations; this module owns them once:
 * a keyed :class:`~repro.core.vacancy_cache.VacancyCache` holding per-vacancy
   rate rows in structure-of-arrays form (slot-stable, with a free list for
   dynamic populations),
-* a :class:`~repro.core.propensity.PropensityStore` over the per-slot total
-  rates for the two-level selection — vacancy slot via the Fenwick tree,
-  hop direction via the slot's cumulative rate row,
+* a :class:`~repro.core.propensity.FenwickPropensity` tree over the
+  per-slot total rates for the two-level selection — vacancy slot via the
+  tree, hop direction via the slot's cumulative rate row,
 * cell-narrowed distance invalidation: an always-maintained
   :class:`SpatialHashIndex` (cell edge = one invalidation reach) hands back
   the slots in the cells around each changed position, and one vectorised
@@ -23,12 +23,9 @@ key, and ``position_of(key)`` mapping a key to integer half-unit coordinates
 — plus the distance semantics (periodic for the global serial lattice,
 open for a rank's padded window).
 
-Two hot-path implementations coexist behind :meth:`EventKernel.set_hot_path`:
-``"vectorized"`` (default) runs refresh/activation as array sweeps over the
-cache's slot arrays; ``"legacy"`` keeps the pre-SoA per-slot loops.
-Invalidation is one shared path.  Both modes produce bit-identical
-trajectories, which the equivalence tests and the ``hot_path`` section of
-``BENCH_kernel.json`` (old-vs-new per-event time) both rely on.
+Refresh and activation run as array sweeps over the cache's slot arrays;
+which miss path a refresh takes follows from the callbacks the driver wired
+in (see :meth:`EventKernel.delta_active`).
 
 Every kernel operation feeds the shared instrumentation counters
 (:class:`KernelStats` + the cache's hit/rebuild stats), which the engines
@@ -53,7 +50,7 @@ from typing import (
 import numpy as np
 
 from .backend import get_backend
-from .propensity import FenwickPropensity, LinearPropensity, PropensityStore
+from .propensity import FenwickPropensity
 from .vacancy_cache import BatchEntries, SimpleRateEntry, VacancyCache
 
 __all__ = [
@@ -63,21 +60,11 @@ __all__ = [
     "SpatialHashIndex",
     "EventKernel",
     "select_direction",
-    "make_store",
 ]
 
 
 class NoMovesError(RuntimeError):
     """Raised when no event can be executed (zero propensity / dead rate row)."""
-
-
-def make_store(kind: str, n_slots: int, backend=None) -> PropensityStore:
-    """Construct a propensity store by name (``"tree"`` or ``"linear"``)."""
-    if kind == "tree":
-        return FenwickPropensity(n_slots)  # host-side whichever backend
-    if kind == "linear":
-        return LinearPropensity(n_slots, backend=backend)
-    raise ValueError(f"unknown propensity store {kind!r}")
 
 
 def select_direction(rates: np.ndarray, remainder: float) -> int:
@@ -272,8 +259,6 @@ class EventKernel:
         (threshold in Angstrom), ``1.0`` for the parallel windows (threshold
         already in half-units).  A slot is stale when
         ``|scale * delta_half| <= threshold + 1e-9``.
-    propensity:
-        ``"tree"`` (paper default, O(log n) selection) or ``"linear"``.
     periodic_half:
         Half-unit box dimensions for periodic minimum-image distances, or
         ``None`` for open (padded-window) coordinates.
@@ -282,38 +267,26 @@ class EventKernel:
     use_cache:
         When ``False`` every refresh first drops all entries ("cache all"
         semantics: no reuse at all, the OpenKMC baseline).
-    hot_path:
-        ``"vectorized"`` (default) for the SoA array sweeps, ``"legacy"``
-        for the historical per-slot refresh/activation loops.  The two are
-        trajectory-equivalent; legacy exists for the old-vs-new benchmark
-        and the equivalence tests.
     build_entries_delta:
         Optional ``(keys, slots) -> BatchEntries`` callback for the
         incremental rebuild path: it may consult the cache's delta-ready
         snapshots (patched VETs + per-row energies) and re-rate only the
         rows that changed, falling back to a from-scratch build per slot
-        where no snapshot exists.  Required (together with
-        ``patch_entries``) for ``rebuild_path="delta"``.
+        where no snapshot exists.  Wired together with ``patch_entries``
+        (see :meth:`delta_active`); either may be set after construction.
     patch_entries:
         Optional ``(slots, points_half) -> None`` callback invoked by the
-        distance invalidation when ``rebuild_path`` resolves to delta: it
+        distance invalidation while the delta path is active: it
         scatter-updates the stored VET snapshots of the hit slots from the
         driver's current occupancy at the changed positions.  This is how
         invalidation carries *what* changed instead of just *that*
-        something changed.
-    rebuild_path:
-        ``"auto"`` (default) uses the incremental path whenever the delta
-        callbacks are configured and the vectorized hot path + cache are
-        active; ``"full"`` forces the bit-exact from-scratch rebuild;
-        ``"delta"`` demands the incremental path and raises when its
-        prerequisites are missing.  Both paths produce bit-identical
-        trajectories (the delta path re-rates from exactly re-derivable
-        inputs); ``"full"`` remains as the reference and fallback.
+        something changed.  Both paths produce bit-identical trajectories
+        (the delta path re-rates from exactly re-derivable inputs).
     backend:
         Array backend name/instance (see :mod:`repro.core.backend`) used for
-        the invalidation distance test and the linear store's slot array.
-        The cache's SoA arrays and all keys/positions stay NumPy-resident
-        (they are the checkpoint serialisation boundary).
+        the invalidation distance test.  The cache's SoA arrays and all
+        keys/positions stay NumPy-resident (they are the checkpoint
+        serialisation boundary).
     """
 
     def __init__(
@@ -323,14 +296,12 @@ class EventKernel:
         *,
         threshold: float,
         scale: float = 1.0,
-        propensity: str = "tree",
         periodic_half: Optional[Sequence[int]] = None,
         keys: Iterable[Hashable] = (),
         use_cache: bool = True,
         build_entries: Optional[
             Callable[[Sequence[Hashable]], Sequence[object]]
         ] = None,
-        hot_path: str = "vectorized",
         backend=None,
         build_entries_delta: Optional[
             Callable[[Sequence[Hashable], np.ndarray], object]
@@ -338,7 +309,6 @@ class EventKernel:
         patch_entries: Optional[
             Callable[[np.ndarray, np.ndarray], None]
         ] = None,
-        rebuild_path: str = "auto",
     ) -> None:
         self.build_entry = build_entry
         self.build_entries = build_entries
@@ -350,7 +320,7 @@ class EventKernel:
         self.use_cache = bool(use_cache)
         self.xp = get_backend(backend)
         self.cache = VacancyCache(keys)
-        self.store = make_store(propensity, self.cache.n_slots, backend=self.xp)
+        self.store = FenwickPropensity(self.cache.n_slots)
         #: Inclusive limit of the distance test.
         self._limit = self.threshold + 1e-9
         self.periodic = (
@@ -384,109 +354,20 @@ class EventKernel:
         self.row_cache = None
         for slot in self.cache.live_slots():
             self._set_centre(slot, self.position_of(self.cache.key_of(slot)))
-        self._hot_path = "vectorized"
-        if hot_path != "vectorized":
-            self.set_hot_path(hot_path)
-        self._rebuild_path = "auto"
-        if rebuild_path != "auto":
-            self.set_rebuild_path(rebuild_path)
 
     # ------------------------------------------------------------------
-    # Hot-path selection + coordinate plumbing
+    # Miss-path selection + coordinate plumbing
     # ------------------------------------------------------------------
-    #: Allowed hot-path implementations.
-    HOT_PATHS = ("vectorized", "legacy")
-
-    @property
-    def hot_path(self) -> str:
-        """Active hot-path mode; assignment validates and switches paths."""
-        return self._hot_path
-
-    @hot_path.setter
-    def hot_path(self, mode: str) -> None:
-        # Route direct assignment through set_hot_path so an unknown mode
-        # string is rejected instead of silently selecting a path.
-        self.set_hot_path(mode)
-
-    def set_hot_path(self, mode: str) -> None:
-        """Switch between the ``"vectorized"`` and ``"legacy"`` hot paths.
-
-        Both compute identical stale sets and propensities; legacy re-runs
-        the pre-SoA per-slot loops (per-slot stores + scalar Fenwick
-        updates) for benchmarking and equivalence testing.  Raises
-        :class:`ValueError` for anything outside :data:`HOT_PATHS`.
-        """
-        if mode not in self.HOT_PATHS:
-            raise ValueError(
-                f"unknown hot path {mode!r}; allowed modes: {self.HOT_PATHS}"
-            )
-        if mode == "legacy" and getattr(self, "_rebuild_path", "auto") == "delta":
-            raise ValueError(
-                "rebuild_path='delta' requires the vectorized hot path; "
-                "switch rebuild_path to 'auto'/'full' first"
-            )
-        self._hot_path = mode
-        # Any hot-path switch drops the delta snapshots: the legacy path
-        # neither patches nor consults them, so re-entering the vectorized
-        # path must start from a clean full rebuild.
-        self.cache.drop_delta_snapshots()
-
-    # ------------------------------------------------------------------
-    # Rebuild-path selection (full re-encode vs incremental re-rate)
-    # ------------------------------------------------------------------
-    #: Allowed rebuild-path modes.
-    REBUILD_PATHS = ("auto", "full", "delta")
-
-    @property
-    def rebuild_path(self) -> str:
-        """Requested rebuild mode; assignment validates and switches."""
-        return self._rebuild_path
-
-    @rebuild_path.setter
-    def rebuild_path(self, mode: str) -> None:
-        self.set_rebuild_path(mode)
-
-    def set_rebuild_path(self, mode: str) -> None:
-        """Switch between the full and incremental (delta) rebuild paths.
-
-        ``"auto"`` resolves to delta whenever the prerequisites hold (see
-        :meth:`delta_active`); ``"delta"`` raises if they do not.  Any
-        switch drops the cache's delta snapshots so the next refresh
-        rebuilds from scratch — the two paths then stay bit-identical from
-        any switch point.
-        """
-        if mode not in self.REBUILD_PATHS:
-            raise ValueError(
-                f"unknown rebuild path {mode!r}; allowed modes: "
-                f"{self.REBUILD_PATHS}"
-            )
-        if mode == "delta":
-            if self.build_entries_delta is None or self.patch_entries is None:
-                raise ValueError(
-                    "rebuild_path='delta' needs build_entries_delta and "
-                    "patch_entries callbacks"
-                )
-            if self._hot_path != "vectorized":
-                raise ValueError(
-                    "rebuild_path='delta' requires the vectorized hot path"
-                )
-            if not self.use_cache:
-                raise ValueError(
-                    "rebuild_path='delta' requires use_cache=True"
-                )
-        self._rebuild_path = mode
-        self.cache.drop_delta_snapshots()
-
     def delta_active(self) -> bool:
-        """Whether the next refresh/invalidation uses the delta path."""
-        if self._rebuild_path == "full":
-            return False
-        if self._rebuild_path == "delta":
-            return True
+        """Whether the next refresh/invalidation uses the delta path.
+
+        True exactly when both delta callbacks are wired and the cache is
+        on; a driver that must not take it (the campaign, which evaluates
+        stale rows outside the kernel) leaves the callbacks unset.
+        """
         return (
             self.build_entries_delta is not None
             and self.patch_entries is not None
-            and self._hot_path == "vectorized"
             and self.use_cache
         )
 
@@ -563,9 +444,6 @@ class EventKernel:
     # ------------------------------------------------------------------
     def set_active(self, slots: Optional[Iterable[int]]) -> None:
         """Restrict selection to ``slots`` (``None`` -> all live slots)."""
-        if self.hot_path == "legacy":
-            self._set_active_legacy(slots)
-            return
         cache = self.cache
         if slots is None:
             self._active_mask = None
@@ -583,26 +461,6 @@ class EventKernel:
         n = cache.n_slots
         values = np.where(held, cache.total_rates, 0.0)
         self.store.update_many(np.arange(n, dtype=np.int64), values[:n])
-
-    def _set_active_legacy(self, slots: Optional[Iterable[int]]) -> None:
-        if slots is None:
-            self._active_mask = None
-            for slot in self.cache.live_slots():
-                entry = self.cache.get(slot)
-                self.store.update(
-                    slot, entry.total_rate if entry is not None else 0.0
-                )
-            return
-        mask = np.zeros(self.cache.live.shape[0], dtype=bool)
-        for s in slots:
-            mask[int(s)] = True
-        self._active_mask = mask
-        for slot in self.cache.live_slots():
-            entry = self.cache.get(slot)
-            if mask[slot] and entry is not None:
-                self.store.update(slot, entry.total_rate)
-            else:
-                self.store.update(slot, 0.0)
 
     def deactivate(self, slot: int) -> None:
         """Drop a slot from the active set (it keeps its cache entry)."""
@@ -685,10 +543,7 @@ class EventKernel:
         else:
             n_active = cache.n_live
         if stale.size:
-            if self.hot_path == "legacy":
-                self._refresh_slots_legacy(stale)
-            else:
-                self._refresh_slots(stale)
+            self._refresh_slots(stale)
         cache.stats.reuses += max(0, n_active - int(stale.size))
 
     def _built_entries(self, stale: np.ndarray):
@@ -728,33 +583,19 @@ class EventKernel:
         self.store.update_many(stale, cache.total_rates[stale])
 
     def _refresh_slots(self, stale: np.ndarray) -> None:
-        """SoA rebuild: batch store + one vectorised propensity sweep."""
-        cache = self.cache
-        if self.build_entries is not None or (
-            self.delta_active() and self.build_entries_delta is not None
-        ):
+        """SoA rebuild: batch store + one vectorised propensity sweep.
+
+        The batched callbacks run when wired; otherwise (a potential that
+        is not ``batch_row_invariant``) every stale key goes through the
+        per-slot ``build_entry``.
+        """
+        if self.build_entries is not None or self.delta_active():
             entries = self._built_entries(stale)
         else:
-            entries = []
-            for slot in stale:
-                entry = self.build_entry(cache.key_of(int(slot)))
-                entries.append(entry)
-        self._store_entries(stale, entries)
-
-    def _refresh_slots_legacy(self, stale: np.ndarray) -> None:
-        """Pre-SoA rebuild: per-slot stores and scalar propensity updates."""
-        if self.build_entries is not None:
-            entries = list(self._built_entries(stale))
-        else:
             entries = [
-                self.build_entry(self.cache.key_of(int(slot))) for slot in stale
+                self.build_entry(key) for key in self.cache.keys_of(stale)
             ]
-        for slot, entry in zip(stale, entries):
-            if isinstance(entry, np.ndarray):
-                entry = SimpleRateEntry(entry)
-            self.cache.store(int(slot), entry)
-            self.store.update(int(slot), entry.total_rate)
-            self.stats.rates_evaluated += int(np.asarray(entry.rates).size)
+        self._store_entries(stale, entries)
 
     @property
     def total(self) -> float:
@@ -774,9 +615,7 @@ class EventKernel:
             raise NoMovesError(f"selection landed on empty slot {slot}")
         direction = select_direction(entry.rates, remainder)
         self.stats.selections += 1
-        self.stats.selection_depth += int(
-            getattr(self.store, "last_select_depth", 0)
-        )
+        self.stats.selection_depth += self.store.last_select_depth
         return slot, direction, entry
 
     # ------------------------------------------------------------------
@@ -800,8 +639,9 @@ class EventKernel:
         invalidation then carries *what* changed, which is what keeps the
         snapshots in sync with the lattice between refreshes.  The
         fresh->stale transitions and invalidation counters are computed
-        exactly as in full mode (the extra snapshot slots never enter the
-        stats), so trajectories and counters agree across modes.
+        exactly as without snapshots (the extra snapshot slots never enter
+        the stats), so trajectories and counters do not depend on whether
+        the delta path is wired.
         """
         points = np.asarray(points_half, dtype=np.int64).reshape(-1, 3)
         if points.shape[0] == 0:
@@ -944,7 +784,6 @@ class EventKernel:
             if self.stats.invalidate_calls
             else 0.0
         )
-        out["rebuild_path"] = "delta" if self.delta_active() else "full"
         if self.row_cache is not None:
             out.update(self.row_cache.summary())
         return out

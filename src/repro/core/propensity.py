@@ -4,13 +4,13 @@ Event selection in KMC draws ``u ~ U[0, total)`` and finds the first slot
 whose cumulative propensity exceeds ``u``.  The baseline implementation
 recomputes a cumulative sum every step (O(n)); the paper's "tree strategy for
 propensity update" (Sec. 4.4) keeps a Fenwick tree so that updates and
-selections are O(log n).  Both structures implement the same interface and
-the same selection semantics so the engines can use either.
+selections are O(log n).  The engines always use the tree; the linear store
+implements the same interface and selection semantics and stays as the
+reference the tree is tested against and the baseline of the propensity
+ablation benchmark.
 
-The linear store holds its slot array through an
-:class:`~.backend.ArrayBackend` handle (``backend=`` at construction); the
-Fenwick tree is host-side Python lists (see :class:`FenwickPropensity`).
-Validation (`_checked_value`, `_checked_batch`) is shared: a propensity
+The linear store is a NumPy array; the Fenwick tree is host-side Python
+lists (see :class:`FenwickPropensity`).  Validation (`_checked_value`, `_checked_batch`) is shared: a propensity
 must be finite and non-negative, and a violation raises ``ValueError``
 naming the slot and the value — a NaN or infinite rate from a bad potential
 must end in a structured error, never in an undefined selection.
@@ -22,8 +22,6 @@ from abc import ABC, abstractmethod
 from typing import List, Tuple
 
 import numpy as np
-
-from .backend import get_backend
 
 __all__ = ["PropensityStore", "LinearPropensity", "FenwickPropensity"]
 
@@ -134,14 +132,13 @@ class PropensityStore(ABC):
 
 
 class LinearPropensity(PropensityStore):
-    """O(n) cumulative-sum selection — the non-tree baseline."""
+    """O(n) cumulative-sum selection — the non-tree reference."""
 
-    def __init__(self, n_slots: int = 0, backend=None) -> None:
-        self.xp = get_backend(backend)
-        self.values = self.xp.zeros(n_slots, dtype=self.xp.float64)
+    def __init__(self, n_slots: int = 0) -> None:
+        self.resize(n_slots)
 
     def resize(self, n_slots: int) -> None:
-        self.values = self.xp.zeros(n_slots, dtype=self.xp.float64)
+        self.values = np.zeros(n_slots, dtype=np.float64)
 
     def grow(self, n_slots: int) -> None:
         n_slots = int(n_slots)
@@ -150,11 +147,8 @@ class LinearPropensity(PropensityStore):
                 f"grow cannot shrink: {n_slots} < {self.n_slots} slots"
             )
         if n_slots > self.n_slots:
-            self.values = self.xp.concatenate(
-                [
-                    self.values,
-                    self.xp.zeros(n_slots - self.n_slots, dtype=self.xp.float64),
-                ]
+            self.values = np.concatenate(
+                [self.values, np.zeros(n_slots - self.n_slots)]
             )
 
     @property
@@ -166,22 +160,20 @@ class LinearPropensity(PropensityStore):
 
     def update_many(self, slots, values) -> None:
         s, v = _checked_batch(slots, values, self.n_slots)
-        self.values[self.xp.from_numpy(np.asarray(s, dtype=np.int64))] = (
-            self.xp.from_numpy(np.asarray(v, dtype=np.float64))
-        )
+        self.values[np.asarray(s, dtype=np.int64)] = v
 
     def get(self, slot: int) -> float:
         return float(self.values[slot])
 
     @property
     def total(self) -> float:
-        return float(self.xp.sum(self.values))
+        return float(np.sum(self.values))
 
     def select(self, u: float) -> Tuple[int, float]:
-        cum = self.xp.cumsum(self.values)
+        cum = np.cumsum(self.values)
         if not 0.0 <= u < float(cum[-1]):
             raise ValueError(f"u={u!r} outside [0, total={float(cum[-1])!r})")
-        slot = int(self.xp.searchsorted(cum, u, side="right"))
+        slot = int(np.searchsorted(cum, u, side="right"))
         self.last_select_depth = self.n_slots
         prev = float(cum[slot - 1]) if slot > 0 else 0.0
         return slot, u - prev

@@ -32,11 +32,10 @@ from collections import OrderedDict
 
 import numpy as np
 
-#: Allowed ``row_cache`` modes, mirroring ``DEDUP_MODES``: ``auto`` turns
-#: the cache on exactly where in-batch dedup turns on (network potentials
-#: with the ``batch_row_invariant`` guarantee), ``on`` forces attachment
-#: (a non-invariant potential still never *consults* it — same permissive
-#: semantics as ``dedup="always"``), ``off`` disables it.
+#: Allowed ``row_cache`` modes: ``auto`` turns the cache on exactly where
+#: in-batch dedup turns on (network potentials with the
+#: ``batch_row_invariant`` guarantee), ``on`` forces attachment (the cache
+#: is still only consulted where dedup runs), ``off`` disables it.
 ROW_CACHE_MODES = ("auto", "on", "off")
 
 #: Analytic per-entry byte charge: one packed int64 key plus one float64
@@ -49,7 +48,7 @@ ROW_ENTRY_BYTES = 16
 def resolve_row_cache(mode: str, potential) -> bool:
     """Decide whether a row cache should be active for ``potential``.
 
-    Mirrors the ``dedup="auto"`` gate in the evaluator: ``auto`` enables
+    Mirrors the dedup gate in the evaluator: ``auto`` enables
     the cache only for ``batch_row_invariant`` potentials that expose
     ``network_channels`` (the NNP family, where re-evaluating a row costs
     a GEMM stack); table potentials keep it off by default because a

@@ -89,9 +89,7 @@ class BatchEntries:
     ``evaluate_batch`` + ``rates_batch`` pipeline) and consumed whole by
     :meth:`VacancyCache.store_batch` — the rows go straight from the
     evaluator's output arrays into the cache's slot arrays without ever
-    materialising per-slot Python objects.  Iterating yields per-row
-    :class:`CachedVacancySystem` views for consumers that want the scalar
-    shape (the legacy refresh path does).
+    materialising per-slot Python objects.
     """
 
     #: ``(B,)`` centre site ids (keys of the slots being rebuilt).
@@ -117,19 +115,6 @@ class BatchEntries:
 
     def __len__(self) -> int:
         return int(self.rates.shape[0])
-
-    def entry(self, b: int) -> CachedVacancySystem:
-        """Scalar view of row ``b`` (arrays are views into the batch)."""
-        return CachedVacancySystem(
-            site=int(self.sites[b]),
-            vet_ids=self.vet_ids[b],
-            vet=self.vets[b],
-            energies=self.energies.row(b),
-            rates=self.rates[b],
-        )
-
-    def __iter__(self):
-        return (self.entry(b) for b in range(len(self)))
 
 
 @dataclass
@@ -625,8 +610,8 @@ class VacancyCache:
     def drop_delta_snapshots(self) -> None:
         """Forget every delta snapshot without touching freshness.
 
-        Mode switches (hot path / rebuild path) call this so the first
-        refresh after the switch rebuilds from scratch.
+        Called when a driver unwires the delta path (campaign admission), so
+        no stale snapshot outlives the callbacks that kept it in sync.
         """
         self.delta_ready[:] = False
 

@@ -105,9 +105,6 @@ class VacancySystemEvaluator:
         (:meth:`evaluate_delta`) is NumPy-resident by design.
     """
 
-    #: Allowed values of the :attr:`dedup` policy.
-    DEDUP_MODES = ("auto", "always", "never")
-
     def __init__(
         self,
         tet: TripleEncoding,
@@ -123,14 +120,6 @@ class VacancySystemEvaluator:
         self.xp = get_backend(backend)
         self.n_elements = getattr(potential, "n_elements", 2)
         self.vacancy_code = self.n_elements
-        #: Batched-row dedup policy: ``"auto"`` (default) dedups only for
-        #: network potentials, where skipping duplicate rows saves whole GEMM
-        #: stacks; cheap tabulated/EAM reductions evaluate duplicates faster
-        #: than the unique-key sort that would remove them.  ``"always"`` /
-        #: ``"never"`` force either path.  For row-invariant potentials the
-        #: choice is bitwise-neutral: duplicate rows produce identical bits
-        #: either way, so trajectories do not depend on this knob.
-        self.dedup = "auto"
         # Optional Fig. 9 cost accounting (see attach_cost_ledger).
         self._ledger: "CostLedger | None" = None
         # Optional persistent row-energy memoization (see attach_row_cache).
@@ -251,24 +240,6 @@ class VacancySystemEvaluator:
             self._delta_target_shells.append(sm[sm >= 0].astype(np.intp))
             self._delta_pos0[k] = np.searchsorted(affected, 0)
             self._delta_posm[k] = np.searchsorted(affected, self._dir_targets[k])
-
-    # ------------------------------------------------------------------
-    # Dedup policy knob
-    # ------------------------------------------------------------------
-    @property
-    def dedup(self) -> str:
-        """Batched-row dedup policy; assignment validates the mode string."""
-        return self._dedup
-
-    @dedup.setter
-    def dedup(self, mode: str) -> None:
-        # An unrecognised string used to silently behave like "always";
-        # validate so typos fail loudly instead of changing the eval path.
-        if mode not in self.DEDUP_MODES:
-            raise ValueError(
-                f"unknown dedup mode {mode!r}; allowed modes: {self.DEDUP_MODES}"
-            )
-        self._dedup = mode
 
     # ------------------------------------------------------------------
     # Potential boundary
@@ -498,17 +469,15 @@ class VacancySystemEvaluator:
         typed sort is far cheaper than byte-wise comparisons); wider rows
         fall back to a raw-bytes key over the exact integer values.
 
-        The ``dedup`` policy gates the whole machinery: under ``"auto"``
-        only network potentials (``network_channels``) pay for the unique
-        sort — for cheap per-row reductions the sort costs more than the
-        duplicate evaluations it removes.
+        Only network potentials (``network_channels``) pay for the unique
+        sort, where skipping duplicate rows saves whole GEMM stacks; cheap
+        tabulated/EAM reductions evaluate duplicates faster than the sort
+        that would remove them.  Either way the bits are the same: duplicate
+        rows of a row-invariant potential evaluate identically.
         """
-        if not getattr(self.potential, "batch_row_invariant", False):
-            return None
-        if self.dedup == "never":
-            return None
-        if self.dedup == "auto" and (
-            getattr(self.potential, "network_channels", None) is None
+        pot = self.potential
+        if not getattr(pot, "batch_row_invariant", False) or (
+            getattr(pot, "network_channels", None) is None
         ):
             return None
         vals = counts.reshape(counts.shape[0], -1)

@@ -11,10 +11,9 @@ Two archive kinds share the ``.npz`` container (a ``kind`` field tells them
 apart; archives written before the field existed are serial):
 
 * **serial** — one :class:`~repro.core.engine.TensorKMCEngine`: occupancy,
-  clock, RNG state, evaluation/batching/propensity modes, and the kernel
-  slot registry *including* parked slots and the free-list stack order
-  (after vacancy annihilation/creation the recycling order is
-  trajectory-determining state);
+  clock, RNG state, and the kernel slot registry *including* parked slots
+  and the free-list stack order (after vacancy annihilation/creation the
+  recycling order is trajectory-determining state);
 * **parallel** — one :class:`~repro.parallel.engine.SublatticeKMC` world at
   a cycle boundary: the gathered global occupancy plus, per rank, the full
   padded window (local + ghost regions), the rank's RNG stream, its kernel
@@ -47,6 +46,17 @@ __all__ = [
 #: Sentinel for a parked (free) slot in serialised registries.
 _FREE_SLOT = -1
 
+#: Mode fields older serial archives carry, with the values that resume
+#: bit-exactly on the engines' single event path.  A linear propensity store
+#: sums in another order than the tree, and delta evaluation sums its
+#: per-direction energies in another order than the full one, so archives
+#: written under those cannot continue their trajectory bit for bit.
+_RETIRED_MODES = {
+    "propensity": ("tree",),
+    "evaluation": ("full",),
+    "batching": ("auto", "batched", "scalar"),
+}
+
 
 def checkpoint_kind(path: str) -> str:
     """``"serial"`` or ``"parallel"`` (archives predating the field: serial)."""
@@ -62,7 +72,6 @@ def checkpoint_kind(path: str) -> str:
 def save_checkpoint(path: str, engine: SerialAKMCBase) -> None:
     """Serialise a serial engine's full dynamic state to ``path`` (.npz)."""
     rng_state = json.dumps(engine.rng.bit_generator.state)
-    store_kind = type(engine.store).__name__
     # Parked slots (freed by vacancy annihilation) serialise as -1; the
     # free-list stack order is stored separately so recycling resumes in
     # the same order.
@@ -82,11 +91,6 @@ def save_checkpoint(path: str, engine: SerialAKMCBase) -> None:
         step_count=np.array([engine.step_count]),
         temperature=np.array([engine.rate_model.temperature]),
         rcut=np.array([engine.tet.rcut]),
-        evaluation=np.array([engine.evaluation]),
-        batching=np.array([engine.batching]),
-        propensity=np.array(
-            ["tree" if store_kind == "FenwickPropensity" else "linear"]
-        ),
         rng_state=np.array([rng_state]),
         vacancy_slots=slots,
         free_order=np.array(engine.kernel.cache.free_slots, dtype=np.int64),
@@ -157,6 +161,13 @@ def load_checkpoint(
             f"{path} holds a {str(data['kind'][0])!r} checkpoint; use "
             "load_parallel_checkpoint"
         )
+    for field, resumable in _RETIRED_MODES.items():
+        value = str(data[field][0]) if field in data.files else resumable[0]
+        if value not in resumable:
+            raise ValueError(
+                f"{path} was written with {field}={value!r}, which cannot "
+                f"resume bit-exactly (resumable: {', '.join(resumable)})"
+            )
     lattice = LatticeState(tuple(int(v) for v in data["shape"]), a=float(data["a"][0]))
     lattice.occupancy = data["occupancy"].astype(np.uint8)
     if tet is None:
@@ -165,10 +176,7 @@ def load_checkpoint(
     rng = np.random.default_rng()
     rng.bit_generator.state = json.loads(str(data["rng_state"][0]))
 
-    # Archives written before the batching mode was persisted resume under
-    # "auto" (the old, mode-dropping behaviour, kept for compatibility).
-    batching = str(data["batching"][0]) if "batching" in data.files else "auto"
-    # Same fallback pattern for archives predating the row cache.
+    # Archives predating the row cache resume under "auto".
     row_cache = (
         str(data["row_cache"][0]) if "row_cache" in data.files else "auto"
     )
@@ -178,9 +186,6 @@ def load_checkpoint(
         tet,
         temperature=float(data["temperature"][0]),
         rng=rng,
-        propensity=str(data["propensity"][0]),
-        evaluation=str(data["evaluation"][0]),
-        batching=batching,
         backend=backend,
         row_cache=row_cache,
     )

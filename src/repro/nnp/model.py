@@ -43,9 +43,9 @@ class NNPotential(CountsPotential):
     #: tiled-GEMM kernel (:mod:`repro.operators.tilegemm`): every GEMM call
     #: has a fixed ``(m_tile, k_tile)`` shape with partial products summed
     #: in a fixed order, so each atom's energy is bit-identical whether it
-    #: is evaluated alone or inside any batch.  The engines' ``auto``
-    #: batching therefore takes the batched miss path for the NNP while the
-    #: Fig. 8 cache-equivalence guarantee stays bitwise.
+    #: is evaluated alone or inside any batch.  The engines therefore take
+    #: the batched miss path for the NNP while the Fig. 8 cache-equivalence
+    #: guarantee stays bitwise.
     batch_row_invariant = True
 
     def __init__(

@@ -99,7 +99,6 @@ class RankState:
         evaluator: VacancySystemEvaluator,
         rate_model: RateModel,
         rng: np.random.Generator,
-        rebuild_path: str = "auto",
     ) -> None:
         self.rank = rank
         self.window = window
@@ -120,7 +119,6 @@ class RankState:
             lambda key: key,  # keys are window half-coordinate tuples
             threshold=2.0 * self.tet.invalidation_radius / self.tet.geometry.a,
             scale=1.0,
-            propensity="tree",
             periodic_half=None,
             keys=[tuple(int(v) for v in h) for h in self.vacancies],
             # Batched miss path only when per-row results are guaranteed
@@ -151,8 +149,6 @@ class RankState:
             )
             self.kernel.build_entries_delta = rebuilder.build_entries
             self.kernel.patch_entries = rebuilder.patch_entries
-        if rebuild_path != "auto":
-            self.kernel.set_rebuild_path(rebuild_path)
         self.events = 0
         self.rejected = 0
         #: Hops blocked by inconsistent (stale) data — naive mode only.
@@ -389,13 +385,6 @@ class SublatticeKMC:
         ``REPRO_BACKEND`` env, then the NumPy golden reference).  All ranks
         share one evaluator and hence one backend; window occupancy, ghost
         exchange buffers and checkpoints stay NumPy-resident.
-    rebuild_path:
-        Miss-pipeline rebuild mode for every rank's kernel (``"auto"`` /
-        ``"full"`` / ``"delta"``, see
-        :meth:`~repro.core.kernel.EventKernel.set_rebuild_path`).  Under
-        ``"auto"`` the incremental path switches on whenever the potential
-        is ``batch_row_invariant``; all three modes produce bit-identical
-        trajectories.
     row_cache / row_cache_mb:
         Persistent row-energy memoization knobs (``"auto"``/``"on"``/
         ``"off"`` and an optional MiB budget), as for the serial engines.
@@ -434,7 +423,6 @@ class SublatticeKMC:
         ea0=None,
         fault_plan: Optional[FaultPlan] = None,
         backend=None,
-        rebuild_path: str = "auto",
         row_cache: str = "auto",
         row_cache_mb: Optional[float] = None,
         executor: str = "inline",
@@ -442,12 +430,6 @@ class SublatticeKMC:
     ) -> None:
         if sector_mode not in ("sublattice", "naive"):
             raise ValueError(f"unknown sector_mode {sector_mode!r}")
-        if rebuild_path not in EventKernel.REBUILD_PATHS:
-            raise ValueError(
-                f"unknown rebuild path {rebuild_path!r}; allowed modes: "
-                f"{EventKernel.REBUILD_PATHS}"
-            )
-        self.rebuild_path = rebuild_path
         self.sector_mode = sector_mode
         self.proximity_violations = 0
         self.global_shape = lattice.shape
@@ -499,7 +481,6 @@ class SublatticeKMC:
                     evaluator=evaluator,
                     rate_model=rate_model,
                     rng=np.random.default_rng(seed + r),
-                    rebuild_path=rebuild_path,
                 )
             )
         self.evaluator = evaluator
@@ -710,11 +691,6 @@ class SublatticeKMC:
         out["workers"] = self.n_workers
         out["exchange_wait_seconds"] = sum(
             c.exchange_wait_seconds for c in self.cycles
-        )
-        out["rebuild_path"] = (
-            "delta"
-            if all(r.kernel.delta_active() for r in self.ranks)
-            else "full"
         )
         if self.row_cache is not None:
             out["row_cache_hit_rate"] = self.row_cache.hit_rate

@@ -48,7 +48,7 @@ class CountsPotential(ABC):
     #: trajectories.  Implementations whose per-row result depends on the
     #: batch shape (e.g. raw float32 GEMM through BLAS, whose blocking
     #: changes with the row count) must set this to ``False``; the engines
-    #: then keep the scalar miss path unless batching is forced.
+    #: then evaluate cache misses one vacancy system at a time.
     batch_row_invariant: bool = True
 
     #: Monotonic parameter-identity epoch.  Implementations whose energy

@@ -12,10 +12,6 @@ Three layers of guarantees:
 * the optional torch backend agrees with NumPy within documented tolerances
   (float32 GEMMs may differ in final bits across BLAS implementations);
   every torch test auto-skips when torch is not importable.
-
-Also holds the mode-validation regression tests for
-``VacancySystemEvaluator.dedup`` and ``EventKernel.set_hot_path`` — both
-used to silently accept arbitrary strings.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from repro.core.backend import (
     register_backend,
     to_numpy,
 )
-from repro.core.vacancy_system import VacancySystemEvaluator
 from repro.io.checkpoint import load_checkpoint, save_checkpoint
 from repro.lattice import LatticeState
 from repro.operators.fused import fused_layer
@@ -300,34 +295,6 @@ class TestNumpyBitExactness:
             engine.run(n_steps=30)
             runs[backend] = (_digest(lattice), engine.time)
         assert runs[None] == runs["numpy"]
-
-
-# ----------------------------------------------------------------------
-# Mode validation regressions (dedup / hot path)
-# ----------------------------------------------------------------------
-class TestModeValidation:
-    def test_dedup_rejects_unknown_mode(self, tet_small, eam_small):
-        evaluator = VacancySystemEvaluator(tet_small, eam_small)
-        with pytest.raises(ValueError, match="unknown dedup mode"):
-            evaluator.dedup = "alwayss"  # the typo that used to pass silently
-        for mode in ("auto", "always", "never"):
-            evaluator.dedup = mode
-            assert evaluator.dedup == mode
-
-    def test_set_hot_path_rejects_unknown_mode(self, tet_small, eam_small):
-        engine = TensorKMCEngine(
-            _alloy(), eam_small, tet_small, rng=np.random.default_rng(0)
-        )
-        with pytest.raises(ValueError, match="unknown hot path"):
-            engine.kernel.set_hot_path("legacyy")
-        # Direct attribute assignment must validate too.
-        with pytest.raises(ValueError, match="unknown hot path"):
-            engine.kernel.hot_path = "vectorised"
-        engine.kernel.hot_path = "legacy"
-        assert engine.kernel.hot_path == "legacy"
-        engine.kernel.set_hot_path("vectorized")
-        # The cell index is maintained in every mode.
-        assert engine.kernel.check_index() == []
 
 
 # ----------------------------------------------------------------------

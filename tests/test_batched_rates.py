@@ -6,8 +6,8 @@ throughput, never physics.  Every per-row quantity must be *bit-identical*
 to the scalar path — for counts-tabulated potentials because each row is an
 independent exact reduction, and for the NNP because its inference runs
 through the deterministic tiled-GEMM kernel (fixed call shapes, fixed
-accumulation order), which is what lets ``batching="auto"`` take the
-batched miss path for NNP campaigns too.
+accumulation order), which is what lets the engines take the batched miss
+path for NNP campaigns too.
 """
 
 from __future__ import annotations
@@ -174,16 +174,23 @@ def rate_model():
 
 
 class TestEngineBatching:
-    def test_batched_and_scalar_trajectories_identical(self, tet_small, eam_small):
-        """The default batched miss path must not change fixed-seed physics."""
+    def test_row_variant_potential_takes_per_slot_path(self, tet_small):
+        """A potential that is not ``batch_row_invariant`` is evaluated one
+        vacancy at a time, and the trajectory is the batched one's."""
+        from repro.potentials import EAMPotential
+
         streams = []
-        for batching in ("batched", "scalar"):
+        for invariant in (True, False):
+            pot = EAMPotential(tet_small.shell_distances)
+            pot.batch_row_invariant = invariant
             lattice = _make_lattice(7)
             engine = TensorKMCEngine(
-                lattice, eam_small, tet_small,
-                rng=np.random.default_rng(42), batching=batching,
+                lattice, pot, tet_small, rng=np.random.default_rng(42)
             )
+            assert (engine.kernel.build_entries is not None) == invariant
+            assert engine.kernel.delta_active() == invariant
             events = [engine.step() for _ in range(20)]
+            assert (engine.summary()["rate_batches"] > 0) == invariant
             streams.append(
                 ([(e.from_site, e.to_site, e.dt) for e in events],
                  lattice.occupancy.copy())
@@ -191,47 +198,26 @@ class TestEngineBatching:
         assert streams[0][0] == streams[1][0]
         assert np.array_equal(streams[0][1], streams[1][1])
 
-    def test_auto_batches_eam_and_counts(self, tet_small, eam_small):
+    def test_batches_eam_and_counts(self, tet_small, eam_small):
         lattice = _make_lattice(7)
         engine = TensorKMCEngine(
             lattice, eam_small, tet_small, rng=np.random.default_rng(0)
         )
-        assert engine.batching == "batched"
         engine.run(n_steps=15)
         summary = engine.summary()
         assert summary["rate_batches"] >= 1
         assert summary["batched_rows"] == summary["cache_misses"]
         assert summary["max_batch_size"] >= summary["mean_batch_size"] > 0.0
 
-    def test_auto_batches_nnp(self, tet_small, nnp_small):
-        """The tiled kernel makes the NNP row-invariant -> auto batches it."""
+    def test_batches_nnp(self, tet_small, nnp_small):
+        """The tiled kernel makes the NNP row-invariant -> it batches."""
         assert nnp_small.batch_row_invariant is True
         lattice = _make_lattice(7)
         engine = TensorKMCEngine(
             lattice, nnp_small, tet_small, rng=np.random.default_rng(0)
         )
-        assert engine.batching == "batched"
         engine.run(n_steps=5)
         assert engine.summary()["rate_batches"] >= 1
-
-    def test_nnp_batched_and_scalar_trajectories_identical(
-        self, tet_small, nnp_small
-    ):
-        """Batched vs forced-scalar NNP campaigns agree event for event."""
-        streams = []
-        for batching in ("batched", "scalar"):
-            lattice = _make_lattice(7)
-            engine = TensorKMCEngine(
-                lattice, nnp_small, tet_small,
-                rng=np.random.default_rng(42), batching=batching,
-            )
-            events = [engine.step() for _ in range(10)]
-            streams.append(
-                ([(e.from_site, e.to_site, e.dt) for e in events],
-                 lattice.occupancy.copy())
-            )
-        assert streams[0][0] == streams[1][0]
-        assert np.array_equal(streams[0][1], streams[1][1])
 
     def test_uncached_baseline_batches_whole_population(self, tet_small, eam_small):
         """OpenKMC rebuilds everything per step -> batch == population."""
@@ -243,12 +229,6 @@ class TestEngineBatching:
         engine.run(n_steps=3)
         summary = engine.summary()
         assert summary["max_batch_size"] == engine.kernel.cache.n_live
-
-    def test_unknown_mode_rejected(self, tet_small, eam_small):
-        with pytest.raises(ValueError, match="batching"):
-            TensorKMCEngine(
-                _make_lattice(7), eam_small, tet_small, batching="vectorised"
-            )
 
 
 class TestParallelBatching:

@@ -133,6 +133,41 @@ class TestBitIdentity:
         assert [r.digest for r in shared] == [r.digest for r in sequential]
         assert [r.time for r in shared] == [r.time for r in sequential]
 
+    def test_replicas_never_take_the_delta_path(self, tet_small, eam_small):
+        """A plain engine factory wires the delta path (a solo run takes
+        it); admission unwires it, so no replica ever holds a snapshot."""
+        def build(spec):
+            lattice = LatticeState((8, 8, 8))
+            lattice.randomize_alloy(
+                np.random.default_rng(spec.seed), cu_fraction=0.05,
+                vacancy_fraction=0.004,
+            )
+            return TensorKMCEngine(
+                lattice, eam_small, tet_small,
+                rng=np.random.default_rng(spec.seed + 1),
+            )
+
+        checked = []
+
+        def factory(spec):
+            engine = build(spec)
+            step = engine.step
+
+            def checked_step():
+                assert not engine.kernel.delta_active()
+                assert not engine.kernel.cache.delta_ready.any()
+                checked.append(spec.name)
+                return step()
+
+            engine.step = checked_step
+            return engine
+
+        assert build(ReplicaSpec("solo", seed=0)).kernel.delta_active()
+        specs = seed_sweep(range(3), n_steps=12)
+        results = ReplicaCampaign(specs, factory, mode="shared").run()
+        assert len(checked) == 3 * 12
+        _assert_matches_solo(results, build)
+
     def test_replica_summaries_carry_engine_counters(
         self, tet_small, eam_small
     ):
@@ -189,7 +224,6 @@ class TestDeadReplicas:
                     lattice, eam_small, tet_small,
                     temperature=spec.temperature,
                     rng=np.random.default_rng(spec.seed + 1),
-                    rebuild_path="full",
                 )
             return base(spec)
 

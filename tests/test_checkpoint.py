@@ -24,6 +24,20 @@ def _engine(tet, pot, seed=5, **kw):
     )
 
 
+def _archive_with_mode(tmp_path, engine, field, value):
+    """A checkpoint of ``engine`` whose mode ``field`` reads ``value``
+    (``field=None``: no mode field at all)."""
+    path = str(tmp_path / "ck.npz")
+    save_checkpoint(path, engine)
+    data = dict(np.load(path, allow_pickle=False))
+    for name in ("propensity", "evaluation", "batching"):
+        data.pop(name, None)
+    if field is not None:
+        data[field] = np.array([value])
+    np.savez_compressed(path, **data)
+    return path
+
+
 class TestCheckpoint:
     def test_restart_continues_bit_exactly(self, tmp_path, tet_small, eam_small):
         reference = _engine(tet_small, eam_small)
@@ -43,14 +57,15 @@ class TestCheckpoint:
         assert resumed.step_count == reference.step_count
 
     def test_checkpoint_restores_metadata(self, tmp_path, tet_small, eam_small):
-        engine = _engine(tet_small, eam_small, propensity="linear",
-                         evaluation="delta")
+        engine = _engine(tet_small, eam_small)
         engine.run(n_steps=5)
         path = str(tmp_path / "ck.npz")
         save_checkpoint(path, engine)
+        with np.load(path, allow_pickle=False) as data:
+            assert not {"propensity", "evaluation", "batching"} & set(
+                data.files
+            )
         resumed = load_checkpoint(path, eam_small, tet=tet_small)
-        assert resumed.evaluation == "delta"
-        assert type(resumed.store).__name__ == "LinearPropensity"
         assert resumed.rate_model.temperature == 900.0
         assert resumed.cache.sites == engine.cache.sites
 
@@ -62,30 +77,49 @@ class TestCheckpoint:
         resumed = load_checkpoint(path, eam_small)  # no tet passed
         assert resumed.tet.rcut == tet_small.rcut
 
-    @pytest.mark.parametrize("batching", ["auto", "batched", "scalar"])
-    def test_batching_mode_round_trips(self, tmp_path, tet_small, eam_small,
-                                       batching):
-        """Regression: load_checkpoint used to silently drop the batching
-        mode (always resuming under "auto")."""
-        engine = _engine(tet_small, eam_small, batching=batching)
-        engine.run(n_steps=5)
-        path = str(tmp_path / "ck.npz")
-        save_checkpoint(path, engine)
-        resumed = load_checkpoint(path, eam_small, tet=tet_small)
-        # "auto" resolves at construction; the *resolved* mode must survive.
-        assert resumed.batching == engine.batching
-
-    def test_scalar_mode_survives_on_batch_invariant_potential(
-        self, tmp_path, tet_small, eam_small
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (None, None),
+            ("propensity", "tree"),
+            ("evaluation", "full"),
+            ("batching", "auto"),
+            ("batching", "batched"),
+            ("batching", "scalar"),
+        ],
+    )
+    def test_archived_modes_resume_bit_exactly(
+        self, tmp_path, tet_small, eam_small, field, value
     ):
-        """EAM is batch-row-invariant, so "auto" resolves to "batched" — a
-        forced "scalar" engine must not come back batched."""
-        engine = _engine(tet_small, eam_small, batching="scalar")
-        engine.run(n_steps=3)
-        path = str(tmp_path / "ck.npz")
-        save_checkpoint(path, engine)
+        """Archives written while the engines had mode knobs carry the mode
+        fields; every mode that ran the same trajectory as the one path left
+        resumes on it bit-exactly."""
+        reference = _engine(tet_small, eam_small)
+        reference.run(n_steps=30)
+        engine = _engine(tet_small, eam_small)
+        engine.run(n_steps=15)
+        path = _archive_with_mode(tmp_path, engine, field, value)
         resumed = load_checkpoint(path, eam_small, tet=tet_small)
-        assert resumed.batching == "scalar"
+        resumed.run(n_steps=15)
+        assert np.array_equal(
+            resumed.lattice.occupancy, reference.lattice.occupancy
+        )
+        assert resumed.time == reference.time
+
+    @pytest.mark.parametrize(
+        "field,value", [("propensity", "linear"), ("evaluation", "delta")]
+    )
+    def test_non_resumable_archived_modes_rejected(
+        self, tmp_path, tet_small, eam_small, field, value
+    ):
+        """A linear store and delta evaluation summed in another order than
+        the one path left, so their archives cannot continue bit-exactly —
+        loading one must fail loudly instead of silently diverging."""
+        engine = _engine(tet_small, eam_small)
+        engine.run(n_steps=5)
+        path = _archive_with_mode(tmp_path, engine, field, value)
+        with pytest.raises(ValueError, match=f"{field}='{value}'"):
+            load_checkpoint(path, eam_small, tet=tet_small)
 
     def test_checkpoint_after_slot_churn(self, tmp_path, tet_small, eam_small):
         """Regression: annihilating a vacancy parks its kernel slot (None in

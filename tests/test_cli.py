@@ -17,7 +17,6 @@ class TestParser:
         args = build_parser().parse_args(["run"])
         assert args.command == "run"
         assert args.steps == 1000
-        assert args.evaluation == "full"
 
     def test_train_requires_output(self):
         with pytest.raises(SystemExit):
@@ -52,13 +51,9 @@ class TestRunCommand:
         assert lattice.shape == (8, 8, 8)
         assert open(xyz).readline().strip() == str(lattice.n_sites)
 
-    def test_run_delta_evaluation(self, capsys):
-        code = main([
-            "run", "--box", "8", "--steps", "10", "--temperature", "800",
-            "--evaluation", "delta",
-        ])
-        assert code == 0
-        assert "events = 10" in capsys.readouterr().out
+    def test_evaluation_knob_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--evaluation", "delta"])
 
     def test_run_reports_row_cache(self, capsys):
         code = main([

@@ -149,19 +149,6 @@ class TestCacheEquivalence:
         engine.run(n_steps=50)
         assert engine.cache.stats.reuses > 0
 
-    def test_linear_vs_tree_propensity(self, tet_small, eam_small):
-        finals = []
-        for store in ("tree", "linear"):
-            lattice = _make_lattice(seed=41)
-            engine = TensorKMCEngine(
-                lattice, eam_small, tet_small,
-                rng=np.random.default_rng(77), propensity=store,
-            )
-            engine.run(n_steps=50)
-            finals.append((lattice.occupancy.copy(), engine.time))
-        assert np.array_equal(finals[0][0], finals[1][0])
-        assert finals[0][1] == pytest.approx(finals[1][1], rel=1e-12)
-
 
 class TestOpenKMCArrays:
     def test_atom_arrays_stay_consistent(self, tet_small, eam_small):

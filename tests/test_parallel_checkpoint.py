@@ -123,8 +123,8 @@ class TestBitExactResume:
 class TestNNPBatchedResume:
     """Batched NNP campaigns must checkpoint/resume bit-exactly.
 
-    PR 4 regression: with the deterministic tiled-GEMM kernel the NNP takes
-    the batched miss path under ``batching="auto"``, and after a resume (or
+    Regression: with the deterministic tiled-GEMM kernel the NNP takes
+    the batched miss path, and after a resume (or
     a rollback-and-replay recovery) the set of cache misses — hence the
     batch shapes — differs from the uninterrupted run.  Row invariance of
     the kernel is exactly what makes that irrelevant; these tests pin it.

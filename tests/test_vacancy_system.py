@@ -197,33 +197,6 @@ class TestDeltaPath:
         with pytest.raises(ValueError):
             evaluator.evaluate_delta(bad)
 
-    def test_engine_delta_mode_matches_full(self, tet_small, eam_small):
-        from repro.core import TensorKMCEngine
-
-        finals = []
-        for mode in ("full", "delta"):
-            lattice = LatticeState((8, 8, 8))
-            lattice.randomize_alloy(np.random.default_rng(7), 0.05, 0.003)
-            engine = TensorKMCEngine(
-                lattice, eam_small, tet_small, temperature=900.0,
-                rng=np.random.default_rng(3), evaluation=mode,
-            )
-            engine.run(n_steps=60)
-            finals.append(lattice.occupancy.copy())
-        # delta path energies agree to ~1e-9 eV -> rates agree to ~1e-6
-        # relative; over 60 steps the trajectories coincide.
-        assert np.array_equal(finals[0], finals[1])
-
-    def test_engine_rejects_unknown_mode(self, tet_small, eam_small):
-        from repro.core import TensorKMCEngine
-
-        lattice = LatticeState((8, 8, 8))
-        lattice.randomize_alloy(np.random.default_rng(7), 0.05, 0.003)
-        with pytest.raises(ValueError):
-            TensorKMCEngine(
-                lattice, eam_small, tet_small, evaluation="bogus"
-            )
-
 
 class TestDetailedBalance:
     """Physics: forward/backward hop rates obey detailed balance."""
