@@ -216,6 +216,74 @@ def test_kernel_invalidate_near_matches_distance_rule():
     assert kernel.total == pytest.approx(3.0)
 
 
+def test_kernel_invalidation_reach_is_inclusive():
+    rates = {(0, 0, 0): _row(1.0), (4, 0, 0): _row(1.0), (5, 0, 0): _row(1.0)}
+    kernel = _toy_kernel(rates)
+    kernel.refresh()
+    # (4,0,0) sits exactly at the threshold: the <= test (with its 1e-9
+    # guard) includes it; (5,0,0) stays fresh.
+    assert kernel.invalidate_near(np.array([[0, 0, 0]])) == 2
+    assert kernel.cache.stale_slots() == [0, 1]
+
+
+def test_kernel_invalidation_skips_parked_slots():
+    rates = {(0, 0, 0): _row(1.0), (1, 0, 0): _row(1.0), (2, 0, 0): _row(1.0)}
+    kernel = _toy_kernel(rates)
+    kernel.refresh()
+    kernel.remove(1)
+    assert kernel.invalidate_near(np.array([[0, 0, 0]])) == 2
+    assert kernel.cache.stale_slots() == [0, 2]
+
+
+def test_kernel_invalidation_does_not_recount_stale_slots():
+    rates = {(0, 0, 0): _row(1.0), (1, 0, 0): _row(1.0)}
+    kernel = _toy_kernel(rates)
+    kernel.refresh()
+    assert kernel.invalidate_near(np.array([[0, 0, 0]])) == 2
+    # A second hit on an already-stale registry invalidates nothing new.
+    assert kernel.invalidate_near(np.array([[0, 0, 0]])) == 0
+    assert kernel.cache.stats.invalidations == 2
+
+
+@pytest.mark.parametrize("use_cache", (True, False), ids=("cache", "no-cache"))
+@pytest.mark.parametrize("patch", (True, False), ids=("patch", "no-patch"))
+@pytest.mark.parametrize("delta", (True, False), ids=("delta", "no-delta"))
+@pytest.mark.parametrize("batched", (True, False), ids=("batch", "no-batch"))
+def test_miss_path_follows_the_wiring(batched, delta, patch, use_cache):
+    """The delta callback runs when both delta callbacks are wired and the
+    cache is on; otherwise the batched callback when wired; otherwise
+    ``build_entry`` once per stale slot."""
+    rates = {(0, 0, 0): _row(1.0), (10, 0, 0): _row(3.0)}
+    calls = []
+
+    def per_slot(key):
+        calls.append("per-slot")
+        return rates[key]
+
+    def batch(keys, path="batched"):
+        calls.append(path)
+        return np.array([rates[key] for key in keys])
+
+    kernel = EventKernel(
+        per_slot,
+        lambda key: np.asarray(key, dtype=np.int64),
+        threshold=4.0,
+        keys=sorted(rates),
+        use_cache=use_cache,
+        build_entries=batch if batched else None,
+        build_entries_delta=(
+            (lambda keys, slots: batch(keys, "delta")) if delta else None
+        ),
+        patch_entries=(lambda slots, points: None) if patch else None,
+    )
+    active = delta and patch and use_cache
+    assert kernel.delta_active() == active
+    kernel.refresh()
+    expect = "delta" if active else "batched" if batched else "per-slot"
+    assert set(calls) == {expect}
+    assert kernel.total == pytest.approx(4.0)
+
+
 def test_kernel_periodic_invalidation_wraps():
     rates = {(0, 0, 0): _row(1.0), (10, 0, 0): _row(1.0)}
     kernel = _toy_kernel(rates, periodic=(21, 21, 21))
