@@ -1,6 +1,6 @@
 # Convenience targets for the TensorKMC reproduction.
 
-.PHONY: install test bench experiments bench-smoke bench-e2e bench-e2e-selftest perf-trajectory fault-suite backend-suite campaign-suite rowcache-suite parallel-suite lint-backend check examples snapshot
+.PHONY: install test bench experiments bench-smoke bench-e2e bench-e2e-selftest perf-trajectory fault-suite backend-suite campaign-suite rowcache-suite lint-backend check examples snapshot
 
 install:
 	pip install -e . --no-build-isolation
@@ -79,17 +79,6 @@ rowcache-suite:
 	PYTHONPATH=src python -m pytest -x -q tests/test_rowcache.py tests/test_propensity.py
 	PYTHONPATH=src python -m pytest -x -q benchmarks/bench_kernel_smoke.py::test_row_cache_is_faster_and_trajectory_identical
 
-# Parallel-executor suite: the process-pool contract tests — pickle
-# round-trips of everything that crosses the pipe, inline-vs-process
-# trajectory identity (incl. the mode-matrix executor rows), worker-death
-# -> structured ProtocolError + recovery, cross-executor checkpoint
-# resume — then the parallel smoke benchmark (inline vs process at 4 and
-# 8 ranks, unconditional digest identity, hardware-gated events/sec
-# speedup, writes BENCH_parallel.json).
-parallel-suite:
-	PYTHONPATH=src python -m pytest -x -q tests/test_executor.py
-	PYTHONPATH=src python benchmarks/bench_parallel_smoke.py
-
 # Lint: fail if a hot-path module under src/repro/{operators,nnp,core}
 # grows a new direct `import numpy` outside the shim + frozen exemptions.
 lint-backend:
@@ -97,9 +86,8 @@ lint-backend:
 
 # What CI runs: the backend-import lint, tier-1 tests, the kernel and
 # campaign smoke benchmarks (followed by the perf-trajectory diff against
-# the committed baselines), the e2e harness self-test, the row-cache,
-# parallel-executor, and fault suites.  `make experiments` is a separate
-# CI step.
+# the committed baselines), the e2e harness self-test, the row-cache and
+# fault suites.  `make experiments` is a separate CI step.
 check:
 	$(MAKE) lint-backend
 	PYTHONPATH=src python -m pytest -x -q
@@ -108,7 +96,6 @@ check:
 	$(MAKE) campaign-suite
 	$(MAKE) perf-trajectory
 	$(MAKE) rowcache-suite
-	$(MAKE) parallel-suite
 	$(MAKE) fault-suite
 
 examples:

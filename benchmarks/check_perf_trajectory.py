@@ -89,23 +89,12 @@ def campaign_metrics(report: dict) -> list:
     return metrics
 
 
-def parallel_metrics(report: dict) -> list:
-    """Tracked per-event times of the parallel executor smoke benchmark."""
-    metrics = []
-    for key in sorted(report):
-        if key.startswith("ranks") and isinstance(report[key], dict):
-            metrics.append(f"{key}.inline_us_per_event")
-            metrics.append(f"{key}.process_us_per_event")
-    return metrics
-
-
 #: Every report the trajectory gate watches: (filename, metrics function).
 #: The speedup/ratio gates live in each report's own ``ok`` flag (checked
 #: by CI's perf-gate step); this script only watches absolute times.
 REPORTS = (
     ("BENCH_kernel.json", tracked_metrics),
     ("BENCH_campaign.json", campaign_metrics),
-    ("BENCH_parallel.json", parallel_metrics),
 )
 
 

@@ -32,7 +32,6 @@ from .core.rowcache import ROW_CACHE_MODES
 from .io.snapshots import save_lattice
 from .io.xyz import write_xyz
 from .lattice import LatticeState
-from .parallel.executor import EXECUTORS, resolve_workers
 from .potentials import EAMPotential
 
 __all__ = ["main", "build_parser"]
@@ -77,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="inject a rank failure (requires --checkpoint)")
     par.add_argument("--kill-cycle", type=int, default=None,
                      help="cycle at which --kill-rank dies (default 0)")
-    _executor_args(par)
 
     camp = sub.add_parser(
         "campaign",
@@ -119,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("--backend", type=str, default=None,
                      help="array backend for the resumed run (checkpoints "
                           "are backend-free)")
-    _executor_args(res)
 
     train = sub.add_parser("train", help="train an NNP on oracle data")
     train.add_argument("--rcut", type=float, default=6.5)
@@ -154,34 +151,6 @@ def _common_alloy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--row-cache-mb", type=float, default=None,
                    help="row-cache byte budget in MiB (LRU eviction past "
                         "it; default: unbounded)")
-
-
-def _executor_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--executor", choices=EXECUTORS, default="inline",
-                   help="where the rank event loops run: inline = the "
-                        "sequential golden reference in this process, "
-                        "process = a persistent fork-based worker pool "
-                        "(bit-identical trajectories either way)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker-pool size for --executor process (default: "
-                        "one per rank; invalid with the inline executor)")
-
-
-def _resolve_executor_args(args) -> None:
-    """Fail fast on an invalid --executor/--workers pair (clear message)."""
-    try:
-        resolve_workers(args.executor, args.workers, n_ranks=1 << 30)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-
-
-def _print_executor_summary(sim) -> None:
-    """Executor, worker count, and mean per-cycle exchange wait."""
-    print(f"executor = {sim.executor_kind}")
-    print(f"workers = {sim.n_workers}")
-    wait = sum(c.exchange_wait_seconds for c in sim.cycles)
-    per_cycle = wait / len(sim.cycles) if sim.cycles else 0.0
-    print(f"exchange_wait_ms_per_cycle = {1e3 * per_cycle:.3f}")
 
 
 def _print_hot_path_summary(summary, events: int) -> None:
@@ -288,7 +257,6 @@ def _tet_from_archive(path: str) -> TripleEncoding:
 def _cmd_parallel(args) -> int:
     from .parallel import FaultEvent, FaultPlan, SublatticeKMC, run_resilient
 
-    _resolve_executor_args(args)
     kill = args.kill_rank is not None
     if kill and not args.checkpoint:
         raise SystemExit("error: --kill-rank recovery requires --checkpoint")
@@ -304,8 +272,7 @@ def _cmd_parallel(args) -> int:
         potential = _load_potential(args, tet)
         sim = load_parallel_checkpoint(
             args.restart, potential, tet=tet, fault_plan=plan,
-            backend=args.backend, executor=args.executor,
-            workers=args.workers,
+            backend=args.backend,
         )
         tet = sim.tet
     else:
@@ -317,39 +284,34 @@ def _cmd_parallel(args) -> int:
             temperature=args.temperature, t_stop=args.t_stop, seed=args.seed,
             fault_plan=plan, backend=args.backend,
             row_cache=args.row_cache, row_cache_mb=args.row_cache_mb,
-            executor=args.executor, workers=args.workers,
         )
-    try:
-        before = sim.gather_global().species_counts().copy()
-        recoveries = 0
-        if args.checkpoint:
-            sim, recoveries = run_resilient(
-                sim, args.cycles, args.checkpoint, potential, tet=tet,
-                checkpoint_every=args.checkpoint_every,
-            )
-        else:
-            sim.run(args.cycles)
-        conserved = bool(
-            np.array_equal(sim.gather_global().species_counts(), before)
+    before = sim.gather_global().species_counts().copy()
+    recoveries = 0
+    if args.checkpoint:
+        sim, recoveries = run_resilient(
+            sim, args.cycles, args.checkpoint, potential, tet=tet,
+            checkpoint_every=args.checkpoint_every,
         )
-        print(f"backend = {sim.xp.name}")
-        print(f"ranks = {sim.decomposition.n_ranks}")
-        print(f"grid = {sim.decomposition.grid}")
-        _print_executor_summary(sim)
-        print(f"cycles = {len(sim.cycles)}")
-        print(f"events = {sim.total_events}")
-        print(f"time_s = {sim.time:.6e}")
-        print(f"messages = {sim.world.stats.messages_sent}")
-        print(f"bytes = {sim.world.stats.bytes_sent}")
-        _print_hot_path_summary(sim.summary(), sim.total_events)
-        if args.checkpoint:
-            print(f"checkpoint = {args.checkpoint}")
-            print(f"recoveries = {recoveries}")
-        print(f"species_conserved = {conserved}")
-        print(f"ghosts_consistent = {sim.check_ghost_consistency()}")
-        return 0 if conserved else 1
-    finally:
-        sim.close()
+    else:
+        sim.run(args.cycles)
+    conserved = bool(
+        np.array_equal(sim.gather_global().species_counts(), before)
+    )
+    print(f"backend = {sim.xp.name}")
+    print(f"ranks = {sim.decomposition.n_ranks}")
+    print(f"grid = {sim.decomposition.grid}")
+    print(f"cycles = {len(sim.cycles)}")
+    print(f"events = {sim.total_events}")
+    print(f"time_s = {sim.time:.6e}")
+    print(f"messages = {sim.world.stats.messages_sent}")
+    print(f"bytes = {sim.world.stats.bytes_sent}")
+    _print_hot_path_summary(sim.summary(), sim.total_events)
+    if args.checkpoint:
+        print(f"checkpoint = {args.checkpoint}")
+        print(f"recoveries = {recoveries}")
+    print(f"species_conserved = {conserved}")
+    print(f"ghosts_consistent = {sim.check_ghost_consistency()}")
+    return 0 if conserved else 1
 
 
 def _cmd_campaign(args) -> int:
@@ -414,17 +376,11 @@ def _cmd_resume(args) -> int:
         save_parallel_checkpoint,
     )
 
-    _resolve_executor_args(args)
     tet = _tet_from_archive(args.path)
     potential = _load_potential(args, tet)
     kind = checkpoint_kind(args.path)
     print(f"kind = {kind}")
     if kind == "serial":
-        if args.executor != "inline":
-            raise SystemExit(
-                "error: --executor process applies to parallel checkpoints "
-                f"only ({args.path} holds a serial one)"
-            )
         engine = load_checkpoint(
             args.path, potential, tet=tet, backend=args.backend
         )
@@ -436,21 +392,16 @@ def _cmd_resume(args) -> int:
             print(f"checkpoint = {args.checkpoint}")
     else:
         sim = load_parallel_checkpoint(
-            args.path, potential, tet=tet, backend=args.backend,
-            executor=args.executor, workers=args.workers,
+            args.path, potential, tet=tet, backend=args.backend
         )
-        try:
-            sim.run(args.cycles)
-            _print_executor_summary(sim)
-            print(f"cycles = {len(sim.cycles)}")
-            print(f"events = {sim.total_events}")
-            print(f"time_s = {sim.time:.6e}")
-            print(f"ghosts_consistent = {sim.check_ghost_consistency()}")
-            if args.checkpoint:
-                save_parallel_checkpoint(args.checkpoint, sim)
-                print(f"checkpoint = {args.checkpoint}")
-        finally:
-            sim.close()
+        sim.run(args.cycles)
+        print(f"cycles = {len(sim.cycles)}")
+        print(f"events = {sim.total_events}")
+        print(f"time_s = {sim.time:.6e}")
+        print(f"ghosts_consistent = {sim.check_ghost_consistency()}")
+        if args.checkpoint:
+            save_parallel_checkpoint(args.checkpoint, sim)
+            print(f"checkpoint = {args.checkpoint}")
     return 0
 
 

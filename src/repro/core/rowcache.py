@@ -188,27 +188,6 @@ class RowEnergyCache:
         self.misses = int(misses)
         self.evictions = int(evictions)
 
-    def absorb_delta(
-        self, hits: int, misses: int, evictions: int
-    ) -> None:
-        """Merge counter deltas from a cache replica in another process.
-
-        Under the process executor every worker owns a forked copy of the
-        cache, so the driver-side object never sees their probes directly;
-        each cycle the workers report how much their counters advanced and
-        this method folds the deltas in, keeping ``sim.summary()`` one
-        monotonic hit/miss/eviction total regardless of where the probes
-        ran.  Deltas must be non-negative — the counters only ever grow.
-        """
-        if min(int(hits), int(misses), int(evictions)) < 0:
-            raise ValueError(
-                "row-cache counter deltas must be non-negative, got "
-                f"({hits}, {misses}, {evictions})"
-            )
-        self.hits += int(hits)
-        self.misses += int(misses)
-        self.evictions += int(evictions)
-
     def summary(self) -> dict:
         out = dict(self.counters())
         out["row_cache_hit_rate"] = self.hit_rate

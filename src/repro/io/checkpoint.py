@@ -26,6 +26,8 @@ apart; archives written before the field existed are serial):
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -58,12 +60,34 @@ _RETIRED_MODES = {
 }
 
 
+class _Archive(dict):
+    """A checkpoint's arrays; a missing field raises ``ValueError`` naming it."""
+
+    def __init__(self, path: str, arrays: dict) -> None:
+        super().__init__(arrays)
+        self.path = path
+        self.files = list(arrays)
+
+    def __missing__(self, name: str):
+        raise ValueError(f"{self.path} is missing checkpoint field {name!r}")
+
+
+def _read_archive(path: str) -> _Archive:
+    """Read every field of a checkpoint; a damaged file raises ``ValueError``."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return _Archive(path, {name: data[name] for name in data.files})
+    # TypeError: a bare ``.npy`` array is not an archive.
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError, TypeError) as exc:
+        raise ValueError(
+            f"{path} is not a readable checkpoint archive ({exc})"
+        ) from exc
+
+
 def checkpoint_kind(path: str) -> str:
     """``"serial"`` or ``"parallel"`` (archives predating the field: serial)."""
-    with np.load(path, allow_pickle=False) as data:
-        if "kind" in data.files:
-            return str(data["kind"][0])
-    return "serial"
+    data = _read_archive(path)
+    return str(data["kind"][0]) if "kind" in data.files else "serial"
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +179,7 @@ def load_checkpoint(
         (everything serialises as NumPy), so a run saved under one backend
         restores under any other.
     """
-    data = np.load(path, allow_pickle=False)
+    data = _read_archive(path)
     if "kind" in data.files and str(data["kind"][0]) != "serial":
         raise ValueError(
             f"{path} holds a {str(data['kind'][0])!r} checkpoint; use "
@@ -232,11 +256,11 @@ _CYCLE_FIELDS = (
     "invalidate_seconds",
     "exchange_seconds",
     # Appended after the phase timings (append-only: old archives load
-    # with these defaulting to 0 via the zip-stops-at-shortest rule).
+    # with these defaulting to 0 via the zip-stops-at-shortest rule, and
+    # archives with a retired trailing column load with it ignored).
     "row_cache_hits",
     "row_cache_misses",
     "row_cache_evictions",
-    "exchange_wait_seconds",
 )
 
 _COMM_FIELDS = ("messages_sent", "bytes_sent", "barriers", "collectives")
@@ -252,16 +276,7 @@ def save_parallel_checkpoint(path: str, sim) -> None:
     accumulated communicator statistics, and the per-cycle history.  Must be
     called between cycles (the sublattice protocol has no well-defined
     mid-cycle state).
-
-    Executor-transparent: under ``executor="process"`` the driver's shadow
-    ranks are synchronised from the worker snapshots first, so the archive
-    is byte-identical to one written by an inline run at the same cycle
-    (the executor itself is deliberately *not* stored — the resuming
-    caller chooses it).
     """
-    sync = getattr(sim, "sync_ranks", None)
-    if sync is not None:
-        sync()
     stats = sim.world.stats
     arrays = {
         "kind": np.array(["parallel"]),
@@ -329,8 +344,6 @@ def load_parallel_checkpoint(
     tet: TripleEncoding | None = None,
     fault_plan=None,
     backend=None,
-    executor: str = "inline",
-    workers=None,
 ):
     """Rebuild a :class:`SublatticeKMC` whose continuation is bit-exact.
 
@@ -338,15 +351,11 @@ def load_parallel_checkpoint(
     exactly as for the serial loader; ``fault_plan`` re-attaches a (stateful)
     :class:`~repro.parallel.faults.FaultPlan` so rollback-and-replay recovery
     does not re-trigger already-fired faults.  ``backend`` selects the array
-    backend of the resumed run (checkpoints themselves are backend-free), and
-    ``executor``/``workers`` the execution backend — archives are
-    executor-free, so a run saved under either executor resumes bit-exactly
-    under the other (the process pool forks only at the first cycle, after
-    this loader's state surgery).
+    backend of the resumed run (checkpoints themselves are backend-free).
     """
     from ..parallel.engine import CycleStats, SublatticeKMC
 
-    data = np.load(path, allow_pickle=False)
+    data = _read_archive(path)
     kind = str(data["kind"][0]) if "kind" in data.files else "serial"
     if kind != "parallel":
         raise ValueError(
@@ -374,8 +383,6 @@ def load_parallel_checkpoint(
         fault_plan=fault_plan,
         backend=backend,
         row_cache=row_cache,
-        executor=executor,
-        workers=workers,
     )
     _restore_row_cache(sim.row_cache, data)
     sim.time = float(data["time"][0])

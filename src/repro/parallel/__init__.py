@@ -3,14 +3,6 @@
 from .comm import CommStats, ProtocolError, SimComm, SimCommWorld, allreduce_sum
 from .decomposition import GridDecomposition, choose_grid
 from .engine import CycleStats, RankState, SublatticeKMC
-from .executor import (
-    EXECUTORS,
-    InlineExecutor,
-    ProcComm,
-    ProcessExecutor,
-    RankSnapshot,
-    resolve_workers,
-)
 from .faults import FAULT_KINDS, FaultEvent, FaultPlan
 from .ghost import GhostExchanger, SiteUpdates, in_padded_box, window_images
 from .recovery import run_resilient
@@ -35,12 +27,6 @@ __all__ = [
     "CycleStats",
     "RankState",
     "SublatticeKMC",
-    "EXECUTORS",
-    "InlineExecutor",
-    "ProcComm",
-    "ProcessExecutor",
-    "RankSnapshot",
-    "resolve_workers",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",

@@ -59,8 +59,7 @@ class ProtocolError(RuntimeError):
     ) -> None:
         #: The raw message, before the addressing prefix is attached.  Kept
         #: so pickling reconstructs through ``__init__`` without the detail
-        #: string re-prefixing itself on every round-trip (the process
-        #: executor ships these across worker pipes).
+        #: string re-prefixing itself on every round-trip.
         self.message = message
         self.rank = rank
         self.tag = tag

@@ -43,7 +43,7 @@ from ..lattice.occupancy import LatticeState
 from ..potentials.base import CountsPotential
 from .comm import ProtocolError, SimCommWorld, allreduce_sum
 from .decomposition import GridDecomposition, choose_grid
-from .executor import InlineExecutor, ProcessExecutor, resolve_workers
+from .executor import InlineExecutor
 from .faults import FaultPlan
 from .ghost import GhostExchanger, SiteUpdates
 from .sublattice import N_SECTORS, SectorGeometry
@@ -82,9 +82,6 @@ class CycleStats:
     hop_seconds: float = 0.0
     invalidate_seconds: float = 0.0
     exchange_seconds: float = 0.0
-    #: Driver time blocked on worker apply replies during the exchange
-    #: block (process executor; always 0.0 inline).
-    exchange_wait_seconds: float = 0.0
 
 
 class RankState:
@@ -392,21 +389,7 @@ class SublatticeKMC:
         :class:`~repro.core.rowcache.RowEnergyCache` spans every rank's
         miss path; its counters are merged once at the simulation level
         (rank kernels report zeros) and surfaced through
-        :class:`CycleStats` / :meth:`summary`.  Under the process
-        executor every worker owns a forked replica of the cache (each
-        with the full byte budget); the workers' counter deltas are
-        folded back into this one driver-side object every cycle, so the
-        summary stays a single monotonic total.
-    executor:
-        ``"inline"`` (default) runs every rank sequentially in the driver
-        process — the bit-exact golden reference.  ``"process"`` runs the
-        rank event loops on a persistent ``fork``-based worker pool (see
-        :class:`~repro.parallel.executor.ProcessExecutor`); fixed-seed
-        trajectories are bit-identical between the two.
-    workers:
-        Process-pool size (``executor="process"`` only; default: one
-        worker per rank, capped at the rank count).  Passing it with the
-        inline executor raises :class:`ValueError`.
+        :class:`CycleStats` / :meth:`summary`.
     """
 
     def __init__(
@@ -425,8 +408,6 @@ class SublatticeKMC:
         backend=None,
         row_cache: str = "auto",
         row_cache_mb: Optional[float] = None,
-        executor: str = "inline",
-        workers: Optional[int] = None,
     ) -> None:
         if sector_mode not in ("sublattice", "naive"):
             raise ValueError(f"unknown sector_mode {sector_mode!r}")
@@ -490,43 +471,7 @@ class SublatticeKMC:
         #: World-level profiler: the ghost-exchange/rescan block ("exchange").
         #: Per-event phases accumulate on each rank's own profiler.
         self.profiler = PhaseProfiler()
-        # Execution backend.  The process pool spins up lazily at the first
-        # cycle, so post-construction state surgery (checkpoint restore)
-        # is inherited by the fork — "shipped once at spin-up" for free.
-        n_workers = resolve_workers(executor, workers, len(self.ranks))
-        self.executor_kind = executor
-        self._executor = (
-            ProcessExecutor(self, n_workers)
-            if executor == "process"
-            else InlineExecutor(self)
-        )
-
-    @property
-    def n_workers(self) -> int:
-        """Worker-process count (0 under the inline executor)."""
-        return self._executor.n_workers
-
-    def sync_ranks(self) -> None:
-        """Make the driver-side (shadow) rank states coherent.
-
-        Under the process executor the authoritative windows, RNG streams
-        and kernel registries live in the workers; this pulls their
-        snapshots into the driver's ``RankState`` objects (lazily — a
-        no-op when nothing ran since the last sync, and always a no-op
-        inline).  Checkpointing, global gathers, and ghost-consistency
-        checks call it so both executors look identical from outside.
-        """
-        self._executor.sync_shadow()
-
-    def close(self) -> None:
-        """Release executor resources (terminates the worker pool)."""
-        self._executor.close()
-
-    def __enter__(self) -> "SublatticeKMC":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self._executor = InlineExecutor(self)
 
     def attach_cost_ledger(self, ledger):
         """Charge all ranks' rate evaluations to ``ledger`` (Fig. 9 model).
@@ -547,16 +492,9 @@ class SublatticeKMC:
                 totals[key] = totals.get(key, 0) + int(value)
         if self.row_cache is not None:
             # The cache is shared, not per-rank: merge its counters once
-            # (the rank kernels all reported zeros for these keys).  Under
-            # the process executor the per-worker replicas' deltas have
-            # already been absorbed into this object, so the merge covers
-            # every probe wherever it ran.
+            # (the rank kernels all reported zeros for these keys).
             for key, value in self.row_cache.counters().items():
                 totals[key] = totals.get(key, 0) + int(value)
-        # Process executor: worker-side kernel work never touches the
-        # shadow kernels; the accumulated per-cycle deltas live here.
-        for key, value in self._executor.extra_counters.items():
-            totals[key] = totals.get(key, 0) + int(value)
         return totals
 
     def _phase_totals(self) -> Dict[str, float]:
@@ -600,10 +538,6 @@ class SublatticeKMC:
         self.proximity_violations += self._count_proximity_violations(updates)
 
         # Exchange phase: everyone sends, then everyone applies (lockstep).
-        # Sends always run through the driver-resident SimComm endpoints —
-        # under the process executor the worker-computed updates are
-        # replayed here in the same rank/destination order as inline, so
-        # fault draws, CommStats and transcripts stay bit-identical.
         with self.profiler.phase("exchange"):
             for rank, ups in zip(self.ranks, updates):
                 if rank.rank in killed:
@@ -657,7 +591,6 @@ class SublatticeKMC:
                 )
                 for name in PHASES
             },
-            exchange_wait_seconds=self._executor.last_exchange_wait,
         )
         self.cycles.append(stats)
         return stats
@@ -677,32 +610,17 @@ class SublatticeKMC:
             else 0.0
         )
         out["max_batch_size"] = max(
-            max(
-                (r.kernel.stats.max_batch_size for r in self.ranks), default=0
-            ),
-            self._executor.max_batch_size,
+            (r.kernel.stats.max_batch_size for r in self.ranks), default=0
         )
         out["events"] = self.total_events
         out["anomalies"] = self.total_anomalies
         out["rejected"] = sum(r.rejected for r in self.ranks)
         out["cycles"] = len(self.cycles)
         out["time"] = self.time
-        out["executor"] = self.executor_kind
-        out["workers"] = self.n_workers
-        out["exchange_wait_seconds"] = sum(
-            c.exchange_wait_seconds for c in self.cycles
-        )
         if self.row_cache is not None:
             out["row_cache_hit_rate"] = self.row_cache.hit_rate
-            # Resident contents live in the worker replicas under the
-            # process executor; the driver-side object is authoritative
-            # (and the footprint) only inline.
-            footprint = self._executor.row_cache_footprint()
-            if footprint is None:
-                out["row_cache_entries"] = len(self.row_cache)
-                out["row_cache_bytes"] = self.row_cache.memory_bytes()
-            else:
-                out["row_cache_entries"], out["row_cache_bytes"] = footprint
+            out["row_cache_entries"] = len(self.row_cache)
+            out["row_cache_bytes"] = self.row_cache.memory_bytes()
         phases = self._phase_totals()
         # Same no-silent-overwrite contract as the serial summary: the
         # counter namespace and the phase-timing namespace must stay
@@ -741,7 +659,6 @@ class SublatticeKMC:
     # ------------------------------------------------------------------
     def gather_global(self) -> LatticeState:
         """Reassemble the global lattice from the owned blocks."""
-        self.sync_ranks()
         out = LatticeState(self.global_shape, a=self.a)
         occupancy4d = out.occupancy.reshape(2, *self.global_shape)
         for rank in self.ranks:

@@ -1,222 +1,20 @@
-"""Pluggable execution backends for the sublattice driver.
-
-:class:`~repro.parallel.engine.SublatticeKMC` validates the synchronous
-sublattice protocol; until now it also *executed* it — every rank's event
-loop ran sequentially inside one Python process, so eight ranks of batched,
-cached, delta-rebuilt work still cost eight ranks of wall-clock.  This
-module splits "what the protocol does" from "where the rank loops run":
-
-* :class:`InlineExecutor` — today's sequential loop over driver-resident
-  :class:`~repro.parallel.engine.RankState` objects.  It is the bit-exact
-  golden reference and the default.
-* :class:`ProcessExecutor` — a persistent ``multiprocessing`` worker pool
-  (``fork`` start method).  Each worker owns its ranks' full state for the
-  whole run: the potential weights, SoA kernel arrays, windows, and RNG
-  streams are shipped exactly once, at pool spin-up (for free, via
-  fork/copy-on-write), never per cycle.  Per cycle only the small protocol
-  payloads cross the pipe: the sector command down, the changed-site
-  updates and counter deltas back up, and the routed ghost messages down
-  again for the apply phase.
-
-Bit-identity between the two executors is by construction, not by luck:
-
-* every rank's RNG stream is serialised per rank and advances only inside
-  that rank's own event loop, wherever it runs;
-* the authoritative :class:`~repro.parallel.comm.SimCommWorld` — fault
-  plan, transcripts, :class:`~repro.parallel.comm.CommStats`, kill set —
-  stays on the driver.  Worker-computed updates are *replayed* through the
-  very same ``GhostExchanger.send_updates`` / ``recv_all`` calls the
-  inline loop makes, in the same rank order, so every fault draw, byte
-  count, and phase-contract check is identical;
-* workers only ever receive messages through :class:`ProcComm`, a
-  pipe-fed endpoint implementing the ``SimComm`` receive surface
-  (tags, ``recv_all`` phase contracts, structured
-  :class:`~repro.parallel.comm.ProtocolError`).
-
-Unexpected worker death (a real SIGKILL, not an injected fault) surfaces
-as a structured ``ProtocolError`` with ``tag="worker"`` instead of a hang,
-so ``run_resilient`` treats a lost process exactly like a lost rank:
-discard the world, rebuild the pool from the last checkpoint.
-"""
+"""The two rank loops of one sublattice cycle, run in rank order."""
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-import os
-import time as _time
-import weakref
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List
 
-import numpy as np
+from .ghost import SiteUpdates
 
-from .comm import CommStats, ProtocolError
-from .ghost import GHOST_TAG, SiteUpdates
-
-__all__ = [
-    "EXECUTORS",
-    "ProcComm",
-    "RankSnapshot",
-    "InlineExecutor",
-    "ProcessExecutor",
-    "resolve_workers",
-]
-
-#: Allowed ``executor`` modes of :class:`~repro.parallel.engine.SublatticeKMC`.
-EXECUTORS = ("inline", "process")
+__all__ = ["InlineExecutor"]
 
 
-def resolve_workers(executor: str, workers: Optional[int], n_ranks: int) -> int:
-    """Validate the ``(executor, workers)`` pair and return the pool size.
-
-    ``workers`` is only meaningful for the process executor (the inline
-    loop has no pool to size); passing it with ``executor="inline"`` is a
-    hard :class:`ValueError`, not a silent ignore.  The pool never exceeds
-    the rank count — extra workers would sit idle forever.
-    """
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; allowed executors: {EXECUTORS}"
-        )
-    if executor == "inline":
-        if workers is not None:
-            raise ValueError(
-                "workers is only valid with executor='process' "
-                "(the inline executor runs every rank in the driver process)"
-            )
-        return 0
-    if workers is None:
-        return n_ranks
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return min(int(workers), n_ranks)
-
-
-@dataclass
-class RankSnapshot:
-    """One rank's trajectory-determining state, shipped worker -> driver.
-
-    Exactly the per-rank fields the parallel checkpoint serialises: the
-    padded window occupancy, the RNG stream, the kernel slot registry
-    (slot order encodes event identity) with its free-list stack, and the
-    event counters.  Restoring a snapshot into a driver-side shadow
-    :class:`~repro.parallel.engine.RankState` makes checkpoints, global
-    gathers, and ghost-consistency checks executor-transparent.
-    """
-
-    rank: int
-    occupancy: np.ndarray
-    rng_state: str
-    slot_keys: List[Optional[Tuple[int, int, int]]]
-    free_order: List[int]
-    events: int
-    rejected: int
-    anomalies: int
-
-    @classmethod
-    def capture(cls, rank) -> "RankSnapshot":
-        return cls(
-            rank=rank.rank,
-            occupancy=np.array(rank.window.occupancy, copy=True),
-            rng_state=json.dumps(rank.rng.bit_generator.state),
-            slot_keys=list(rank.kernel.cache.sites),
-            free_order=list(rank.kernel.cache.free_slots),
-            events=int(rank.events),
-            rejected=int(rank.rejected),
-            anomalies=int(rank.anomalies),
-        )
-
-    def restore(self, rank) -> None:
-        """Write this snapshot into a (shadow) ``RankState`` in place."""
-        rank.window.occupancy[:] = self.occupancy
-        rank.vacancies = rank.window.local_vacancy_half_coords(
-            rank.vacancy_code
-        )
-        rank.kernel.set_keys(self.slot_keys, free_order=self.free_order)
-        rng = np.random.default_rng()
-        rng.bit_generator.state = json.loads(self.rng_state)
-        rank.rng = rng
-        rank.events = self.events
-        rank.rejected = self.rejected
-        rank.anomalies = self.anomalies
-
-
-@dataclass
-class ProcComm:
-    """Worker-side comm endpoint: the ``SimComm`` surface over a pipe feed.
-
-    Workers never talk to each other directly — the driver owns the one
-    true :class:`~repro.parallel.comm.SimCommWorld` and replays all sends
-    through it (that is what keeps fault injection and ``CommStats``
-    bit-identical to the inline loop).  What a worker *does* need is the
-    receive side: ``GhostExchanger.apply_updates`` calls
-    ``recv_all(tag, expected_sources=...)``, so the driver loads the
-    phase's validated messages into this endpoint (:meth:`deliver`) before
-    dispatching the apply command.  The phase contract is re-checked here
-    as defence in depth; ``local_stats`` counts this endpoint's traffic
-    (the authoritative per-rank stats live on the driver's shadow
-    endpoints, which saw the same messages).
-    """
-
-    rank: int
-    local_stats: CommStats = field(default_factory=CommStats)
-
-    def __post_init__(self) -> None:
-        self._inbox: Dict[Any, List[Tuple[int, Any]]] = {}
-
-    def deliver(self, tag: Any, messages: Sequence[Tuple[int, Any]]) -> None:
-        """Load one phase's messages (send order) for a later ``recv_all``."""
-        self._inbox.setdefault(tag, []).extend(messages)
-
-    def send(self, dest: int, tag: Any, payload: Any) -> None:
-        """Workers must not originate traffic: sends are driver-side only."""
-        raise ProtocolError(
-            f"rank {self.rank}: worker-side send to {dest} attempted — all "
-            "sends are replayed through the driver's SimCommWorld",
-            rank=self.rank,
-            tag=tag,
-        )
-
-    def recv_all(
-        self, tag: Any, expected_sources: Optional[Sequence[int]] = None
-    ) -> List[Tuple[int, Any]]:
-        out = self._inbox.pop(tag, [])
-        if expected_sources is not None:
-            counts: Dict[int, int] = {}
-            for s, _ in out:
-                counts[s] = counts.get(s, 0) + 1
-            missing = [s for s in expected_sources if counts.get(s, 0) == 0]
-            repeated = [s for s in expected_sources if counts.get(s, 0) > 1]
-            if missing or repeated:
-                raise ProtocolError(
-                    f"rank {self.rank}: worker inbox violates the phase "
-                    f"contract (missing {missing}, repeated {repeated})",
-                    rank=self.rank,
-                    tag=tag,
-                )
-        return out
-
-    def barrier(self) -> None:
-        """Counted no-op; the driver's lockstep already synchronised."""
-        self.local_stats.barriers += 1
-
-
+# A class of its own only because the e2e tracer wraps these two methods by name.
 class InlineExecutor:
-    """The sequential golden reference: every rank runs in the driver."""
-
-    kind = "inline"
+    """Runs every rank's sector, then every rank's ghost apply, in order."""
 
     def __init__(self, sim) -> None:
         self._sim = sim
-        self.n_workers = 0
-        #: Kernel-counter contributions beyond the shadow ranks (none here).
-        self.extra_counters: Dict[str, int] = {}
-        self.max_batch_size = 0
-        self.last_exchange_wait = 0.0
-
-    def ensure_started(self) -> None:
-        pass
 
     def run_sectors(self, sector, t_stop: float, killed) -> List[SiteUpdates]:
         return [
@@ -227,7 +25,6 @@ class InlineExecutor:
         ]
 
     def apply_exchange(self, killed) -> None:
-        self.last_exchange_wait = 0.0
         for rank in self._sim.ranks:
             if rank.rank in killed:
                 continue
@@ -236,409 +33,3 @@ class InlineExecutor:
                 rank.invalidate_near(written_half)
             rank.exchanger.comm.barrier()
             rank.rescan_vacancies()
-
-    def sync_shadow(self) -> None:
-        pass  # the shadow ranks ARE the live ranks
-
-    def row_cache_footprint(self) -> Optional[Tuple[int, int]]:
-        return None  # the driver-side cache object is authoritative
-
-    def close(self) -> None:
-        pass
-
-
-# ----------------------------------------------------------------------
-# Worker process
-# ----------------------------------------------------------------------
-def _counter_marks(rank) -> Tuple[Dict[str, int], Dict[str, float]]:
-    """Current kernel counters + profiler seconds (delta baselines)."""
-    return dict(rank.kernel.counters()), dict(rank.profiler.seconds)
-
-
-def _counter_deltas(rank, marks) -> Tuple[Dict[str, int], Dict[str, float]]:
-    kernel_mark, phase_mark = marks
-    kernel = {
-        key: int(value) - kernel_mark.get(key, 0)
-        for key, value in rank.kernel.counters().items()
-    }
-    phases = {
-        name: secs - phase_mark.get(name, 0.0)
-        for name, secs in rank.profiler.seconds.items()
-    }
-    return kernel, phases
-
-
-class _WorkerHarness:
-    """The command loop of one worker process (runs post-fork).
-
-    The harness owns the forked copies of its assigned ranks; the fork
-    itself is the one-time state shipment (weights, SoA arrays, windows,
-    RNG streams all arrive by copy-on-write).  Afterwards only protocol
-    payloads cross the pipe.  Every command replies exactly once —
-    ``("ok", payload)`` or ``("error", exception)`` — so the driver can
-    match replies to commands without sequence numbers.
-    """
-
-    def __init__(self, conn, sim, owned: Sequence[int]) -> None:
-        self._conn = conn
-        self._sim = sim
-        self._ranks = {r: sim.ranks[r] for r in owned}
-        for r, rank in self._ranks.items():
-            rank.exchanger.comm = ProcComm(rank=r)
-        self._row_cache = sim.row_cache
-        self._rc_mark = self._rc_counters()
-
-    def _rc_counters(self) -> Tuple[int, int, int]:
-        cache = self._row_cache
-        if cache is None:
-            return (0, 0, 0)
-        return (int(cache.hits), int(cache.misses), int(cache.evictions))
-
-    def _rc_payload(self) -> Dict[str, Any]:
-        """Row-cache counter delta since the last reply + live footprint."""
-        now = self._rc_counters()
-        delta = tuple(n - m for n, m in zip(now, self._rc_mark))
-        self._rc_mark = now
-        cache = self._row_cache
-        footprint = (
-            (len(cache), cache.memory_bytes()) if cache is not None else (0, 0)
-        )
-        return {"row_cache_delta": delta, "row_cache_footprint": footprint}
-
-    # -- commands ------------------------------------------------------
-    def _cmd_sector(self, sector, t_stop: float, live: Sequence[int]) -> dict:
-        per_rank: Dict[int, dict] = {}
-        for r in live:
-            rank = self._ranks[r]
-            marks = _counter_marks(rank)
-            before = (rank.events, rank.rejected, rank.anomalies)
-            updates = rank.run_sector(sector, t_stop)
-            kernel, phases = _counter_deltas(rank, marks)
-            per_rank[r] = {
-                "updates": (updates.sublattice, updates.cell, updates.species),
-                "events_delta": rank.events - before[0],
-                "rejected_delta": rank.rejected - before[1],
-                "anomalies_delta": rank.anomalies - before[2],
-                "kernel_delta": kernel,
-                "phase_delta": phases,
-                "max_batch_size": int(rank.kernel.stats.max_batch_size),
-            }
-        out = {"ranks": per_rank}
-        out.update(self._rc_payload())
-        return out
-
-    def _cmd_apply(self, r: int, messages) -> dict:
-        rank = self._ranks[r]
-        marks = _counter_marks(rank)
-        rank.exchanger.comm.deliver(GHOST_TAG, messages)
-        written_half = rank.exchanger.apply_updates()
-        if written_half.size:
-            rank.invalidate_near(written_half)
-        rank.rescan_vacancies()
-        kernel, phases = _counter_deltas(rank, marks)
-        out = {
-            "rank": r,
-            "kernel_delta": kernel,
-            "phase_delta": phases,
-            "max_batch_size": int(rank.kernel.stats.max_batch_size),
-        }
-        out.update(self._rc_payload())
-        return out
-
-    def _cmd_snapshot(self, ranks: Sequence[int]) -> dict:
-        return {r: RankSnapshot.capture(self._ranks[r]) for r in ranks}
-
-    def serve(self) -> None:
-        while True:
-            try:
-                command = self._conn.recv()
-            except EOFError:
-                return  # driver vanished; nothing left to serve
-            op = command[0]
-            if op == "shutdown":
-                self._conn.send(("ok", None))
-                return
-            try:
-                if op == "sector":
-                    reply = self._cmd_sector(*command[1:])
-                elif op == "apply":
-                    reply = self._cmd_apply(*command[1:])
-                elif op == "snapshot":
-                    reply = self._cmd_snapshot(*command[1:])
-                else:
-                    raise ProtocolError(f"unknown worker command {op!r}")
-                self._conn.send(("ok", reply))
-            except BaseException as exc:  # noqa: BLE001 — ship it to the driver
-                self._conn.send(("error", exc))
-
-
-def _worker_main(conn, sim, owned: Sequence[int]) -> None:
-    """Entry point of a forked worker: serve until shutdown, then exit."""
-    try:
-        _WorkerHarness(conn, sim, owned).serve()
-    finally:
-        conn.close()
-
-
-def _terminate_pool(procs, conns) -> None:
-    """Best-effort teardown used by both close() and the weakref finalizer."""
-    for conn in conns:
-        try:
-            conn.close()
-        except OSError:
-            pass
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in procs:
-        proc.join(timeout=5.0)
-
-
-class ProcessExecutor:
-    """Persistent fork-based worker pool: ranks run on real cores.
-
-    Worker ``w`` of ``W`` owns ranks ``{r : r % W == w}`` for the whole
-    run.  The pool spins up lazily at the first cycle — deliberately
-    *after* any post-construction state surgery (checkpoint restore), so
-    the fork inherits exactly the state the driver prepared.  State then
-    flows one way: workers advance their ranks, the driver accumulates
-    counter/phase deltas per cycle and pulls full
-    :class:`RankSnapshot`\\ s only when someone needs the shadow ranks
-    coherent (checkpoint save, global gather, ghost check).
-    """
-
-    kind = "process"
-
-    def __init__(self, sim, n_workers: int) -> None:
-        self._sim = sim
-        self.n_workers = int(n_workers)
-        self.extra_counters: Dict[str, int] = {}
-        self.max_batch_size = 0
-        self.last_exchange_wait = 0.0
-        self._procs: List[multiprocessing.Process] = []
-        self._conns: List[Any] = []
-        self._owned: List[List[int]] = []
-        self._worker_of: Dict[int, int] = {}
-        self._shadow_dirty = False
-        self._broken: Optional[str] = None
-        self._rc_footprint: List[Tuple[int, int]] = []
-        self._finalizer = None
-
-    # -- lifecycle -----------------------------------------------------
-    @property
-    def started(self) -> bool:
-        return bool(self._procs)
-
-    def ensure_started(self) -> None:
-        if self._procs:
-            return
-        if self._broken:
-            raise ProtocolError(
-                f"worker pool is broken ({self._broken}); rebuild the world "
-                "from a checkpoint",
-                tag="worker",
-                cycle=self._sim.world.cycle,
-            )
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover — non-POSIX platforms
-            raise RuntimeError(
-                "executor='process' needs the fork start method (POSIX); "
-                "use executor='inline' on this platform"
-            ) from exc
-        n_ranks = len(self._sim.ranks)
-        self._owned = [
-            [r for r in range(n_ranks) if r % self.n_workers == w]
-            for w in range(self.n_workers)
-        ]
-        self._worker_of = {
-            r: w for w, owned in enumerate(self._owned) for r in owned
-        }
-        self._rc_footprint = [(0, 0)] * self.n_workers
-        for w in range(self.n_workers):
-            driver_end, worker_end = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(worker_end, self._sim, self._owned[w]),
-                daemon=True,
-                name=f"sublattice-worker-{w}",
-            )
-            proc.start()
-            worker_end.close()
-            self._procs.append(proc)
-            self._conns.append(driver_end)
-        # The finalizer must not capture self (it would never collect).
-        self._finalizer = weakref.finalize(
-            self, _terminate_pool, list(self._procs), list(self._conns)
-        )
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent); the sim stays usable inline-wise."""
-        if not self._procs:
-            return
-        for conn in self._conns:
-            try:
-                conn.send(("shutdown",))
-                conn.recv()
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-        _terminate_pool(self._procs, self._conns)
-        if self._finalizer is not None:
-            self._finalizer.detach()
-        self._procs = []
-        self._conns = []
-
-    # -- transport -----------------------------------------------------
-    def _die(self, w: int, reason: str) -> ProtocolError:
-        self._broken = reason
-        ranks = self._owned[w] if w < len(self._owned) else []
-        return ProtocolError(
-            f"worker {w} (ranks {ranks}) died unexpectedly: {reason}",
-            rank=ranks[0] if ranks else None,
-            tag="worker",
-            cycle=self._sim.world.cycle,
-            transcript=self._sim.world.transcript_tail(),
-        )
-
-    def _post(self, w: int, command: tuple) -> None:
-        if self._broken:
-            raise ProtocolError(
-                f"worker pool is broken ({self._broken})",
-                tag="worker",
-                cycle=self._sim.world.cycle,
-            )
-        try:
-            self._conns[w].send(command)
-        except (BrokenPipeError, OSError):
-            raise self._die(w, f"pipe closed (exitcode {self._procs[w].exitcode})")
-
-    def _collect(self, w: int):
-        try:
-            status, payload = self._conns[w].recv()
-        except (EOFError, OSError):
-            self._procs[w].join(timeout=1.0)
-            raise self._die(
-                w, f"no reply (exitcode {self._procs[w].exitcode})"
-            ) from None
-        if status == "error":
-            raise payload
-        return payload
-
-    # -- delta accumulation --------------------------------------------
-    def _absorb_counters(self, info: dict) -> None:
-        for key, value in info["kernel_delta"].items():
-            self.extra_counters[key] = (
-                self.extra_counters.get(key, 0) + int(value)
-            )
-        self.max_batch_size = max(self.max_batch_size, info["max_batch_size"])
-
-    def _absorb_phases(self, rank, info: dict) -> None:
-        for name, secs in info["phase_delta"].items():
-            if secs:
-                rank.profiler.add(name, secs, calls=0)
-
-    def _absorb_row_cache(self, w: int, reply: dict) -> None:
-        delta = reply.get("row_cache_delta", (0, 0, 0))
-        cache = self._sim.row_cache
-        if cache is not None and any(delta):
-            cache.absorb_delta(*delta)
-        self._rc_footprint[w] = reply.get("row_cache_footprint", (0, 0))
-
-    # -- the cycle, executor-side --------------------------------------
-    def run_sectors(self, sector, t_stop: float, killed) -> List[SiteUpdates]:
-        self.ensure_started()
-        self._shadow_dirty = True
-        sim = self._sim
-        live_of: Dict[int, List[int]] = {}
-        for w, owned in enumerate(self._owned):
-            live = [r for r in owned if r not in killed]
-            if live:
-                live_of[w] = live
-        for w, live in live_of.items():
-            self._post(w, ("sector", sector, t_stop, live))
-        updates: List[SiteUpdates] = [
-            SiteUpdates.empty() for _ in sim.ranks
-        ]
-        for w, live in live_of.items():
-            reply = self._collect(w)
-            self._absorb_row_cache(w, reply)
-            for r in live:
-                info = reply["ranks"][r]
-                rank = sim.ranks[r]
-                rank.events += info["events_delta"]
-                rank.rejected += info["rejected_delta"]
-                rank.anomalies += info["anomalies_delta"]
-                self._absorb_counters(info)
-                self._absorb_phases(rank, info)
-                updates[r] = SiteUpdates(*info["updates"])
-        return updates
-
-    def apply_exchange(self, killed) -> None:
-        """Drain the driver-side mailboxes, then apply on the workers.
-
-        The receives run through the shadow ranks' *real* ``SimComm``
-        endpoints first, in rank order — identical contract checks,
-        transcript lines, and stats to the inline loop, and any
-        :class:`ProtocolError` (dropped message, dead rank) raises before
-        a single worker command is posted, leaving the pool idle and
-        consistent for the recovery driver.
-        """
-        sim = self._sim
-        self._shadow_dirty = True
-        plan: List[Tuple[int, list]] = []
-        for rank in sim.ranks:
-            if rank.rank in killed:
-                continue
-            messages = rank.exchanger.comm.recv_all(
-                GHOST_TAG, expected_sources=rank.exchanger.destinations
-            )
-            rank.exchanger.comm.barrier()
-            plan.append((rank.rank, messages))
-        t0 = _time.perf_counter()
-        posted: List[int] = []
-        for r, messages in plan:
-            w = self._worker_of[r]
-            self._post(w, ("apply", r, messages))
-            posted.append(w)
-        for w in posted:
-            reply = self._collect(w)
-            self._absorb_row_cache(w, reply)
-            self._absorb_counters(reply)
-            self._absorb_phases(sim.ranks[reply["rank"]], reply)
-        self.last_exchange_wait = _time.perf_counter() - t0
-
-    # -- shadow coherence ----------------------------------------------
-    def sync_shadow(self) -> None:
-        """Pull worker snapshots into the driver's shadow ranks (lazy)."""
-        if not self._procs or not self._shadow_dirty:
-            return
-        for w, owned in enumerate(self._owned):
-            self._post(w, ("snapshot", owned))
-        for w, owned in enumerate(self._owned):
-            snapshots = self._collect(w)
-            for r in owned:
-                snapshots[r].restore(self._sim.ranks[r])
-        self._shadow_dirty = False
-
-    def row_cache_footprint(self) -> Optional[Tuple[int, int]]:
-        """Summed (entries, resident_bytes) over the per-worker caches."""
-        if not self._procs:
-            return None
-        entries = sum(e for e, _ in self._rc_footprint)
-        resident = sum(b for _, b in self._rc_footprint)
-        return entries, resident
-
-    # Diagnostics for the CLI / tests.
-    def worker_pids(self) -> List[int]:
-        return [proc.pid for proc in self._procs]
-
-    def worker_of(self, rank: int) -> int:
-        return self._worker_of[rank]
-
-
-def _effective_cores() -> int:
-    """CPU cores actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover — non-Linux
-        return os.cpu_count() or 1

@@ -8,10 +8,8 @@ driver implements the standard checkpoint-restart loop over
 * a cycle-boundary checkpoint is written every ``checkpoint_every`` cycles
   (parallel checkpoints are bit-exact — see ``repro.io.checkpoint``);
 * when a cycle raises :class:`~repro.parallel.comm.ProtocolError` (missing /
-  duplicated / delayed message, dead rank — or, under ``executor="process"``,
-  an unexpectedly dead worker process), the *whole world* is discarded
-  (worker pool included) and rebuilt from the last checkpoint under the
-  same executor;
+  duplicated / delayed message, dead rank), the *whole world* is discarded
+  and rebuilt from the last checkpoint;
 * the attached :class:`~repro.parallel.faults.FaultPlan` is carried over to
   the rebuilt world — its fired events never re-trigger (one-shot
   semantics), which models replacing the failed node.
@@ -133,16 +131,9 @@ def run_resilient(
                 raise
             # Roll the world back: same plan object, so the fired fault does
             # not replay; the failed cycle never committed any state we keep.
-            # The rebuilt world keeps the failed one's execution backend —
-            # a dead worker process is "replaced" exactly like a dead rank
-            # (the old pool, healthy members included, is torn down first).
-            plan = sim.world.fault_plan
-            executor = sim.executor_kind
-            workers = sim.n_workers if executor == "process" else None
-            sim.close()
             sim = load_parallel_checkpoint(
-                checkpoint_path, potential, tet=tet, fault_plan=plan,
-                backend=sim.xp, executor=executor, workers=workers,
+                checkpoint_path, potential, tet=tet,
+                fault_plan=sim.world.fault_plan, backend=sim.xp,
             )
             continue
         if len(sim.cycles) % checkpoint_every == 0:

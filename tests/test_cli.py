@@ -134,82 +134,11 @@ class TestParallelCheckpointing:
         assert "events = 15" in out
 
 
-class TestExecutorFlags:
-    """--executor / --workers: validation and trajectory-invisible output."""
-
-    BASE = ["parallel", "--box", "16", "--ranks", "4", "--cycles", "6",
-            "--temperature", "900", "--vacancies", "0.003", "--seed", "2"]
-
-    def _grab(self, out, key):
-        for line in out.splitlines():
-            if line.startswith(key):
-                return line
-        raise AssertionError(key)
-
-    def test_process_executor_matches_inline(self, capsys):
-        assert main(list(self.BASE)) == 0
-        inline = capsys.readouterr().out
-        assert self._grab(inline, "executor") == "executor = inline"
-        assert self._grab(inline, "workers") == "workers = 0"
-
-        assert main(self.BASE + ["--executor", "process"]) == 0
-        proc = capsys.readouterr().out
-        assert self._grab(proc, "executor") == "executor = process"
-        assert self._grab(proc, "workers") == "workers = 4"
-        assert "exchange_wait_ms_per_cycle" in proc
-        for key in ("time_s", "events", "species_conserved",
-                    "ghosts_consistent"):
-            assert self._grab(proc, key) == self._grab(inline, key)
-
-    def test_workers_sizes_the_pool(self, capsys):
-        assert main(
-            self.BASE + ["--executor", "process", "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert self._grab(out, "workers") == "workers = 2"
-
-    def test_workers_with_inline_executor_rejected(self):
-        with pytest.raises(SystemExit, match="only valid with"):
-            main(self.BASE + ["--workers", "4"])
-
-    def test_unknown_executor_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            main(self.BASE + ["--executor", "threads"])
-
-    def test_resume_across_executors(self, capsys, tmp_path):
-        ck = str(tmp_path / "par.npz")
-        assert main(list(self.BASE) + ["--cycles", "8"]) == 0
-        full = capsys.readouterr().out
-        assert main(self.BASE + ["--cycles", "4", "--checkpoint", ck]) == 0
-        capsys.readouterr()
-        assert main(["resume", ck, "--cycles", "4", "--executor", "process",
-                     "--workers", "2"]) == 0
-        resumed = capsys.readouterr().out
-        assert self._grab(resumed, "executor") == "executor = process"
-        assert self._grab(resumed, "workers") == "workers = 2"
-        assert self._grab(resumed, "time_s") == self._grab(full, "time_s")
-        assert self._grab(resumed, "events") == self._grab(full, "events")
-
-    def test_kill_rank_recovers_under_process_executor(self, capsys, tmp_path):
-        ck = str(tmp_path / "par.npz")
-        assert main(
-            self.BASE + ["--checkpoint", ck, "--kill-rank", "1",
-                         "--kill-cycle", "3", "--executor", "process"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "recoveries = 1" in out
-        assert self._grab(out, "executor") == "executor = process"
-        assert "species_conserved = True" in out
-
-    def test_resume_serial_rejects_process_executor(self, capsys, tmp_path):
-        ck = str(tmp_path / "ser.npz")
-        assert main([
-            "run", "--box", "8", "--steps", "5", "--temperature", "800",
-            "--seed", "3", "--checkpoint", ck,
-        ]) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit, match="parallel checkpoints"):
-            main(["resume", ck, "--steps", "2", "--executor", "process"])
+def test_executor_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["parallel", "--ranks", "2", "--executor", "process"])
+    assert exc.value.code == 2
+    assert "--executor" in capsys.readouterr().err
 
 
 class TestCampaignCommand:

@@ -1,9 +1,12 @@
 """SimComm: messaging semantics and traffic accounting."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.parallel.comm import SimCommWorld, allreduce_sum
+from repro.parallel.comm import ProtocolError, SimCommWorld, allreduce_sum
+from repro.parallel.ghost import GHOST_TAG
 
 
 class TestMessaging:
@@ -108,3 +111,37 @@ class TestAccounting:
         allreduce_sum(world, [4.0, 5.0, 6.0])
         assert world.stats.messages_sent == 6
         assert world.stats.bytes_sent == 48
+
+
+class TestProtocolErrorPickle:
+    def test_protocol_error_round_trip(self):
+        err = ProtocolError(
+            "recv contract violated", rank=2, tag=GHOST_TAG, cycle=7,
+            transcript=["send 0->2", "recv 2"],
+        )
+        clone = pickle.loads(pickle.dumps(err))
+        assert isinstance(clone, ProtocolError)
+        assert clone.rank == 2
+        assert clone.tag == GHOST_TAG
+        assert clone.cycle == 7
+        assert list(clone.transcript) == ["send 0->2", "recv 2"]
+        assert clone.transcript == err.transcript
+        assert clone.message == err.message
+        assert str(clone) == str(err)
+
+    def test_protocol_error_str_is_stable_across_round_trips(self):
+        """Regression: the default ``RuntimeError`` reduce re-fed the
+        *formatted* detail string through ``__init__``, stacking a fresh
+        ``[rank=... tag=... cycle=...]`` prefix on every hop."""
+        err = ProtocolError("boom", rank=1, tag="t", cycle=3)
+        once = pickle.loads(pickle.dumps(err))
+        twice = pickle.loads(pickle.dumps(once))
+        assert str(twice) == str(err)
+        assert str(err).count("[rank=") == 1
+
+    def test_protocol_error_defaults_round_trip(self):
+        err = ProtocolError("plain")
+        clone = pickle.loads(pickle.dumps(err))
+        assert (clone.rank, clone.tag, clone.cycle) == (None, None, None)
+        assert str(clone) == str(err)
+        assert clone.message == "plain"

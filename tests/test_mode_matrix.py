@@ -19,8 +19,7 @@ these rows guard the single path that is left.
 
 The settings that still exist — NumPy backend (default / explicit), row
 cache (off / auto / a tiny "on" budget), campaign mode (shared /
-sequential), parallel executor (inline / process, with as many or fewer
-workers than ranks) — are run over their whole product below, together
+sequential) — are run over their whole product below, together
 with the two miss paths the engines pick by themselves (batched, and
 per-slot for a potential that is not ``batch_row_invariant``) and the
 uncached OpenKMC baseline: each must land on its row.
@@ -70,11 +69,6 @@ PARALLEL_NNP = (
 
 BACKENDS = pytest.mark.parametrize("backend", (None, "numpy"))
 ROW_CACHES = pytest.mark.parametrize("row_cache", ("off", "auto", "on"))
-EXECUTORS = pytest.mark.parametrize(
-    "executor,workers",
-    (("inline", None), ("process", None), ("process", 2)),
-    ids=("inline", "process", "process-2-workers"),
-)
 POTENTIALS = pytest.mark.parametrize("pot", ("eam", "nnp"))
 
 
@@ -108,15 +102,12 @@ def _parallel_identity(tet, pot, **kw):
         lattice, pot, tet, n_ranks=4, temperature=900.0, t_stop=2e-10,
         seed=5, **kw,
     )
-    try:
-        sim.run(N_CYCLES)
-        return (
-            occupancy_digest(sim.gather_global()),
-            float(sim.time).hex(),
-            tuple(c.events for c in sim.cycles),
-        )
-    finally:
-        sim.close()
+    sim.run(N_CYCLES)
+    return (
+        occupancy_digest(sim.gather_global()),
+        float(sim.time).hex(),
+        tuple(c.events for c in sim.cycles),
+    )
 
 
 def _row_cache_kw(row_cache, budget_mb):
@@ -172,15 +163,11 @@ class TestGoldenTrajectories:
         assert got == _golden(pot)
 
     @POTENTIALS
-    @EXECUTORS
     @BACKENDS
     @ROW_CACHES
-    def test_parallel_4_ranks(
-        self, request, tet_small, pot, executor, workers, backend, row_cache
-    ):
+    def test_parallel_4_ranks(self, request, tet_small, pot, backend, row_cache):
         got = _parallel_identity(
-            tet_small, _potential(request, pot), executor=executor,
-            workers=workers, backend=backend,
+            tet_small, _potential(request, pot), backend=backend,
             **_row_cache_kw(row_cache, PARALLEL_MB),
         )
         assert got == {"eam": PARALLEL_EAM, "nnp": PARALLEL_NNP}[pot]

@@ -181,125 +181,87 @@ class TestNNPBatchedResume:
         assert sim.time == reference.time
 
 
-class TestCrossExecutorResume:
-    """Checkpoints are executor-transparent: an archive written under either
-    executor resumes bit-exactly under the other (the executor is a property
-    of the running world, deliberately not stored in the archive)."""
-
-    @pytest.fixture(scope="class")
-    def reference(self, tet_small, eam_small):
-        sim = _sim(tet_small, eam_small)
-        sim.run(12)
-        return (
-            sim.gather_global().occupancy,
-            sim.time,
-            [c.events for c in sim.cycles],
-        )
-
-    def _assert_on_trajectory(self, sim, reference):
-        occupancy, clock, events = reference
-        assert np.array_equal(sim.gather_global().occupancy, occupancy)
-        assert sim.time == clock
-        assert [c.events for c in sim.cycles] == events
-
-    @pytest.mark.parametrize(
-        "writer,reader",
-        [("inline", "process"), ("process", "inline"), ("process", "process")],
-    )
-    def test_resume_across_executors(
-        self, tmp_path, tet_small, eam_small, reference, writer, reader
+class TestArchiveFormats:
+    def test_parent_format_archive_resumes_bit_exactly(
+        self, tmp_path, tet_small, eam_small
     ):
-        interrupted = _sim(tet_small, eam_small, executor=writer)
+        """Older archives carry one more trailing ``cycles`` column (a
+        retired per-cycle timing); the loader ignores it and the
+        continuation stays bit-exact."""
+        reference = _sim(tet_small, eam_small)
+        reference.run(12)
+
+        interrupted = _sim(tet_small, eam_small)
         interrupted.run(6)
-        path = str(tmp_path / f"{writer}-{reader}.npz")
+        path = str(tmp_path / "parent.npz")
         save_parallel_checkpoint(path, interrupted)
-        interrupted.close()
+        data = dict(np.load(path, allow_pickle=False))
+        cycles = data["cycles"]
+        data["cycles"] = np.hstack([cycles, np.zeros((len(cycles), 1))])
+        assert data["cycles"].shape[1] == 23  # the older history width
+        np.savez_compressed(path, **data)
 
-        kw = {"executor": reader}
-        if reader == "process":
-            kw["workers"] = 2  # resume under a differently-sized pool too
-        resumed = load_parallel_checkpoint(path, eam_small, tet=tet_small, **kw)
-        try:
-            assert resumed.executor_kind == reader
-            resumed.run(6)
-            self._assert_on_trajectory(resumed, reference)
-        finally:
-            resumed.close()
-
-    def test_archives_are_byte_identical_across_executors(
-        self, tmp_path, tet_small, eam_small
-    ):
-        inline = _sim(tet_small, eam_small)
-        inline.run(5)
-        proc = _sim(tet_small, eam_small, executor="process")
-        proc.run(5)
-        p_inline = str(tmp_path / "inline.npz")
-        p_proc = str(tmp_path / "proc.npz")
-        save_parallel_checkpoint(p_inline, inline)
-        save_parallel_checkpoint(p_proc, proc)
-        proc.close()
-        from repro.io.checkpoint import _CYCLE_FIELDS
-
-        timing = tuple(
-            i for i, f in enumerate(_CYCLE_FIELDS)
-            if f.endswith("_seconds")
+        resumed = load_parallel_checkpoint(path, eam_small, tet=tet_small)
+        resumed.run(6)
+        assert np.array_equal(
+            resumed.gather_global().occupancy,
+            reference.gather_global().occupancy,
         )
-        with np.load(p_inline) as d1, np.load(p_proc) as d2:
-            assert sorted(d1.files) == sorted(d2.files)
-            for name in d1.files:
-                if name == "cycles":
-                    # Wall-clock columns legitimately differ between
-                    # executors; every protocol/counter column must not.
-                    kept = [
-                        i for i in range(d1[name].shape[1])
-                        if i not in timing
-                    ]
-                    assert np.array_equal(
-                        d1[name][:, kept], d2[name][:, kept]
-                    )
-                    continue
-                assert np.array_equal(d1[name], d2[name]), name
+        assert resumed.time == reference.time
+        assert [c.events for c in resumed.cycles] == [
+            c.events for c in reference.cycles
+        ]
 
-    @pytest.mark.parametrize(
-        "writer,reader", [("inline", "process"), ("process", "inline")]
-    )
-    def test_kill_recovery_crosses_executors(
-        self, tmp_path, tet_small, eam_small, reference, writer, reader
-    ):
-        """A campaign checkpointed under one executor survives a scripted
-        rank kill when finished with run_resilient under the other."""
-        first = _sim(tet_small, eam_small, executor=writer)
-        first.run(6)
-        path = str(tmp_path / "cross.npz")
-        save_parallel_checkpoint(path, first)
-        first.close()
 
-        plan = FaultPlan(events=[FaultEvent("kill", cycle=8, rank=1)])
-        kw = {"executor": reader}
-        sim = load_parallel_checkpoint(
-            path, eam_small, tet=tet_small, fault_plan=plan, **kw
-        )
-        sim, recoveries = run_resilient(
-            sim, 6, path, eam_small, tet=tet_small, checkpoint_every=2
-        )
-        try:
-            assert recoveries == 1
-            assert sim.executor_kind == reader
-            self._assert_on_trajectory(sim, reference)
-        finally:
-            sim.close()
+class TestHostileArchives:
+    """Damaged or incomplete archives end in a ``ValueError`` that names
+    the file (and the missing field), never a raw zip or key error."""
 
-    def test_resume_rejects_unknown_executor(
-        self, tmp_path, tet_small, eam_small
-    ):
+    @pytest.fixture
+    def archives(self, tmp_path, tet_small, eam_small):
+        par = str(tmp_path / "par.npz")
         sim = _sim(tet_small, eam_small)
         sim.run(2)
-        path = str(tmp_path / "pck.npz")
-        save_parallel_checkpoint(path, sim)
-        with pytest.raises(ValueError, match="unknown executor"):
-            load_parallel_checkpoint(
-                path, eam_small, tet=tet_small, executor="threads"
-            )
+        save_parallel_checkpoint(par, sim)
+        ser = str(tmp_path / "ser.npz")
+        lattice = LatticeState((8, 8, 8))
+        lattice.randomize_alloy(np.random.default_rng(1), 0.05, 0.003)
+        engine = TensorKMCEngine(
+            lattice, eam_small, tet_small, temperature=900.0,
+            rng=np.random.default_rng(2),
+        )
+        engine.run(n_steps=3)
+        save_checkpoint(ser, engine)
+        return {"parallel": par, "serial": ser}
+
+    def _load(self, kind, path, tet, pot):
+        loader = {"parallel": load_parallel_checkpoint,
+                  "serial": load_checkpoint}[kind]
+        return loader(path, pot, tet=tet)
+
+    @pytest.mark.parametrize("kind", ("serial", "parallel"))
+    def test_truncated_archive(self, archives, kind, tet_small, eam_small):
+        path = archives[kind]
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(raw[: len(raw) // 2])
+        with pytest.raises(ValueError, match="not a readable checkpoint") as exc:
+            self._load(kind, path, tet_small, eam_small)
+        assert path in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "kind,field", (("serial", "rng_state"), ("parallel", "rank2_rng"))
+    )
+    def test_missing_field(self, archives, kind, field, tet_small, eam_small):
+        path = archives[kind]
+        data = dict(np.load(path, allow_pickle=False))
+        del data[field]
+        np.savez(path, **data)
+        match = f"missing checkpoint field '{field}'"
+        with pytest.raises(ValueError, match=match) as exc:
+            self._load(kind, path, tet_small, eam_small)
+        assert path in str(exc.value)
 
 
 class TestKindDetection:
