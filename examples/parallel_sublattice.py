@@ -50,7 +50,7 @@ def main() -> None:
           f"ghost {tet.ghost_cells} cells")
     for rank in sim.ranks:
         print(f"  rank {rank.rank}: box {rank.window.box.lo} -> "
-              f"{rank.window.box.hi}, {len(rank.vacancies)} vacancies")
+              f"{rank.window.box.hi}, {len(rank.kernel.live_slots())} vacancies")
 
     sim.run(args.cycles)
 

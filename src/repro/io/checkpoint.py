@@ -412,13 +412,13 @@ def load_parallel_checkpoint(
                 f"decomposition ({rank.window.occupancy.shape})"
             )
         rank.window.occupancy[:] = occ
-        rank.vacancies = rank.window.local_vacancy_half_coords(rank.vacancy_code)
         keys = [
             None if int(row[0]) == _FREE_SLOT else tuple(int(v) for v in row)
             for row in data[f"rank{r}_slots"]
         ]
         live = sorted(k for k in keys if k is not None)
-        current = sorted(tuple(int(v) for v in h) for h in rank.vacancies)
+        half = rank.window.local_vacancy_half_coords(rank.vacancy_code)
+        current = sorted(map(tuple, half.tolist()))
         if live != current:
             raise ValueError(
                 f"rank {r}: checkpoint slot registry does not match the "

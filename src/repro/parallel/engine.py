@@ -105,9 +105,11 @@ class RankState:
         self.rate_model = rate_model
         self.rng = rng
         self.tet = evaluator.tet
-        self.vacancy_code = evaluator.vacancy_code
-        #: Vacancies in the local box, as window half-coordinates.
-        self.vacancies = window.local_vacancy_half_coords(self.vacancy_code)
+        self.vacancy_code = int(evaluator.vacancy_code)
+        # Scalar hop geometry: 1NN steps (half-units), padded-cell bounds.
+        self._nn_steps = [tuple(d) for d in self.tet.nn_offsets.tolist()]
+        self._local_hi = tuple(window.ghost + n for n in window.box.shape)
+        self._sector_mid = tuple(window.ghost + m for m in sectors.mid.tolist())
         # Distances are taken directly in window half-units (non-periodic:
         # the padded window never wraps), so the threshold converts the TET
         # radius from Angstrom through scale=1.
@@ -117,7 +119,7 @@ class RankState:
             threshold=2.0 * self.tet.invalidation_radius / self.tet.geometry.a,
             scale=1.0,
             periodic_half=None,
-            keys=[tuple(int(v) for v in h) for h in self.vacancies],
+            keys=self._local_vacancy_keys(),
             # Batched miss path only when per-row results are guaranteed
             # independent of the batch shape (see CountsPotential).  All
             # shipped potentials qualify, the NNP via the deterministic
@@ -140,7 +142,7 @@ class RankState:
                 self.kernel.cache,
                 evaluator,
                 rate_model,
-                sites_of=self._delta_sites_of,
+                sites_of=self._window_flat_ids,
                 gather=self._delta_gather,
                 locate=self._delta_locate,
             )
@@ -154,24 +156,40 @@ class RankState:
         self.profiler = PhaseProfiler()
 
     # ------------------------------------------------------------------
+    def _local_vacancy_keys(self) -> List[Tuple[int, int, int]]:
+        """Window half-coordinate tuples of the owned box's vacancies."""
+        half = self.window.local_vacancy_half_coords(self.vacancy_code)
+        return list(map(tuple, half.tolist()))
+
+    def sector_of(self, key: Tuple[int, int, int]) -> int:
+        """Scalar :meth:`SectorGeometry.sector_of_half` of one window key."""
+        x, y, z = key
+        mx, my, mz = self._sector_mid
+        return ((x >> 1 >= mx) << 2) | ((y >> 1 >= my) << 1) | (z >> 1 >= mz)
+
+    def is_local(self, key: Tuple[int, int, int]) -> bool:
+        """Scalar :meth:`LocalWindow.is_local_half` of one window key."""
+        x, y, z = key
+        g = self.window.ghost
+        hx, hy, hz = self._local_hi
+        return g <= x >> 1 < hx and g <= y >> 1 < hy and g <= z >> 1 < hz
+
     def rescan_vacancies(self) -> None:
-        """Rebuild the local vacancy list and sync the kernel registry.
+        """Sync the kernel registry — the rank's vacancy list — with the box.
 
         Vacancies that hopped out of the owned block (or were moved away by
         a neighbour's update) leave the registry; newly arrived ones get a
         slot from the free list.
         """
-        self.vacancies = self.window.local_vacancy_half_coords(self.vacancy_code)
-        current = {tuple(int(v) for v in h) for h in self.vacancies}
+        arrived = set(self._local_vacancy_keys())
         kernel = self.kernel
-        known = set()
         for slot in kernel.live_slots():
             key = kernel.key_of(slot)
-            if key in current:
-                known.add(key)
+            if key in arrived:
+                arrived.discard(key)
             else:
                 kernel.remove(slot)
-        for key in sorted(current - known):
+        for key in sorted(arrived):
             kernel.add(key)
 
     def _build_rates(self, key: Tuple[int, int, int]) -> np.ndarray:
@@ -206,9 +224,6 @@ class RankState:
         px, py, pz = self.window.padded_shape
         return ((s * px + cell[..., 0]) * py + cell[..., 1]) * pz + cell[..., 2]
 
-    def _delta_sites_of(self, keys) -> np.ndarray:
-        return self._window_flat_ids(np.asarray(keys, dtype=np.int64))
-
     def _delta_gather(self, keys):
         half = np.asarray(keys, dtype=np.int64)
         vet_half = half[:, None, :] + self.tet.all_offsets[None, :, :]
@@ -220,12 +235,6 @@ class RankState:
         points = np.asarray(points_half, dtype=np.int64).reshape(-1, 3)
         return self._window_flat_ids(points), self.window.species_at_half(points)
 
-    def invalidate_near(self, changed_half: np.ndarray) -> None:
-        """Drop cached rates of vacancies near changed sites (Sec. 3.2)."""
-        if changed_half.size == 0:
-            return
-        self.kernel.invalidate_near(changed_half)
-
     # ------------------------------------------------------------------
     def run_sector(self, sector, t_stop: float) -> SiteUpdates:
         """Evolve one sector (or all vacancies when ``sector is None``).
@@ -234,30 +243,20 @@ class RankState:
         conflict-demonstration ablation; the sublattice protocol always
         passes a sector index.
         """
-        window = self.window
-        ghost = window.ghost
+        occupancy = self.window.occupancy
+        vacancy_code = self.vacancy_code
+        nn_steps = self._nn_steps
         kernel = self.kernel
         profiler = self.profiler
         with profiler.phase("rebuild"):
-            if len(self.vacancies) == 0:
-                active_mask = np.zeros(0, dtype=bool)
-            elif sector is None:
-                active_mask = np.ones(len(self.vacancies), dtype=bool)
-            else:
-                active_mask = (
-                    self.sectors.sector_of_half(self.vacancies, ghost) == sector
-                )
-            active_slots = [
-                slot
-                for h in self.vacancies[active_mask]
-                if (slot := kernel.slot_of(tuple(int(v) for v in h))) is not None
-            ]
-            kernel.set_active(active_slots)
-        # Changed sites accumulate as raw half-coordinates; the conversion to
-        # (sublattice, global cell) runs once over the whole sector's batch
-        # after the loop — order-preserving, so the resulting SiteUpdates are
-        # identical to the historical per-event conversion.
-        changed_half: List[np.ndarray] = []
+            active = kernel.live_slots()
+            if sector is not None:
+                key_of, sector_of = kernel.key_of, self.sector_of
+                active = [s for s in active if sector_of(key_of(s)) == sector]
+            kernel.set_active(active)
+        # Changed sites accumulate as key tuples, converted to (sublattice,
+        # global cell) in one batch after the loop.
+        changed: List[Tuple[int, int, int]] = []
         changed_species: List[int] = []
 
         clock = 0.0
@@ -278,16 +277,16 @@ class RankState:
                 clock += dt
 
                 with profiler.phase("hop"):
-                    vac_half = np.asarray(kernel.key_of(slot), dtype=np.int64)
-                    target_half = vac_half + self.tet.nn_offsets[direction]
-                    # Swap occupants in the window (both species in one read).
-                    species = window.species_at_half(
-                        np.stack((vac_half, target_half))
-                    )
-                    vac_species, tgt_species = species[0], species[1]
+                    x, y, z = vac_key = kernel.key_of(slot)
+                    dx, dy, dz = nn_steps[direction]
+                    tx, ty, tz = tgt_key = (x + dx, y + dy, z + dz)
+                    # (sublattice, padded cell) of a half-coordinate key.
+                    vac_site = (x & 1, x >> 1, y >> 1, z >> 1)
+                    tgt_site = (tx & 1, tx >> 1, ty >> 1, tz >> 1)
+                    tgt_species = int(occupancy[tgt_site])
                     if (
-                        vac_species != self.vacancy_code
-                        or tgt_species == self.vacancy_code
+                        occupancy[vac_site] != vacancy_code
+                        or tgt_species == vacancy_code
                     ):
                         # Only reachable through stale data in naive mode (a
                         # would-be boundary conflict); the sublattice protocol
@@ -295,38 +294,24 @@ class RankState:
                         self.anomalies += 1
                         kernel.deactivate(slot)
                         continue
-                    window.set_species_at_half(vac_half[None, :], tgt_species)
-                    window.set_species_at_half(
-                        target_half[None, :], self.vacancy_code
-                    )
+                    occupancy[vac_site] = tgt_species
+                    occupancy[tgt_site] = vacancy_code
                     self.events += 1
 
-                    # Record both sites for the ghost exchange (converted in
-                    # one batch after the loop).
-                    changed_half.append(vac_half)
-                    changed_half.append(target_half)
-                    changed_species.append(int(tgt_species))
-                    changed_species.append(int(self.vacancy_code))
+                    # Record both sites for the ghost exchange.
+                    changed.extend((vac_key, tgt_key))
+                    changed_species.extend((tgt_species, vacancy_code))
 
                     # Track the moved vacancy; it may have left the sector
                     # (or even the local box — ownership resolves at the
                     # post-cycle rescan).
-                    kernel.move(slot, tuple(int(v) for v in target_half))
+                    kernel.move(slot, tgt_key)
                 with profiler.phase("invalidate"):
-                    kernel.invalidate_near(np.stack([vac_half, target_half]))
+                    kernel.invalidate_near((vac_key, tgt_key))
                 with profiler.phase("hop"):
-                    left_box = not bool(
-                        window.is_local_half(target_half[None, :])[0]
-                    )
-                    left_sector = sector is not None and (
-                        int(
-                            self.sectors.sector_of_half(
-                                target_half[None, :], ghost
-                            )[0]
-                        )
-                        != sector
-                    )
-                    if left_box or left_sector:
+                    if not self.is_local(tgt_key) or (
+                        sector is not None and self.sector_of(tgt_key) != sector
+                    ):
                         kernel.deactivate(slot)
         except NoMovesError:
             # Numerical edge: the tree clamp landed on a dead row — nothing
@@ -337,10 +322,9 @@ class RankState:
                 kernel.set_active(None)
 
         with profiler.phase("hop"):
-            if changed_half:
-                half = np.stack(changed_half)
-                subs, padded = window.site_from_half(half)
-                cells = window.global_cell_of_padded(padded)
+            if changed:
+                subs, padded = self.window.site_from_half(np.array(changed))
+                cells = self.window.global_cell_of_padded(padded)
                 return SiteUpdates(subs, cells, np.array(changed_species))
         return SiteUpdates.empty()
 

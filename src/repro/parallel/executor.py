@@ -30,6 +30,6 @@ class InlineExecutor:
                 continue
             written_half = rank.exchanger.apply_updates()
             if written_half.size:
-                rank.invalidate_near(written_half)
+                rank.kernel.invalidate_near(written_half)
             rank.exchanger.comm.barrier()
             rank.rescan_vacancies()

@@ -108,6 +108,10 @@ class GhostExchanger:
         self._dest_boxes = {
             r: decomposition.box_of_rank(r) for r in self.destinations
         }
+        # Image offsets k * dims, in window_images' product order.
+        dims = window._global_dims
+        periods = -(-np.array(window.padded_shape) // dims)
+        self._image_offsets = np.array(list(product(*map(range, periods)))) * dims
 
     # ------------------------------------------------------------------
     def send_updates(self, updates: SiteUpdates) -> None:
@@ -140,22 +144,34 @@ class GhostExchanger:
         or a dead rank — raises a structured
         :class:`~repro.parallel.comm.ProtocolError`.
 
+        One scatter per message, in arrival order.  A site can repeat in a
+        message (a vacancy hopping back and forth) and NumPy leaves unspecified
+        which repeated fancy-index write wins, so each position keeps its
+        *last* occurrence.
+
         Returns the window half-coordinates of all written sites (used for
-        cache invalidation), shape ``(n, 3)``.
+        cache invalidation), shape ``(n, 3)``, site-major, each site's images
+        in :func:`window_images` order.
         """
+        window = self.window
         written: List[np.ndarray] = []
         for _src, payload in self.comm.recv_all(
             GHOST_TAG, expected_sources=self.destinations
         ):
             subs, cells, species = payload
-            for s, cell, sp in zip(subs, cells, species):
-                images = window_images(self.window, cell)
-                if images.size == 0:
-                    continue
-                s_arr = np.full(images.shape[0], int(s), dtype=np.int64)
-                half = self.window.half_coords(s_arr, images)
-                self.window.set_species_at_half(half, int(sp))
-                written.append(half)
+            if len(subs) == 0:
+                continue
+            base = np.mod(cells - window._origin, window._global_dims)
+            images = base[:, None, :] + self._image_offsets
+            inside = np.all(images < window.padded_shape, axis=-1)
+            site, _ = np.nonzero(inside)  # site-major, images in order
+            cell = images[inside]
+            s = subs.astype(np.int64)[site]
+            flat = np.ravel_multi_index((s, *cell.T), window.occupancy.shape)
+            _, last = np.unique(flat[::-1], return_index=True)
+            keep = flat.size - 1 - last
+            window.occupancy.flat[flat[keep]] = species[site[keep]]
+            written.append(window.half_coords(s, cell))
         if not written:
             return np.empty((0, 3), dtype=np.int64)
         return np.concatenate(written, axis=0)

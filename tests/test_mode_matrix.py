@@ -2,7 +2,9 @@
 
 Each row pins where a fixed-seed run ends: the sha256 occupancy digest
 (:func:`~repro.campaign.occupancy_digest`), ``float.hex`` of the simulated
-clock and, for the 4-rank sublattice runs, the per-cycle event counts.
+clock and, for the 4-rank sublattice runs, the per-cycle event counts and
+the world's message and byte totals.  A 4-rank ``sector_mode="naive"`` row
+also pins the anomaly and proximity-violation counts.
 
 The values were captured while the engines still carried their mode knobs:
 kernel hot path (vectorized / legacy), rebuild path (auto / full / delta),
@@ -65,6 +67,20 @@ PARALLEL_NNP = (
     "0x1.49da7e361ce4cp-30",
     (1, 5, 10, 0, 14, 4),
 )
+#: World ``CommStats`` totals ``(messages_sent, bytes_sent)`` of the 4-rank
+#: runs: the ghost payloads are the changed sites, so the byte count pins
+#: every rank's per-cycle ``SiteUpdates``.
+PARALLEL_COMM = {"eam": (120, 6172), "nnp": (120, 6276)}
+#: ``(digest, clock, events per cycle, total_anomalies,
+#: proximity_violations)`` of the 4-rank EAM run with ``sector_mode="naive"``
+#: (every rank evolves its whole box each cycle).
+PARALLEL_NAIVE = (
+    "fd5e6a2bf31ea6cbbdb19376e906ede3570e2967745d8598d93867c9245af883",
+    "0x1.49da7e361ce4cp-30",
+    (56, 51, 46, 39, 25, 31),
+    0,
+    36,
+)
 
 
 BACKENDS = pytest.mark.parametrize("backend", (None, "numpy"))
@@ -94,7 +110,7 @@ def _serial_identity(engine):
     return occupancy_digest(engine.lattice), float(engine.time).hex()
 
 
-def _parallel_identity(tet, pot, **kw):
+def _parallel(tet, pot, **kw):
     # 4 ranks need >= 4 cells of sector width per rank: 16^3 is the floor.
     lattice = LatticeState((16, 16, 16))
     lattice.randomize_alloy(np.random.default_rng(3), 0.05, 0.003)
@@ -103,6 +119,10 @@ def _parallel_identity(tet, pot, **kw):
         seed=5, **kw,
     )
     sim.run(N_CYCLES)
+    return sim
+
+
+def _parallel_identity(sim):
     return (
         occupancy_digest(sim.gather_global()),
         float(sim.time).hex(),
@@ -166,8 +186,18 @@ class TestGoldenTrajectories:
     @BACKENDS
     @ROW_CACHES
     def test_parallel_4_ranks(self, request, tet_small, pot, backend, row_cache):
-        got = _parallel_identity(
+        sim = _parallel(
             tet_small, _potential(request, pot), backend=backend,
             **_row_cache_kw(row_cache, PARALLEL_MB),
         )
+        got = _parallel_identity(sim)
         assert got == {"eam": PARALLEL_EAM, "nnp": PARALLEL_NNP}[pot]
+        stats = sim.world.stats
+        assert (stats.messages_sent, stats.bytes_sent) == PARALLEL_COMM[pot]
+
+    def test_parallel_naive_4_ranks(self, tet_small, eam_small):
+        sim = _parallel(tet_small, eam_small, sector_mode="naive")
+        got = _parallel_identity(sim) + (
+            sim.total_anomalies, sim.proximity_violations,
+        )
+        assert got == PARALLEL_NAIVE

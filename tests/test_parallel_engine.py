@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.constants import CU, VACANCY
+from repro.constants import CU, FE, VACANCY
 from repro.core import TensorKMCEngine, TripleEncoding
 from repro.lattice import LatticeState
 from repro.parallel import N_SECTORS, SectorGeometry, SublatticeKMC
@@ -180,35 +180,59 @@ class TestHopGeometry:
             lat, eam_small, tet_small, n_ranks=2, temperature=900.0,
             t_stop=5e-10, seed=2,
         )
-        # Instrument: wrap run_sector so only compute-phase writes are seen.
+        # Observe the SiteUpdates each sector returns: (origin, target) pairs.
         from repro.parallel.engine import RankState
 
-        hops = []
+        updates = []
         orig_run = RankState.run_sector
 
         def instrumented(self, sector, t_stop):
-            orig_set = self.window.set_species_at_half
-
-            def wrapped(half, species):
-                hops.append(np.array(half))
-                return orig_set(half, species)
-
-            self.window.set_species_at_half = wrapped
-            try:
-                return orig_run(self, sector, t_stop)
-            finally:
-                self.window.set_species_at_half = orig_set
+            ups = orig_run(self, sector, t_stop)
+            updates.append(ups)
+            return ups
 
         RankState.run_sector = instrumented
         try:
             sim.run(8)
         finally:
             RankState.run_sector = orig_run
-        assert sim.total_events > 0
-        # writes come in (origin, target) pairs
-        for origin, target in zip(hops[0::2], hops[1::2]):
-            delta = (target - origin).reshape(3)
-            assert sorted(np.abs(delta).tolist()) == [1, 1, 1]  # one 1NN step
+        n_pairs = sum(len(ups) for ups in updates) // 2
+        assert n_pairs == sim.total_events > 0
+        dims = np.array(sim.global_shape)
+        for ups in updates:
+            assert len(ups) % 2 == 0
+            # Global half-unit positions; the 1NN step is (+-1, +-1, +-1)
+            # under the periodic minimum image.
+            half = 2 * ups.cell + ups.sublattice[:, None]
+            delta = half[1::2] - half[0::2]
+            delta -= 2 * dims * np.round(delta / (2 * dims)).astype(np.int64)
+            assert np.all(np.abs(delta) == 1)
+
+
+class TestAnomalyPath:
+    def test_stale_vacancy_is_counted_not_hopped(self, tet_small, eam_small):
+        """A registered vacancy whose site no longer holds one (stale data)
+        is counted as an anomaly and dropped from the active set; nothing
+        is written and no event is executed."""
+        lat = _alloy(seed=31, vac=0.004)
+        sim = SublatticeKMC(
+            lat, eam_small, tet_small, n_ranks=1, temperature=900.0,
+            t_stop=5e-10, seed=2,
+        )
+        rank = sim.ranks[0]
+        kernel = rank.kernel
+        kernel.refresh()  # cache every row against the true occupancy
+        live = kernel.live_slots()
+        for slot in live:
+            x, y, z = kernel.key_of(slot)
+            rank.window.occupancy[x & 1, x >> 1, y >> 1, z >> 1] = FE
+        before = rank.window.occupancy.copy()
+        # A long interval: every slot is selected (and blocked) once.
+        ups = rank.run_sector(None, 1.0)
+        assert len(ups) == 0
+        assert rank.events == 0
+        assert rank.anomalies == len(live) > 0
+        assert np.array_equal(rank.window.occupancy, before)
 
 
 class TestConflictDemonstration:
