@@ -87,7 +87,7 @@ def run_box(shape, seed: int = 7) -> dict:
 
 
 def _nnp_engine(
-    shape, seed: int, backend=None,
+    shape, seed: int,
     vacancy_fraction: float = VACANCY_FRACTION, layers=(16, 8), **engine_kw
 ) -> TensorKMCEngine:
     """A serial engine over a small randomly-initialised NNP."""
@@ -112,7 +112,7 @@ def _nnp_engine(
     )
     return TensorKMCEngine(
         lattice, model, tet,
-        rng=np.random.default_rng(seed), backend=backend, **engine_kw,
+        rng=np.random.default_rng(seed), **engine_kw,
     )
 
 
@@ -205,44 +205,10 @@ def run_row_cache(seed: int = 31) -> dict:
     }
 
 
-#: Events per backend timing round in the ``backend`` report section.
-BACKEND_EVENTS = 200
-BACKEND_ROUNDS = 2
-
-
-def run_backends(shape=(10, 10, 10), seed: int = 23) -> dict:
-    """Per-event NNP engine cost per *available* array backend.
-
-    The numpy entry is always present (it is the golden reference); a torch
-    entry appears only where torch is importable, so this section is
-    informational — it never makes torch a CI requirement.  Rounds are
-    interleaved across backends so runner drift hits everyone equally.
-    """
-    from repro.core.backend import available_backends
-
-    names = list(available_backends(probe=True))
-    best = {name: np.inf for name in names}
-    for _ in range(BACKEND_ROUNDS):
-        for name in names:
-            engine = _nnp_engine(shape, seed, backend=name)
-            t0 = time.perf_counter()
-            engine.run(n_steps=BACKEND_EVENTS)
-            best[name] = min(best[name], time.perf_counter() - t0)
-    return {
-        name: {
-            "events": BACKEND_EVENTS,
-            "seconds": best[name],
-            "per_event_us": 1e6 * best[name] / BACKEND_EVENTS,
-        }
-        for name in names
-    }
-
-
 def run_smoke() -> dict:
     small = run_box((16, 8, 8))
     large = run_box((16, 16, 16))
     row_cache = run_row_cache()
-    backends = run_backends()
     ratio = large["per_event_us"] / small["per_event_us"]
     report = {
         "benchmark": "kernel_smoke",
@@ -253,7 +219,6 @@ def run_smoke() -> dict:
         "per_event_ratio": ratio,
         "max_ratio": MAX_RATIO,
         "row_cache": row_cache,
-        "backend": backends,
         "ok": ratio < MAX_RATIO and row_cache["ok"],
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -276,12 +241,6 @@ def test_row_cache_is_faster_and_trajectory_identical():
     assert row_cache["rebuild_speedup"] >= row_cache["min_speedup"], row_cache
 
 
-def test_backend_section_reports_numpy():
-    backends = run_backends()
-    assert "numpy" in backends, backends
-    assert backends["numpy"]["per_event_us"] > 0.0, backends
-
-
 def main() -> int:
     report = run_smoke()
     print(json.dumps(report, indent=2))
@@ -301,8 +260,6 @@ def main() -> int:
         f"hit rate {rc['cache'].get('hit_rate', 0.0):.3f}), trajectory "
         f"{'OK' if rc['trajectory_identical'] else 'BROKEN'}"
     )
-    for name, entry in report["backend"].items():
-        print(f"backend {name}: {entry['per_event_us']:.1f} us/event")
     if not report["ok"]:
         if report["per_event_ratio"] >= MAX_RATIO:
             print("FAIL: per-event cost scales with the active-vacancy count")

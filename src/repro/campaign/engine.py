@@ -128,7 +128,6 @@ def alloy_engine_factory(
     tet,
     cu_fraction: float,
     vacancy_fraction: float = VACANCY_CONCENTRATION,
-    backend=None,
     row_cache: str = "auto",
     row_cache_mb: Optional[float] = None,
 ) -> Callable[[ReplicaSpec], TensorKMCEngine]:
@@ -147,7 +146,7 @@ def alloy_engine_factory(
         )
         return TensorKMCEngine(
             lattice, potential, tet, temperature=spec.temperature,
-            rng=np.random.default_rng(spec.seed + 1), backend=backend,
+            rng=np.random.default_rng(spec.seed + 1),
             row_cache=row_cache, row_cache_mb=row_cache_mb,
         )
 

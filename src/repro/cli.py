@@ -114,9 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="path to a trained NNPotential .npz (default: EAM)")
     res.add_argument("--checkpoint", type=str, default=None,
                      help="write a fresh checkpoint when done")
-    res.add_argument("--backend", type=str, default=None,
-                     help="array backend for the resumed run (checkpoints "
-                          "are backend-free)")
 
     train = sub.add_parser("train", help="train an NNP on oracle data")
     train.add_argument("--rcut", type=float, default=6.5)
@@ -141,9 +138,6 @@ def _common_alloy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vacancies", type=float, default=None,
                    help="vacancy site fraction (default: paper value, min 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", type=str, default=None,
-                   help="array backend for the hot path (numpy, torch; "
-                        "default: $REPRO_BACKEND, then numpy)")
     p.add_argument("--row-cache", choices=ROW_CACHE_MODES, default="auto",
                    help="persistent row-energy memoization: auto enables "
                         "it for row-invariant network potentials, on/off "
@@ -211,7 +205,7 @@ def _cmd_run(args) -> int:
         from .io.checkpoint import load_checkpoint
 
         potential = _load_potential(args, tet)
-        engine = load_checkpoint(args.restart, potential, backend=args.backend)
+        engine = load_checkpoint(args.restart, potential)
         lattice = engine.lattice
     else:
         lattice = _make_lattice(args)
@@ -219,13 +213,11 @@ def _cmd_run(args) -> int:
         engine = TensorKMCEngine(
             lattice, potential, tet, temperature=args.temperature,
             rng=np.random.default_rng(args.seed + 1),
-            backend=args.backend,
             row_cache=args.row_cache,
             row_cache_mb=args.row_cache_mb,
         )
     engine.run(n_steps=args.steps)
     stats = analyse_precipitation(lattice, engine.time)
-    print(f"backend = {engine.xp.name}")
     print(f"events = {engine.step_count}")
     print(f"time_s = {engine.time:.6e}")
     print(f"cache_hit_rate = {engine.cache.stats.hit_rate:.4f}")
@@ -272,7 +264,6 @@ def _cmd_parallel(args) -> int:
         potential = _load_potential(args, tet)
         sim = load_parallel_checkpoint(
             args.restart, potential, tet=tet, fault_plan=plan,
-            backend=args.backend,
         )
         tet = sim.tet
     else:
@@ -282,7 +273,7 @@ def _cmd_parallel(args) -> int:
         sim = SublatticeKMC(
             lattice, potential, tet, n_ranks=args.ranks,
             temperature=args.temperature, t_stop=args.t_stop, seed=args.seed,
-            fault_plan=plan, backend=args.backend,
+            fault_plan=plan,
             row_cache=args.row_cache, row_cache_mb=args.row_cache_mb,
         )
     before = sim.gather_global().species_counts().copy()
@@ -297,7 +288,6 @@ def _cmd_parallel(args) -> int:
     conserved = bool(
         np.array_equal(sim.gather_global().species_counts(), before)
     )
-    print(f"backend = {sim.xp.name}")
     print(f"ranks = {sim.decomposition.n_ranks}")
     print(f"grid = {sim.decomposition.grid}")
     print(f"cycles = {len(sim.cycles)}")
@@ -341,8 +331,7 @@ def _cmd_campaign(args) -> int:
     vac = args.vacancies if args.vacancies is not None else VACANCY_CONCENTRATION
     factory = alloy_engine_factory(
         args.box, potential, tet, cu_fraction=args.cu, vacancy_fraction=vac,
-        backend=args.backend, row_cache=args.row_cache,
-        row_cache_mb=args.row_cache_mb,
+        row_cache=args.row_cache, row_cache_mb=args.row_cache_mb,
     )
     campaign = ReplicaCampaign(
         specs, factory, max_in_flight=args.max_in_flight, mode=args.mode,
@@ -381,9 +370,7 @@ def _cmd_resume(args) -> int:
     kind = checkpoint_kind(args.path)
     print(f"kind = {kind}")
     if kind == "serial":
-        engine = load_checkpoint(
-            args.path, potential, tet=tet, backend=args.backend
-        )
+        engine = load_checkpoint(args.path, potential, tet=tet)
         engine.run(n_steps=args.steps)
         print(f"events = {engine.step_count}")
         print(f"time_s = {engine.time:.6e}")
@@ -391,9 +378,7 @@ def _cmd_resume(args) -> int:
             save_checkpoint(args.checkpoint, engine)
             print(f"checkpoint = {args.checkpoint}")
     else:
-        sim = load_parallel_checkpoint(
-            args.path, potential, tet=tet, backend=args.backend
-        )
+        sim = load_parallel_checkpoint(args.path, potential, tet=tet)
         sim.run(args.cycles)
         print(f"cycles = {len(sim.cycles)}")
         print(f"events = {sim.total_events}")

@@ -1,15 +1,5 @@
 """TensorKMC core: triple-encoding, vacancy cache, rates, and the engine."""
 
-from .backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    NumpyBackend,
-    TorchBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    to_numpy,
-)
 from .engine import KMCEvent, NoMovesError, SerialAKMCBase, TensorKMCEngine
 from .kernel import EventKernel, KernelStats, SimpleRateEntry, SpatialHashIndex
 from .profiling import PhaseProfiler
@@ -20,14 +10,6 @@ from .vacancy_cache import BatchEntries, CachedVacancySystem, VacancyCache
 from .vacancy_system import StateEnergies, VacancySystemEvaluator
 
 __all__ = [
-    "ArrayBackend",
-    "BackendUnavailableError",
-    "NumpyBackend",
-    "TorchBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "to_numpy",
     "KMCEvent",
     "NoMovesError",
     "SerialAKMCBase",

@@ -26,7 +26,6 @@ import numpy as np
 from ..constants import TEMPERATURE_RPV
 from ..lattice.occupancy import LatticeState
 from ..potentials.base import CountsPotential
-from .backend import get_backend
 from .delta import DeltaRebuilder
 from .kernel import EventKernel, NoMovesError
 from .profiling import PhaseProfiler, merge_disjoint
@@ -84,14 +83,6 @@ class SerialAKMCBase:
     row_cache_mb:
         Optional resident-size budget in MiB for the row cache; the LRU
         clock evicts past it.  ``None`` (default) means unbounded.
-    backend:
-        Array backend name/instance for the hot path (default: the
-        ``REPRO_BACKEND`` environment variable, falling back to the NumPy
-        golden reference).  The potential is asked to move its buffers via
-        :meth:`~repro.potentials.base.CountsPotential.set_backend`; the
-        evaluator and the event kernel thread the same handle.  Lattice
-        occupancy, the cache's slot arrays, and all serialised state stay
-        NumPy-resident whichever backend runs the math.
 
     Cache misses take the batched path — every stale vacancy queued since
     the last selection goes through one fused
@@ -117,7 +108,6 @@ class SerialAKMCBase:
         temperature: float = TEMPERATURE_RPV,
         rng: Optional[np.random.Generator] = None,
         ea0=None,
-        backend=None,
         row_cache: str = "auto",
         row_cache_mb: Optional[float] = None,
     ) -> None:
@@ -130,9 +120,7 @@ class SerialAKMCBase:
         self.lattice = lattice
         self.potential = potential
         self.tet = tet
-        self.xp = get_backend(backend)
-        potential.set_backend(self.xp)
-        self.evaluator = VacancySystemEvaluator(tet, potential, backend=self.xp)
+        self.evaluator = VacancySystemEvaluator(tet, potential)
         if lattice.vacancy_code != self.evaluator.vacancy_code:
             raise ValueError(
                 f"lattice vacancy code {lattice.vacancy_code} != potential's "
@@ -153,7 +141,6 @@ class SerialAKMCBase:
             keys=vac_sites,
             use_cache=self.use_cache,
             build_entries=self._build_for_sites if batched_miss else None,
-            backend=self.xp,
         )
         # The incremental rebuild rides on the batched miss path and the
         # cache (it keeps the full BatchEntries payload resident).

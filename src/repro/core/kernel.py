@@ -49,7 +49,6 @@ from typing import (
 
 import numpy as np
 
-from .backend import get_backend
 from .propensity import FenwickPropensity
 from .vacancy_cache import BatchEntries, SimpleRateEntry, VacancyCache
 
@@ -282,11 +281,6 @@ class EventKernel:
         invalidation carries *what* changed instead of just *that*
         something changed.  Both paths produce bit-identical trajectories
         (the delta path re-rates from exactly re-derivable inputs).
-    backend:
-        Array backend name/instance (see :mod:`repro.core.backend`) used for
-        the invalidation distance test.  The cache's SoA arrays and all
-        keys/positions stay NumPy-resident (they are the checkpoint
-        serialisation boundary).
     """
 
     def __init__(
@@ -302,7 +296,6 @@ class EventKernel:
         build_entries: Optional[
             Callable[[Sequence[Hashable]], Sequence[object]]
         ] = None,
-        backend=None,
         build_entries_delta: Optional[
             Callable[[Sequence[Hashable], np.ndarray], object]
         ] = None,
@@ -318,7 +311,6 @@ class EventKernel:
         self.threshold = float(threshold)
         self.scale = float(scale)
         self.use_cache = bool(use_cache)
-        self.xp = get_backend(backend)
         self.cache = VacancyCache(keys)
         self.store = FenwickPropensity(self.cache.n_slots)
         #: Inclusive limit of the distance test.
@@ -332,7 +324,7 @@ class EventKernel:
         self._span = (
             None
             if self.periodic is None
-            else self.xp.from_numpy(self.periodic.astype(np.float64))
+            else self.periodic.astype(np.float64)
         )
         #: Cell index of every live slot's centre, maintained by every
         #: registry mutation (see :meth:`check_index`).  The cell edge is
@@ -664,23 +656,17 @@ class EventKernel:
         near = near[held]
         if near.size == 0:
             return 0
-        # The distance test runs through the array backend; the NumPy
-        # backend executes the identical expression (same op order, same
-        # bits) the all-centres broadcast it replaced evaluated.  Integer
-        # coordinates are exact in float64 however they got there.
-        xp = self.xp
+        # Integer coordinates are exact in float64 however they got there.
         canonical = self.index.canonical
-        pts = xp.from_numpy(
-            np.array([canonical(p) for p in point_list], dtype=np.float64)
-        )
-        centres = xp.from_numpy(cache.centres[near].astype(np.float64))
+        pts = np.array([canonical(p) for p in point_list], dtype=np.float64)
+        centres = cache.centres[near].astype(np.float64)
         delta = pts[:, None, :] - centres[None, :, :]
         span = self._span
         if span is not None:
-            delta = delta - span * xp.round(delta / span)
+            delta = delta - span * np.round(delta / span)
         delta = delta * self.scale
-        dist = xp.sqrt(xp.sum(delta * delta, axis=-1))
-        hit = xp.to_numpy(xp.any(dist <= self._limit, axis=0))
+        dist = np.sqrt(np.sum(delta * delta, axis=-1))
+        hit = np.any(dist <= self._limit, axis=0)
         hits = near[hit]
         if delta_on:
             fresh_hits = hits[cache.fresh[hits]]

@@ -190,8 +190,7 @@ class FenwickPropensity(PropensityStore):
     ``select`` all work on in place.  Every operation touches O(log n)
     nodes a few at a time, which the interpreter does faster on list
     elements than through per-element array dispatch, and nothing is ever
-    copied per call.  The store is host-side bookkeeping whichever array
-    backend runs the rate math.
+    copied per call.
     """
 
     #: A batch touching at least 1/``REBUILD_FRACTION`` of the capacity

@@ -18,7 +18,6 @@ import numpy as np
 
 from ..potentials.base import CountsPotential, counts_from_types
 from ..sunway.costmodel import CostLedger, charge_batched_rate_eval
-from .backend import get_backend
 from .tet import TripleEncoding
 
 __all__ = ["StateEnergies", "StateEnergiesBatch", "VacancySystemEvaluator"]
@@ -96,20 +95,12 @@ class VacancySystemEvaluator:
         The triple-encoding tables (geometry).
     potential:
         Any counts-based potential; its shells must match the TET's.
-    backend:
-        Array backend name/instance (see :mod:`repro.core.backend`) the
-        batched pipeline computes through.  Inputs and the returned
-        :class:`StateEnergies`/:class:`StateEnergiesBatch` are always NumPy
-        (the cache boundary); only the intermediate trial states / counts /
-        energies live on the backend.  The scalar delta path
-        (:meth:`evaluate_delta`) is NumPy-resident by design.
     """
 
     def __init__(
         self,
         tet: TripleEncoding,
         potential: CountsPotential,
-        backend=None,
     ) -> None:
         if potential.n_shells != tet.n_shells or not np.allclose(
             potential.shell_distances, tet.shell_distances
@@ -117,7 +108,6 @@ class VacancySystemEvaluator:
             raise ValueError("potential shells do not match the TET shells")
         self.tet = tet
         self.potential = potential
-        self.xp = get_backend(backend)
         self.n_elements = getattr(potential, "n_elements", 2)
         self.vacancy_code = self.n_elements
         # Optional Fig. 9 cost accounting (see attach_cost_ledger).
@@ -180,7 +170,7 @@ class VacancySystemEvaluator:
             np.arange(tet.net_ids.shape[1]),
             np.asarray(tet.cet_shell, dtype=np.int64),
         ] = 1.0
-        self._shell_onehot = self.xp.from_numpy(shell_onehot)
+        self._shell_onehot = shell_onehot
         self._state_cols = np.arange(self._n_states, dtype=np.intp)
         # Reverse NET over *all* VET positions: base[p, r] is True when a
         # species change at VET position p touches region row r in the
@@ -212,15 +202,6 @@ class VacancySystemEvaluator:
             dtype=np.intp,
         )
         self._dir_rows = np.arange(1, self._n_states, dtype=np.intp)
-        # Backend-resident copies of the gather/scatter index tables (an
-        # identity pass under NumPy, a one-off device upload otherwise).
-        self._dir_targets_x = self.xp.from_numpy(
-            self._dir_targets.astype(np.int64)
-        )
-        self._dir_rows_x = self.xp.from_numpy(self._dir_rows.astype(np.int64))
-        self._net_ids_x = self.xp.from_numpy(
-            np.asarray(tet.net_ids, dtype=np.int64)
-        )
         # Per-direction patch tables for the vectorised delta path: local row
         # indices (within the direction's affected block) and shells touched
         # when the centre (gains an atom) / the target (loses one) flips.
@@ -240,27 +221,6 @@ class VacancySystemEvaluator:
             self._delta_target_shells.append(sm[sm >= 0].astype(np.intp))
             self._delta_pos0[k] = np.searchsorted(affected, 0)
             self._delta_posm[k] = np.searchsorted(affected, self._dir_targets[k])
-
-    # ------------------------------------------------------------------
-    # Potential boundary
-    # ------------------------------------------------------------------
-    def _potential_energies(self, center_types, counts):
-        """Invoke the potential across the array-world boundary.
-
-        A potential advertises its residency via ``array_backend`` (absent
-        or ``None`` means NumPy-resident, e.g. the EAM tables).  Inputs are
-        converted into the potential's world and the result back into the
-        evaluator's backend; when both sides share a world — the common
-        case — every conversion is an identity pass, so the NumPy golden
-        path is untouched bit for bit.
-        """
-        pot_xp = getattr(self.potential, "array_backend", None)
-        if pot_xp is None:
-            pot_xp = get_backend("numpy")
-        energies = self.potential.energies_from_counts(
-            pot_xp.asarray(center_types), pot_xp.asarray(counts)
-        )
-        return self.xp.asarray(energies)
 
     # ------------------------------------------------------------------
     # Fig. 9 operator cost accounting
@@ -314,23 +274,19 @@ class VacancySystemEvaluator:
         """
         cache = self._row_cache
         cache.sync(self.potential)
-        xp = self.xp
-        ukeys = xp.to_numpy(packed[first])
+        ukeys = packed[first]
         found, cached = cache.lookup(ukeys)
         if found.all():
-            return xp.from_numpy(cached)
+            return cached
         miss_idx = np.flatnonzero(~found)
-        miss_x = xp.from_numpy(miss_idx)
-        fresh = xp.to_numpy(
-            self._potential_energies(
-                center_types[first][miss_x], flat_counts[first][miss_x]
-            )
+        fresh = self.potential.energies_from_counts(
+            center_types[first][miss_idx], flat_counts[first][miss_idx]
         )
         cache.insert(ukeys[miss_idx], fresh)
         out = np.zeros(len(ukeys), dtype=fresh.dtype)
         out[found] = cached[found].astype(fresh.dtype, copy=False)
         out[miss_idx] = fresh
-        return xp.from_numpy(out)
+        return out
 
     def _unique_row_energies(self, dedup, center_types, flat_counts):
         """Energies of the dedup'd unique rows, through the cache if attached.
@@ -346,7 +302,7 @@ class VacancySystemEvaluator:
                 packed, first, center_types, flat_counts
             )
         else:
-            energies = self._potential_energies(
+            energies = self.potential.energies_from_counts(
                 center_types[first], flat_counts[first]
             )
         return energies[inverse]
@@ -388,40 +344,33 @@ class VacancySystemEvaluator:
         """Trial states of ``B`` vacancy systems as a ``(B, 9, n_all)`` array.
 
         ``out[b]`` equals ``trial_vets(vets[b])``; the swap scatter runs once
-        over the whole batch (one fancy-indexed write per swap side).  The
-        result lives on the evaluator's array backend (a plain ndarray under
-        the default NumPy backend).
+        over the whole batch (one fancy-indexed write per swap side).
         """
-        xp = self.xp
-        # Validate on the backend array itself: forcing the batch through
-        # to_numpy here used to bounce every torch batch through the host.
-        vx = xp.asarray(vets)
-        shape = tuple(vx.shape)
-        if len(shape) != 2 or shape[1] != self.tet.n_all:
+        vets = np.asarray(vets)
+        if vets.ndim != 2 or vets.shape[1] != self.tet.n_all:
             raise ValueError(
                 f"VET batch must have shape (B, {self.tet.n_all}), "
-                f"got {shape}"
+                f"got {vets.shape}"
             )
-        states = xp.broadcast_copy(
-            vx[:, None, :], (shape[0], self._n_states, shape[1])
-        )
-        targets = self._dir_targets_x
-        states[:, self._dir_rows_x, 0] = vx[:, targets]
-        states[:, self._dir_rows_x, targets] = vx[:, 0, None]
+        states = np.broadcast_to(
+            vets[:, None, :], (vets.shape[0], self._n_states, vets.shape[1])
+        ).copy()
+        targets = self._dir_targets
+        states[:, self._dir_rows, 0] = vets[:, targets]
+        states[:, self._dir_rows, targets] = vets[:, 0, None]
         return states
 
     def region_features_counts(self, states: np.ndarray) -> np.ndarray:
         """Shell-type counts of every region site of every state.
 
         Returns ``(n_states, n_region, n_shells, n_elements)``; this is the
-        exact workload of the fast feature operator (Sec. 3.4), computed on
-        the evaluator's array backend.
+        exact workload of the fast feature operator (Sec. 3.4).
         """
-        states = self.xp.asarray(states)
-        neighbor_types = states[:, self._net_ids_x]  # (n_states, n_region, n_local)
+        states = np.asarray(states)
+        neighbor_types = states[:, self.tet.net_ids]  # (n_states, n_region, n_local)
         return counts_from_types(
             neighbor_types, self.tet.cet_shell, self.tet.n_shells,
-            n_elements=self.n_elements, xp=self.xp,
+            n_elements=self.n_elements,
         )
 
     def evaluate(self, vet: np.ndarray) -> StateEnergies:
@@ -433,11 +382,9 @@ class VacancySystemEvaluator:
         counts = self.region_features_counts(states)
         n_states, n_region = states.shape[0], self.tet.n_region
         center_types = states[:, :n_region].reshape(-1)
-        energies = self.xp.to_numpy(
-            self._potential_energies(
-                self.xp.asarray(center_types),
-                counts.reshape(-1, self.tet.n_shells, counts.shape[-1]),
-            )
+        energies = self.potential.energies_from_counts(
+            center_types,
+            counts.reshape(-1, self.tet.n_shells, counts.shape[-1]),
         ).reshape(n_states, n_region)
         self._charge_rate_eval(1)
         totals = energies.sum(axis=1, dtype=np.float64)
@@ -486,30 +433,28 @@ class VacancySystemEvaluator:
         if (n_vals + 1) * 8 <= 64 and (
             n_rows * n_vals == 0 or bool(vals.max() < 256)
         ):
-            packed = self.xp.astype(center_types, self.xp.int64)
-            ivals = self.xp.astype(vals, self.xp.int64)
+            packed = center_types.astype(np.int64)
+            ivals = vals.astype(np.int64)
             for j in range(n_vals):
                 packed = (packed << 8) | ivals[:, j]
-            first, inverse = self.xp.unique_first_inverse(packed)
-            return first, inverse, packed
-        else:
-            # The raw-bytes key relies on NumPy's void-dtype views; rows wide
-            # enough to land here are keyed host-side on any backend.  Counts
-            # are exact small integers, so an int64 staging matrix keys them
-            # losslessly — a float32 one would collide beyond the 24-bit
-            # mantissa.  These keys never enter the row cache (``None``
-            # marks them out of the packed-int64 content-address domain).
-            ct = self.xp.to_numpy(center_types)
-            v = self.xp.to_numpy(vals)
-            wide = np.empty((n_rows, n_vals + 1), dtype=np.int64)
-            wide[:, 0] = ct
-            wide[:, 1:] = v
-            key = np.ascontiguousarray(wide).view(
-                np.dtype((np.void, wide.shape[1] * wide.itemsize))
-            ).ravel()
             _, first, inverse = np.unique(
-                key, return_index=True, return_inverse=True
+                packed, return_index=True, return_inverse=True
             )
+            return first, inverse, packed
+        # Counts are exact small integers, so an int64 staging matrix keys
+        # the wide rows losslessly through a raw-bytes view — a float32 one
+        # would collide beyond the 24-bit mantissa.  These keys never enter
+        # the row cache (``None`` marks them out of the packed-int64
+        # content-address domain).
+        wide = np.empty((n_rows, n_vals + 1), dtype=np.int64)
+        wide[:, 0] = center_types
+        wide[:, 1:] = vals
+        key = np.ascontiguousarray(wide).view(
+            np.dtype((np.void, wide.shape[1] * wide.itemsize))
+        ).ravel()
+        _, first, inverse = np.unique(
+            key, return_index=True, return_inverse=True
+        )
         return first, inverse, None
 
     def evaluate_batch(self, vets: np.ndarray) -> StateEnergiesBatch:
@@ -568,13 +513,11 @@ class VacancySystemEvaluator:
                 dedup, center_types, flat_counts
             ).reshape(n_batch, self._n_states, n_region)
         else:
-            energies = self._potential_energies(
+            energies = self.potential.energies_from_counts(
                 center_types, flat_counts
             ).reshape(n_batch, self._n_states, n_region)
         self._charge_rate_eval(n_batch)
-        totals = self.xp.to_numpy(
-            self.xp.sum(energies, axis=2, dtype=self.xp.float64)
-        )
+        totals = np.sum(energies, axis=2, dtype=np.float64)
         nn_species = vets[:, 1 : 1 + n_dir]
         valid = nn_species != self.vacancy_code
         delta = np.where(valid, totals[:, 1:] - totals[:, :1], 0.0)
@@ -594,9 +537,9 @@ class VacancySystemEvaluator:
         Compatible means the stacked evaluation is *defined* and, for
         row-invariant potentials, per-row bit-identical to evaluating each
         caller's rows separately: both evaluators must run the very same
-        potential object (not merely an equal one — weights, standardisation
-        buffers, and backend staging all live on the instance) over the
-        same TET geometry and species alphabet.
+        potential object (not merely an equal one — weights and
+        standardisation buffers live on the instance) over the same TET
+        geometry and species alphabet.
         """
         return (
             other.potential is self.potential
@@ -665,7 +608,6 @@ class VacancySystemEvaluator:
         (the Fig. 9 accounting models the full batched operator flow).
         """
         tet = self.tet
-        xp = self.xp
         vets = np.asarray(vets)
         pair_b = np.asarray(pair_b, dtype=np.intp)
         pair_r = np.asarray(pair_r, dtype=np.intp)
@@ -679,15 +621,11 @@ class VacancySystemEvaluator:
         # the cached shell one-hot (identical inputs, identical bits).
         vp = vets[pair_b]
         neighbors = vp[np.arange(n_pairs)[:, None], tet.net_ids[pair_r]]
-        nb = xp.asarray(neighbors)
-        counts0 = xp.empty(
-            (n_pairs, tet.n_shells, n_el), dtype=xp.float32
-        )
+        counts0 = np.empty((n_pairs, tet.n_shells, n_el), dtype=np.float32)
         for el in range(n_el):
-            counts0[:, :, el] = xp.matmul(
-                xp.astype(nb == el, xp.float32), self._shell_onehot
+            counts0[:, :, el] = np.matmul(
+                (neighbors == el).astype(np.float32), self._shell_onehot
             )
-        counts0_np = xp.to_numpy(counts0)                         # (P, S, E)
         # Swap patches: in state j the centre (VET position 0, species
         # ``vac``) and the 1NN target (position j, species ``mig``) trade
         # places.  The per-state count change is fetched from the
@@ -700,8 +638,8 @@ class VacancySystemEvaluator:
         idx = self._patch_code[pair_r]
         idx = idx + vac[:, None] * self._patch_species
         idx += states
-        counts_np = self._patch_table[idx]                        # (P, 9, S*E)
-        counts_np += counts0_np.reshape(n_pairs, 1, -1)
+        counts = self._patch_table[idx]                           # (P, 9, S*E)
+        counts += counts0.reshape(n_pairs, 1, -1)
         # Centre species of each row per state: the row's own site, except
         # that in state j the two swap positions trade species — a row *at*
         # position j holds the vacancy, and the centre's own row (position
@@ -711,36 +649,31 @@ class VacancySystemEvaluator:
             pair_r[:, None] == self._state_cols, vac[:, None], own[:, None]
         )
         centers = np.where((pair_r == 0)[:, None], states, centers)
-        center_types = xp.asarray(centers.reshape(-1))
-        flat_counts = xp.from_numpy(
-            counts_np.reshape(-1, tet.n_shells, n_el)
-        )
+        center_types = centers.reshape(-1)
+        flat_counts = counts.reshape(-1, tet.n_shells, n_el)
         dedup = self._dedup_rows(center_types, flat_counts)
         if dedup is not None:
             energies = self._unique_row_energies(
                 dedup, center_types, flat_counts
             )
         else:
-            energies = self._potential_energies(center_types, flat_counts)
-        return xp.to_numpy(energies).reshape(n_pairs, n_states)
+            energies = self.potential.energies_from_counts(
+                center_types, flat_counts
+            )
+        return energies.reshape(n_pairs, n_states)
 
     def batch_from_row_energies(
         self, vets: np.ndarray, row_energies: np.ndarray
     ) -> StateEnergiesBatch:
         """Fold a ``(B, 9, n_region)`` energy matrix into hop energetics.
 
-        The exact tail of :meth:`evaluate_batch` — same backend reduction,
-        same validity masking — applied to an externally assembled energy
+        The exact tail of :meth:`evaluate_batch` — same reduction, same
+        validity masking — applied to an externally assembled energy
         matrix (cached rows spliced with freshly re-rated ones).
         """
         vets = np.asarray(vets)
         n_dir = self.tet.N_DIRECTIONS
-        totals = self.xp.to_numpy(
-            self.xp.sum(
-                self.xp.from_numpy(row_energies), axis=2,
-                dtype=self.xp.float64,
-            )
-        )
+        totals = np.sum(row_energies, axis=2, dtype=np.float64)
         nn_species = vets[:, 1 : 1 + n_dir]
         valid = nn_species != self.vacancy_code
         delta = np.where(valid, totals[:, 1:] - totals[:, :1], 0.0)
@@ -786,7 +719,7 @@ class VacancySystemEvaluator:
             n_elements=self.n_elements,
         )
         center0 = vet[: tet.n_region]
-        e0 = self.xp.to_numpy(self._potential_energies(center0, counts0))
+        e0 = self.potential.energies_from_counts(center0, counts0)
         initial = float(np.sum(e0, dtype=np.float64))
 
         nn_species = vet[1 : 1 + tet.N_DIRECTIONS]
@@ -839,7 +772,7 @@ class VacancySystemEvaluator:
                 self.vacancy_code
             )
 
-            e_f = self.xp.to_numpy(self._potential_energies(center_f, counts_f))
+            e_f = self.potential.energies_from_counts(center_f, counts_f)
             for i, k in enumerate(valid_dirs):
                 lo, hi = offsets[i], offsets[i + 1]
                 delta[k] = float(

@@ -31,7 +31,6 @@ import zlib
 
 import numpy as np
 
-from ..core.backend import to_numpy
 from ..core.engine import SerialAKMCBase, TensorKMCEngine
 from ..core.tet import TripleEncoding
 from ..lattice.occupancy import LatticeState
@@ -106,9 +105,7 @@ def save_checkpoint(path: str, engine: SerialAKMCBase) -> None:
     np.savez_compressed(
         path,
         kind=np.array(["serial"]),
-        # to_numpy: the explicit serialisation boundary — checkpoints hold
-        # plain NumPy arrays whichever backend ran the math.
-        occupancy=to_numpy(engine.lattice.occupancy),
+        occupancy=engine.lattice.occupancy,
         shape=np.array(engine.lattice.shape, dtype=np.int64),
         a=np.array([engine.lattice.a]),
         time=np.array([engine.time]),
@@ -163,7 +160,6 @@ def load_checkpoint(
     path: str,
     potential: CountsPotential,
     tet: TripleEncoding | None = None,
-    backend=None,
 ) -> TensorKMCEngine:
     """Rebuild a :class:`TensorKMCEngine` that continues bit-exactly.
 
@@ -174,10 +170,6 @@ def load_checkpoint(
         continuation; it is not stored in the checkpoint).
     tet:
         Optional pre-built TET; rebuilt from the stored cutoff otherwise.
-    backend:
-        Array backend for the resumed run.  Checkpoints are backend-free
-        (everything serialises as NumPy), so a run saved under one backend
-        restores under any other.
     """
     data = _read_archive(path)
     if "kind" in data.files and str(data["kind"][0]) != "serial":
@@ -210,7 +202,6 @@ def load_checkpoint(
         tet,
         temperature=float(data["temperature"][0]),
         rng=rng,
-        backend=backend,
         row_cache=row_cache,
     )
     _restore_row_cache(engine.row_cache, data)
@@ -293,7 +284,7 @@ def save_parallel_checkpoint(path: str, sim) -> None:
         "proximity_violations": np.array(
             [sim.proximity_violations], dtype=np.int64
         ),
-        "occupancy": to_numpy(sim.gather_global().occupancy),
+        "occupancy": sim.gather_global().occupancy,
         "world_stats": np.array(
             [getattr(stats, f) for f in _COMM_FIELDS], dtype=np.int64
         ),
@@ -314,7 +305,7 @@ def save_parallel_checkpoint(path: str, sim) -> None:
     }
     for r, rank in enumerate(sim.ranks):
         keys = rank.kernel.cache.sites
-        arrays[f"rank{r}_occupancy"] = to_numpy(rank.window.occupancy)
+        arrays[f"rank{r}_occupancy"] = rank.window.occupancy
         arrays[f"rank{r}_rng"] = np.array(
             [json.dumps(rank.rng.bit_generator.state)]
         )
@@ -343,15 +334,13 @@ def load_parallel_checkpoint(
     potential: CountsPotential,
     tet: TripleEncoding | None = None,
     fault_plan=None,
-    backend=None,
 ):
     """Rebuild a :class:`SublatticeKMC` whose continuation is bit-exact.
 
     ``potential`` (and optionally ``tet``) are reconstructed by the caller
     exactly as for the serial loader; ``fault_plan`` re-attaches a (stateful)
     :class:`~repro.parallel.faults.FaultPlan` so rollback-and-replay recovery
-    does not re-trigger already-fired faults.  ``backend`` selects the array
-    backend of the resumed run (checkpoints themselves are backend-free).
+    does not re-trigger already-fired faults.
     """
     from ..parallel.engine import CycleStats, SublatticeKMC
 
@@ -381,7 +370,6 @@ def load_parallel_checkpoint(
         seed=int(data["seed"][0]),
         sector_mode=str(data["sector_mode"][0]),
         fault_plan=fault_plan,
-        backend=backend,
         row_cache=row_cache,
     )
     _restore_row_cache(sim.row_cache, data)

@@ -14,7 +14,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core.backend import get_backend, to_numpy
 from ..potentials.base import CountsPotential
 from ..potentials.tables import FeatureTable
 from .dataset import Structure
@@ -110,50 +109,11 @@ class NNPotential(CountsPotential):
         # New scaler == new energy function: bump the parameter epoch so
         # persistent row-energy caches drop values produced by the old one.
         self.params_epoch = getattr(self, "params_epoch", 0) + 1
-        self._stage_standardisation()
 
-    def _stage_standardisation(self) -> None:
-        """Move the scaler/reference buffers onto the active array backend.
-
-        Identity (the very same NumPy arrays) when the potential is
-        NumPy-resident; zero-copy views on torch CPU.
-        """
-        xp = self.array_backend
-        if xp is None or xp.is_numpy:
-            self._mean_x = self.feature_mean
-            self._inv_std_x = self._inv_std
-            self._ref_padded_x = self._ref_padded
-        else:
-            self._mean_x = xp.from_numpy(self.feature_mean)
-            self._inv_std_x = xp.from_numpy(self._inv_std)
-            self._ref_padded_x = xp.from_numpy(self._ref_padded)
-
-    def set_backend(self, backend) -> bool:
-        """Run all rigid-lattice inference on ``backend``.
-
-        Installs the backend on the per-element networks (their tiled-GEMM
-        kernels re-stage weights) and moves the standardisation buffers.
-        The training / continuous off-lattice paths stay NumPy-resident.
-        """
-        xp = get_backend(backend) if backend is not None else None
-        self.array_backend = xp
-        self.networks.set_backend(xp if xp is not None else "numpy")
-        self._stage_standardisation()
-        return True
-
-    def normalise(self, features: np.ndarray, xp=None) -> np.ndarray:
-        """Standardise raw descriptor features (cached reciprocal scale).
-
-        ``xp=None`` (or the NumPy backend) runs the original NumPy path
-        bit-exactly; other backends subtract/scale against the staged
-        buffers.
-        """
-        if xp is None or xp.is_numpy:
-            out = np.subtract(features, self.feature_mean, dtype=np.float32)
-            out *= self._inv_std
-            return out
-        out = xp.astype(xp.asarray(features), xp.float32) - self._mean_x
-        out *= self._inv_std_x
+    def normalise(self, features: np.ndarray) -> np.ndarray:
+        """Standardise raw descriptor features (cached reciprocal scale)."""
+        out = np.subtract(features, self.feature_mean, dtype=np.float32)
+        out *= self._inv_std
         return out
 
     @property
@@ -167,10 +127,7 @@ class NNPotential(CountsPotential):
     def energies_from_counts(
         self, center_types: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
-        xp = self.array_backend
-        if xp is None or xp.is_numpy:
-            center_types = np.asarray(center_types)
-        feats = self.table.features_from_counts(counts, xp=xp)
+        feats = self.table.features_from_counts(counts)
         return self._atom_energies(feats, center_types)
 
     def energies_from_counts_fused(
@@ -185,10 +142,7 @@ class NNPotential(CountsPotential):
         the same deterministic tiled-GEMM kernel, so results are
         bit-identical to :meth:`energies_from_counts`.
         """
-        xp = self.array_backend
-        if xp is None or xp.is_numpy:
-            center_types = np.asarray(center_types)
-        feats = self.table.features_from_counts(counts, xp=xp)
+        feats = self.table.features_from_counts(counts)
         return self._atom_energies(feats, center_types, spec=spec, ledger=ledger)
 
     def _atom_energies(
@@ -204,35 +158,17 @@ class NNPotential(CountsPotential):
         tiled kernel makes each row a pure function of that row's features,
         and the reference-energy gather runs once against the padded table
         (vacancy codes hit the zero slot) instead of per direction.
-
-        NumPy-resident potentials run the original NumPy body verbatim
-        (bit-exact); with an installed backend the same program runs on
-        backend arrays, with species routing kept host-side.
         """
-        xp = self.array_backend
-        if xp is None or xp.is_numpy:
-            species = np.asarray(species)
-            is_atom = species < self.n_elements
-            t = np.where(is_atom, species, 0)
-            norm = self.normalise(features)
-            net = self.networks.forward_big_fusion(
-                norm, t, spec=spec, ledger=ledger
-            ).astype(np.float64)
-            refs = self._ref_padded[np.where(is_atom, species, self.n_elements)]
-            energies = refs + self.energy_scale * net
-            return np.where(is_atom, energies, 0.0)
-        species_np = np.asarray(xp.to_numpy(species))
-        is_atom = species_np < self.n_elements
-        t = np.where(is_atom, species_np, 0)
-        norm = self.normalise(features, xp=xp)
-        net = xp.astype(
-            self.networks.forward_big_fusion(norm, t, spec=spec, ledger=ledger),
-            xp.float64,
-        )
-        ref_idx = np.where(is_atom, species_np, self.n_elements).astype(np.int64)
-        refs = self._ref_padded_x[xp.from_numpy(ref_idx)]
+        species = np.asarray(species)
+        is_atom = species < self.n_elements
+        t = np.where(is_atom, species, 0)
+        norm = self.normalise(features)
+        net = self.networks.forward_big_fusion(
+            norm, t, spec=spec, ledger=ledger
+        ).astype(np.float64)
+        refs = self._ref_padded[np.where(is_atom, species, self.n_elements)]
         energies = refs + self.energy_scale * net
-        return xp.where(xp.from_numpy(is_atom), energies, 0.0)
+        return np.where(is_atom, energies, 0.0)
 
     # ------------------------------------------------------------------
     # Continuous off-lattice path (training / Fig. 7 validation)
@@ -243,7 +179,7 @@ class NNPotential(CountsPotential):
         feats = structure_features(
             structure.species, pairs, self.table, n_elements=self.n_elements
         )
-        return float(np.sum(to_numpy(self._atom_energies(feats, structure.species))))
+        return float(np.sum(self._atom_energies(feats, structure.species)))
 
     def structure_energy_and_forces(
         self, structure: Structure
@@ -258,7 +194,7 @@ class NNPotential(CountsPotential):
             structure.species, pairs, self.table, n_elements=self.n_elements
         )
         species = structure.species
-        energy = float(np.sum(to_numpy(self._atom_energies(feats, species))))
+        energy = float(np.sum(self._atom_energies(feats, species)))
         norm = self.normalise(feats)
         dE_dnorm = self.networks.input_gradient(norm, species).astype(np.float64)
         dE_dfeat = self.energy_scale * dE_dnorm / self.feature_std.astype(np.float64)

@@ -17,7 +17,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..constants import N_ELEMENTS
-from ..core.backend import get_backend
 
 __all__ = ["AtomicNetwork", "ElementNetworks"]
 
@@ -231,8 +230,6 @@ class ElementNetworks:
         self.n_elements = n_elements
         self.channels = tuple(int(c) for c in channels)
         self.dtype = np.dtype(dtype)
-        # Inference array backend (training/backprop stays NumPy-resident).
-        self.xp = get_backend("numpy")
         # Lazily-built per-element deterministic tiled-GEMM executors
         # (:class:`~repro.operators.tilegemm.TileGEMMKernel`).  They alias
         # the live weight arrays (set_parameters copies in place), so no
@@ -242,12 +239,6 @@ class ElementNetworks:
         # accumulation order.
         self._fusers: Dict[int, object] = {}
 
-    def set_backend(self, backend) -> None:
-        """Run inference on ``backend``; drops the cached per-element kernels
-        so they re-stage their weights on the new backend."""
-        self.xp = get_backend(backend)
-        self._fusers = {}
-
     def _kernel_for(self, e: int):
         """The cached deterministic inference kernel for element ``e``."""
         kernel = self._fusers.get(e)
@@ -255,30 +246,19 @@ class ElementNetworks:
             from ..operators.tilegemm import TileGEMMKernel
 
             net = self.nets[e]
-            kernel = TileGEMMKernel(
-                net.weights, net.biases, dtype=self.dtype, backend=self.xp
-            )
+            kernel = TileGEMMKernel(net.weights, net.biases, dtype=self.dtype)
             self._fusers[e] = kernel
         return kernel
 
     def forward(self, features: np.ndarray, species: np.ndarray) -> np.ndarray:
         """Per-atom energies: each atom is routed to its element's network.
 
-        Inference runs through the deterministic tiled-GEMM kernel (same
-        executor as :meth:`forward_big_fusion`), so each atom's energy is
-        bit-identical regardless of how many other atoms share the call.
-        Runs on ``self.xp``; species routing stays host-side (NumPy masks).
+        Inference runs through the deterministic tiled-GEMM kernel (the
+        :meth:`forward_big_fusion` body without a ledger), so each atom's
+        energy is bit-identical regardless of how many other atoms share
+        the call.
         """
-        xp = self.xp
-        features = xp.asarray(features, dtype=self.dtype)
-        species = np.asarray(xp.to_numpy(species))
-        energies = xp.zeros(features.shape[0], dtype=self.dtype)
-        for e in self.nets:
-            mask = species == e
-            if np.any(mask):
-                mask_x = mask if xp.is_numpy else xp.asarray(mask)
-                energies[mask_x] = self._kernel_for(e)(features[mask_x])[:, 0]
-        return energies
+        return self.forward_big_fusion(features, species)
 
     def forward_big_fusion(
         self,
@@ -305,17 +285,15 @@ class ElementNetworks:
             Optional :class:`~repro.sunway.costmodel.CostLedger` accumulating
             the modeled cost of every per-element launch.
         """
-        xp = self.xp
-        features = xp.asarray(features, dtype=self.dtype)
-        species = np.asarray(xp.to_numpy(species))
-        energies = xp.zeros(features.shape[0], dtype=self.dtype)
+        features = np.asarray(features, dtype=self.dtype)
+        species = np.asarray(species)
+        energies = np.zeros(features.shape[0], dtype=self.dtype)
         for e in self.nets:
             mask = species == e
-            if not np.any(mask):
-                continue
-            kernel = self._kernel_for(e)
-            mask_x = mask if xp.is_numpy else xp.asarray(mask)
-            energies[mask_x] = kernel(features[mask_x], ledger=ledger)[:, 0]
+            if np.any(mask):
+                energies[mask] = self._kernel_for(e)(
+                    features[mask], ledger=ledger
+                )[:, 0]
         return energies
 
     def input_gradient(self, features: np.ndarray, species: np.ndarray) -> np.ndarray:

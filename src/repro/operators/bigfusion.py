@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.backend import get_backend
 from ..sunway.costmodel import CostLedger
 from ..sunway.ldm import LDMBudget
 from ..sunway.spec import SW26010_PRO, SunwaySpec
@@ -45,9 +44,6 @@ class BigFusionOperator:
     gemm_efficiency:
         Sustained fraction of SIMD peak; defaults to the paper's measured
         76.64%.
-    backend:
-        Array backend the GEMM + pane accumulation executes on (default:
-        the NumPy reference).
     """
 
     MAX_LAYERS = 8
@@ -58,7 +54,6 @@ class BigFusionOperator:
         biases: Sequence[np.ndarray],
         spec: SunwaySpec = SW26010_PRO,
         gemm_efficiency: Optional[float] = None,
-        backend=None,
     ) -> None:
         if len(weights) != len(biases):
             raise ValueError("weights/biases length mismatch")
@@ -67,12 +62,8 @@ class BigFusionOperator:
                 f"big-fusion supports at most {self.MAX_LAYERS} layers "
                 f"(got {len(weights)}); the paper states the same limit"
             )
-        self.xp = get_backend("numpy") if backend is None else get_backend(backend)
         self.weights = [np.asarray(w, dtype=np.float32) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float32) for b in biases]
-        # Backend-staged copies (identity under NumPy, zero-copy on torch CPU).
-        self._weights_x = [self.xp.from_numpy(w) for w in self.weights]
-        self._biases_x = [self.xp.from_numpy(b) for b in self.biases]
         self.spec = spec
         self.gemm_efficiency = (
             spec.gemm_efficiency if gemm_efficiency is None else gemm_efficiency
@@ -126,13 +117,7 @@ class BigFusionOperator:
         ``m_block``-row blocks per CPE to mirror Algorithm 1, with costs
         charged to ``ledger`` when given.
         """
-        xp = self.xp
-        if xp.aliases_host:
-            weights_x, biases_x = self._weights_x, self._biases_x
-        else:
-            weights_x = [xp.from_numpy(w) for w in self.weights]
-            biases_x = [xp.from_numpy(b) for b in self.biases]
-        x = xp.asarray(x, dtype=np.float32)
+        x = np.asarray(x, dtype=np.float32)
         m = x.shape[0]
         spec = self.spec
         rows_per_iter = spec.n_cpes * self.m_block
@@ -144,8 +129,8 @@ class BigFusionOperator:
             lo = blk * rows_per_iter
             hi = min(m, lo + rows_per_iter)
             h = x[lo:hi]
-            for l, (w, b) in enumerate(zip(weights_x, biases_x)):
-                h = fused_layer(h, w, b, last=(l == n_layers - 1), xp=xp)
+            for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+                h = fused_layer(h, w, b, last=(l == n_layers - 1))
             outputs.append(h)
 
         if ledger is not None:
@@ -167,11 +152,7 @@ class BigFusionOperator:
             )
             ledger.notes["n_blocks"] = float(n_blocks)
             ledger.notes["m_block"] = float(self.m_block)
-        return (
-            self.xp.concatenate(outputs, axis=0)
-            if len(outputs) > 1
-            else outputs[0]
-        )
+        return np.concatenate(outputs, axis=0) if len(outputs) > 1 else outputs[0]
 
     # ------------------------------------------------------------------
     def modeled_time(self, m: int) -> float:

@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.backend import get_backend
 from ..sunway.costmodel import CostLedger
 from ..sunway.spec import SunwaySpec
 
@@ -23,18 +22,13 @@ _F32 = 4
 
 
 def fused_layer(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, last: bool = False, xp=None
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, last: bool = False
 ) -> np.ndarray:
-    """One fused (GEMM + bias + ReLU) layer; no activation on the last layer.
-
-    ``xp`` selects the array backend (default: the NumPy reference, under
-    which every op is the identical pre-backend NumPy call).
-    """
-    xp = get_backend("numpy") if xp is None else get_backend(xp)
-    out = xp.matmul(x, w)
+    """One fused (GEMM + bias + ReLU) layer; no activation on the last layer."""
+    out = np.matmul(x, w)
     out += b
     if not last:
-        xp.relu_(out)
+        np.maximum(out, 0.0, out=out)
     return out
 
 

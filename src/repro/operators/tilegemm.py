@@ -32,7 +32,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.backend import get_backend
 from ..sunway.costmodel import CostLedger
 from ..sunway.ldm import LDMBudget, LDMOverflowError
 from ..sunway.spec import SW26010_PRO, SunwaySpec
@@ -126,14 +125,14 @@ def plan_tiles(
     return TilePlan(m_tile=int(m_tile), k_tile=int(k_tile), channels=channels)
 
 
-def _pad_rows(x, m_tile: int, dtype, xp) -> np.ndarray:
+def _pad_rows(x, m_tile: int, dtype) -> np.ndarray:
     """A ``(m_tile, k)`` C-contiguous block holding ``x`` in its top rows.
 
     The pad rows are zero so downstream layers never see NaN/Inf garbage;
     their outputs are sliced away, so they cannot influence real rows (GEMM
     output row ``i`` reads input row ``i`` only).
     """
-    blk = xp.zeros((m_tile, x.shape[1]), dtype=dtype)
+    blk = np.zeros((m_tile, x.shape[1]), dtype=dtype)
     blk[: x.shape[0]] = x
     return blk
 
@@ -144,7 +143,6 @@ def tiled_matmul(
     m_tile: int,
     k_tile: int,
     out: Optional[np.ndarray] = None,
-    xp=None,
 ) -> np.ndarray:
     """``x @ w`` with a fixed blocking independent of ``x.shape[0]``.
 
@@ -156,36 +154,32 @@ def tiled_matmul(
     which other rows share the call or where in the batch it sits.
 
     ``out``, when given, must be a fresh ``(m, n)`` array of the working
-    dtype; it is overwritten and returned.  ``xp`` selects the array
-    backend; the default is the NumPy reference (never the ``REPRO_BACKEND``
-    env — utility calls stay bit-reproducible unless a backend is passed
-    explicitly), under which every op below is the identical NumPy call.
+    dtype; it is overwritten and returned.
     """
-    xp = get_backend("numpy") if xp is None else get_backend(xp)
-    x = xp.asarray(x)
-    w = xp.asarray(w)
-    dtype = xp.result_type(x, w)
+    x = np.asarray(x)
+    w = np.asarray(w)
+    dtype = np.result_type(x, w)
     m, k = x.shape
     n = w.shape[1]
     if w.shape[0] != k:
         raise ValueError(f"inner dims mismatch: {tuple(x.shape)} @ {tuple(w.shape)}")
     if out is None:
-        out = xp.empty((m, n), dtype=dtype)
+        out = np.empty((m, n), dtype=dtype)
     for r0 in range(0, m, m_tile):
         rows = min(m_tile, m - r0)
         blk = x[r0 : r0 + rows]
         if rows < m_tile:
-            blk = _pad_rows(blk, m_tile, dtype, xp)
-        acc = xp.zeros((m_tile, n), dtype=dtype)
+            blk = _pad_rows(blk, m_tile, dtype)
+        acc = np.zeros((m_tile, n), dtype=dtype)
         for k0 in range(0, k, k_tile):
             kk = min(k_tile, k - k0)
             # Both operands are materialised as C-contiguous full-size tiles
             # so every BLAS call sees the same shapes *and* layout.
-            xb = xp.zeros((m_tile, k_tile), dtype=dtype)
+            xb = np.zeros((m_tile, k_tile), dtype=dtype)
             xb[:, :kk] = blk[:, k0 : k0 + kk]
-            wb = xp.zeros((k_tile, n), dtype=dtype)
+            wb = np.zeros((k_tile, n), dtype=dtype)
             wb[:kk] = w[k0 : k0 + kk]
-            acc += xp.matmul(xb, wb)
+            acc += np.matmul(xb, wb)
         out[r0 : r0 + rows] = acc[:rows]
     return out
 
@@ -230,11 +224,6 @@ class TileGEMMKernel:
     gemm_efficiency:
         Sustained fraction of SIMD peak charged to ledgers; defaults to the
         spec's measured value.
-    backend:
-        Array backend the GEMMs execute on (default: the NumPy reference).
-        On host-aliasing backends (NumPy, torch CPU) the staged weights are
-        zero-copy views of the live arrays, preserving the aliasing
-        contract above; device backends re-stage per call.
     """
 
     def __init__(
@@ -244,7 +233,6 @@ class TileGEMMKernel:
         spec: SunwaySpec = SW26010_PRO,
         gemm_efficiency: Optional[float] = None,
         dtype: Optional[np.dtype] = None,
-        backend=None,
     ) -> None:
         if len(weights) != len(biases):
             raise ValueError("weights/biases length mismatch")
@@ -254,7 +242,6 @@ class TileGEMMKernel:
         self.gemm_efficiency = (
             spec.gemm_efficiency if gemm_efficiency is None else gemm_efficiency
         )
-        self.xp = get_backend("numpy") if backend is None else get_backend(backend)
         self.dtype = np.dtype(dtype if dtype is not None else weights[0].dtype)
         self.plan = plan_tiles(self.weights, self.biases, spec=spec)
         self.channels = self.plan.channels
@@ -262,26 +249,13 @@ class TileGEMMKernel:
             b.nbytes for b in self.biases
         )
         self.n_k_panels = sum(self.plan.k_panels(c) for c in self.channels[:-1])
-        # Backend-staged parameters: identity passes under NumPy, zero-copy
-        # aliases under torch CPU (both track in-place weight updates).
-        self._weights_x = [self.xp.from_numpy(w) for w in self.weights]
-        self._biases_x = [self.xp.from_numpy(b) for b in self.biases]
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def _live_params(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Backend-resident weights/biases that reflect the live arrays."""
-        if self.xp.aliases_host:
-            return self._weights_x, self._biases_x
-        return (
-            [self.xp.from_numpy(w) for w in self.weights],
-            [self.xp.from_numpy(b) for b in self.biases],
-        )
-
     def _layer_tiles(self, w) -> List[np.ndarray]:
-        """The ``(k_tile, n)`` reduction panels of a staged layer weight.
+        """The ``(k_tile, n)`` reduction panels of a layer weight.
 
         Full panels are row-slice *views* of the live (C-contiguous) weight
         array — they track in-place training updates for free and keep the
@@ -294,7 +268,7 @@ class TileGEMMKernel:
             if k0 + kt <= k:
                 tiles.append(w[k0 : k0 + kt])
             else:
-                pad = self.xp.zeros((kt, w.shape[1]), dtype=self.dtype)
+                pad = np.zeros((kt, w.shape[1]), dtype=self.dtype)
                 pad[: k - k0] = w[k0:]
                 tiles.append(pad)
         return tiles
@@ -315,8 +289,7 @@ class TileGEMMKernel:
         *all* layers before the next block starts, mirroring the
         LDM-resident state flow of the modeled CPE kernel.
         """
-        xp = self.xp
-        x = xp.asarray(x, dtype=self.dtype)
+        x = np.asarray(x, dtype=self.dtype)
         m = x.shape[0]
         if x.ndim != 2 or x.shape[1] != self.channels[0]:
             raise ValueError(
@@ -324,30 +297,29 @@ class TileGEMMKernel:
             )
         mt, kt = self.plan.m_tile, self.plan.k_tile
         last = self.n_layers - 1
-        weights_x, biases_x = self._live_params()
-        tiles = [self._layer_tiles(w) for w in weights_x]
-        out = xp.empty((m, self.channels[-1]), dtype=self.dtype)
+        tiles = [self._layer_tiles(w) for w in self.weights]
+        out = np.empty((m, self.channels[-1]), dtype=self.dtype)
         for r0 in range(0, m, mt):
             rows = min(mt, m - r0)
             # Row/column zero-padded activations: pad rows never feed back
             # into real rows (GEMM row purity) and pad columns multiply zero
             # weight rows, so both only add exact zeros to every
             # accumulation.
-            hb = xp.zeros(
+            hb = np.zeros(
                 (mt, self.plan.k_panels(self.channels[0]) * kt),
                 dtype=self.dtype,
             )
             hb[:rows, : self.channels[0]] = x[r0 : r0 + rows]
-            for l, (w, b) in enumerate(zip(weights_x, biases_x)):
+            for l, (w, b) in enumerate(zip(self.weights, self.biases)):
                 n = w.shape[1]
                 lt = tiles[l]
-                acc = xp.zeros((mt, n), dtype=self.dtype)
+                acc = np.zeros((mt, n), dtype=self.dtype)
                 for i in range(len(lt)):
-                    acc += xp.matmul(hb[:, i * kt : (i + 1) * kt], lt[i])
+                    acc += np.matmul(hb[:, i * kt : (i + 1) * kt], lt[i])
                 acc += b
                 if l != last:
-                    xp.relu_(acc)
-                    hb = xp.zeros(
+                    np.maximum(acc, 0.0, out=acc)
+                    hb = np.zeros(
                         (mt, self.plan.k_panels(n) * kt), dtype=self.dtype
                     )
                     hb[:, :n] = acc

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..constants import T_STOP, TEMPERATURE_RPV
-from ..core.backend import get_backend
 from ..core.delta import DeltaRebuilder
 from ..core.kernel import EventKernel, NoMovesError
 from ..core.profiling import PHASES, PhaseProfiler, merge_disjoint
@@ -129,7 +128,6 @@ class RankState:
                 if getattr(evaluator.potential, "batch_row_invariant", False)
                 else None
             ),
-            backend=evaluator.xp,
         )
         # Incremental rebuild callbacks: the rank's coordinate space is the
         # padded window, so VET snapshots are keyed by window-flat site ids
@@ -361,11 +359,6 @@ class SublatticeKMC:
         rank kills, surfaced as structured
         :class:`~repro.parallel.comm.ProtocolError`\\ s (see
         ``repro.parallel.recovery`` for the rollback-and-replay driver).
-    backend:
-        Array backend name/instance for every rank's hot path (default:
-        ``REPRO_BACKEND`` env, then the NumPy golden reference).  All ranks
-        share one evaluator and hence one backend; window occupancy, ghost
-        exchange buffers and checkpoints stay NumPy-resident.
     row_cache / row_cache_mb:
         Persistent row-energy memoization knobs (``"auto"``/``"on"``/
         ``"off"`` and an optional MiB budget), as for the serial engines.
@@ -389,7 +382,6 @@ class SublatticeKMC:
         sector_mode: str = "sublattice",
         ea0=None,
         fault_plan: Optional[FaultPlan] = None,
-        backend=None,
         row_cache: str = "auto",
         row_cache_mb: Optional[float] = None,
     ) -> None:
@@ -405,9 +397,7 @@ class SublatticeKMC:
         grid = grid or choose_grid(n_ranks, lattice.shape)
         self.decomposition = GridDecomposition(lattice.shape, grid)
         self.world = SimCommWorld(self.decomposition.n_ranks, fault_plan=fault_plan)
-        self.xp = get_backend(backend)
-        potential.set_backend(self.xp)
-        evaluator = VacancySystemEvaluator(tet, potential, backend=self.xp)
+        evaluator = VacancySystemEvaluator(tet, potential)
         if lattice.vacancy_code != evaluator.vacancy_code:
             raise ValueError(
                 f"lattice vacancy code {lattice.vacancy_code} != potential's "

@@ -133,7 +133,7 @@ def run_resilient(
             # not replay; the failed cycle never committed any state we keep.
             sim = load_parallel_checkpoint(
                 checkpoint_path, potential, tet=tet,
-                fault_plan=sim.world.fault_plan, backend=sim.xp,
+                fault_plan=sim.world.fault_plan,
             )
             continue
         if len(sim.cycles) % checkpoint_every == 0:

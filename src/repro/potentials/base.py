@@ -59,27 +59,6 @@ class CountsPotential(ABC):
     #: potentials (the EAM tables) may leave the class default.
     params_epoch: int = 0
 
-    #: Array backend the potential's buffers live on, or ``None`` meaning
-    #: NumPy-resident (the default for tabulated/EAM potentials, whose
-    #: reductions run host-side).  Evaluators consult this to convert
-    #: arguments at the call boundary; see :meth:`set_backend`.
-    array_backend = None
-
-    def set_backend(self, backend) -> bool:
-        """Ask the potential to move its buffers onto ``backend``.
-
-        The base implementation only accepts the NumPy backend (recording
-        it is a no-op) and reports ``False`` for anything else, leaving the
-        potential NumPy-resident — evaluators then convert at the call
-        boundary.  Potentials whose math is pure array code (the NNP)
-        override this to install backend-resident buffers and return
-        ``True``.
-        """
-        if backend is not None and getattr(backend, "is_numpy", False):
-            self.array_backend = backend
-            return True
-        return False
-
     @property
     def vacancy_code(self) -> int:
         """The species code marking vacant sites (``n_elements``)."""
@@ -115,7 +94,6 @@ def counts_from_types(
     neighbor_shell: np.ndarray,
     n_shells: int,
     n_elements: int = N_ELEMENTS,
-    xp=None,
 ) -> np.ndarray:
     """Build the shell-type counts tensor from per-site neighbour types.
 
@@ -129,22 +107,12 @@ def counts_from_types(
         sites: shell only depends on the relative offset, see NET).
     n_shells, n_elements:
         Output tensor dimensions.
-    xp:
-        Array backend to compute on (default: the NumPy reference).  Under
-        the NumPy backend every call below is the identical NumPy call, so
-        the result is bit-exact with the pre-backend implementation.
 
     Returns
     -------
-    ``(..., n_shells, n_elements)`` float32 counts tensor on ``xp``.
+    ``(..., n_shells, n_elements)`` float32 counts tensor.
     """
-    if xp is None:
-        # Imported lazily: repro.core imports this module at package-init
-        # time, so a top-level backend import would be circular.
-        from ..core.backend import get_backend
-
-        xp = get_backend("numpy")
-    neighbor_types = xp.asarray(neighbor_types)
+    neighbor_types = np.asarray(neighbor_types)
     lead_shape = tuple(neighbor_types.shape[:-1])
     n_local = int(neighbor_types.shape[-1])
     flat_types = neighbor_types.reshape(-1, n_local)
@@ -155,12 +123,12 @@ def counts_from_types(
     # <= n_local, exactly representable in float32, so the result is exact
     # (and independent of BLAS blocking / row count) — vacancies and any
     # out-of-range code simply never compare equal.
-    shell_idx = xp.astype(xp.asarray(neighbor_shell), xp.int64)
-    shell_onehot = xp.zeros((n_local, n_shells), dtype=xp.float32)
-    shell_onehot[xp.arange(n_local), shell_idx] = 1.0
-    counts = xp.empty((n_rows, n_shells, n_elements), dtype=xp.float32)
+    shell_idx = np.asarray(neighbor_shell).astype(np.int64)
+    shell_onehot = np.zeros((n_local, n_shells), dtype=np.float32)
+    shell_onehot[np.arange(n_local), shell_idx] = 1.0
+    counts = np.empty((n_rows, n_shells, n_elements), dtype=np.float32)
     for e in range(n_elements):
-        counts[:, :, e] = xp.matmul(
-            xp.astype(flat_types == e, xp.float32), shell_onehot
+        counts[:, :, e] = np.matmul(
+            (flat_types == e).astype(np.float32), shell_onehot
         )
     return counts.reshape(*lead_shape, n_shells, n_elements)

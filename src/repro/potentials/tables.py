@@ -76,27 +76,21 @@ class FeatureTable:
         """Number of (p, q) descriptor dimensions."""
         return int(self.table.shape[1])
 
-    def features_from_counts(self, counts: np.ndarray, xp=None) -> np.ndarray:
+    def features_from_counts(self, counts: np.ndarray) -> np.ndarray:
         """Per-site feature vectors from shell-type counts.
 
         Parameters
         ----------
         counts: ``(..., n_shells, n_elements)``.
-        xp: optional array backend to contract on (default: NumPy; under it
-            every call is the identical pre-backend NumPy call).
 
         Returns
         -------
         ``(..., n_elements * n_dim)`` features laid out element-major:
         ``f[..., e * n_dim + d] = sum_s counts[..., s, e] * TABLE[s, d]``.
         """
-        if xp is None or xp.is_numpy:
-            counts = np.asarray(counts, dtype=self.table.dtype)
-            feats = np.einsum("...se,sd->...ed", counts, self.table)
-            return feats.reshape(*counts.shape[:-2], -1)
-        counts = xp.astype(xp.asarray(counts), self.table.dtype)
-        feats = xp.einsum("...se,sd->...ed", counts, xp.from_numpy(self.table))
-        return feats.reshape(*tuple(counts.shape[:-2]), -1)
+        counts = np.asarray(counts, dtype=self.table.dtype)
+        feats = np.einsum("...se,sd->...ed", counts, self.table)
+        return feats.reshape(*counts.shape[:-2], -1)
 
     def continuous_term(self, r: np.ndarray) -> np.ndarray:
         """Eq. 5 per-neighbour term for arbitrary distances: ``(..., n_dim)``.

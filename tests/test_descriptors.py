@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constants import CU, FE
 from repro.lattice import LatticeState
@@ -40,6 +42,38 @@ class TestPairList:
         # The lone atom sees its own images.
         assert pairs.n_pairs > 0
         assert np.all(pairs.i == 0) and np.all(pairs.j == 0)
+
+
+def _counts_reference(neighbor_types, neighbor_shell, n_shells, n_elements):
+    """Straightforward loop reference for counts_from_types."""
+    neighbor_types = np.asarray(neighbor_types)
+    lead = neighbor_types.shape[:-1]
+    flat = neighbor_types.reshape(-1, neighbor_types.shape[-1])
+    out = np.zeros((flat.shape[0], n_shells, n_elements), dtype=np.float32)
+    for row in range(flat.shape[0]):
+        for slot, t in enumerate(flat[row]):
+            if 0 <= int(t) < n_elements:
+                out[row, int(neighbor_shell[slot]), int(t)] += 1.0
+    return out.reshape(*lead, n_shells, n_elements)
+
+
+class TestCountsFromTypes:
+    @given(
+        n_rows=st.integers(min_value=1, max_value=6),
+        n_local=st.integers(min_value=1, max_value=12),
+        n_shells=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_counts_from_types_matches_reference(
+        self, n_rows, n_local, n_shells, seed
+    ):
+        rng = np.random.default_rng(seed)
+        types = rng.integers(0, 4, size=(n_rows, n_local)).astype(np.int16)
+        shells = rng.integers(0, n_shells, size=n_local).astype(np.int16)
+        got = counts_from_types(types, shells, n_shells, n_elements=2)
+        ref = _counts_reference(types, shells, n_shells, 2)
+        np.testing.assert_array_equal(got, ref)
 
 
 class TestEq5VsEq6:

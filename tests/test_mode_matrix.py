@@ -19,12 +19,12 @@ same occupancy, but a clock that differs in the last bits (its per-direction
 sums run in another order), so it has no row here.  The knobs are gone;
 these rows guard the single path that is left.
 
-The settings that still exist — NumPy backend (default / explicit), row
-cache (off / auto / a tiny "on" budget), campaign mode (shared /
-sequential) — are run over their whole product below, together
-with the two miss paths the engines pick by themselves (batched, and
-per-slot for a potential that is not ``batch_row_invariant``) and the
-uncached OpenKMC baseline: each must land on its row.
+The settings that still exist — row cache (off / auto / a tiny "on"
+budget) and campaign mode (shared / sequential) — are run over their
+whole product below, together with the two miss paths the engines pick
+by themselves (batched, and per-slot for a potential that is not
+``batch_row_invariant``) and the uncached OpenKMC baseline: each must
+land on its row.
 """
 
 import copy
@@ -83,7 +83,6 @@ PARALLEL_NAIVE = (
 )
 
 
-BACKENDS = pytest.mark.parametrize("backend", (None, "numpy"))
 ROW_CACHES = pytest.mark.parametrize("row_cache", ("off", "auto", "on"))
 POTENTIALS = pytest.mark.parametrize("pot", ("eam", "nnp"))
 
@@ -139,11 +138,10 @@ def _row_cache_kw(row_cache, budget_mb):
 
 class TestGoldenTrajectories:
     @POTENTIALS
-    @BACKENDS
     @ROW_CACHES
-    def test_serial(self, request, tet_small, pot, backend, row_cache):
+    def test_serial(self, request, tet_small, pot, row_cache):
         engine = _serial(
-            tet_small, _potential(request, pot), backend=backend,
+            tet_small, _potential(request, pot),
             **_row_cache_kw(row_cache, TINY_MB),
         )
         assert _serial_identity(engine) == _golden(pot)
@@ -183,11 +181,10 @@ class TestGoldenTrajectories:
         assert got == _golden(pot)
 
     @POTENTIALS
-    @BACKENDS
     @ROW_CACHES
-    def test_parallel_4_ranks(self, request, tet_small, pot, backend, row_cache):
+    def test_parallel_4_ranks(self, request, tet_small, pot, row_cache):
         sim = _parallel(
-            tet_small, _potential(request, pot), backend=backend,
+            tet_small, _potential(request, pot),
             **_row_cache_kw(row_cache, PARALLEL_MB),
         )
         got = _parallel_identity(sim)

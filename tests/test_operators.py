@@ -64,6 +64,25 @@ class TestConvEquivalence:
         out = fused_layer(x, w, b, last=True)
         assert np.allclose(out, x @ w + b)
 
+    @given(
+        m=st.integers(min_value=1, max_value=8),
+        k=st.integers(min_value=1, max_value=8),
+        n=st.integers(min_value=1, max_value=8),
+        last=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fused_layer_matches_plain_numpy(self, m, k, n, last, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, k)).astype(np.float32)
+        w = rng.standard_normal((k, n)).astype(np.float32)
+        b = rng.standard_normal(n).astype(np.float32)
+        got = fused_layer(x.copy(), w, b, last=last)
+        ref = np.matmul(x, w) + b
+        if not last:
+            ref = np.maximum(ref, 0.0)
+        np.testing.assert_array_equal(got, ref)
+
 
 class TestLayeredForward:
     def test_matches_network_forward(self, paper_net):
