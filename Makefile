@@ -55,8 +55,8 @@ campaign-suite:
 	PYTHONPATH=src python benchmarks/bench_campaign_smoke.py
 
 # Row-cache suite: the persistent row-energy memoization contract tests —
-# LRU/eviction/epoch-invalidation unit behaviour, packed-signature
-# injectivity fuzz, serial/parallel/campaign trajectory identity with the
+# LRU/eviction/epoch-invalidation unit behaviour, row-key grouping fuzz
+# and forced key collisions, serial/parallel/campaign trajectory identity with the
 # cache on vs off (incl. cold-cache checkpoint resume), the Fenwick
 # batch-vs-sequential and history-independence properties — then the row_cache
 # section of the kernel smoke benchmark (rebuild-phase speedup gate at

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ..constants import N_ELEMENTS
-from ..core.rowcache import ROW_ENTRY_BYTES
+from ..core.rowcache import row_entry_bytes
 from ..core.tet import TripleEncoding
 from ..potentials.tables import FeatureTable
 
@@ -85,9 +85,11 @@ def tensorkmc_memory_model(
     footprint of an engine that rebuilds in full (a campaign replica, or a
     potential that is not ``batch_row_invariant``).
     ``row_cache`` charges the persistent row-energy memo by resident entry
-    count at :data:`~repro.core.rowcache.ROW_ENTRY_BYTES` per entry — the
-    same constant :meth:`RowEnergyCache.memory_bytes` reports, so the
-    analytic term is validated against live bytes like the snapshots are.
+    count at :func:`~repro.core.rowcache.row_entry_bytes` per entry (key,
+    energy and the stored row checked on every hit, ``tet.n_shells *
+    N_ELEMENTS`` counts wide) — the same figure
+    :meth:`RowEnergyCache.memory_bytes` reports, so the analytic term is
+    validated against live bytes like the snapshots are.
     In a dilute alloy the distinct-environment count saturates at a tiny,
     domain-independent value, so this term is O(1) in practice (and the
     LRU byte budget makes it O(1) by construction).
@@ -113,7 +115,8 @@ def tensorkmc_memory_model(
         "VAC_cache": float(n_vacancies) * entry_bytes,
         "TET_tables": float(tet_bytes),
         "feature_table": float(table.table.nbytes) if table is not None else 0.0,
-        "row_cache": float(row_cache) * ROW_ENTRY_BYTES,
+        "row_cache": float(row_cache)
+        * row_entry_bytes(tet.n_shells * N_ELEMENTS),
     }
     report["total"] = sum(v for k, v in report.items() if k != "total")
     return report

@@ -1,29 +1,40 @@
 """Persistent row-energy memoization for the evaluator miss path.
 
 ``VacancySystemEvaluator._dedup_rows`` already proves that most rows in a
-dilute alloy recur — it packs each ``(centre species, shell counts)`` row
-into one int64 signature and collapses duplicates — but the dedup only
-lives *within one batch* and then forgets.  The paper's VET hash cache
-(Sec. 3.4) observes that the set of distinct local environments over a
-trajectory is tiny and stable, so row energies should be computed once
-per *environment*, not once per batch.  :class:`RowEnergyCache` makes the
-dedup persistent in time (across batches and steps) and in space (one
-cache shared across campaign replicas).
+dilute alloy recur — it keys each ``(centre species, shell counts)`` row
+and collapses duplicates — but the dedup only lives *within one batch*
+and then forgets.  The paper's VET hash cache (Sec. 3.4) observes that
+the set of distinct local environments over a trajectory is tiny and
+stable, so row energies should be computed once per *environment*, not
+once per batch.  :class:`RowEnergyCache` makes the dedup persistent in
+time (across batches and steps) and in space (one cache shared across
+campaign replicas).
 
-Soundness rests on exactly the same contract as in-batch dedup: the
-potential must be ``batch_row_invariant`` — an identical row produces
-bit-identical energy regardless of the batch it appears in.  Under that
-contract a cache hit returns the same bits a fresh evaluation would, so
-trajectories with the cache on are bit-identical to ``row_cache="off"``.
+The content address is :func:`row_keys`: a wrapping 64-bit sum of one
+fixed pseudo-random weight per row column, ``key = w_0·centre +
+Σ_j w_j·count_j (mod 2^64)``.  Every row width goes through this one
+path, and because the key is a sum of per-column terms, a change in one
+(shell, species) count patches it by one term.  A 64-bit address cannot
+be injective, so it is never trusted alone: in-batch dedup compares every
+row against the first row of its group, and every cache entry stores its
+row next to its energy, so a hit counts only when the stored row equals
+the probed one.  A key collision therefore costs one extra evaluation —
+a miss — and never a wrong energy.
 
-Cached values are stored as Python scalars keyed by the packed Python-int
-signature.  The float32/float64 -> Python float widening is exact and the
-narrowing back to the original dtype is the identity, so the round-trip
-preserves every bit.  Eviction is LRU (an ``OrderedDict`` clock): every
-hit touches its entry, inserts append, and the byte budget pops from the
-cold end.  Contents are deliberately *not* checkpointed — a restart
-rebuilds the cache from cold, bit-identically — but the monotonic
-hit/miss/eviction counters are, so resumed runs report honest totals.
+Soundness of serving a stored energy rests on the same contract as
+in-batch dedup: the potential must be ``batch_row_invariant`` — an
+identical row produces bit-identical energy regardless of the batch it
+appears in.  Under that contract a cache hit returns the same bits a
+fresh evaluation would, so trajectories with the cache on are
+bit-identical to ``row_cache="off"``.
+
+Entries live in slab arrays (rows, energies in their own dtype, so the
+round-trip preserves every bit) addressed through a key -> slot map.
+Eviction is LRU (an ``OrderedDict`` clock): every hit touches its entry,
+inserts append, and the byte budget pops from the cold end.  Contents
+are deliberately *not* checkpointed — a restart rebuilds the cache from
+cold, bit-identically — but the monotonic hit/miss/eviction counters
+are, so resumed runs report honest totals.
 """
 
 from __future__ import annotations
@@ -38,11 +49,58 @@ import numpy as np
 #: is still only consulted where dedup runs), ``off`` disables it.
 ROW_CACHE_MODES = ("auto", "on", "off")
 
-#: Analytic per-entry byte charge: one packed int64 key plus one float64
-#: value.  ``tensorkmc_memory_model(row_cache=...)`` charges the same
-#: constant, and :meth:`RowEnergyCache.memory_bytes` reports it, so the
-#: model is validated against live bytes exactly like delta snapshots.
+#: One weight per row column (the centre species, then each
+#: ``(shell, species)`` count), drawn once from a fixed seed so keys are
+#: reproducible across runs and processes.  Rows may be up to this wide.
+ROW_KEY_WEIGHTS = np.random.default_rng(0x5EED_0C0DE).integers(
+    0, 2**64, size=1024, dtype=np.uint64
+)
+
+#: Analytic per-entry byte charge besides the stored row: the int64 key
+#: plus one float64 energy.
 ROW_ENTRY_BYTES = 16
+
+
+def row_entry_bytes(n_channels: int) -> int:
+    """Analytic bytes of one cache entry for rows of ``n_channels`` counts.
+
+    The key and energy (:data:`ROW_ENTRY_BYTES`) plus the int64 row kept
+    for the check on every hit: the centre species and the counts.
+    ``tensorkmc_memory_model(row_cache=...)`` charges the same figure and
+    :meth:`RowEnergyCache.memory_bytes` reports it, so the model is
+    validated against live bytes exactly like delta snapshots.
+    """
+    return ROW_ENTRY_BYTES + 8 * (1 + int(n_channels))
+
+
+def row_keys(center_types: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Additive 64-bit content address of each ``(centre, counts)`` row.
+
+    ``key = w_0·centre + Σ_j w_{1+j}·counts[:, j] (mod 2^64)`` with the
+    weights of :data:`ROW_KEY_WEIGHTS`, returned as int64; ``counts`` is
+    ``(n, C)`` and holds exact integers (any numeric dtype).  Equal rows
+    always share a key; distinct rows almost never do, and callers check
+    rows wherever a shared key would be acted on.
+    """
+    width = 1 + counts.shape[1]
+    if width > len(ROW_KEY_WEIGHTS):
+        raise ValueError(
+            f"rows of {width} columns exceed the {len(ROW_KEY_WEIGHTS)} "
+            f"row-key weights"
+        )
+    # Unsigned arithmetic wraps by definition; int64 views keep the bits.
+    weights = ROW_KEY_WEIGHTS[:width]
+    keys = counts.astype(np.int64).view(np.uint64) @ weights[1:]
+    keys += center_types.astype(np.int64).view(np.uint64) * weights[0]
+    return keys.view(np.int64)
+
+
+def stored_rows(center_types: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The int64 rows ``[centre, counts...]`` a cache entry keeps and checks."""
+    rows = np.empty((len(center_types), 1 + counts.shape[1]), dtype=np.int64)
+    rows[:, 0] = center_types
+    rows[:, 1:] = counts
+    return rows
 
 
 def resolve_row_cache(mode: str, potential) -> bool:
@@ -68,25 +126,30 @@ def resolve_row_cache(mode: str, potential) -> bool:
 
 
 class RowEnergyCache:
-    """Content-addressed LRU map from packed row signatures to energies.
+    """Content-addressed LRU map from verified row keys to row energies.
 
     Parameters
     ----------
     max_bytes:
-        Resident-size budget in bytes (``ROW_ENTRY_BYTES`` per entry);
+        Resident-size budget in bytes (:func:`row_entry_bytes` per entry);
         ``None`` means unbounded.  Inserting past the budget evicts from
         the least-recently-used end until the cache fits again.
     """
 
     def __init__(self, max_bytes: int | None = None) -> None:
-        if max_bytes is not None and max_bytes < ROW_ENTRY_BYTES:
-            raise ValueError(
-                f"row cache budget {max_bytes} B cannot hold a single "
-                f"{ROW_ENTRY_BYTES} B entry"
-            )
+        if max_bytes is not None:
+            # The row width is only known at the first insert, which
+            # checks again against the real entry size.
+            _check_budget(max_bytes, row_entry_bytes(1))
         self.max_bytes = max_bytes
-        self._entries: OrderedDict[int, float] = OrderedDict()
-        self._value_dtype: np.dtype | None = None
+        # key -> slab slot, in LRU order (coldest first).
+        self._slot_of: OrderedDict[int, int] = OrderedDict()
+        # Slabs of stored rows and energies; the first insert allocates
+        # them and so fixes the row width and the value dtype.
+        self._rows: np.ndarray | None = None
+        self._values: np.ndarray | None = None
+        self._n_slots = 0  # slab prefix ever handed out
+        self._free: list[int] = []  # slots released by eviction
         self._potential_token: tuple[int, int] | None = None
         # Monotonic counters: they survive clears and invalidations so
         # checkpoint-resumed runs keep reporting cumulative totals.
@@ -113,59 +176,106 @@ class RowEnergyCache:
 
     def clear(self) -> None:
         """Drop all cached rows (counters are monotonic and persist)."""
-        self._entries.clear()
-        self._value_dtype = None
+        self._slot_of.clear()
+        self._rows = self._values = None
+        self._n_slots = 0
+        self._free = []
 
     # -- lookup / insert ----------------------------------------------
 
-    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Probe the cache for each packed key.
+    def lookup(
+        self, keys: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Probe the cache for each ``(key, row)`` pair.
 
-        Returns ``(found, values)`` where ``found`` is a boolean mask and
-        ``values`` holds the cached energies (in the cache's value dtype)
-        at found positions, zeros elsewhere.  Every hit is touched to the
-        hot end of the LRU clock.
+        ``rows[i]`` is the int64 row whose :func:`row_keys` address is
+        ``keys[i]``.  A probe hits only when the key is present *and* the
+        entry's stored row equals ``rows[i]``, so a key collision is a
+        miss.  Returns ``(found, values)`` where ``found`` is a boolean
+        mask and ``values`` holds the cached energies (in the cache's
+        value dtype) at found positions, zeros elsewhere.  In a bounded
+        cache every hit is touched to the hot end of the LRU clock; an
+        unbounded one never evicts, so it skips the touch.
         """
-        entries = self._entries
         n = len(keys)
-        dtype = self._value_dtype if self._value_dtype is not None else np.float64
-        found = np.zeros(n, dtype=bool)
-        values = np.zeros(n, dtype=dtype)
-        hits = 0
-        for i, key in enumerate(keys.tolist()):
-            value = entries.get(key)
-            if value is not None:
-                entries.move_to_end(key)
-                found[i] = True
-                values[i] = value
-                hits += 1
-        self.hits += hits
-        self.misses += n - hits
+        if not self._slot_of:
+            self.misses += n
+            dtype = np.float64 if self._values is None else self._values.dtype
+            return np.zeros(n, dtype=bool), np.zeros(n, dtype=dtype)
+        get = self._slot_of.get
+        slots = np.array([get(k, -1) for k in keys.tolist()], dtype=np.intp)
+        # A probe without its key reads some other stored row; the key
+        # test masks it.  A present key whose row differs is a collision.
+        found = (slots >= 0) & (self._rows[slots] == rows).all(axis=1)
+        values = np.where(found, self._values[slots], 0)
+        if self.max_bytes is not None:
+            touch = self._slot_of.move_to_end
+            for key in keys[found].tolist():
+                touch(key)
+        n_hits = int(np.count_nonzero(found))
+        self.hits += n_hits
+        self.misses += n - n_hits
         return found, values
 
-    def insert(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Insert freshly evaluated rows and enforce the byte budget."""
-        if len(keys) == 0:
+    def insert(
+        self, keys: np.ndarray, rows: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Store freshly evaluated rows and energies; enforce the budget.
+
+        A key already present takes the new row and energy (after a
+        collision the entry holds the newer row); a key repeated within
+        one call keeps its last row.
+        """
+        n = len(keys)
+        if n == 0:
             return
-        if self._value_dtype is None:
-            self._value_dtype = values.dtype
-        entries = self._entries
-        for key, value in zip(keys.tolist(), values.tolist()):
-            entries[key] = value
-            entries.move_to_end(key)
+        if self._rows is None:
+            if self.max_bytes is not None:
+                _check_budget(self.max_bytes, row_entry_bytes(rows.shape[1] - 1))
+            self._rows = np.empty((n, rows.shape[1]), dtype=np.int64)
+            self._values = np.empty(n, dtype=values.dtype)
+        slot_of, free = self._slot_of, self._free
+        latest = dict(zip(keys.tolist(), range(n)))
+        slots = []
+        for key in latest:
+            slot = slot_of.pop(key, None)
+            if slot is None:
+                if free:
+                    slot = free.pop()
+                else:
+                    slot = self._n_slots
+                    self._n_slots += 1
+            slot_of[key] = slot  # (re-)enters at the hot end
+            slots.append(slot)
+        extra = self._n_slots - len(self._rows)
+        if extra > 0:
+            extra = max(extra, len(self._rows))  # amortised doubling
+            self._rows = np.concatenate(
+                [self._rows, np.empty((extra, self._rows.shape[1]), np.int64)]
+            )
+            self._values = np.concatenate(
+                [self._values, np.empty(extra, self._values.dtype)]
+            )
+        picked = list(latest.values())
+        self._rows[slots] = rows[picked]
+        self._values[slots] = values[picked]
         if self.max_bytes is not None:
-            while len(entries) * ROW_ENTRY_BYTES > self.max_bytes:
-                entries.popitem(last=False)
+            capacity = self.max_bytes // self._entry_bytes()
+            while len(slot_of) > capacity:
+                free.append(slot_of.popitem(last=False)[1])
                 self.evictions += 1
 
     # -- accounting ----------------------------------------------------
 
+    def _entry_bytes(self) -> int:
+        return row_entry_bytes(self._rows.shape[1] - 1)
+
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._slot_of)
 
     def memory_bytes(self) -> int:
         """Resident bytes under the analytic per-entry charge."""
-        return len(self._entries) * ROW_ENTRY_BYTES
+        return len(self) * self._entry_bytes() if len(self) else 0
 
     @property
     def hit_rate(self) -> float:
@@ -191,6 +301,14 @@ class RowEnergyCache:
     def summary(self) -> dict:
         out = dict(self.counters())
         out["row_cache_hit_rate"] = self.hit_rate
-        out["row_cache_entries"] = len(self._entries)
+        out["row_cache_entries"] = len(self)
         out["row_cache_bytes"] = self.memory_bytes()
         return out
+
+
+def _check_budget(max_bytes: int, entry_bytes: int) -> None:
+    if max_bytes < entry_bytes:
+        raise ValueError(
+            f"row cache budget {max_bytes} B cannot hold a single "
+            f"{entry_bytes} B entry"
+        )

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..potentials.base import CountsPotential, counts_from_types
 from ..sunway.costmodel import CostLedger, charge_batched_rate_eval
+from .rowcache import row_keys, stored_rows
 from .tet import TripleEncoding
 
 __all__ = ["StateEnergies", "StateEnergiesBatch", "VacancySystemEvaluator"]
@@ -246,7 +247,7 @@ class VacancySystemEvaluator:
 
         The cache (a :class:`~repro.core.rowcache.RowEnergyCache`) is
         consulted wherever in-batch dedup runs: before each potential call
-        the unique rows' packed signatures are probed, only never-seen
+        the unique rows are probed by key and row, only never-seen
         rows go through the potential, and the fresh energies are inserted
         for the next batch.  Soundness is the dedup contract itself —
         ``batch_row_invariant`` guarantees a cached row's bits equal a
@@ -262,49 +263,34 @@ class VacancySystemEvaluator:
         """The attached :class:`RowEnergyCache`, or ``None``."""
         return self._row_cache
 
-    def _cached_unique_energies(self, packed, first, center_types, flat_counts):
-        """Energies of the unique rows, served from the row cache.
-
-        ``packed``/``first`` come from :meth:`_dedup_rows`; cached rows are
-        looked up by their packed signature, only the misses are evaluated
-        through the potential (one smaller GEMM stack), and the fresh
-        energies are inserted.  Assembly is pure scatter — no arithmetic
-        touches any value on the way through the cache — so the result is
-        bit-identical to evaluating every unique row fresh.
-        """
-        cache = self._row_cache
-        cache.sync(self.potential)
-        ukeys = packed[first]
-        found, cached = cache.lookup(ukeys)
-        if found.all():
-            return cached
-        miss_idx = np.flatnonzero(~found)
-        fresh = self.potential.energies_from_counts(
-            center_types[first][miss_idx], flat_counts[first][miss_idx]
-        )
-        cache.insert(ukeys[miss_idx], fresh)
-        out = np.zeros(len(ukeys), dtype=fresh.dtype)
-        out[found] = cached[found].astype(fresh.dtype, copy=False)
-        out[miss_idx] = fresh
-        return out
-
     def _unique_row_energies(self, dedup, center_types, flat_counts):
-        """Energies of the dedup'd unique rows, through the cache if attached.
+        """Energies of every row, from the first row of its dedup group.
 
-        ``dedup`` is a non-``None`` result of :meth:`_dedup_rows`.  The
-        cache is only consulted in the packed-int64 key domain (the wide
-        raw-bytes fallback reports ``packed=None``) — outside it the
-        unique rows are evaluated directly, exactly as before.
+        ``dedup`` is a non-``None`` result of :meth:`_dedup_rows`.  With a
+        row cache attached, those first rows are probed by key and row,
+        only the misses are evaluated through the potential (one smaller
+        GEMM stack), and the fresh energies are inserted.  Assembly is
+        pure scatter — no arithmetic touches any value on the way through
+        the cache — so the result is bit-identical to evaluating every
+        unique row fresh.
         """
-        first, inverse, packed = dedup
-        if self._row_cache is not None and packed is not None:
-            energies = self._cached_unique_energies(
-                packed, first, center_types, flat_counts
+        first, inverse, keys = dedup
+        centres, counts = center_types[first], flat_counts[first]
+        cache = self._row_cache
+        if cache is None:
+            return self.potential.energies_from_counts(centres, counts)[inverse]
+        cache.sync(self.potential)
+        ukeys = keys[first]
+        urows = stored_rows(centres, counts.reshape(len(first), -1))
+        found, energies = cache.lookup(ukeys, urows)
+        miss = np.flatnonzero(~found)
+        if miss.size:
+            fresh = self.potential.energies_from_counts(
+                centres[miss], counts[miss]
             )
-        else:
-            energies = self.potential.energies_from_counts(
-                center_types[first], flat_counts[first]
-            )
+            cache.insert(ukeys[miss], urows[miss], fresh)
+            energies = energies.astype(fresh.dtype, copy=False)
+            energies[miss] = fresh
         return energies[inverse]
 
     def _charge_rate_eval(self, n_vets: int) -> None:
@@ -401,61 +387,63 @@ class VacancySystemEvaluator:
         )
 
     def _dedup_rows(self, center_types, counts):
-        """First-occurrence / inverse maps of identical site rows, or None.
+        """Group identical site rows, or ``None`` where dedup does not pay.
 
         Two rows are identical when they share the centre species and the
         whole shell-counts signature — then a row-invariant potential is
-        guaranteed to produce bit-identical energies for both, so only the
-        first occurrence needs evaluating.  Returns ``None`` (no dedup) for
-        potentials without that guarantee, else ``(first, inverse, packed)``
-        where ``packed`` holds the per-row int64 signatures (the row
-        cache's content address) or ``None`` when the wide fallback keyed
-        the rows byte-wise instead.
+        guaranteed to produce bit-identical energies for both, so only one
+        row per group needs evaluating.  Returns ``None`` (no dedup) for
+        potentials without that guarantee, else
+        ``(first, inverse, keys)``: ``keys`` holds each row's
+        :func:`~repro.core.rowcache.row_keys` content address (the row
+        cache's key; counts are exact small integers), ``first`` the
+        leading row of each group and ``inverse`` each row's group, so row
+        ``first[inverse[i]]`` equals row ``i``.
 
-        Rows whose values fit 8 bits pack into one int64 key per row (a
-        typed sort is far cheaper than byte-wise comparisons); wider rows
-        fall back to a raw-bytes key over the exact integer values.
+        Rows are grouped by key, and every row is then checked against
+        its group's first row: rows that share a key without being equal
+        (a collision) are split off as groups of their own, so a collision
+        costs an evaluation and never a wrong energy.  Every row width
+        takes this one path.
 
-        Only network potentials (``network_channels``) pay for the unique
-        sort, where skipping duplicate rows saves whole GEMM stacks; cheap
-        tabulated/EAM reductions evaluate duplicates faster than the sort
-        that would remove them.  Either way the bits are the same: duplicate
-        rows of a row-invariant potential evaluate identically.
+        Only network potentials (``network_channels``) pay for the
+        grouping sort, where skipping duplicate rows saves whole GEMM
+        stacks; cheap tabulated/EAM reductions evaluate duplicates faster
+        than the sort that would remove them.  Either way the bits are the
+        same: duplicate rows of a row-invariant potential evaluate
+        identically.
         """
         pot = self.potential
         if not getattr(pot, "batch_row_invariant", False) or (
             getattr(pot, "network_channels", None) is None
         ):
             return None
-        vals = counts.reshape(counts.shape[0], -1)
-        n_vals = int(vals.shape[1])
-        n_rows = int(vals.shape[0])
-        if (n_vals + 1) * 8 <= 64 and (
-            n_rows * n_vals == 0 or bool(vals.max() < 256)
-        ):
-            packed = center_types.astype(np.int64)
-            ivals = vals.astype(np.int64)
-            for j in range(n_vals):
-                packed = (packed << 8) | ivals[:, j]
-            _, first, inverse = np.unique(
-                packed, return_index=True, return_inverse=True
-            )
-            return first, inverse, packed
-        # Counts are exact small integers, so an int64 staging matrix keys
-        # the wide rows losslessly through a raw-bytes view — a float32 one
-        # would collide beyond the 24-bit mantissa.  These keys never enter
-        # the row cache (``None`` marks them out of the packed-int64
-        # content-address domain).
-        wide = np.empty((n_rows, n_vals + 1), dtype=np.int64)
-        wide[:, 0] = center_types
-        wide[:, 1:] = vals
-        key = np.ascontiguousarray(wide).view(
-            np.dtype((np.void, wide.shape[1] * wide.itemsize))
-        ).ravel()
-        _, first, inverse = np.unique(
-            key, return_index=True, return_inverse=True
-        )
-        return first, inverse, None
+        n_rows = int(counts.shape[0])
+        vals = counts.reshape(n_rows, -1)
+        keys = row_keys(center_types, vals)
+        # Group by one value sort (far cheaper than an argsort or
+        # np.unique) of the keys with each row's index in their low bits:
+        # the sort yields the permutation, the first row of each group
+        # leads it, and rows whose keys differ only in those low bits are
+        # split off by the row check below like any other collision.
+        bits = max(n_rows - 1, 1).bit_length()
+        tagged = np.sort((keys >> bits << bits) | np.arange(n_rows))
+        order = tagged & ((1 << bits) - 1)
+        group = tagged >> bits
+        starts = np.empty(n_rows, dtype=bool)
+        starts[:1] = True
+        np.not_equal(group[1:], group[:-1], out=starts[1:])
+        first = order[starts]
+        inverse = np.empty(n_rows, dtype=np.intp)
+        inverse[order] = np.cumsum(starts) - 1
+        of = first[inverse]
+        same_centre = center_types[of] == center_types
+        same_counts = vals[of] == vals
+        if not (same_centre.all() and same_counts.all()):
+            clash = np.flatnonzero(~(same_centre & same_counts.all(axis=1)))
+            inverse[clash] = len(first) + np.arange(len(clash))
+            first = np.concatenate([first, clash])
+        return first, inverse, keys
 
     def evaluate_batch(self, vets: np.ndarray) -> StateEnergiesBatch:
         """Hop energetics of ``B`` vacancy systems in one fused pipeline.

@@ -43,17 +43,16 @@ def alloy_lattice(tet_small: TripleEncoding) -> LatticeState:
     return lattice
 
 
-@pytest.fixture(scope="session")
-def nnp_small(tet_small: TripleEncoding) -> NNPotential:
-    """An untrained (random-weight) NNP over the small shells.
+def _random_nnp(tet: TripleEncoding, rcut: float) -> NNPotential:
+    """An untrained (random-weight) NNP over ``tet``'s shells.
 
     Random weights are fine for algorithmic tests — the engines only need a
     deterministic CountsPotential.
     """
     rng = np.random.default_rng(11)
-    table = FeatureTable(tet_small.shell_distances)
+    table = FeatureTable(tet.shell_distances)
     nets = ElementNetworks((2 * table.n_dim, 16, 8, 1), rng)
-    model = NNPotential(table, nets, rcut=2.87)
+    model = NNPotential(table, nets, rcut=rcut)
     # Non-trivial standardisation so both code paths are exercised.
     model.set_standardisation(
         feature_mean=np.full(2 * table.n_dim, 0.1, dtype=np.float32),
@@ -62,3 +61,19 @@ def nnp_small(tet_small: TripleEncoding) -> NNPotential:
         energy_scale=0.05,
     )
     return model
+
+
+@pytest.fixture(scope="session")
+def nnp_small(tet_small: TripleEncoding) -> NNPotential:
+    return _random_nnp(tet_small, 2.87)
+
+
+@pytest.fixture(scope="session")
+def tet_wide() -> TripleEncoding:
+    """4-shell TET: rows of 8 (shell, species) counts, still cheap."""
+    return TripleEncoding(rcut=4.8)
+
+
+@pytest.fixture(scope="session")
+def nnp_wide(tet_wide: TripleEncoding) -> NNPotential:
+    return _random_nnp(tet_wide, 4.8)

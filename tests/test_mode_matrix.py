@@ -25,6 +25,11 @@ whole product below, together with the two miss paths the engines pick
 by themselves (batched, and per-slot for a potential that is not
 ``batch_row_invariant``) and the uncached OpenKMC baseline: each must
 land on its row.
+
+One more serial NNP row runs a 4-shell TET, whose rows of 8 counts are
+too wide for one byte per count in 64 bits.  It was captured with the row
+cache off, when rows that wide still bypassed the cache; now the cache
+keys them like any other row and must land on the same values.
 """
 
 import copy
@@ -34,18 +39,20 @@ import pytest
 
 from repro.baseline import OpenKMCEngine
 from repro.campaign import ReplicaCampaign, ReplicaSpec, occupancy_digest
+from repro.constants import N_ELEMENTS
 from repro.core.engine import TensorKMCEngine
+from repro.core.rowcache import row_entry_bytes
 from repro.lattice import LatticeState
 from repro.parallel import SublatticeKMC
 
 N_STEPS = 40
 N_CYCLES = 6
 
-#: 16 row-cache entries of 16 B, in the engines' MiB unit — far below the
-#: working set, so hits, evictions and re-inserts cycle continuously.
-TINY_MB = 16 * 16 / (1024.0 * 1024.0)
-#: 64 entries for the parallel runs (one cache shared by all ranks).
-PARALLEL_MB = 64 * 16 / (1024.0 * 1024.0)
+#: Row-cache entries of the tiny "on" budget — far below the working set,
+#: so hits, evictions and re-inserts cycle continuously.
+TINY_ENTRIES = 16
+#: Entries for the parallel runs (one cache shared by all ranks).
+PARALLEL_ENTRIES = 64
 
 #: ``(digest, clock)`` of the serial runs.
 SERIAL_EAM = (
@@ -55,6 +62,11 @@ SERIAL_EAM = (
 SERIAL_NNP = (
     "c19eadec28bf009d9f3375a806999d00eb4482150219f13a804b94741ed7eaf3",
     "0x1.cafc84d3023b9p-31",
+)
+#: ``(digest, clock)`` of the serial NNP run on the 4-shell TET.
+SERIAL_NNP_WIDE = (
+    "f3fc9f5eb8f04d653d0ca67a93f81cf080d6f24edd5caac6430025ab767e3add",
+    "0x1.cbb8a9662c055p-31",
 )
 #: ``(digest, clock, events per cycle)`` of the 4-rank runs.
 PARALLEL_EAM = (
@@ -129,10 +141,12 @@ def _parallel_identity(sim):
     )
 
 
-def _row_cache_kw(row_cache, budget_mb):
+def _row_cache_kw(row_cache, n_entries, tet):
+    """Engine kwargs; ``on`` gets a budget of ``n_entries`` of ``tet``'s rows."""
     kw = {"row_cache": row_cache}
     if row_cache == "on":
-        kw["row_cache_mb"] = budget_mb
+        entry = row_entry_bytes(tet.n_shells * N_ELEMENTS)
+        kw["row_cache_mb"] = n_entries * entry / (1024.0 * 1024.0)
     return kw
 
 
@@ -142,7 +156,7 @@ class TestGoldenTrajectories:
     def test_serial(self, request, tet_small, pot, row_cache):
         engine = _serial(
             tet_small, _potential(request, pot),
-            **_row_cache_kw(row_cache, TINY_MB),
+            **_row_cache_kw(row_cache, TINY_ENTRIES, tet_small),
         )
         assert _serial_identity(engine) == _golden(pot)
         if pot == "nnp" and row_cache == "on":
@@ -150,6 +164,21 @@ class TestGoldenTrajectories:
             counters = engine.kernel.counters()
             assert counters["row_cache_hits"] > 0
             assert counters["row_cache_evictions"] > 0
+            assert len(engine.row_cache) == TINY_ENTRIES
+
+    @ROW_CACHES
+    def test_serial_wide_rows(self, tet_wide, nnp_wide, row_cache):
+        engine = _serial(
+            tet_wide, nnp_wide,
+            **_row_cache_kw(row_cache, TINY_ENTRIES, tet_wide),
+        )
+        assert _serial_identity(engine) == SERIAL_NNP_WIDE
+        counters = engine.kernel.counters()
+        if row_cache == "auto":
+            assert counters["row_cache_hits"] > 0
+        if row_cache == "on":
+            assert counters["row_cache_evictions"] > 0
+            assert len(engine.row_cache) == TINY_ENTRIES
 
     @POTENTIALS
     def test_per_slot_miss_path(self, request, tet_small, pot):
@@ -185,7 +214,7 @@ class TestGoldenTrajectories:
     def test_parallel_4_ranks(self, request, tet_small, pot, row_cache):
         sim = _parallel(
             tet_small, _potential(request, pot),
-            **_row_cache_kw(row_cache, PARALLEL_MB),
+            **_row_cache_kw(row_cache, PARALLEL_ENTRIES, tet_small),
         )
         got = _parallel_identity(sim)
         assert got == {"eam": PARALLEL_EAM, "nnp": PARALLEL_NNP}[pot]

@@ -1,8 +1,10 @@
 """Propensity stores: linear scan vs Fenwick tree equivalence."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.propensity import FenwickPropensity, LinearPropensity
@@ -83,6 +85,7 @@ class TestBasics:
 class TestEquivalence:
     @given(values=values_strategy, fractions=st.lists(
         st.floats(min_value=0.0, max_value=0.999999), min_size=1, max_size=8))
+    @example(values=[0.0, 1.0, 2.75e-114, 1.0], fractions=[0.5])
     @settings(max_examples=80, deadline=None)
     def test_tree_matches_linear(self, values, fractions):
         total = sum(values)
@@ -91,13 +94,25 @@ class TestEquivalence:
         lin = _filled(LinearPropensity, values)
         fen = _filled(FenwickPropensity, values)
         assert fen.total == pytest.approx(lin.total, rel=1e-12)
+        # Each store's prefix sums are rounded differently (the linear
+        # store's cumsum can absorb a tiny slot outright), each by at most
+        # this much.
+        rounding = len(values) * 2.0**-52 * total
         for f in fractions:
             u = f * min(lin.total, fen.total)
             if not u < min(lin.total, fen.total):  # denormal rounding edge
                 continue
             slot_l, rem_l = lin.select(u)
             slot_f, rem_f = fen.select(u)
-            assert slot_l == slot_f
+            if slot_l != slot_f:
+                # Only legitimate where u sits on the boundaries between
+                # the two picks, to within rounding of the exact sums.
+                lo, hi = sorted((slot_l, slot_f))
+                assert all(
+                    abs(math.fsum(values[:k]) - u) <= rounding
+                    for k in range(lo + 1, hi + 1)
+                ), (slot_l, slot_f, u)
+                continue
             assert rem_l == pytest.approx(rem_f, abs=1e-6 * max(total, 1.0))
 
     @given(values=values_strategy, updates=st.lists(

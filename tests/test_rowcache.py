@@ -5,9 +5,11 @@ energies across batches under the same ``batch_row_invariant`` contract
 that licenses in-batch dedup, so the observable guarantee is absolute:
 every fixed-seed trajectory (serial, parallel, campaign, resumed from a
 checkpoint) is bit-identical with the cache on and off — including when a
-tiny byte budget forces constant evict/re-insert cycling.  The packed
-int64 signature is the content address, so its injectivity over the
-admissible domain (values < 256, at most 7 channels) is fuzzed here too.
+tiny byte budget forces constant evict/re-insert cycling.  The additive
+64-bit row key is only an address: dedup and the cache both check the row
+itself, so the tests below force key collisions and require the exact
+energies anyway, and fuzz that grouping by key recovers the true distinct
+rows for any row width.
 """
 
 import numpy as np
@@ -17,12 +19,14 @@ from hypothesis import strategies as st
 
 from repro.baseline.memory_model import tensorkmc_memory_model
 from repro.campaign import ReplicaCampaign, ReplicaSpec, occupancy_digest
+from repro.core import rowcache
 from repro.core.engine import TensorKMCEngine
 from repro.core.rowcache import (
     ROW_CACHE_MODES,
-    ROW_ENTRY_BYTES,
     RowEnergyCache,
     resolve_row_cache,
+    row_entry_bytes,
+    row_keys,
 )
 from repro.core.vacancy_system import VacancySystemEvaluator
 from repro.io import (
@@ -35,6 +39,16 @@ from repro.lattice import LatticeState
 from repro.parallel import SublatticeKMC
 
 
+def _entries(*ids):
+    """Keys and distinct int64 rows ``[i, i + 1, i + 2]`` (2 channels)."""
+    rows = np.array([[i, i + 1, i + 2] for i in ids], dtype=np.int64)
+    return row_keys(rows[:, 0], rows[:, 1:]), rows
+
+
+#: Bytes of one :func:`_entries` row's cache entry.
+ENTRY = row_entry_bytes(2)
+
+
 # ---------------------------------------------------------------------------
 # Unit behaviour
 # ---------------------------------------------------------------------------
@@ -45,46 +59,71 @@ class TestRowEnergyCacheUnit:
         cache = RowEnergyCache()
         for dtype in (np.float32, np.float64):
             cache.clear()
-            keys = np.array([3, 7, 11], dtype=np.int64)
+            keys, rows = _entries(3, 7, 11)
             values = np.array(
                 [0.1, -4.000000001, np.pi], dtype=dtype
             )
-            cache.insert(keys, values)
-            found, got = cache.lookup(keys)
+            cache.insert(keys, rows, values)
+            found, got = cache.lookup(keys, rows)
             assert found.all()
             assert got.dtype == values.dtype
-            # Bit-exact through the Python-float staging, not just close.
+            # Bit-exact through the slab, not just close.
             assert np.array_equal(
                 got.view(np.uint8), values.view(np.uint8)
             )
 
     def test_lookup_counts_hits_and_misses(self):
         cache = RowEnergyCache()
-        cache.insert(np.array([1, 2]), np.array([0.5, 1.5]))
-        found, _ = cache.lookup(np.array([1, 2, 3]))
+        keys, rows = _entries(1, 2, 3)
+        cache.insert(keys[:2], rows[:2], np.array([0.5, 1.5]))
+        found, _ = cache.lookup(keys, rows)
         assert found.tolist() == [True, True, False]
         assert (cache.hits, cache.misses) == (2, 1)
         assert cache.hit_rate == pytest.approx(2.0 / 3.0)
 
+    def test_stored_row_mismatch_is_a_miss(self):
+        """A present key whose stored row differs from the probe's row
+        is a collision: a miss, never the stored energy."""
+        cache = RowEnergyCache()
+        keys, rows = _entries(1, 2)
+        cache.insert(keys[:1], rows[:1], np.array([0.5]))
+        found, values = cache.lookup(keys[:1], rows[1:])
+        assert found.tolist() == [False] and values.tolist() == [0.0]
+        assert (cache.hits, cache.misses) == (0, 1)
+        # Inserting the other row under the same key replaces the entry.
+        cache.insert(keys[:1], rows[1:], np.array([2.5]))
+        assert len(cache) == 1
+        assert cache.lookup(keys[:1], rows[1:])[1].tolist() == [2.5]
+        assert not cache.lookup(keys[:1], rows[:1])[0].any()
+
     def test_lru_eviction_order(self):
         # Budget for exactly two entries; touching key 1 must save it.
-        cache = RowEnergyCache(max_bytes=2 * ROW_ENTRY_BYTES)
-        cache.insert(np.array([1, 2]), np.array([1.0, 2.0]))
-        cache.lookup(np.array([1]))  # key 1 is now hottest
-        cache.insert(np.array([3]), np.array([3.0]))
+        cache = RowEnergyCache(max_bytes=2 * ENTRY)
+        keys, rows = _entries(1, 2, 3)
+        cache.insert(keys[:2], rows[:2], np.array([1.0, 2.0]))
+        cache.lookup(keys[:1], rows[:1])  # key 1 is now hottest
+        cache.insert(keys[2:], rows[2:], np.array([3.0]))
         assert cache.evictions == 1
-        found, _ = cache.lookup(np.array([1, 2, 3]))
+        found, values = cache.lookup(keys, rows)
         assert found.tolist() == [True, False, True]
+        # The evicted entry's slot was reused without disturbing the rest.
+        assert values.tolist() == [1.0, 0.0, 3.0]
 
     def test_budget_too_small_rejected(self):
         with pytest.raises(ValueError, match="cannot hold a single"):
-            RowEnergyCache(max_bytes=ROW_ENTRY_BYTES - 1)
+            RowEnergyCache(max_bytes=row_entry_bytes(1) - 1)
+        # The real row width is checked when the first row arrives.
+        cache = RowEnergyCache(max_bytes=ENTRY - 1)
+        keys, rows = _entries(1)
+        with pytest.raises(ValueError, match=f"single {ENTRY} B entry"):
+            cache.insert(keys, rows, np.array([1.0]))
 
     def test_sync_invalidates_on_epoch_change(self, nnp_small):
         cache = RowEnergyCache()
         cache.sync(nnp_small)
-        cache.insert(np.array([1]), np.array([1.0]))
-        cache.lookup(np.array([1]))
+        keys, rows = _entries(1)
+        cache.insert(keys, rows, np.array([1.0]))
+        cache.lookup(keys, rows)
         assert len(cache) == 1
         # Same potential, same epoch: contents survive.
         cache.sync(nnp_small)
@@ -112,14 +151,19 @@ class TestRowEnergyCacheUnit:
         }
         assert len(cache) == 0  # contents stay cold
 
-    def test_memory_bytes_matches_analytic_model(self, tet_small):
-        cache = RowEnergyCache()
-        cache.insert(np.arange(37), np.arange(37, dtype=np.float64))
-        report = tensorkmc_memory_model(
-            n_sites=1024, n_vacancies=4, tet=tet_small, row_cache=len(cache)
-        )
-        assert report["row_cache"] == cache.memory_bytes()
-        assert cache.memory_bytes() == 37 * ROW_ENTRY_BYTES
+    def test_memory_bytes_matches_analytic_model(self, tet_small, tet_wide):
+        for tet in (tet_small, tet_wide):  # 4- and 8-count rows
+            width = 1 + tet.n_shells * 2  # centre + (shell, species) counts
+            rows = np.arange(37 * width, dtype=np.int64).reshape(37, width)
+            cache = RowEnergyCache()
+            keys = row_keys(rows[:, 0], rows[:, 1:])
+            cache.insert(keys, rows, np.arange(37.0))
+            report = tensorkmc_memory_model(
+                n_sites=1024, n_vacancies=4, tet=tet, row_cache=len(cache)
+            )
+            assert report["row_cache"] == cache.memory_bytes()
+            # Key and energy, plus the int64 row kept for the hit check.
+            assert cache.memory_bytes() == 37 * (16 + 8 * width)
 
     def test_summary_keys(self):
         cache = RowEnergyCache()
@@ -155,7 +199,7 @@ class TestResolveRowCache:
 
 
 # ---------------------------------------------------------------------------
-# Packed-signature injectivity (the content address must not collide)
+# Row keys: grouping by key must recover the distinct rows exactly
 # ---------------------------------------------------------------------------
 
 
@@ -165,26 +209,18 @@ def evaluator(tet_small, nnp_small):
     return VacancySystemEvaluator(tet_small, nnp_small)
 
 
-admissible_row = st.tuples(
-    st.integers(min_value=0, max_value=255),  # centre species byte
-    st.lists(
-        st.integers(min_value=0, max_value=255), min_size=1, max_size=7
-    ),
-)
-
-
 class TestPackedSignature:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_injective_over_admissible_domain(self, evaluator, data):
-        """Distinct rows -> distinct packed keys (and vice versa).
+        """Dedup groups exactly the identical rows, for any row width.
 
-        The admissible domain of the one-int64 packing is values < 256
-        over at most 7 channels plus the centre byte; within it the key
-        is a bijection onto 8-byte strings, so the unique-row count seen
-        by dedup (and the cache) equals the true distinct-row count.
+        Rows of 1-24 channels with values 0-255 — wider than the old
+        one-byte-per-value packing could hold — must give as many groups
+        as there are distinct rows, and ``first[inverse]`` must rebuild
+        every row.
         """
-        n_vals = data.draw(st.integers(min_value=1, max_value=7))
+        n_vals = data.draw(st.integers(min_value=1, max_value=24))
         rows = data.draw(
             st.lists(
                 st.tuples(
@@ -199,25 +235,92 @@ class TestPackedSignature:
         )
         center = np.array([r[0] for r in rows], dtype=np.int64)
         counts = np.array([r[1] for r in rows], dtype=np.float32)
-        first, inverse, packed = evaluator._dedup_rows(center, counts)
-        assert packed is not None
+        first, inverse, keys = evaluator._dedup_rows(center, counts)
         truth = {(r[0], tuple(r[1])) for r in rows}
-        assert len(np.unique(packed)) == len(truth)
-        # first/inverse must reconstruct the exact rows.
-        assert np.array_equal(packed[first][inverse], packed)
+        assert len(first) == len(truth)
+        assert np.array_equal(center[first][inverse], center)
+        assert np.array_equal(counts[first][inverse], counts)
+        assert np.array_equal(keys, row_keys(center, counts))
 
     def test_wide_fallback_keys_are_integer_exact(self, tet_small, nnp_small):
-        """Regression: >7-channel rows used a float32 staging matrix whose
-        24-bit mantissa collapsed distinct large counts onto one key."""
+        """Regression: >7-channel rows once went through a float32 staging
+        matrix whose 24-bit mantissa collapsed distinct large counts onto
+        one key.  Rows are integer-exact whatever their width."""
         ev = VacancySystemEvaluator(tet_small, nnp_small)
         center = np.zeros(2, dtype=np.int64)
-        wide = np.zeros((2, 8), dtype=np.float64)  # 8 channels -> fallback
+        wide = np.zeros((2, 8), dtype=np.float64)
         wide[0, 0] = 2.0**24
         wide[1, 0] = 2.0**24 + 1  # float32(2**24 + 1) == float32(2**24)
-        first, inverse, packed = ev._dedup_rows(center, wide)
-        assert packed is None  # out of the packed content-address domain
+        first, inverse, keys = ev._dedup_rows(center, wide)
         assert len(first) == 2  # the two rows must NOT collapse
         assert inverse[0] != inverse[1]
+        assert keys[0] != keys[1]
+
+
+class TestForcedCollision:
+    """Two distinct rows forced onto one key still get their own energies.
+
+    Weight columns 1 and 2 are made equal, so a row with one count in
+    column 1 and a row with one count in column 2 share a key.  Each
+    row's energy must equal a plain per-row potential evaluation.
+    """
+
+    @staticmethod
+    def _rows(monkeypatch, nnp, offset):
+        """Rows A, B, A, B whose keys differ by ``offset``."""
+        weights = rowcache.ROW_KEY_WEIGHTS.copy()
+        weights[2] = weights[1] + np.uint64(offset)
+        monkeypatch.setattr(rowcache, "ROW_KEY_WEIGHTS", weights)
+        center = np.zeros(4, dtype=np.int64)
+        counts = np.zeros((4, 2, 2), dtype=np.float32)
+        counts[[0, 2], 0, 0] = 1.0  # row A, twice
+        counts[[1, 3], 0, 1] = 1.0  # row B, twice
+        exact = nnp.energies_from_counts(center, counts)
+        assert exact[0] != exact[1]  # the collision would be visible
+        keys = row_keys(center, counts.reshape(4, -1))
+        assert keys[1] - keys[0] == offset
+        return center, counts, exact
+
+    @pytest.fixture()
+    def colliding(self, monkeypatch, nnp_small):
+        return self._rows(monkeypatch, nnp_small, 0)
+
+    def test_in_batch_dedup_splits_colliding_rows(self, evaluator, colliding):
+        center, counts, exact = colliding
+        dedup = evaluator._dedup_rows(center, counts)
+        first, inverse, _ = dedup
+        assert np.array_equal(counts[first[inverse]], counts)
+        got = evaluator._unique_row_energies(dedup, center, counts)
+        assert np.array_equal(got, exact)
+
+    def test_keys_differing_in_low_bits_stay_apart(
+        self, monkeypatch, evaluator, nnp_small
+    ):
+        """Dedup sorts keys with the row index in their low bits, so keys
+        differing only there land in one group; the row check splits it."""
+        center, counts, exact = self._rows(monkeypatch, nnp_small, 1)
+        dedup = evaluator._dedup_rows(center, counts)
+        first, inverse, _ = dedup
+        assert np.array_equal(counts[first[inverse]], counts)
+        got = evaluator._unique_row_energies(dedup, center, counts)
+        assert np.array_equal(got, exact)
+
+    def test_cache_hit_on_colliding_key_is_a_miss(
+        self, tet_small, nnp_small, colliding
+    ):
+        center, counts, exact = colliding
+        ev = VacancySystemEvaluator(tet_small, nnp_small)
+        cache = ev.attach_row_cache(RowEnergyCache())
+        for rows in ([0], [1]):  # A is cached, then B probes A's key
+            dedup = ev._dedup_rows(center[rows], counts[rows])
+            got = ev._unique_row_energies(dedup, center[rows], counts[rows])
+            assert np.array_equal(got, exact[rows])
+        assert (cache.hits, cache.misses) == (0, 2)
+        # B replaced A under the shared key, so B now hits.
+        dedup = ev._dedup_rows(center[[1]], counts[[1]])
+        got = ev._unique_row_energies(dedup, center[[1]], counts[[1]])
+        assert np.array_equal(got, exact[[1]])
+        assert (cache.hits, cache.misses) == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +366,12 @@ class TestSerialTrajectory:
     ):
         # A 16-entry budget far below the working set forces continuous
         # evict/re-insert churn; the trajectory must not notice.
+        entry = row_entry_bytes(tet_small.n_shells * 2)
         engine = _serial_engine(
             tet_small, nnp_small, row_cache="on",
-            row_cache_mb=16 * ROW_ENTRY_BYTES / (1024.0 * 1024.0),
+            row_cache_mb=16 * entry / (1024.0 * 1024.0),
         )
-        assert engine.row_cache.max_bytes == 16 * ROW_ENTRY_BYTES
+        assert engine.row_cache.max_bytes == 16 * entry
         engine.run(n_steps=N_STEPS, on_no_moves="stop")
         assert (occupancy_digest(engine.lattice), engine.time) == serial_off
         assert engine.row_cache.evictions > 0
