@@ -56,13 +56,17 @@ campaign-suite:
 
 # Row-cache suite: the persistent row-energy memoization contract tests —
 # LRU/eviction/epoch-invalidation unit behaviour, row-key grouping fuzz
-# and forced key collisions, serial/parallel/campaign trajectory identity with the
+# and forced key collisions, one-byte rows and the no-wrap guard,
+# serial/parallel/campaign trajectory identity with the
 # cache on vs off (incl. cold-cache checkpoint resume), the Fenwick
-# batch-vs-sequential and history-independence properties — then the row_cache
-# section of the kernel smoke benchmark (rebuild-phase speedup gate at
-# vacancy 0.02, digest identity).
+# batch-vs-sequential and history-independence properties, the Table 1
+# memory model whose row-entry and miss-transient accounting the cache
+# and the bounded miss pipeline are checked against (the bounded-peak test
+# is tests/test_mode_matrix.py::TestBoundedColdRefresh, run by
+# campaign-suite) — then the row_cache section of the kernel smoke
+# benchmark (rebuild-phase speedup gate at vacancy 0.02, digest identity).
 rowcache-suite:
-	PYTHONPATH=src python -m pytest -x -q tests/test_rowcache.py tests/test_propensity.py
+	PYTHONPATH=src python -m pytest -x -q tests/test_rowcache.py tests/test_propensity.py tests/test_memory_model.py
 	PYTHONPATH=src python -m pytest -x -q benchmarks/bench_kernel_smoke.py::test_row_cache_is_faster_and_trajectory_identical
 
 # What CI runs: tier-1 tests, the kernel smoke benchmark, the e2e harness

@@ -14,8 +14,9 @@ from __future__ import annotations
 from typing import Dict
 
 from ..constants import N_ELEMENTS
-from ..core.rowcache import row_entry_bytes
+from ..core.rowcache import row_dtype, row_entry_bytes
 from ..core.tet import TripleEncoding
+from ..core.vacancy_system import miss_transient_bytes
 from ..potentials.tables import FeatureTable
 
 __all__ = [
@@ -87,12 +88,20 @@ def tensorkmc_memory_model(
     ``row_cache`` charges the persistent row-energy memo by resident entry
     count at :func:`~repro.core.rowcache.row_entry_bytes` per entry (key,
     energy and the stored row checked on every hit, ``tet.n_shells *
-    N_ELEMENTS`` counts wide) — the same figure
+    N_ELEMENTS`` counts wide, one :func:`~repro.core.rowcache.row_dtype`
+    item per value) — the same figure
     :meth:`RowEnergyCache.memory_bytes` reports, so the analytic term is
     validated against live bytes like the snapshots are.
     In a dilute alloy the distinct-environment count saturates at a tiny,
     domain-independent value, so this term is O(1) in practice (and the
     LRU byte budget makes it O(1) by construction).
+
+    ``miss_transient`` is not resident: it is the scratch memory of the
+    largest miss-pipeline chunk the cold refresh of ``n_vacancies`` runs
+    (:func:`~repro.core.vacancy_system.miss_transient_bytes`, the same
+    per-row figure the evaluator sizes its chunks with).  It is bounded by
+    :data:`~repro.core.vacancy_system.MISS_CHUNK_BYTES`, so ``total`` is a
+    bound on the peak, not only the resident size.
     """
     entry_bytes = (
         tet.n_all * 8  # vet_ids (int64)
@@ -116,7 +125,10 @@ def tensorkmc_memory_model(
         "TET_tables": float(tet_bytes),
         "feature_table": float(table.table.nbytes) if table is not None else 0.0,
         "row_cache": float(row_cache)
-        * row_entry_bytes(tet.n_shells * N_ELEMENTS),
+        * row_entry_bytes(
+            tet.n_shells * N_ELEMENTS, row_dtype(tet, N_ELEMENTS).itemsize
+        ),
+        "miss_transient": float(miss_transient_bytes(tet, n_vacancies)),
     }
     report["total"] = sum(v for k, v in report.items() if k != "total")
     return report

@@ -28,8 +28,10 @@ appears in.  Under that contract a cache hit returns the same bits a
 fresh evaluation would, so trajectories with the cache on are
 bit-identical to ``row_cache="off"``.
 
-Entries live in slab arrays (rows, energies in their own dtype, so the
-round-trip preserves every bit) addressed through a key -> slot map.
+Entries live in slab arrays addressed through a key -> slot map.  Rows
+are stored in the narrowest unsigned dtype that holds every value a row
+can take under the TET (:func:`row_dtype`: one byte for every shipped
+TET), energies in their own dtype, so the round-trip preserves every bit.
 Eviction is LRU (an ``OrderedDict`` clock): every hit touches its entry,
 inserts append, and the byte budget pops from the cold end.  Contents
 are deliberately *not* checkpointed — a restart rebuilds the cache from
@@ -61,16 +63,29 @@ ROW_KEY_WEIGHTS = np.random.default_rng(0x5EED_0C0DE).integers(
 ROW_ENTRY_BYTES = 16
 
 
-def row_entry_bytes(n_channels: int) -> int:
+def row_entry_bytes(n_channels: int, itemsize: int) -> int:
     """Analytic bytes of one cache entry for rows of ``n_channels`` counts.
 
-    The key and energy (:data:`ROW_ENTRY_BYTES`) plus the int64 row kept
-    for the check on every hit: the centre species and the counts.
+    The key and energy (:data:`ROW_ENTRY_BYTES`) plus the row kept for the
+    check on every hit — the centre species and the counts — at
+    ``itemsize`` bytes per value (the :func:`row_dtype` of the TET).
     ``tensorkmc_memory_model(row_cache=...)`` charges the same figure and
     :meth:`RowEnergyCache.memory_bytes` reports it, so the model is
     validated against live bytes exactly like delta snapshots.
     """
-    return ROW_ENTRY_BYTES + 8 * (1 + int(n_channels))
+    return ROW_ENTRY_BYTES + int(itemsize) * (1 + int(n_channels))
+
+
+def row_dtype(tet, n_elements: int) -> np.dtype:
+    """Narrowest unsigned dtype of the rows stored under ``tet``.
+
+    A row holds the centre species — at most the vacancy code
+    ``n_elements`` — and neighbour counts, each at most the site count of
+    the TET's largest shell (24 at rcut 6.5), so every shipped TET stores
+    one byte per value.
+    """
+    largest_shell = int(np.bincount(np.asarray(tet.cet_shell)).max())
+    return np.min_scalar_type(max(largest_shell, int(n_elements)))
 
 
 def row_keys(center_types: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -95,9 +110,23 @@ def row_keys(center_types: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return keys.view(np.int64)
 
 
-def stored_rows(center_types: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The int64 rows ``[centre, counts...]`` a cache entry keeps and checks."""
-    rows = np.empty((len(center_types), 1 + counts.shape[1]), dtype=np.int64)
+def stored_rows(
+    center_types: np.ndarray, counts: np.ndarray, dtype: np.dtype
+) -> np.ndarray:
+    """The rows ``[centre, counts...]`` a cache entry keeps and checks.
+
+    Stored as ``dtype`` (see :func:`row_dtype`); a value outside its range
+    raises :class:`ValueError` instead of wrapping onto another row.
+    """
+    rows = np.empty((len(center_types), 1 + counts.shape[1]), dtype=dtype)
+    if rows.size:
+        lo = min(center_types.min(), counts.min())
+        hi = max(center_types.max(), counts.max())
+        if lo < 0 or hi > np.iinfo(rows.dtype).max:
+            raise ValueError(
+                f"row values span [{lo}, {hi}], outside the {rows.dtype} "
+                f"row dtype"
+            )
     rows[:, 0] = center_types
     rows[:, 1:] = counts
     return rows
@@ -138,14 +167,15 @@ class RowEnergyCache:
 
     def __init__(self, max_bytes: int | None = None) -> None:
         if max_bytes is not None:
-            # The row width is only known at the first insert, which
-            # checks again against the real entry size.
-            _check_budget(max_bytes, row_entry_bytes(1))
+            # The row width and dtype are only known at the first insert,
+            # which checks again against the real entry size.
+            _check_budget(max_bytes, row_entry_bytes(1, 1))
         self.max_bytes = max_bytes
         # key -> slab slot, in LRU order (coldest first).
         self._slot_of: OrderedDict[int, int] = OrderedDict()
         # Slabs of stored rows and energies; the first insert allocates
-        # them and so fixes the row width and the value dtype.
+        # them and so fixes the row width, the row dtype and the value
+        # dtype.
         self._rows: np.ndarray | None = None
         self._values: np.ndarray | None = None
         self._n_slots = 0  # slab prefix ever handed out
@@ -188,10 +218,10 @@ class RowEnergyCache:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Probe the cache for each ``(key, row)`` pair.
 
-        ``rows[i]`` is the int64 row whose :func:`row_keys` address is
-        ``keys[i]``.  A probe hits only when the key is present *and* the
-        entry's stored row equals ``rows[i]``, so a key collision is a
-        miss.  Returns ``(found, values)`` where ``found`` is a boolean
+        ``rows[i]`` is the :func:`stored_rows` row whose :func:`row_keys`
+        address is ``keys[i]``.  A probe hits only when the key is present
+        *and* the entry's stored row equals ``rows[i]``, so a key collision
+        is a miss.  Returns ``(found, values)`` where ``found`` is a boolean
         mask and ``values`` holds the cached energies (in the cache's
         value dtype) at found positions, zeros elsewhere.  In a bounded
         cache every hit is touched to the hot end of the LRU clock; an
@@ -224,16 +254,25 @@ class RowEnergyCache:
 
         A key already present takes the new row and energy (after a
         collision the entry holds the newer row); a key repeated within
-        one call keeps its last row.
+        one call keeps its last row.  Rows of another dtype than the slab
+        raise :class:`ValueError`: a narrowing store could wrap a value.
         """
         n = len(keys)
         if n == 0:
             return
         if self._rows is None:
             if self.max_bytes is not None:
-                _check_budget(self.max_bytes, row_entry_bytes(rows.shape[1] - 1))
-            self._rows = np.empty((n, rows.shape[1]), dtype=np.int64)
+                _check_budget(
+                    self.max_bytes,
+                    row_entry_bytes(rows.shape[1] - 1, rows.dtype.itemsize),
+                )
+            self._rows = np.empty((n, rows.shape[1]), dtype=rows.dtype)
             self._values = np.empty(n, dtype=values.dtype)
+        elif rows.dtype != self._rows.dtype:
+            raise ValueError(
+                f"rows of dtype {rows.dtype} cannot be stored in the cache's "
+                f"{self._rows.dtype} row slab"
+            )
         slot_of, free = self._slot_of, self._free
         latest = dict(zip(keys.tolist(), range(n)))
         slots = []
@@ -251,7 +290,7 @@ class RowEnergyCache:
         if extra > 0:
             extra = max(extra, len(self._rows))  # amortised doubling
             self._rows = np.concatenate(
-                [self._rows, np.empty((extra, self._rows.shape[1]), np.int64)]
+                [self._rows, np.empty((extra, self._rows.shape[1]), rows.dtype)]
             )
             self._values = np.concatenate(
                 [self._values, np.empty(extra, self._values.dtype)]
@@ -268,7 +307,7 @@ class RowEnergyCache:
     # -- accounting ----------------------------------------------------
 
     def _entry_bytes(self) -> int:
-        return row_entry_bytes(self._rows.shape[1] - 1)
+        return row_entry_bytes(self._rows.shape[1] - 1, self._rows.itemsize)
 
     def __len__(self) -> int:
         return len(self._slot_of)

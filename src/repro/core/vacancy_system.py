@@ -16,12 +16,99 @@ from typing import List
 
 import numpy as np
 
+from ..constants import N_ELEMENTS
 from ..potentials.base import CountsPotential, counts_from_types
 from ..sunway.costmodel import CostLedger, charge_batched_rate_eval
-from .rowcache import row_keys, stored_rows
+from .rowcache import row_dtype, row_keys, stored_rows
 from .tet import TripleEncoding
 
-__all__ = ["StateEnergies", "StateEnergiesBatch", "VacancySystemEvaluator"]
+__all__ = [
+    "MISS_CHUNK_BYTES",
+    "StateEnergies",
+    "StateEnergiesBatch",
+    "VacancySystemEvaluator",
+    "miss_chunk_rows",
+    "miss_row_bytes",
+    "miss_transient_bytes",
+]
+
+#: Transient-memory budget of one chunk of the miss pipeline (encode ->
+#: row key -> dedup -> row-cache probe -> GEMM on misses).  Larger
+#: batches are split into chunks of at most this many bytes' worth of rows
+#: (:func:`miss_chunk_rows`), so a cold refresh of every vacancy peaks at
+#: one chunk, not at the whole batch.  That is 26k rows (11 vacancies) at
+#: the paper's rcut 6.5 and 121k rows (227 vacancies) at rcut 2.87, far
+#: above any steady-state batch (~4k and ~21k rows), which is never split.
+MISS_CHUNK_BYTES = 24 * 2**20
+
+
+def miss_row_bytes(tet: TripleEncoding, n_elements: int = N_ELEMENTS) -> int:
+    """Peak transient bytes one ``(trial state, region site)`` row costs.
+
+    An upper bound over both evaluator entry points, counted from the
+    arrays a row passes through, in the stage where most are alive at once
+    (the shell-count encode):
+
+    * its share of the ``(9, n_all)`` one-byte trial states and its
+      one-byte centre species;
+    * the neighbour gather (one byte per local site) and the per-element
+      one-hot (a bool and a float32 per local site);
+    * the float32 counts plus the per-element matmul output;
+    * 8 int64/float64 scratch words: row keys and dedup's sort, group and
+      scatter indices, and the row's energy;
+    * the int64 key staging of every count (``row_keys``).
+
+    :func:`miss_chunk_rows` sizes chunks with it and
+    ``tensorkmc_memory_model`` charges it as the ``miss_transient`` term.
+    """
+    n_channels = tet.n_shells * n_elements
+    states = -(-tet.n_all // tet.n_region) + 1
+    encode = 6 * tet.n_local
+    counts = 4 * (n_channels + tet.n_shells)
+    scratch = 8 * (8 + n_channels)
+    return int(states + encode + counts + scratch)
+
+
+def miss_chunk_rows(tet: TripleEncoding, n_elements: int = N_ELEMENTS) -> int:
+    """Rows per miss-pipeline chunk: :data:`MISS_CHUNK_BYTES` over
+    :func:`miss_row_bytes`.  The evaluator rounds it down to whole pairs
+    (9 rows) or whole vacancies (``9 * n_region`` rows), at least one."""
+    return max(1, MISS_CHUNK_BYTES // miss_row_bytes(tet, n_elements))
+
+
+def miss_transient_bytes(
+    tet: TripleEncoding, n_vacancies: int, n_elements: int = N_ELEMENTS
+) -> int:
+    """Transient bytes of the largest miss chunk ``n_vacancies`` can fill.
+
+    The cold refresh evaluates every vacancy's ``9 * n_region`` rows; a
+    chunk holds at most :func:`miss_chunk_rows` of them, or one whole
+    vacancy when a vacancy alone is larger than the budget.
+    """
+    per_vacancy = (1 + tet.N_DIRECTIONS) * tet.n_region
+    rows = min(
+        int(n_vacancies) * per_vacancy,
+        max(miss_chunk_rows(tet, n_elements), per_vacancy),
+    )
+    return rows * miss_row_bytes(tet, n_elements)
+
+
+def _stacked(part, n: int, step: int) -> np.ndarray:
+    """``part(lo, hi)`` over ``[0, n)`` in steps of ``step``, stacked.
+
+    The chunk loop of the miss pipeline: every chunk's result is copied
+    into one preallocated output, so only one chunk's transients are alive
+    at a time.  A batch of one chunk is returned as is.
+    """
+    if n <= step:
+        return part(0, n)
+    out = None
+    for lo in range(0, n, step):
+        chunk = part(lo, min(lo + step, n))
+        if out is None:
+            out = np.empty((n,) + chunk.shape[1:], dtype=chunk.dtype)
+        out[lo:lo + len(chunk)] = chunk
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,6 +198,9 @@ class VacancySystemEvaluator:
         self.potential = potential
         self.n_elements = getattr(potential, "n_elements", 2)
         self.vacancy_code = self.n_elements
+        #: Dtype of the rows the row cache stores (one byte per value for
+        #: every shipped TET); fixed here so it never depends on a batch.
+        self.row_dtype = row_dtype(tet, self.n_elements)
         # Optional Fig. 9 cost accounting (see attach_cost_ledger).
         self._ledger: "CostLedger | None" = None
         # Optional persistent row-energy memoization (see attach_row_cache).
@@ -281,7 +371,9 @@ class VacancySystemEvaluator:
             return self.potential.energies_from_counts(centres, counts)[inverse]
         cache.sync(self.potential)
         ukeys = keys[first]
-        urows = stored_rows(centres, counts.reshape(len(first), -1))
+        urows = stored_rows(
+            centres, counts.reshape(len(first), -1), self.row_dtype
+        )
         found, energies = cache.lookup(ukeys, urows)
         miss = np.flatnonzero(~found)
         if miss.size:
@@ -471,6 +563,13 @@ class VacancySystemEvaluator:
         independent by construction, and the NNP's tiled-GEMM kernel
         (:mod:`repro.operators.tilegemm`) fixes its call shapes and
         accumulation order so batching cannot change any row's bits.
+
+        A batch larger than one chunk of :func:`miss_chunk_rows` rows runs
+        the pipeline chunk by chunk of whole vacancies, so the transient
+        memory stays bounded by :data:`MISS_CHUNK_BYTES`; later chunks hit
+        the row-cache entries earlier ones inserted.  Each vacancy's
+        ``(9, n_region)`` energy block is summed C-contiguous either way,
+        so chunking cannot change a bit.
         """
         vets = np.asarray(vets)
         if vets.ndim != 2 or vets.shape[1] != self.tet.n_all:
@@ -490,22 +589,15 @@ class VacancySystemEvaluator:
             )
         if np.any(vets[:, self.tet.CENTER] != self.vacancy_code):
             raise ValueError("every VET centre must be a vacancy")
-        n_region = self.tet.n_region
-        states = self.trial_vets_batch(vets).reshape(-1, self.tet.n_all)
-        counts = self.region_features_counts(states)
-        center_types = states[:, :n_region].reshape(-1)
-        flat_counts = counts.reshape(-1, self.tet.n_shells, counts.shape[-1])
-        dedup = self._dedup_rows(center_types, flat_counts)
-        if dedup is not None:
-            energies = self._unique_row_energies(
-                dedup, center_types, flat_counts
-            ).reshape(n_batch, self._n_states, n_region)
-        else:
-            energies = self.potential.energies_from_counts(
-                center_types, flat_counts
-            ).reshape(n_batch, self._n_states, n_region)
+        per_chunk = max(
+            1,
+            miss_chunk_rows(self.tet, self.n_elements)
+            // (self._n_states * self.tet.n_region),
+        )
+        totals = _stacked(
+            lambda lo, hi: self._state_totals(vets[lo:hi]), n_batch, per_chunk
+        )
         self._charge_rate_eval(n_batch)
-        totals = np.sum(energies, axis=2, dtype=np.float64)
         nn_species = vets[:, 1 : 1 + n_dir]
         valid = nn_species != self.vacancy_code
         delta = np.where(valid, totals[:, 1:] - totals[:, :1], 0.0)
@@ -515,6 +607,27 @@ class VacancySystemEvaluator:
             valid=valid,
             migrating_species=nn_species,
         )
+
+    def _state_totals(self, vets: np.ndarray) -> np.ndarray:
+        """``(B, 9)`` float64 trial-state region energies of one chunk."""
+        n_batch, n_region = vets.shape[0], self.tet.n_region
+        states = self.trial_vets_batch(vets).reshape(-1, self.tet.n_all)
+        counts = self.region_features_counts(states)
+        center_types = states[:, :n_region].reshape(-1)
+        flat_counts = counts.reshape(-1, self.tet.n_shells, counts.shape[-1])
+        dedup = self._dedup_rows(center_types, flat_counts)
+        if dedup is not None:
+            energies = self._unique_row_energies(
+                dedup, center_types, flat_counts
+            )
+        else:
+            energies = self.potential.energies_from_counts(
+                center_types, flat_counts
+            )
+        # Summed per C-contiguous (9, n_region) block: the reduction order
+        # of each vacancy's sums is the same in any chunk.
+        energies = energies.reshape(n_batch, self._n_states, n_region)
+        return np.sum(energies, axis=2, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Cross-caller batching: one fused call over many engines' miss rows
@@ -594,16 +707,34 @@ class VacancySystemEvaluator:
         Returns the ``(P, 9)`` energies as a NumPy array in the potential's
         native energy dtype.  This path is not cost-ledger instrumented
         (the Fig. 9 accounting models the full batched operator flow).
+        More pairs than one chunk of :func:`miss_chunk_rows` rows are
+        evaluated chunk by chunk, as in :meth:`evaluate_batch`.
         """
-        tet = self.tet
         vets = np.asarray(vets)
         pair_b = np.asarray(pair_b, dtype=np.intp)
         pair_r = np.asarray(pair_r, dtype=np.intp)
         n_pairs = int(pair_b.size)
+        if n_pairs == 0:
+            return np.zeros((0, self._n_states))
+        per_chunk = max(
+            1, miss_chunk_rows(self.tet, self.n_elements) // self._n_states
+        )
+        return _stacked(
+            lambda lo, hi: self._pair_energies(
+                vets, pair_b[lo:hi], pair_r[lo:hi]
+            ),
+            n_pairs,
+            per_chunk,
+        )
+
+    def _pair_energies(
+        self, vets: np.ndarray, pair_b: np.ndarray, pair_r: np.ndarray
+    ) -> np.ndarray:
+        """``(P, 9)`` energies of one chunk of :meth:`evaluate_rows` pairs."""
+        tet = self.tet
+        n_pairs = int(pair_b.size)
         n_states = self._n_states
         n_el = self.n_elements
-        if n_pairs == 0:
-            return np.zeros((0, n_states))
         # State-0 shell counts of every selected row — the same one-sgemm-
         # per-element kernel as :func:`counts_from_types`, inlined against
         # the cached shell one-hot (identical inputs, identical bits).

@@ -30,18 +30,28 @@ One more serial NNP row runs a 4-shell TET, whose rows of 8 counts are
 too wide for one byte per count in 64 bits.  It was captured with the row
 cache off, when rows that wide still bypassed the cache; now the cache
 keys them like any other row and must land on the same values.
+
+The miss pipeline evaluates large batches in chunks under a byte budget
+(``MISS_CHUNK_BYTES``).  With that budget shrunk so every batch splits
+into many chunks — ragged last chunks included — the NNP rows must still
+land on the same values, and the chunked evaluator calls must equal the
+unchunked ones bit for bit.  The cold refresh's traced peak must stay
+within the memory model's ``miss_transient`` bound.
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.baseline import OpenKMCEngine
+from repro.baseline import OpenKMCEngine, tensorkmc_memory_model
 from repro.campaign import ReplicaCampaign, ReplicaSpec, occupancy_digest
 from repro.constants import N_ELEMENTS
+from repro.core import vacancy_system
 from repro.core.engine import TensorKMCEngine
-from repro.core.rowcache import row_entry_bytes
+from repro.core.rowcache import RowEnergyCache, row_dtype, row_entry_bytes
+from repro.core.vacancy_system import VacancySystemEvaluator, miss_row_bytes
 from repro.lattice import LatticeState
 from repro.parallel import SublatticeKMC
 
@@ -145,7 +155,9 @@ def _row_cache_kw(row_cache, n_entries, tet):
     """Engine kwargs; ``on`` gets a budget of ``n_entries`` of ``tet``'s rows."""
     kw = {"row_cache": row_cache}
     if row_cache == "on":
-        entry = row_entry_bytes(tet.n_shells * N_ELEMENTS)
+        entry = row_entry_bytes(
+            tet.n_shells * N_ELEMENTS, row_dtype(tet, N_ELEMENTS).itemsize
+        )
         kw["row_cache_mb"] = n_entries * entry / (1024.0 * 1024.0)
     return kw
 
@@ -227,3 +239,216 @@ class TestGoldenTrajectories:
             sim.total_anomalies, sim.proximity_violations,
         )
         assert got == PARALLEL_NAIVE
+
+
+def _pairs_budget(tet, n_pairs):
+    """A ``MISS_CHUNK_BYTES`` of ``n_pairs`` row pairs: ``evaluate_rows``
+    chunks hold ``n_pairs`` pairs, ``evaluate_batch`` chunks one vacancy."""
+    return n_pairs * 9 * miss_row_bytes(tet)
+
+
+@pytest.fixture()
+def chunk_sizes(monkeypatch):
+    """Records the size of every chunk the evaluator runs."""
+    sizes = {"pairs": [], "vacancies": []}
+    pair_energies = VacancySystemEvaluator._pair_energies
+    state_totals = VacancySystemEvaluator._state_totals
+
+    def pairs(self, vets, pair_b, pair_r):
+        sizes["pairs"].append(len(pair_b))
+        return pair_energies(self, vets, pair_b, pair_r)
+
+    def vacancies(self, vets):
+        sizes["vacancies"].append(len(vets))
+        return state_totals(self, vets)
+
+    monkeypatch.setattr(VacancySystemEvaluator, "_pair_energies", pairs)
+    monkeypatch.setattr(VacancySystemEvaluator, "_state_totals", vacancies)
+    return sizes
+
+
+class TestChunkBoundaries:
+    """A batch split into chunks evaluates to the unchunked bits."""
+
+    #: Vacancies and region rows of the direct evaluator checks: 7 x 59 =
+    #: 413 pairs, which 4 and 64 do not divide (ragged last chunks).
+    N_VACANCIES = 7
+
+    @pytest.fixture(params=["eam", "nnp"])
+    def batch(self, request, tet_small):
+        """An evaluator and the VETs of ``N_VACANCIES`` vacancies."""
+        lattice = LatticeState((8, 8, 8))
+        lattice.randomize_alloy(np.random.default_rng(9), 0.05, 0.01)
+        engine = TensorKMCEngine(
+            lattice, _potential(request, request.param), tet_small,
+            row_cache="off",
+        )
+        sites = sorted(lattice.vacancy_ids)[: self.N_VACANCIES]
+        assert len(sites) == self.N_VACANCIES
+        return engine.evaluator, engine._gather_for_sites(sites)[2]
+
+    @staticmethod
+    def _fresh_cache(evaluator):
+        """A new row cache, so each call starts cold like a refresh."""
+        if getattr(evaluator.potential, "network_channels", None):
+            evaluator.attach_row_cache(RowEnergyCache())
+
+    @pytest.mark.parametrize("n_pairs", [1, 4, 64])
+    def test_evaluate_rows(self, monkeypatch, batch, chunk_sizes, n_pairs):
+        evaluator, vets = batch
+        n_region = evaluator.tet.n_region
+        pair_b = np.repeat(np.arange(len(vets)), n_region)
+        pair_r = np.tile(np.arange(n_region), len(vets))
+        self._fresh_cache(evaluator)
+        whole = evaluator.evaluate_rows(vets, pair_b, pair_r)
+        assert chunk_sizes["pairs"] == [len(pair_b)]
+        monkeypatch.setattr(
+            vacancy_system, "MISS_CHUNK_BYTES",
+            _pairs_budget(evaluator.tet, n_pairs),
+        )
+        chunk_sizes["pairs"].clear()
+        self._fresh_cache(evaluator)
+        chunked = evaluator.evaluate_rows(vets, pair_b, pair_r)
+        sizes = chunk_sizes["pairs"]
+        assert sizes[:-1] == [n_pairs] * (len(sizes) - 1)
+        assert sum(sizes) == len(pair_b) and 0 < sizes[-1] <= n_pairs
+        assert chunked.dtype == whole.dtype
+        assert np.array_equal(chunked, whole)
+
+    @pytest.mark.parametrize("n_vacancies", [1, 2, 3])
+    def test_evaluate_batch(
+        self, monkeypatch, batch, chunk_sizes, n_vacancies
+    ):
+        evaluator, vets = batch
+        self._fresh_cache(evaluator)
+        whole = evaluator.evaluate_batch(vets)
+        assert chunk_sizes["vacancies"] == [len(vets)]
+        per_vacancy = 9 * evaluator.tet.n_region
+        monkeypatch.setattr(
+            vacancy_system, "MISS_CHUNK_BYTES",
+            n_vacancies * per_vacancy * miss_row_bytes(evaluator.tet),
+        )
+        chunk_sizes["vacancies"].clear()
+        self._fresh_cache(evaluator)
+        chunked = evaluator.evaluate_batch(vets)
+        sizes = chunk_sizes["vacancies"]
+        assert sizes[:-1] == [n_vacancies] * (len(sizes) - 1)
+        assert sum(sizes) == len(vets) and 0 < sizes[-1] <= n_vacancies
+        for field in ("initial", "delta", "valid", "migrating_species"):
+            assert np.array_equal(
+                getattr(chunked, field), getattr(whole, field)
+            ), field
+
+    def test_later_chunks_hit_earlier_inserts(
+        self, monkeypatch, tet_small, nnp_small
+    ):
+        """Chunk k + 1 probes the rows chunk k inserted: the cold refresh's
+        hit counter counts those cross-chunk hits."""
+        counters = []
+        for budget in (vacancy_system.MISS_CHUNK_BYTES,
+                       _pairs_budget(tet_small, 2)):
+            monkeypatch.setattr(vacancy_system, "MISS_CHUNK_BYTES", budget)
+            engine = _serial(tet_small, nnp_small)
+            engine.kernel.refresh()
+            counters.append(engine.row_cache.counters())
+        whole, chunked = counters
+        # Every unique row is evaluated once either way...
+        assert chunked["row_cache_misses"] == whole["row_cache_misses"]
+        # ...and rows a later chunk repeats are hits, not dedup.
+        assert chunked["row_cache_hits"] > whole["row_cache_hits"]
+
+    # -- the golden rows, every batch split ---------------------------
+
+    @ROW_CACHES
+    def test_serial_nnp(
+        self, monkeypatch, chunk_sizes, tet_small, nnp_small, row_cache
+    ):
+        monkeypatch.setattr(
+            vacancy_system, "MISS_CHUNK_BYTES", _pairs_budget(tet_small, 2)
+        )
+        engine = _serial(
+            tet_small, nnp_small,
+            **_row_cache_kw(row_cache, TINY_ENTRIES, tet_small),
+        )
+        assert _serial_identity(engine) == SERIAL_NNP
+        assert max(chunk_sizes["pairs"]) == 2
+        assert len(chunk_sizes["pairs"]) > N_STEPS
+
+    @ROW_CACHES
+    def test_serial_wide_rows(
+        self, monkeypatch, chunk_sizes, tet_wide, nnp_wide, row_cache
+    ):
+        monkeypatch.setattr(
+            vacancy_system, "MISS_CHUNK_BYTES", _pairs_budget(tet_wide, 3)
+        )
+        engine = _serial(
+            tet_wide, nnp_wide,
+            **_row_cache_kw(row_cache, TINY_ENTRIES, tet_wide),
+        )
+        assert _serial_identity(engine) == SERIAL_NNP_WIDE
+        assert max(chunk_sizes["pairs"]) == 3
+
+    def test_shared_campaign(
+        self, monkeypatch, chunk_sizes, tet_small, nnp_small
+    ):
+        monkeypatch.setattr(
+            vacancy_system, "MISS_CHUNK_BYTES", _pairs_budget(tet_small, 2)
+        )
+        results = ReplicaCampaign(
+            [ReplicaSpec("m", seed=0, n_steps=N_STEPS)],
+            lambda spec: _serial(tet_small, nnp_small),
+        ).run()
+        got = (results[0].digest, float(results[0].time).hex())
+        assert got == SERIAL_NNP
+        # The cold round's 4 vacancies ran as one-vacancy chunks.
+        assert chunk_sizes["vacancies"][:4] == [1, 1, 1, 1]
+
+    def test_parallel_nnp(
+        self, monkeypatch, chunk_sizes, tet_small, nnp_small
+    ):
+        monkeypatch.setattr(
+            vacancy_system, "MISS_CHUNK_BYTES", _pairs_budget(tet_small, 2)
+        )
+        sim = _parallel(tet_small, nnp_small)
+        assert _parallel_identity(sim) == PARALLEL_NNP
+        stats = sim.world.stats
+        assert (stats.messages_sent, stats.bytes_sent) == PARALLEL_COMM["nnp"]
+        assert max(chunk_sizes["pairs"]) == 2
+
+
+class TestBoundedColdRefresh:
+    def test_traced_peak_within_the_modelled_transient(
+        self, monkeypatch, tet_wide, nnp_wide
+    ):
+        """A cold refresh peaks at one chunk, not at the whole batch.
+
+        35 vacancies on the 4-shell TET are 43k rows: unchunked, about
+        8 MiB of scratch (the model's per-row figure says 20 MiB).  Under
+        a 1 MiB budget the traced peak above the refresh's resident result
+        must stay within the model's ``miss_transient`` plus a slack of
+        16 B per row of the whole batch: the refresh's own O(batch)
+        outputs, the ``(P, 9)`` float64 energies ``evaluate_rows`` returns
+        and the float64 row-energy matrix before the cache adopts it.
+        """
+        budget = 2**20
+        monkeypatch.setattr(vacancy_system, "MISS_CHUNK_BYTES", budget)
+        lattice = LatticeState((12, 12, 12))
+        lattice.randomize_alloy(np.random.default_rng(5), 0.05, 0.01)
+        engine = TensorKMCEngine(
+            lattice, nnp_wide, tet_wide, temperature=900.0,
+            rng=np.random.default_rng(6),
+        )
+        n_vacancies = len(lattice.vacancy_ids)
+        rows = n_vacancies * 9 * tet_wide.n_region
+        assert rows * miss_row_bytes(tet_wide) >= 4 * budget
+        model = tensorkmc_memory_model(lattice.n_sites, n_vacancies, tet_wide)
+        assert model["miss_transient"] <= budget
+        tracemalloc.start()
+        try:
+            engine.kernel.refresh()
+            resident, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert engine.kernel.total > 0.0
+        slack = 16 * rows
+        assert peak - resident <= model["miss_transient"] + slack

@@ -25,8 +25,10 @@ from repro.core.rowcache import (
     ROW_CACHE_MODES,
     RowEnergyCache,
     resolve_row_cache,
+    row_dtype,
     row_entry_bytes,
     row_keys,
+    stored_rows,
 )
 from repro.core.vacancy_system import VacancySystemEvaluator
 from repro.io import (
@@ -40,13 +42,13 @@ from repro.parallel import SublatticeKMC
 
 
 def _entries(*ids):
-    """Keys and distinct int64 rows ``[i, i + 1, i + 2]`` (2 channels)."""
-    rows = np.array([[i, i + 1, i + 2] for i in ids], dtype=np.int64)
+    """Keys and distinct one-byte rows ``[i, i + 1, i + 2]`` (2 channels)."""
+    rows = np.array([[i, i + 1, i + 2] for i in ids], dtype=np.uint8)
     return row_keys(rows[:, 0], rows[:, 1:]), rows
 
 
 #: Bytes of one :func:`_entries` row's cache entry.
-ENTRY = row_entry_bytes(2)
+ENTRY = row_entry_bytes(2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +113,7 @@ class TestRowEnergyCacheUnit:
 
     def test_budget_too_small_rejected(self):
         with pytest.raises(ValueError, match="cannot hold a single"):
-            RowEnergyCache(max_bytes=row_entry_bytes(1) - 1)
+            RowEnergyCache(max_bytes=row_entry_bytes(1, 1) - 1)
         # The real row width is checked when the first row arrives.
         cache = RowEnergyCache(max_bytes=ENTRY - 1)
         keys, rows = _entries(1)
@@ -154,7 +156,8 @@ class TestRowEnergyCacheUnit:
     def test_memory_bytes_matches_analytic_model(self, tet_small, tet_wide):
         for tet in (tet_small, tet_wide):  # 4- and 8-count rows
             width = 1 + tet.n_shells * 2  # centre + (shell, species) counts
-            rows = np.arange(37 * width, dtype=np.int64).reshape(37, width)
+            values = np.arange(37)[:, None] + np.arange(width)
+            rows = stored_rows(values[:, 0], values[:, 1:], row_dtype(tet, 2))
             cache = RowEnergyCache()
             keys = row_keys(rows[:, 0], rows[:, 1:])
             cache.insert(keys, rows, np.arange(37.0))
@@ -162,8 +165,8 @@ class TestRowEnergyCacheUnit:
                 n_sites=1024, n_vacancies=4, tet=tet, row_cache=len(cache)
             )
             assert report["row_cache"] == cache.memory_bytes()
-            # Key and energy, plus the int64 row kept for the hit check.
-            assert cache.memory_bytes() == 37 * (16 + 8 * width)
+            # Key and energy, plus the one-byte row kept for the hit check.
+            assert cache.memory_bytes() == 37 * (16 + width)
 
     def test_summary_keys(self):
         cache = RowEnergyCache()
@@ -173,6 +176,49 @@ class TestRowEnergyCacheUnit:
             "row_cache_hit_rate", "row_cache_entries", "row_cache_bytes",
         ):
             assert key in summary
+
+
+class TestNarrowRows:
+    """Rows are stored one byte per value, and a value never wraps."""
+
+    def test_shipped_tets_store_one_byte_rows(
+        self, tet_small, tet_wide, tet_standard
+    ):
+        for tet in (tet_small, tet_wide, tet_standard):
+            assert row_dtype(tet, 2) == np.uint8
+        # Rcut 6.5: key and energy, then the centre and 16 counts.
+        assert row_entry_bytes(tet_standard.n_shells * 2, 1) == 33
+
+    def test_dtype_widens_with_the_largest_value(self):
+        class Tet:
+            cet_shell = np.zeros(300, dtype=np.int64)  # one 300-site shell
+
+        assert row_dtype(Tet, 2) == np.uint16
+        assert row_dtype(Tet, 70_000) == np.uint32
+
+    @pytest.mark.parametrize("bad", [256, -1])
+    @pytest.mark.parametrize("column", [0, 3])  # the centre, a count
+    def test_value_outside_the_row_dtype_raises(self, bad, column):
+        values = np.zeros((2, 4), dtype=np.int64)
+        values[1, column] = bad
+        centre, counts = values[:, 0], values[:, 1:].astype(np.float32)
+        with pytest.raises(ValueError, match="outside the uint8 row dtype"):
+            stored_rows(centre, counts, np.dtype(np.uint8))
+
+    def test_largest_value_fits(self):
+        counts = np.array([[0.0, 255.0]], dtype=np.float32)
+        rows = stored_rows(np.array([2]), counts, np.dtype(np.uint8))
+        assert rows.tolist() == [[2, 0, 255]]
+
+    def test_wider_rows_never_narrow_into_the_slab(self):
+        cache = RowEnergyCache()
+        keys, rows = _entries(1, 2)
+        cache.insert(keys[:1], rows[:1], np.array([1.0]))
+        wide = rows[1:].astype(np.int64)
+        wide[0, 1] += 256  # a uint8 store would wrap it back to row 2
+        with pytest.raises(ValueError, match="uint8 row slab"):
+            cache.insert(keys[1:], wide, np.array([2.0]))
+        assert len(cache) == 1
 
 
 class TestResolveRowCache:
@@ -366,7 +412,9 @@ class TestSerialTrajectory:
     ):
         # A 16-entry budget far below the working set forces continuous
         # evict/re-insert churn; the trajectory must not notice.
-        entry = row_entry_bytes(tet_small.n_shells * 2)
+        entry = row_entry_bytes(
+            tet_small.n_shells * 2, row_dtype(tet_small, 2).itemsize
+        )
         engine = _serial_engine(
             tet_small, nnp_small, row_cache="on",
             row_cache_mb=16 * entry / (1024.0 * 1024.0),
