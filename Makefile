@@ -1,6 +1,6 @@
 # Convenience targets for the TensorKMC reproduction.
 
-.PHONY: install test bench experiments bench-smoke bench-e2e bench-e2e-selftest fault-suite campaign-suite rowcache-suite check examples snapshot
+.PHONY: install test bench experiments bench-smoke bench-e2e bench-e2e-selftest fault-suite campaign-suite check examples snapshot
 
 install:
 	pip install -e . --no-build-isolation
@@ -17,10 +17,8 @@ bench:
 experiments:
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -q
 
-# Fast kernel regression check: times 500 parallel events at two box sizes
-# and the NNP rebuild phase with the persistent row cache on vs off (digest
-# identity + speedup gate).  Writes BENCH_kernel.json; fails if per-event
-# cost scales with N or the row cache misses its gate.
+# Fast kernel regression check: times 500 parallel events at two box sizes.
+# Writes BENCH_kernel.json; fails if per-event cost scales with N.
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_kernel_smoke.py
 
@@ -47,37 +45,22 @@ fault-suite:
 
 # Campaign suite: run-loop hardening regressions, the cross-replica
 # campaign contract tests (bit-identity vs solo runs, hot swap, dead
-# replicas) and the golden digest table, then the campaign smoke benchmark
-# (R=8 shared autobatched evaluation with the row cache off and on: digest
-# identity, batches wider than R, hit-rate gate; writes BENCH_campaign.json).
+# replicas) and the golden digest table (with its bounded-peak test,
+# TestBoundedColdRefresh), then the campaign smoke benchmark (R=8 shared
+# autobatched evaluation: batches wider than R, shared row-cache hit-rate
+# gate; writes BENCH_campaign.json).
 campaign-suite:
 	PYTHONPATH=src python -m pytest -x -q tests/test_run_loop_hardening.py tests/test_campaign.py tests/test_mode_matrix.py
 	PYTHONPATH=src python benchmarks/bench_campaign_smoke.py
 
-# Row-cache suite: the persistent row-energy memoization contract tests —
-# LRU/eviction/epoch-invalidation unit behaviour, row-key grouping fuzz
-# and forced key collisions, one-byte rows and the no-wrap guard,
-# serial/parallel/campaign trajectory identity with the
-# cache on vs off (incl. cold-cache checkpoint resume), the Fenwick
-# batch-vs-sequential and history-independence properties, the Table 1
-# memory model whose row-entry and miss-transient accounting the cache
-# and the bounded miss pipeline are checked against (the bounded-peak test
-# is tests/test_mode_matrix.py::TestBoundedColdRefresh, run by
-# campaign-suite) — then the row_cache section of the kernel smoke
-# benchmark (rebuild-phase speedup gate at vacancy 0.02, digest identity).
-rowcache-suite:
-	PYTHONPATH=src python -m pytest -x -q tests/test_rowcache.py tests/test_propensity.py tests/test_memory_model.py
-	PYTHONPATH=src python -m pytest -x -q benchmarks/bench_kernel_smoke.py::test_row_cache_is_faster_and_trajectory_identical
-
 # What CI runs: tier-1 tests, the kernel smoke benchmark, the e2e harness
-# self-test, the campaign, row-cache and fault suites.  `make experiments`
-# is a separate CI step.
+# self-test, the campaign and fault suites.  `make experiments` is a
+# separate CI step.
 check:
 	PYTHONPATH=src python -m pytest -x -q
 	$(MAKE) bench-smoke
 	$(MAKE) bench-e2e-selftest
 	$(MAKE) campaign-suite
-	$(MAKE) rowcache-suite
 	$(MAKE) fault-suite
 
 examples:

@@ -1,20 +1,18 @@
 """Campaign smoke benchmark: shared batching spans replicas, the cache hits.
 
-Runs the same R=8 NNP seed sweep in ``mode="shared"`` (every replica's
-stale rows fused into one ``evaluate_batch`` per round) twice: with the
-campaign-wide row cache off and on.  Three gates:
+Runs an R=8 NNP seed sweep (every replica's stale rows fused into one
+``evaluate_batch`` per round, over one campaign-wide row cache).  Two
+gates:
 
-* the two variants replay the same occupancy digests (the cache changes
-  when rows are evaluated, never their values);
 * the fused batches really span replicas — their mean width beats R, more
   than any single replica's per-step stale set could supply;
 * across the seed sweep the replicas revisit overwhelmingly the same local
   environments, so the shared cache must report a hit rate >= 0.9.
 
-The shared path's throughput is measured end to end by the ``campaign8``
-workload of ``python3 -m benchmarks.e2e``, and its bit-identity to
-sequential and solo runs by ``tests/test_mode_matrix.py``.  Rounds are
-interleaved and each variant keeps its best; the numbers land in
+The campaign's throughput is measured end to end by the ``campaign8``
+workload of ``python3 -m benchmarks.e2e``, and its bit-identity to solo
+runs, with and without a row cache, by ``tests/test_mode_matrix.py`` and
+``tests/test_rowcache.py``.  The best of a few rounds lands in
 ``BENCH_campaign.json`` at the repo root.
 
 Runs standalone (``python benchmarks/bench_campaign_smoke.py``) and under
@@ -40,7 +38,7 @@ N_REPLICAS = 8
 N_STEPS = 60
 BOX = 10
 VACANCY_FRACTION = 0.02
-#: Interleaved cache-off/cache-on rounds; each variant keeps its best.
+#: Repeated runs; the report keeps the best time.
 ROUNDS = 3
 #: Campaign-wide row-cache hit rate across the R=8 seed sweep.
 MIN_ROW_CACHE_HIT_RATE = 0.9
@@ -65,58 +63,42 @@ def _nnp_potential() -> NNPotential:
     return model
 
 
-def _run_once(potential, tet, row_cache: str):
-    """One full shared campaign; returns (seconds, results, campaign)."""
+def _run_once(potential, tet):
+    """One full campaign; returns (seconds, results, campaign)."""
     factory = alloy_engine_factory(
         BOX, potential, tet, cu_fraction=0.05,
-        vacancy_fraction=VACANCY_FRACTION, row_cache=row_cache,
+        vacancy_fraction=VACANCY_FRACTION,
     )
     specs = seed_sweep(range(N_REPLICAS), n_steps=N_STEPS)
-    campaign = ReplicaCampaign(
-        specs, factory, mode="shared", row_cache=row_cache
-    )
+    campaign = ReplicaCampaign(specs, factory)
     t0 = time.perf_counter()
     results = campaign.run()
     return time.perf_counter() - t0, results, campaign
 
 
 def run_campaign_smoke() -> dict:
-    """Shared campaign at R=8, row cache off and on; writes BENCH_campaign.json."""
+    """Campaign at R=8; writes BENCH_campaign.json."""
     tet = TripleEncoding(rcut=2.87)
     potential = _nnp_potential()
-    #: variant name -> row_cache; "shared_cached" carries the cache gate.
-    variants = {"shared": "off", "shared_cached": "auto"}
-    best = {name: np.inf for name in variants}
-    digests = {}
-    events = {}
-    aggregate = {}
+    best = np.inf
     for _ in range(ROUNDS):
-        for name, row_cache in variants.items():
-            seconds, results, campaign = _run_once(potential, tet, row_cache)
-            best[name] = min(best[name], seconds)
-            digests[name] = [r.digest for r in results]
-            events[name] = sum(r.executed for r in results)
-            aggregate[name] = campaign.summary()
-    bitwise = digests["shared"] == digests["shared_cached"]
-    shared = aggregate["shared"]
+        seconds, results, campaign = _run_once(potential, tet)
+        best = min(best, seconds)
+    events = sum(r.executed for r in results)
+    shared = campaign.summary()
     mean_shared_batch = (
         shared["shared_rows"] / shared["shared_batches"]
         if shared["shared_batches"]
         else 0.0
     )
-    cached = aggregate["shared_cached"]
     row_cache = {
-        "hit_rate": cached.get("row_cache_hit_rate", 0.0),
-        "hits": int(cached.get("row_cache_hits", 0)),
-        "misses": int(cached.get("row_cache_misses", 0)),
-        "entries": int(cached.get("row_cache_entries", 0)),
-        "resident_bytes": int(cached.get("row_cache_bytes", 0)),
-        "cached_seconds": best["shared_cached"],
-        "cached_us_per_event": (
-            1e6 * best["shared_cached"] / events["shared_cached"]
-        ),
+        "hit_rate": shared.get("row_cache_hit_rate", 0.0),
+        "hits": int(shared.get("row_cache_hits", 0)),
+        "misses": int(shared.get("row_cache_misses", 0)),
+        "entries": int(shared.get("row_cache_entries", 0)),
+        "resident_bytes": int(shared.get("row_cache_bytes", 0)),
         "min_hit_rate": MIN_ROW_CACHE_HIT_RATE,
-        "ok": cached.get("row_cache_hit_rate", 0.0) >= MIN_ROW_CACHE_HIT_RATE,
+        "ok": shared.get("row_cache_hit_rate", 0.0) >= MIN_ROW_CACHE_HIT_RATE,
     }
     report = {
         "benchmark": "campaign_smoke",
@@ -125,21 +107,16 @@ def run_campaign_smoke() -> dict:
         "box": BOX,
         "vacancy_fraction": VACANCY_FRACTION,
         "rounds": ROUNDS,
-        "events": events["shared"],
-        "shared_seconds": best["shared"],
-        "shared_events_per_s": events["shared"] / best["shared"],
-        "shared_us_per_event": 1e6 * best["shared"] / events["shared"],
-        "bitwise_identical": bool(bitwise),
+        "events": events,
+        "shared_seconds": best,
+        "shared_events_per_s": events / best,
+        "shared_us_per_event": 1e6 * best / events,
         "shared_batches": int(shared["shared_batches"]),
         "shared_rows": int(shared["shared_rows"]),
         "max_shared_batch": int(shared["max_shared_batch"]),
         "mean_shared_batch": mean_shared_batch,
         "row_cache": row_cache,
-        "ok": (
-            bool(bitwise)
-            and mean_shared_batch > N_REPLICAS
-            and row_cache["ok"]
-        ),
+        "ok": mean_shared_batch > N_REPLICAS and row_cache["ok"],
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -147,7 +124,6 @@ def run_campaign_smoke() -> dict:
 
 def test_campaign_shared_batches_span_replicas_and_cache_hits():
     report = run_campaign_smoke()
-    assert report["bitwise_identical"], report
     assert report["events"] == N_REPLICAS * N_STEPS, report
     # The fused batches really span replicas: mean width beats what any
     # single replica's per-step stale set could supply.
@@ -162,14 +138,12 @@ def main() -> int:
     print(
         f"R={report['replicas']} x {report['steps_per_replica']} events: "
         f"{report['shared_events_per_s']:.0f} ev/s shared, mean batch "
-        f"{report['mean_shared_batch']:.1f} rows (min > {N_REPLICAS}), "
-        f"bitwise_identical={report['bitwise_identical']}"
+        f"{report['mean_shared_batch']:.1f} rows (min > {N_REPLICAS})"
     )
     rc = report["row_cache"]
     print(
         f"shared row cache: hit rate {rc['hit_rate']:.3f} "
-        f"(min {rc['min_hit_rate']}), {rc['entries']} entries, "
-        f"{rc['cached_us_per_event']:.1f} us/event with the cache on"
+        f"(min {rc['min_hit_rate']}), {rc['entries']} entries"
     )
     if not report["ok"]:
         print("FAILED")

@@ -94,7 +94,8 @@ def tensorkmc_memory_model(
     validated against live bytes like the snapshots are.
     In a dilute alloy the distinct-environment count saturates at a tiny,
     domain-independent value, so this term is O(1) in practice (and the
-    LRU byte budget makes it O(1) by construction).
+    cache's byte budget, :data:`~repro.core.rowcache.ROW_CACHE_BYTES` by
+    default, makes it O(1) by construction).
 
     ``miss_transient`` is not resident: it is the scratch memory of the
     largest miss-pipeline chunk the cold refresh of ``n_vacancies`` runs

@@ -19,7 +19,7 @@ environments from *different* replicas (common in a seed sweep's dilute
 matrix) and evaluates them once.
 
 **Bit-identity.**  The campaign changes *when and where* rows are evaluated,
-never their values.  Shared mode requires ``batch_row_invariant`` potentials
+never their values.  It requires ``batch_row_invariant`` potentials
 (per-row results independent of batch composition — see
 :class:`~repro.potentials.base.CountsPotential`), gathers each replica's
 rows with the engine's own
@@ -31,10 +31,9 @@ and hands the results back through
 subsequent :meth:`step` finds nothing stale and draws from its own RNG in
 the usual order, so every fixed-seed trajectory is bit-identical to running
 that replica solo — asserted over the full campaign, hot swaps included, in
-``tests/test_campaign.py``.
-
-``mode="sequential"`` runs the same specs one after another through the
-ordinary per-engine loop — the baseline the benchmarks compare against.
+``tests/test_campaign.py``.  Running the specs one after another through
+:meth:`~repro.core.engine.SerialAKMCBase.run` is that solo baseline; it
+needs no campaign.
 """
 
 from __future__ import annotations
@@ -50,11 +49,7 @@ from ..constants import TEMPERATURE_RPV, VACANCY_CONCENTRATION
 from ..core.engine import SerialAKMCBase, TensorKMCEngine
 from ..core.kernel import NoMovesError
 from ..core.profiling import PhaseProfiler, merge_disjoint
-from ..core.rowcache import (
-    ROW_CACHE_MODES,
-    RowEnergyCache,
-    resolve_row_cache,
-)
+from ..core.rowcache import RowEnergyCache, resolve_row_cache
 from ..core.vacancy_cache import BatchEntries
 from ..lattice import LatticeState
 
@@ -128,8 +123,6 @@ def alloy_engine_factory(
     tet,
     cu_fraction: float,
     vacancy_fraction: float = VACANCY_CONCENTRATION,
-    row_cache: str = "auto",
-    row_cache_mb: Optional[float] = None,
 ) -> Callable[[ReplicaSpec], TensorKMCEngine]:
     """Engine builder matching the CLI's ``run`` construction per spec.
 
@@ -147,7 +140,6 @@ def alloy_engine_factory(
         return TensorKMCEngine(
             lattice, potential, tet, temperature=spec.temperature,
             rng=np.random.default_rng(spec.seed + 1),
-            row_cache=row_cache, row_cache_mb=row_cache_mb,
         )
 
     return build
@@ -211,49 +203,26 @@ class ReplicaCampaign:
         How many replicas run concurrently (default: all of them).  When
         a replica completes — budget exhausted or frozen — the next queued
         spec is admitted in its place at the start of the following round.
-    mode:
-        ``"shared"`` (default): one fused ``evaluate_batch`` per round over
-        every in-flight replica's stale rows.  ``"sequential"``: each
-        replica runs solo via :meth:`~repro.core.engine.SerialAKMCBase.run`
-        with ``on_no_moves="stop"`` — the benchmark baseline.
-    row_cache / row_cache_mb:
-        Persistent row-energy memoization knobs (``"auto"``/``"on"``/
-        ``"off"`` and an optional MiB budget).  In shared mode every
-        admitted replica is attached to *one* campaign-wide
-        :class:`~repro.core.rowcache.RowEnergyCache` — a seed sweep's
-        replicas revisit the same dilute-matrix environments, and a
-        temperature ladder shares *energies* outright (rates differ, the
-        cached energies do not) — so the memo spans replicas and hot
-        swaps.  ``"off"`` detaches any factory-installed cache; in
-        sequential mode each engine keeps (or loses, under ``"off"``) its
-        own cache, preserving the solo-run baseline.
-    """
 
-    MODES = ("shared", "sequential")
+    Every admitted replica that gets a row cache on its own (see
+    :func:`~repro.core.rowcache.resolve_row_cache`) is attached to *one*
+    campaign-wide :class:`~repro.core.rowcache.RowEnergyCache` instead — a
+    seed sweep's replicas revisit the same dilute-matrix environments, and
+    a temperature ladder shares *energies* outright (rates differ, the
+    cached energies do not) — so the memo spans replicas and hot swaps.
+    """
 
     def __init__(
         self,
         specs: Sequence[ReplicaSpec],
         engine_factory: Callable[[ReplicaSpec], SerialAKMCBase],
         max_in_flight: Optional[int] = None,
-        mode: str = "shared",
-        row_cache: str = "auto",
-        row_cache_mb: Optional[float] = None,
     ) -> None:
         specs = list(specs)
         if not specs:
             raise ValueError("a campaign needs at least one replica spec")
         if len({s.name for s in specs}) != len(specs):
             raise ValueError("replica names must be unique")
-        if mode not in self.MODES:
-            raise ValueError(
-                f"unknown campaign mode {mode!r}; allowed: {self.MODES}"
-            )
-        if row_cache not in ROW_CACHE_MODES:
-            raise ValueError(
-                f"unknown row_cache mode {row_cache!r}; allowed modes: "
-                f"{ROW_CACHE_MODES}"
-            )
         if max_in_flight is None:
             max_in_flight = len(specs)
         if max_in_flight < 1:
@@ -261,7 +230,6 @@ class ReplicaCampaign:
         self.specs = specs
         self.engine_factory = engine_factory
         self.max_in_flight = int(max_in_flight)
-        self.mode = mode
         #: Aggregate wall-time attribution over :data:`CAMPAIGN_PHASES`
         #: (per-replica select/hop/invalidate timing stays on each engine's
         #: own profiler, surfaced through :attr:`ReplicaResult.summary`).
@@ -272,85 +240,12 @@ class ReplicaCampaign:
         self.shared_rows = 0
         self.max_shared_batch = 0
         self._evaluator = None  # batch-compatibility reference
-        self.row_cache_mode = row_cache
-        self._row_cache_mb = row_cache_mb
-        #: The campaign-wide shared row-energy cache (shared mode only);
-        #: created lazily at first admission, once the potential is known.
+        #: The campaign-wide shared row-energy cache; created lazily at
+        #: first admission, once the potential is known.
         self.row_cache: Optional[RowEnergyCache] = None
 
-    # ------------------------------------------------------------------
     def run(self) -> List[ReplicaResult]:
         """Execute the campaign; results are ordered like ``specs``."""
-        if self.mode == "sequential":
-            return self._run_sequential()
-        return self._run_shared()
-
-    def summary(self) -> Dict[str, float]:
-        """Aggregate campaign counters + phase timings (flat namespace)."""
-        out = {
-            "mode": self.mode,
-            "replicas": len(self.specs),
-            "rounds": self.rounds,
-            "admitted": self.admitted,
-            "shared_batches": self.shared_batches,
-            "shared_rows": self.shared_rows,
-            "max_shared_batch": self.max_shared_batch,
-        }
-        if self.row_cache is not None:
-            out.update(self.row_cache.summary())
-        return merge_disjoint(out, self.profiler.summary())
-
-    # ------------------------------------------------------------------
-    def _result(self, rep: _Replica) -> ReplicaResult:
-        return ReplicaResult(
-            spec=rep.spec,
-            executed=rep.executed,
-            frozen=rep.frozen,
-            time=float(rep.engine.time),
-            digest=occupancy_digest(rep.engine.lattice),
-            summary=rep.engine.summary(),
-        )
-
-    def _admit(self, index: int, spec: ReplicaSpec) -> _Replica:
-        engine = self.engine_factory(spec)
-        if not getattr(engine.potential, "batch_row_invariant", False):
-            raise ValueError(
-                "shared campaign mode needs a batch_row_invariant potential "
-                "(per-row results must not depend on batch composition); "
-                "use mode='sequential' for this potential"
-            )
-        if self._evaluator is None:
-            self._evaluator = engine.evaluator
-        elif not self._evaluator.batch_compatible(engine.evaluator):
-            raise ValueError(
-                f"replica {spec.name!r} is not batch-compatible with the "
-                "campaign (potential / element count / TET mismatch)"
-            )
-        # The campaign evaluates every stale row itself and hands the
-        # results back through apply_refresh, so the kernel's incremental
-        # path would only patch snapshots nobody re-rates: unwire it and
-        # every replica rebuilds in full (bit-identical either way).
-        kernel = engine.kernel
-        kernel.build_entries_delta = kernel.patch_entries = None
-        kernel.cache.drop_delta_snapshots()
-        # One cache for the whole campaign: every admitted engine (and the
-        # shared `_evaluator` — it belongs to the first of them) consults
-        # the same memo, so environments seen by any replica are hits for
-        # all.  "off" detaches whatever the factory may have installed.
-        if resolve_row_cache(self.row_cache_mode, engine.potential):
-            if self.row_cache is None:
-                budget = (
-                    None if self._row_cache_mb is None
-                    else int(float(self._row_cache_mb) * 1024 * 1024)
-                )
-                self.row_cache = RowEnergyCache(max_bytes=budget)
-            engine.attach_row_cache(self.row_cache)
-        elif self.row_cache_mode == "off":
-            engine.attach_row_cache(None)
-        self.admitted += 1
-        return _Replica(index, spec, engine)
-
-    def _run_shared(self) -> List[ReplicaResult]:
         queue = deque(enumerate(self.specs))
         active: List[_Replica] = []
         results: List[Optional[ReplicaResult]] = [None] * len(self.specs)
@@ -424,19 +319,60 @@ class ReplicaCampaign:
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 
-    def _run_sequential(self) -> List[ReplicaResult]:
-        results: List[ReplicaResult] = []
-        for spec in self.specs:
-            with self.profiler.phase("admit"):
-                engine = self.engine_factory(spec)
-                if self.row_cache_mode == "off":
-                    engine.attach_row_cache(None)
-                self.admitted += 1
-            with self.profiler.phase("step"):
-                rep = _Replica(len(results), spec, engine)
-                rep.executed = engine.run(
-                    n_steps=spec.n_steps, on_no_moves="stop"
-                )
-                rep.frozen = rep.executed < spec.n_steps
-            results.append(self._result(rep))
-        return results
+    def summary(self) -> Dict[str, float]:
+        """Aggregate campaign counters + phase timings (flat namespace)."""
+        out = {
+            "replicas": len(self.specs),
+            "rounds": self.rounds,
+            "admitted": self.admitted,
+            "shared_batches": self.shared_batches,
+            "shared_rows": self.shared_rows,
+            "max_shared_batch": self.max_shared_batch,
+        }
+        if self.row_cache is not None:
+            out.update(self.row_cache.summary())
+        return merge_disjoint(out, self.profiler.summary())
+
+    # ------------------------------------------------------------------
+    def _result(self, rep: _Replica) -> ReplicaResult:
+        return ReplicaResult(
+            spec=rep.spec,
+            executed=rep.executed,
+            frozen=rep.frozen,
+            time=float(rep.engine.time),
+            digest=occupancy_digest(rep.engine.lattice),
+            summary=rep.engine.summary(),
+        )
+
+    def _admit(self, index: int, spec: ReplicaSpec) -> _Replica:
+        engine = self.engine_factory(spec)
+        if not getattr(engine.potential, "batch_row_invariant", False):
+            raise ValueError(
+                "a campaign needs a batch_row_invariant potential (per-row "
+                "results must not depend on batch composition); run each "
+                "replica's engine on its own instead"
+            )
+        if self._evaluator is None:
+            self._evaluator = engine.evaluator
+        elif not self._evaluator.batch_compatible(engine.evaluator):
+            raise ValueError(
+                f"replica {spec.name!r} is not batch-compatible with the "
+                "campaign (potential / element count / TET mismatch)"
+            )
+        # The campaign evaluates every stale row itself and hands the
+        # results back through apply_refresh, so the kernel's incremental
+        # path would only patch snapshots nobody re-rates: unwire it and
+        # every replica rebuilds in full (bit-identical either way).
+        kernel = engine.kernel
+        kernel.build_entries_delta = kernel.patch_entries = None
+        kernel.cache.drop_delta_snapshots()
+        # One cache for the whole campaign: every admitted engine (and the
+        # shared `_evaluator` — it belongs to the first of them) consults
+        # the same memo, so environments seen by any replica are hits for
+        # all.
+        if resolve_row_cache(engine.potential):
+            if self.row_cache is None:
+                self.row_cache = RowEnergyCache()
+            engine.attach_row_cache(self.row_cache)
+        self.admitted += 1
+        return _Replica(index, spec, engine)

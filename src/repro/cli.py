@@ -28,7 +28,6 @@ from .analysis import analyse_precipitation
 from .constants import CU_CONCENTRATION, TEMPERATURE_RPV, VACANCY_CONCENTRATION
 from .core import TensorKMCEngine, TripleEncoding
 from .core.profiling import PHASES
-from .core.rowcache import ROW_CACHE_MODES
 from .io.snapshots import save_lattice
 from .io.xyz import write_xyz
 from .lattice import LatticeState
@@ -95,10 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--max-in-flight", type=int, default=None,
                       help="concurrent replicas; completed ones are "
                            "hot-swapped for queued specs (default: all)")
-    camp.add_argument("--mode", choices=("shared", "sequential"),
-                      default="shared",
-                      help="shared = one fused potential call per round "
-                           "across replicas; sequential = solo baseline")
     camp.add_argument("--potential", type=str, default=None,
                       help="path to a trained NNPotential .npz (default: EAM)")
 
@@ -138,13 +133,6 @@ def _common_alloy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vacancies", type=float, default=None,
                    help="vacancy site fraction (default: paper value, min 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--row-cache", choices=ROW_CACHE_MODES, default="auto",
-                   help="persistent row-energy memoization: auto enables "
-                        "it for row-invariant network potentials, on/off "
-                        "force it (bitwise-neutral either way)")
-    p.add_argument("--row-cache-mb", type=float, default=None,
-                   help="row-cache byte budget in MiB (LRU eviction past "
-                        "it; default: unbounded)")
 
 
 def _print_hot_path_summary(summary, events: int) -> None:
@@ -213,8 +201,6 @@ def _cmd_run(args) -> int:
         engine = TensorKMCEngine(
             lattice, potential, tet, temperature=args.temperature,
             rng=np.random.default_rng(args.seed + 1),
-            row_cache=args.row_cache,
-            row_cache_mb=args.row_cache_mb,
         )
     engine.run(n_steps=args.steps)
     stats = analyse_precipitation(lattice, engine.time)
@@ -274,7 +260,6 @@ def _cmd_parallel(args) -> int:
             lattice, potential, tet, n_ranks=args.ranks,
             temperature=args.temperature, t_stop=args.t_stop, seed=args.seed,
             fault_plan=plan,
-            row_cache=args.row_cache, row_cache_mb=args.row_cache_mb,
         )
     before = sim.gather_global().species_counts().copy()
     recoveries = 0
@@ -331,15 +316,10 @@ def _cmd_campaign(args) -> int:
     vac = args.vacancies if args.vacancies is not None else VACANCY_CONCENTRATION
     factory = alloy_engine_factory(
         args.box, potential, tet, cu_fraction=args.cu, vacancy_fraction=vac,
-        row_cache=args.row_cache, row_cache_mb=args.row_cache_mb,
     )
-    campaign = ReplicaCampaign(
-        specs, factory, max_in_flight=args.max_in_flight, mode=args.mode,
-        row_cache=args.row_cache, row_cache_mb=args.row_cache_mb,
-    )
+    campaign = ReplicaCampaign(specs, factory, max_in_flight=args.max_in_flight)
     results = campaign.run()
     agg = campaign.summary()
-    print(f"mode = {campaign.mode}")
     print(f"replicas = {len(results)}")
     print(f"rounds = {agg['rounds']}")
     print(f"shared_batches = {agg['shared_batches']}")

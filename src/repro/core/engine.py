@@ -71,18 +71,14 @@ class SerialAKMCBase:
         Random generator; the draw order is fixed (selection then time, see
         :func:`repro.core.rates.residence_time`), so identical seeds give
         identical trajectories across engine variants.
-    row_cache:
-        ``"auto"`` (default) attaches a persistent
-        :class:`~repro.core.rowcache.RowEnergyCache` exactly where in-batch
-        row dedup turns on (row-invariant network potentials): unique-row
-        energies are memoized across batches and steps, so the rebuild
-        phase hash-looks-up recurring environments instead of re-running
-        the GEMM stack.  ``"on"`` forces attachment, ``"off"`` disables it.
-        Bitwise-neutral under ``batch_row_invariant`` — trajectories are
-        identical with the cache on or off.
-    row_cache_mb:
-        Optional resident-size budget in MiB for the row cache; the LRU
-        clock evicts past it.  ``None`` (default) means unbounded.
+
+    A row-invariant network potential (the NNP family; see
+    :func:`~repro.core.rowcache.resolve_row_cache`) gets a persistent
+    :class:`~repro.core.rowcache.RowEnergyCache` under its default byte
+    budget: unique-row energies are memoized across batches and steps, so
+    the rebuild phase looks recurring environments up instead of re-running
+    the GEMM stack.  A hit returns the bits a fresh evaluation would, so the
+    cache never changes a trajectory.
 
     Cache misses take the batched path — every stale vacancy queued since
     the last selection goes through one fused
@@ -108,15 +104,9 @@ class SerialAKMCBase:
         temperature: float = TEMPERATURE_RPV,
         rng: Optional[np.random.Generator] = None,
         ea0=None,
-        row_cache: str = "auto",
-        row_cache_mb: Optional[float] = None,
     ) -> None:
         if abs(lattice.a - tet.geometry.a) > 1e-12:
             raise ValueError("lattice constant mismatch between lattice and TET")
-        # Validates the mode string (raising on typos) and decides whether
-        # this potential gets a cache under "auto".
-        row_cache_on = resolve_row_cache(row_cache, potential)
-        self.row_cache_mode = row_cache
         self.lattice = lattice
         self.potential = potential
         self.tet = tet
@@ -156,12 +146,8 @@ class SerialAKMCBase:
             self.kernel.build_entries_delta = rebuilder.build_entries
             self.kernel.patch_entries = rebuilder.patch_entries
         self.row_cache: Optional[RowEnergyCache] = None
-        if row_cache_on:
-            budget = (
-                None if row_cache_mb is None
-                else int(float(row_cache_mb) * 1024 * 1024)
-            )
-            self.attach_row_cache(RowEnergyCache(max_bytes=budget))
+        if resolve_row_cache(potential):
+            self.attach_row_cache(RowEnergyCache())
         #: First-neighbour hop vectors as Python ints: the hop's coordinate
         #: arithmetic is scalar, array round-trips would dominate it.
         self._nn_half = [tuple(row) for row in tet.nn_offsets.tolist()]
@@ -330,36 +316,25 @@ class SerialAKMCBase:
             self.events.append(event)
         return event
 
-    #: Allowed ``on_no_moves`` policies of :meth:`run`.
-    NO_MOVES_POLICIES = ("raise", "stop")
-
     def run(
         self,
         n_steps: Optional[int] = None,
         t_end: Optional[float] = None,
         callback: Optional[Callable[[KMCEvent], None]] = None,
-        on_no_moves: str = "raise",
     ) -> int:
         """Run until a step budget or a simulated-time horizon is exhausted.
 
         Returns the number of events executed.  At least one of ``n_steps``
         and ``t_end`` must be provided.
 
-        ``on_no_moves`` decides what happens when the rate tree empties
-        mid-horizon (every direction of every vacancy invalid — e.g. all
-        remaining movers annihilated or frozen): ``"raise"`` (default, the
-        historical behaviour) propagates :class:`NoMovesError` to the
-        caller, ``"stop"`` ends the run cleanly and returns the events
-        executed so far — a frozen replica is a *result*, not a crash,
-        which is what campaign drivers need.
+        A system whose rate tree empties mid-horizon (every direction of
+        every vacancy invalid — e.g. all remaining movers annihilated or
+        frozen) ends the run early: a frozen system is a *result*, not a
+        crash, so the events executed so far are returned.  :meth:`step`
+        itself raises :class:`NoMovesError` in that state.
         """
         if n_steps is None and t_end is None:
             raise ValueError("provide n_steps and/or t_end")
-        if on_no_moves not in self.NO_MOVES_POLICIES:
-            raise ValueError(
-                f"unknown on_no_moves policy {on_no_moves!r}; allowed: "
-                f"{self.NO_MOVES_POLICIES}"
-            )
         executed = 0
         while True:
             if n_steps is not None and executed >= n_steps:
@@ -369,8 +344,6 @@ class SerialAKMCBase:
             try:
                 event = self.step()
             except NoMovesError:
-                if on_no_moves == "raise":
-                    raise
                 break
             executed += 1
             if callback is not None:

@@ -25,18 +25,21 @@ Soundness of serving a stored energy rests on the same contract as
 in-batch dedup: the potential must be ``batch_row_invariant`` — an
 identical row produces bit-identical energy regardless of the batch it
 appears in.  Under that contract a cache hit returns the same bits a
-fresh evaluation would, so trajectories with the cache on are
-bit-identical to ``row_cache="off"``.
+fresh evaluation would, so trajectories are bit-identical with or
+without a cache attached.
 
 Entries live in slab arrays addressed through a key -> slot map.  Rows
 are stored in the narrowest unsigned dtype that holds every value a row
 can take under the TET (:func:`row_dtype`: one byte for every shipped
 TET), energies in their own dtype, so the round-trip preserves every bit.
-Eviction is LRU (an ``OrderedDict`` clock): every hit touches its entry,
-inserts append, and the byte budget pops from the cold end.  Contents
-are deliberately *not* checkpointed — a restart rebuilds the cache from
-cold, bit-identically — but the monotonic hit/miss/eviction counters
-are, so resumed runs report honest totals.
+The byte budget (:data:`ROW_CACHE_BYTES` unless the constructor is given
+another) is enforced by second-chance eviction: entries queue in insert
+order, a hit sets its entry's reference bit — one vectorised store per
+probe — and eviction pops from the old end, sending an entry whose bit is
+set back to the young end with the bit cleared instead of dropping it.
+Contents are deliberately *not* checkpointed — a restart rebuilds the
+cache from cold, bit-identically — but the monotonic hit/miss/eviction
+counters are, so resumed runs report honest totals.
 """
 
 from __future__ import annotations
@@ -44,12 +47,6 @@ from __future__ import annotations
 from collections import OrderedDict
 
 import numpy as np
-
-#: Allowed ``row_cache`` modes: ``auto`` turns the cache on exactly where
-#: in-batch dedup turns on (network potentials with the
-#: ``batch_row_invariant`` guarantee), ``on`` forces attachment (the cache
-#: is still only consulted where dedup runs), ``off`` disables it.
-ROW_CACHE_MODES = ("auto", "on", "off")
 
 #: One weight per row column (the centre species, then each
 #: ``(shell, species)`` count), drawn once from a fixed seed so keys are
@@ -61,6 +58,14 @@ ROW_KEY_WEIGHTS = np.random.default_rng(0x5EED_0C0DE).integers(
 #: Analytic per-entry byte charge besides the stored row: the int64 key
 #: plus one float64 energy.
 ROW_ENTRY_BYTES = 16
+
+#: Default resident-size budget of a :class:`RowEnergyCache`: one miss
+#: chunk's worth (``MISS_CHUNK_BYTES``), so the cache at most doubles the
+#: miss pipeline's share of ``tensorkmc_memory_model``'s peak.  That is
+#: 762k entries at the paper's rcut 6.5 (33 B, :func:`row_entry_bytes`)
+#: and 1.2M at rcut 2.87 (21 B); a 20 s run of the rcut 6.5 benchmark
+#: workload meets about 46k distinct rows, so steady runs never evict.
+ROW_CACHE_BYTES = 24 * 2**20
 
 
 def row_entry_bytes(n_channels: int, itemsize: int) -> int:
@@ -132,52 +137,43 @@ def stored_rows(
     return rows
 
 
-def resolve_row_cache(mode: str, potential) -> bool:
-    """Decide whether a row cache should be active for ``potential``.
+def resolve_row_cache(potential) -> bool:
+    """Whether an engine on ``potential`` gets a row cache.
 
-    Mirrors the dedup gate in the evaluator: ``auto`` enables
-    the cache only for ``batch_row_invariant`` potentials that expose
-    ``network_channels`` (the NNP family, where re-evaluating a row costs
-    a GEMM stack); table potentials keep it off by default because a
+    Exactly where in-batch dedup pays: ``batch_row_invariant`` potentials
+    that expose ``network_channels`` (the NNP family, where re-evaluating
+    a row costs a GEMM stack).  Table potentials go without, because a
     table lookup is already about as cheap as a cache probe.
     """
-    if mode not in ROW_CACHE_MODES:
-        raise ValueError(
-            f"unknown row_cache mode {mode!r}; allowed modes: {ROW_CACHE_MODES}"
-        )
-    if mode == "off":
-        return False
-    if mode == "on":
-        return True
     if not getattr(potential, "batch_row_invariant", False):
         return False
     return getattr(potential, "network_channels", None) is not None
 
 
 class RowEnergyCache:
-    """Content-addressed LRU map from verified row keys to row energies.
+    """Content-addressed map from verified row keys to row energies.
 
     Parameters
     ----------
     max_bytes:
-        Resident-size budget in bytes (:func:`row_entry_bytes` per entry);
-        ``None`` means unbounded.  Inserting past the budget evicts from
-        the least-recently-used end until the cache fits again.
+        Resident-size budget in bytes (:func:`row_entry_bytes` per entry).
+        Inserting past it evicts, second chance first, until the cache
+        fits again.
     """
 
-    def __init__(self, max_bytes: int | None = None) -> None:
-        if max_bytes is not None:
-            # The row width and dtype are only known at the first insert,
-            # which checks again against the real entry size.
-            _check_budget(max_bytes, row_entry_bytes(1, 1))
-        self.max_bytes = max_bytes
-        # key -> slab slot, in LRU order (coldest first).
+    def __init__(self, max_bytes: int = ROW_CACHE_BYTES) -> None:
+        # The row width and dtype are only known at the first insert,
+        # which checks again against the real entry size.
+        _check_budget(max_bytes, row_entry_bytes(1, 1))
+        self.max_bytes = int(max_bytes)
+        # key -> slab slot, in eviction order (oldest first).
         self._slot_of: OrderedDict[int, int] = OrderedDict()
-        # Slabs of stored rows and energies; the first insert allocates
-        # them and so fixes the row width, the row dtype and the value
-        # dtype.
+        # Slabs of stored rows, energies and reference bits; the first
+        # insert allocates them and so fixes the row width, the row dtype
+        # and the value dtype.
         self._rows: np.ndarray | None = None
         self._values: np.ndarray | None = None
+        self._referenced: np.ndarray | None = None
         self._n_slots = 0  # slab prefix ever handed out
         self._free: list[int] = []  # slots released by eviction
         self._potential_token: tuple[int, int] | None = None
@@ -207,7 +203,7 @@ class RowEnergyCache:
     def clear(self) -> None:
         """Drop all cached rows (counters are monotonic and persist)."""
         self._slot_of.clear()
-        self._rows = self._values = None
+        self._rows = self._values = self._referenced = None
         self._n_slots = 0
         self._free = []
 
@@ -223,9 +219,8 @@ class RowEnergyCache:
         *and* the entry's stored row equals ``rows[i]``, so a key collision
         is a miss.  Returns ``(found, values)`` where ``found`` is a boolean
         mask and ``values`` holds the cached energies (in the cache's
-        value dtype) at found positions, zeros elsewhere.  In a bounded
-        cache every hit is touched to the hot end of the LRU clock; an
-        unbounded one never evicts, so it skips the touch.
+        value dtype) at found positions, zeros elsewhere.  Every hit sets
+        its entry's reference bit, which spares it at the next eviction.
         """
         n = len(keys)
         if not self._slot_of:
@@ -238,10 +233,7 @@ class RowEnergyCache:
         # test masks it.  A present key whose row differs is a collision.
         found = (slots >= 0) & (self._rows[slots] == rows).all(axis=1)
         values = np.where(found, self._values[slots], 0)
-        if self.max_bytes is not None:
-            touch = self._slot_of.move_to_end
-            for key in keys[found].tolist():
-                touch(key)
+        self._referenced[slots[found]] = True
         n_hits = int(np.count_nonzero(found))
         self.hits += n_hits
         self.misses += n - n_hits
@@ -261,13 +253,13 @@ class RowEnergyCache:
         if n == 0:
             return
         if self._rows is None:
-            if self.max_bytes is not None:
-                _check_budget(
-                    self.max_bytes,
-                    row_entry_bytes(rows.shape[1] - 1, rows.dtype.itemsize),
-                )
+            _check_budget(
+                self.max_bytes,
+                row_entry_bytes(rows.shape[1] - 1, rows.dtype.itemsize),
+            )
             self._rows = np.empty((n, rows.shape[1]), dtype=rows.dtype)
             self._values = np.empty(n, dtype=values.dtype)
+            self._referenced = np.empty(n, dtype=bool)
         elif rows.dtype != self._rows.dtype:
             raise ValueError(
                 f"rows of dtype {rows.dtype} cannot be stored in the cache's "
@@ -284,7 +276,7 @@ class RowEnergyCache:
                 else:
                     slot = self._n_slots
                     self._n_slots += 1
-            slot_of[key] = slot  # (re-)enters at the hot end
+            slot_of[key] = slot  # (re-)enters at the young end
             slots.append(slot)
         extra = self._n_slots - len(self._rows)
         if extra > 0:
@@ -295,13 +287,22 @@ class RowEnergyCache:
             self._values = np.concatenate(
                 [self._values, np.empty(extra, self._values.dtype)]
             )
+            self._referenced = np.concatenate(
+                [self._referenced, np.empty(extra, bool)]
+            )
         picked = list(latest.values())
         self._rows[slots] = rows[picked]
         self._values[slots] = values[picked]
-        if self.max_bytes is not None:
-            capacity = self.max_bytes // self._entry_bytes()
-            while len(slot_of) > capacity:
-                free.append(slot_of.popitem(last=False)[1])
+        referenced = self._referenced
+        referenced[slots] = False
+        capacity = self.max_bytes // self._entry_bytes()
+        while len(slot_of) > capacity:
+            key, slot = slot_of.popitem(last=False)
+            if referenced[slot]:  # hit since it was queued: second chance
+                referenced[slot] = False
+                slot_of[key] = slot
+            else:
+                free.append(slot)
                 self.evictions += 1
 
     # -- accounting ----------------------------------------------------

@@ -47,15 +47,18 @@ __all__ = [
 #: Sentinel for a parked (free) slot in serialised registries.
 _FREE_SLOT = -1
 
-#: Mode fields older serial archives carry, with the values that resume
+#: Mode fields older archives carry, with the values that resume
 #: bit-exactly on the engines' single event path.  A linear propensity store
 #: sums in another order than the tree, and delta evaluation sums its
 #: per-direction energies in another order than the full one, so archives
-#: written under those cannot continue their trajectory bit for bit.
+#: written under those cannot continue their trajectory bit for bit.  The
+#: row cache never changed a trajectory, so every mode it had resumes (its
+#: old ``row_cache_budget`` field is ignored: the budget is the default).
 _RETIRED_MODES = {
     "propensity": ("tree",),
     "evaluation": ("full",),
     "batching": ("auto", "batched", "scalar"),
+    "row_cache": ("auto", "on", "off"),
 }
 
 
@@ -81,6 +84,18 @@ def _read_archive(path: str) -> _Archive:
         raise ValueError(
             f"{path} is not a readable checkpoint archive ({exc})"
         ) from exc
+
+
+def _check_retired_modes(data: _Archive) -> None:
+    """Raise ``ValueError`` naming a mode field that cannot resume."""
+    for field, resumable in _RETIRED_MODES.items():
+        value = str(data[field][0]) if field in data.files else resumable[0]
+        if value not in resumable:
+            raise ValueError(
+                f"{data.path} was written with {field}={value!r}, which "
+                f"cannot resume bit-exactly (resumable: "
+                f"{', '.join(resumable)})"
+            )
 
 
 def checkpoint_kind(path: str) -> str:
@@ -115,26 +130,12 @@ def save_checkpoint(path: str, engine: SerialAKMCBase) -> None:
         rng_state=np.array([rng_state]),
         vacancy_slots=slots,
         free_order=np.array(engine.kernel.cache.free_slots, dtype=np.int64),
-        # Row-energy cache: the mode, byte budget (-1 = unbounded), and the
-        # monotonic counters persist; the cached *contents* deliberately do
-        # not — a resumed run rebuilds the memo from cold, and because every
-        # hit is bitwise equal to a fresh evaluation the continuation is
-        # bit-identical either way.
-        row_cache=np.array([getattr(engine, "row_cache_mode", "auto")]),
-        row_cache_budget=np.array(
-            [_row_cache_budget(getattr(engine, "row_cache", None))],
-            dtype=np.int64,
-        ),
-        row_cache_counters=_row_cache_counters(
-            getattr(engine, "row_cache", None)
-        ),
+        # Row-energy cache: the monotonic counters persist; the cached
+        # *contents* deliberately do not — a resumed run rebuilds the memo
+        # from cold, and because every hit is bitwise equal to a fresh
+        # evaluation the continuation is bit-identical either way.
+        row_cache_counters=_row_cache_counters(engine.row_cache),
     )
-
-
-def _row_cache_budget(cache) -> int:
-    if cache is None or cache.max_bytes is None:
-        return -1
-    return int(cache.max_bytes)
 
 
 def _row_cache_counters(cache) -> np.ndarray:
@@ -146,12 +147,9 @@ def _row_cache_counters(cache) -> np.ndarray:
 
 
 def _restore_row_cache(cache, data) -> None:
-    """Resume a cold cache's budget and cumulative counters from ``data``."""
+    """Resume a cold cache's cumulative counters from ``data``."""
     if cache is None:
         return
-    if "row_cache_budget" in data.files:
-        budget = int(data["row_cache_budget"][0])
-        cache.max_bytes = None if budget < 0 else budget
     if "row_cache_counters" in data.files:
         cache.restore_counters(*(int(v) for v in data["row_cache_counters"]))
 
@@ -177,13 +175,7 @@ def load_checkpoint(
             f"{path} holds a {str(data['kind'][0])!r} checkpoint; use "
             "load_parallel_checkpoint"
         )
-    for field, resumable in _RETIRED_MODES.items():
-        value = str(data[field][0]) if field in data.files else resumable[0]
-        if value not in resumable:
-            raise ValueError(
-                f"{path} was written with {field}={value!r}, which cannot "
-                f"resume bit-exactly (resumable: {', '.join(resumable)})"
-            )
+    _check_retired_modes(data)
     lattice = LatticeState(tuple(int(v) for v in data["shape"]), a=float(data["a"][0]))
     lattice.occupancy = data["occupancy"].astype(np.uint8)
     if tet is None:
@@ -192,17 +184,12 @@ def load_checkpoint(
     rng = np.random.default_rng()
     rng.bit_generator.state = json.loads(str(data["rng_state"][0]))
 
-    # Archives predating the row cache resume under "auto".
-    row_cache = (
-        str(data["row_cache"][0]) if "row_cache" in data.files else "auto"
-    )
     engine = TensorKMCEngine(
         lattice,
         potential,
         tet,
         temperature=float(data["temperature"][0]),
         rng=rng,
-        row_cache=row_cache,
     )
     _restore_row_cache(engine.row_cache, data)
     engine.time = float(data["time"][0])
@@ -292,16 +279,9 @@ def save_parallel_checkpoint(path: str, sim) -> None:
             [[float(getattr(c, f)) for f in _CYCLE_FIELDS] for c in sim.cycles],
             dtype=np.float64,
         ).reshape(-1, len(_CYCLE_FIELDS)),
-        # Shared row-energy cache: mode/budget/counters persist, contents
-        # do not (cold rebuild is bit-identical; see the serial saver).
-        "row_cache": np.array([getattr(sim, "row_cache_mode", "auto")]),
-        "row_cache_budget": np.array(
-            [_row_cache_budget(getattr(sim, "row_cache", None))],
-            dtype=np.int64,
-        ),
-        "row_cache_counters": _row_cache_counters(
-            getattr(sim, "row_cache", None)
-        ),
+        # Shared row-energy cache: counters persist, contents do not
+        # (cold rebuild is bit-identical; see the serial saver).
+        "row_cache_counters": _row_cache_counters(sim.row_cache),
     }
     for r, rank in enumerate(sim.ranks):
         keys = rank.kernel.cache.sites
@@ -350,6 +330,7 @@ def load_parallel_checkpoint(
         raise ValueError(
             f"{path} holds a {kind!r} checkpoint; use load_checkpoint"
         )
+    _check_retired_modes(data)
     shape = tuple(int(v) for v in data["shape"])
     a = float(data["a"][0])
     lattice = LatticeState(shape, a=a)
@@ -357,9 +338,6 @@ def load_parallel_checkpoint(
     if tet is None:
         tet = TripleEncoding(rcut=float(data["rcut"][0]), a=a)
 
-    row_cache = (
-        str(data["row_cache"][0]) if "row_cache" in data.files else "auto"
-    )
     sim = SublatticeKMC(
         lattice,
         potential,
@@ -370,7 +348,6 @@ def load_parallel_checkpoint(
         seed=int(data["seed"][0]),
         sector_mode=str(data["sector_mode"][0]),
         fault_plan=fault_plan,
-        row_cache=row_cache,
     )
     _restore_row_cache(sim.row_cache, data)
     sim.time = float(data["time"][0])

@@ -359,14 +359,13 @@ class SublatticeKMC:
         rank kills, surfaced as structured
         :class:`~repro.parallel.comm.ProtocolError`\\ s (see
         ``repro.parallel.recovery`` for the rollback-and-replay driver).
-    row_cache / row_cache_mb:
-        Persistent row-energy memoization knobs (``"auto"``/``"on"``/
-        ``"off"`` and an optional MiB budget), as for the serial engines.
-        The ranks share one evaluator, so a single
-        :class:`~repro.core.rowcache.RowEnergyCache` spans every rank's
-        miss path; its counters are merged once at the simulation level
-        (rank kernels report zeros) and surfaced through
-        :class:`CycleStats` / :meth:`summary`.
+
+    A potential that gets a row cache on the serial engines gets one here
+    too.  The ranks share one evaluator, so a single
+    :class:`~repro.core.rowcache.RowEnergyCache` spans every rank's miss
+    path; its counters are merged once at the simulation level (rank
+    kernels report zeros) and surfaced through :class:`CycleStats` /
+    :meth:`summary`.
     """
 
     def __init__(
@@ -382,8 +381,6 @@ class SublatticeKMC:
         sector_mode: str = "sublattice",
         ea0=None,
         fault_plan: Optional[FaultPlan] = None,
-        row_cache: str = "auto",
-        row_cache_mb: Optional[float] = None,
     ) -> None:
         if sector_mode not in ("sublattice", "naive"):
             raise ValueError(f"unknown sector_mode {sector_mode!r}")
@@ -408,16 +405,10 @@ class SublatticeKMC:
         # rank kernels are left without a row_cache reference on purpose —
         # `_kernel_counters` sums per-rank counters, so the shared cache's
         # counters are merged exactly once at the simulation level instead.
-        self.row_cache_mode = row_cache
+        self.evaluator = evaluator
         self.row_cache: Optional[RowEnergyCache] = None
-        if resolve_row_cache(row_cache, potential):
-            budget = (
-                None if row_cache_mb is None
-                else int(float(row_cache_mb) * 1024 * 1024)
-            )
-            self.row_cache = evaluator.attach_row_cache(
-                RowEnergyCache(max_bytes=budget)
-            )
+        if resolve_row_cache(potential):
+            self.attach_row_cache(RowEnergyCache())
 
         occupancy4d = lattice.occupancy.reshape(2, *lattice.shape)
         self.ranks: List[RankState] = []
@@ -438,7 +429,6 @@ class SublatticeKMC:
                     rng=np.random.default_rng(seed + r),
                 )
             )
-        self.evaluator = evaluator
         self.time = 0.0
         self.sector_index = 0
         self.cycles: List[CycleStats] = []
@@ -456,6 +446,13 @@ class SublatticeKMC:
         parallel campaign.
         """
         return self.evaluator.attach_cost_ledger(ledger)
+
+    def attach_row_cache(self, cache):
+        """Install ``cache`` as the ranks' shared row-energy memo, as
+        :meth:`~repro.core.engine.SerialAKMCBase.attach_row_cache` does for
+        one engine.  Pass ``None`` to detach.  Returns the cache."""
+        self.row_cache = self.evaluator.attach_row_cache(cache)
+        return cache
 
     # ------------------------------------------------------------------
     def _kernel_counters(self) -> Dict[str, int]:

@@ -35,7 +35,7 @@ def _factory(pot, tet, box=8):
 def _solo_reference(factory, spec):
     """(executed, time, digest) of the spec run through a lone engine."""
     engine = factory(spec)
-    executed = engine.run(n_steps=spec.n_steps, on_no_moves="stop")
+    executed = engine.run(n_steps=spec.n_steps)
     return executed, engine.time, occupancy_digest(engine.lattice)
 
 
@@ -72,10 +72,11 @@ class TestSpecs:
             ReplicaCampaign(specs, _factory(eam_small, tet_small))
 
     def test_unknown_mode_rejected(self, tet_small, eam_small):
-        with pytest.raises(ValueError, match="mode"):
+        """There is one campaign loop: no mode is accepted."""
+        with pytest.raises(TypeError, match="mode"):
             ReplicaCampaign(
                 seed_sweep([0]), _factory(eam_small, tet_small),
-                mode="batched",
+                mode="sequential",
             )
 
     def test_bad_max_in_flight_rejected(self, tet_small, eam_small):
@@ -97,7 +98,7 @@ class TestBitIdentity:
     def test_r8_seed_sweep_matches_solo_eam(self, tet_small, eam_small):
         factory = _factory(eam_small, tet_small)
         specs = seed_sweep(range(8), n_steps=25)
-        campaign = ReplicaCampaign(specs, factory, mode="shared")
+        campaign = ReplicaCampaign(specs, factory)
         results = campaign.run()
         assert len(results) == 8
         # The rows really were fused: every round with work issued exactly
@@ -113,7 +114,7 @@ class TestBitIdentity:
     def test_r8_seed_sweep_matches_solo_nnp(self, tet_small, nnp_small):
         factory = _factory(nnp_small, tet_small)
         specs = seed_sweep(range(8), n_steps=8)
-        results = ReplicaCampaign(specs, factory, mode="shared").run()
+        results = ReplicaCampaign(specs, factory).run()
         _assert_matches_solo(results, factory)
 
     def test_temperature_ladder_matches_solo(self, tet_small, eam_small):
@@ -121,17 +122,9 @@ class TestBitIdentity:
         # temperatures on the way to rates.
         factory = _factory(eam_small, tet_small)
         specs = temperature_ladder([600.0, 900.0, 1200.0], n_steps=15, seed=4)
-        results = ReplicaCampaign(specs, factory, mode="shared").run()
+        results = ReplicaCampaign(specs, factory).run()
         assert len({r.digest for r in results}) > 1  # ladder actually diverges
         _assert_matches_solo(results, factory)
-
-    def test_sequential_mode_matches_shared(self, tet_small, eam_small):
-        factory = _factory(eam_small, tet_small)
-        specs = seed_sweep(range(4), n_steps=20)
-        shared = ReplicaCampaign(specs, factory, mode="shared").run()
-        sequential = ReplicaCampaign(specs, factory, mode="sequential").run()
-        assert [r.digest for r in shared] == [r.digest for r in sequential]
-        assert [r.time for r in shared] == [r.time for r in sequential]
 
     def test_replicas_never_take_the_delta_path(self, tet_small, eam_small):
         """A plain engine factory wires the delta path (a solo run takes
@@ -164,7 +157,7 @@ class TestBitIdentity:
 
         assert build(ReplicaSpec("solo", seed=0)).kernel.delta_active()
         specs = seed_sweep(range(3), n_steps=12)
-        results = ReplicaCampaign(specs, factory, mode="shared").run()
+        results = ReplicaCampaign(specs, factory).run()
         assert len(checked) == 3 * 12
         _assert_matches_solo(results, build)
 
@@ -252,12 +245,10 @@ class TestValidation:
             ReplicaCampaign(
                 seed_sweep([0], n_steps=1), _factory(pot, tet_small)
             ).run()
-        # The same potential is fine sequentially (no shared batches).
-        results = ReplicaCampaign(
-            seed_sweep([0], n_steps=3), _factory(pot, tet_small),
-            mode="sequential",
-        ).run()
-        assert results[0].executed == 3
+        # The same potential is fine on its own (no shared batches).
+        assert _solo_reference(
+            _factory(pot, tet_small), ReplicaSpec("solo", 0, n_steps=3)
+        )[0] == 3
 
     def test_batch_incompatible_replica_rejected(self, tet_small, eam_small):
         other_pot = EAMPotential(tet_small.shell_distances)

@@ -30,7 +30,7 @@ def _archive_with_mode(tmp_path, engine, field, value):
     path = str(tmp_path / "ck.npz")
     save_checkpoint(path, engine)
     data = dict(np.load(path, allow_pickle=False))
-    for name in ("propensity", "evaluation", "batching"):
+    for name in ("propensity", "evaluation", "batching", "row_cache"):
         data.pop(name, None)
     if field is not None:
         data[field] = np.array([value])
@@ -62,9 +62,8 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.npz")
         save_checkpoint(path, engine)
         with np.load(path, allow_pickle=False) as data:
-            assert not {"propensity", "evaluation", "batching"} & set(
-                data.files
-            )
+            assert not {"propensity", "evaluation", "batching", "row_cache",
+                        "row_cache_budget"} & set(data.files)
         resumed = load_checkpoint(path, eam_small, tet=tet_small)
         assert resumed.rate_model.temperature == 900.0
         assert resumed.cache.sites == engine.cache.sites
@@ -86,6 +85,9 @@ class TestCheckpoint:
             ("batching", "auto"),
             ("batching", "batched"),
             ("batching", "scalar"),
+            ("row_cache", "auto"),
+            ("row_cache", "on"),
+            ("row_cache", "off"),
         ],
     )
     def test_archived_modes_resume_bit_exactly(
@@ -107,14 +109,17 @@ class TestCheckpoint:
         assert resumed.time == reference.time
 
     @pytest.mark.parametrize(
-        "field,value", [("propensity", "linear"), ("evaluation", "delta")]
+        "field,value",
+        [("propensity", "linear"), ("evaluation", "delta"),
+         ("row_cache", "maybe")],
     )
     def test_non_resumable_archived_modes_rejected(
         self, tmp_path, tet_small, eam_small, field, value
     ):
         """A linear store and delta evaluation summed in another order than
         the one path left, so their archives cannot continue bit-exactly —
-        loading one must fail loudly instead of silently diverging."""
+        loading one must fail loudly instead of silently diverging.  A
+        row-cache mode the engines never had marks a foreign archive."""
         engine = _engine(tet_small, eam_small)
         engine.run(n_steps=5)
         path = _archive_with_mode(tmp_path, engine, field, value)

@@ -22,16 +22,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train"])
 
-    def test_row_cache_defaults_and_validation(self, capsys):
+    def test_row_cache_defaults_and_validation(self):
+        """The row cache follows the potential: no flag selects or sizes it."""
         for command in ("run", "parallel", "campaign"):
             args = build_parser().parse_args([command])
-            assert args.row_cache == "auto"
-            assert args.row_cache_mb is None
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([command, "--row-cache", "maybe"])
-        # argparse's rejection must list the allowed values.
-        err = capsys.readouterr().err
-        assert "'auto', 'on', 'off'" in err
+            assert not {"row_cache", "row_cache_mb"} & set(vars(args))
+            for flag in (["--row-cache", "on"], ["--row-cache-mb", "1"]):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command, *flag])
 
 
 class TestRunCommand:
@@ -55,10 +53,12 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--evaluation", "delta"])
 
-    def test_run_reports_row_cache(self, capsys):
+    def test_run_reports_row_cache(self, capsys, tmp_path, nnp_small):
+        path = str(tmp_path / "nnp.npz")
+        nnp_small.save(path)
         code = main([
             "run", "--box", "8", "--steps", "10", "--temperature", "800",
-            "--row-cache", "on", "--row-cache-mb", "1",
+            "--potential", path,
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -151,7 +151,6 @@ class TestCampaignCommand:
             "--seed", "3", "--vacancies", "0.004",
         ]) == 0
         out = capsys.readouterr().out
-        assert "mode = shared" in out
         assert "replicas = 2" in out
         times = {}
         for line in out.splitlines():
@@ -181,14 +180,10 @@ class TestCampaignCommand:
         assert "replica[T700]" in out and "replica[T1000]" in out
         assert "rounds = 20" in out  # one in flight: budgets run back-to-back
 
-    def test_sequential_mode(self, capsys):
-        assert main([
-            "campaign", "--box", "8", "--replicas", "2", "--steps", "5",
-            "--mode", "sequential", "--vacancies", "0.004",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "mode = sequential" in out
-        assert "shared_batches = 0" in out
+    def test_sequential_mode(self):
+        """There is one campaign loop; ``--mode`` is gone."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "--mode", "sequential"])
 
     def test_seeds_and_temperatures_exclusive(self):
         with pytest.raises(SystemExit):

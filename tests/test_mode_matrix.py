@@ -19,12 +19,13 @@ same occupancy, but a clock that differs in the last bits (its per-direction
 sums run in another order), so it has no row here.  The knobs are gone;
 these rows guard the single path that is left.
 
-The settings that still exist — row cache (off / auto / a tiny "on"
-budget) and campaign mode (shared / sequential) — are run over their
-whole product below, together with the two miss paths the engines pick
-by themselves (batched, and per-slot for a potential that is not
-``batch_row_invariant``) and the uncached OpenKMC baseline: each must
-land on its row.
+The row cache is the one setting left, and only as an attached object:
+each row is run with the cache detached (``off``), with the engine's
+default one (``auto``) and with a tiny byte budget (``on``), together
+with the two miss paths the engines pick by themselves (batched, and
+per-slot for a potential that is not ``batch_row_invariant``), the
+uncached OpenKMC baseline and the shared campaign: each must land on its
+row.  Running a campaign's replicas one after another is the serial row.
 
 One more serial NNP row runs a 4-shell TET, whose rows of 8 counts are
 too wide for one byte per count in 64 bits.  It was captured with the row
@@ -127,18 +128,18 @@ def _serial(tet, pot, engine=TensorKMCEngine, **kw):
 
 
 def _serial_identity(engine):
-    assert engine.run(n_steps=N_STEPS, on_no_moves="stop") == N_STEPS
+    assert engine.run(n_steps=N_STEPS) == N_STEPS
     return occupancy_digest(engine.lattice), float(engine.time).hex()
 
 
-def _parallel(tet, pot, **kw):
+def _parallel(tet, pot, prepare=lambda sim: sim, **kw):
     # 4 ranks need >= 4 cells of sector width per rank: 16^3 is the floor.
     lattice = LatticeState((16, 16, 16))
     lattice.randomize_alloy(np.random.default_rng(3), 0.05, 0.003)
-    sim = SublatticeKMC(
+    sim = prepare(SublatticeKMC(
         lattice, pot, tet, n_ranks=4, temperature=900.0, t_stop=2e-10,
         seed=5, **kw,
-    )
+    ))
     sim.run(N_CYCLES)
     return sim
 
@@ -151,24 +152,26 @@ def _parallel_identity(sim):
     )
 
 
-def _row_cache_kw(row_cache, n_entries, tet):
-    """Engine kwargs; ``on`` gets a budget of ``n_entries`` of ``tet``'s rows."""
-    kw = {"row_cache": row_cache}
-    if row_cache == "on":
+def _with_row_cache(driver, row_cache, n_entries, tet):
+    """``driver`` with its row cache detached (``off``), kept (``auto``) or
+    swapped for a budget of ``n_entries`` of ``tet``'s rows (``on``)."""
+    if row_cache == "off":
+        driver.attach_row_cache(None)
+    elif row_cache == "on":
         entry = row_entry_bytes(
             tet.n_shells * N_ELEMENTS, row_dtype(tet, N_ELEMENTS).itemsize
         )
-        kw["row_cache_mb"] = n_entries * entry / (1024.0 * 1024.0)
-    return kw
+        driver.attach_row_cache(RowEnergyCache(max_bytes=n_entries * entry))
+    return driver
 
 
 class TestGoldenTrajectories:
     @POTENTIALS
     @ROW_CACHES
     def test_serial(self, request, tet_small, pot, row_cache):
-        engine = _serial(
-            tet_small, _potential(request, pot),
-            **_row_cache_kw(row_cache, TINY_ENTRIES, tet_small),
+        engine = _with_row_cache(
+            _serial(tet_small, _potential(request, pot)),
+            row_cache, TINY_ENTRIES, tet_small,
         )
         assert _serial_identity(engine) == _golden(pot)
         if pot == "nnp" and row_cache == "on":
@@ -180,9 +183,8 @@ class TestGoldenTrajectories:
 
     @ROW_CACHES
     def test_serial_wide_rows(self, tet_wide, nnp_wide, row_cache):
-        engine = _serial(
-            tet_wide, nnp_wide,
-            **_row_cache_kw(row_cache, TINY_ENTRIES, tet_wide),
+        engine = _with_row_cache(
+            _serial(tet_wide, nnp_wide), row_cache, TINY_ENTRIES, tet_wide
         )
         assert _serial_identity(engine) == SERIAL_NNP_WIDE
         counters = engine.kernel.counters()
@@ -210,13 +212,11 @@ class TestGoldenTrajectories:
         assert _serial_identity(engine) == _golden(pot)
 
     @POTENTIALS
-    @pytest.mark.parametrize("mode", ("shared", "sequential"))
-    def test_campaign(self, request, tet_small, pot, mode):
+    def test_campaign(self, request, tet_small, pot):
         potential = _potential(request, pot)
         results = ReplicaCampaign(
             [ReplicaSpec("m", seed=0, n_steps=N_STEPS)],
             lambda spec: _serial(tet_small, potential),
-            mode=mode,
         ).run()
         got = (results[0].digest, float(results[0].time).hex())
         assert got == _golden(pot)
@@ -226,7 +226,9 @@ class TestGoldenTrajectories:
     def test_parallel_4_ranks(self, request, tet_small, pot, row_cache):
         sim = _parallel(
             tet_small, _potential(request, pot),
-            **_row_cache_kw(row_cache, PARALLEL_ENTRIES, tet_small),
+            lambda sim: _with_row_cache(
+                sim, row_cache, PARALLEL_ENTRIES, tet_small
+            ),
         )
         got = _parallel_identity(sim)
         assert got == {"eam": PARALLEL_EAM, "nnp": PARALLEL_NNP}[pot]
@@ -280,8 +282,7 @@ class TestChunkBoundaries:
         lattice = LatticeState((8, 8, 8))
         lattice.randomize_alloy(np.random.default_rng(9), 0.05, 0.01)
         engine = TensorKMCEngine(
-            lattice, _potential(request, request.param), tet_small,
-            row_cache="off",
+            lattice, _potential(request, request.param), tet_small
         )
         sites = sorted(lattice.vacancy_ids)[: self.N_VACANCIES]
         assert len(sites) == self.N_VACANCIES
@@ -366,9 +367,8 @@ class TestChunkBoundaries:
         monkeypatch.setattr(
             vacancy_system, "MISS_CHUNK_BYTES", _pairs_budget(tet_small, 2)
         )
-        engine = _serial(
-            tet_small, nnp_small,
-            **_row_cache_kw(row_cache, TINY_ENTRIES, tet_small),
+        engine = _with_row_cache(
+            _serial(tet_small, nnp_small), row_cache, TINY_ENTRIES, tet_small
         )
         assert _serial_identity(engine) == SERIAL_NNP
         assert max(chunk_sizes["pairs"]) == 2
@@ -381,9 +381,8 @@ class TestChunkBoundaries:
         monkeypatch.setattr(
             vacancy_system, "MISS_CHUNK_BYTES", _pairs_budget(tet_wide, 3)
         )
-        engine = _serial(
-            tet_wide, nnp_wide,
-            **_row_cache_kw(row_cache, TINY_ENTRIES, tet_wide),
+        engine = _with_row_cache(
+            _serial(tet_wide, nnp_wide), row_cache, TINY_ENTRIES, tet_wide
         )
         assert _serial_identity(engine) == SERIAL_NNP_WIDE
         assert max(chunk_sizes["pairs"]) == 3

@@ -4,13 +4,15 @@ The :class:`~repro.core.rowcache.RowEnergyCache` memoizes unique-row
 energies across batches under the same ``batch_row_invariant`` contract
 that licenses in-batch dedup, so the observable guarantee is absolute:
 every fixed-seed trajectory (serial, parallel, campaign, resumed from a
-checkpoint) is bit-identical with the cache on and off — including when a
-tiny byte budget forces constant evict/re-insert cycling.  The additive
+checkpoint) is bit-identical with the cache attached and detached —
+including when a tiny byte budget forces constant evict/re-insert cycling.  The additive
 64-bit row key is only an address: dedup and the cache both check the row
 itself, so the tests below force key collisions and require the exact
 energies anyway, and fuzz that grouping by key recovers the true distinct
 rows for any row width.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from repro.campaign import ReplicaCampaign, ReplicaSpec, occupancy_digest
 from repro.core import rowcache
 from repro.core.engine import TensorKMCEngine
 from repro.core.rowcache import (
-    ROW_CACHE_MODES,
+    ROW_CACHE_BYTES,
     RowEnergyCache,
     resolve_row_cache,
     row_dtype,
@@ -110,6 +112,20 @@ class TestRowEnergyCacheUnit:
         assert found.tolist() == [True, False, True]
         # The evicted entry's slot was reused without disturbing the rest.
         assert values.tolist() == [1.0, 0.0, 3.0]
+
+    def test_second_chance_is_spent_once(self):
+        """A hit spares its entry from one eviction sweep, which clears the
+        bit: unless it is hit again, the entry goes at a later sweep."""
+        cache = RowEnergyCache(max_bytes=2 * ENTRY)
+        keys, rows = _entries(1, 2, 3, 4)
+        cache.insert(keys[:2], rows[:2], np.array([1.0, 2.0]))  # queue 1, 2
+        cache.lookup(keys[:1], rows[:1])  # 1 is hit
+        cache.insert(keys[2:3], rows[2:3], np.array([3.0]))  # 2 goes: 3, 1
+        cache.lookup(keys[2:3], rows[2:3])  # 3 is hit, 1 is not
+        cache.insert(keys[3:], rows[3:], np.array([4.0]))  # 1 goes
+        found, _ = cache.lookup(keys, rows)
+        assert found.tolist() == [False, False, True, True]
+        assert cache.evictions == 2
 
     def test_budget_too_small_rejected(self):
         with pytest.raises(ValueError, match="cannot hold a single"):
@@ -222,26 +238,25 @@ class TestNarrowRows:
 
 
 class TestResolveRowCache:
-    def test_unknown_mode_lists_allowed(self, eam_small):
-        with pytest.raises(ValueError) as err:
-            resolve_row_cache("sometimes", eam_small)
-        for mode in ROW_CACHE_MODES:
-            assert mode in str(err.value)
+    def test_auto_gates_like_dedup(self, tet_small, eam_small, nnp_small):
+        """One rule: a cache exactly for row-invariant network potentials."""
+        variant = copy.copy(nnp_small)
+        variant.batch_row_invariant = False
+        assert resolve_row_cache(nnp_small) is True
+        assert resolve_row_cache(eam_small) is False
+        assert resolve_row_cache(variant) is False
+        for pot, cached in ((nnp_small, True), (eam_small, False)):
+            engine = _serial_engine(tet_small, pot)
+            assert (engine.row_cache is not None) is cached
+            assert engine.row_cache is engine.evaluator.row_cache
 
-    def test_auto_gates_like_dedup(self, eam_small, nnp_small):
-        assert resolve_row_cache("auto", nnp_small) is True
-        assert resolve_row_cache("auto", eam_small) is False
-        assert resolve_row_cache("on", eam_small) is True
-        assert resolve_row_cache("off", nnp_small) is False
-
-    def test_engine_knob_validates_eagerly(self, tet_small, eam_small):
-        lattice = LatticeState((8, 8, 8))
-        lattice.randomize_alloy(np.random.default_rng(1), 0.05, 0.003)
-        with pytest.raises(ValueError, match="allowed modes"):
-            TensorKMCEngine(
-                lattice, eam_small, tet_small, temperature=900.0,
-                rng=np.random.default_rng(2), row_cache="maybe",
-            )
+    def test_engine_knob_validates_eagerly(
+        self, tet_small, eam_small, alloy_lattice
+    ):
+        """The row-cache knobs are gone: passing one fails at construction."""
+        for knob in ({"row_cache": "on"}, {"row_cache_mb": 1.0}):
+            with pytest.raises(TypeError, match="row_cache"):
+                TensorKMCEngine(alloy_lattice, eam_small, tet_small, **knob)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +403,9 @@ def _serial_engine(tet, pot, **kw):
 @pytest.fixture(scope="module")
 def serial_off(tet_small, nnp_small):
     """Digest + clock of the cache-off NNP run every variant must hit."""
-    engine = _serial_engine(tet_small, nnp_small, row_cache="off")
-    assert engine.row_cache is None
-    engine.run(n_steps=N_STEPS, on_no_moves="stop")
+    engine = _serial_engine(tet_small, nnp_small)
+    engine.attach_row_cache(None)
+    engine.run(n_steps=N_STEPS)
     return occupancy_digest(engine.lattice), engine.time
 
 
@@ -398,9 +413,9 @@ class TestSerialTrajectory:
     def test_cache_on_is_bit_identical_and_hits(
         self, tet_small, nnp_small, serial_off
     ):
-        engine = _serial_engine(tet_small, nnp_small)  # auto -> on for NNP
+        engine = _serial_engine(tet_small, nnp_small)  # on for an NNP
         assert engine.row_cache is not None
-        engine.run(n_steps=N_STEPS, on_no_moves="stop")
+        engine.run(n_steps=N_STEPS)
         assert (occupancy_digest(engine.lattice), engine.time) == serial_off
         assert engine.row_cache.hits > 0
         summary = engine.summary()
@@ -415,12 +430,9 @@ class TestSerialTrajectory:
         entry = row_entry_bytes(
             tet_small.n_shells * 2, row_dtype(tet_small, 2).itemsize
         )
-        engine = _serial_engine(
-            tet_small, nnp_small, row_cache="on",
-            row_cache_mb=16 * entry / (1024.0 * 1024.0),
-        )
-        assert engine.row_cache.max_bytes == 16 * entry
-        engine.run(n_steps=N_STEPS, on_no_moves="stop")
+        engine = _serial_engine(tet_small, nnp_small)
+        engine.attach_row_cache(RowEnergyCache(max_bytes=16 * entry))
+        engine.run(n_steps=N_STEPS)
         assert (occupancy_digest(engine.lattice), engine.time) == serial_off
         assert engine.row_cache.evictions > 0
         assert len(engine.row_cache) <= 16
@@ -428,14 +440,14 @@ class TestSerialTrajectory:
     def test_on_mode_with_table_potential_is_inert(
         self, tet_small, eam_small
     ):
-        """``on`` attaches a cache for a non-network potential, but dedup
-        never runs so the cache is never consulted — same permissive
-        semantics as ``dedup="always"``; the trajectory is unaffected."""
-        ref = _serial_engine(tet_small, eam_small, row_cache="off")
-        ref.run(n_steps=N_STEPS, on_no_moves="stop")
-        engine = _serial_engine(tet_small, eam_small, row_cache="on")
-        assert engine.row_cache is not None
-        engine.run(n_steps=N_STEPS, on_no_moves="stop")
+        """A cache attached to an engine on a table potential is never
+        consulted (dedup never runs); the trajectory is unaffected."""
+        ref = _serial_engine(tet_small, eam_small)
+        assert ref.row_cache is None
+        ref.run(n_steps=N_STEPS)
+        engine = _serial_engine(tet_small, eam_small)
+        engine.attach_row_cache(RowEnergyCache())
+        engine.run(n_steps=N_STEPS)
         assert occupancy_digest(engine.lattice) == occupancy_digest(
             ref.lattice
         )
@@ -446,8 +458,8 @@ class TestSerialTrajectory:
         self, tmp_path, tet_small, nnp_small, serial_off
     ):
         path = str(tmp_path / "rc.npz")
-        interrupted = _serial_engine(tet_small, nnp_small, row_cache="on")
-        interrupted.run(n_steps=N_STEPS // 2, on_no_moves="stop")
+        interrupted = _serial_engine(tet_small, nnp_small)
+        interrupted.run(n_steps=N_STEPS // 2)
         resident = len(interrupted.row_cache)
         counters = interrupted.row_cache.counters()
         assert resident > 0
@@ -458,22 +470,23 @@ class TestSerialTrajectory:
         assert len(resumed.row_cache) == 0
         # ...but the monotonic counters carry over.
         assert resumed.row_cache.counters() == counters
-        resumed.run(n_steps=N_STEPS - N_STEPS // 2, on_no_moves="stop")
+        resumed.run(n_steps=N_STEPS - N_STEPS // 2)
         # Cold cache after restart rebuilds bit-identically.
         assert (occupancy_digest(resumed.lattice), resumed.time) == serial_off
 
     def test_checkpoint_round_trips_mode_and_budget(
         self, tmp_path, tet_small, nnp_small
     ):
-        engine = _serial_engine(
-            tet_small, nnp_small, row_cache="on", row_cache_mb=0.5
-        )
-        engine.run(n_steps=5, on_no_moves="stop")
+        """Neither is archived any more: the resumed engine gets its cache,
+        under the default budget, by the same rule as the original."""
+        engine = _serial_engine(tet_small, nnp_small)
+        engine.run(n_steps=5)
         path = str(tmp_path / "rc2.npz")
         save_checkpoint(path, engine)
+        with np.load(path) as data:
+            assert not {"row_cache", "row_cache_budget"} & set(data.files)
         resumed = load_checkpoint(path, nnp_small, tet=tet_small)
-        assert resumed.row_cache_mode == "on"
-        assert resumed.row_cache.max_bytes == engine.row_cache.max_bytes
+        assert resumed.row_cache.max_bytes == ROW_CACHE_BYTES
 
 
 def _parallel_sim(tet, pot, **kw):
@@ -492,9 +505,10 @@ class TestParallelTrajectory:
         return occupancy_digest(sim.gather_global()), sim.time
 
     def test_cache_on_is_bit_identical(self, tet_small, nnp_small):
-        off = _parallel_sim(tet_small, nnp_small, row_cache="off")
-        assert off.row_cache is None
-        on = _parallel_sim(tet_small, nnp_small)  # auto -> on
+        off = _parallel_sim(tet_small, nnp_small)
+        off.attach_row_cache(None)
+        assert off.evaluator.row_cache is None
+        on = _parallel_sim(tet_small, nnp_small)
         assert on.row_cache is not None
         for _ in range(self.N_CYCLES):
             off.cycle()
@@ -517,18 +531,24 @@ class TestParallelTrajectory:
     def test_parallel_checkpoint_resume_is_cold_and_identical(
         self, tmp_path, tet_small, nnp_small
     ):
-        ref = _parallel_sim(tet_small, nnp_small, row_cache="off")
+        ref = _parallel_sim(tet_small, nnp_small)
+        ref.attach_row_cache(None)
         for _ in range(self.N_CYCLES):
             ref.cycle()
 
-        sim = _parallel_sim(tet_small, nnp_small, row_cache="on")
+        sim = _parallel_sim(tet_small, nnp_small)
         for _ in range(self.N_CYCLES // 2):
             sim.cycle()
         counters = sim.row_cache.counters()
         path = str(tmp_path / "par.npz")
         save_parallel_checkpoint(path, sim)
+        # As written before the row-cache knobs were removed: the retired
+        # mode and budget fields are accepted and ignored.
+        data = dict(np.load(path))
+        data["row_cache"] = np.array(["on"])
+        data["row_cache_budget"] = np.array([1024], dtype=np.int64)
+        np.savez_compressed(path, **data)
         resumed = load_parallel_checkpoint(path, nnp_small, tet=tet_small)
-        assert resumed.row_cache_mode == "on"
         assert len(resumed.row_cache) == 0  # cold restart
         assert resumed.row_cache.counters() == counters
         for _ in range(self.N_CYCLES - self.N_CYCLES // 2):
@@ -552,37 +572,32 @@ class TestCampaignSharedCache:
             return TensorKMCEngine(
                 lattice, pot, tet, temperature=900.0,
                 rng=np.random.default_rng(10 + spec.seed),
-                row_cache="off",  # campaign owns the shared cache
             )
         return factory
-
-    def _run(self, tet, pot, mode, row_cache):
-        campaign = ReplicaCampaign(
-            self.SPECS, self._factory(tet, pot), mode=mode,
-            row_cache=row_cache,
-        )
-        results = campaign.run()
-        return campaign, [(r.digest, r.time) for r in results]
 
     def test_shared_cache_is_bit_identical_and_shared(
         self, tet_small, nnp_small
     ):
-        _, off = self._run(tet_small, nnp_small, "shared", "off")
-        campaign, on = self._run(tet_small, nnp_small, "shared", "on")
+        factory = self._factory(tet_small, nnp_small)
+        off = []
+        for spec in self.SPECS:
+            engine = factory(spec)
+            engine.attach_row_cache(None)
+            engine.run(n_steps=spec.n_steps)
+            off.append((occupancy_digest(engine.lattice), engine.time))
+        campaign = ReplicaCampaign(self.SPECS, factory)
+        on = [(r.digest, r.time) for r in campaign.run()]
         assert on == off
         # One campaign-wide cache, hit by every replica.
         assert campaign.row_cache is not None
         assert campaign.row_cache.hits > 0
         assert campaign.summary()["row_cache_hit_rate"] > 0.0
 
-    def test_sequential_mode_matches_too(self, tet_small, nnp_small):
-        _, off = self._run(tet_small, nnp_small, "sequential", "off")
-        _, on = self._run(tet_small, nnp_small, "sequential", "on")
-        assert on == off
-
     def test_unknown_mode_rejected_eagerly(self, tet_small, nnp_small):
-        with pytest.raises(ValueError, match="allowed modes"):
-            ReplicaCampaign(
-                self.SPECS, self._factory(tet_small, nnp_small),
-                row_cache="perhaps",
-            )
+        """The campaign's row-cache and mode knobs are gone."""
+        for knob in ({"row_cache": "off"}, {"row_cache_mb": 1.0},
+                     {"mode": "sequential"}):
+            with pytest.raises(TypeError):
+                ReplicaCampaign(
+                    self.SPECS, self._factory(tet_small, nnp_small), **knob
+                )

@@ -5,8 +5,9 @@ failed before its fix:
 
 * :meth:`SerialAKMCBase.run` used to propagate :class:`NoMovesError` out of
   any frozen system, killing the whole process even when "no moves left" is
-  a perfectly good terminal state; ``on_no_moves="stop"`` now ends the run
-  cleanly and returns the executed-event count.
+  a perfectly good terminal state; a frozen system now ends the run
+  cleanly and ``run`` returns the executed-event count (``step`` still
+  raises).
 * :func:`run_resilient` used to overwrite whatever file sat at
   ``checkpoint_path`` with its entry checkpoint — including an unrelated
   archive or a *later* checkpoint of the same campaign; it now validates
@@ -56,15 +57,16 @@ def _parallel_sim(tet, pot, shape=(16, 16, 16), n_ranks=4, seed=5, lattice_seed=
 # ----------------------------------------------------------------------
 class TestNoMovesPolicy:
     def test_frozen_system_raises_by_default(self, tet_small, eam_small):
+        """A single step of a frozen system has nothing to do: it raises."""
         engine = _frozen_engine(tet_small, eam_small)
         with pytest.raises(NoMovesError):
-            engine.run(n_steps=5)
+            engine.step()
 
     def test_stop_policy_returns_executed_count(self, tet_small, eam_small):
-        # Failed before the fix: run() had no policy knob and NoMovesError
-        # escaped to the caller even for a legitimately frozen system.
+        # Failed before the fix: NoMovesError escaped run() to the caller
+        # even for a legitimately frozen system.
         engine = _frozen_engine(tet_small, eam_small)
-        assert engine.run(n_steps=5, on_no_moves="stop") == 0
+        assert engine.run(n_steps=5) == 0
         assert engine.step_count == 0
 
     def test_stop_policy_mid_horizon(
@@ -83,22 +85,13 @@ class TestNoMovesPolicy:
             return real_step()
 
         monkeypatch.setattr(engine, "step", step)
-        assert engine.run(n_steps=10, on_no_moves="stop") == 3
-
-    def test_raise_policy_mid_horizon(
-        self, tet_small, eam_small, alloy_lattice, monkeypatch
-    ):
-        engine = _engine(alloy_lattice, tet_small, eam_small)
-        monkeypatch.setattr(
-            engine, "step", lambda: (_ for _ in ()).throw(NoMovesError("x"))
-        )
-        with pytest.raises(NoMovesError):
-            engine.run(n_steps=10, on_no_moves="raise")
+        assert engine.run(n_steps=10) == 3
 
     def test_unknown_policy_rejected(self, tet_small, eam_small, alloy_lattice):
+        """Stopping is the one policy: ``run`` takes no policy argument."""
         engine = _engine(alloy_lattice, tet_small, eam_small)
-        with pytest.raises(ValueError, match="on_no_moves"):
-            engine.run(n_steps=1, on_no_moves="ignore")
+        with pytest.raises(TypeError, match="on_no_moves"):
+            engine.run(n_steps=1, on_no_moves="raise")
 
 
 # ----------------------------------------------------------------------
