@@ -19,16 +19,17 @@ environments from *different* replicas (common in a seed sweep's dilute
 matrix) and evaluates them once.
 
 **Bit-identity.**  The campaign changes *when and where* rows are evaluated,
-never their values.  It requires ``batch_row_invariant`` potentials
-(per-row results independent of batch composition — see
-:class:`~repro.potentials.base.CountsPotential`), gathers each replica's
-rows with the engine's own
-:meth:`~repro.core.engine.SerialAKMCBase._gather_for_sites`, converts
-energies to rates with each replica's own
-:class:`~repro.core.rates.RateModel` (temperatures may differ per replica),
-and hands the results back through
-:meth:`~repro.core.kernel.EventKernel.apply_refresh`.  Each replica's
-subsequent :meth:`step` finds nothing stale and draws from its own RNG in
+never their values.  Its engines only accept ``batch_row_invariant``
+potentials (per-row results independent of batch composition — see
+:class:`~repro.potentials.base.CountsPotential`); it gathers each replica's
+rows from the engine's own site store
+(:class:`~repro.core.loop.LatticeSites`), converts energies to rates with
+each replica's own :class:`~repro.core.rates.RateModel` (temperatures may
+differ per replica), and hands the results back through
+:meth:`~repro.core.kernel.EventKernel.apply_refresh`.  Those entries carry
+no per-row energies, so no replica slot ever holds a delta snapshot.  Each
+replica's subsequent :meth:`~repro.core.engine.SerialAKMCBase.step` — the
+solo event, unchanged — finds nothing stale and draws from its own RNG in
 the usual order, so every fixed-seed trajectory is bit-identical to running
 that replica solo — asserted over the full campaign, hot swaps included, in
 ``tests/test_campaign.py``.  Running the specs one after another through
@@ -253,21 +254,29 @@ class ReplicaCampaign:
         while queue or active:
             # Hot swap: fill freed slots from the queue before the round's
             # shared batch, so a retired replica's rows are replaced by the
-            # newcomer's cold-start rows in the very next fused call.
+            # newcomer's cold-start rows in the very next fused call.  A
+            # replica whose budget is already spent is never stepped.
             with self.profiler.phase("admit"):
                 while queue and len(active) < self.max_in_flight:
-                    index, spec = queue.popleft()
-                    active.append(self._admit(index, spec))
+                    rep = self._admit(*queue.popleft())
+                    if rep.done:
+                        results[rep.index] = self._result(rep)
+                    else:
+                        active.append(rep)
+            if not active:
+                break
 
             # Gather every in-flight replica's stale rows (read-only).
             work = []
             with self.profiler.phase("gather"):
                 for rep in active:
-                    stale = rep.engine.kernel.stale_batch()
+                    kernel, sites = rep.engine.kernel, rep.engine.sites
+                    stale = kernel.stale_batch()
                     if stale.size == 0:
                         continue
-                    keys = rep.engine.kernel.cache.keys_of(stale)
-                    ids, vet_ids, vets = rep.engine._gather_for_sites(keys)
+                    keys = kernel.cache.keys_of(stale)
+                    ids = sites.sites_of(keys)
+                    vet_ids, vets = sites.gather(keys)
                     work.append((rep, stale, ids, vet_ids, vets))
 
             # One potential call for all replicas; evaluate_batch's row
@@ -346,12 +355,6 @@ class ReplicaCampaign:
 
     def _admit(self, index: int, spec: ReplicaSpec) -> _Replica:
         engine = self.engine_factory(spec)
-        if not getattr(engine.potential, "batch_row_invariant", False):
-            raise ValueError(
-                "a campaign needs a batch_row_invariant potential (per-row "
-                "results must not depend on batch composition); run each "
-                "replica's engine on its own instead"
-            )
         if self._evaluator is None:
             self._evaluator = engine.evaluator
         elif not self._evaluator.batch_compatible(engine.evaluator):
@@ -359,13 +362,6 @@ class ReplicaCampaign:
                 f"replica {spec.name!r} is not batch-compatible with the "
                 "campaign (potential / element count / TET mismatch)"
             )
-        # The campaign evaluates every stale row itself and hands the
-        # results back through apply_refresh, so the kernel's incremental
-        # path would only patch snapshots nobody re-rates: unwire it and
-        # every replica rebuilds in full (bit-identical either way).
-        kernel = engine.kernel
-        kernel.build_entries_delta = kernel.patch_entries = None
-        kernel.cache.drop_delta_snapshots()
         # One cache for the whole campaign: every admitted engine (and the
         # shared `_evaluator` — it belongs to the first of them) consults
         # the same memo, so environments seen by any replica are hits for

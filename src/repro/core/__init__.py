@@ -1,12 +1,17 @@
 """TensorKMC core: triple-encoding, vacancy cache, rates, and the engine."""
 
 from .engine import KMCEvent, NoMovesError, SerialAKMCBase, TensorKMCEngine
-from .kernel import EventKernel, KernelStats, SimpleRateEntry, SpatialHashIndex
+from .kernel import EventKernel, KernelStats, SpatialHashIndex
 from .profiling import PhaseProfiler
 from .propensity import FenwickPropensity, LinearPropensity, PropensityStore
 from .rates import RateModel, residence_time
 from .tet import TripleEncoding
-from .vacancy_cache import BatchEntries, CachedVacancySystem, VacancyCache
+from .vacancy_cache import (
+    BatchEntries,
+    CachedVacancySystem,
+    SimpleRateEntry,
+    VacancyCache,
+)
 from .vacancy_system import StateEnergies, VacancySystemEvaluator
 
 __all__ = [

@@ -27,46 +27,54 @@ re-rated rows into the cached ``(B, 9, n_region)`` energy matrix reproduces
 the full build's matrix bit for bit — and the shared
 ``batch_from_row_energies`` tail then yields bitwise-identical rates.
 
-The two engines differ only in coordinate plumbing, injected as callbacks:
+The drivers differ only in coordinate plumbing, which their site store
+(:mod:`repro.core.loop`) supplies:
 
 * ``sites_of(keys)`` — centre ids of a key batch (flat lattice ids for the
   serial engine, window-flat ids for a parallel rank);
 * ``gather(keys)`` — from-scratch ``(vet_ids, vets)`` for a key subset;
 * ``locate(points_half)`` — current ``(ids, species)`` at changed
   half-positions, in the same id space as the stored ``vet_ids``.
+
+Splicing rows is sound only for row-invariant potentials, so the rebuilder
+refuses any other at construction, and so does every engine built on it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence, Tuple
+from typing import Hashable, Sequence
 
 import numpy as np
 
-from .vacancy_cache import BatchEntries, VacancyCache
+from .vacancy_cache import BatchEntries
 from .vacancy_system import VacancySystemEvaluator
 
 __all__ = ["DeltaRebuilder"]
 
 
 class DeltaRebuilder:
-    """Driver-side callbacks for the kernel's incremental rebuild path."""
+    """The kernel's miss path: delta-aware refresh plus snapshot patching.
+
+    ``sites`` is the driver's site store.  The
+    :class:`~repro.core.kernel.EventKernel` taking this builder hands it its
+    :class:`~repro.core.vacancy_cache.VacancyCache` as ``cache``.
+    """
 
     def __init__(
-        self,
-        cache: VacancyCache,
-        evaluator: VacancySystemEvaluator,
-        rate_model,
-        *,
-        sites_of: Callable[[Sequence[Hashable]], np.ndarray],
-        gather: Callable[[Sequence[Hashable]], Tuple[np.ndarray, np.ndarray]],
-        locate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+        self, evaluator: VacancySystemEvaluator, rate_model, sites
     ) -> None:
-        self.cache = cache
+        potential = evaluator.potential
+        if not getattr(potential, "batch_row_invariant", False):
+            raise ValueError(
+                f"{type(potential).__name__}.batch_row_invariant is False: "
+                "the engines evaluate cache misses in batches and splice "
+                "re-rated rows, which needs per-row energies that do not "
+                "depend on the batch"
+            )
+        self.cache = None
         self.evaluator = evaluator
         self.rate_model = rate_model
-        self.sites_of = sites_of
-        self.gather = gather
-        self.locate = locate
+        self.sites = sites
         self._r_all = np.arange(evaluator.tet.n_region, dtype=np.intp)
 
     # ------------------------------------------------------------------
@@ -85,7 +93,7 @@ class DeltaRebuilder:
         points = np.asarray(points_half, dtype=np.int64).reshape(-1, 3)
         if slots.size == 0 or points.shape[0] == 0:
             return
-        ids, species = self.locate(points)
+        ids, species = self.sites.locate(points)
         ids = np.asarray(ids).reshape(-1)
         vet_ids = self.cache.vet_ids_of(slots)
         # Every (slot, VET position) holding a changed site.  A site id can
@@ -139,7 +147,7 @@ class DeltaRebuilder:
         if ready_local.size == 0:
             # Cold start / post-drop: every slot is a from-scratch build and
             # the slot arrays may not exist yet, so the gather IS the batch.
-            vet_ids, vets = self.gather(keys)
+            vet_ids, vets = self.sites.gather(keys)
             vet_ids = np.asarray(vet_ids)
             vets = np.asarray(vets)
             vets_current = False
@@ -150,7 +158,9 @@ class DeltaRebuilder:
             # place at invalidation time), so nothing is copied out only to
             # be written back by the store.
             if full_local.size:
-                f_vet_ids, f_vets = self.gather([keys[i] for i in full_local])
+                f_vet_ids, f_vets = self.sites.gather(
+                    [keys[i] for i in full_local]
+                )
                 cache.adopt_vets(slots[full_local], f_vet_ids, f_vets)
             vet_ids = cache.vet_ids_of(slots)
             vets = cache.vets_of(slots)
@@ -183,7 +193,7 @@ class DeltaRebuilder:
         energies = evaluator.batch_from_row_energies(vets, row_e)
         rates = self.rate_model.rates_batch(energies)
         return BatchEntries(
-            sites=np.asarray(self.sites_of(keys)),
+            sites=np.asarray(self.sites.sites_of(keys)),
             vet_ids=vet_ids,
             vets=vets,
             energies=energies,

@@ -10,16 +10,17 @@ validation of Fig. 8.
 
 Both engines are thin drivers over the shared
 :class:`~repro.core.kernel.EventKernel`, which owns the rate cache, the
-two-level propensity selection and the cell-narrowed invalidation; the
-parallel :class:`~repro.parallel.engine.RankState` sits on the very same
-kernel.  The engine keeps only the physics callbacks (vacancy-system
-construction from the live lattice) and the event loop.
+two-level propensity selection and the cell-narrowed invalidation, with a
+:class:`~repro.core.delta.DeltaRebuilder` as its miss path.  A step is one
+:func:`~repro.core.loop.kmc_event` over the lattice's site store
+(:class:`~repro.core.loop.LatticeSites`) — the same event body the parallel
+:class:`~repro.parallel.engine.RankState` loops over its window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -28,12 +29,13 @@ from ..lattice.occupancy import LatticeState
 from ..potentials.base import CountsPotential
 from .delta import DeltaRebuilder
 from .kernel import EventKernel, NoMovesError
+from .loop import LatticeSites, kmc_event
 from .profiling import PhaseProfiler, merge_disjoint
 from .propensity import FenwickPropensity
-from .rates import RateModel, residence_time
+from .rates import RateModel
 from .rowcache import RowEnergyCache, resolve_row_cache
 from .tet import TripleEncoding
-from .vacancy_cache import BatchEntries, CachedVacancySystem, VacancyCache
+from .vacancy_cache import CachedVacancySystem, VacancyCache
 from .vacancy_system import VacancySystemEvaluator
 
 __all__ = ["KMCEvent", "NoMovesError", "SerialAKMCBase", "TensorKMCEngine"]
@@ -81,16 +83,14 @@ class SerialAKMCBase:
     cache never changes a trajectory.
 
     Cache misses take the batched path — every stale vacancy queued since
-    the last selection goes through one fused
-    :meth:`~repro.core.vacancy_system.VacancySystemEvaluator.evaluate_batch`
-    (the paper's big-fusion batching, Sec. 3.4/Fig. 9) — exactly when the
-    potential declares ``batch_row_invariant``: per-row rates are then
-    bit-identical to a one-VET evaluation, so batching cannot change a
-    trajectory.  Every shipped potential qualifies; one that does not is
-    evaluated one vacancy at a time.  With the cache on, the batched path is
-    incremental: each slot's VET and per-row trial-state energies stay
-    resident, hops scatter-patch them, and a refresh re-evaluates only the
-    rows whose inputs changed (see :mod:`repro.core.delta`).
+    the last selection goes through one fused rebuild (the paper's
+    big-fusion batching, Sec. 3.4/Fig. 9).  The rebuild is incremental:
+    each slot's VET and per-row trial-state energies stay resident, hops
+    scatter-patch them, and a refresh re-evaluates only the rows whose
+    inputs changed (see :mod:`repro.core.delta`).  Both need per-row rates
+    that do not depend on the batch, so a potential that is not
+    ``batch_row_invariant`` raises :class:`ValueError` here; every shipped
+    potential qualifies.
     """
 
     #: Whether cached vacancy systems may be reused between steps.
@@ -121,36 +121,19 @@ class SerialAKMCBase:
         vac_sites = sorted(int(s) for s in lattice.vacancy_ids)
         if not vac_sites:
             raise ValueError("lattice contains no vacancies; nothing can evolve")
-        batched_miss = getattr(potential, "batch_row_invariant", False)
+        self.sites = LatticeSites(lattice, tet)
         self.kernel = EventKernel(
-            self._build_for_site,
-            lattice.half_of,
+            DeltaRebuilder(self.evaluator, self.rate_model, self.sites),
+            self.sites.position_of,
             threshold=tet.invalidation_radius,
             scale=lattice.a / 2.0,
             periodic_half=2 * np.asarray(lattice.shape, dtype=np.int64),
             keys=vac_sites,
             use_cache=self.use_cache,
-            build_entries=self._build_for_sites if batched_miss else None,
         )
-        # The incremental rebuild rides on the batched miss path and the
-        # cache (it keeps the full BatchEntries payload resident).
-        if batched_miss and self.use_cache:
-            rebuilder = DeltaRebuilder(
-                self.kernel.cache,
-                self.evaluator,
-                self.rate_model,
-                sites_of=self._delta_sites_of,
-                gather=self._delta_gather,
-                locate=self._delta_locate,
-            )
-            self.kernel.build_entries_delta = rebuilder.build_entries
-            self.kernel.patch_entries = rebuilder.patch_entries
         self.row_cache: Optional[RowEnergyCache] = None
         if resolve_row_cache(potential):
             self.attach_row_cache(RowEnergyCache())
-        #: First-neighbour hop vectors as Python ints: the hop's coordinate
-        #: arithmetic is scalar, array round-trips would dominate it.
-        self._nn_half = [tuple(row) for row in tet.nn_offsets.tolist()]
         self.time = 0.0
         self.step_count = 0
         self.events: List[KMCEvent] = []
@@ -172,133 +155,31 @@ class SerialAKMCBase:
         """The kernel's propensity store."""
         return self.kernel.store
 
-    # ------------------------------------------------------------------
-    # Vacancy-system (re)construction
-    # ------------------------------------------------------------------
-    def _build_for_site(self, site: Hashable) -> CachedVacancySystem:
-        """Build the vacancy system at a flat site from the current lattice."""
-        site = int(site)
+    def build_system(self, slot: int) -> CachedVacancySystem:
+        """From-scratch vacancy system of a slot: one scalar evaluation.
+
+        The test oracle for the cached and incrementally patched entries.
+        """
+        site = int(self.kernel.key_of(slot))
         vet_ids = self.lattice.neighbor_ids(site, self.tet.all_offsets)
         vet = self.lattice.occupancy[vet_ids]
         energies = self.evaluator.evaluate(vet)
-        rates = self.rate_model.rates(energies)
         return CachedVacancySystem(
-            site=site, vet_ids=vet_ids, vet=vet, energies=energies, rates=rates
+            site=site, vet_ids=vet_ids, vet=vet, energies=energies,
+            rates=self.rate_model.rates(energies),
         )
-
-    def _gather_for_sites(self, sites):
-        """``(ids, vet_ids, vets)`` gather of a site batch, no evaluation.
-
-        The read-only half of the batched miss path, split out so an
-        external driver (the cross-replica campaign) can collect many
-        engines' miss rows and evaluate them through one shared potential
-        call; :meth:`_build_for_sites` and the campaign produce identical
-        gathers by construction.
-        """
-        ids = np.asarray([int(s) for s in sites], dtype=np.int64)
-        half = self.lattice.half_coords(ids)
-        vet_ids = self.lattice.ids_from_half(
-            half[:, None, :] + self.tet.all_offsets[None, :, :]
-        )
-        vets = self.lattice.occupancy[vet_ids]
-        return ids, vet_ids, vets
-
-    def _build_for_sites(self, sites) -> BatchEntries:
-        """Batched miss path: all queued vacancy systems in one fused pass.
-
-        VET gathers, feature counts, and the potential evaluation all run
-        once over the stacked ``(B, 9, n_all)`` trial states (see
-        :meth:`VacancySystemEvaluator.evaluate_batch`).  The result stays in
-        array form: the kernel scatters the whole :class:`BatchEntries` into
-        the cache's slot arrays without per-slot Python objects.
-        """
-        ids, vet_ids, vets = self._gather_for_sites(sites)
-        energies = self.evaluator.evaluate_batch(vets)
-        rates = self.rate_model.rates_batch(energies)
-        return BatchEntries(
-            sites=ids, vet_ids=vet_ids, vets=vets, energies=energies,
-            rates=rates,
-        )
-
-    # ------------------------------------------------------------------
-    # Delta-rebuild plumbing (see repro.core.delta): flat lattice ids are
-    # both the slot keys and the VET id space.
-    # ------------------------------------------------------------------
-    def _delta_sites_of(self, keys) -> np.ndarray:
-        return np.asarray([int(s) for s in keys], dtype=np.int64)
-
-    def _delta_gather(self, keys):
-        """From-scratch ``(vet_ids, vets)`` gather for a subset of keys.
-
-        Keys are lattice sites and the VET offsets are BCC translations, so
-        every generated coordinate is a valid site by construction and the
-        parity check is skipped.  The usual batch is a single key (the
-        event's mover), so the centre decomposition runs in Python scalars
-        and only the per-window work is vectorised — the same modular
-        arithmetic as
-        :meth:`~repro.lattice.occupancy.LatticeState.ids_from_half`,
-        producing identical ids.
-        """
-        lat = self.lattice
-        nx, ny, nz = lat.shape
-        offsets = self.tet.all_offsets
-        vet_ids = np.empty((len(keys), offsets.shape[0]), dtype=np.int64)
-        for n, key in enumerate(keys):
-            vet_half = offsets + np.array(lat.half_of(key), dtype=np.int64)
-            ss = vet_half[:, 0] & 1
-            cells = (vet_half - ss[:, None]) >> 1
-            cells %= lat._dims
-            vet_ids[n] = (
-                (ss * nx + cells[:, 0]) * ny + cells[:, 1]
-            ) * nz + cells[:, 2]
-        return vet_ids, self.lattice.occupancy[vet_ids]
-
-    def _delta_locate(self, points_half: np.ndarray):
-        """Current ``(ids, species)`` at changed half-positions."""
-        ids = self.lattice.ids_from_half(points_half, checked=False)
-        return ids, self.lattice.occupancy[ids]
-
-    def build_system(self, slot: int) -> CachedVacancySystem:
-        """Build the vacancy system of a slot from the current lattice."""
-        return self._build_for_site(self.kernel.key_of(slot))
-
-    def _refresh(self) -> None:
-        """Bring all slots up to date before selection."""
-        self.kernel.refresh()
 
     # ------------------------------------------------------------------
     # The KMC step
     # ------------------------------------------------------------------
     def step(self) -> KMCEvent:
-        """Execute one residence-time KMC event and advance the clock."""
-        kernel = self.kernel
-        profiler = self.profiler
-        with profiler.phase("rebuild"):
-            kernel.refresh()
-        with profiler.phase("select"):
-            total = kernel.total
-            if total <= 0.0:
-                raise NoMovesError(
-                    "total propensity is zero — system is frozen"
-                )
-            u_select = self.rng.random() * total
-            slot, direction, entry = kernel.select(u_select)
-            dt = residence_time(total, 1.0 - self.rng.random())
+        """Execute one residence-time KMC event and advance the clock.
 
-        with profiler.phase("hop"):
-            lattice = self.lattice
-            from_site = entry.site
-            from_half = lattice.half_of(from_site)
-            dx, dy, dz = self._nn_half[direction]
-            to_site = lattice.site_at_half(
-                from_half[0] + dx, from_half[1] + dy, from_half[2] + dz
-            )
-            migrating = int(lattice.occupancy[to_site])
-            lattice.swap(from_site, to_site)
-            kernel.move(slot, to_site)
-        with profiler.phase("invalidate"):
-            kernel.invalidate_near((from_half, lattice.half_of(to_site)))
-
+        Raises :class:`NoMovesError` when the system is frozen.
+        """
+        slot, direction, from_site, to_site, migrating, dt, total = kmc_event(
+            self.kernel, self.sites, self.rng, self.profiler
+        )
         self.time += dt
         self.step_count += 1
         event = KMCEvent(
@@ -349,13 +230,6 @@ class SerialAKMCBase:
             if callback is not None:
                 callback(event)
         return executed
-
-    def attach_cost_ledger(self, ledger):
-        """Charge all rate evaluations (per-slot and batched miss paths) to
-        ``ledger`` via the Fig. 9 operator cost model; see
-        :meth:`~repro.core.vacancy_system.VacancySystemEvaluator.attach_cost_ledger`.
-        """
-        return self.evaluator.attach_cost_ledger(ledger)
 
     def attach_row_cache(self, cache):
         """Install ``cache`` as the persistent row-energy memo.

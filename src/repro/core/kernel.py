@@ -17,15 +17,15 @@ live in separate implementations; this module owns them once:
   candidates only — per-event cost follows the local vacancy density, not
   the size of the registry.
 
-Drivers parameterise the kernel with two callbacks — ``build_entry(key)``
-computing a rate row (or a full :class:`CachedVacancySystem`) for a vacancy
-key, and ``position_of(key)`` mapping a key to integer half-unit coordinates
-— plus the distance semantics (periodic for the global serial lattice,
-open for a rank's padded window).
+Drivers parameterise the kernel with one miss-path builder — an object
+with ``build_entries(keys, slots)`` and ``patch_entries(slots, points)``,
+the :class:`~repro.core.delta.DeltaRebuilder` in every engine — and
+``position_of(key)`` mapping a key to integer half-unit coordinates, plus
+the distance semantics (periodic for the global serial lattice, open for a
+rank's padded window).  The event body that drives a kernel is written
+once, in :func:`repro.core.loop.kmc_event`.
 
-Refresh and activation run as array sweeps over the cache's slot arrays;
-which miss path a refresh takes follows from the callbacks the driver wired
-in (see :meth:`EventKernel.delta_active`).
+Refresh and activation run as array sweeps over the cache's slot arrays.
 
 Every kernel operation feeds the shared instrumentation counters
 (:class:`KernelStats` + the cache's hit/rebuild stats), which the engines
@@ -50,12 +50,11 @@ from typing import (
 import numpy as np
 
 from .propensity import FenwickPropensity
-from .vacancy_cache import BatchEntries, SimpleRateEntry, VacancyCache
+from .vacancy_cache import BatchEntries, VacancyCache
 
 __all__ = [
     "NoMovesError",
     "KernelStats",
-    "SimpleRateEntry",
     "SpatialHashIndex",
     "EventKernel",
     "select_direction",
@@ -97,8 +96,8 @@ class KernelStats:
     selections: int = 0
     selection_depth: int = 0
     rates_evaluated: int = 0
-    #: Batched miss-path accounting: number of ``build_entries`` invocations,
-    #: total rate rows they produced, and the largest single batch.
+    #: Miss-path accounting: number of refresh batches stored, total rate
+    #: rows they produced, and the largest single batch.
     rate_batches: int = 0
     batched_rows: int = 0
     max_batch_size: int = 0
@@ -236,19 +235,17 @@ class EventKernel:
 
     Parameters
     ----------
-    build_entry:
-        ``key -> entry`` callback computing a vacancy's rate data from the
-        driver's live state.  The entry must expose ``rates`` (a ``(8,)``
-        per-direction row) and ``total_rate``; a bare ndarray is wrapped in
-        :class:`SimpleRateEntry`.
-    build_entries:
-        Optional ``keys -> entries`` callback evaluating a whole batch of
-        stale vacancies through one fused pipeline (the paper's big-fusion
-        batching applied to rate evaluation).  When provided, ``refresh()``
-        queues every stale slot and rebuilds them in a single call instead of
-        looping ``build_entry`` per slot; it may return a
-        :class:`~repro.core.vacancy_cache.BatchEntries`, a bare ``(B, 8)``
-        rate matrix, or one entry (or bare rate row) per key, in key order.
+    builder:
+        The miss path: ``build_entries(keys, slots)`` returns the stale
+        slots' entries in slot order — a
+        :class:`~repro.core.vacancy_cache.BatchEntries` or a bare
+        ``(B, 8)`` rate matrix — and ``patch_entries(slots, points_half)``
+        scatter-updates the stored VET snapshots of delta-ready slots hit by
+        an invalidation from the occupancy at the changed positions (this is
+        how invalidation carries *what* changed instead of just *that*
+        something changed).  The kernel hands the builder its cache as
+        ``builder.cache``.  Every engine passes a
+        :class:`~repro.core.delta.DeltaRebuilder`.
     position_of:
         ``key -> (3,)`` integer half-unit coordinates for the centre matrix.
     threshold:
@@ -264,28 +261,14 @@ class EventKernel:
     keys:
         Initial vacancy keys, one slot each, in registry order.
     use_cache:
-        When ``False`` every refresh first drops all entries ("cache all"
-        semantics: no reuse at all, the OpenKMC baseline).
-    build_entries_delta:
-        Optional ``(keys, slots) -> BatchEntries`` callback for the
-        incremental rebuild path: it may consult the cache's delta-ready
-        snapshots (patched VETs + per-row energies) and re-rate only the
-        rows that changed, falling back to a from-scratch build per slot
-        where no snapshot exists.  Wired together with ``patch_entries``
-        (see :meth:`delta_active`); either may be set after construction.
-    patch_entries:
-        Optional ``(slots, points_half) -> None`` callback invoked by the
-        distance invalidation while the delta path is active: it
-        scatter-updates the stored VET snapshots of the hit slots from the
-        driver's current occupancy at the changed positions.  This is how
-        invalidation carries *what* changed instead of just *that*
-        something changed.  Both paths produce bit-identical trajectories
-        (the delta path re-rates from exactly re-derivable inputs).
+        When ``False`` every refresh first drops all entries and snapshots
+        ("cache all" semantics: no reuse at all, the OpenKMC baseline), so
+        the builder rebuilds every slot from scratch.
     """
 
     def __init__(
         self,
-        build_entry: Callable[[Hashable], object],
+        builder,
         position_of: Callable[[Hashable], np.ndarray],
         *,
         threshold: float,
@@ -293,25 +276,14 @@ class EventKernel:
         periodic_half: Optional[Sequence[int]] = None,
         keys: Iterable[Hashable] = (),
         use_cache: bool = True,
-        build_entries: Optional[
-            Callable[[Sequence[Hashable]], Sequence[object]]
-        ] = None,
-        build_entries_delta: Optional[
-            Callable[[Sequence[Hashable], np.ndarray], object]
-        ] = None,
-        patch_entries: Optional[
-            Callable[[np.ndarray, np.ndarray], None]
-        ] = None,
     ) -> None:
-        self.build_entry = build_entry
-        self.build_entries = build_entries
-        self.build_entries_delta = build_entries_delta
-        self.patch_entries = patch_entries
+        self.builder = builder
         self.position_of = position_of
         self.threshold = float(threshold)
         self.scale = float(scale)
         self.use_cache = bool(use_cache)
         self.cache = VacancyCache(keys)
+        builder.cache = self.cache
         self.store = FenwickPropensity(self.cache.n_slots)
         #: Inclusive limit of the distance test.
         self._limit = self.threshold + 1e-9
@@ -348,21 +320,8 @@ class EventKernel:
             self._set_centre(slot, self.position_of(self.cache.key_of(slot)))
 
     # ------------------------------------------------------------------
-    # Miss-path selection + coordinate plumbing
+    # Coordinate plumbing
     # ------------------------------------------------------------------
-    def delta_active(self) -> bool:
-        """Whether the next refresh/invalidation uses the delta path.
-
-        True exactly when both delta callbacks are wired and the cache is
-        on; a driver that must not take it (the campaign, which evaluates
-        stale rows outside the kernel) leaves the callbacks unset.
-        """
-        return (
-            self.build_entries_delta is not None
-            and self.patch_entries is not None
-            and self.use_cache
-        )
-
     def _set_centre(self, slot: int, half) -> None:
         """Record a live slot's centre in the cache row and the cell index."""
         centre = self.index.canonical(half)
@@ -461,12 +420,6 @@ class EventKernel:
         self._active_mask[slot] = False
         self.store.update(slot, 0.0)
 
-    def _active_live(self) -> List[int]:
-        if self._active_mask is None:
-            return self.cache.live_slots()
-        held = self.cache.live & self._active_mask
-        return [int(s) for s in np.flatnonzero(held)]
-
     # ------------------------------------------------------------------
     # Refresh + selection
     # ------------------------------------------------------------------
@@ -475,8 +428,8 @@ class EventKernel:
 
         This is the read-only prologue of :meth:`refresh`: cache-off
         semantics are applied (``use_cache=False`` drops every entry first)
-        and the sector mask narrows the candidates, but no build callback
-        runs.  A caller that evaluates the batch externally — the
+        and the sector mask narrows the candidates, but the builder does
+        not run.  A caller that evaluates the batch externally — the
         cross-replica campaign funnels many kernels' stale sets into one
         fused potential call — hands the results back through
         :meth:`apply_refresh`.
@@ -491,42 +444,25 @@ class EventKernel:
     def apply_refresh(self, stale: np.ndarray, entries) -> None:
         """Scatter externally built entries for a :meth:`stale_batch` result.
 
-        ``entries`` follows the ``build_entries`` return contract (a
-        :class:`~repro.core.vacancy_cache.BatchEntries`, a bare ``(B, 8)``
-        rate matrix, or one entry per slot) and must line up with ``stale``
-        in slot order.  Stores, propensity updates, and the batched-miss
-        counters are identical to the in-kernel rebuild, so a trajectory
-        driven through ``stale_batch`` + external evaluation +
+        ``entries`` follows the ``build_entries`` return contract and must
+        line up with ``stale`` in slot order.  Stores, propensity updates,
+        and the miss counters are identical to the in-kernel rebuild, so a
+        trajectory driven through ``stale_batch`` + external evaluation +
         ``apply_refresh`` is bit-identical to one driven by :meth:`refresh`
         — only *where* the rows were evaluated differs.  Cache-hit (reuse)
         accounting stays with :meth:`refresh`, which the driver still calls
         afterwards (finding nothing stale).
         """
-        stale = np.asarray(stale, dtype=np.int64)
-        n = len(entries)
-        if n != stale.size:
-            raise RuntimeError(
-                f"apply_refresh got {n} entries for {stale.size} slots"
-            )
-        if stale.size == 0:
-            return
-        self.stats.rate_batches += 1
-        self.stats.batched_rows += int(stale.size)
-        self.stats.max_batch_size = max(
-            self.stats.max_batch_size, int(stale.size)
-        )
-        self._store_entries(stale, entries)
+        self._store_entries(np.asarray(stale, dtype=np.int64), entries)
 
     def refresh(self) -> None:
         """Bring every active slot up to date before selection.
 
         Only stale slots are rebuilt (O(|stale| log n)); fresh active slots
-        count as cache hits, exactly as the per-slot bookkeeping of the
-        original serial engine.  Invalidation is deferred by design — slots
-        only mark stale until the next selection — so when a
-        ``build_entries`` callback is configured, the whole stale set is
-        re-evaluated through one fused batch call here (post-hop, post-ghost
-        exchange, and cold starts alike).
+        count as cache hits.  Invalidation is deferred by design — slots
+        only mark stale until the next selection — so the whole stale set
+        goes through one ``builder.build_entries`` call here (post-hop,
+        post-ghost exchange, and cold starts alike).
         """
         stale = self.stale_batch()
         cache = self.cache
@@ -535,80 +471,51 @@ class EventKernel:
         else:
             n_active = cache.n_live
         if stale.size:
-            self._refresh_slots(stale)
-        cache.stats.reuses += max(0, n_active - int(stale.size))
-
-    def _built_entries(self, stale: np.ndarray):
-        """Run the batched build callback over the stale keys, with counters."""
-        keys = self.cache.keys_of(stale)
-        if self.delta_active():
-            entries = self.build_entries_delta(keys, stale)
-        else:
-            entries = self.build_entries(keys)
-        n = len(entries)
-        if n != stale.size:
-            raise RuntimeError(
-                f"build_entries returned {n} entries for {stale.size} keys"
+            self._store_entries(
+                stale, self.builder.build_entries(cache.keys_of(stale), stale)
             )
-        self.stats.rate_batches += 1
-        self.stats.batched_rows += int(stale.size)
-        self.stats.max_batch_size = max(self.stats.max_batch_size, int(stale.size))
-        return entries
+        cache.stats.reuses += max(0, n_active - int(stale.size))
 
     def _store_entries(self, stale: np.ndarray, entries) -> None:
         """Scatter built entries into the cache + one propensity sweep."""
+        n = len(entries)
+        if n != stale.size:
+            raise RuntimeError(f"got {n} entries for {stale.size} stale slots")
+        if stale.size == 0:
+            return
+        self.stats.rate_batches += 1
+        self.stats.batched_rows += int(stale.size)
+        self.stats.max_batch_size = max(self.stats.max_batch_size, int(stale.size))
         cache = self.cache
         if isinstance(entries, BatchEntries):
             cache.store_batch(stale, entries)
             self.stats.rates_evaluated += int(entries.rates.size)
-        elif isinstance(entries, np.ndarray) and entries.ndim == 2:
+        else:
             cache.store_rates(stale, entries)
             self.stats.rates_evaluated += int(entries.size)
-        else:
-            for slot, entry in zip(stale, entries):
-                if isinstance(entry, np.ndarray):
-                    entry = SimpleRateEntry(entry)
-                cache.store(int(slot), entry)
-                self.stats.rates_evaluated += int(
-                    np.asarray(entry.rates).size
-                )
         self.store.update_many(stale, cache.total_rates[stale])
-
-    def _refresh_slots(self, stale: np.ndarray) -> None:
-        """SoA rebuild: batch store + one vectorised propensity sweep.
-
-        The batched callbacks run when wired; otherwise (a potential that
-        is not ``batch_row_invariant``) every stale key goes through the
-        per-slot ``build_entry``.
-        """
-        if self.build_entries is not None or self.delta_active():
-            entries = self._built_entries(stale)
-        else:
-            entries = [
-                self.build_entry(key) for key in self.cache.keys_of(stale)
-            ]
-        self._store_entries(stale, entries)
 
     @property
     def total(self) -> float:
         """Current total propensity over the active slots."""
         return self.store.total
 
-    def select(self, u: float) -> Tuple[int, int, object]:
+    def select(self, u: float) -> Tuple[int, int]:
         """Two-level selection: slot via the store, direction via its row.
 
-        Returns ``(slot, direction, entry)``.  Raises :class:`NoMovesError`
-        when a numerical boundary lands on a slot with no executable
-        direction (e.g. a parked slot reached through the tree's clamp).
+        Returns ``(slot, direction)``; the rate row is read straight from
+        the cache arrays.  Raises :class:`NoMovesError` when a numerical
+        boundary lands on a slot with no executable direction (e.g. a
+        parked slot reached through the tree's clamp).
         """
         slot, remainder = self.store.select(u)
-        entry = self.cache.get(slot)
-        if entry is None:
+        cache = self.cache
+        if not (cache.live[slot] and cache.fresh[slot]):
             raise NoMovesError(f"selection landed on empty slot {slot}")
-        direction = select_direction(entry.rates, remainder)
+        direction = select_direction(cache.rates[slot], remainder)
         self.stats.selections += 1
         self.stats.selection_depth += self.store.last_select_depth
-        return slot, direction, entry
+        return slot, direction
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -625,15 +532,13 @@ class EventKernel:
         element-wise per (point, centre) pair, so narrowing cannot change
         a single hit.  Returns the number of entries invalidated.
 
-        When the delta rebuild path is active the same query also covers
-        stale-but-delta-ready slots, and every hit slot with a snapshot is
-        handed to ``patch_entries`` together with the changed positions —
-        invalidation then carries *what* changed, which is what keeps the
-        snapshots in sync with the lattice between refreshes.  The
-        fresh->stale transitions and invalidation counters are computed
-        exactly as without snapshots (the extra snapshot slots never enter
-        the stats), so trajectories and counters do not depend on whether
-        the delta path is wired.
+        The same query also covers stale-but-delta-ready slots, and every
+        hit slot with a snapshot is handed to ``builder.patch_entries``
+        together with the changed positions — invalidation carries *what*
+        changed, which keeps the snapshots in sync with the lattice between
+        refreshes.  The fresh->stale transitions and invalidation counters
+        only see fresh slots, so they do not depend on which slots hold
+        snapshots.
         """
         points = np.asarray(points_half, dtype=np.int64).reshape(-1, 3)
         if points.shape[0] == 0:
@@ -645,15 +550,11 @@ class EventKernel:
         if not near:
             return 0
         cache = self.cache
-        delta_on = self.delta_active()
         near = np.array(near, dtype=np.int64)
         # Only slots that hold something — a fresh entry to drop, a delta
         # snapshot to patch — take the test; a registry that is stale
         # anyway (most ghost exchanges) ends here.
-        held = cache.fresh[near]
-        if delta_on:
-            held |= cache.delta_ready[near]
-        near = near[held]
+        near = near[cache.fresh[near] | cache.delta_ready[near]]
         if near.size == 0:
             return 0
         # Integer coordinates are exact in float64 however they got there.
@@ -668,18 +569,15 @@ class EventKernel:
         dist = np.sqrt(np.sum(delta * delta, axis=-1))
         hit = np.any(dist <= self._limit, axis=0)
         hits = near[hit]
-        if delta_on:
-            fresh_hits = hits[cache.fresh[hits]]
-            patch_slots = hits[cache.delta_ready[hits]]
-            if patch_slots.size:
-                # Patch before anything reads the snapshots again; the
-                # window sites of every affected slot lie inside the
-                # invalidation ball (the threshold is the max VET offset
-                # reach), so the distance hits are a superset of the slots
-                # whose VETs can contain the changed sites.
-                self.patch_entries(patch_slots, points)
-        else:
-            fresh_hits = hits
+        fresh_hits = hits[cache.fresh[hits]]
+        patch_slots = hits[cache.delta_ready[hits]]
+        if patch_slots.size:
+            # Patch before anything reads the snapshots again; the window
+            # sites of every affected slot lie inside the invalidation ball
+            # (the threshold is the max VET offset reach), so the distance
+            # hits are a superset of the slots whose VETs can contain the
+            # changed sites.
+            self.builder.patch_entries(patch_slots, points)
         cache.fresh[fresh_hits] = False
         cache.stats.invalidations += int(fresh_hits.size)
         return int(fresh_hits.size)

@@ -10,14 +10,17 @@ through reusable context-manager timers:
 
     prof = PhaseProfiler()
     with prof.phase("select"):
-        slot, direction, entry = kernel.select(u)
+        slot, direction = kernel.select(u)
 
 The timers are cached per phase name, so entering a phase on the hot path
 costs two ``perf_counter`` calls and two dict updates (~0.3 us) — cheap
-enough to leave enabled in production runs, which is how the engines use it
-(:meth:`repro.core.engine.SerialAKMCBase.summary`,
-:class:`repro.parallel.engine.CycleStats`, and the ``phase_us_per_event``
-breakdown in ``BENCH_kernel.json`` all read from one of these).
+enough to leave on in production runs.  The one event body,
+:func:`repro.core.loop.kmc_event`, times its rebuild / select / hop /
+invalidate phases into the driver's profiler, so the serial
+(:meth:`repro.core.engine.SerialAKMCBase.summary`), parallel
+(:class:`repro.parallel.engine.CycleStats`) and campaign (each replica's
+summary) breakdowns, and the ``phase_us_per_event`` lines in
+``BENCH_kernel.json``, all read the same phases.
 
 The canonical phase names used across the engines are in :data:`PHASES`;
 the profiler itself accepts any name.
@@ -80,34 +83,16 @@ class _PhaseTimer:
         return False
 
 
-class _NullTimer:
-    """No-op stand-in handed out by disabled profilers."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
 class PhaseProfiler:
     """Accumulates wall-clock seconds and call counts per named phase."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self.seconds: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
         self._timers: Dict[str, _PhaseTimer] = {}
 
     def phase(self, name: str):
         """Context manager timing one occurrence of ``name``."""
-        if not self.enabled:
-            return _NULL_TIMER
         timer = self._timers.get(name)
         if timer is None:
             self.seconds.setdefault(name, 0.0)
@@ -115,28 +100,6 @@ class PhaseProfiler:
             timer = _PhaseTimer(self, name)
             self._timers[name] = timer
         return timer
-
-    # ------------------------------------------------------------------
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Credit time measured externally (e.g. another profiler's delta)."""
-        self.seconds[name] = self.seconds.get(name, 0.0) + float(seconds)
-        self.calls[name] = self.calls.get(name, 0) + int(calls)
-
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's accumulators into this one."""
-        for name, secs in other.seconds.items():
-            self.add(name, secs, other.calls.get(name, 0))
-
-    def snapshot(self) -> Dict[str, float]:
-        """Copy of the per-phase seconds (for before/after deltas)."""
-        return dict(self.seconds)
-
-    def delta(self, before: Mapping[str, float]) -> Dict[str, float]:
-        """Per-phase seconds accumulated since a :meth:`snapshot`."""
-        return {
-            name: secs - before.get(name, 0.0)
-            for name, secs in self.seconds.items()
-        }
 
     def reset(self) -> None:
         for name in self.seconds:

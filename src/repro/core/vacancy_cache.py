@@ -68,11 +68,9 @@ class CachedVacancySystem:
 
 @dataclass
 class SimpleRateEntry:
-    """Minimal cache entry: just a per-direction rate row.
-
-    Used by drivers (the parallel ranks) that do not need the full
-    :class:`CachedVacancySystem` payload.
-    """
+    """Minimal cache entry: just a per-direction rate row (a slot stored by
+    :meth:`VacancyCache.store_rates`, without the full
+    :class:`CachedVacancySystem` payload)."""
 
     rates: np.ndarray
 
@@ -85,8 +83,8 @@ class SimpleRateEntry:
 class BatchEntries:
     """A batch of freshly built vacancy systems, still in array form.
 
-    Produced by the engines' batched miss path (one fused
-    ``evaluate_batch`` + ``rates_batch`` pipeline) and consumed whole by
+    Produced by the miss path (:class:`~repro.core.delta.DeltaRebuilder`,
+    or a campaign's shared ``evaluate_batch`` call) and consumed whole by
     :meth:`VacancyCache.store_batch` — the rows go straight from the
     evaluator's output arrays into the cache's slot arrays without ever
     materialising per-slot Python objects.
@@ -268,10 +266,6 @@ class VacancyCache:
         """The slot -> key registry (kept under its historical name)."""
         return self._keys
 
-    @sites.setter
-    def sites(self, keys: Iterable[Hashable]) -> None:
-        self.set_keys(keys)
-
     def set_keys(
         self,
         keys: Iterable[Hashable],
@@ -399,15 +393,6 @@ class VacancyCache:
     # ------------------------------------------------------------------
     # Entries
     # ------------------------------------------------------------------
-    @property
-    def entries(self) -> List[Optional[object]]:
-        """Per-slot entry views, ``None`` where parked or stale.
-
-        Compatibility shim over the slot arrays: materialises a fresh view
-        object per fresh slot, so it is for inspection, not the hot path.
-        """
-        return [self.get(slot) for slot in range(self.n_slots)]
-
     def get(self, slot: int) -> Optional[object]:
         """View of a slot's cached entry, or ``None`` if parked/stale.
 
@@ -607,14 +592,6 @@ class VacancyCache:
     # ------------------------------------------------------------------
     # Delta snapshots (incremental rebuild path)
     # ------------------------------------------------------------------
-    def drop_delta_snapshots(self) -> None:
-        """Forget every delta snapshot without touching freshness.
-
-        Called when a driver unwires the delta path (campaign admission), so
-        no stale snapshot outlives the callbacks that kept it in sync.
-        """
-        self.delta_ready[:] = False
-
     def patch_vets(
         self, slots: np.ndarray, positions: np.ndarray, codes: np.ndarray
     ) -> np.ndarray:

@@ -18,7 +18,6 @@ import numpy as np
 
 from ..constants import N_ELEMENTS
 from ..potentials.base import CountsPotential, counts_from_types
-from ..sunway.costmodel import CostLedger, charge_batched_rate_eval
 from .rowcache import row_dtype, row_keys, stored_rows
 from .tet import TripleEncoding
 
@@ -201,8 +200,6 @@ class VacancySystemEvaluator:
         #: Dtype of the rows the row cache stores (one byte per value for
         #: every shipped TET); fixed here so it never depends on a batch.
         self.row_dtype = row_dtype(tet, self.n_elements)
-        # Optional Fig. 9 cost accounting (see attach_cost_ledger).
-        self._ledger: "CostLedger | None" = None
         # Optional persistent row-energy memoization (see attach_row_cache).
         self._row_cache = None
         self._n_states = 1 + tet.N_DIRECTIONS
@@ -314,22 +311,6 @@ class VacancySystemEvaluator:
             self._delta_posm[k] = np.searchsorted(affected, self._dir_targets[k])
 
     # ------------------------------------------------------------------
-    # Fig. 9 operator cost accounting
-    # ------------------------------------------------------------------
-    def attach_cost_ledger(self, ledger: CostLedger) -> CostLedger:
-        """Charge every rate evaluation to ``ledger`` from now on.
-
-        For network potentials (anything exposing ``network_channels``, i.e.
-        the NNP) each :meth:`evaluate` / :meth:`evaluate_batch` call is
-        charged through :func:`~repro.sunway.costmodel.charge_batched_rate_eval`
-        with the engine geometry — the big-fusion batched operator flow of
-        Sec. 3.5 / Fig. 9 that the deterministic tiled kernel executes.
-        Pass ``None`` to detach.  Returns the ledger for chaining.
-        """
-        self._ledger = ledger
-        return ledger
-
-    # ------------------------------------------------------------------
     # Persistent row-energy memoization
     # ------------------------------------------------------------------
     def attach_row_cache(self, cache):
@@ -384,22 +365,6 @@ class VacancySystemEvaluator:
             energies = energies.astype(fresh.dtype, copy=False)
             energies[miss] = fresh
         return energies[inverse]
-
-    def _charge_rate_eval(self, n_vets: int) -> None:
-        if self._ledger is None or n_vets == 0:
-            return
-        channels = getattr(self.potential, "network_channels", None)
-        if channels is None:
-            return
-        charge_batched_rate_eval(
-            self._ledger,
-            n_vets=n_vets,
-            n_states=self._n_states,
-            n_region=self.tet.n_region,
-            n_local=self.tet.net_ids.shape[1],
-            channels=channels,
-            fused=True,
-        )
 
     def trial_vets(self, vet: np.ndarray) -> np.ndarray:
         """All trial states as a ``(9, n_all)`` array.
@@ -464,7 +429,6 @@ class VacancySystemEvaluator:
             center_types,
             counts.reshape(-1, self.tet.n_shells, counts.shape[-1]),
         ).reshape(n_states, n_region)
-        self._charge_rate_eval(1)
         totals = energies.sum(axis=1, dtype=np.float64)
         # The caller's VET is never mutated after a build (cache entries are
         # invalidated, not patched), so the 1NN slice can be shared directly.
@@ -597,7 +561,6 @@ class VacancySystemEvaluator:
         totals = _stacked(
             lambda lo, hi: self._state_totals(vets[lo:hi]), n_batch, per_chunk
         )
-        self._charge_rate_eval(n_batch)
         nn_species = vets[:, 1 : 1 + n_dir]
         valid = nn_species != self.vacancy_code
         delta = np.where(valid, totals[:, 1:] - totals[:, :1], 0.0)
@@ -705,9 +668,7 @@ class VacancySystemEvaluator:
         energy matrix.
 
         Returns the ``(P, 9)`` energies as a NumPy array in the potential's
-        native energy dtype.  This path is not cost-ledger instrumented
-        (the Fig. 9 accounting models the full batched operator flow).
-        More pairs than one chunk of :func:`miss_chunk_rows` rows are
+        native energy dtype.  More pairs than one chunk of :func:`miss_chunk_rows` rows are
         evaluated chunk by chunk, as in :meth:`evaluate_batch`.
         """
         vets = np.asarray(vets)

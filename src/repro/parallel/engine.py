@@ -12,10 +12,12 @@ the sector index rotates.  Conflict freedom holds by construction because
 concurrently-active sectors of neighbouring ranks are at least one sector
 width apart (validated by :class:`~repro.parallel.sublattice.SectorGeometry`).
 
-Each rank drives the same :class:`~repro.core.kernel.EventKernel` as the
-serial engines: per-vacancy rate rows live in the keyed cache, events are
-selected through the Fenwick tree in O(log n), and post-hop / post-exchange
-invalidation goes through the spatial-hash index in O(|changed|).  Vacancies
+Each rank drives the same :class:`~repro.core.kernel.EventKernel` and the
+same event body (:func:`~repro.core.loop.kmc_event`) as the serial engines,
+over its window's site store (:class:`~repro.core.loop.WindowSites`):
+per-vacancy rate rows live in the keyed cache, events are selected through
+the Fenwick tree in O(log n), and post-hop / post-exchange invalidation goes
+through the spatial-hash index in O(|changed|).  Vacancies
 entering or leaving a rank's box are added to / removed from the kernel
 registry at the post-cycle rescan (free-list slot recycling), and the sector
 restriction maps onto the kernel's active-slot set.
@@ -32,8 +34,9 @@ import numpy as np
 from ..constants import T_STOP, TEMPERATURE_RPV
 from ..core.delta import DeltaRebuilder
 from ..core.kernel import EventKernel, NoMovesError
+from ..core.loop import WindowSites, kmc_event
 from ..core.profiling import PHASES, PhaseProfiler, merge_disjoint
-from ..core.rates import RateModel, residence_time
+from ..core.rates import RateModel
 from ..core.rowcache import RowEnergyCache, resolve_row_cache
 from ..core.tet import TripleEncoding
 from ..core.vacancy_system import VacancySystemEvaluator
@@ -105,47 +108,21 @@ class RankState:
         self.rng = rng
         self.tet = evaluator.tet
         self.vacancy_code = int(evaluator.vacancy_code)
-        # Scalar hop geometry: 1NN steps (half-units), padded-cell bounds.
-        self._nn_steps = [tuple(d) for d in self.tet.nn_offsets.tolist()]
+        # Scalar sector geometry: padded-cell bounds.
         self._local_hi = tuple(window.ghost + n for n in window.box.shape)
         self._sector_mid = tuple(window.ghost + m for m in sectors.mid.tolist())
+        self.sites = WindowSites(window, self.tet, self.vacancy_code)
         # Distances are taken directly in window half-units (non-periodic:
         # the padded window never wraps), so the threshold converts the TET
         # radius from Angstrom through scale=1.
         self.kernel = EventKernel(
-            self._build_rates,
-            lambda key: key,  # keys are window half-coordinate tuples
+            DeltaRebuilder(evaluator, rate_model, self.sites),
+            self.sites.position_of,
             threshold=2.0 * self.tet.invalidation_radius / self.tet.geometry.a,
             scale=1.0,
             periodic_half=None,
             keys=self._local_vacancy_keys(),
-            # Batched miss path only when per-row results are guaranteed
-            # independent of the batch shape (see CountsPotential).  All
-            # shipped potentials qualify, the NNP via the deterministic
-            # tiled-GEMM kernel (repro.operators.tilegemm).
-            build_entries=(
-                self._build_rates_batch
-                if getattr(evaluator.potential, "batch_row_invariant", False)
-                else None
-            ),
         )
-        # Incremental rebuild callbacks: the rank's coordinate space is the
-        # padded window, so VET snapshots are keyed by window-flat site ids
-        # (unique per padded position — periodic aliases of one global site
-        # are distinct window sites, exactly as the full path treats them:
-        # a hop patches the primary position, the post-cycle ghost exchange
-        # patches the aliases it writes).
-        if getattr(evaluator.potential, "batch_row_invariant", False):
-            rebuilder = DeltaRebuilder(
-                self.kernel.cache,
-                evaluator,
-                rate_model,
-                sites_of=self._window_flat_ids,
-                gather=self._delta_gather,
-                locate=self._delta_locate,
-            )
-            self.kernel.build_entries_delta = rebuilder.build_entries
-            self.kernel.patch_entries = rebuilder.patch_entries
         self.events = 0
         self.rejected = 0
         #: Hops blocked by inconsistent (stale) data — naive mode only.
@@ -190,60 +167,17 @@ class RankState:
         for key in sorted(arrived):
             kernel.add(key)
 
-    def _build_rates(self, key: Tuple[int, int, int]) -> np.ndarray:
-        """Per-direction rates of the vacancy at window half-coords."""
-        half = np.asarray(key, dtype=np.int64)
-        vet_half = half[None, :] + self.tet.all_offsets
-        vet = self.window.species_at_half(vet_half)
-        energies = self.evaluator.evaluate(vet)
-        return self.rate_model.rates(energies)
-
-    def _build_rates_batch(self, keys) -> np.ndarray:
-        """Rate rows of a whole stale batch through one fused pipeline.
-
-        Used by the kernel whenever more than zero slots queued up — after a
-        hop, after a ghost synchronisation, and for the whole sector
-        population at the post-rescan cold start — so every VET gather,
-        feature build, and potential call runs once per batch instead of once
-        per vacancy.
-        """
-        half = np.asarray(keys, dtype=np.int64)
-        vet_half = half[:, None, :] + self.tet.all_offsets[None, :, :]
-        vets = self.window.species_at_half(vet_half)
-        energies = self.evaluator.evaluate_batch(vets)
-        return self.rate_model.rates_batch(energies)
-
-    # ------------------------------------------------------------------
-    # Delta-rebuild coordinate callbacks (window half-coords <-> flat ids)
-    # ------------------------------------------------------------------
-    def _window_flat_ids(self, half: np.ndarray) -> np.ndarray:
-        """Flat site ids over the padded window ``(2, px, py, pz)``."""
-        s, cell = self.window.site_from_half(np.asarray(half, dtype=np.int64))
-        px, py, pz = self.window.padded_shape
-        return ((s * px + cell[..., 0]) * py + cell[..., 1]) * pz + cell[..., 2]
-
-    def _delta_gather(self, keys):
-        half = np.asarray(keys, dtype=np.int64)
-        vet_half = half[:, None, :] + self.tet.all_offsets[None, :, :]
-        return self._window_flat_ids(vet_half), self.window.species_at_half(
-            vet_half
-        )
-
-    def _delta_locate(self, points_half: np.ndarray):
-        points = np.asarray(points_half, dtype=np.int64).reshape(-1, 3)
-        return self._window_flat_ids(points), self.window.species_at_half(points)
-
     # ------------------------------------------------------------------
     def run_sector(self, sector, t_stop: float) -> SiteUpdates:
         """Evolve one sector (or all vacancies when ``sector is None``).
 
+        Events run until the next one would overshoot ``t_stop`` (it is
+        rejected); a vacancy that leaves the sector is deactivated, and
+        every hop records its two changed sites for the ghost exchange.
         ``sector=None`` is the *naive* whole-domain mode kept for the
         conflict-demonstration ablation; the sublattice protocol always
         passes a sector index.
         """
-        occupancy = self.window.occupancy
-        vacancy_code = self.vacancy_code
-        nn_steps = self._nn_steps
         kernel = self.kernel
         profiler = self.profiler
         with profiler.phase("rebuild"):
@@ -260,60 +194,32 @@ class RankState:
         clock = 0.0
         try:
             while True:
-                with profiler.phase("rebuild"):
-                    kernel.refresh()
-                with profiler.phase("select"):
-                    total = kernel.total
-                    if total <= 0.0:
-                        break
-                    u = self.rng.random() * total
-                    slot, direction, entry = kernel.select(u)
-                    dt = residence_time(total, 1.0 - self.rng.random())
-                    if clock + dt > t_stop:
-                        self.rejected += 1
-                        break
+                event = kmc_event(
+                    kernel, self.sites, self.rng, profiler, clock, t_stop
+                )
+                if event is None:
+                    self.rejected += 1
+                    break
+                slot, _, vac_key, tgt_key, tgt_species, dt, _ = event
                 clock += dt
-
+                if tgt_key is None:
+                    self.anomalies += 1
+                    continue
                 with profiler.phase("hop"):
-                    x, y, z = vac_key = kernel.key_of(slot)
-                    dx, dy, dz = nn_steps[direction]
-                    tx, ty, tz = tgt_key = (x + dx, y + dy, z + dz)
-                    # (sublattice, padded cell) of a half-coordinate key.
-                    vac_site = (x & 1, x >> 1, y >> 1, z >> 1)
-                    tgt_site = (tx & 1, tx >> 1, ty >> 1, tz >> 1)
-                    tgt_species = int(occupancy[tgt_site])
-                    if (
-                        occupancy[vac_site] != vacancy_code
-                        or tgt_species == vacancy_code
-                    ):
-                        # Only reachable through stale data in naive mode (a
-                        # would-be boundary conflict); the sublattice protocol
-                        # forbids it.
-                        self.anomalies += 1
-                        kernel.deactivate(slot)
-                        continue
-                    occupancy[vac_site] = tgt_species
-                    occupancy[tgt_site] = vacancy_code
                     self.events += 1
-
                     # Record both sites for the ghost exchange.
                     changed.extend((vac_key, tgt_key))
-                    changed_species.extend((tgt_species, vacancy_code))
-
-                    # Track the moved vacancy; it may have left the sector
-                    # (or even the local box — ownership resolves at the
-                    # post-cycle rescan).
-                    kernel.move(slot, tgt_key)
-                with profiler.phase("invalidate"):
-                    kernel.invalidate_near((vac_key, tgt_key))
-                with profiler.phase("hop"):
+                    changed_species.extend((tgt_species, self.vacancy_code))
+                    # The moved vacancy may have left the sector (or even
+                    # the local box — ownership resolves at the post-cycle
+                    # rescan).
                     if not self.is_local(tgt_key) or (
                         sector is not None and self.sector_of(tgt_key) != sector
                     ):
                         kernel.deactivate(slot)
         except NoMovesError:
-            # Numerical edge: the tree clamp landed on a dead row — nothing
-            # selectable remains in this sector.
+            # Nothing selectable remains in this sector (zero total, or the
+            # tree clamp landed on a dead row).
             pass
         finally:
             with profiler.phase("rebuild"):
@@ -436,16 +342,6 @@ class SublatticeKMC:
         #: Per-event phases accumulate on each rank's own profiler.
         self.profiler = PhaseProfiler()
         self._executor = InlineExecutor(self)
-
-    def attach_cost_ledger(self, ledger):
-        """Charge all ranks' rate evaluations to ``ledger`` (Fig. 9 model).
-
-        The ranks share one
-        :class:`~repro.core.vacancy_system.VacancySystemEvaluator`, so a
-        single attach covers every scalar and batched miss evaluation in the
-        parallel campaign.
-        """
-        return self.evaluator.attach_cost_ledger(ledger)
 
     def attach_row_cache(self, cache):
         """Install ``cache`` as the ranks' shared row-energy memo, as

@@ -174,30 +174,6 @@ def rate_model():
 
 
 class TestEngineBatching:
-    def test_row_variant_potential_takes_per_slot_path(self, tet_small):
-        """A potential that is not ``batch_row_invariant`` is evaluated one
-        vacancy at a time, and the trajectory is the batched one's."""
-        from repro.potentials import EAMPotential
-
-        streams = []
-        for invariant in (True, False):
-            pot = EAMPotential(tet_small.shell_distances)
-            pot.batch_row_invariant = invariant
-            lattice = _make_lattice(7)
-            engine = TensorKMCEngine(
-                lattice, pot, tet_small, rng=np.random.default_rng(42)
-            )
-            assert (engine.kernel.build_entries is not None) == invariant
-            assert engine.kernel.delta_active() == invariant
-            events = [engine.step() for _ in range(20)]
-            assert (engine.summary()["rate_batches"] > 0) == invariant
-            streams.append(
-                ([(e.from_site, e.to_site, e.dt) for e in events],
-                 lattice.occupancy.copy())
-            )
-        assert streams[0][0] == streams[1][0]
-        assert np.array_equal(streams[0][1], streams[1][1])
-
     def test_batches_eam_and_counts(self, tet_small, eam_small):
         lattice = _make_lattice(7)
         engine = TensorKMCEngine(

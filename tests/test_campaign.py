@@ -127,27 +127,20 @@ class TestBitIdentity:
         _assert_matches_solo(results, factory)
 
     def test_replicas_never_take_the_delta_path(self, tet_small, eam_small):
-        """A plain engine factory wires the delta path (a solo run takes
-        it); admission unwires it, so no replica ever holds a snapshot."""
-        def build(spec):
-            lattice = LatticeState((8, 8, 8))
-            lattice.randomize_alloy(
-                np.random.default_rng(spec.seed), cu_fraction=0.05,
-                vacancy_fraction=0.004,
-            )
-            return TensorKMCEngine(
-                lattice, eam_small, tet_small,
-                rng=np.random.default_rng(spec.seed + 1),
-            )
+        """A solo run holds delta snapshots; the campaign stores entries
+        without per-row energies, so no replica slot is ever delta-ready."""
+        base = _factory(eam_small, tet_small)
+        solo = base(ReplicaSpec("solo", seed=0))
+        solo.run(n_steps=3)
+        assert solo.kernel.cache.delta_ready.any()
 
         checked = []
 
         def factory(spec):
-            engine = build(spec)
+            engine = base(spec)
             step = engine.step
 
             def checked_step():
-                assert not engine.kernel.delta_active()
                 assert not engine.kernel.cache.delta_ready.any()
                 checked.append(spec.name)
                 return step()
@@ -155,11 +148,10 @@ class TestBitIdentity:
             engine.step = checked_step
             return engine
 
-        assert build(ReplicaSpec("solo", seed=0)).kernel.delta_active()
         specs = seed_sweep(range(3), n_steps=12)
         results = ReplicaCampaign(specs, factory).run()
         assert len(checked) == 3 * 12
-        _assert_matches_solo(results, build)
+        _assert_matches_solo(results, base)
 
     def test_replica_summaries_carry_engine_counters(
         self, tet_small, eam_small
@@ -185,6 +177,24 @@ class TestHotSwap:
         assert campaign.admitted == 6
         # Two in flight for six specs: at least three waves of rounds.
         assert campaign.rounds >= 3 * 12
+        _assert_matches_solo(results, factory)
+
+    @pytest.mark.parametrize("max_in_flight", (None, 1))
+    def test_zero_budget_replica_is_never_stepped(
+        self, tet_small, eam_small, max_in_flight
+    ):
+        """A replica admitted with its budget spent ends as its solo
+        ``run(n_steps=0)`` does: no event, clock 0, untouched occupancy."""
+        factory = alloy_engine_factory(8, eam_small, tet_small, 0.05, 0.01)
+        specs = [
+            ReplicaSpec("zero", seed=0, n_steps=0),
+            ReplicaSpec("ten", seed=1, n_steps=10),
+        ]
+        campaign = ReplicaCampaign(specs, factory, max_in_flight=max_in_flight)
+        results = campaign.run()
+        zero = results[0]
+        assert (zero.executed, zero.time, zero.frozen) == (0, 0.0, False)
+        assert campaign.rounds == 10
         _assert_matches_solo(results, factory)
 
     def test_mixed_budgets_swap_early(self, tet_small, eam_small):
@@ -245,10 +255,9 @@ class TestValidation:
             ReplicaCampaign(
                 seed_sweep([0], n_steps=1), _factory(pot, tet_small)
             ).run()
-        # The same potential is fine on its own (no shared batches).
-        assert _solo_reference(
-            _factory(pot, tet_small), ReplicaSpec("solo", 0, n_steps=3)
-        )[0] == 3
+        # The engine itself refuses it: there is no solo fallback either.
+        with pytest.raises(ValueError, match="batch_row_invariant"):
+            _factory(pot, tet_small)(ReplicaSpec("solo", 0, n_steps=3))
 
     def test_batch_incompatible_replica_rejected(self, tet_small, eam_small):
         other_pot = EAMPotential(tet_small.shell_distances)

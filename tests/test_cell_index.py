@@ -36,6 +36,20 @@ def _brute_hits(kernel, points, held_mask):
     return held[np.any(dist <= kernel.threshold + 1e-9, axis=0)]
 
 
+class _ConstantRates:
+    """A stub miss path: every vacancy rates 0.5 per direction, and every
+    snapshot patch is recorded."""
+
+    def __init__(self):
+        self.patched = []
+
+    def build_entries(self, keys, slots):
+        return np.full((len(keys), 8), 0.5)
+
+    def patch_entries(self, slots, points):
+        self.patched.append(slots.tolist())
+
+
 coord = st.integers(min_value=-40, max_value=70)
 point3 = st.tuples(coord, coord, coord)
 
@@ -80,19 +94,16 @@ def test_narrowed_hits_equal_all_centres_query(
         -40, 71, size=(n_initial, 3)
     )
     initial = list(dict.fromkeys(tuple(p) for p in drawn.tolist()))
-    patched = []
+    # Stale-but-delta-ready slots are part of the query; the stub exposes
+    # the order hits are handed on in.
+    builder = _ConstantRates()
+    patched = builder.patched
     kernel = EventKernel(
-        lambda key: np.full(8, 0.5),
+        builder,
         lambda key: key,
         threshold=threshold, scale=scale, periodic_half=periodic,
         keys=initial,
-        build_entries=lambda keys: np.full((len(keys), 8), 0.5),
-        # Delta callbacks make stale-but-delta-ready slots part of the
-        # query and expose the order hits are handed on in.
-        build_entries_delta=lambda keys, slots: np.full((len(keys), 8), 0.5),
-        patch_entries=lambda slots, points: patched.append(slots.tolist()),
     )
-    assert kernel.delta_active()
     assert kernel.check_index() == []
     cache = kernel.cache
     for op in ops:
@@ -135,7 +146,7 @@ def test_narrowed_hits_equal_all_centres_query(
 
 def test_check_index_reports_each_kind_of_damage():
     kernel = EventKernel(
-        lambda key: np.full(8, 0.5), lambda key: key,
+        _ConstantRates(), lambda key: key,
         threshold=3.0, periodic_half=(16, 16, 16),
         keys=[(0, 0, 0), (8, 8, 8), (5, 5, 5)],
     )

@@ -17,9 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import TensorKMCEngine
-from repro.core.kernel import SimpleRateEntry
 from repro.core.profiling import PHASES, PhaseProfiler
-from repro.core.vacancy_cache import VacancyCache
+from repro.core.vacancy_cache import SimpleRateEntry, VacancyCache
 from repro.lattice.occupancy import LatticeState
 from repro.parallel.engine import SublatticeKMC
 
@@ -77,7 +76,6 @@ class TestSnapshotIntegrity:
             tet_small,
             rng=np.random.default_rng(cfg["engine_seed"]),
         )
-        assert engine.kernel.delta_active()
         engine.run(n_steps=cfg["n_steps"])
         cache = engine.kernel.cache
         # The (6,6,6) box is only 12 half-units wide, so VET windows wrap
@@ -85,7 +83,7 @@ class TestSnapshotIntegrity:
         slots = _assert_snapshots_match_gather(
             cache,
             lambda s: lattice.occupancy[cache._vet_ids[s]],
-            lambda s: engine._delta_gather([engine.kernel.key_of(s)])[0][0],
+            lambda s: engine.sites.gather([engine.kernel.key_of(s)])[0][0],
         )
         if cfg["n_steps"] > 0:
             assert slots.size > 0  # the delta path actually engaged
@@ -119,8 +117,6 @@ class TestSnapshotIntegrity:
         sim.run(6)
         assert sim.total_events > 0
         for rank in sim.ranks:
-            assert rank.kernel.delta_active()
-
             def vet_half_of(slot):
                 half = np.asarray(rank.kernel.key_of(slot), dtype=np.int64)
                 return half[None, :] + rank.tet.all_offsets
@@ -128,7 +124,7 @@ class TestSnapshotIntegrity:
             _assert_snapshots_match_gather(
                 rank.kernel.cache,
                 lambda s: rank.window.species_at_half(vet_half_of(s)),
-                lambda s: rank._window_flat_ids(vet_half_of(s)),
+                lambda s: rank.sites.gather([rank.kernel.key_of(s)])[0][0],
             )
 
 

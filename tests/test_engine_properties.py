@@ -60,7 +60,7 @@ class TestEngineInvariants:
     def test_store_total_equals_sum_of_entries(self, tet_small, eam_small, cfg):
         _, engine = _build(tet_small, eam_small, cfg)
         engine.run(n_steps=10)
-        engine._refresh()
+        engine.kernel.refresh()
         expected = sum(
             engine.cache.get(slot).total_rate
             for slot in range(engine.cache.n_slots)
@@ -76,7 +76,7 @@ class TestEngineInvariants:
         """Every live cache entry equals a from-scratch rebuild."""
         _, engine = _build(tet_small, eam_small, cfg)
         engine.run(n_steps=15)
-        engine._refresh()
+        engine.kernel.refresh()
         for slot in range(engine.cache.n_slots):
             cached = engine.cache.get(slot)
             fresh = engine.build_system(slot)

@@ -8,11 +8,12 @@ import pytest
 from repro.core.kernel import (
     EventKernel,
     NoMovesError,
-    SimpleRateEntry,
     SpatialHashIndex,
     select_direction,
 )
 from repro.core.propensity import FenwickPropensity, LinearPropensity
+from repro.core.vacancy_cache import BatchEntries
+from repro.core.vacancy_system import StateEnergiesBatch
 
 
 # ----------------------------------------------------------------------
@@ -147,9 +148,51 @@ def test_index_move_and_remove():
 # ----------------------------------------------------------------------
 # EventKernel: dynamic slots, refresh accounting, invalidation
 # ----------------------------------------------------------------------
-def _toy_kernel(rates_by_key, periodic=None, **kwargs):
+class _StubBuilder:
+    """The kernel's miss contract over canned rate rows.
+
+    ``build_entries`` returns a bare ``(B, 8)`` rate matrix, or with
+    ``batched`` a :class:`BatchEntries` — carrying per-row energies, which
+    leave its slots delta-ready, when ``delta`` is also set.  Every call is
+    recorded.
+    """
+
+    def __init__(self, rates_by_key, batched=False, delta=False):
+        self.rates_by_key = rates_by_key
+        self.batched = batched
+        self.delta = delta
+        self.built = []
+        self.patched = []
+
+    def build_entries(self, keys, slots):
+        self.built.append(np.asarray(slots).tolist())
+        rates = np.array(
+            [self.rates_by_key[key] for key in keys], dtype=np.float64
+        ).reshape(-1, 8)
+        if not self.batched:
+            return rates
+        n = len(keys)
+        return BatchEntries(
+            sites=np.arange(n),
+            vet_ids=np.zeros((n, 3), dtype=np.int64),
+            vets=np.zeros((n, 3), dtype=np.uint8),
+            energies=StateEnergiesBatch(
+                initial=np.zeros(n),
+                delta=np.zeros((n, 8)),
+                valid=np.ones((n, 8), dtype=bool),
+                migrating_species=np.zeros((n, 8), dtype=np.uint8),
+            ),
+            rates=rates,
+            row_energies=np.zeros((n, 9, 2)) if self.delta else None,
+        )
+
+    def patch_entries(self, slots, points):
+        self.patched.append(slots.tolist())
+
+
+def _toy_kernel(rates_by_key, periodic=None, builder=None, **kwargs):
     return EventKernel(
-        lambda key: np.asarray(rates_by_key[key], dtype=np.float64),
+        builder or _StubBuilder(rates_by_key),
         lambda key: np.asarray(key, dtype=np.int64),
         threshold=4.0,
         scale=1.0,
@@ -170,10 +213,9 @@ def test_kernel_refresh_and_select():
     kernel = _toy_kernel(rates)
     kernel.refresh()
     assert kernel.total == pytest.approx(4.0)
-    slot, direction, entry = kernel.select(2.0)
+    slot, direction = kernel.select(2.0)
     assert kernel.key_of(slot) == (10, 0, 0)
     assert direction == 0
-    assert isinstance(entry, SimpleRateEntry)
     counters = kernel.counters()
     assert counters["cache_misses"] == 2
     assert counters["selections"] == 1
@@ -250,37 +292,26 @@ def test_kernel_invalidation_does_not_recount_stale_slots():
 @pytest.mark.parametrize("delta", (True, False), ids=("delta", "no-delta"))
 @pytest.mark.parametrize("batched", (True, False), ids=("batch", "no-batch"))
 def test_miss_path_follows_the_wiring(batched, delta, patch, use_cache):
-    """The delta callback runs when both delta callbacks are wired and the
-    cache is on; otherwise the batched callback when wired; otherwise
-    ``build_entry`` once per stale slot."""
+    """One builder serves every miss, whatever its entries carry.
+
+    Each refresh hands the whole stale set to ``build_entries`` in one
+    call — every live slot when the cache is off.  An invalidation
+    (``patch``) hands the hit slots to ``patch_entries`` exactly when they
+    hold a snapshot: entries with per-row energies (``batch`` + ``delta``)
+    make them delta-ready, a bare rate matrix never does."""
     rates = {(0, 0, 0): _row(1.0), (10, 0, 0): _row(3.0)}
-    calls = []
-
-    def per_slot(key):
-        calls.append("per-slot")
-        return rates[key]
-
-    def batch(keys, path="batched"):
-        calls.append(path)
-        return np.array([rates[key] for key in keys])
-
-    kernel = EventKernel(
-        per_slot,
-        lambda key: np.asarray(key, dtype=np.int64),
-        threshold=4.0,
-        keys=sorted(rates),
-        use_cache=use_cache,
-        build_entries=batch if batched else None,
-        build_entries_delta=(
-            (lambda keys, slots: batch(keys, "delta")) if delta else None
-        ),
-        patch_entries=(lambda slots, points: None) if patch else None,
-    )
-    active = delta and patch and use_cache
-    assert kernel.delta_active() == active
+    builder = _StubBuilder(rates, batched=batched, delta=delta)
+    kernel = _toy_kernel(rates, builder=builder, use_cache=use_cache)
     kernel.refresh()
-    expect = "delta" if active else "batched" if batched else "per-slot"
-    assert set(calls) == {expect}
+    assert builder.built == [[0, 1]]
+    snapshots = batched and delta
+    assert kernel.cache.delta_ready[:2].tolist() == [snapshots] * 2
+    if patch:
+        assert kernel.invalidate_near(np.array([[1, 0, 0]])) == 1
+    assert builder.patched == ([[0]] if patch and snapshots else [])
+    kernel.refresh()
+    second = [[0, 1]] if not use_cache else [[0]] if patch else []
+    assert builder.built[1:] == second
     assert kernel.total == pytest.approx(4.0)
 
 
@@ -301,7 +332,7 @@ def test_kernel_active_set_restricts_selection():
     kernel.set_active([kernel.slot_of((0, 0, 0))])
     kernel.refresh()
     assert kernel.total == pytest.approx(1.0)
-    slot, _, _ = kernel.select(0.5)
+    slot, _ = kernel.select(0.5)
     assert kernel.key_of(slot) == (0, 0, 0)
     kernel.deactivate(slot)
     assert kernel.total == 0.0

@@ -60,7 +60,7 @@ class TestTensorKMCModel:
         )
         engine.run(n_steps=5)
         live = engine.cache.memory_bytes()
-        n_live = sum(e is not None for e in engine.cache.entries)
+        n_live = int(np.count_nonzero(engine.cache.live & engine.cache.fresh))
         model = tensorkmc_memory_model(lat.n_sites, n_live, tet_small)
         assert model["VAC_cache"] == pytest.approx(live, rel=0.1)
 

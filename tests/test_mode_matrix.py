@@ -22,10 +22,11 @@ these rows guard the single path that is left.
 The row cache is the one setting left, and only as an attached object:
 each row is run with the cache detached (``off``), with the engine's
 default one (``auto``) and with a tiny byte budget (``on``), together
-with the two miss paths the engines pick by themselves (batched, and
-per-slot for a potential that is not ``batch_row_invariant``), the
-uncached OpenKMC baseline and the shared campaign: each must land on its
-row.  Running a campaign's replicas one after another is the serial row.
+with the uncached OpenKMC baseline and the shared campaign: each must land
+on its row.  Running a campaign's replicas one after another is the serial
+row.  The per-slot miss path for a potential that is not
+``batch_row_invariant`` also landed on the rows; it is gone, and such a
+potential is refused when an engine is built.
 
 One more serial NNP row runs a 4-shell TET, whose rows of 8 counts are
 too wide for one byte per count in 64 bits.  It was captured with the row
@@ -195,14 +196,17 @@ class TestGoldenTrajectories:
             assert len(engine.row_cache) == TINY_ENTRIES
 
     @POTENTIALS
-    def test_per_slot_miss_path(self, request, tet_small, pot):
-        """A potential that is not ``batch_row_invariant`` is evaluated one
-        vacancy at a time, and lands on the batched path's row."""
+    def test_row_variant_potential_is_refused(self, request, tet_small, pot):
+        """A potential that is not ``batch_row_invariant`` cannot build an
+        engine, serial or parallel: the error names the attribute."""
         variant = copy.copy(_potential(request, pot))
         variant.batch_row_invariant = False
-        engine = _serial(tet_small, variant)
-        assert engine.kernel.build_entries is None
-        assert _serial_identity(engine) == _golden(pot)
+        with pytest.raises(ValueError, match="batch_row_invariant"):
+            _serial(tet_small, variant)
+        with pytest.raises(ValueError, match="batch_row_invariant"):
+            SublatticeKMC(
+                LatticeState((16, 16, 16)), variant, tet_small, n_ranks=4
+            )
 
     @POTENTIALS
     def test_uncached_openkmc_baseline(self, request, tet_small, pot):
@@ -286,7 +290,7 @@ class TestChunkBoundaries:
         )
         sites = sorted(lattice.vacancy_ids)[: self.N_VACANCIES]
         assert len(sites) == self.N_VACANCIES
-        return engine.evaluator, engine._gather_for_sites(sites)[2]
+        return engine.evaluator, engine.sites.gather(sites)[1]
 
     @staticmethod
     def _fresh_cache(evaluator):
