@@ -1,8 +1,11 @@
 """Campaign smoke benchmark: shared batching spans replicas, the cache hits.
 
 Runs an R=8 NNP seed sweep (every replica's stale rows fused into one
-``evaluate_batch`` per round, over one campaign-wide row cache).  Two
-gates:
+``evaluate_batch_segments`` call per round, over one campaign-wide row
+cache).  ``shared_rows`` counts the stale vacancy slots the shared calls
+refreshed, ``shared_pairs`` the ``(vacancy, region row)`` pairs they
+re-rated: replica slots keep their row-energy snapshots, so a slot whose
+environment changed re-rates only its dirty rows.  Two gates:
 
 * the fused batches really span replicas — their mean width beats R, more
   than any single replica's per-step stale set could supply;
@@ -113,6 +116,7 @@ def run_campaign_smoke() -> dict:
         "shared_us_per_event": 1e6 * best / events,
         "shared_batches": int(shared["shared_batches"]),
         "shared_rows": int(shared["shared_rows"]),
+        "shared_pairs": int(shared["shared_pairs"]),
         "max_shared_batch": int(shared["max_shared_batch"]),
         "mean_shared_batch": mean_shared_batch,
         "row_cache": row_cache,
@@ -138,7 +142,8 @@ def main() -> int:
     print(
         f"R={report['replicas']} x {report['steps_per_replica']} events: "
         f"{report['shared_events_per_s']:.0f} ev/s shared, mean batch "
-        f"{report['mean_shared_batch']:.1f} rows (min > {N_REPLICAS})"
+        f"{report['mean_shared_batch']:.1f} rows (min > {N_REPLICAS}), "
+        f"{report['shared_pairs']} row pairs re-rated"
     )
     rc = report["row_cache"]
     print(

@@ -8,26 +8,30 @@ expensive evaluator (the NNP's tiled-GEMM inference in particular) sees a
 stream of tiny batches that waste its throughput.
 
 :class:`ReplicaCampaign` runs R replicas in one process and, once per round,
-stacks *every* replica's stale rows into a single
-:meth:`~repro.core.vacancy_system.VacancySystemEvaluator.evaluate_batch`
-call — the same autobatching idea popularised by batched MD front-ends:
-independent systems share one forward pass, and a replica that finishes (or
-freezes) is hot-swapped out for the next queued spec so the shared batch
-stays full.  Cross-replica deduplication comes for free: the shared call
-goes through ``evaluate_batch``, whose row dedup now sees identical vacancy
-environments from *different* replicas (common in a seed sweep's dilute
-matrix) and evaluates them once.
+refreshes every replica through the same miss path a solo engine uses, with
+the evaluation fused: each replica's :class:`~repro.core.delta.DeltaRebuilder`
+plans its refresh (every row of a from-scratch slot, only the dirty rows of
+a snapshot slot), *all* replicas' rows go through a single
+:meth:`~repro.core.vacancy_system.VacancySystemEvaluator.evaluate_batch_segments`
+call, and each rebuilder splices its rows back into its own snapshots — the
+autobatching idea popularised by batched MD front-ends (independent systems
+share one forward pass) on top of the paper's keep-it-resident rebuild.  A
+replica that finishes (or freezes) is hot-swapped out for the next queued
+spec so the shared batch stays full.  Cross-replica deduplication comes for
+free: the row dedup of the shared call sees identical vacancy environments
+from *different* replicas (common in a seed sweep's dilute matrix) and
+evaluates them once.
 
 **Bit-identity.**  The campaign changes *when and where* rows are evaluated,
 never their values.  Its engines only accept ``batch_row_invariant``
 potentials (per-row results independent of batch composition — see
-:class:`~repro.potentials.base.CountsPotential`); it gathers each replica's
-rows from the engine's own site store
-(:class:`~repro.core.loop.LatticeSites`), converts energies to rates with
-each replica's own :class:`~repro.core.rates.RateModel` (temperatures may
-differ per replica), and hands the results back through
+:class:`~repro.potentials.base.CountsPotential`); each replica plans and
+splices with its own rebuilder — its own site store and its own
+:class:`~repro.core.rates.RateModel` (temperatures may differ per replica) —
+and hands the entries back through
 :meth:`~repro.core.kernel.EventKernel.apply_refresh`.  Those entries carry
-no per-row energies, so no replica slot ever holds a delta snapshot.  Each
+row energies, so replica slots hold delta snapshots exactly as a solo
+run's do, and each replica's own invalidation patches them.  Each
 replica's subsequent :meth:`~repro.core.engine.SerialAKMCBase.step` — the
 solo event, unchanged — finds nothing stale and draws from its own RNG in
 the usual order, so every fixed-seed trajectory is bit-identical to running
@@ -51,7 +55,6 @@ from ..core.engine import SerialAKMCBase, TensorKMCEngine
 from ..core.kernel import NoMovesError
 from ..core.profiling import PhaseProfiler, merge_disjoint
 from ..core.rowcache import RowEnergyCache, resolve_row_cache
-from ..core.vacancy_cache import BatchEntries
 from ..lattice import LatticeState
 
 __all__ = [
@@ -65,8 +68,8 @@ __all__ = [
 ]
 
 #: Campaign phase names, in reporting order: replica admission/hot swap,
-#: the stale-row gather, the shared potential call, the per-replica
-#: scatter, and the per-replica KMC steps.
+#: the per-replica refresh plans, the shared potential call, the
+#: per-replica splice and store, and the per-replica KMC steps.
 CAMPAIGN_PHASES = ("admit", "gather", "evaluate", "scatter", "step")
 
 
@@ -239,6 +242,8 @@ class ReplicaCampaign:
         self.admitted = 0
         self.shared_batches = 0
         self.shared_rows = 0
+        #: ``(vacancy, region row)`` pairs re-rated by the shared calls.
+        self.shared_pairs = 0
         self.max_shared_batch = 0
         self._evaluator = None  # batch-compatibility reference
         #: The campaign-wide shared row-energy cache; created lazily at
@@ -266,46 +271,37 @@ class ReplicaCampaign:
             if not active:
                 break
 
-            # Gather every in-flight replica's stale rows (read-only).
+            # Plan every in-flight replica's refresh: its from-scratch
+            # slots' rows and its snapshot slots' dirty rows.
             work = []
             with self.profiler.phase("gather"):
                 for rep in active:
-                    kernel, sites = rep.engine.kernel, rep.engine.sites
+                    kernel = rep.engine.kernel
                     stale = kernel.stale_batch()
-                    if stale.size == 0:
-                        continue
-                    keys = kernel.cache.keys_of(stale)
-                    ids = sites.sites_of(keys)
-                    vet_ids, vets = sites.gather(keys)
-                    work.append((rep, stale, ids, vet_ids, vets))
+                    if stale.size:
+                        work.append((kernel, kernel.builder.plan(
+                            kernel.cache.keys_of(stale), stale
+                        )))
 
-            # One potential call for all replicas; evaluate_batch's row
-            # dedup now operates across replica boundaries.
+            # One potential call for all replicas; row dedup operates
+            # across replica boundaries.
             with self.profiler.phase("evaluate"):
-                batches = self._evaluator.evaluate_batch_segments(
-                    [vets for (_, _, _, _, vets) in work]
+                rows = self._evaluator.evaluate_batch_segments(
+                    [(p.vets, p.pair_b, p.pair_r) for (_, p) in work]
                 )
                 if work:
-                    rows = sum(stale.size for (_, stale, _, _, _) in work)
+                    slots = sum(p.slots.size for (_, p) in work)
                     self.shared_batches += 1
-                    self.shared_rows += int(rows)
-                    self.max_shared_batch = max(
-                        self.max_shared_batch, int(rows)
-                    )
+                    self.shared_rows += slots
+                    self.shared_pairs += sum(len(r) for r in rows)
+                    self.max_shared_batch = max(self.max_shared_batch, slots)
 
-            # Scatter each replica's segment back through its own rate
-            # model (temperatures may differ) and its kernel's store path.
+            # Splice each replica's rows into its own snapshots, through
+            # its own rate model (temperatures may differ), and store them.
             with self.profiler.phase("scatter"):
-                for (rep, stale, ids, vet_ids, vets), energies in zip(
-                    work, batches
-                ):
-                    rates = rep.engine.rate_model.rates_batch(energies)
-                    rep.engine.kernel.apply_refresh(
-                        stale,
-                        BatchEntries(
-                            sites=ids, vet_ids=vet_ids, vets=vets,
-                            energies=energies, rates=rates,
-                        ),
+                for (kernel, plan), r in zip(work, rows):
+                    kernel.apply_refresh(
+                        plan.slots, kernel.builder.splice(plan, r)
                     )
 
             # One KMC event per replica; refresh inside step() finds
@@ -336,6 +332,7 @@ class ReplicaCampaign:
             "admitted": self.admitted,
             "shared_batches": self.shared_batches,
             "shared_rows": self.shared_rows,
+            "shared_pairs": self.shared_pairs,
             "max_shared_batch": self.max_shared_batch,
         }
         if self.row_cache is not None:

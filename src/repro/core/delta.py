@@ -18,7 +18,10 @@ keep-it-resident argument applied to the encoded state itself):
   slots without one (fresh hops, recycled slots, post-restore) are gathered
   from scratch.  Both sets share a single concatenated potential call, so
   the per-call fixed cost is paid once per refresh, exactly as in the full
-  path.
+  path.  It is :meth:`~DeltaRebuilder.plan` (the row worklist), one
+  ``evaluate_rows`` call and :meth:`~DeltaRebuilder.splice` (rows into
+  the snapshots, then rates); a campaign runs the same two halves around
+  one ``evaluate_batch_segments`` call over every replica's plan.
 
 Bit-exactness: patched VETs are exact integer species codes (identical to a
 re-gather), shell counts are exact integers in float32, and the shipped
@@ -42,14 +45,31 @@ refuses any other at construction, and so does every engine built on it.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
 from .vacancy_cache import BatchEntries
 from .vacancy_system import VacancySystemEvaluator
 
-__all__ = ["DeltaRebuilder"]
+__all__ = ["DeltaRebuilder", "RefreshPlan"]
+
+
+class RefreshPlan(NamedTuple):
+    """One refresh's worklist, between :meth:`DeltaRebuilder.plan` and
+    :meth:`DeltaRebuilder.splice`."""
+
+    keys: Sequence[Hashable]
+    slots: np.ndarray
+    #: ``(B, n_all)`` VET ids and species of every slot in the batch.
+    vet_ids: np.ndarray
+    vets: np.ndarray
+    vets_current: bool
+    #: Batch positions of the slots holding a row-energy snapshot.
+    ready_local: np.ndarray
+    #: ``(P,)`` batch position and region row of every row to re-rate.
+    pair_b: np.ndarray
+    pair_r: np.ndarray
 
 
 class DeltaRebuilder:
@@ -123,23 +143,36 @@ class DeltaRebuilder:
             )
 
     # ------------------------------------------------------------------
-    # Refresh: re-rate dirty rows, full-build the rest, one potential call
+    # Refresh: plan the rows, re-rate them, splice them into the snapshots
     # ------------------------------------------------------------------
     def build_entries(
         self, keys: Sequence[Hashable], slots: np.ndarray
     ) -> BatchEntries:
         """Delta-aware batch build for the kernel's refresh.
 
-        Returns a :class:`BatchEntries` carrying ``row_energies``, so the
-        store marks every rebuilt slot delta-ready for the next round.
+        :meth:`plan`, one :meth:`~VacancySystemEvaluator.evaluate_rows`
+        call, :meth:`splice`.  Returns a :class:`BatchEntries` carrying
+        ``row_energies``, so the store marks every rebuilt slot delta-ready
+        for the next round.
+        """
+        plan = self.plan(keys, slots)
+        return self.splice(
+            plan,
+            self.evaluator.evaluate_rows(plan.vets, plan.pair_b, plan.pair_r),
+        )
+
+    def plan(self, keys: Sequence[Hashable], slots: np.ndarray) -> RefreshPlan:
+        """The row worklist of a refresh: every row of a from-scratch slot,
+        only the dirty rows of a snapshot slot.
+
+        From-scratch slots (fresh hops, recycled slots, post-restore) are
+        gathered here; the rows are evaluated by the caller — the kernel's
+        own :meth:`build_entries`, or a campaign's one call over many
+        replicas' plans — and handed to :meth:`splice`.
         """
         cache = self.cache
         evaluator = self.evaluator
-        tet = evaluator.tet
         slots = np.asarray(slots, dtype=np.int64)
-        n_batch = int(slots.size)
-        n_region = tet.n_region
-        n_states = 1 + tet.N_DIRECTIONS
         ready = cache.delta_ready[slots]
         ready_local = np.flatnonzero(ready)
         full_local = np.flatnonzero(~ready)
@@ -165,39 +198,48 @@ class DeltaRebuilder:
             vet_ids = cache.vet_ids_of(slots)
             vets = cache.vets_of(slots)
             vets_current = True
-        if np.any(vets[:, tet.CENTER] != evaluator.vacancy_code):
+        if np.any(vets[:, evaluator.tet.CENTER] != evaluator.vacancy_code):
             raise ValueError("every VET centre must be a vacancy")
 
-        # Row worklist: every row of a from-scratch slot, only the dirty
-        # rows of a snapshot slot.
-        pair_b = np.repeat(full_local, n_region)
+        pair_b = np.repeat(full_local, self._r_all.size)
         pair_r = np.tile(self._r_all, full_local.size)
         if ready_local.size:
-            rslots = slots[ready_local]
-            r_row_e = cache.row_e_of(rslots)
-            rb, rr = np.nonzero(cache.dirty_rows_of(rslots))
+            rb, rr = np.nonzero(cache.dirty_rows_of(slots[ready_local]))
             pair_b = np.concatenate([pair_b, ready_local[rb]])
             pair_r = np.concatenate([pair_r, rr])
-        rows = evaluator.evaluate_rows(vets, pair_b, pair_r)
+        return RefreshPlan(
+            keys, slots, vet_ids, vets, vets_current, ready_local,
+            pair_b, pair_r,
+        )
 
-        if ready_local.size:
+    def splice(self, plan: RefreshPlan, rows: np.ndarray) -> BatchEntries:
+        """Entries of a planned refresh from its re-rated ``(P, 9)`` rows.
+
+        The rows are scattered over the snapshot slots' cached energies,
+        folded into hop energetics and turned into rates by this driver's
+        own rate model.
+        """
+        n_states = 1 + self.evaluator.tet.N_DIRECTIONS
+        if plan.ready_local.size:
+            r_row_e = self.cache.row_e_of(plan.slots[plan.ready_local])
             e_dtype = r_row_e.dtype
         else:
             e_dtype = rows.dtype if rows.size else np.float64
-        row_e = np.empty((n_batch, n_states, n_region), dtype=e_dtype)
-        if ready_local.size:
-            row_e[ready_local] = r_row_e
-        if pair_b.size:
-            row_e[pair_b, :, pair_r] = rows
+        row_e = np.empty(
+            (plan.slots.size, n_states, self._r_all.size), dtype=e_dtype
+        )
+        if plan.ready_local.size:
+            row_e[plan.ready_local] = r_row_e
+        if plan.pair_b.size:
+            row_e[plan.pair_b, :, plan.pair_r] = rows
 
-        energies = evaluator.batch_from_row_energies(vets, row_e)
-        rates = self.rate_model.rates_batch(energies)
+        energies = self.evaluator.batch_from_row_energies(plan.vets, row_e)
         return BatchEntries(
-            sites=np.asarray(self.sites.sites_of(keys)),
-            vet_ids=vet_ids,
-            vets=vets,
+            sites=np.asarray(self.sites.sites_of(plan.keys)),
+            vet_ids=plan.vet_ids,
+            vets=plan.vets,
             energies=energies,
-            rates=rates,
+            rates=self.rate_model.rates_batch(energies),
             row_energies=row_e,
-            vets_current=vets_current,
+            vets_current=plan.vets_current,
         )

@@ -84,9 +84,9 @@ class BatchEntries:
     """A batch of freshly built vacancy systems, still in array form.
 
     Produced by the miss path (:class:`~repro.core.delta.DeltaRebuilder`,
-    or a campaign's shared ``evaluate_batch`` call) and consumed whole by
-    :meth:`VacancyCache.store_batch` — the rows go straight from the
-    evaluator's output arrays into the cache's slot arrays without ever
+    whose splice a campaign also runs after its shared call) and consumed
+    whole by :meth:`VacancyCache.store_batch` — the rows go straight from
+    the evaluator's output arrays into the cache's slot arrays without ever
     materialising per-slot Python objects.
     """
 

@@ -12,7 +12,7 @@ here).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -33,20 +33,22 @@ __all__ = [
 
 #: Transient-memory budget of one chunk of the miss pipeline (encode ->
 #: row key -> dedup -> row-cache probe -> GEMM on misses).  Larger
-#: batches are split into chunks of at most this many bytes' worth of rows
+#: batches are split into chunks of whole ``(vacancy, region row)`` pairs
+#: (9 trial-state rows each) of at most this many bytes' worth of rows
 #: (:func:`miss_chunk_rows`), so a cold refresh of every vacancy peaks at
-#: one chunk, not at the whole batch.  That is 26k rows (11 vacancies) at
-#: the paper's rcut 6.5 and 121k rows (227 vacancies) at rcut 2.87, far
-#: above any steady-state batch (~4k and ~21k rows), which is never split.
+#: one chunk, not at the whole batch.  That is 26k rows (the rows of 11
+#: vacancies) at the paper's rcut 6.5 and 121k rows (227 vacancies) at
+#: rcut 2.87, far above any steady-state batch (~4k rows on ``serial_gemm``,
+#: ~6k in a ``campaign8`` round), which is never split.
 MISS_CHUNK_BYTES = 24 * 2**20
 
 
 def miss_row_bytes(tet: TripleEncoding, n_elements: int = N_ELEMENTS) -> int:
     """Peak transient bytes one ``(trial state, region site)`` row costs.
 
-    An upper bound over both evaluator entry points, counted from the
-    arrays a row passes through, in the stage where most are alive at once
-    (the shell-count encode):
+    An upper bound on the miss pipeline's per-row transients, counted
+    from the arrays a row passes through, in the stage where most are
+    alive at once (the shell-count encode):
 
     * its share of the ``(9, n_all)`` one-byte trial states and its
       one-byte centre species;
@@ -71,7 +73,7 @@ def miss_row_bytes(tet: TripleEncoding, n_elements: int = N_ELEMENTS) -> int:
 def miss_chunk_rows(tet: TripleEncoding, n_elements: int = N_ELEMENTS) -> int:
     """Rows per miss-pipeline chunk: :data:`MISS_CHUNK_BYTES` over
     :func:`miss_row_bytes`.  The evaluator rounds it down to whole pairs
-    (9 rows) or whole vacancies (``9 * n_region`` rows), at least one."""
+    (9 rows), at least one."""
     return max(1, MISS_CHUNK_BYTES // miss_row_bytes(tet, n_elements))
 
 
@@ -81,13 +83,13 @@ def miss_transient_bytes(
     """Transient bytes of the largest miss chunk ``n_vacancies`` can fill.
 
     The cold refresh evaluates every vacancy's ``9 * n_region`` rows; a
-    chunk holds at most :func:`miss_chunk_rows` of them, or one whole
-    vacancy when a vacancy alone is larger than the budget.
+    chunk holds at most :func:`miss_chunk_rows` of them, or one pair's 9
+    rows when a pair alone is larger than the budget.
     """
-    per_vacancy = (1 + tet.N_DIRECTIONS) * tet.n_region
+    n_states = 1 + tet.N_DIRECTIONS
     rows = min(
-        int(n_vacancies) * per_vacancy,
-        max(miss_chunk_rows(tet, n_elements), per_vacancy),
+        int(n_vacancies) * n_states * tet.n_region,
+        max(miss_chunk_rows(tet, n_elements), n_states),
     )
     return rows * miss_row_bytes(tet, n_elements)
 
@@ -157,20 +159,6 @@ class StateEnergiesBatch:
     def rows(self) -> List[StateEnergies]:
         """All scalar views, in batch order."""
         return [self.row(b) for b in range(len(self))]
-
-    def segment(self, lo: int, hi: int) -> "StateEnergiesBatch":
-        """Contiguous sub-batch ``[lo, hi)`` as views (no copies).
-
-        The splitting half of the cross-caller batching contract (see
-        :meth:`VacancySystemEvaluator.evaluate_batch_segments`): stacking
-        segments, evaluating once, and slicing the result back apart.
-        """
-        return StateEnergiesBatch(
-            initial=self.initial[lo:hi],
-            delta=self.delta[lo:hi],
-            valid=self.valid[lo:hi],
-            migrating_species=self.migrating_species[lo:hi],
-        )
 
 
 class VacancySystemEvaluator:
@@ -505,35 +493,30 @@ class VacancySystemEvaluator:
         """Hop energetics of ``B`` vacancy systems in one fused pipeline.
 
         This is the paper's big-fusion batching applied to rate evaluation
-        (Sec. 3.4 / Fig. 9): the ``(B, 9, n_all)`` trial states are built in
-        one vectorised pass, *all* ``B * 9 * n_region`` feature counts come
-        from a single :func:`counts_from_types` call, and the potential is
-        invoked exactly once on the stacked site batch — for the NNP that is
-        one batched GEMM stack instead of ``B`` small ones.
+        (Sec. 3.4 / Fig. 9): every ``(vacancy, region row)`` pair of the
+        batch goes through one :meth:`evaluate_rows` call — state-0 shell
+        counts per row, the eight swap states patched from them, the
+        potential invoked once on the stacked ``B * 9 * n_region`` rows
+        (for the NNP one batched GEMM stack instead of ``B`` small ones) —
+        and :meth:`batch_from_row_energies` sums each vacancy's
+        C-contiguous ``(9, n_region)`` block.
 
-        On top of the stacking, the batch dedupes identical site rows
-        (same centre species, same shell counts) before touching the
-        potential and scatters the energies back — the row-level analogue of
-        the paper's VET hash cache (Sec. 3.4).  Trial states of one vacancy
+        Identical site rows (same centre species, same shell counts) are
+        evaluated once and scattered back — the row-level analogue of the
+        paper's VET hash cache (Sec. 3.4).  Trial states of one vacancy
         differ only near the swapped pair and neighbouring systems overlap,
-        so in a dilute alloy the unique-row fraction is tiny and the
-        batched path evaluates orders of magnitude fewer network rows than
-        the scalar one.  Dedup is sound *only* for row-invariant potentials
-        (``batch_row_invariant``): an identical row must produce identical
-        bits no matter which batch it lands in.
+        so in a dilute alloy the unique-row fraction is tiny.  Dedup is
+        sound *only* for row-invariant potentials (``batch_row_invariant``):
+        an identical row must produce identical bits no matter which batch
+        it lands in.
 
         Per-row results are bit-identical to :meth:`evaluate` for every
-        shipped potential: the tabulated/EAM per-site energies are row
-        independent by construction, and the NNP's tiled-GEMM kernel
+        shipped potential: the counts are exact integers either way, the
+        tabulated/EAM per-site energies are row independent by
+        construction, and the NNP's tiled-GEMM kernel
         (:mod:`repro.operators.tilegemm`) fixes its call shapes and
         accumulation order so batching cannot change any row's bits.
-
-        A batch larger than one chunk of :func:`miss_chunk_rows` rows runs
-        the pipeline chunk by chunk of whole vacancies, so the transient
-        memory stays bounded by :data:`MISS_CHUNK_BYTES`; later chunks hit
-        the row-cache entries earlier ones inserted.  Each vacancy's
-        ``(9, n_region)`` energy block is summed C-contiguous either way,
-        so chunking cannot change a bit.
+        Chunking (:func:`miss_chunk_rows`) cannot change a bit either.
         """
         vets = np.asarray(vets)
         if vets.ndim != 2 or vets.shape[1] != self.tet.n_all:
@@ -541,56 +524,18 @@ class VacancySystemEvaluator:
                 f"VET batch must have shape (B, {self.tet.n_all}), "
                 f"got {vets.shape}"
             )
-        n_batch = vets.shape[0]
-        n_dir = self.tet.N_DIRECTIONS
-        if n_batch == 0:
-            empty = np.zeros((0, n_dir))
-            return StateEnergiesBatch(
-                initial=np.zeros(0),
-                delta=empty,
-                valid=np.zeros((0, n_dir), dtype=bool),
-                migrating_species=np.zeros((0, n_dir), dtype=vets.dtype),
-            )
         if np.any(vets[:, self.tet.CENTER] != self.vacancy_code):
             raise ValueError("every VET centre must be a vacancy")
-        per_chunk = max(
-            1,
-            miss_chunk_rows(self.tet, self.n_elements)
-            // (self._n_states * self.tet.n_region),
-        )
-        totals = _stacked(
-            lambda lo, hi: self._state_totals(vets[lo:hi]), n_batch, per_chunk
-        )
-        nn_species = vets[:, 1 : 1 + n_dir]
-        valid = nn_species != self.vacancy_code
-        delta = np.where(valid, totals[:, 1:] - totals[:, :1], 0.0)
-        return StateEnergiesBatch(
-            initial=totals[:, 0],
-            delta=delta,
-            valid=valid,
-            migrating_species=nn_species,
-        )
-
-    def _state_totals(self, vets: np.ndarray) -> np.ndarray:
-        """``(B, 9)`` float64 trial-state region energies of one chunk."""
         n_batch, n_region = vets.shape[0], self.tet.n_region
-        states = self.trial_vets_batch(vets).reshape(-1, self.tet.n_all)
-        counts = self.region_features_counts(states)
-        center_types = states[:, :n_region].reshape(-1)
-        flat_counts = counts.reshape(-1, self.tet.n_shells, counts.shape[-1])
-        dedup = self._dedup_rows(center_types, flat_counts)
-        if dedup is not None:
-            energies = self._unique_row_energies(
-                dedup, center_types, flat_counts
-            )
-        else:
-            energies = self.potential.energies_from_counts(
-                center_types, flat_counts
-            )
-        # Summed per C-contiguous (9, n_region) block: the reduction order
-        # of each vacancy's sums is the same in any chunk.
-        energies = energies.reshape(n_batch, self._n_states, n_region)
-        return np.sum(energies, axis=2, dtype=np.float64)
+        rows = self.evaluate_rows(
+            vets,
+            np.repeat(np.arange(n_batch), n_region),
+            np.tile(np.arange(n_region), n_batch),
+        )
+        row_e = np.ascontiguousarray(
+            rows.reshape(n_batch, n_region, self._n_states).transpose(0, 2, 1)
+        )
+        return self.batch_from_row_energies(vets, row_e)
 
     # ------------------------------------------------------------------
     # Cross-caller batching: one fused call over many engines' miss rows
@@ -616,35 +561,40 @@ class VacancySystemEvaluator:
         )
 
     def evaluate_batch_segments(
-        self, segments: List[np.ndarray]
-    ) -> List[StateEnergiesBatch]:
-        """One fused :meth:`evaluate_batch` over VET segments of many callers.
+        self, segments: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    ) -> List[np.ndarray]:
+        """One fused :meth:`evaluate_rows` over the row worklists of many
+        callers.
 
-        ``segments`` holds one ``(B_i, n_all)`` VET batch per caller (the
-        campaign passes one per replica; ``B_i = 0`` segments are fine).
-        All rows are stacked and evaluated through a *single* potential
-        call — row dedup then runs across the whole stack, so identical
-        environments in different replicas are evaluated once — and the
-        result is sliced back into per-segment batches.  For row-invariant
-        potentials every returned row is bit-identical to the segment
-        evaluating alone, which is what lets the campaign change *when*
-        rows are evaluated without ever changing their values.
+        ``segments`` holds one ``(vets, pair_b, pair_r)`` per caller (the
+        campaign passes each replica's :class:`~repro.core.delta.RefreshPlan`
+        worklist; segments without pairs are fine).  The VETs are stacked,
+        each caller's ``pair_b`` offset into the stack, and every pair is
+        evaluated through a *single* call — row dedup and the potential
+        call then run across the whole stack, so identical environments in
+        different replicas are evaluated once.  Returns each caller's
+        ``(P_i, 9)`` slice.  For row-invariant potentials every returned
+        row is bit-identical to the segment evaluating alone, which is what
+        lets the campaign change *when* rows are evaluated without ever
+        changing their values.
         """
         if not segments:
             return []
         n_all = self.tet.n_all
-        stacked = np.concatenate(
-            [np.asarray(seg).reshape(-1, n_all) for seg in segments], axis=0
+        vets = [np.asarray(v).reshape(-1, n_all) for v, _, _ in segments]
+        offsets = np.cumsum([0] + [len(v) for v in vets])
+        rows = self.evaluate_rows(
+            np.concatenate(vets),
+            np.concatenate([
+                np.asarray(b, dtype=np.intp) + off
+                for (_, b, _), off in zip(segments, offsets)
+            ]),
+            np.concatenate(
+                [np.asarray(r, dtype=np.intp) for _, _, r in segments]
+            ),
         )
-        batch = self.evaluate_batch(stacked)
-        bounds = np.concatenate(
-            [[0], np.cumsum([np.asarray(s).reshape(-1, n_all).shape[0]
-                             for s in segments])]
-        )
-        return [
-            batch.segment(int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
+        bounds = np.cumsum([0] + [len(b) for _, b, _ in segments])
+        return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     # ------------------------------------------------------------------
     # Row-level re-rate: the incremental rebuild path's energy kernel
@@ -654,22 +604,27 @@ class VacancySystemEvaluator:
     ) -> np.ndarray:
         """Trial-state energies of selected ``(vacancy, region row)`` pairs.
 
-        For each pair ``(b, r)`` the 9 trial-state energies of region site
-        ``r`` of vacancy ``b`` are computed exactly as :meth:`evaluate_batch`
+        The one miss pipeline: :meth:`evaluate_batch`, every engine's
+        refresh and the campaign's shared call all end here.  For each pair
+        ``(b, r)`` the 9 trial-state energies of region site ``r`` of
+        vacancy ``b`` are computed exactly as the scalar :meth:`evaluate`
         would: the state-0 shell counts of the row come from
         :func:`counts_from_types` on the row's neighbour gather, the eight
         swap states patch those counts with exact-integer scatter adds (the
         centre and the direction's 1NN trade species), and the potential is
         invoked once over the stacked ``P * 9`` rows.  For row-invariant
         potentials (``batch_row_invariant``) every returned energy is
-        bit-identical to the corresponding element of the full batch — which
+        bit-identical to the corresponding element of a full batch — which
         is what lets the delta rebuild path recompute *only* rows whose
         inputs changed and splice them into a cached ``(B, 9, n_region)``
         energy matrix.
 
         Returns the ``(P, 9)`` energies as a NumPy array in the potential's
-        native energy dtype.  More pairs than one chunk of :func:`miss_chunk_rows` rows are
-        evaluated chunk by chunk, as in :meth:`evaluate_batch`.
+        native energy dtype.  More pairs than one chunk of
+        :func:`miss_chunk_rows` rows are evaluated chunk by chunk of whole
+        pairs, so the transient memory stays bounded by
+        :data:`MISS_CHUNK_BYTES`; later chunks hit the row-cache entries
+        earlier ones inserted.
         """
         vets = np.asarray(vets)
         pair_b = np.asarray(pair_b, dtype=np.intp)
@@ -698,9 +653,11 @@ class VacancySystemEvaluator:
         n_el = self.n_elements
         # State-0 shell counts of every selected row — the same one-sgemm-
         # per-element kernel as :func:`counts_from_types`, inlined against
-        # the cached shell one-hot (identical inputs, identical bits).
-        vp = vets[pair_b]
-        neighbors = vp[np.arange(n_pairs)[:, None], tet.net_ids[pair_r]]
+        # the cached shell one-hot (identical inputs, identical bits).  Only
+        # the neighbour gather and the 9 swap positions are read, so no
+        # pair copies its whole VET; every gather is a flat ``np.take``.
+        base = pair_b * tet.n_all
+        neighbors = np.take(vets, base[:, None] + tet.net_ids[pair_r])
         counts0 = np.empty((n_pairs, tet.n_shells, n_el), dtype=np.float32)
         for el in range(n_el):
             counts0[:, :, el] = np.matmul(
@@ -713,18 +670,20 @@ class VacancySystemEvaluator:
         # ``(P, 9)`` row gather — the state-0 column indexes the table's
         # all-zero block, so a single contiguous add over the whole
         # ``(P, 9, S * E)`` tensor finishes the patched counts.
-        states = vp[:, :n_states].astype(np.int64)                # (P, 9)
+        states = np.take(vets, base[:, None] + self._state_cols).astype(
+            np.int64
+        )                                                         # (P, 9)
         vac = states[:, 0]                                        # (P,)
-        idx = self._patch_code[pair_r]
-        idx = idx + vac[:, None] * self._patch_species
+        idx = np.take(self._patch_code, pair_r, axis=0)
+        idx += vac[:, None] * self._patch_species
         idx += states
-        counts = self._patch_table[idx]                           # (P, 9, S*E)
+        counts = np.take(self._patch_table, idx, axis=0)          # (P, 9, S*E)
         counts += counts0.reshape(n_pairs, 1, -1)
         # Centre species of each row per state: the row's own site, except
         # that in state j the two swap positions trade species — a row *at*
         # position j holds the vacancy, and the centre's own row (position
         # 0) holds each direction's migrating species.
-        own = vets[pair_b, pair_r]
+        own = np.take(vets, base + pair_r)
         centers = np.where(
             pair_r[:, None] == self._state_cols, vac[:, None], own[:, None]
         )
@@ -747,9 +706,10 @@ class VacancySystemEvaluator:
     ) -> StateEnergiesBatch:
         """Fold a ``(B, 9, n_region)`` energy matrix into hop energetics.
 
-        The exact tail of :meth:`evaluate_batch` — same reduction, same
-        validity masking — applied to an externally assembled energy
-        matrix (cached rows spliced with freshly re-rated ones).
+        The tail of :meth:`evaluate_batch` and of every refresh: each
+        vacancy's C-contiguous ``(9, n_region)`` block is summed in float64
+        (the same reduction order for a fresh and a spliced matrix), then
+        invalid hops are masked.
         """
         vets = np.asarray(vets)
         n_dir = self.tet.N_DIRECTIONS

@@ -139,6 +139,34 @@ class TestEvaluateBatch:
             ev.evaluate_batch(np.zeros((2, 3), dtype=np.int64))
 
 
+class TestEvaluateBatchSegments:
+    @pytest.mark.parametrize("pot", ["eam_small", "nnp_small"])
+    def test_rows_form_matches_each_segment_alone(self, request, tet_small, pot):
+        """One fused call over many callers' ``(vets, pair_b, pair_r)``
+        worklists returns, per caller, the bits of its own call —
+        empty segments (no VETs, or VETs without pairs) included."""
+        ev = VacancySystemEvaluator(tet_small, request.getfixturevalue(pot))
+        n_region = tet_small.n_region
+        rng = np.random.default_rng(4)
+        segments = []
+        for i, (n_vets, n_pairs) in enumerate(
+            [(3, 40), (0, 0), (2, 2 * n_region), (4, 0), (1, 7)]
+        ):
+            vets = _random_vets(ev, n_vets, seed=10 + i)
+            pair_b = rng.integers(0, max(n_vets, 1), size=n_pairs)
+            pair_r = rng.integers(0, n_region, size=n_pairs)
+            segments.append((vets, pair_b, pair_r))
+        fused = ev.evaluate_batch_segments(segments)
+        assert len(fused) == len(segments)
+        for (vets, pair_b, pair_r), rows in zip(segments, fused):
+            alone = ev.evaluate_rows(vets, pair_b, pair_r)
+            assert rows.shape == (len(pair_b), 9)
+            if len(pair_b):
+                assert rows.dtype == alone.dtype
+            assert np.array_equal(rows, alone)
+        assert ev.evaluate_batch_segments([]) == []
+
+
 class TestRatesBatch:
     def test_bitwise_equal_to_scalar_rows(self, tet_small, eam_small, rate_model):
         ev = VacancySystemEvaluator(tet_small, eam_small)

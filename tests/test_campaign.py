@@ -1,12 +1,12 @@
 """Cross-replica campaign: shared batched evaluation, bit-identity, swaps.
 
 The contract under test is the strongest one the campaign makes: funneling
-R replicas' stale rows into one fused ``evaluate_batch`` call per round
-changes *when and where* rows are evaluated but never their values, so each
-replica's fixed-seed trajectory — occupancy digest, clock, and event count —
-is bit-identical to running that replica solo.  Hot swaps (completed or
-frozen replicas replaced by queued specs mid-campaign) must not perturb
-anyone else's trajectory either.
+R replicas' stale rows into one fused ``evaluate_batch_segments`` call per
+round changes *when and where* rows are evaluated but never their values,
+so each replica's fixed-seed trajectory — occupancy digest, clock, and
+event count — is bit-identical to running that replica solo.  Hot swaps
+(completed or frozen replicas replaced by queued specs mid-campaign) must
+not perturb anyone else's trajectory either.
 """
 
 import numpy as np
@@ -126,31 +126,51 @@ class TestBitIdentity:
         assert len({r.digest for r in results}) > 1  # ladder actually diverges
         _assert_matches_solo(results, factory)
 
-    def test_replicas_never_take_the_delta_path(self, tet_small, eam_small):
-        """A solo run holds delta snapshots; the campaign stores entries
-        without per-row energies, so no replica slot is ever delta-ready."""
-        base = _factory(eam_small, tet_small)
-        solo = base(ReplicaSpec("solo", seed=0))
-        solo.run(n_steps=3)
-        assert solo.kernel.cache.delta_ready.any()
+    def test_nnp_temperature_ladder_matches_solo(self, tet_small, nnp_small):
+        # Each replica splices its shared-call rows into its own snapshots
+        # and rates them with its own RateModel.
+        factory = _factory(nnp_small, tet_small)
+        specs = temperature_ladder([600.0, 900.0, 1200.0], n_steps=10, seed=2)
+        results = ReplicaCampaign(specs, factory).run()
+        assert len({r.time for r in results}) == 3
+        _assert_matches_solo(results, factory)
 
+    def test_replicas_take_the_delta_path(self, tet_small, eam_small):
+        """After its first round every live replica slot holds a delta
+        snapshot, the replica's own invalidation patches it, and the
+        trajectories still equal the solo runs."""
+        base = _factory(eam_small, tet_small)
         checked = []
+        patched = []
 
         def factory(spec):
             engine = base(spec)
             step = engine.step
+            builder = engine.kernel.builder
+            patch = builder.patch_entries
 
             def checked_step():
-                assert not engine.kernel.cache.delta_ready.any()
+                cache = engine.kernel.cache
+                assert cache.delta_ready[cache.live].all()
                 checked.append(spec.name)
                 return step()
 
+            def counted_patch(slots, points_half):
+                patched.append(len(slots))
+                return patch(slots, points_half)
+
             engine.step = checked_step
+            builder.patch_entries = counted_patch
             return engine
 
         specs = seed_sweep(range(3), n_steps=12)
-        results = ReplicaCampaign(specs, factory).run()
+        campaign = ReplicaCampaign(specs, factory)
+        results = campaign.run()
         assert len(checked) == 3 * 12
+        assert sum(patched) > 0
+        # Later rounds re-rate dirty rows only: fewer pairs than whole slots.
+        agg = campaign.summary()
+        assert agg["shared_pairs"] < agg["shared_rows"] * tet_small.n_region
         _assert_matches_solo(results, base)
 
     def test_replica_summaries_carry_engine_counters(

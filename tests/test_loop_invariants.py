@@ -8,7 +8,10 @@ each of their kernels must hold:
 * a cell index consistent with the slot centres (``check_index() == []``);
 * a propensity total equal to the exact sum of the fresh slots' totals;
 * in every fresh slot, the rate row a from-scratch scalar evaluation of
-  the vacancy's current environment gives, bit for bit.
+  the vacancy's current environment gives, bit for bit;
+* in every fresh slot, a delta snapshot whose ``(9, n_region)`` row
+  energies equal a from-scratch ``evaluate_rows`` of that environment — for
+  the campaign, rows spliced from the shared per-round call.
 """
 
 import math
@@ -111,3 +114,13 @@ def test_kernel_invariants_after_events(request, tet_small, driver):
                 evaluator.evaluate(vet_of(kernel.key_of(slot)))
             )
             assert np.array_equal(cache.rates[slot], scratch), slot
+        # Every slot holds a delta snapshot; its row energies are those of
+        # a from-scratch row evaluation, so splices never drift.
+        assert cache.delta_ready[fresh].all()
+        rows = np.arange(evaluator.tet.n_region)
+        for slot in fresh.tolist():
+            vet = vet_of(kernel.key_of(slot))
+            scratch = evaluator.evaluate_rows(
+                vet[None], np.zeros_like(rows), rows
+            )
+            assert np.array_equal(cache.row_e_of([slot])[0], scratch.T), slot

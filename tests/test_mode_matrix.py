@@ -248,28 +248,22 @@ class TestGoldenTrajectories:
 
 
 def _pairs_budget(tet, n_pairs):
-    """A ``MISS_CHUNK_BYTES`` of ``n_pairs`` row pairs: ``evaluate_rows``
-    chunks hold ``n_pairs`` pairs, ``evaluate_batch`` chunks one vacancy."""
+    """A ``MISS_CHUNK_BYTES`` of ``n_pairs`` row pairs: every miss chunk
+    holds ``n_pairs`` ``(vacancy, region row)`` pairs."""
     return n_pairs * 9 * miss_row_bytes(tet)
 
 
 @pytest.fixture()
 def chunk_sizes(monkeypatch):
     """Records the size of every chunk the evaluator runs."""
-    sizes = {"pairs": [], "vacancies": []}
+    sizes = {"pairs": []}
     pair_energies = VacancySystemEvaluator._pair_energies
-    state_totals = VacancySystemEvaluator._state_totals
 
     def pairs(self, vets, pair_b, pair_r):
         sizes["pairs"].append(len(pair_b))
         return pair_energies(self, vets, pair_b, pair_r)
 
-    def vacancies(self, vets):
-        sizes["vacancies"].append(len(vets))
-        return state_totals(self, vets)
-
     monkeypatch.setattr(VacancySystemEvaluator, "_pair_energies", pairs)
-    monkeypatch.setattr(VacancySystemEvaluator, "_state_totals", vacancies)
     return sizes
 
 
@@ -325,20 +319,23 @@ class TestChunkBoundaries:
         self, monkeypatch, batch, chunk_sizes, n_vacancies
     ):
         evaluator, vets = batch
+        n_region = evaluator.tet.n_region
         self._fresh_cache(evaluator)
         whole = evaluator.evaluate_batch(vets)
-        assert chunk_sizes["vacancies"] == [len(vets)]
-        per_vacancy = 9 * evaluator.tet.n_region
+        assert chunk_sizes["pairs"] == [len(vets) * n_region]
+        # Chunks of whole pairs: n_vacancies vacancies' worth of rows.
+        n_pairs = n_vacancies * n_region
         monkeypatch.setattr(
             vacancy_system, "MISS_CHUNK_BYTES",
-            n_vacancies * per_vacancy * miss_row_bytes(evaluator.tet),
+            _pairs_budget(evaluator.tet, n_pairs),
         )
-        chunk_sizes["vacancies"].clear()
+        chunk_sizes["pairs"].clear()
         self._fresh_cache(evaluator)
         chunked = evaluator.evaluate_batch(vets)
-        sizes = chunk_sizes["vacancies"]
-        assert sizes[:-1] == [n_vacancies] * (len(sizes) - 1)
-        assert sum(sizes) == len(vets) and 0 < sizes[-1] <= n_vacancies
+        sizes = chunk_sizes["pairs"]
+        assert sizes[:-1] == [n_pairs] * (len(sizes) - 1)
+        assert sum(sizes) == len(vets) * n_region
+        assert 0 < sizes[-1] <= n_pairs
         for field in ("initial", "delta", "valid", "migrating_species"):
             assert np.array_equal(
                 getattr(chunked, field), getattr(whole, field)
@@ -403,8 +400,9 @@ class TestChunkBoundaries:
         ).run()
         got = (results[0].digest, float(results[0].time).hex())
         assert got == SERIAL_NNP
-        # The cold round's 4 vacancies ran as one-vacancy chunks.
-        assert chunk_sizes["vacancies"][:4] == [1, 1, 1, 1]
+        # The shared refresh runs the same two-pair chunks as a solo one.
+        assert max(chunk_sizes["pairs"]) == 2
+        assert len(chunk_sizes["pairs"]) > N_STEPS
 
     def test_parallel_nnp(
         self, monkeypatch, chunk_sizes, tet_small, nnp_small
