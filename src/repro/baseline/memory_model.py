@@ -80,11 +80,13 @@ def tensorkmc_memory_model(
 
     Only the occupancy array scales with the domain; the vacancy cache scales
     with the (dilute) vacancy count, and the shared TET/feature tables are
-    O(1).  ``delta_snapshots`` charges the incremental-rebuild payload each
-    live entry carries on the engine's delta path: the per-trial-state
-    row-energy matrix plus the dirty-row mask.  Pass ``False`` for the
-    footprint of an engine that rebuilds in full (a campaign replica, or a
-    potential that is not ``batch_row_invariant``).
+    O(1).  A live entry is the paper's VET ids, VET codes and rate row;
+    ``delta_snapshots`` adds the incremental-rebuild payload every engine's
+    entries carry (the per-trial-state row-energy matrix plus the dirty-row
+    mask), which makes ``VAC_cache`` equal
+    :meth:`~repro.core.vacancy_cache.VacancyCache.memory_bytes` of a cache
+    whose live slots are all fresh.  Pass ``False`` for the paper's entry
+    alone (Table 1).
     ``row_cache`` charges the persistent row-energy memo by resident entry
     count at :func:`~repro.core.rowcache.row_entry_bytes` per entry (key,
     energy and the stored row checked on every hit, ``tet.n_shells *
@@ -108,7 +110,6 @@ def tensorkmc_memory_model(
         tet.n_all * 8  # vet_ids (int64)
         + tet.n_all * 1  # vet (uint8)
         + 8 * 8  # rates (float64, 8 directions)
-        + 8 * 8 + 8 + 8 * 1 + 8 * 1  # StateEnergies payload
     )
     if delta_snapshots:
         n_states = 1 + tet.N_DIRECTIONS  # resident + 8 trial swaps

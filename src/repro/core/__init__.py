@@ -6,12 +6,7 @@ from .profiling import PhaseProfiler
 from .propensity import FenwickPropensity, LinearPropensity, PropensityStore
 from .rates import RateModel, residence_time
 from .tet import TripleEncoding
-from .vacancy_cache import (
-    BatchEntries,
-    CachedVacancySystem,
-    SimpleRateEntry,
-    VacancyCache,
-)
+from .vacancy_cache import BatchEntries, VacancyCache
 from .vacancy_system import StateEnergies, VacancySystemEvaluator
 
 __all__ = [
@@ -21,7 +16,6 @@ __all__ = [
     "TensorKMCEngine",
     "EventKernel",
     "KernelStats",
-    "SimpleRateEntry",
     "SpatialHashIndex",
     "PhaseProfiler",
     "FenwickPropensity",
@@ -31,7 +25,6 @@ __all__ = [
     "residence_time",
     "TripleEncoding",
     "BatchEntries",
-    "CachedVacancySystem",
     "VacancyCache",
     "StateEnergies",
     "VacancySystemEvaluator",

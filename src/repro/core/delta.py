@@ -33,9 +33,9 @@ the full build's matrix bit for bit — and the shared
 The drivers differ only in coordinate plumbing, which their site store
 (:mod:`repro.core.loop`) supplies:
 
-* ``sites_of(keys)`` — centre ids of a key batch (flat lattice ids for the
-  serial engine, window-flat ids for a parallel rank);
-* ``gather(keys)`` — from-scratch ``(vet_ids, vets)`` for a key subset;
+* ``gather(keys)`` — from-scratch ``(vet_ids, vets)`` for a key subset
+  (flat lattice ids for the serial engine, window-flat ids for a parallel
+  rank);
 * ``locate(points_half)`` — current ``(ids, species)`` at changed
   half-positions, in the same id space as the stored ``vet_ids``.
 
@@ -59,7 +59,6 @@ class RefreshPlan(NamedTuple):
     """One refresh's worklist, between :meth:`DeltaRebuilder.plan` and
     :meth:`DeltaRebuilder.splice`."""
 
-    keys: Sequence[Hashable]
     slots: np.ndarray
     #: ``(B, n_all)`` VET ids and species of every slot in the batch.
     vet_ids: np.ndarray
@@ -151,9 +150,9 @@ class DeltaRebuilder:
         """Delta-aware batch build for the kernel's refresh.
 
         :meth:`plan`, one :meth:`~VacancySystemEvaluator.evaluate_rows`
-        call, :meth:`splice`.  Returns a :class:`BatchEntries` carrying
-        ``row_energies``, so the store marks every rebuilt slot delta-ready
-        for the next round.
+        call, :meth:`splice`.  The returned :class:`BatchEntries` carries
+        each slot's snapshot, so the store marks every rebuilt slot
+        delta-ready for the next round.
         """
         plan = self.plan(keys, slots)
         return self.splice(
@@ -208,8 +207,7 @@ class DeltaRebuilder:
             pair_b = np.concatenate([pair_b, ready_local[rb]])
             pair_r = np.concatenate([pair_r, rr])
         return RefreshPlan(
-            keys, slots, vet_ids, vets, vets_current, ready_local,
-            pair_b, pair_r,
+            slots, vet_ids, vets, vets_current, ready_local, pair_b, pair_r
         )
 
     def splice(self, plan: RefreshPlan, rows: np.ndarray) -> BatchEntries:
@@ -235,10 +233,8 @@ class DeltaRebuilder:
 
         energies = self.evaluator.batch_from_row_energies(plan.vets, row_e)
         return BatchEntries(
-            sites=np.asarray(self.sites.sites_of(plan.keys)),
             vet_ids=plan.vet_ids,
             vets=plan.vets,
-            energies=energies,
             rates=self.rate_model.rates_batch(energies),
             row_energies=row_e,
             vets_current=plan.vets_current,

@@ -20,7 +20,7 @@ two-level propensity selection and the cell-narrowed invalidation, with a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .propensity import FenwickPropensity
 from .rates import RateModel
 from .rowcache import RowEnergyCache, resolve_row_cache
 from .tet import TripleEncoding
-from .vacancy_cache import CachedVacancySystem, VacancyCache
+from .vacancy_cache import VacancyCache
 from .vacancy_system import VacancySystemEvaluator
 
 __all__ = ["KMCEvent", "NoMovesError", "SerialAKMCBase", "TensorKMCEngine"]
@@ -155,19 +155,16 @@ class SerialAKMCBase:
         """The kernel's propensity store."""
         return self.kernel.store
 
-    def build_system(self, slot: int) -> CachedVacancySystem:
-        """From-scratch vacancy system of a slot: one scalar evaluation.
+    def build_system(self, slot: int) -> Tuple[np.ndarray, np.ndarray]:
+        """From-scratch ``(vet, rates)`` of a slot: one scalar evaluation.
 
         The test oracle for the cached and incrementally patched entries.
         """
         site = int(self.kernel.key_of(slot))
-        vet_ids = self.lattice.neighbor_ids(site, self.tet.all_offsets)
-        vet = self.lattice.occupancy[vet_ids]
-        energies = self.evaluator.evaluate(vet)
-        return CachedVacancySystem(
-            site=site, vet_ids=vet_ids, vet=vet, energies=energies,
-            rates=self.rate_model.rates(energies),
-        )
+        vet = self.lattice.occupancy[
+            self.lattice.neighbor_ids(site, self.tet.all_offsets)
+        ]
+        return vet, self.rate_model.rates(self.evaluator.evaluate(vet))
 
     # ------------------------------------------------------------------
     # The KMC step

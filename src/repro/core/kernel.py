@@ -238,8 +238,9 @@ class EventKernel:
     builder:
         The miss path: ``build_entries(keys, slots)`` returns the stale
         slots' entries in slot order — a
-        :class:`~repro.core.vacancy_cache.BatchEntries` or a bare
-        ``(B, 8)`` rate matrix — and ``patch_entries(slots, points_half)``
+        :class:`~repro.core.vacancy_cache.BatchEntries` (rates plus the
+        snapshot that makes the slots delta-ready) or a bare ``(B, 8)``
+        rate matrix (rates only) — and ``patch_entries(slots, points_half)``
         scatter-updates the stored VET snapshots of delta-ready slots hit by
         an invalidation from the occupancy at the changed positions (this is
         how invalidation carries *what* changed instead of just *that*

@@ -22,11 +22,10 @@ space of the kernel's slot keys:
 A store supplies ``position_of(key)`` (integer half-unit coordinates),
 ``hop(key, direction)`` (swap the vacancy with its 1NN neighbour and return
 ``(to_key, migrating species)``, or ``None`` when stale data blocks the
-hop), and the three coordinate callbacks of
-:class:`~repro.core.delta.DeltaRebuilder`: ``sites_of(keys)`` (centre ids),
-``gather(keys)`` (from-scratch ``(vet_ids, vets)``) and
-``locate(points_half)`` (current ``(ids, species)`` at changed positions,
-in the ``vet_ids`` id space).
+hop), and the two coordinate callbacks of
+:class:`~repro.core.delta.DeltaRebuilder`: ``gather(keys)`` (from-scratch
+``(vet_ids, vets)``) and ``locate(points_half)`` (current ``(ids,
+species)`` at changed positions, in the ``vet_ids`` id space).
 """
 
 from __future__ import annotations
@@ -115,9 +114,6 @@ class LatticeSites:
         lattice.swap(site, to_site)
         return to_site, migrating
 
-    def sites_of(self, keys) -> np.ndarray:
-        return np.asarray([int(s) for s in keys], dtype=np.int64)
-
     def gather(self, keys):
         """From-scratch ``(vet_ids, vets)`` of a key batch.
 
@@ -194,9 +190,6 @@ class WindowSites:
         s, cell = self.window.site_from_half(half)
         px, py, pz = self.window.padded_shape
         return ((s * px + cell[..., 0]) * py + cell[..., 1]) * pz + cell[..., 2]
-
-    def sites_of(self, keys) -> np.ndarray:
-        return self._flat_ids(np.asarray(keys, dtype=np.int64))
 
     def gather(self, keys):
         vet_half = np.asarray(keys, dtype=np.int64)[:, None, :] + self._offsets

@@ -15,12 +15,13 @@ a free list, which is what lets the parallel driver add and remove vacancies
 as they enter and leave its subdomain without reindexing the propensity
 structure.
 
-Storage is structure-of-arrays: one ``(capacity, n_all)`` VET matrix, one
-``(capacity, 8)`` rate matrix, one ``(capacity, 3)`` centre matrix and
-``live``/``fresh`` masks, so invalidation, refresh and propensity updates
-run as NumPy array operations over slot batches instead of per-entry Python
-objects.  :class:`CachedVacancySystem` is a *view* assembled on demand by
-:meth:`VacancyCache.get`; it no longer owns the storage.
+Storage is structure-of-arrays: ``(capacity, 8)`` rates with their sums,
+a ``(capacity, 3)`` centre matrix and ``live``/``fresh``/``delta_ready``
+masks, so invalidation, refresh and propensity updates run as NumPy array
+operations over slot batches instead of per-entry Python objects.  A slot
+built on the delta path also keeps its snapshot — VET ids, VET codes and
+the per-row trial-state energies — which invalidation patches in place and
+the next refresh re-rates (:mod:`repro.core.delta`).
 """
 
 from __future__ import annotations
@@ -31,80 +32,30 @@ from typing import Dict, Hashable, Iterable, List, Optional
 import numpy as np
 
 from ..lattice.occupancy import LatticeState
-from .vacancy_system import StateEnergies, StateEnergiesBatch
+from .tet import TripleEncoding
 
-__all__ = [
-    "BatchEntries",
-    "CachedVacancySystem",
-    "SimpleRateEntry",
-    "VacancyCache",
-]
-
-
-@dataclass
-class CachedVacancySystem:
-    """Everything cached for one vacancy between invalidations.
-
-    Instances returned by :meth:`VacancyCache.get` are views into the
-    cache's slot arrays (no copies); instances handed *to*
-    :meth:`VacancyCache.store` are scattered into those arrays.
-    """
-
-    #: Flat lattice index of the vacancy (the system centre).
-    site: int
-    #: Flat lattice indices of all ``n_all`` system sites (VET translation).
-    vet_ids: np.ndarray
-    #: The VET itself (species codes) at build time.
-    vet: np.ndarray
-    #: Hop energetics of the 9 states.
-    energies: StateEnergies
-    #: ``(8,)`` per-direction rates in 1/s.
-    rates: np.ndarray
-
-    @property
-    def total_rate(self) -> float:
-        return float(self.rates.sum())
-
-
-@dataclass
-class SimpleRateEntry:
-    """Minimal cache entry: just a per-direction rate row (a slot stored by
-    :meth:`VacancyCache.store_rates`, without the full
-    :class:`CachedVacancySystem` payload)."""
-
-    rates: np.ndarray
-
-    @property
-    def total_rate(self) -> float:
-        return float(self.rates.sum())
+__all__ = ["BatchEntries", "VacancyCache"]
 
 
 @dataclass
 class BatchEntries:
     """A batch of freshly built vacancy systems, still in array form.
 
-    Produced by the miss path (:class:`~repro.core.delta.DeltaRebuilder`,
-    whose splice a campaign also runs after its shared call) and consumed
-    whole by :meth:`VacancyCache.store_batch` — the rows go straight from
-    the evaluator's output arrays into the cache's slot arrays without ever
-    materialising per-slot Python objects.
+    Produced by the miss path (:meth:`~repro.core.delta.DeltaRebuilder.splice`,
+    which a campaign also runs after its shared call) and consumed whole by
+    :meth:`VacancyCache.store_batch` — the rows go straight from the
+    evaluator's output arrays into the cache's slot arrays.
     """
 
-    #: ``(B,)`` centre site ids (keys of the slots being rebuilt).
-    sites: np.ndarray
     #: ``(B, n_all)`` flat site ids of every system.
     vet_ids: np.ndarray
     #: ``(B, n_all)`` VET species codes.
     vets: np.ndarray
-    #: Batched hop energetics.
-    energies: StateEnergiesBatch
     #: ``(B, 8)`` per-direction rates in 1/s.
     rates: np.ndarray
-    #: Optional ``(B, 9, n_region)`` per-row trial-state energies.  When
-    #: present, :meth:`VacancyCache.store_batch` keeps them resident and
-    #: marks the slots delta-ready, enabling the incremental rebuild path
-    #: (only rows whose inputs changed are re-evaluated on the next miss).
-    row_energies: Optional[np.ndarray] = None
+    #: ``(B, 9, n_region)`` per-row trial-state energies: the snapshot the
+    #: next refresh re-rates only the dirty rows of.
+    row_energies: np.ndarray
     #: True when ``vet_ids``/``vets`` are fancy reads of the cache's own
     #: slot arrays (the delta build adopts fresh gathers up front via
     #: :meth:`VacancyCache.adopt_vets`); :meth:`VacancyCache.store_batch`
@@ -155,9 +106,10 @@ class VacancyCache:
       event kernel for its vectorised distance invalidation;
     * ``rates[slot]`` / ``total_rates[slot]`` — the per-direction rate row
       and its sum;
-    * VET ids / VET codes / state energies — allocated lazily on the first
-      full :class:`CachedVacancySystem` store (rate-only drivers never pay
-      for them).
+    * ``delta_ready[slot]`` — slot holds a snapshot (VET ids, VET codes,
+      ``(9, n_region)`` row energies, dirty-row mask) that the delta
+      refresh may patch and re-rate; the snapshot arrays are allocated on
+      the first :meth:`store_batch` (rate-only drivers never pay for them).
 
     Entries beyond ``n_slots`` and parked slots always read ``live=False``,
     so vectorised sweeps can safely run over the whole physical arrays.
@@ -173,35 +125,33 @@ class VacancyCache:
     # Storage allocation
     # ------------------------------------------------------------------
     def _alloc(self, capacity: int) -> None:
-        """(Re)allocate the slot arrays for ``capacity`` physical slots."""
+        """(Re)allocate the slot arrays for ``capacity`` physical slots.
+
+        The snapshot arrays are dropped with every ``delta_ready`` bit and
+        re-created by the next :meth:`store_batch`.
+        """
         self._cap = int(capacity)
         self.live = np.zeros(self._cap, dtype=bool)
         self.fresh = np.zeros(self._cap, dtype=bool)
         self.centres = np.zeros((self._cap, 3), dtype=np.int32)
-        self.rates = np.zeros((self._cap, 8), dtype=np.float64)
+        self.rates = np.zeros(
+            (self._cap, TripleEncoding.N_DIRECTIONS), dtype=np.float64
+        )
         self.total_rates = np.zeros(self._cap, dtype=np.float64)
-        self._is_full = np.zeros(self._cap, dtype=bool)
         #: Slot holds a consistent VET + per-row energy snapshot that the
         #: delta rebuild path may patch and re-rate instead of rebuilding.
         #: Stale-but-delta-ready is a valid state: the snapshot tracks the
         #: lattice through scatter patches while ``fresh`` is down.
         self.delta_ready = np.zeros(self._cap, dtype=bool)
-        # Full-payload arrays (lazily allocated on the first full store).
         self._vet_ids: Optional[np.ndarray] = None
         self._vets: Optional[np.ndarray] = None
-        self._e_initial: Optional[np.ndarray] = None
-        self._e_delta: Optional[np.ndarray] = None
-        self._e_valid: Optional[np.ndarray] = None
-        self._e_mig: Optional[np.ndarray] = None
-        # Delta-path arrays (lazily allocated on the first store that
-        # carries ``row_energies``).
         self._row_e: Optional[np.ndarray] = None
         self._dirty_rows: Optional[np.ndarray] = None
 
     def _grow(self, min_capacity: int) -> None:
-        """Double the physical capacity, preserving every slot's state.
+        """Double the physical capacity, preserving every slot's rates.
 
-        Delta snapshots are deliberately *not* carried across a grow: the
+        Snapshots are deliberately *not* carried across a grow: the
         reallocation is rare (amortised doubling) and dropping
         ``delta_ready`` forces a clean full rebuild of every slot's
         snapshot, which is the documented "capacity grow" full-fallback.
@@ -209,52 +159,22 @@ class VacancyCache:
         new_cap = max(1, self._cap)
         while new_cap < min_capacity:
             new_cap *= 2
-        old = self.__dict__
-        arrays = [
-            "live", "fresh", "centres", "rates", "total_rates", "_is_full",
-            "_vet_ids", "_vets", "_e_initial", "_e_delta", "_e_valid",
-            "_e_mig",
-        ]
-        saved = {name: old[name] for name in arrays}
+        names = ["live", "fresh", "centres", "rates", "total_rates"]
+        saved = {name: getattr(self, name) for name in names}
         self._alloc(new_cap)
         for name, arr in saved.items():
-            if arr is None:
-                continue
-            if self.__dict__[name] is None:  # lazy array existed: re-create
-                shape = (new_cap,) + arr.shape[1:]
-                self.__dict__[name] = np.zeros(shape, dtype=arr.dtype)
-            self.__dict__[name][: arr.shape[0]] = arr
+            getattr(self, name)[: arr.shape[0]] = arr
 
-    def _ensure_rates(self, width: int) -> None:
-        if width != self.rates.shape[1]:
-            rows = self.rates
-            self.rates = np.zeros((self._cap, int(width)), dtype=np.float64)
-            keep = min(width, rows.shape[1])
-            self.rates[: rows.shape[0], :keep] = rows[:, :keep]
-
-    def _ensure_full(
-        self, vet_ids: np.ndarray, vets: np.ndarray, mig: np.ndarray
-    ) -> None:
-        """Allocate the full-payload arrays from the first entry's shapes."""
+    def _ensure_snapshot(self, batch: BatchEntries) -> None:
+        """Allocate the snapshot arrays from the first batch's shapes."""
         if self._vets is not None:
             return
-        n_all = int(vets.shape[-1])
-        n_dir = int(mig.shape[-1])
-        self._vet_ids = np.zeros((self._cap, n_all), dtype=vet_ids.dtype)
-        self._vets = np.zeros((self._cap, n_all), dtype=vets.dtype)
-        self._e_initial = np.zeros(self._cap, dtype=np.float64)
-        self._e_delta = np.zeros((self._cap, n_dir), dtype=np.float64)
-        self._e_valid = np.zeros((self._cap, n_dir), dtype=bool)
-        self._e_mig = np.zeros((self._cap, n_dir), dtype=mig.dtype)
-
-    def _ensure_delta(self, row_energies: np.ndarray) -> None:
-        """Allocate the delta-path arrays from the first snapshot's shape."""
-        if self._row_e is not None:
-            return
-        n_states = int(row_energies.shape[1])
-        n_region = int(row_energies.shape[2])
+        n_all = int(batch.vets.shape[1])
+        _, n_states, n_region = batch.row_energies.shape
+        self._vet_ids = np.zeros((self._cap, n_all), dtype=batch.vet_ids.dtype)
+        self._vets = np.zeros((self._cap, n_all), dtype=batch.vets.dtype)
         self._row_e = np.zeros(
-            (self._cap, n_states, n_region), dtype=row_energies.dtype
+            (self._cap, n_states, n_region), dtype=batch.row_energies.dtype
         )
         self._dirty_rows = np.zeros((self._cap, n_region), dtype=bool)
 
@@ -324,12 +244,9 @@ class VacancyCache:
         """Slots currently holding a vacancy, ascending."""
         return [int(s) for s in np.flatnonzero(self.live[: self.n_slots])]
 
-    def slot_site(self, slot: int) -> Hashable:
+    def key_of(self, slot: int) -> Hashable:
         """Current key (lattice site / half-coordinate) of a slot."""
         return self._keys[slot]
-
-    #: Alias for the keyed reading of :meth:`slot_site`.
-    key_of = slot_site
 
     def keys_of(self, slots: np.ndarray) -> List[Hashable]:
         """Keys of a batch of slots in one registry sweep.
@@ -393,65 +310,18 @@ class VacancyCache:
     # ------------------------------------------------------------------
     # Entries
     # ------------------------------------------------------------------
-    def get(self, slot: int) -> Optional[object]:
-        """View of a slot's cached entry, or ``None`` if parked/stale.
-
-        Full entries come back as :class:`CachedVacancySystem`, rate-only
-        ones as :class:`SimpleRateEntry`; either way the arrays are views
-        into the cache's slot arrays, valid until the slot is restored.
-        """
-        if not (self.live[slot] and self.fresh[slot]):
-            return None
-        if not self._is_full[slot]:
-            return SimpleRateEntry(rates=self.rates[slot])
-        return CachedVacancySystem(
-            site=self._keys[slot],
-            vet_ids=self._vet_ids[slot],
-            vet=self._vets[slot],
-            energies=StateEnergies(
-                initial=float(self._e_initial[slot]),
-                delta=self._e_delta[slot],
-                valid=self._e_valid[slot],
-                migrating_species=self._e_mig[slot],
-            ),
-            rates=self.rates[slot],
-        )
-
-    def store(self, slot: int, entry: object) -> None:
-        """Scatter one freshly built entry into the slot arrays."""
-        rates = np.asarray(entry.rates, dtype=np.float64)
-        self._ensure_rates(rates.shape[0])
-        self.rates[slot] = rates
-        self.total_rates[slot] = rates.sum()
-        if isinstance(entry, CachedVacancySystem):
-            energies = entry.energies
-            self._ensure_full(
-                np.asarray(entry.vet_ids),
-                np.asarray(entry.vet),
-                np.asarray(energies.migrating_species),
-            )
-            self._vet_ids[slot] = entry.vet_ids
-            self._vets[slot] = entry.vet
-            self._e_initial[slot] = energies.initial
-            self._e_delta[slot] = energies.delta
-            self._e_valid[slot] = energies.valid
-            self._e_mig[slot] = energies.migrating_species
-            self._is_full[slot] = True
-        else:
-            self._is_full[slot] = False
-        # The scalar store carries no per-row energies; any prior snapshot
-        # for the slot no longer matches the freshly stored entry.
-        self.delta_ready[slot] = False
-        self.fresh[slot] = True
-        self.stats.rebuilds += 1
+    def _store(self, slots: np.ndarray, rates: np.ndarray) -> None:
+        """Rate rows, their sums, freshness and the rebuild count."""
+        self.rates[slots] = rates
+        self.total_rates[slots] = rates.sum(axis=1)
+        self.fresh[slots] = True
+        self.stats.rebuilds += int(slots.size)
 
     def store_batch(self, slots: np.ndarray, batch: BatchEntries) -> None:
         """Scatter a whole :class:`BatchEntries` into the slot arrays.
 
-        One fancy-indexed write per array — the SoA fast path of the batched
-        miss pipeline.  Row sums for ``total_rates`` use the same per-row
-        reduction order as the scalar path, so the propensities are
-        bit-identical to storing the rows one by one.
+        One fancy-indexed write per array; every stored slot becomes
+        delta-ready with a clean dirty-row mask.
         """
         slots = np.asarray(slots, dtype=np.int64)
         if slots.size != len(batch):
@@ -460,35 +330,17 @@ class VacancyCache:
             )
         if slots.size == 0:
             return
-        rates = np.asarray(batch.rates, dtype=np.float64)
-        self._ensure_rates(rates.shape[1])
-        self.rates[slots] = rates
-        self.total_rates[slots] = rates.sum(axis=1)
-        self._ensure_full(
-            np.asarray(batch.vet_ids),
-            np.asarray(batch.vets),
-            np.asarray(batch.energies.migrating_species),
-        )
+        self._ensure_snapshot(batch)
         if not batch.vets_current:
             self._vet_ids[slots] = batch.vet_ids
             self._vets[slots] = batch.vets
-        self._e_initial[slots] = batch.energies.initial
-        self._e_delta[slots] = batch.energies.delta
-        self._e_valid[slots] = batch.energies.valid
-        self._e_mig[slots] = batch.energies.migrating_species
-        self._is_full[slots] = True
-        if batch.row_energies is not None:
-            self._ensure_delta(np.asarray(batch.row_energies))
-            self._row_e[slots] = batch.row_energies
-            self._dirty_rows[slots] = False
-            self.delta_ready[slots] = True
-        else:
-            self.delta_ready[slots] = False
-        self.fresh[slots] = True
-        self.stats.rebuilds += int(slots.size)
+        self._row_e[slots] = batch.row_energies
+        self._dirty_rows[slots] = False
+        self.delta_ready[slots] = True
+        self._store(slots, np.asarray(batch.rates, dtype=np.float64))
 
     def store_rates(self, slots: np.ndarray, rows: np.ndarray) -> None:
-        """Scatter a batch of bare rate rows (rate-only drivers)."""
+        """Scatter a batch of bare rate rows (no snapshot)."""
         slots = np.asarray(slots, dtype=np.int64)
         rows = np.asarray(rows, dtype=np.float64)
         if slots.size != rows.shape[0]:
@@ -497,46 +349,20 @@ class VacancyCache:
             )
         if slots.size == 0:
             return
-        self._ensure_rates(rows.shape[1])
-        self.rates[slots] = rows
-        self.total_rates[slots] = rows.sum(axis=1)
-        self._is_full[slots] = False
         self.delta_ready[slots] = False
-        self.fresh[slots] = True
-        self.stats.rebuilds += int(slots.size)
-
-    def mark_reused(self, slot: int) -> None:
-        self.stats.reuses += 1
-
-    def stale_slots(self) -> List[int]:
-        """Live slots whose cached system must be rebuilt."""
-        n = self.n_slots
-        return [
-            int(s) for s in np.flatnonzero(self.live[:n] & ~self.fresh[:n])
-        ]
+        self._store(slots, rows)
 
     def stale_mask(self) -> np.ndarray:
         """Boolean ``live & ~fresh`` over the physical slots (no copy)."""
         return self.live & ~self.fresh
 
-    def invalidate_slot(self, slot: int) -> None:
-        """Drop one live entry (counted in the invalidation stats).
-
-        Direct invalidation carries no changed-site payload, so the delta
-        snapshot cannot be kept in sync — it is dropped along with the
-        entry (the kernel's distance invalidation, which *does* know what
-        changed, clears ``fresh`` directly and keeps ``delta_ready`` up).
-        """
-        self.delta_ready[slot] = False
-        if self.live[slot] and self.fresh[slot]:
-            self.fresh[slot] = False
-            self.stats.invalidations += 1
-
     def invalidate_slots(self, slots: np.ndarray) -> int:
         """Drop a batch of entries; returns how many were actually live.
 
-        Like :meth:`invalidate_slot`, payload-free invalidation also drops
-        the slots' delta snapshots.
+        Direct invalidation carries no changed-site payload, so the delta
+        snapshots cannot be kept in sync — they are dropped along with the
+        entries (the kernel's distance invalidation, which *does* know what
+        changed, clears ``fresh`` directly and keeps ``delta_ready`` up).
         """
         slots = np.asarray(slots, dtype=np.int64)
         if slots.size == 0:
@@ -649,36 +475,21 @@ class VacancyCache:
     def memory_bytes(self) -> int:
         """Bytes held by live cache entries (the Table 1 'VAC Cache' row).
 
-        Counts the payload of fresh entries only (stale/parked slots hold no
-        usable data), with the same per-entry accounting as the historical
-        object store: VET ids + VET codes + rate row + energy rows + the
-        initial-energy float for full entries, the rate row alone for
-        rate-only entries.
+        Every fresh slot holds its rate row, plus its VET ids and codes when
+        it is delta-ready; every live delta-ready slot, fresh or patched
+        while stale, holds its row energies and dirty-row mask.  Parked
+        slots hold nothing usable.
         """
         held = self.live & self.fresh
-        n_full = int(np.count_nonzero(held & self._is_full))
-        n_rate = int(np.count_nonzero(held & ~self._is_full))
-        rate_row = self.rates.shape[1] * self.rates.itemsize
-        total = n_rate * rate_row
-        if n_full:
-            per_full = (
-                self._vet_ids.shape[1] * self._vet_ids.itemsize
-                + self._vets.shape[1] * self._vets.itemsize
-                + rate_row
-                + self._e_delta.shape[1] * self._e_delta.itemsize
-                + self._e_valid.shape[1] * self._e_valid.itemsize
-                + self._e_mig.shape[1] * self._e_mig.itemsize
-                + 8  # initial float
+        total = int(np.count_nonzero(held)) * self.rates[0].nbytes
+        if self._vets is not None:
+            ready = self.live & self.delta_ready
+            total += int(np.count_nonzero(held & ready)) * (
+                self._vet_ids[0].nbytes + self._vets[0].nbytes
             )
-            total += n_full * per_full
-        if self._row_e is not None:
-            n_delta = int(np.count_nonzero(self.live & self.delta_ready))
-            per_delta = (
-                self._row_e.shape[1] * self._row_e.shape[2]
-                * self._row_e.itemsize
-                + self._dirty_rows.shape[1] * self._dirty_rows.itemsize
+            total += int(np.count_nonzero(ready)) * (
+                self._row_e[0].nbytes + self._dirty_rows[0].nbytes
             )
-            total += n_delta * per_delta
         return total
 
     def summary(self) -> Dict[str, float]:

@@ -132,7 +132,7 @@ class StateEnergiesBatch:
     """Energies of ``B`` vacancy systems evaluated through one fused pipeline.
 
     The arrays carry one row per vacancy; ``row(b)`` views row ``b`` as a
-    scalar :class:`StateEnergies` (no copies), which is what the cache stores.
+    scalar :class:`StateEnergies` (no copies).
     """
 
     #: ``(B,)`` region energies of the current states (eV).
@@ -155,10 +155,6 @@ class StateEnergiesBatch:
             valid=self.valid[b],
             migrating_species=self.migrating_species[b],
         )
-
-    def rows(self) -> List[StateEnergies]:
-        """All scalar views, in batch order."""
-        return [self.row(b) for b in range(len(self))]
 
 
 class VacancySystemEvaluator:
@@ -191,13 +187,12 @@ class VacancySystemEvaluator:
         # Optional persistent row-energy memoization (see attach_row_cache).
         self._row_cache = None
         self._n_states = 1 + tet.N_DIRECTIONS
-        # For the delta path: shell of VET site t (centre / each 1NN) in each
-        # region site's neighbour list, or -1 when t is out of its range.
+        # Shell of VET site t (centre / each 1NN) in each region site's
+        # neighbour list, or -1 when t is out of its range.
         shell_of = np.full((self._n_states, tet.n_region), -1, dtype=np.int16)
         for t in range(self._n_states):
             rows, cols = np.nonzero(tet.net_ids == t)
             shell_of[t, rows] = tet.cet_shell[cols]
-        self._shell_of_target = shell_of
         # Count-patch lookup table for the row-level re-rate kernel.  The
         # swap patch of row r in state j — centre (species ``vac``) and 1NN
         # target (species ``mig``) trading places — depends only on the tiny
@@ -266,10 +261,6 @@ class VacancySystemEvaluator:
         #: ``(n_all, n_region)`` — region rows whose stored trial-state
         #: energies go stale when the site at VET position p changes.
         self.dirty_rows_of_position = dirty
-        self._affected = [
-            np.flatnonzero((shell_of[0] >= 0) | (shell_of[1 + k] >= 0))
-            for k in range(tet.N_DIRECTIONS)
-        ]
         # Precomputed swap scaffolding shared by the scalar and batched trial
         # builders: the VET index of each direction's 1NN target, and the
         # trial-state row each direction writes (row 1 + k swaps 0 <-> 1 + k).
@@ -278,25 +269,6 @@ class VacancySystemEvaluator:
             dtype=np.intp,
         )
         self._dir_rows = np.arange(1, self._n_states, dtype=np.intp)
-        # Per-direction patch tables for the vectorised delta path: local row
-        # indices (within the direction's affected block) and shells touched
-        # when the centre (gains an atom) / the target (loses one) flips.
-        self._delta_center_rows: List[np.ndarray] = []
-        self._delta_center_shells: List[np.ndarray] = []
-        self._delta_target_rows: List[np.ndarray] = []
-        self._delta_target_shells: List[np.ndarray] = []
-        self._delta_pos0 = np.empty(tet.N_DIRECTIONS, dtype=np.intp)
-        self._delta_posm = np.empty(tet.N_DIRECTIONS, dtype=np.intp)
-        for k in range(tet.N_DIRECTIONS):
-            affected = self._affected[k]
-            s0 = shell_of[0, affected]
-            sm = shell_of[self._dir_targets[k], affected]
-            self._delta_center_rows.append(np.flatnonzero(s0 >= 0))
-            self._delta_center_shells.append(s0[s0 >= 0].astype(np.intp))
-            self._delta_target_rows.append(np.flatnonzero(sm >= 0))
-            self._delta_target_shells.append(sm[sm >= 0].astype(np.intp))
-            self._delta_pos0[k] = np.searchsorted(affected, 0)
-            self._delta_posm[k] = np.searchsorted(affected, self._dir_targets[k])
 
     # ------------------------------------------------------------------
     # Persistent row-energy memoization
@@ -418,8 +390,7 @@ class VacancySystemEvaluator:
             counts.reshape(-1, self.tet.n_shells, counts.shape[-1]),
         ).reshape(n_states, n_region)
         totals = energies.sum(axis=1, dtype=np.float64)
-        # The caller's VET is never mutated after a build (cache entries are
-        # invalidated, not patched), so the 1NN slice can be shared directly.
+        # ``migrating_species`` is a view of the caller's VET (no copy).
         nn_species = vet[1 : 1 + self.tet.N_DIRECTIONS]
         valid = nn_species != self.vacancy_code
         delta = np.where(valid, totals[1:] - totals[0], 0.0)
@@ -719,108 +690,6 @@ class VacancySystemEvaluator:
         delta = np.where(valid, totals[:, 1:] - totals[:, :1], 0.0)
         return StateEnergiesBatch(
             initial=totals[:, 0],
-            delta=delta,
-            valid=valid,
-            migrating_species=nn_species,
-        )
-
-    # ------------------------------------------------------------------
-    # Delta path: update only the sites a hop actually affects
-    # ------------------------------------------------------------------
-    def evaluate_delta(self, vet: np.ndarray) -> StateEnergies:
-        """Like :meth:`evaluate`, but via incremental count updates.
-
-        For final state ``k`` only the sites within the cutoff of the centre
-        or the 1NN target change their environment (plus those two sites
-        themselves), so instead of rebuilding all ``9 x n_region`` feature
-        counts, the initial counts are patched per direction:
-
-        * the centre turns from vacancy into the migrating atom — every
-          affected site gains one neighbour of that species in the shell the
-          centre occupies in its list;
-        * the target turns into a vacancy — one neighbour of that species is
-          removed from the target's shell.
-
-        Counts stay exact integers in float32, so per-site energies are
-        bit-identical to the full path; only the final float64 summation
-        order differs (agreement to ~1e-9 eV, verified by the tests).
-        """
-        tet = self.tet
-        vet = np.asarray(vet)
-        if vet.shape != (tet.n_all,):
-            raise ValueError(f"VET must have shape ({tet.n_all},), got {vet.shape}")
-        if vet[tet.CENTER] != self.vacancy_code:
-            raise ValueError("VET centre must be a vacancy")
-
-        # State-0 counts and per-site energies, computed once.
-        neighbor_types = vet[tet.net_ids]
-        counts0 = counts_from_types(
-            neighbor_types, tet.cet_shell, tet.n_shells,
-            n_elements=self.n_elements,
-        )
-        center0 = vet[: tet.n_region]
-        e0 = self.potential.energies_from_counts(center0, counts0)
-        initial = float(np.sum(e0, dtype=np.float64))
-
-        nn_species = vet[1 : 1 + tet.N_DIRECTIONS]
-        valid = nn_species != self.vacancy_code
-        delta = np.zeros(tet.N_DIRECTIONS, dtype=np.float64)
-
-        valid_dirs = np.flatnonzero(valid)
-        if valid_dirs.size:
-            # Concatenate every valid direction's affected block and patch the
-            # counts with two fancy-indexed scatters, so the potential runs
-            # once over the whole stack instead of once per direction.  The
-            # patched elements and the per-direction summation slices are the
-            # same as the former per-direction loop, so per-site energies and
-            # deltas are bit-identical to it.
-            blocks = [self._affected[k] for k in valid_dirs]
-            lengths = np.array([b.size for b in blocks], dtype=np.intp)
-            offsets = np.concatenate([[0], np.cumsum(lengths)])
-            cat = np.concatenate(blocks)
-            counts_f = counts0[cat]
-            center_f = center0[cat].copy()
-            mig = nn_species[valid_dirs]
-
-            center_rows = np.concatenate(
-                [off + self._delta_center_rows[k]
-                 for off, k in zip(offsets, valid_dirs)]
-            )
-            center_shells = np.concatenate(
-                [self._delta_center_shells[k] for k in valid_dirs]
-            )
-            center_species = np.repeat(
-                mig, [self._delta_center_rows[k].size for k in valid_dirs]
-            )
-            counts_f[center_rows, center_shells, center_species] += 1.0
-
-            target_rows = np.concatenate(
-                [off + self._delta_target_rows[k]
-                 for off, k in zip(offsets, valid_dirs)]
-            )
-            target_shells = np.concatenate(
-                [self._delta_target_shells[k] for k in valid_dirs]
-            )
-            target_species = np.repeat(
-                mig, [self._delta_target_rows[k].size for k in valid_dirs]
-            )
-            counts_f[target_rows, target_shells, target_species] -= 1.0
-
-            # The two swap sites change their own species.
-            center_f[offsets[:-1] + self._delta_pos0[valid_dirs]] = mig
-            center_f[offsets[:-1] + self._delta_posm[valid_dirs]] = (
-                self.vacancy_code
-            )
-
-            e_f = self.potential.energies_from_counts(center_f, counts_f)
-            for i, k in enumerate(valid_dirs):
-                lo, hi = offsets[i], offsets[i + 1]
-                delta[k] = float(
-                    np.sum(e_f[lo:hi], dtype=np.float64)
-                    - np.sum(e0[blocks[i]], dtype=np.float64)
-                )
-        return StateEnergies(
-            initial=initial,
             delta=delta,
             valid=valid,
             migrating_species=nn_species,

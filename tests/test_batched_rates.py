@@ -124,7 +124,7 @@ class TestEvaluateBatch:
         )
         assert len(batch) == 0
         assert batch.delta.shape == (0, 8)
-        assert batch.rows() == []
+        assert batch.initial.shape == (0,)
 
     def test_rejects_non_vacancy_centre(self, tet_small, eam_small):
         ev = VacancySystemEvaluator(tet_small, eam_small)

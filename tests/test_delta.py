@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import TensorKMCEngine
 from repro.core.profiling import PHASES, PhaseProfiler
-from repro.core.vacancy_cache import SimpleRateEntry, VacancyCache
+from repro.core.vacancy_cache import VacancyCache
 from repro.lattice.occupancy import LatticeState
 from repro.parallel.engine import SublatticeKMC
 
@@ -149,16 +149,13 @@ class TestForcedFullFallbacks:
     def test_remove_and_payload_free_invalidation_drop(self, warm):
         _, cache, ready = warm
         cache.remove_slot(int(ready[0]))
-        cache.invalidate_slot(int(ready[1]))
-        cache.invalidate_slots(np.array([int(ready[2])]))
+        cache.invalidate_slots(ready[1:3])
         assert not cache.delta_ready[ready[:3]].any()
 
     def test_scalar_and_rate_only_stores_drop(self, warm):
         _, cache, ready = warm
-        a, b = int(ready[0]), int(ready[1])
-        cache.store(a, SimpleRateEntry(rates=np.full(8, 0.5)))
-        cache.store_rates(np.array([b]), np.full((1, 8), 0.5))
-        assert not cache.delta_ready[a] and not cache.delta_ready[b]
+        cache.store_rates(ready[:2], np.full((2, 8), 0.5))
+        assert not cache.delta_ready[ready[:2]].any()
 
     def test_invalidate_all_drops_everything(self, warm):
         engine, cache, _ = warm
@@ -179,10 +176,11 @@ class TestStoreBatchEquivalence:
         rows = rng.uniform(0.0, 3.0, size=(5, 8))
         batch.store_rates(np.arange(5), rows)
         for slot in range(5):
-            scalar.store(slot, SimpleRateEntry(rates=rows[slot]))
+            scalar.store_rates(np.array([slot]), rows[slot:slot + 1])
         assert np.array_equal(batch.rates[:5], scalar.rates[:5])
         assert np.array_equal(batch.total_rates[:5], scalar.total_rates[:5])
-        assert batch.stale_slots() == scalar.stale_slots() == []
+        assert not batch.stale_mask()[:5].any()
+        assert not scalar.stale_mask()[:5].any()
 
 
 class TestPhaseProfiler:

@@ -61,10 +61,9 @@ class TestEngineInvariants:
         _, engine = _build(tet_small, eam_small, cfg)
         engine.run(n_steps=10)
         engine.kernel.refresh()
-        expected = sum(
-            engine.cache.get(slot).total_rate
-            for slot in range(engine.cache.n_slots)
-        )
+        cache = engine.cache
+        assert cache.fresh[: cache.n_slots].all()
+        expected = sum(cache.total_rates[: cache.n_slots].tolist())
         assert engine.store.total == pytest.approx(expected, rel=1e-12)
 
     @given(cfg=config)
@@ -77,11 +76,12 @@ class TestEngineInvariants:
         _, engine = _build(tet_small, eam_small, cfg)
         engine.run(n_steps=15)
         engine.kernel.refresh()
-        for slot in range(engine.cache.n_slots):
-            cached = engine.cache.get(slot)
-            fresh = engine.build_system(slot)
-            assert np.array_equal(cached.rates, fresh.rates)
-            assert np.array_equal(cached.vet, fresh.vet)
+        cache = engine.cache
+        for slot in range(cache.n_slots):
+            assert cache.fresh[slot]
+            vet, rates = engine.build_system(slot)
+            assert np.array_equal(cache.rates[slot], rates)
+            assert np.array_equal(cache.vets_of([slot])[0], vet)
 
 
 class TestEvaluatorProperties:
@@ -102,8 +102,9 @@ class TestEvaluatorProperties:
         evaluator = VacancySystemEvaluator(tet_small, eam_small)
         vet = lattice.occupancy[lattice.neighbor_ids(vac, tet_small.all_offsets)]
         full = evaluator.evaluate(vet)
-        fast = evaluator.evaluate_delta(vet)
-        assert np.allclose(fast.delta, full.delta, atol=1e-9)
+        fast = evaluator.evaluate_batch(vet[None]).row(0)
+        assert fast.initial == full.initial
+        assert np.array_equal(fast.delta, full.delta)
         assert np.array_equal(fast.valid, full.valid)
 
     @given(seed=st.integers(min_value=0, max_value=2**31))

@@ -13,7 +13,6 @@ from repro.core.kernel import (
 )
 from repro.core.propensity import FenwickPropensity, LinearPropensity
 from repro.core.vacancy_cache import BatchEntries
-from repro.core.vacancy_system import StateEnergiesBatch
 
 
 # ----------------------------------------------------------------------
@@ -152,15 +151,13 @@ class _StubBuilder:
     """The kernel's miss contract over canned rate rows.
 
     ``build_entries`` returns a bare ``(B, 8)`` rate matrix, or with
-    ``batched`` a :class:`BatchEntries` — carrying per-row energies, which
-    leave its slots delta-ready, when ``delta`` is also set.  Every call is
-    recorded.
+    ``batched`` a :class:`BatchEntries`, whose per-row energies leave its
+    slots delta-ready.  Every call is recorded.
     """
 
-    def __init__(self, rates_by_key, batched=False, delta=False):
+    def __init__(self, rates_by_key, batched=False):
         self.rates_by_key = rates_by_key
         self.batched = batched
-        self.delta = delta
         self.built = []
         self.patched = []
 
@@ -173,17 +170,10 @@ class _StubBuilder:
             return rates
         n = len(keys)
         return BatchEntries(
-            sites=np.arange(n),
             vet_ids=np.zeros((n, 3), dtype=np.int64),
             vets=np.zeros((n, 3), dtype=np.uint8),
-            energies=StateEnergiesBatch(
-                initial=np.zeros(n),
-                delta=np.zeros((n, 8)),
-                valid=np.ones((n, 8), dtype=bool),
-                migrating_species=np.zeros((n, 8), dtype=np.uint8),
-            ),
             rates=rates,
-            row_energies=np.zeros((n, 9, 2)) if self.delta else None,
+            row_energies=np.zeros((n, 9, 2)),
         )
 
     def patch_entries(self, slots, points):
@@ -251,7 +241,7 @@ def test_kernel_invalidate_near_matches_distance_rule():
     n = kernel.invalidate_near(np.array([[1, 0, 0]]))
     # threshold 4.0: slots at distance 1 and 2 go stale, distance 8 survives
     assert n == 2
-    stale = {kernel.key_of(s) for s in kernel.cache.stale_slots()}
+    stale = {kernel.key_of(s) for s in kernel.stale_batch().tolist()}
     assert stale == {(0, 0, 0), (3, 0, 0)}
     kernel.refresh()
     assert kernel.counters()["cache_hits"] >= 1
@@ -265,7 +255,7 @@ def test_kernel_invalidation_reach_is_inclusive():
     # (4,0,0) sits exactly at the threshold: the <= test (with its 1e-9
     # guard) includes it; (5,0,0) stays fresh.
     assert kernel.invalidate_near(np.array([[0, 0, 0]])) == 2
-    assert kernel.cache.stale_slots() == [0, 1]
+    assert kernel.stale_batch().tolist() == [0, 1]
 
 
 def test_kernel_invalidation_skips_parked_slots():
@@ -274,7 +264,7 @@ def test_kernel_invalidation_skips_parked_slots():
     kernel.refresh()
     kernel.remove(1)
     assert kernel.invalidate_near(np.array([[0, 0, 0]])) == 2
-    assert kernel.cache.stale_slots() == [0, 2]
+    assert kernel.stale_batch().tolist() == [0, 2]
 
 
 def test_kernel_invalidation_does_not_recount_stale_slots():
@@ -289,26 +279,29 @@ def test_kernel_invalidation_does_not_recount_stale_slots():
 
 @pytest.mark.parametrize("use_cache", (True, False), ids=("cache", "no-cache"))
 @pytest.mark.parametrize("patch", (True, False), ids=("patch", "no-patch"))
-@pytest.mark.parametrize("delta", (True, False), ids=("delta", "no-delta"))
-@pytest.mark.parametrize("batched", (True, False), ids=("batch", "no-batch"))
-def test_miss_path_follows_the_wiring(batched, delta, patch, use_cache):
+@pytest.mark.parametrize(
+    "batched",
+    (True, False, False),
+    ids=("batch-delta", "no-batch-delta", "no-batch-no-delta"),
+)
+def test_miss_path_follows_the_wiring(batched, patch, use_cache):
     """One builder serves every miss, whatever its entries carry.
 
     Each refresh hands the whole stale set to ``build_entries`` in one
     call — every live slot when the cache is off.  An invalidation
     (``patch``) hands the hit slots to ``patch_entries`` exactly when they
-    hold a snapshot: entries with per-row energies (``batch`` + ``delta``)
-    make them delta-ready, a bare rate matrix never does."""
+    hold a snapshot: a :class:`BatchEntries` (``batch``) makes them
+    delta-ready, a bare rate matrix never does (so both ``no-batch`` ids
+    run the same case)."""
     rates = {(0, 0, 0): _row(1.0), (10, 0, 0): _row(3.0)}
-    builder = _StubBuilder(rates, batched=batched, delta=delta)
+    builder = _StubBuilder(rates, batched=batched)
     kernel = _toy_kernel(rates, builder=builder, use_cache=use_cache)
     kernel.refresh()
     assert builder.built == [[0, 1]]
-    snapshots = batched and delta
-    assert kernel.cache.delta_ready[:2].tolist() == [snapshots] * 2
+    assert kernel.cache.delta_ready[:2].tolist() == [batched] * 2
     if patch:
         assert kernel.invalidate_near(np.array([[1, 0, 0]])) == 1
-    assert builder.patched == ([[0]] if patch and snapshots else [])
+    assert builder.patched == ([[0]] if patch and batched else [])
     kernel.refresh()
     second = [[0, 1]] if not use_cache else [[0]] if patch else []
     assert builder.built[1:] == second
@@ -322,7 +315,7 @@ def test_kernel_periodic_invalidation_wraps():
     # 20 is distance 1 from 0 across the wrap (and 10 from the middle slot).
     n = kernel.invalidate_near(np.array([[20, 0, 0]]))
     assert n == 1
-    assert {kernel.key_of(s) for s in kernel.cache.stale_slots()} == {(0, 0, 0)}
+    assert {kernel.key_of(s) for s in kernel.stale_batch().tolist()} == {(0, 0, 0)}
 
 
 def test_kernel_active_set_restricts_selection():
@@ -349,4 +342,4 @@ def test_kernel_set_keys_resyncs_index():
     kernel.refresh()
     assert kernel.total == pytest.approx(4.0)
     kernel.invalidate_near(np.array([[1, 0, 0]]))
-    assert {kernel.key_of(s) for s in kernel.cache.stale_slots()} == {(0, 0, 0)}
+    assert {kernel.key_of(s) for s in kernel.stale_batch().tolist()} == {(0, 0, 0)}

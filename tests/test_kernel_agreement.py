@@ -83,13 +83,11 @@ def test_one_rank_initial_propensity_matches_serial(
         serial.total_propensity(), rel=1e-12
     )
     # And slot-for-slot: np.nonzero scan order == ascending flat site order.
-    serial_totals = [
-        serial.cache.get(s).total_rate for s in range(serial.cache.n_slots)
-    ]
-    rank_totals = [
-        rank.kernel.cache.get(s).total_rate
-        for s in range(rank.kernel.cache.n_slots)
-    ]
+    serial_cache, rank_cache = serial.cache, rank.kernel.cache
+    assert serial_cache.fresh[: serial_cache.n_slots].all()
+    assert rank_cache.fresh[: rank_cache.n_slots].all()
+    serial_totals = serial_cache.total_rates[: serial_cache.n_slots].tolist()
+    rank_totals = rank_cache.total_rates[: rank_cache.n_slots].tolist()
     assert rank_totals == pytest.approx(serial_totals, rel=1e-12)
 
 

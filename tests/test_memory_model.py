@@ -12,6 +12,7 @@ from repro.baseline import (
 )
 from repro.core import TensorKMCEngine
 from repro.lattice import LatticeState
+from repro.parallel import SublatticeKMC
 from repro.potentials import FeatureTable
 
 
@@ -53,16 +54,32 @@ class TestOpenKMCModel:
 
 
 class TestTensorKMCModel:
+    @staticmethod
+    def _assert_model_equals_live(kernel, n_sites, tet):
+        """After a full refresh every live slot is fresh and delta-ready."""
+        kernel.refresh()
+        cache = kernel.cache
+        n_live = cache.n_live
+        assert int(np.count_nonzero(cache.live & cache.fresh)) == n_live
+        model = tensorkmc_memory_model(n_sites, n_live, tet)
+        assert model["VAC_cache"] == cache.memory_bytes()
+
     def test_cache_entry_bytes_close_to_live(self, tet_small, eam_small):
         lat = _alloy()
         engine = TensorKMCEngine(
             lat, eam_small, tet_small, rng=np.random.default_rng(0)
         )
         engine.run(n_steps=5)
-        live = engine.cache.memory_bytes()
-        n_live = int(np.count_nonzero(engine.cache.live & engine.cache.fresh))
-        model = tensorkmc_memory_model(lat.n_sites, n_live, tet_small)
-        assert model["VAC_cache"] == pytest.approx(live, rel=0.1)
+        self._assert_model_equals_live(engine.kernel, lat.n_sites, tet_small)
+
+    def test_rank_cache_bytes_equal_live(self, tet_small, eam_small):
+        lat = LatticeState((16, 16, 16))
+        lat.randomize_alloy(np.random.default_rng(5), 0.05, 0.002)
+        sim = SublatticeKMC(lat, eam_small, tet_small, n_ranks=2, seed=0)
+        sim.run(3)
+        for rank in sim.ranks:
+            rank.kernel.set_active(None)
+            self._assert_model_equals_live(rank.kernel, lat.n_sites, tet_small)
 
     def test_vacancy_cache_independent_of_domain_size(self, tet_small):
         a = tensorkmc_memory_model(1_000_000, 10, tet_small)

@@ -125,15 +125,16 @@ class TestTernaryEngine:
                 total_energy(trial) - before, abs=1e-8
             )
 
-    def test_evaluate_delta_matches_full(self, ternary_setup):
+    def test_patched_encode_matches_full(self, ternary_setup):
         tet, potential = ternary_setup
         lattice = _ternary_lattice(seed=11)
         evaluator = VacancySystemEvaluator(tet, potential)
         vac = int(lattice.vacancy_ids[0])
         vet = lattice.occupancy[lattice.neighbor_ids(vac, tet.all_offsets)]
         full = evaluator.evaluate(vet)
-        fast = evaluator.evaluate_delta(vet)
-        assert np.allclose(fast.delta, full.delta, atol=1e-9)
+        fast = evaluator.evaluate_batch(vet[None]).row(0)
+        assert fast.initial == full.initial
+        assert np.array_equal(fast.delta, full.delta)
 
     def test_engine_conserves_all_species(self, ternary_setup):
         tet, potential = ternary_setup

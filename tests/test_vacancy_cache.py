@@ -3,24 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.core.vacancy_cache import CachedVacancySystem, VacancyCache
-from repro.core.vacancy_system import StateEnergies
+from repro.core.vacancy_cache import BatchEntries, VacancyCache
 from repro.lattice import LatticeState
 
 
-def _entry(site):
-    return CachedVacancySystem(
-        site=site,
-        vet_ids=np.arange(10, dtype=np.int64),
-        vet=np.zeros(10, dtype=np.uint8),
-        energies=StateEnergies(
-            initial=0.0,
-            delta=np.zeros(8),
-            valid=np.ones(8, dtype=bool),
-            migrating_species=np.zeros(8, dtype=np.uint8),
+def _store(cache, slot):
+    """Store one delta-ready entry (10-site VET, 3 region rows) in ``slot``."""
+    cache.store_batch(
+        np.array([slot]),
+        BatchEntries(
+            vet_ids=np.arange(10, dtype=np.int64)[None],
+            vets=np.full((1, 10), slot, dtype=np.uint8),
+            rates=np.ones((1, 8)),
+            row_energies=np.zeros((1, 9, 3)),
         ),
-        rates=np.ones(8),
     )
+
+
+def _stale(cache):
+    return np.flatnonzero(cache.stale_mask()[: cache.n_slots]).tolist()
 
 
 @pytest.fixture()
@@ -31,30 +32,34 @@ def lattice():
 class TestBasics:
     def test_slots_follow_input_order(self):
         cache = VacancyCache([5, 2, 9])
-        assert [cache.slot_site(i) for i in range(3)] == [5, 2, 9]
+        assert [cache.key_of(i) for i in range(3)] == [5, 2, 9]
 
     def test_total_rate(self):
-        e = _entry(3)
-        assert e.total_rate == 8.0
+        cache = VacancyCache([3])
+        _store(cache, 0)
+        assert np.array_equal(cache.rates[0], np.ones(8))
+        assert cache.total_rates[0] == 8.0
+        assert cache.delta_ready[0]
+        assert np.array_equal(cache.vets_of([0]), np.zeros((1, 10)))
 
     def test_move_invalidates(self):
         cache = VacancyCache([5])
-        cache.store(0, _entry(5))
+        _store(cache, 0)
         cache.move(0, 7)
-        assert cache.slot_site(0) == 7
-        assert cache.get(0) is None
+        assert cache.key_of(0) == 7
+        assert not cache.fresh[0] and not cache.delta_ready[0]
 
     def test_stale_slots(self):
         cache = VacancyCache([1, 2, 3])
-        cache.store(1, _entry(2))
-        assert cache.stale_slots() == [0, 2]
+        _store(cache, 1)
+        assert _stale(cache) == [0, 2]
 
     def test_invalidate_all(self):
         cache = VacancyCache([1, 2])
-        cache.store(0, _entry(1))
-        cache.store(1, _entry(2))
+        _store(cache, 0)
+        _store(cache, 1)
         cache.invalidate_all()
-        assert cache.stale_slots() == [0, 1]
+        assert _stale(cache) == [0, 1]
         assert cache.stats.invalidations == 2
 
 
@@ -63,48 +68,49 @@ class TestDistanceInvalidation:
         center = lattice.site_id(0, 5, 5, 5)
         near = lattice.site_id(0, 5, 5, 6)  # one cell away (= a)
         cache = VacancyCache([center])
-        cache.store(0, _entry(center))
+        _store(cache, 0)
         cache.invalidate_near([near], lattice, radius=lattice.a + 0.1)
-        assert cache.get(0) is None
+        assert not cache.fresh[0]
 
     def test_far_change_preserved(self, lattice):
         center = lattice.site_id(0, 5, 5, 5)
         far = lattice.site_id(0, 0, 0, 0)
         cache = VacancyCache([center])
-        cache.store(0, _entry(center))
+        _store(cache, 0)
         cache.invalidate_near([far], lattice, radius=lattice.a)
-        assert cache.get(0) is not None
+        assert cache.fresh[0]
 
     def test_periodic_distance_used(self, lattice):
         """A change across the periodic boundary still invalidates."""
         center = lattice.site_id(0, 0, 0, 0)
         wrapped = lattice.site_id(0, 9, 0, 0)  # distance a through the wrap
         cache = VacancyCache([center])
-        cache.store(0, _entry(center))
+        _store(cache, 0)
         cache.invalidate_near([wrapped], lattice, radius=lattice.a + 0.1)
-        assert cache.get(0) is None
+        assert not cache.fresh[0]
 
     def test_empty_changes_noop(self, lattice):
         cache = VacancyCache([0])
-        cache.store(0, _entry(0))
+        _store(cache, 0)
         cache.invalidate_near([], lattice, radius=10.0)
-        assert cache.get(0) is not None
+        assert cache.fresh[0]
 
 
 class TestStats:
     def test_hit_rate(self):
         cache = VacancyCache([0, 1])
-        cache.store(0, _entry(0))
-        cache.mark_reused(0)
-        cache.mark_reused(0)
+        _store(cache, 0)
+        cache.stats.reuses += 2
         assert cache.stats.hit_rate == pytest.approx(2 / 3)
 
     def test_memory_bytes_counts_live_entries(self):
         cache = VacancyCache([0, 1])
         assert cache.memory_bytes() == 0
-        cache.store(0, _entry(0))
+        _store(cache, 0)
         one = cache.memory_bytes()
-        cache.store(1, _entry(1))
+        # Rate row + VET ids + VET codes + row energies + dirty-row mask.
+        assert one == 8 * 8 + 10 * 8 + 10 + 9 * 3 * 8 + 3
+        _store(cache, 1)
         assert cache.memory_bytes() == 2 * one
 
     def test_summary_keys(self):

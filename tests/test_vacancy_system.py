@@ -139,17 +139,22 @@ class TestTrialStates:
 
 
 class TestDeltaPath:
-    """The incremental evaluation extension: exact agreement with full."""
+    """The engines' patched encode (state-0 counts, eight swap states
+    patched from them) is bit-identical to the full 9-state encode."""
+
+    @staticmethod
+    def _assert_bitwise(evaluator, vet):
+        full = evaluator.evaluate(vet)
+        fast = evaluator.evaluate_batch(vet[None]).row(0)
+        assert fast.initial == full.initial
+        assert np.array_equal(fast.delta, full.delta)
+        assert np.array_equal(fast.valid, full.valid)
+        assert np.array_equal(fast.migrating_species, full.migrating_species)
+        return fast
 
     def test_delta_matches_full_eam(self, vacancy_setup, tet_small):
         lattice, vac, evaluator = vacancy_setup
-        vet = _vet_of(lattice, tet_small, vac)
-        full = evaluator.evaluate(vet)
-        fast = evaluator.evaluate_delta(vet)
-        assert fast.initial == pytest.approx(full.initial, abs=1e-9)
-        assert np.allclose(fast.delta, full.delta, atol=1e-9)
-        assert np.array_equal(fast.valid, full.valid)
-        assert np.array_equal(fast.migrating_species, full.migrating_species)
+        self._assert_bitwise(evaluator, _vet_of(lattice, tet_small, vac))
 
     def test_delta_matches_full_nnp(self, tet_small, nnp_small):
         lattice = LatticeState((8, 8, 8))
@@ -158,12 +163,7 @@ class TestDeltaPath:
         vac = lattice.site_id(0, 4, 4, 4)
         lattice.occupancy[vac] = VACANCY
         evaluator = VacancySystemEvaluator(tet_small, nnp_small)
-        vet = _vet_of(lattice, tet_small, vac)
-        full = evaluator.evaluate(vet)
-        fast = evaluator.evaluate_delta(vet)
-        # float32 network outputs are bit-identical per site; only the final
-        # float64 summation order differs.
-        assert np.allclose(fast.delta, full.delta, atol=1e-4)
+        self._assert_bitwise(evaluator, _vet_of(lattice, tet_small, vac))
 
     def test_delta_standard_cutoff(self, tet_standard, eam_standard):
         lattice = LatticeState((10, 10, 10))
@@ -172,10 +172,7 @@ class TestDeltaPath:
         vac = lattice.site_id(1, 5, 5, 5)
         lattice.occupancy[vac] = VACANCY
         evaluator = VacancySystemEvaluator(tet_standard, eam_standard)
-        vet = _vet_of(lattice, tet_standard, vac)
-        full = evaluator.evaluate(vet)
-        fast = evaluator.evaluate_delta(vet)
-        assert np.allclose(fast.delta, full.delta, atol=1e-9)
+        self._assert_bitwise(evaluator, _vet_of(lattice, tet_standard, vac))
 
     def test_delta_handles_invalid_directions(self, tet_small, eam_small):
         lattice = LatticeState((8, 8, 8))
@@ -185,17 +182,19 @@ class TestDeltaPath:
         nb = int(lattice.neighbor_ids(vac, tet_small.nn_offsets[2][None, :])[0])
         lattice.occupancy[nb] = VACANCY
         evaluator = VacancySystemEvaluator(tet_small, eam_small)
-        fast = evaluator.evaluate_delta(_vet_of(lattice, tet_small, vac))
+        fast = self._assert_bitwise(
+            evaluator, _vet_of(lattice, tet_small, vac)
+        )
         assert not fast.valid[2]
         assert fast.delta[2] == 0.0
 
     def test_delta_validates_input(self, vacancy_setup, tet_small):
         _, _, evaluator = vacancy_setup
         with pytest.raises(ValueError):
-            evaluator.evaluate_delta(np.zeros(3, dtype=np.uint8))
-        bad = np.zeros(tet_small.n_all, dtype=np.uint8)  # centre not vacancy
+            evaluator.evaluate_batch(np.zeros((1, 3), dtype=np.uint8))
+        bad = np.zeros((1, tet_small.n_all), dtype=np.uint8)  # centre not vacancy
         with pytest.raises(ValueError):
-            evaluator.evaluate_delta(bad)
+            evaluator.evaluate_batch(bad)
 
 
 class TestDetailedBalance:
