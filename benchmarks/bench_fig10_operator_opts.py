@@ -20,7 +20,7 @@ from repro.constants import PAPER_CHANNELS
 from repro.io.report import ExperimentReport
 from repro.nnp import ElementNetworks
 from repro.operators import (
-    BigFusionOperator,
+    TileGEMMKernel,
     conv1x1_loop,
     fig10_ladder,
     ladder_speedups,
@@ -46,7 +46,7 @@ def _measured_times(net) -> dict:
     t0 = time.perf_counter()
     layered_forward(x, net.weights, net.biases, fused=True)
     out["fused"] = time.perf_counter() - t0
-    op = BigFusionOperator(net.weights, net.biases)
+    op = TileGEMMKernel(net.weights, net.biases)
     t0 = time.perf_counter()
     op(x)
     out["bigfusion"] = time.perf_counter() - t0

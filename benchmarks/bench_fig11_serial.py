@@ -28,8 +28,8 @@ from repro.nnp import ElementNetworks
 from repro.operators import (
     FEATURE_ENTRY_BYTES,
     FUSED_GEMM_EFF,
-    BigFusionOperator,
     FastFeatureOperator,
+    TileGEMMKernel,
 )
 from repro.operators.fused import layered_forward
 from repro.potentials import FeatureTable
@@ -81,7 +81,7 @@ def _workload_times(rcut: float) -> Dict[str, PlatformTimes]:
     states = np.zeros((n_states, tet.n_all), dtype=np.uint8)
     op(states, ledger=fast_ledger)
     swopt_feature = fast_ledger.overlapped_time()
-    swopt_energy = BigFusionOperator(net.weights, net.biases).modeled_time(m)
+    swopt_energy = TileGEMMKernel(net.weights, net.biases).modeled_time(m)
 
     return {
         "x86": PlatformTimes(x86_feature, x86_energy),

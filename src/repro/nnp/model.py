@@ -131,26 +131,20 @@ class NNPotential(CountsPotential):
         return self._atom_energies(feats, center_types)
 
     def energies_from_counts_fused(
-        self, center_types: np.ndarray, counts: np.ndarray, spec=None, ledger=None
+        self, center_types: np.ndarray, counts: np.ndarray, ledger=None
     ) -> np.ndarray:
-        """Big-fusion variant of :meth:`energies_from_counts`.
+        """:meth:`energies_from_counts` with big-fusion cost accounting.
 
-        Routes the atomistic networks through
-        :meth:`~repro.nnp.network.ElementNetworks.forward_big_fusion`, so an
-        optional :class:`~repro.sunway.costmodel.CostLedger` receives the
+        An optional :class:`~repro.sunway.costmodel.CostLedger` receives the
         modeled Sunway cost of the whole batched evaluation.  Both paths run
         the same deterministic tiled-GEMM kernel, so results are
         bit-identical to :meth:`energies_from_counts`.
         """
         feats = self.table.features_from_counts(counts)
-        return self._atom_energies(feats, center_types, spec=spec, ledger=ledger)
+        return self._atom_energies(feats, center_types, ledger=ledger)
 
     def _atom_energies(
-        self,
-        features: np.ndarray,
-        species: np.ndarray,
-        spec=None,
-        ledger=None,
+        self, features: np.ndarray, species: np.ndarray, ledger=None
     ) -> np.ndarray:
         """Per-atom energies; vacancies get exactly 0.
 
@@ -163,9 +157,7 @@ class NNPotential(CountsPotential):
         is_atom = species < self.n_elements
         t = np.where(is_atom, species, 0)
         norm = self.normalise(features)
-        net = self.networks.forward_big_fusion(
-            norm, t, spec=spec, ledger=ledger
-        ).astype(np.float64)
+        net = self.networks.forward(norm, t, ledger=ledger).astype(np.float64)
         refs = self._ref_padded[np.where(is_atom, species, self.n_elements)]
         energies = refs + self.energy_scale * net
         return np.where(is_atom, energies, 0.0)

@@ -250,40 +250,23 @@ class ElementNetworks:
             self._fusers[e] = kernel
         return kernel
 
-    def forward(self, features: np.ndarray, species: np.ndarray) -> np.ndarray:
+    def forward(
+        self, features: np.ndarray, species: np.ndarray, ledger=None
+    ) -> np.ndarray:
         """Per-atom energies: each atom is routed to its element's network.
 
-        Inference runs through the deterministic tiled-GEMM kernel (the
-        :meth:`forward_big_fusion` body without a ledger), so each atom's
-        energy is bit-identical regardless of how many other atoms share
-        the call.
-        """
-        return self.forward_big_fusion(features, species)
-
-    def forward_big_fusion(
-        self,
-        features: np.ndarray,
-        species: np.ndarray,
-        spec=None,
-        ledger=None,
-    ):
-        """Per-atom energies through the whole-network fused operator.
-
-        Same element routing — and the exact same
-        :class:`~repro.operators.tilegemm.TileGEMMKernel` arithmetic, hence
-        bit-identical results — as :meth:`forward`, with the big-fusion cost
-        accounting of paper Sec. 3.5 on top: when a ``ledger`` is given,
-        DMA/RMA/SIMD costs are charged per Algorithm 1.
+        Inference runs through the big-fusion operator, the deterministic
+        tiled-GEMM kernel, so each atom's energy is bit-identical regardless
+        of how many other atoms share the call.  The tile plan is pinned to
+        the canonical SW26010-pro, so the bits cannot depend on the machine
+        model being studied.
 
         Parameters
         ----------
-        spec:
-            Accepted for backward compatibility; the tile plan is pinned to
-            the canonical SW26010-pro so the accumulation order (and thus
-            the bits) cannot depend on the machine model being studied.
         ledger:
             Optional :class:`~repro.sunway.costmodel.CostLedger` accumulating
-            the modeled cost of every per-element launch.
+            the modeled Sunway cost of every per-element launch (paper
+            Sec. 3.5, Algorithm 1).
         """
         features = np.asarray(features, dtype=self.dtype)
         species = np.asarray(species)

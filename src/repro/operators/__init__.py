@@ -1,9 +1,8 @@
 """Sunway operator kernels: conv, fusion, big-fusion, and feature operators."""
 
-from .bigfusion import BigFusionOperator
 from .conv import bias_add, conv1x1_loop, conv1x1_matmul, relu
 from .feature_op import FEATURE_ENTRY_BYTES, FastFeatureOperator, features_mpe_serial
-from .fused import fused_layer, layered_forward
+from .fused import charge_layers, fused_layer, layered_forward
 from .tilegemm import TileGEMMKernel, TilePlan, plan_tiles, tiled_matmul
 from .variants import (
     FUSED_GEMM_EFF,
@@ -16,7 +15,6 @@ from .variants import (
 )
 
 __all__ = [
-    "BigFusionOperator",
     "bias_add",
     "conv1x1_loop",
     "conv1x1_matmul",
@@ -24,6 +22,7 @@ __all__ = [
     "FEATURE_ENTRY_BYTES",
     "FastFeatureOperator",
     "features_mpe_serial",
+    "charge_layers",
     "fused_layer",
     "layered_forward",
     "TileGEMMKernel",

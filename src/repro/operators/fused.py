@@ -5,18 +5,19 @@ Fig. 6b) — bias and ReLU happen "in the registers" right after the GEMM.
 ``layered_forward`` executes a whole network one layer at a time, optionally
 unfused; it is the SWDNN/TensorFlow-style execution whose per-layer
 main-memory round trips the big-fusion operator eliminates.
+``charge_layers`` is the one cost formula of that execution, shared by
+``layered_forward`` and the Fig. 10 ladder.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..sunway.costmodel import CostLedger
-from ..sunway.spec import SunwaySpec
 
-__all__ = ["fused_layer", "layered_forward"]
+__all__ = ["fused_layer", "charge_layers", "layered_forward"]
 
 _F32 = 4
 
@@ -32,53 +33,80 @@ def fused_layer(
     return out
 
 
+def charge_layers(
+    ledger: CostLedger,
+    m: int,
+    channels: Sequence[int],
+    *,
+    fused: bool = True,
+    efficiency: float = 1.0,
+    scalar: bool = False,
+    scattered_input: bool = False,
+) -> CostLedger:
+    """Charge a per-layer execution of an ``m``-row batch to ``ledger``.
+
+    Every layer reads its input and weights from main memory and writes its
+    output back (the defining property of the per-layer operators in
+    Fig. 9's upper panel); unfused layers add separate read/write sweeps for
+    the bias and ReLU passes.
+
+    Parameters
+    ----------
+    efficiency:
+        Sustained fraction of peak of the pipeline that runs the layers.
+    scalar:
+        Charge compute to the scalar pipeline (the Fig. 10 base rungs)
+        instead of the SIMD pipes.
+    scattered_input:
+        Layer inputs are gathered with poor locality instead of DMA'd in
+        contiguous blocks.
+
+    Returns ``ledger`` so a fresh one can be charged in one expression.
+    """
+    for c_in, c_out in zip(channels[:-1], channels[1:]):
+        flops = 2.0 * m * c_in * c_out + 2.0 * m * c_out  # GEMM + bias/ReLU
+        if scalar:
+            ledger.add_scalar(flops)
+            ledger.scalar_efficiency = efficiency
+        else:
+            ledger.add_simd(flops)
+            ledger.simd_efficiency = efficiency
+        input_bytes = _F32 * m * c_in
+        if scattered_input:
+            ledger.add_random_access(input_bytes)
+        else:
+            ledger.add_dma(input_bytes, transactions=1)
+        ledger.add_dma(_F32 * (c_in * c_out + c_out), transactions=1)  # weights
+        ledger.add_dma(_F32 * m * c_out, transactions=1)  # output
+        if not fused:
+            # separate bias and ReLU sweeps: read + write each.
+            ledger.add_dma(4 * _F32 * m * c_out, transactions=4)
+    return ledger
+
+
 def layered_forward(
     x: np.ndarray,
     weights: Sequence[np.ndarray],
     biases: Sequence[np.ndarray],
     fused: bool = True,
     ledger: Optional[CostLedger] = None,
-    spec: Optional[SunwaySpec] = None,
-    simd: bool = True,
     gemm_efficiency: float = 0.38,
 ) -> np.ndarray:
     """Per-layer network execution with optional cost accounting.
 
-    Every layer's input and output make a main-memory round trip (the
-    defining property of the unfused/per-layer operators in Fig. 9's upper
-    panel).  With ``fused=False`` the bias and ReLU passes are charged as
-    separate read-modify-write sweeps as well.
-
-    Parameters
-    ----------
-    ledger:
-        If given, FLOPs and main-memory traffic are charged to it.
-    simd:
-        Whether compute is charged to the SIMD pipes (True) or the scalar
-        pipeline (False; the Fig. 10 base variants).
-    gemm_efficiency:
-        Fraction of SIMD peak sustained by the per-layer GEMMs.
+    With ``fused=False`` the bias and ReLU passes run as separate sweeps.
+    When ``ledger`` is given, the execution is charged to it by
+    :func:`charge_layers` on the SIMD pipes at ``gemm_efficiency``.
     """
+    if ledger is not None:
+        channels = [weights[0].shape[0]] + [w.shape[1] for w in weights]
+        charge_layers(
+            ledger, x.shape[0], channels, fused=fused, efficiency=gemm_efficiency
+        )
     h = x
     n_layers = len(weights)
     for l, (w, b) in enumerate(zip(weights, biases)):
         last = l == n_layers - 1
-        m, c_in = h.shape
-        c_out = w.shape[1]
-        if ledger is not None:
-            gemm_flops = 2.0 * m * c_in * c_out
-            ew_flops = 2.0 * m * c_out  # bias + relu
-            if simd:
-                ledger.add_simd(gemm_flops + ew_flops)
-                ledger.simd_efficiency = gemm_efficiency
-            else:
-                ledger.add_scalar(gemm_flops + ew_flops)
-            # conv pass: read input + weights, write output.
-            ledger.add_dma(_F32 * (m * c_in + c_in * c_out + c_out), transactions=2)
-            ledger.add_dma(_F32 * m * c_out, transactions=1)
-            if not fused:
-                # bias pass + relu pass: two more read/write sweeps each.
-                ledger.add_dma(2 * 2 * _F32 * m * c_out, transactions=4)
         if fused:
             h = fused_layer(h, w, b, last=last)
         else:
@@ -87,12 +115,3 @@ def layered_forward(
             if not last:
                 h = np.maximum(h, 0.0)
     return h
-
-
-def network_shapes(
-    channels: Sequence[int],
-) -> Tuple[List[Tuple[int, int]], int]:
-    """Layer (c_in, c_out) pairs and total parameter count for a channel list."""
-    pairs = list(zip(channels[:-1], channels[1:]))
-    n_params = sum(ci * co + co for ci, co in pairs)
-    return pairs, n_params

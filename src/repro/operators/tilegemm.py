@@ -1,4 +1,5 @@
-"""Deterministic tiled-GEMM inference — the batch-invariant big-fusion path.
+"""The big-fusion operator (paper Sec. 3.5, Fig. 6, Algorithm 1), run as a
+deterministic tiled GEMM.
 
 float32 GEMMs dispatched straight to BLAS pick their blocking — and with it
 the accumulation order of every dot product — from the *row count* of the
@@ -20,9 +21,10 @@ function of that row's input: bit-identical for a batch of 1, a batch of
 ``tests/test_tilegemm.py``).
 
 :class:`TileGEMMKernel` chains tiled layers into the whole-network fused
-executor the NNP inference paths use; tile sizes come from the same LDM
-pane plan as :class:`~repro.operators.bigfusion.BigFusionOperator`, so the
-modeled kernel and the executed arithmetic agree on their blocking.
+executor: it runs every NNP inference and is the operator Figs. 9-11 time
+and charge.  Its tile sizes come from the one LDM pane plan,
+:func:`plan_tiles`, so the modeled kernel and the executed arithmetic agree
+on their blocking.
 """
 
 from __future__ import annotations
@@ -84,14 +86,15 @@ def plan_tiles(
     biases: Sequence[np.ndarray],
     spec: SunwaySpec = SW26010_PRO,
 ) -> TilePlan:
-    """Derive the fixed (m, k) tile sizes from the LDM pane plan.
+    """The big-fusion LDM plan: fixed (m, k) tile sizes per CPE (Fig. 6d/e).
 
-    Mirrors :meth:`BigFusionOperator._plan_ldm`: per CPE the kernel keeps
-    its parameter shard, one broadcast pane for the RMA operator flow, and
-    two double-buffered state blocks.  ``m_tile`` is the state-block row
-    count that fits what remains.  ``k_tile`` is the reduction-panel width
-    whose ``k_tile x c_max`` weight slab fills the broadcast pane — the
-    slice of the layer the RMA flow can stage per panel step.  Both are
+    Per CPE the kernel keeps its parameter shard (1/``n_cpes`` of the
+    model), one broadcast pane for the RMA operator flow (the largest
+    layer), and two double-buffered state blocks.  ``m_tile`` is the
+    state-block row count that fits what remains.  ``k_tile`` is the
+    reduction-panel width whose ``k_tile x c_max`` weight slab fills the
+    broadcast pane — the slice of the layer the RMA flow can stage per
+    panel step.  Both are
     rounded down to powers of two for clean DMA strides and clamped to
     ``[MIN_TILE, MAX_M_TILE]`` / ``[MIN_TILE, c_max]``.
     """
@@ -187,13 +190,12 @@ def tiled_matmul(
 class TileGEMMKernel:
     """Whole-network fused executor over the deterministic tiled GEMM.
 
-    This is the execution engine behind all rigid-lattice NNP inference
-    (``ElementNetworks.forward`` / ``forward_big_fusion`` and the
-    ``NNPotential`` counts paths): each ``m_tile``-row block flows through
-    every layer while "LDM-resident" (only the first input and last output
-    cross the block boundary, as in Algorithm 1), with the reduction of each
-    layer split into fixed ``k_tile`` panels accumulated in ascending
-    order.
+    This is the big-fusion operator and the execution engine behind all NNP
+    inference (``ElementNetworks.forward`` and the ``NNPotential`` paths):
+    each ``m_tile``-row block flows through every layer while
+    "LDM-resident" (only the first input and last output cross the block
+    boundary, as in Algorithm 1), with the reduction of each layer split
+    into fixed ``k_tile`` panels accumulated in ascending order.
 
     Determinism contract
     --------------------
@@ -327,20 +329,22 @@ class TileGEMMKernel:
                     hb = acc
             out[r0 : r0 + rows] = hb[:rows]
         if ledger is not None:
-            self._charge(ledger, m)
+            self.charge(ledger, m)
         return out
 
     # ------------------------------------------------------------------
-    def _charge(self, ledger: CostLedger, m: int) -> None:
+    def charge(self, ledger: CostLedger, m: int) -> None:
         """Charge one ``m``-row launch per Algorithm 1 (big-fusion flow).
 
-        FLOPs are charged for the useful rows (padding is an artefact of the
-        NumPy host, not of the modeled CPE kernel, whose partial tiles
-        simply run shorter loops); DMA covers the first input and last
-        output, and the RMA operator flow delivers one weight pane per
-        reduction panel per block iteration.
+        Each block iteration runs ``n_cpes`` state blocks of ``m_tile`` rows,
+        one per CPE.  FLOPs are charged for the useful rows (padding is an
+        artefact of the NumPy host, not of the modeled CPE kernel, whose
+        partial tiles simply run shorter loops); DMA covers the first input
+        and last output, and per block iteration the RMA operator flow
+        delivers the parameter set to each of the 8 CPE rows, one weight
+        pane per reduction panel.
         """
-        n_blocks = max(-(-m // self.plan.m_tile), 1)
+        n_blocks = max(-(-m // (self.spec.n_cpes * self.plan.m_tile)), 1)
         gemm_flops = sum(
             2.0 * m * ci * co
             for ci, co in zip(self.channels[:-1], self.channels[1:])
@@ -363,5 +367,5 @@ class TileGEMMKernel:
     def modeled_time(self, m: int) -> float:
         """Modeled (overlapped) execution time for an ``m``-row batch."""
         ledger = CostLedger(self.spec)
-        self._charge(ledger, m)
+        self.charge(ledger, m)
         return ledger.overlapped_time()

@@ -15,7 +15,8 @@ simd      SIMD-vectorised per-layer GEMMs with blocked DMA, still one
 fusion    (Conv2D + Bias + ReLU) fused per layer (Fig. 6b) — the
           SWDNN / TensorFlow FusedConv2D equivalent
 bigfusion all layers merged, LDM-resident state, DMA/RMA overlapped
-          (Fig. 6c-f, Algorithm 1)
+          (Fig. 6c-f, Algorithm 1): the NNP inference kernel,
+          :class:`~repro.operators.tilegemm.TileGEMMKernel`
 ========  ============================================================
 
 The paper's measured speedups over *base* are 1.23x (matmul), 16-22x (simd),
@@ -34,12 +35,10 @@ import numpy as np
 
 from ..sunway.costmodel import CostLedger
 from ..sunway.spec import SW26010_PRO, SunwaySpec
-from .bigfusion import BigFusionOperator
-from .fused import layered_forward
+from .fused import charge_layers, layered_forward
+from .tilegemm import TileGEMMKernel
 
 __all__ = ["OperatorVariant", "fig10_ladder", "MATMUL_BLOCKING", "SIMD_GEMM_EFF", "FUSED_GEMM_EFF"]
-
-_F32 = 4
 
 #: Scalar-pipeline efficiency gain of the GEMM conversion (paper: 1.23x).
 MATMUL_BLOCKING = 1.3
@@ -64,114 +63,46 @@ class OperatorVariant:
         return base.modeled_time / self.modeled_time
 
 
-def _per_layer_ledger(
-    m: int,
-    channels: Sequence[int],
-    spec: SunwaySpec,
-    scalar: bool,
-    scalar_efficiency: float,
-    simd_efficiency: float,
-    fused: bool,
-    scattered_input: bool,
-) -> CostLedger:
-    """Charge a per-layer network execution to a fresh ledger."""
-    ledger = CostLedger(spec)
-    for c_in, c_out in zip(channels[:-1], channels[1:]):
-        gemm = 2.0 * m * c_in * c_out
-        elementwise = 2.0 * m * c_out
-        if scalar:
-            ledger.add_scalar(gemm + elementwise)
-            ledger.scalar_efficiency = scalar_efficiency
-        else:
-            ledger.add_simd(gemm + elementwise)
-            ledger.simd_efficiency = simd_efficiency
-        input_bytes = _F32 * m * c_in
-        if scattered_input:
-            ledger.add_random_access(input_bytes)
-        else:
-            ledger.add_dma(input_bytes, transactions=1)
-        ledger.add_dma(_F32 * (c_in * c_out + c_out), transactions=1)  # weights
-        ledger.add_dma(_F32 * m * c_out, transactions=1)  # output
-        if not fused:
-            # separate bias and ReLU sweeps: read + write each.
-            ledger.add_dma(4 * _F32 * m * c_out, transactions=4)
-    return ledger
-
-
 def fig10_ladder(
     weights: Sequence[np.ndarray],
     biases: Sequence[np.ndarray],
     m: int,
     spec: SunwaySpec = SW26010_PRO,
 ) -> List[OperatorVariant]:
-    """Build all five variants for an ``m``-atom batch of the given network."""
+    """Build all five variants for an ``m``-atom batch of the given network.
+
+    The four per-layer rungs are charged by :func:`charge_layers` and take
+    their time from ``serial_time``; the big-fusion rung is the NNP
+    inference kernel, charged per Algorithm 1 and timed by
+    ``overlapped_time``.
+    """
     channels = [weights[0].shape[0]] + [w.shape[1] for w in weights]
 
-    def run_layered(fused: bool) -> Callable[[np.ndarray], np.ndarray]:
-        def _run(x: np.ndarray) -> np.ndarray:
-            return layered_forward(x, weights, biases, fused=fused)
+    def per_layer(name: str, fused: bool, **charge) -> OperatorVariant:
+        ledger = charge_layers(CostLedger(spec), m, channels, fused=fused, **charge)
+        return OperatorVariant(
+            name=name,
+            run=lambda x: layered_forward(x, weights, biases, fused=fused),
+            modeled_time=ledger.serial_time(),
+            ledger=ledger,
+        )
 
-        return _run
-
-    bigfusion = BigFusionOperator(weights, biases, spec=spec)
-
-    variants = [
-        OperatorVariant(
-            name="base",
-            run=run_layered(fused=False),
-            modeled_time=0.0,
-            ledger=_per_layer_ledger(
-                m, channels, spec, scalar=True, scalar_efficiency=1.0,
-                simd_efficiency=1.0, fused=False, scattered_input=True,
-            ),
+    kernel = TileGEMMKernel(weights, biases, spec=spec)
+    bf_ledger = CostLedger(spec)
+    kernel.charge(bf_ledger, m)
+    return [
+        per_layer("base", False, scalar=True, scattered_input=True),
+        per_layer(
+            "matmul", False, scalar=True, efficiency=MATMUL_BLOCKING,
+            scattered_input=True,
         ),
+        per_layer("simd", False, efficiency=SIMD_GEMM_EFF),
+        per_layer("fusion", True, efficiency=FUSED_GEMM_EFF),
         OperatorVariant(
-            name="matmul",
-            run=run_layered(fused=False),
-            modeled_time=0.0,
-            ledger=_per_layer_ledger(
-                m, channels, spec, scalar=True,
-                scalar_efficiency=MATMUL_BLOCKING,
-                simd_efficiency=1.0, fused=False, scattered_input=True,
-            ),
-        ),
-        OperatorVariant(
-            name="simd",
-            run=run_layered(fused=False),
-            modeled_time=0.0,
-            ledger=_per_layer_ledger(
-                m, channels, spec, scalar=False, scalar_efficiency=1.0,
-                simd_efficiency=SIMD_GEMM_EFF, fused=False,
-                scattered_input=False,
-            ),
-        ),
-        OperatorVariant(
-            name="fusion",
-            run=run_layered(fused=True),
-            modeled_time=0.0,
-            ledger=_per_layer_ledger(
-                m, channels, spec, scalar=False, scalar_efficiency=1.0,
-                simd_efficiency=FUSED_GEMM_EFF, fused=True,
-                scattered_input=False,
-            ),
+            name="bigfusion", run=kernel,
+            modeled_time=bf_ledger.overlapped_time(), ledger=bf_ledger,
         ),
     ]
-    for v in variants:
-        v.modeled_time = v.ledger.serial_time()
-
-    bf_ledger = CostLedger(spec)
-
-    def run_bigfusion(x: np.ndarray) -> np.ndarray:
-        return bigfusion(x)
-
-    bf_time = bigfusion.modeled_time(m)
-    variants.append(
-        OperatorVariant(
-            name="bigfusion", run=run_bigfusion, modeled_time=bf_time,
-            ledger=bf_ledger,
-        )
-    )
-    return variants
 
 
 def ladder_speedups(variants: List[OperatorVariant]) -> dict:

@@ -1,6 +1,6 @@
 """Simulated SW26010-pro: machine spec, LDM budget, cost model, roofline."""
 
-from .costmodel import CostLedger, charge_batched_rate_eval
+from .costmodel import CostLedger
 from .ldm import LDMBudget, LDMOverflowError
 from .portability import (
     FUGAKU_CMG,
@@ -21,7 +21,6 @@ __all__ = [
     "map_bigfusion",
     "sunway_target",
     "CostLedger",
-    "charge_batched_rate_eval",
     "LDMBudget",
     "LDMOverflowError",
     "LayerRoofline",

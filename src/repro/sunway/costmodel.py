@@ -17,11 +17,11 @@ Fig. 10 performance ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 from .spec import SunwaySpec
 
-__all__ = ["CostLedger", "charge_batched_rate_eval"]
+__all__ = ["CostLedger"]
 
 
 @dataclass
@@ -145,94 +145,3 @@ class CostLedger:
         for key, value in other.notes.items():
             self.notes[key] = self.notes.get(key, 0.0) + value
 
-
-def charge_batched_rate_eval(
-    ledger: CostLedger,
-    *,
-    n_vets: int,
-    n_states: int,
-    n_region: int,
-    n_local: int,
-    channels: Sequence[int],
-    gemm_efficiency: Optional[float] = None,
-    feature_entry_bytes: float = 16.0,
-    fused: bool = True,
-) -> CostLedger:
-    """Charge one batched rate evaluation (``n_vets`` VETs through the NNP).
-
-    Models the full miss-path pipeline of the engines: for every queued
-    vacancy, all ``n_states`` trial states' region features are gathered and
-    pushed through the atomistic network.  Two operator variants:
-
-    * ``fused=True`` — the big-fusion batched operator (Sec. 3.5/Fig. 9):
-      feature gathers run CPE-parallel over LDM-resident TET tables, the
-      whole ``n_vets * n_states * n_region`` atom batch enters main memory
-      once and only the final energies come back, and the layer parameters
-      circulate via the RMA operator flow — a handful of transactions per
-      *batch*.
-    * ``fused=False`` — the per-VET per-layer baseline: every vacancy is its
-      own kernel launch, every layer's activations round-trip through main
-      memory, and the parameters are re-fetched each time — the transaction
-      count scales with ``n_vets * n_layers``.
-
-    Parameters mirror the engine geometry: ``n_states`` is ``1 + 8`` trial
-    states per vacancy, ``n_region``/``n_local`` the TET region and
-    neighbourhood sizes, ``channels`` the network layer widths, and
-    ``feature_entry_bytes`` the calibrated per-gather traffic (see
-    :data:`repro.operators.feature_op.FEATURE_ENTRY_BYTES`).
-
-    The ledger is mutated and returned, so totals from several batches can be
-    accumulated by repeated calls (or via :meth:`CostLedger.merge`).
-    """
-    if n_vets < 0:
-        raise ValueError(f"n_vets must be >= 0, got {n_vets!r}")
-    spec = ledger.spec
-    widths = [int(c) for c in channels]
-    if len(widths) < 2:
-        raise ValueError("channels needs at least input and output widths")
-    n_layers = len(widths) - 1
-    rows = float(n_vets) * n_states * n_region
-    entries = rows * n_local
-    gemm_flops = sum(
-        2.0 * rows * ci * co for ci, co in zip(widths[:-1], widths[1:])
-    )
-    ew_flops = sum(2.0 * rows * co for co in widths[1:])
-    ledger.add_simd(gemm_flops + ew_flops)
-    ledger.simd_efficiency = (
-        spec.gemm_efficiency if gemm_efficiency is None else gemm_efficiency
-    )
-    param_bytes = sum(
-        4.0 * (ci * co + co) for ci, co in zip(widths[:-1], widths[1:])
-    )
-    if fused:
-        # CPE-parallel LDM gather, expressed as equivalent-cost DMA so the
-        # composition rules apply uniformly (as in FastFeatureOperator).
-        gather_time = (entries * feature_entry_bytes) / (
-            spec.n_cpes * spec.ldm_gather_bandwidth
-        )
-        ledger.add_dma(gather_time * spec.mem_bandwidth, transactions=0)
-        # Big fusion: the batch enters once, the energies leave once.
-        ledger.add_dma(4.0 * rows * widths[0], transactions=1)
-        ledger.add_dma(4.0 * rows * widths[-1], transactions=1)
-        # RMA operator flow: each CPE row receives the parameter set once
-        # per batch, layer by layer.
-        ledger.add_rma(8.0 * param_bytes, transactions=n_layers)
-    else:
-        # MPE-style scattered gathers — no LDM residency to exploit.
-        ledger.add_random_access(entries * feature_entry_bytes)
-        # Every layer's activations round-trip per VET, and the parameters
-        # are re-fetched for each of the n_vets kernel launches.
-        activation_bytes = sum(
-            4.0 * rows * (ci + co) for ci, co in zip(widths[:-1], widths[1:])
-        )
-        ledger.add_dma(
-            activation_bytes + n_vets * param_bytes,
-            transactions=3 * n_vets * n_layers,
-        )
-    ledger.notes["rate_eval_vets"] = (
-        ledger.notes.get("rate_eval_vets", 0.0) + float(n_vets)
-    )
-    ledger.notes["rate_eval_rows"] = (
-        ledger.notes.get("rate_eval_rows", 0.0) + rows
-    )
-    return ledger

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.nnp import ElementNetworks
 from repro.operators import (
-    BigFusionOperator,
+    TileGEMMKernel,
     bias_add,
     conv1x1_loop,
     conv1x1_matmul,
@@ -16,9 +16,10 @@ from repro.operators import (
     ladder_speedups,
     layered_forward,
     paper_bands,
+    plan_tiles,
     relu,
 )
-from repro.sunway import SW26010_PRO, CostLedger, LDMOverflowError
+from repro.sunway import SW26010_PRO, CostLedger
 
 
 @pytest.fixture(scope="module")
@@ -111,28 +112,18 @@ class TestLayeredForward:
 
 
 class TestBigFusion:
+    """The big-fusion operator is the NNP inference kernel."""
+
     def test_matches_direct_forward(self, paper_net):
         rng = np.random.default_rng(5)
-        op = BigFusionOperator(paper_net.weights, paper_net.biases)
-        for m in (1, 64, 1000, 9000):  # below / at / above one block
+        op = TileGEMMKernel(paper_net.weights, paper_net.biases)
+        # below / at / above one block iteration (n_cpes * m_tile = 8192 rows)
+        for m in (1, 64, 1000, 9000):
             x = rng.standard_normal((m, 64)).astype(np.float32)
             assert np.allclose(op(x)[:, 0], paper_net.forward(x), atol=1e-5)
 
-    def test_respects_max_layers(self):
-        rng = np.random.default_rng(6)
-        weights = [rng.standard_normal((4, 4)).astype(np.float32) for _ in range(9)]
-        biases = [np.zeros(4, dtype=np.float32) for _ in range(9)]
-        with pytest.raises(ValueError):
-            BigFusionOperator(weights, biases)
-
-    def test_ldm_overflow_detected(self):
-        rng = np.random.default_rng(7)
-        w = rng.standard_normal((4096, 4096)).astype(np.float32)  # 64 MB layer
-        with pytest.raises(LDMOverflowError):
-            BigFusionOperator([w], [np.zeros(4096, dtype=np.float32)])
-
     def test_traffic_is_first_in_plus_last_out(self, paper_net):
-        op = BigFusionOperator(paper_net.weights, paper_net.biases)
+        op = TileGEMMKernel(paper_net.weights, paper_net.biases)
         ledger = CostLedger(SW26010_PRO)
         m = 512
         op(np.zeros((m, 64), dtype=np.float32), ledger=ledger)
@@ -140,12 +131,14 @@ class TestBigFusion:
         assert ledger.rma_bytes > 0
 
     def test_m_block_fits_ldm(self, paper_net):
-        op = BigFusionOperator(paper_net.weights, paper_net.biases)
+        weights, biases = paper_net.weights, paper_net.biases
+        plan = plan_tiles(weights, biases)
         spec = SW26010_PRO
+        param_bytes = sum(w.nbytes + b.nbytes for w, b in zip(weights, biases))
         per_cpe = (
-            2 * op.m_block * op.c_max * 4
-            + int(np.ceil(op.param_bytes / spec.n_cpes))
-            + max(w.nbytes + b.nbytes for w, b in zip(op.weights, op.biases))
+            2 * plan.m_tile * max(plan.channels) * 4
+            + int(np.ceil(param_bytes / spec.n_cpes))
+            + max(w.nbytes + b.nbytes for w, b in zip(weights, biases))
         )
         assert per_cpe <= spec.ldm_bytes
 
@@ -163,6 +156,17 @@ class TestFig10Ladder:
         ladder = fig10_ladder(paper_net.weights, paper_net.biases, 4096)
         times = [v.modeled_time for v in ladder]
         assert all(b < a for a, b in zip(times, times[1:]))
+
+    def test_every_rung_time_is_its_ledger_time(self, paper_net):
+        ladder = fig10_ladder(paper_net.weights, paper_net.biases, 32 * 16 * 16)
+        for v in ladder[:-1]:
+            assert v.modeled_time == v.ledger.serial_time(), v.name
+        top = ladder[-1]
+        assert top.name == "bigfusion"
+        assert top.modeled_time == top.ledger.overlapped_time()
+        # Every rung runs the same arithmetic.
+        flops = {v.ledger.total_flops for v in ladder}
+        assert len(flops) == 1 and flops.pop() > 0
 
     def test_all_variants_functionally_equal(self, paper_net):
         ladder = fig10_ladder(paper_net.weights, paper_net.biases, 256)

@@ -9,7 +9,6 @@ from repro.sunway import (
     SW26010_PRO,
     CostLedger,
     analyse_network,
-    charge_batched_rate_eval,
     layer_flops,
 )
 
@@ -89,69 +88,6 @@ class TestCostLedger:
         b.notes["n_blocks"] = 2.0
         a.merge(b)
         assert a.notes == {"rate_eval_vets": 7.0, "n_blocks": 2.0}
-
-
-class TestChargeBatchedRateEval:
-    """Fig. 9 applied to the miss path: fused batching beats per-VET launches."""
-
-    KW = dict(
-        n_vets=128, n_states=9, n_region=59, n_local=14,
-        channels=(64, 128, 128, 1),
-    )
-
-    def _pair(self):
-        fused = charge_batched_rate_eval(
-            CostLedger(SW26010_PRO), fused=True, **self.KW
-        )
-        unfused = charge_batched_rate_eval(
-            CostLedger(SW26010_PRO), fused=False, **self.KW
-        )
-        return fused, unfused
-
-    def test_fused_ai_exceeds_unfused(self):
-        fused, unfused = self._pair()
-        assert fused.arithmetic_intensity > unfused.arithmetic_intensity
-        assert fused.total_flops == unfused.total_flops  # same arithmetic
-
-    def test_fused_has_fewer_transactions_and_is_faster(self):
-        fused, unfused = self._pair()
-        assert fused.dma_transactions < unfused.dma_transactions
-        assert fused.overlapped_time() < unfused.serial_time()
-
-    def test_transactions_scale_with_n_vets_only_unfused(self):
-        small = charge_batched_rate_eval(
-            CostLedger(SW26010_PRO), fused=False,
-            **{**self.KW, "n_vets": 8},
-        )
-        big = charge_batched_rate_eval(
-            CostLedger(SW26010_PRO), fused=False, **self.KW
-        )
-        assert big.dma_transactions == 16 * small.dma_transactions
-        f_small = charge_batched_rate_eval(
-            CostLedger(SW26010_PRO), fused=True,
-            **{**self.KW, "n_vets": 8},
-        )
-        f_big = charge_batched_rate_eval(
-            CostLedger(SW26010_PRO), fused=True, **self.KW
-        )
-        assert f_big.dma_transactions == f_small.dma_transactions
-
-    def test_accumulates_notes(self):
-        ledger = CostLedger(SW26010_PRO)
-        charge_batched_rate_eval(ledger, **self.KW)
-        charge_batched_rate_eval(ledger, **{**self.KW, "n_vets": 2})
-        assert ledger.notes["rate_eval_vets"] == 130.0
-        assert ledger.notes["rate_eval_rows"] == 130.0 * 9 * 59
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            charge_batched_rate_eval(
-                CostLedger(SW26010_PRO), **{**self.KW, "n_vets": -1}
-            )
-        with pytest.raises(ValueError):
-            charge_batched_rate_eval(
-                CostLedger(SW26010_PRO), **{**self.KW, "channels": (64,)}
-            )
 
 
 class TestRooflineFig9:

@@ -163,14 +163,35 @@ class TestTileGEMMKernel:
         assert ledger.notes["n_blocks"] >= 1
         assert kernel.modeled_time(700) > 0.0
 
+    def test_paper_network_ledger_follows_algorithm_1(self):
+        """One block iteration runs ``n_cpes`` state blocks of ``m_tile`` rows."""
+        kernel = TileGEMMKernel(*_weights_biases(_net((64, 128, 128, 128, 64, 1))))
+        assert SW26010_PRO.n_cpes * kernel.plan.m_tile == 8192
+        ledger = CostLedger(SW26010_PRO)
+        m = 8192
+        kernel.charge(ledger, m)
+        assert ledger.notes["n_blocks"] == 1.0
+        assert ledger.rma_bytes == 1_589_280
+        assert ledger.rma_transactions == 5
+        assert ledger.dma_transactions == 2
+        assert ledger.dma_bytes == 2_129_920 == 4 * m * (64 + 1)
+        assert round(kernel.modeled_time(m) * 1e3, 4) == 0.4753  # ms
+
     def test_element_networks_forward_equals_big_fusion_bitwise(self):
+        """``ElementNetworks.forward`` is the per-element big-fusion kernel,
+        bit for bit, and agrees with the plain per-element matmul forward."""
         nets = ElementNetworks((64, 16, 8, 1), np.random.default_rng(3), n_elements=2)
         rng = np.random.default_rng(4)
         feats = rng.standard_normal((333, 64)).astype(np.float32)
         species = rng.integers(0, 2, 333)
-        a = nets.forward(feats, species)
-        b = nets.forward_big_fusion(feats, species)
-        assert np.array_equal(a, b)
+        out = nets.forward(feats, species)
+        for e, net in nets.nets.items():
+            mask = species == e
+            kernel = TileGEMMKernel(net.weights, net.biases)
+            assert np.array_equal(out[mask], kernel(feats[mask])[:, 0])
+            np.testing.assert_allclose(
+                out[mask], net.forward(feats[mask]), rtol=1e-4, atol=1e-5
+            )
 
 
 class TestTilePlan:
