@@ -107,8 +107,7 @@ def tensorkmc_memory_model(
     bound on the peak, not only the resident size.
     """
     entry_bytes = (
-        tet.n_all * 8  # vet_ids (int64)
-        + tet.n_all * 1  # vet (uint8)
+        tet.n_all * 1  # vet (uint8)
         + 8 * 8  # rates (float64, 8 directions)
     )
     if delta_snapshots:

@@ -1,7 +1,7 @@
 """TensorKMC core: triple-encoding, vacancy cache, rates, and the engine."""
 
 from .engine import KMCEvent, NoMovesError, SerialAKMCBase, TensorKMCEngine
-from .kernel import EventKernel, KernelStats, SpatialHashIndex
+from .kernel import EventKernel, KernelStats
 from .profiling import PhaseProfiler
 from .propensity import FenwickPropensity, LinearPropensity, PropensityStore
 from .rates import RateModel, residence_time
@@ -16,7 +16,6 @@ __all__ = [
     "TensorKMCEngine",
     "EventKernel",
     "KernelStats",
-    "SpatialHashIndex",
     "PhaseProfiler",
     "FenwickPropensity",
     "LinearPropensity",

@@ -1,17 +1,17 @@
 """Incremental rebuild support — the miss pipeline as a re-rate.
 
 The full miss path re-derives everything for every stale slot: gather
-``occupancy[vet_ids]``, re-encode all ``(9, n_all)`` trial states, run the
+the VET codes, re-encode all ``(9, n_all)`` trial states, run the
 potential over every row.  But a hop flips exactly two sites, so almost all
 of that work reproduces bits the cache already holds.  This module owns the
 driver-side half of the incremental rebuild path (paper Sec. 3.2's
 keep-it-resident argument applied to the encoded state itself):
 
-* :meth:`DeltaRebuilder.patch_entries` — called by the kernel's distance
-  invalidation with the changed half-positions: it maps them to site ids,
-  reads the *current* species, scatter-updates the stored VET snapshots of
-  every hit slot and accumulates which region rows went dirty (via the
-  evaluator's per-position dirty-row table).
+* :meth:`DeltaRebuilder.patch_entries` — called by the kernel's stencil
+  invalidation with the exact ``(slot, VET position, current species)``
+  triples a change touches: it scatter-updates the stored VET snapshots and
+  accumulates which region rows went dirty (via the evaluator's
+  per-position dirty-row table).
 * :meth:`DeltaRebuilder.build_entries` — the delta-aware refresh: slots
   with a snapshot re-rate only their dirty rows through
   :meth:`~repro.core.vacancy_system.VacancySystemEvaluator.evaluate_rows`;
@@ -31,13 +31,10 @@ the full build's matrix bit for bit — and the shared
 ``batch_from_row_energies`` tail then yields bitwise-identical rates.
 
 The drivers differ only in coordinate plumbing, which their site store
-(:mod:`repro.core.loop`) supplies:
-
-* ``gather(keys)`` — from-scratch ``(vet_ids, vets)`` for a key subset
-  (flat lattice ids for the serial engine, window-flat ids for a parallel
-  rank);
-* ``locate(points_half)`` — current ``(ids, species)`` at changed
-  half-positions, in the same id space as the stored ``vet_ids``.
+(:mod:`repro.core.loop`) supplies: ``gather(keys)`` — from-scratch VET
+codes for a key subset — and the ``footprint`` the kernel's invalidation
+runs.  No VET site id is stored: the stencil recomputes where a change
+lands from the key and the TET.
 
 Splicing rows is sound only for row-invariant potentials, so the rebuilder
 refuses any other at construction, and so does every engine built on it.
@@ -60,8 +57,7 @@ class RefreshPlan(NamedTuple):
     :meth:`DeltaRebuilder.splice`."""
 
     slots: np.ndarray
-    #: ``(B, n_all)`` VET ids and species of every slot in the batch.
-    vet_ids: np.ndarray
+    #: ``(B, n_all)`` VET species codes of every slot in the batch.
     vets: np.ndarray
     vets_current: bool
     #: Batch positions of the slots holding a row-energy snapshot.
@@ -99,46 +95,22 @@ class DeltaRebuilder:
     # ------------------------------------------------------------------
     # Invalidation payload: scatter lattice changes into the snapshots
     # ------------------------------------------------------------------
-    def patch_entries(self, slots: np.ndarray, points_half: np.ndarray) -> None:
-        """Sync the hit slots' VET snapshots with the changed positions.
+    def patch_entries(
+        self, slots: np.ndarray, positions: np.ndarray, species: np.ndarray
+    ) -> None:
+        """Scatter an invalidation's ``(slot, VET position, species)``
+        triples into the snapshots and mark the region rows they dirty.
 
-        ``slots`` are the delta-ready slots the kernel's distance query hit;
-        ``points_half`` the changed half-positions.  The current species are
-        read from the driver's live state (the swap has already executed),
-        so a position written twice in one exchange still lands on its final
-        value.  Positions outside a slot's window simply match nothing.
+        The kernel hands over each pair once, with the species read after
+        the change (a site written twice in one exchange lands on its final
+        value).
         """
-        slots = np.asarray(slots, dtype=np.int64)
-        points = np.asarray(points_half, dtype=np.int64).reshape(-1, 3)
-        if slots.size == 0 or points.shape[0] == 0:
-            return
-        ids, species = self.sites.locate(points)
-        ids = np.asarray(ids).reshape(-1)
-        vet_ids = self.cache.vet_ids_of(slots)
-        # Every (slot, VET position) holding a changed site.  A site id can
-        # legitimately appear at several positions of one slot (periodic
-        # wrap in tiny boxes) — each occurrence is patched, exactly as a
-        # re-gather of occupancy[vet_ids] would refresh each of them.
-        s_idx, pos, m_idx = np.nonzero(
-            vet_ids[:, :, None] == ids[None, None, :]
-        )
-        if s_idx.size == 0:
-            return
-        if ids.size > 2 or (ids.size == 2 and ids[0] == ids[1]):
-            # Duplicate ids in one call (ghost double-writes) match the same
-            # (slot, position) twice with equal final species; keep one.
-            # The hop case (two distinct sites) skips this outright.
-            key = s_idx * vet_ids.shape[1] + pos
-            _, keep = np.unique(key, return_index=True)
-            s_idx, pos, m_idx = s_idx[keep], pos[keep], m_idx[keep]
-        patch_slots = slots[s_idx]
-        new = np.asarray(species).reshape(-1)[m_idx]
-        old = self.cache.patch_vets(patch_slots, pos, new)
-        changed = np.flatnonzero(old != new)
+        old = self.cache.patch_vets(slots, positions, species)
+        changed = np.flatnonzero(old != species)
         if changed.size:
             self.cache.or_dirty_rows(
-                patch_slots[changed],
-                self.evaluator.dirty_rows_of_position[pos[changed]],
+                slots[changed],
+                self.evaluator.dirty_rows_of_position[positions[changed]],
             )
 
     # ------------------------------------------------------------------
@@ -179,9 +151,7 @@ class DeltaRebuilder:
         if ready_local.size == 0:
             # Cold start / post-drop: every slot is a from-scratch build and
             # the slot arrays may not exist yet, so the gather IS the batch.
-            vet_ids, vets = self.sites.gather(keys)
-            vet_ids = np.asarray(vet_ids)
-            vets = np.asarray(vets)
+            vets = np.asarray(self.sites.gather(keys))
             vets_current = False
         else:
             # Mixed batch: adopt the from-scratch gathers into the slot
@@ -190,11 +160,10 @@ class DeltaRebuilder:
             # place at invalidation time), so nothing is copied out only to
             # be written back by the store.
             if full_local.size:
-                f_vet_ids, f_vets = self.sites.gather(
-                    [keys[i] for i in full_local]
+                cache.adopt_vets(
+                    slots[full_local],
+                    self.sites.gather([keys[i] for i in full_local]),
                 )
-                cache.adopt_vets(slots[full_local], f_vet_ids, f_vets)
-            vet_ids = cache.vet_ids_of(slots)
             vets = cache.vets_of(slots)
             vets_current = True
         if np.any(vets[:, evaluator.tet.CENTER] != evaluator.vacancy_code):
@@ -207,7 +176,7 @@ class DeltaRebuilder:
             pair_b = np.concatenate([pair_b, ready_local[rb]])
             pair_r = np.concatenate([pair_r, rr])
         return RefreshPlan(
-            slots, vet_ids, vets, vets_current, ready_local, pair_b, pair_r
+            slots, vets, vets_current, ready_local, pair_b, pair_r
         )
 
     def splice(self, plan: RefreshPlan, rows: np.ndarray) -> BatchEntries:
@@ -233,7 +202,6 @@ class DeltaRebuilder:
 
         energies = self.evaluator.batch_from_row_energies(plan.vets, row_e)
         return BatchEntries(
-            vet_ids=plan.vet_ids,
             vets=plan.vets,
             rates=self.rate_model.rates_batch(energies),
             row_energies=row_e,

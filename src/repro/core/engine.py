@@ -10,7 +10,7 @@ validation of Fig. 8.
 
 Both engines are thin drivers over the shared
 :class:`~repro.core.kernel.EventKernel`, which owns the rate cache, the
-two-level propensity selection and the cell-narrowed invalidation, with a
+two-level propensity selection and the stencil invalidation, with a
 :class:`~repro.core.delta.DeltaRebuilder` as its miss path.  A step is one
 :func:`~repro.core.loop.kmc_event` over the lattice's site store
 (:class:`~repro.core.loop.LatticeSites`) — the same event body the parallel
@@ -124,10 +124,6 @@ class SerialAKMCBase:
         self.sites = LatticeSites(lattice, tet)
         self.kernel = EventKernel(
             DeltaRebuilder(self.evaluator, self.rate_model, self.sites),
-            self.sites.position_of,
-            threshold=tet.invalidation_radius,
-            scale=lattice.a / 2.0,
-            periodic_half=2 * np.asarray(lattice.shape, dtype=np.int64),
             keys=vac_sites,
             use_cache=self.use_cache,
         )

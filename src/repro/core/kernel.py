@@ -10,20 +10,19 @@ live in separate implementations; this module owns them once:
 * a :class:`~repro.core.propensity.FenwickPropensity` tree over the
   per-slot total rates for the two-level selection — vacancy slot via the
   tree, hop direction via the slot's cumulative rate row,
-* cell-narrowed distance invalidation: an always-maintained
-  :class:`SpatialHashIndex` (cell edge = one invalidation reach) hands back
-  the slots in the cells around each changed position, and one vectorised
-  (periodic minimum-image, where configured) distance test runs over those
-  candidates only — per-event cost follows the local vacancy density, not
-  the size of the registry.
+* stencil invalidation: the site store reads the TET backwards — the
+  vacancy centred at ``p - o_i`` holds changed site ``p`` at VET position
+  ``i`` — so one gather of occupancy at ``p - all_offsets`` and a probe of
+  the few vacancy hits yield the exact ``(slot, VET position, species)``
+  triples a change touches.  Per-event cost follows the TET size and the
+  local vacancy density, not the size of the registry.
 
 Drivers parameterise the kernel with one miss-path builder — an object
-with ``build_entries(keys, slots)`` and ``patch_entries(slots, points)``,
-the :class:`~repro.core.delta.DeltaRebuilder` in every engine — and
-``position_of(key)`` mapping a key to integer half-unit coordinates, plus
-the distance semantics (periodic for the global serial lattice, open for a
-rank's padded window).  The event body that drives a kernel is written
-once, in :func:`repro.core.loop.kmc_event`.
+with ``build_entries(keys, slots)``, ``patch_entries(slots, positions,
+species)`` and the site store as ``sites`` (whose ``footprint`` the
+invalidation runs), the :class:`~repro.core.delta.DeltaRebuilder` in every
+engine.  The event body that drives a kernel is written once, in
+:func:`repro.core.loop.kmc_event`.
 
 Refresh and activation run as array sweeps over the cache's slot arrays.
 
@@ -36,16 +35,7 @@ surface through ``summary()`` and the parallel driver threads into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +45,6 @@ from .vacancy_cache import BatchEntries, VacancyCache
 __all__ = [
     "NoMovesError",
     "KernelStats",
-    "SpatialHashIndex",
     "EventKernel",
     "select_direction",
 ]
@@ -101,133 +90,11 @@ class KernelStats:
     rate_batches: int = 0
     batched_rows: int = 0
     max_batch_size: int = 0
-    #: Non-empty ``invalidate_near`` calls and the slots the cell index
-    #: handed them (before the held/distance filters) — the "flat in N"
-    #: witness: their ratio follows the local density, not the registry.
+    #: ``invalidate_near`` calls that ran the stencil and its vacancy hits
+    #: (before the registry probe) — the "flat in N" witness: their ratio
+    #: follows the local density, not the registry.
     invalidate_calls: int = 0
     invalidation_candidates: int = 0
-
-
-class SpatialHashIndex:
-    """Cell index of slot positions in integer half-unit coordinates.
-
-    Cells have an edge of one invalidation reach, so every position within
-    the reach of a query point lies in one of the (at most three per axis,
-    four where a periodic dimension is not a multiple of the edge) cells
-    around it — :meth:`candidates_near` returns that superset and the kernel
-    applies the exact distance test.  Plain Python ints, dicts and lists: an
-    event inserts, moves or queries a handful of slots, which is cheaper
-    without array dispatch.
-    """
-
-    def __init__(
-        self, bucket_half: int, periodic_half: Optional[Sequence[int]] = None
-    ) -> None:
-        self.bucket = max(1, int(bucket_half))
-        self.periodic: Optional[Tuple[int, int, int]] = (
-            None
-            if periodic_half is None
-            else tuple(int(d) for d in periodic_half)
-        )
-        self._cells: Dict[Tuple[int, int, int], List[int]] = {}
-        self._cell_of: Dict[int, Tuple[int, int, int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._cell_of)
-
-    def canonical(self, half) -> Tuple[int, int, int]:
-        """A half-unit position as Python ints, wrapped into the box."""
-        x, y, z = half
-        if self.periodic is not None:
-            dx, dy, dz = self.periodic
-            x, y, z = x % dx, y % dy, z % dz
-        return (int(x), int(y), int(z))
-
-    def cell(self, half) -> Tuple[int, int, int]:
-        """Cell of a (not necessarily canonical) half-unit position."""
-        x, y, z = self.canonical(half)
-        b = self.bucket
-        return (x // b, y // b, z // b)
-
-    def cell_of(self, slot: int) -> Optional[Tuple[int, int, int]]:
-        """Cell a slot is indexed in, or ``None``."""
-        return self._cell_of.get(slot)
-
-    def cells(self):
-        """``(cell, member slots)`` pairs of every occupied cell."""
-        return self._cells.items()
-
-    def insert(self, slot: int, half) -> None:
-        """Index ``slot`` at ``half``; a slot already indexed moves there."""
-        cell = self.cell(half)
-        old = self._cell_of.get(slot)
-        if old == cell:
-            return
-        if old is not None:
-            self.remove(slot)
-        self._cells.setdefault(cell, []).append(slot)
-        self._cell_of[slot] = cell
-
-    def remove(self, slot: int) -> None:
-        cell = self._cell_of.pop(slot)
-        members = self._cells[cell]
-        members.remove(slot)
-        if not members:
-            del self._cells[cell]
-
-    def clear(self) -> None:
-        self._cells.clear()
-        self._cell_of.clear()
-
-    # ------------------------------------------------------------------
-    def _axis_cells(self, p: int, axis: int):
-        """Cell indices covering ``[p - bucket, p + bucket]`` on one axis."""
-        b = self.bucket
-        if self.periodic is None:
-            c = p // b
-            return (c - 1, c, c + 1)
-        dim = self.periodic[axis]
-        last = (dim - 1) // b
-        if 2 * b + 1 >= dim:
-            return range(last + 1)
-        a, z = (p - b) % dim, (p + b) % dim
-        if a <= z:
-            return range(a // b, z // b + 1)
-        # The interval wraps: cover [0, z] and [a, dim - 1].
-        return (*range(z // b + 1), *range(a // b, last + 1))
-
-    def candidates_near(self, points) -> List[int]:
-        """Slots possibly within one cell edge of any of ``points``.
-
-        ``points`` is a sequence of integer ``(x, y, z)`` half-unit
-        positions; the result is an ascending, duplicate-free superset of
-        the slots within ``bucket`` half-units of at least one of them.
-        """
-        if len(self._cell_of) <= 27 * len(points):
-            # Fewer slots than cells to probe: handing back every slot is
-            # the cheaper superset (a rank's few vacancies, a ghost
-            # exchange's many points).
-            return sorted(self._cell_of)
-        get = self._cells.get
-        out: List[int] = []
-        blocks = set()
-        for x, y, z in points:
-            block = (
-                self._axis_cells(x, 0),
-                self._axis_cells(y, 1),
-                self._axis_cells(z, 2),
-            )
-            if block in blocks:
-                continue  # a hop's two ends mostly share one cell block
-            blocks.add(block)
-            xs, ys, zs = block
-            for cx in xs:
-                for cy in ys:
-                    for cz in zs:
-                        members = get((cx, cy, cz))
-                        if members:
-                            out += members
-        return sorted(set(out))
 
 
 class EventKernel:
@@ -240,25 +107,15 @@ class EventKernel:
         slots' entries in slot order — a
         :class:`~repro.core.vacancy_cache.BatchEntries` (rates plus the
         snapshot that makes the slots delta-ready) or a bare ``(B, 8)``
-        rate matrix (rates only) — and ``patch_entries(slots, points_half)``
-        scatter-updates the stored VET snapshots of delta-ready slots hit by
-        an invalidation from the occupancy at the changed positions (this is
-        how invalidation carries *what* changed instead of just *that*
-        something changed).  The kernel hands the builder its cache as
+        rate matrix (rates only) — and ``patch_entries(slots, positions,
+        species)`` scatters an invalidation's changes into the stored VET
+        snapshots of delta-ready slots (this is how invalidation carries
+        *what* changed instead of just *that* something changed).
+        ``builder.sites`` is the driver's site store, whose
+        ``footprint(points_half)`` the invalidation runs (see
+        :mod:`repro.core.loop`).  The kernel hands the builder its cache as
         ``builder.cache``.  Every engine passes a
         :class:`~repro.core.delta.DeltaRebuilder`.
-    position_of:
-        ``key -> (3,)`` integer half-unit coordinates for the centre matrix.
-    threshold:
-        Invalidation distance threshold, in the driver's distance units.
-    scale:
-        Half-unit-to-distance-unit factor: ``a / 2`` for the serial engines
-        (threshold in Angstrom), ``1.0`` for the parallel windows (threshold
-        already in half-units).  A slot is stale when
-        ``|scale * delta_half| <= threshold + 1e-9``.
-    periodic_half:
-        Half-unit box dimensions for periodic minimum-image distances, or
-        ``None`` for open (padded-window) coordinates.
     keys:
         Initial vacancy keys, one slot each, in registry order.
     use_cache:
@@ -270,41 +127,14 @@ class EventKernel:
     def __init__(
         self,
         builder,
-        position_of: Callable[[Hashable], np.ndarray],
-        *,
-        threshold: float,
-        scale: float = 1.0,
-        periodic_half: Optional[Sequence[int]] = None,
         keys: Iterable[Hashable] = (),
         use_cache: bool = True,
     ) -> None:
         self.builder = builder
-        self.position_of = position_of
-        self.threshold = float(threshold)
-        self.scale = float(scale)
         self.use_cache = bool(use_cache)
         self.cache = VacancyCache(keys)
         builder.cache = self.cache
         self.store = FenwickPropensity(self.cache.n_slots)
-        #: Inclusive limit of the distance test.
-        self._limit = self.threshold + 1e-9
-        self.periodic = (
-            None
-            if periodic_half is None
-            else np.asarray(periodic_half, dtype=np.int64)
-        )
-        #: Box span in the distance test's dtype.
-        self._span = (
-            None
-            if self.periodic is None
-            else self.periodic.astype(np.float64)
-        )
-        #: Cell index of every live slot's centre, maintained by every
-        #: registry mutation (see :meth:`check_index`).  The cell edge is
-        #: the test's reach in whole half-units.
-        self.index = SpatialHashIndex(
-            int(np.ceil(self._limit / self.scale)), periodic_half
-        )
         self.stats = KernelStats()
         #: Physical active mask, or ``None`` meaning "all live slots" (the
         #: serial engines); the parallel driver narrows it per sector.
@@ -317,17 +147,6 @@ class EventKernel:
         #: on parallel rank kernels: their evaluator (and cache) is shared,
         #: so the simulation merges the cache's counters exactly once.
         self.row_cache = None
-        for slot in self.cache.live_slots():
-            self._set_centre(slot, self.position_of(self.cache.key_of(slot)))
-
-    # ------------------------------------------------------------------
-    # Coordinate plumbing
-    # ------------------------------------------------------------------
-    def _set_centre(self, slot: int, half) -> None:
-        """Record a live slot's centre in the cache row and the cell index."""
-        centre = self.index.canonical(half)
-        self.cache.centres[slot] = centre
-        self.index.insert(slot, centre)
 
     def _pad_active_mask(self) -> None:
         """Keep the active mask aligned with the cache's physical arrays."""
@@ -357,14 +176,12 @@ class EventKernel:
         else:
             self.store.update(slot, 0.0)
         self._pad_active_mask()
-        self._set_centre(slot, self.position_of(key))
         return slot
 
     def remove(self, slot: int) -> None:
         """Unregister a vacancy; its slot parks at zero propensity."""
         self.cache.remove_slot(slot)
         self.store.update(slot, 0.0)
-        self.index.remove(slot)
         if self._active_mask is not None:
             self._active_mask[slot] = False
 
@@ -372,7 +189,6 @@ class EventKernel:
         """A vacancy hopped: rekey the slot, invalidate it, park at zero."""
         self.cache.move(slot, new_key)
         self.store.update(slot, 0.0)
-        self._set_centre(slot, self.position_of(new_key))
 
     def set_keys(
         self,
@@ -387,9 +203,6 @@ class EventKernel:
         self.cache.set_keys(keys, free_order=free_order)
         self.store.resize(self.cache.n_slots)
         self._active_mask = None
-        self.index.clear()
-        for slot in self.cache.live_slots():
-            self._set_centre(slot, self.position_of(self.cache.key_of(slot)))
 
     # ------------------------------------------------------------------
     # Sector activation (parallel sublattice protocol)
@@ -522,95 +335,42 @@ class EventKernel:
     # Invalidation
     # ------------------------------------------------------------------
     def invalidate_near(self, points_half) -> int:
-        """Invalidate cached entries near changed positions (Sec. 3.2).
+        """Invalidate the cached entries whose VET holds a changed site.
 
         ``points_half`` is an ``(n, 3)`` array (or nested sequence) of
-        half-unit coordinates.  The cell index narrows the registry to the
-        slots in the cells around each point (ascending slot order); those
-        candidates then take the exact test
-        ``|scale * delta| <= threshold + 1e-9`` in one vectorised (periodic
-        minimum-image, where configured) evaluation.  The test is
-        element-wise per (point, centre) pair, so narrowing cannot change
-        a single hit.  Returns the number of entries invalidated.
+        half-unit coordinates in the site store's space (Sec. 3.2).  The
+        store's ``footprint`` reads the TET backwards and hands back every
+        vacancy whose VET holds one of them, with the VET position and the
+        site's current species; the registry probe turns those into
+        ``(slot, position, species)`` triples.  Fresh hit slots go stale;
+        the triples of delta-ready hit slots — stale ones too — go to
+        ``builder.patch_entries``, which keeps the snapshots in sync with
+        the lattice between refreshes.  Returns the number of entries
+        invalidated.
 
-        The same query also covers stale-but-delta-ready slots, and every
-        hit slot with a snapshot is handed to ``builder.patch_entries``
-        together with the changed positions — invalidation carries *what*
-        changed, which keeps the snapshots in sync with the lattice between
-        refreshes.  The fresh->stale transitions and invalidation counters
-        only see fresh slots, so they do not depend on which slots hold
-        snapshots.
+        A registry where no slot holds a fresh entry or a snapshot (most
+        ghost exchanges) has nothing to lose and returns at once.
         """
-        points = np.asarray(points_half, dtype=np.int64).reshape(-1, 3)
-        if points.shape[0] == 0:
-            return 0
-        point_list = points.tolist()
-        near = self.index.candidates_near(point_list)
-        self.stats.invalidate_calls += 1
-        self.stats.invalidation_candidates += len(near)
-        if not near:
-            return 0
         cache = self.cache
-        near = np.array(near, dtype=np.int64)
-        # Only slots that hold something — a fresh entry to drop, a delta
-        # snapshot to patch — take the test; a registry that is stale
-        # anyway (most ghost exchanges) ends here.
-        near = near[cache.fresh[near] | cache.delta_ready[near]]
-        if near.size == 0:
+        if len(points_half) == 0 or not (
+            cache.fresh.any() or cache.delta_ready.any()
+        ):
             return 0
-        # Integer coordinates are exact in float64 however they got there.
-        canonical = self.index.canonical
-        pts = np.array([canonical(p) for p in point_list], dtype=np.float64)
-        centres = cache.centres[near].astype(np.float64)
-        delta = pts[:, None, :] - centres[None, :, :]
-        span = self._span
-        if span is not None:
-            delta = delta - span * np.round(delta / span)
-        delta = delta * self.scale
-        dist = np.sqrt(np.sum(delta * delta, axis=-1))
-        hit = np.any(dist <= self._limit, axis=0)
-        hits = near[hit]
-        fresh_hits = hits[cache.fresh[hits]]
-        patch_slots = hits[cache.delta_ready[hits]]
-        if patch_slots.size:
-            # Patch before anything reads the snapshots again; the window
-            # sites of every affected slot lie inside the invalidation ball
-            # (the threshold is the max VET offset reach), so the distance
-            # hits are a superset of the slots whose VETs can contain the
-            # changed sites.
-            self.builder.patch_entries(patch_slots, points)
-        cache.fresh[fresh_hits] = False
-        cache.stats.invalidations += int(fresh_hits.size)
-        return int(fresh_hits.size)
-
-    def check_index(self) -> List[str]:
-        """Audit the cell index against the cache; ``[]`` when consistent.
-
-        Every live slot must be indexed exactly once, in the cell of its
-        ``cache.centres`` row, and no parked slot may be indexed at all.
-        Returns one message per violation instead of asserting, so a
-        driver can run it in production at low frequency.
-        """
-        problems: List[str] = []
-        found: Dict[int, Tuple[int, int, int]] = {}
-        for cell, members in self.index.cells():
-            for slot in members:
-                if slot in found:
-                    problems.append(
-                        f"slot {slot} indexed in cells {found[slot]} and {cell}"
-                    )
-                found[slot] = cell
-        live = set(self.cache.live_slots())
-        for slot in sorted(found.keys() - live):
-            problems.append(f"parked slot {slot} indexed in cell {found[slot]}")
-        for slot in sorted(live):
-            want = self.index.cell(self.cache.centres[slot].tolist())
-            got = found.get(slot)
-            if got != want or self.index.cell_of(slot) != want:
-                problems.append(
-                    f"slot {slot}: centre lies in cell {want}, indexed in {got}"
-                )
-        return problems
+        keys, positions, species = self.builder.sites.footprint(points_half)
+        self.stats.invalidate_calls += 1
+        self.stats.invalidation_candidates += len(keys)
+        slots = cache.slots_of(keys)  # -1 where the vacancy holds no slot
+        held = slots >= 0
+        ready = held & cache.delta_ready[slots]
+        if ready.any():
+            # Patch before anything reads the snapshots again.
+            self.builder.patch_entries(
+                slots[ready], positions[ready], species[ready]
+            )
+        fresh_hits = set(slots[held & cache.fresh[slots]].tolist())
+        cache.fresh[list(fresh_hits)] = False
+        cache.stats.invalidations += len(fresh_hits)
+        return len(fresh_hits)
 
     def invalidate_all(self) -> None:
         """Drop every live entry (cache-off mode / global resync)."""

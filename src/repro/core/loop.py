@@ -22,15 +22,26 @@ space of the kernel's slot keys:
 A store supplies ``position_of(key)`` (integer half-unit coordinates),
 ``hop(key, direction)`` (swap the vacancy with its 1NN neighbour and return
 ``(to_key, migrating species)``, or ``None`` when stale data blocks the
-hop), and the two coordinate callbacks of
-:class:`~repro.core.delta.DeltaRebuilder`: ``gather(keys)`` (from-scratch
-``(vet_ids, vets)``) and ``locate(points_half)`` (current ``(ids,
-species)`` at changed positions, in the ``vet_ids`` id space).
+hop), ``gather(keys)`` (from-scratch VET species codes, for
+:class:`~repro.core.delta.DeltaRebuilder`) and ``footprint(points_half)``
+(the vacancies whose VET holds a changed site, for
+:meth:`~repro.core.kernel.EventKernel.invalidate_near`).
+
+``footprint`` runs the TET stencil backwards: the vacancy centred at
+``p - o_i`` holds site ``p`` at VET position ``i`` (Eq. 4), so the
+candidate centres of a changed site are its flat id plus one precomputed
+offset vector per sublattice parity — no stored VET site ids and no
+distance test.  On the periodic lattice a site within reach of a box face
+wraps its centres along that axis; in a rank's window, where keys never
+leave the window, a centre past the edge is dropped by its key instead.
+The stencil finds a slot through the vacancy code at its key, which every
+live registry key holds (``tests/test_loop_invariants.py``).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -89,6 +100,23 @@ def kmc_event(
     return slot, direction, from_key, to_key, migrating, dt, total
 
 
+def _stencil(offsets: np.ndarray, shape) -> Tuple[np.ndarray, np.ndarray]:
+    """The TET read backwards over a ``(2, nx, ny, nz)`` flat site layout.
+
+    The vacancy centred at ``p - o_i`` holds site ``p`` at VET position
+    ``i`` (Eq. 4).  Returns, per sublattice parity of ``p`` (axis 0), the
+    ``(n_all,)`` flat-id offsets of those centres from ``p`` — exact
+    wherever no cell coordinate leaves the box — and the ``(n_all, 3)``
+    cell shifts from ``p``'s cell to theirs.
+    """
+    nx, ny, nz = shape
+    parity = np.arange(2)[:, None]
+    sub = parity ^ (offsets[:, 0] & 1)
+    shift = ((parity - sub)[..., None] - offsets) >> 1
+    flat = (sub - parity) * (nx * ny * nz) + shift @ np.array([ny * nz, nz, 1])
+    return flat, shift
+
+
 class LatticeSites:
     """Flat site ids over a periodic lattice: the serial site store.
 
@@ -101,6 +129,15 @@ class LatticeSites:
         #: 1NN hop vectors as Python ints: the hop's coordinate arithmetic
         #: is scalar, array round-trips would dominate it.
         self._nn = [tuple(row) for row in tet.nn_offsets.tolist()]
+        self._offset, shift = _stencil(tet.all_offsets, lattice.shape)
+        #: Per axis: the centres' ``(2, n_all)`` cell shifts, the cells
+        #: ``lo <= c < hi`` whose shifts never leave the box, the flat stride.
+        nx, ny, nz = lattice.shape
+        self._axes = [
+            (np.ascontiguousarray(shift[..., a]), int(-shift[..., a].min()),
+             n - int(shift[..., a].max()), n, stride)
+            for a, (n, stride) in enumerate(((nx, ny * nz), (ny, nz), (nz, 1)))
+        ]
 
     def position_of(self, site):
         return self.lattice.half_of(site)
@@ -115,7 +152,7 @@ class LatticeSites:
         return to_site, migrating
 
     def gather(self, keys):
-        """From-scratch ``(vet_ids, vets)`` of a key batch.
+        """From-scratch VET codes of a key batch.
 
         Keys are lattice sites and the VET offsets are BCC translations, so
         every generated coordinate is a valid site and the parity check is
@@ -137,20 +174,48 @@ class LatticeSites:
             vet_ids[n] = (
                 (ss * nx + cells[:, 0]) * ny + cells[:, 1]
             ) * nz + cells[:, 2]
-        return vet_ids, lattice.occupancy[vet_ids]
+        return lattice.occupancy[vet_ids]
 
-    def locate(self, points_half: np.ndarray):
-        ids = self.lattice.ids_from_half(points_half, checked=False)
-        return ids, self.lattice.occupancy[ids]
+    def footprint(self, points_half):
+        """Every vacancy whose VET holds one of the changed sites.
+
+        Returns ``(keys, positions, species)`` per hit: the vacancy's site
+        id, the VET position of the changed site and its current species.
+        A site given twice counts once.  The centres of a site are one add
+        away from its id; on an axis within reach of a box face they wrap.
+        """
+        lattice = self.lattice
+        occupancy = lattice.occupancy
+        nx, ny, nz = lattice.shape
+        rows = {}
+        for x, y, z in points_half:
+            sub = x & 1
+            cell = ((x >> 1) % nx, (y >> 1) % ny, (z >> 1) % nz)
+            site = ((sub * nx + cell[0]) * ny + cell[1]) * nz + cell[2]
+            if site in rows:
+                continue
+            row = self._offset[sub] + site
+            for c, (shift, lo, hi, n, stride) in zip(cell, self._axes):
+                if not lo <= c < hi:
+                    row -= (shift[sub] + c) // n * (n * stride)
+            rows[site] = row
+        centres = np.array(list(rows.values()))
+        point, positions = np.nonzero(occupancy[centres] == lattice.vacancy_code)
+        sites = np.fromiter(rows, dtype=np.int64, count=len(rows))
+        return (
+            centres[point, positions].tolist(),
+            positions,
+            occupancy[sites[point]],
+        )
 
 
 class WindowSites:
     """Half-unit key tuples over a rank's padded window.
 
-    VET snapshots are keyed by window-flat site ids, unique per padded
-    position: periodic aliases of one global site are distinct window
-    sites (a hop writes the primary position, the post-cycle ghost
-    exchange writes the aliases).
+    The stencil runs over window-flat site ids, unique per padded position:
+    periodic aliases of one global site are distinct window sites (a hop
+    writes the primary position, the post-cycle ghost exchange writes the
+    aliases).
     """
 
     def __init__(
@@ -160,6 +225,10 @@ class WindowSites:
         self.vacancy_code = int(vacancy_code)
         self._offsets = tet.all_offsets
         self._nn = [tuple(row) for row in tet.nn_offsets.tolist()]
+        px, py, pz = window.padded_shape
+        self._strides = np.array([py * pz, pz, 1], dtype=np.int64)
+        self._n_cells = px * py * pz
+        self._offset = _stencil(tet.all_offsets, window.padded_shape)[0]
 
     def position_of(self, key):
         return key
@@ -185,16 +254,30 @@ class WindowSites:
         occupancy[tgt_site] = vacancy
         return to_key, migrating
 
-    def _flat_ids(self, half: np.ndarray) -> np.ndarray:
-        """Flat site ids over the padded window ``(2, px, py, pz)``."""
-        s, cell = self.window.site_from_half(half)
-        px, py, pz = self.window.padded_shape
-        return ((s * px + cell[..., 0]) * py + cell[..., 1]) * pz + cell[..., 2]
-
     def gather(self, keys):
         vet_half = np.asarray(keys, dtype=np.int64)[:, None, :] + self._offsets
-        return self._flat_ids(vet_half), self.window.species_at_half(vet_half)
+        return self.window.species_at_half(vet_half)
 
-    def locate(self, points_half: np.ndarray):
+    def footprint(self, points_half):
+        """Every vacancy whose VET holds one of the changed sites.
+
+        Returns ``(keys, positions, species)`` per hit: the vacancy's key,
+        the VET position of the changed site and its current species.  A
+        site given twice counts once.  The stencil is not masked to the
+        window: near an edge its flat offsets alias other sites (clipped to
+        the array), but a key is the exact ``p - o_i`` of its hit, and a
+        centre outside the window is no key of this rank — the registry
+        probe drops it.  A centre inside the window is read exactly.
+        """
+        occupancy = self.window.occupancy.reshape(-1)
         points = np.asarray(points_half, dtype=np.int64).reshape(-1, 3)
-        return self._flat_ids(points), self.window.species_at_half(points)
+        sub = points[:, 0] & 1
+        ids = sub * self._n_cells + (points >> 1) @ self._strides
+        if ids.size > 2 or (ids.size == 2 and ids[0] == ids[1]):
+            ids, first = np.unique(ids, return_index=True)
+            points, sub = points[first], sub[first]
+        centres = self._offset[sub] + ids[:, None]
+        hit = occupancy.take(centres, mode="clip") == self.vacancy_code
+        point, positions = np.nonzero(hit)
+        keys = points[point] - self._offsets[positions]
+        return list(map(tuple, keys.tolist())), positions, occupancy[ids[point]]

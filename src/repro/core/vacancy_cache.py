@@ -1,11 +1,12 @@
 """Vacancy-cache mechanism — paper Sec. 3.2.
 
-TensorKMC caches *only* the vacancy systems (VET + site ids + rates) rather
-than per-atom properties for the whole domain ("cache all", OpenKMC).  After
-a hop or a ghost synchronisation, the Euclidean distances between the active
-(changed) sites and the centres of cached systems decide which entries are
-stale: anything within the TET invalidation radius is recomputed at the next
-propensity refresh, everything else is reused.
+TensorKMC caches *only* the vacancy systems (VET + rates) rather than
+per-atom properties for the whole domain ("cache all", OpenKMC).  After a
+hop or a ghost synchronisation, the entries whose VET holds a changed site
+are stale and recomputed at the next propensity refresh; everything else is
+reused.  The engines find those entries through the TET stencil
+(:meth:`repro.core.kernel.EventKernel.invalidate_near`); the paper's
+Euclidean-distance form of the test is :meth:`VacancyCache.invalidate_near`.
 
 The cache is *keyed*: a slot is identified by an opaque hashable key — a flat
 lattice site index for the serial engines, a window half-coordinate tuple for
@@ -15,13 +16,13 @@ a free list, which is what lets the parallel driver add and remove vacancies
 as they enter and leave its subdomain without reindexing the propensity
 structure.
 
-Storage is structure-of-arrays: ``(capacity, 8)`` rates with their sums,
-a ``(capacity, 3)`` centre matrix and ``live``/``fresh``/``delta_ready``
-masks, so invalidation, refresh and propensity updates run as NumPy array
-operations over slot batches instead of per-entry Python objects.  A slot
-built on the delta path also keeps its snapshot — VET ids, VET codes and
-the per-row trial-state energies — which invalidation patches in place and
-the next refresh re-rates (:mod:`repro.core.delta`).
+Storage is structure-of-arrays: ``(capacity, 8)`` rates with their sums
+and ``live``/``fresh``/``delta_ready`` masks, so invalidation, refresh and
+propensity updates run as NumPy array operations over slot batches instead
+of per-entry Python objects.  A slot built on the delta path also keeps its
+snapshot — VET codes and the per-row trial-state energies — which
+invalidation patches in place and the next refresh re-rates
+(:mod:`repro.core.delta`).
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ class BatchEntries:
     evaluator's output arrays into the cache's slot arrays.
     """
 
-    #: ``(B, n_all)`` flat site ids of every system.
-    vet_ids: np.ndarray
     #: ``(B, n_all)`` VET species codes.
     vets: np.ndarray
     #: ``(B, 8)`` per-direction rates in 1/s.
@@ -56,7 +55,7 @@ class BatchEntries:
     #: ``(B, 9, n_region)`` per-row trial-state energies: the snapshot the
     #: next refresh re-rates only the dirty rows of.
     row_energies: np.ndarray
-    #: True when ``vet_ids``/``vets`` are fancy reads of the cache's own
+    #: True when ``vets`` is a fancy read of the cache's own
     #: slot arrays (the delta build adopts fresh gathers up front via
     #: :meth:`VacancyCache.adopt_vets`); :meth:`VacancyCache.store_batch`
     #: then skips the redundant write-back.
@@ -102,11 +101,9 @@ class VacancyCache:
 
     * ``live[slot]`` — slot holds a vacancy (key is not ``None``);
     * ``fresh[slot]`` — slot holds a valid cached entry (live and not stale);
-    * ``centres[slot]`` — canonical half-unit position, maintained by the
-      event kernel for its vectorised distance invalidation;
     * ``rates[slot]`` / ``total_rates[slot]`` — the per-direction rate row
       and its sum;
-    * ``delta_ready[slot]`` — slot holds a snapshot (VET ids, VET codes,
+    * ``delta_ready[slot]`` — slot holds a snapshot (VET codes,
       ``(9, n_region)`` row energies, dirty-row mask) that the delta
       refresh may patch and re-rate; the snapshot arrays are allocated on
       the first :meth:`store_batch` (rate-only drivers never pay for them).
@@ -133,7 +130,6 @@ class VacancyCache:
         self._cap = int(capacity)
         self.live = np.zeros(self._cap, dtype=bool)
         self.fresh = np.zeros(self._cap, dtype=bool)
-        self.centres = np.zeros((self._cap, 3), dtype=np.int32)
         self.rates = np.zeros(
             (self._cap, TripleEncoding.N_DIRECTIONS), dtype=np.float64
         )
@@ -143,7 +139,6 @@ class VacancyCache:
         #: Stale-but-delta-ready is a valid state: the snapshot tracks the
         #: lattice through scatter patches while ``fresh`` is down.
         self.delta_ready = np.zeros(self._cap, dtype=bool)
-        self._vet_ids: Optional[np.ndarray] = None
         self._vets: Optional[np.ndarray] = None
         self._row_e: Optional[np.ndarray] = None
         self._dirty_rows: Optional[np.ndarray] = None
@@ -159,7 +154,7 @@ class VacancyCache:
         new_cap = max(1, self._cap)
         while new_cap < min_capacity:
             new_cap *= 2
-        names = ["live", "fresh", "centres", "rates", "total_rates"]
+        names = ["live", "fresh", "rates", "total_rates"]
         saved = {name: getattr(self, name) for name in names}
         self._alloc(new_cap)
         for name, arr in saved.items():
@@ -171,7 +166,6 @@ class VacancyCache:
             return
         n_all = int(batch.vets.shape[1])
         _, n_states, n_region = batch.row_energies.shape
-        self._vet_ids = np.zeros((self._cap, n_all), dtype=batch.vet_ids.dtype)
         self._vets = np.zeros((self._cap, n_all), dtype=batch.vets.dtype)
         self._row_e = np.zeros(
             (self._cap, n_states, n_region), dtype=batch.row_energies.dtype
@@ -198,7 +192,7 @@ class VacancyCache:
         restores the free-list *stack order* (``add_slot`` pops from the
         end), which a bit-exact resume needs whenever slots were freed and
         re-used before the checkpoint.  Engines must re-sync their centre
-        coordinates afterwards (``EventKernel.set_keys`` does both).
+        propensity store afterwards (``EventKernel.set_keys`` does both).
         """
         self._keys = [
             None if k is None else _canonical_key(k) for k in keys
@@ -261,6 +255,11 @@ class VacancyCache:
     def slot_of(self, key: Hashable) -> Optional[int]:
         """Slot holding ``key``, or ``None``."""
         return self._slot_of.get(_canonical_key(key))
+
+    def slots_of(self, keys: Iterable[Hashable]) -> np.ndarray:
+        """Slots of a batch of canonical keys, ``-1`` where none is registered."""
+        get = self._slot_of.get
+        return np.array([get(k, -1) for k in keys], dtype=np.int64)
 
     def add_slot(self, key: Hashable) -> int:
         """Register a new vacancy, recycling a freed slot when possible."""
@@ -332,7 +331,6 @@ class VacancyCache:
             return
         self._ensure_snapshot(batch)
         if not batch.vets_current:
-            self._vet_ids[slots] = batch.vet_ids
             self._vets[slots] = batch.vets
         self._row_e[slots] = batch.row_energies
         self._dirty_rows[slots] = False
@@ -361,7 +359,7 @@ class VacancyCache:
 
         Direct invalidation carries no changed-site payload, so the delta
         snapshots cannot be kept in sync — they are dropped along with the
-        entries (the kernel's distance invalidation, which *does* know what
+        entries (the kernel's stencil invalidation, which *does* know what
         changed, clears ``fresh`` directly and keeps ``delta_ready`` up).
         """
         slots = np.asarray(slots, dtype=np.int64)
@@ -395,9 +393,11 @@ class VacancyCache:
 
         This is the paper's post-hop / post-synchronisation distance test
         (Sec. 3.2), as a linear scan over every cached entry.  The engines go
-        through :class:`repro.core.kernel.EventKernel`, whose vectorised
-        distance query finds the same stale set in one broadcast; this
-        method remains for int-keyed caches used standalone.
+        through :class:`repro.core.kernel.EventKernel`, whose TET stencil
+        marks only the entries whose VET holds a change — the same set
+        wherever every site of the ball is a VET site (r_cut = 2.87 A), a
+        subset otherwise; this method remains for int-keyed caches used
+        standalone.
         """
         changed = [int(s) for s in changed_sites]
         if not changed:
@@ -427,8 +427,7 @@ class VacancyCache:
         duplicate pairs would make "old code" ill-defined.  Callers dedup
         before patching (ghost exchanges can report the same site twice).
         """
-        slots = np.asarray(slots, dtype=np.int64)
-        old = self._vets[slots, positions].copy()
+        old = self._vets[slots, positions]
         self._vets[slots, positions] = codes
         return old
 
@@ -442,10 +441,8 @@ class VacancyCache:
             self._dirty_rows, np.asarray(slots, dtype=np.int64), masks
         )
 
-    def adopt_vets(
-        self, slots: np.ndarray, vet_ids: np.ndarray, vets: np.ndarray
-    ) -> None:
-        """Write freshly gathered VET ids/codes straight into the slot arrays.
+    def adopt_vets(self, slots: np.ndarray, vets: np.ndarray) -> None:
+        """Write freshly gathered VET codes straight into the slot arrays.
 
         The delta build calls this for its from-scratch subset *before*
         evaluating, so the whole batch can then be read back as one fancy
@@ -453,12 +450,7 @@ class VacancyCache:
         write-back.  The slot arrays must already exist — the delta build
         only takes this path once at least one snapshot has been stored.
         """
-        self._vet_ids[slots] = vet_ids
         self._vets[slots] = vets
-
-    def vet_ids_of(self, slots: np.ndarray) -> np.ndarray:
-        """Stored VET site ids for a batch of slots (fancy-read copy)."""
-        return self._vet_ids[np.asarray(slots, dtype=np.int64)]
 
     def vets_of(self, slots: np.ndarray) -> np.ndarray:
         """Stored VET species codes for a batch of slots (fancy-read copy)."""
@@ -475,18 +467,16 @@ class VacancyCache:
     def memory_bytes(self) -> int:
         """Bytes held by live cache entries (the Table 1 'VAC Cache' row).
 
-        Every fresh slot holds its rate row, plus its VET ids and codes when
-        it is delta-ready; every live delta-ready slot, fresh or patched
-        while stale, holds its row energies and dirty-row mask.  Parked
+        Every fresh slot holds its rate row, plus its VET codes when it is
+        delta-ready; every live delta-ready slot, fresh or patched while
+        stale, holds its row energies and dirty-row mask.  Parked
         slots hold nothing usable.
         """
         held = self.live & self.fresh
         total = int(np.count_nonzero(held)) * self.rates[0].nbytes
         if self._vets is not None:
             ready = self.live & self.delta_ready
-            total += int(np.count_nonzero(held & ready)) * (
-                self._vet_ids[0].nbytes + self._vets[0].nbytes
-            )
+            total += int(np.count_nonzero(held & ready)) * self._vets[0].nbytes
             total += int(np.count_nonzero(ready)) * (
                 self._row_e[0].nbytes + self._dirty_rows[0].nbytes
             )

@@ -112,15 +112,8 @@ class RankState:
         self._local_hi = tuple(window.ghost + n for n in window.box.shape)
         self._sector_mid = tuple(window.ghost + m for m in sectors.mid.tolist())
         self.sites = WindowSites(window, self.tet, self.vacancy_code)
-        # Distances are taken directly in window half-units (non-periodic:
-        # the padded window never wraps), so the threshold converts the TET
-        # radius from Angstrom through scale=1.
         self.kernel = EventKernel(
             DeltaRebuilder(evaluator, rate_model, self.sites),
-            self.sites.position_of,
-            threshold=2.0 * self.tet.invalidation_radius / self.tet.geometry.a,
-            scale=1.0,
-            periodic_half=None,
             keys=self._local_vacancy_keys(),
         )
         self.events = 0

@@ -155,9 +155,9 @@ class TestBitIdentity:
                 checked.append(spec.name)
                 return step()
 
-            def counted_patch(slots, points_half):
+            def counted_patch(slots, positions, species):
                 patched.append(len(slots))
-                return patch(slots, points_half)
+                return patch(slots, positions, species)
 
             engine.step = checked_step
             builder.patch_entries = counted_patch

@@ -1,9 +1,9 @@
 """Incremental (delta) rebuild path: snapshots stay equal to fresh gathers.
 
 The delta path is only admissible because it changes *work*, not results:
-patched VET snapshots must stay bitwise-equal to a from-scratch
-``occupancy[vet_ids]`` gather after arbitrary hop sequences (periodic wrap
-included), re-rated dirty rows spliced into cached row energies must equal
+patched VET snapshots must stay bitwise-equal to a from-scratch gather
+of the occupancy at the key plus the TET offsets after arbitrary hop
+sequences (periodic wrap included), re-rated dirty rows spliced into cached row energies must equal
 a from-scratch re-rate of every row, and every mutation that carries no
 changed-site payload must drop the snapshots it can no longer keep in sync.
 That the resulting trajectories equal the full rebuild's is pinned by the
@@ -38,14 +38,16 @@ def _serial_engine(tet, potential, seed=11):
     )
 
 
-def _assert_snapshots_match_gather(cache, vets_of_slot, vet_ids_of_slot):
-    """Every live snapshot must equal a from-scratch re-gather, bit for bit."""
+def _assert_snapshots_match_gather(kernel, sites, vet_of_key):
+    """Every live snapshot must equal a from-scratch re-gather, bit for bit:
+    the site store's and ``vet_of_key``'s, written out here."""
+    cache = kernel.cache
     n = cache.n_slots
     slots = np.flatnonzero(cache.live[:n] & cache.delta_ready[:n])
-    for slot in slots:
-        slot = int(slot)
-        assert np.array_equal(cache._vet_ids[slot], vet_ids_of_slot(slot))
-        assert np.array_equal(cache._vets[slot], vets_of_slot(slot))
+    for slot in slots.tolist():
+        key = kernel.key_of(slot)
+        assert np.array_equal(cache._vets[slot], vet_of_key(key))
+        assert np.array_equal(cache._vets[slot], sites.gather([key])[0])
     return slots
 
 
@@ -80,10 +82,13 @@ class TestSnapshotIntegrity:
         cache = engine.kernel.cache
         # The (6,6,6) box is only 12 half-units wide, so VET windows wrap
         # constantly — lattice.ids_from_half's periodic fold is on the line.
+        offsets = tet_small.all_offsets
         slots = _assert_snapshots_match_gather(
-            cache,
-            lambda s: lattice.occupancy[cache._vet_ids[s]],
-            lambda s: engine.sites.gather([engine.kernel.key_of(s)])[0][0],
+            engine.kernel,
+            engine.sites,
+            lambda key: lattice.occupancy[
+                lattice.ids_from_half(lattice.half_of(key) + offsets)
+            ],
         )
         if cfg["n_steps"] > 0:
             assert slots.size > 0  # the delta path actually engaged
@@ -116,15 +121,14 @@ class TestSnapshotIntegrity:
         )
         sim.run(6)
         assert sim.total_events > 0
+        offsets = tet_small.all_offsets
         for rank in sim.ranks:
-            def vet_half_of(slot):
-                half = np.asarray(rank.kernel.key_of(slot), dtype=np.int64)
-                return half[None, :] + rank.tet.all_offsets
-
             _assert_snapshots_match_gather(
-                rank.kernel.cache,
-                lambda s: rank.window.species_at_half(vet_half_of(s)),
-                lambda s: rank.sites.gather([rank.kernel.key_of(s)])[0][0],
+                rank.kernel,
+                rank.sites,
+                lambda key: rank.window.species_at_half(
+                    np.asarray(key) + offsets
+                ),
             )
 
 

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.kernel import (
-    EventKernel,
-    NoMovesError,
-    SpatialHashIndex,
-    select_direction,
-)
+from repro.core.kernel import EventKernel, NoMovesError, select_direction
 from repro.core.propensity import FenwickPropensity, LinearPropensity
 from repro.core.vacancy_cache import BatchEntries
 
@@ -91,73 +86,56 @@ def test_fenwick_grow_matches_rebuilt_tree():
 
 
 # ----------------------------------------------------------------------
-# SpatialHashIndex vs brute force
-# ----------------------------------------------------------------------
-def _brute_near(positions, point, reach, periodic):
-    hits = set()
-    for slot, pos in positions.items():
-        delta = (np.asarray(point) - pos).astype(np.float64)
-        if periodic is not None:
-            span = np.asarray(periodic, dtype=np.float64)
-            delta -= span * np.round(delta / span)
-        if np.sqrt(np.sum(delta * delta)) <= reach:
-            hits.add(slot)
-    return hits
-
-
-@pytest.mark.parametrize("periodic", [None, (21, 16, 13)])
-def test_candidates_cover_brute_force(periodic):
-    # Dimensions deliberately not multiples of the bucket size: the wrapped
-    # interval decomposition must still cover every bucket.
-    rng = np.random.default_rng(42)
-    dims = np.array(periodic if periodic is not None else (40, 40, 40))
-    index = SpatialHashIndex(4, periodic_half=periodic)
-    positions = {}
-    for slot in range(60):
-        pos = rng.integers(0, dims, size=3)
-        index.insert(slot, pos)
-        positions[slot] = np.mod(pos, dims) if periodic is not None else pos
-    for _ in range(200):
-        point = rng.integers(-4, dims + 4, size=3)
-        if periodic is None:
-            point = np.clip(point, 0, None)
-        required = _brute_near(positions, np.mod(point, dims) if periodic is not None else point, 4.0, periodic)
-        candidates = index.candidates_near([point.tolist()])
-        assert candidates == sorted(set(candidates))
-        assert required <= set(candidates), (point, required - set(candidates))
-
-
-def test_index_move_and_remove():
-    index = SpatialHashIndex(4, periodic_half=(48, 48, 48))
-    index.insert(0, (1, 1, 1))
-    index.insert(1, (10, 10, 10))
-    # Far-away filler: an index with fewer slots than a query probes cells
-    # hands back everyone, which is not what this test is about.
-    for slot in range(2, 32):
-        index.insert(slot, (30, 30, slot))
-    assert 0 in index.candidates_near([(0, 0, 0)])
-    index.insert(0, (10, 10, 10))  # re-inserting an indexed slot moves it
-    assert 0 not in index.candidates_near([(0, 0, 0)])
-    assert index.candidates_near([(9, 9, 9)]) == [0, 1]
-    index.remove(0)
-    assert index.candidates_near([(9, 9, 9)]) == [1]
-    assert len(index) == 31
-
-
-# ----------------------------------------------------------------------
 # EventKernel: dynamic slots, refresh accounting, invalidation
 # ----------------------------------------------------------------------
+class _StubSites:
+    """A toy site store on the integer grid (periodic when ``periodic``).
+
+    A vacancy sits at every initial key, and the toy VET of a centre is
+    every offset of length <= 4, so a change reaches exactly the centres
+    within distance 4 of it (inclusive).  ``footprint`` follows the site
+    store contract by brute force: per vacancy whose VET holds a point, its
+    key, the offset's index and a species of 0.
+    """
+
+    REACH = 4
+
+    def __init__(self, keys, periodic=None):
+        self.vacancies = set(keys)
+        self.periodic = periodic
+        r = range(-self.REACH, self.REACH + 1)
+        self.offsets = [
+            (x, y, z) for x in r for y in r for z in r
+            if x * x + y * y + z * z <= self.REACH ** 2
+        ]
+
+    def footprint(self, points_half):
+        hits = []
+        for point in np.asarray(points_half).reshape(-1, 3).tolist():
+            for pos, offset in enumerate(self.offsets):
+                centre = tuple(p - o for p, o in zip(point, offset))
+                if self.periodic is not None:
+                    centre = tuple(c % n for c, n in zip(centre, self.periodic))
+                if centre in self.vacancies:
+                    hits.append((centre, pos))
+        keys = [centre for centre, _ in hits]
+        positions = np.array([pos for _, pos in hits], dtype=np.int64)
+        return keys, positions, np.zeros(len(hits), dtype=np.uint8)
+
+
 class _StubBuilder:
     """The kernel's miss contract over canned rate rows.
 
     ``build_entries`` returns a bare ``(B, 8)`` rate matrix, or with
     ``batched`` a :class:`BatchEntries`, whose per-row energies leave its
-    slots delta-ready.  Every call is recorded.
+    slots delta-ready.  Every call is recorded.  ``sites`` is a
+    :class:`_StubSites` over the initial keys.
     """
 
-    def __init__(self, rates_by_key, batched=False):
+    def __init__(self, rates_by_key, batched=False, periodic=None):
         self.rates_by_key = rates_by_key
         self.batched = batched
+        self.sites = _StubSites(rates_by_key, periodic)
         self.built = []
         self.patched = []
 
@@ -170,23 +148,18 @@ class _StubBuilder:
             return rates
         n = len(keys)
         return BatchEntries(
-            vet_ids=np.zeros((n, 3), dtype=np.int64),
             vets=np.zeros((n, 3), dtype=np.uint8),
             rates=rates,
             row_energies=np.zeros((n, 9, 2)),
         )
 
-    def patch_entries(self, slots, points):
+    def patch_entries(self, slots, positions, species):
         self.patched.append(slots.tolist())
 
 
 def _toy_kernel(rates_by_key, periodic=None, builder=None, **kwargs):
     return EventKernel(
-        builder or _StubBuilder(rates_by_key),
-        lambda key: np.asarray(key, dtype=np.int64),
-        threshold=4.0,
-        scale=1.0,
-        periodic_half=periodic,
+        builder or _StubBuilder(rates_by_key, periodic=periodic),
         keys=sorted(rates_by_key),
         **kwargs,
     )
@@ -239,7 +212,7 @@ def test_kernel_invalidate_near_matches_distance_rule():
     kernel = _toy_kernel(rates)
     kernel.refresh()
     n = kernel.invalidate_near(np.array([[1, 0, 0]]))
-    # threshold 4.0: slots at distance 1 and 2 go stale, distance 8 survives
+    # Reach 4: slots at distance 1 and 2 go stale, distance 8 survives
     assert n == 2
     stale = {kernel.key_of(s) for s in kernel.stale_batch().tolist()}
     assert stale == {(0, 0, 0), (3, 0, 0)}
@@ -252,8 +225,8 @@ def test_kernel_invalidation_reach_is_inclusive():
     rates = {(0, 0, 0): _row(1.0), (4, 0, 0): _row(1.0), (5, 0, 0): _row(1.0)}
     kernel = _toy_kernel(rates)
     kernel.refresh()
-    # (4,0,0) sits exactly at the threshold: the <= test (with its 1e-9
-    # guard) includes it; (5,0,0) stays fresh.
+    # (4,0,0) sits exactly at the footprint's reach, so its VET holds the
+    # change; (5,0,0) stays fresh.
     assert kernel.invalidate_near(np.array([[0, 0, 0]])) == 2
     assert kernel.stale_batch().tolist() == [0, 1]
 

@@ -5,7 +5,9 @@ replicas all run :func:`repro.core.loop.kmc_event` over an
 :class:`~repro.core.kernel.EventKernel`.  After some events and a refresh,
 each of their kernels must hold:
 
-* a cell index consistent with the slot centres (``check_index() == []``);
+* a vacancy at every live registry key — the precondition of the stencil
+  invalidation, which finds a slot only through the vacancy code at its
+  key;
 * a propensity total equal to the exact sum of the fresh slots' totals;
 * in every fresh slot, the rate row a from-scratch scalar evaluation of
   the vacancy's current environment gives, bit for bit;
@@ -102,7 +104,10 @@ def test_kernel_invariants_after_events(request, tet_small, driver):
         request, tet_small
     ):
         kernel.refresh()
-        assert kernel.check_index() == []
+        centre = evaluator.tet.CENTER
+        for slot in kernel.live_slots():
+            key = kernel.key_of(slot)
+            assert vet_of(key)[centre] == evaluator.vacancy_code, key
         cache = kernel.cache
         fresh = np.flatnonzero(cache.live & cache.fresh)
         assert fresh.size == cache.n_live

@@ -284,7 +284,7 @@ class TestChunkBoundaries:
         )
         sites = sorted(lattice.vacancy_ids)[: self.N_VACANCIES]
         assert len(sites) == self.N_VACANCIES
-        return engine.evaluator, engine.sites.gather(sites)[1]
+        return engine.evaluator, engine.sites.gather(sites)
 
     @staticmethod
     def _fresh_cache(evaluator):

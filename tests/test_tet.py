@@ -82,6 +82,27 @@ class TestInvalidation:
         bound = 2 * tet_standard.rcut + tet_standard.geometry.a * np.sqrt(3) / 2
         assert tet_standard.invalidation_radius <= bound + 1e-9
 
+    @pytest.mark.parametrize(
+        "rcut, n_ball", [(2.87, 169), (4.8, 561), (RCUT_STANDARD, 1211)]
+    )
+    def test_footprint_within_invalidation_ball(self, rcut, n_ball):
+        """The stencil invalidates the VET footprint; the engines used to
+        invalidate every site within ``invalidation_radius``.  The footprint
+        lies inside that ball, so the stencil never stales an entry the ball
+        kept; the ball's extra sites hold no VET position, so a change there
+        left the rates bit-identical and no trajectory moves."""
+        tet = TripleEncoding(rcut)
+        r = int(np.ceil(2 * tet.invalidation_radius / tet.geometry.a))
+        grid = np.stack(
+            np.meshgrid(*(np.arange(-r, r + 1),) * 3, indexing="ij"), -1
+        ).reshape(-1, 3)
+        bcc = grid[(grid % 2 == grid[:, :1] % 2).all(axis=1)]
+        d = tet.geometry.offset_distance(bcc)
+        ball = {tuple(o) for o in bcc[d <= tet.invalidation_radius + 1e-9]}
+        footprint = {tuple(o) for o in tet.all_offsets.tolist()}
+        assert footprint <= ball
+        assert (len(footprint), len(ball)) == (tet.n_all, n_ball)
+
 
 class TestErrors:
     def test_rcut_below_1nn_rejected(self):

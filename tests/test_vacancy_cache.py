@@ -12,7 +12,6 @@ def _store(cache, slot):
     cache.store_batch(
         np.array([slot]),
         BatchEntries(
-            vet_ids=np.arange(10, dtype=np.int64)[None],
             vets=np.full((1, 10), slot, dtype=np.uint8),
             rates=np.ones((1, 8)),
             row_energies=np.zeros((1, 9, 3)),
@@ -108,8 +107,8 @@ class TestStats:
         assert cache.memory_bytes() == 0
         _store(cache, 0)
         one = cache.memory_bytes()
-        # Rate row + VET ids + VET codes + row energies + dirty-row mask.
-        assert one == 8 * 8 + 10 * 8 + 10 + 9 * 3 * 8 + 3
+        # Rate row + VET codes + row energies + dirty-row mask.
+        assert one == 8 * 8 + 10 + 9 * 3 * 8 + 3
         _store(cache, 1)
         assert cache.memory_bytes() == 2 * one
 
