@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ..constants import N_ELEMENTS
-from ..core.rowcache import row_dtype, row_entry_bytes
+from ..core.rowcache import ROW_ENTRY_BYTES
 from ..core.tet import TripleEncoding
 from ..core.vacancy_system import miss_transient_bytes
 from ..potentials.tables import FeatureTable
@@ -88,10 +88,8 @@ def tensorkmc_memory_model(
     whose live slots are all fresh.  Pass ``False`` for the paper's entry
     alone (Table 1).
     ``row_cache`` charges the persistent row-energy memo by resident entry
-    count at :func:`~repro.core.rowcache.row_entry_bytes` per entry (key,
-    energy and the stored row checked on every hit, ``tet.n_shells *
-    N_ELEMENTS`` counts wide, one :func:`~repro.core.rowcache.row_dtype`
-    item per value) — the same figure
+    count at :data:`~repro.core.rowcache.ROW_ENTRY_BYTES` per entry (row
+    code and energy) — the same figure
     :meth:`RowEnergyCache.memory_bytes` reports, so the analytic term is
     validated against live bytes like the snapshots are.
     In a dilute alloy the distinct-environment count saturates at a tiny,
@@ -125,10 +123,7 @@ def tensorkmc_memory_model(
         "VAC_cache": float(n_vacancies) * entry_bytes,
         "TET_tables": float(tet_bytes),
         "feature_table": float(table.table.nbytes) if table is not None else 0.0,
-        "row_cache": float(row_cache)
-        * row_entry_bytes(
-            tet.n_shells * N_ELEMENTS, row_dtype(tet, N_ELEMENTS).itemsize
-        ),
+        "row_cache": float(row_cache) * ROW_ENTRY_BYTES,
         "miss_transient": float(miss_transient_bytes(tet, n_vacancies)),
     }
     report["total"] = sum(v for k, v in report.items() if k != "total")

@@ -246,7 +246,7 @@ class SerialAKMCBase:
         """Restore a checkpointed slot -> site registry.
 
         The slot order encodes event identity in a resumed trajectory; this
-        also resyncs the kernel's spatial index and marks everything stale.
+        also marks everything stale.
         ``None`` entries in ``sites`` are parked (freed) slots and
         ``free_order`` restores their recycling stack order, so a run that
         annihilated/created vacancies resumes bit-exactly.

@@ -147,6 +147,9 @@ class EventKernel:
         #: on parallel rank kernels: their evaluator (and cache) is shared,
         #: so the simulation merges the cache's counters exactly once.
         self.row_cache = None
+        # Slots :meth:`apply_refresh` stored since the last refresh: they
+        # are that refresh's misses, not its reuses.
+        self._applied = 0
 
     def _pad_active_mask(self) -> None:
         """Keep the active mask aligned with the cache's physical arrays."""
@@ -265,9 +268,12 @@ class EventKernel:
         ``apply_refresh`` is bit-identical to one driven by :meth:`refresh`
         — only *where* the rows were evaluated differs.  Cache-hit (reuse)
         accounting stays with :meth:`refresh`, which the driver still calls
-        afterwards (finding nothing stale).
+        afterwards: it finds these slots fresh and counts them as the
+        misses they were, so the pair counts exactly like one refresh.
         """
-        self._store_entries(np.asarray(stale, dtype=np.int64), entries)
+        stale = np.asarray(stale, dtype=np.int64)
+        self._store_entries(stale, entries)
+        self._applied += int(stale.size)
 
     def refresh(self) -> None:
         """Bring every active slot up to date before selection.
@@ -288,7 +294,9 @@ class EventKernel:
             self._store_entries(
                 stale, self.builder.build_entries(cache.keys_of(stale), stale)
             )
-        cache.stats.reuses += max(0, n_active - int(stale.size))
+        reused = n_active - int(stale.size) - self._applied
+        cache.stats.reuses += max(0, reused)
+        self._applied = 0
 
     def _store_entries(self, stale: np.ndarray, entries) -> None:
         """Scatter built entries into the cache + one propensity sweep."""

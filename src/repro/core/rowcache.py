@@ -1,25 +1,23 @@
 """Persistent row-energy memoization for the evaluator miss path.
 
 ``VacancySystemEvaluator._dedup_rows`` already proves that most rows in a
-dilute alloy recur — it keys each ``(centre species, shell counts)`` row
-and collapses duplicates — but the dedup only lives *within one batch*
-and then forgets.  The paper's VET hash cache (Sec. 3.4) observes that
-the set of distinct local environments over a trajectory is tiny and
+dilute alloy recur — it groups the ``(centre species, shell counts)`` rows
+by code and collapses duplicates — but the dedup only lives *within one
+batch* and then forgets.  The paper's VET hash cache (Sec. 3.4) observes
+that the set of distinct local environments over a trajectory is tiny and
 stable, so row energies should be computed once per *environment*, not
 once per batch.  :class:`RowEnergyCache` makes the dedup persistent in
 time (across batches and steps) and in space (one cache shared across
 campaign replicas).
 
-The content address is :func:`row_keys`: a wrapping 64-bit sum of one
-fixed pseudo-random weight per row column, ``key = w_0·centre +
-Σ_j w_j·count_j (mod 2^64)``.  Every row width goes through this one
-path, and because the key is a sum of per-column terms, a change in one
-(shell, species) count patches it by one term.  A 64-bit address cannot
-be injective, so it is never trusted alone: in-batch dedup compares every
-row against the first row of its group, and every cache entry stores its
-row next to its energy, so a hit counts only when the stored row equals
-the probed one.  A key collision therefore costs one extra evaluation —
-a miss — and never a wrong energy.
+The content address is the exact **row code** of :func:`row_code_weights`:
+a mixed-radix number whose digits are the row's ``(shell, species)``
+counts — digit ``c`` runs up to its shell's site count — with the centre
+species as the leading digit.  The code is injective over every row a TET
+can produce, so equal codes mean equal rows and neither dedup nor the
+cache ever looks at a row again; and it is linear in the counts, so the
+eight swap states' codes follow from state 0's by one table gather.  A TET
+and species alphabet whose codes would not fit in an int64 are refused.
 
 Soundness of serving a stored energy rests on the same contract as
 in-batch dedup: the potential must be ``batch_row_invariant`` — an
@@ -28,18 +26,17 @@ appears in.  Under that contract a cache hit returns the same bits a
 fresh evaluation would, so trajectories are bit-identical with or
 without a cache attached.
 
-Entries live in slab arrays addressed through a key -> slot map.  Rows
-are stored in the narrowest unsigned dtype that holds every value a row
-can take under the TET (:func:`row_dtype`: one byte for every shipped
-TET), energies in their own dtype, so the round-trip preserves every bit.
-The byte budget (:data:`ROW_CACHE_BYTES` unless the constructor is given
-another) is enforced by second-chance eviction: entries queue in insert
-order, a hit sets its entry's reference bit — one vectorised store per
-probe — and eviction pops from the old end, sending an entry whose bit is
-set back to the young end with the bit cleared instead of dropping it.
-Contents are deliberately *not* checkpointed — a restart rebuilds the
-cache from cold, bit-identically — but the monotonic hit/miss/eviction
-counters are, so resumed runs report honest totals.
+An entry is its code and its energy (:data:`ROW_ENTRY_BYTES`): energies
+live in a slab addressed through a code -> slot map, in their own dtype,
+so the round-trip preserves every bit.  The byte budget
+(:data:`ROW_CACHE_BYTES` unless the constructor is given another) is
+enforced by second-chance eviction: entries queue in insert order, a hit
+sets its entry's reference bit — one vectorised store per probe — and
+eviction pops from the old end, sending an entry whose bit is set back to
+the young end with the bit cleared instead of dropping it.  Contents are
+deliberately *not* checkpointed — a restart rebuilds the cache from cold,
+bit-identically — but the monotonic hit/miss/eviction counters are, so
+resumed runs report honest totals.
 """
 
 from __future__ import annotations
@@ -48,93 +45,47 @@ from collections import OrderedDict
 
 import numpy as np
 
-#: One weight per row column (the centre species, then each
-#: ``(shell, species)`` count), drawn once from a fixed seed so keys are
-#: reproducible across runs and processes.  Rows may be up to this wide.
-ROW_KEY_WEIGHTS = np.random.default_rng(0x5EED_0C0DE).integers(
-    0, 2**64, size=1024, dtype=np.uint64
-)
-
-#: Analytic per-entry byte charge besides the stored row: the int64 key
-#: plus one float64 energy.
+#: Bytes of one cache entry: the int64 row code and one float64 energy.
+#: ``tensorkmc_memory_model(row_cache=...)`` charges the same figure and
+#: :meth:`RowEnergyCache.memory_bytes` reports it, so the model is
+#: validated against live bytes exactly like delta snapshots.
 ROW_ENTRY_BYTES = 16
 
 #: Default resident-size budget of a :class:`RowEnergyCache`: one miss
 #: chunk's worth (``MISS_CHUNK_BYTES``), so the cache at most doubles the
 #: miss pipeline's share of ``tensorkmc_memory_model``'s peak.  That is
-#: 762k entries at the paper's rcut 6.5 (33 B, :func:`row_entry_bytes`)
-#: and 1.2M at rcut 2.87 (21 B); a 20 s run of the rcut 6.5 benchmark
-#: workload meets about 46k distinct rows, so steady runs never evict.
+#: 1.6M entries; a 20 s run of the rcut 6.5 benchmark workload meets about
+#: 46k distinct rows, so steady runs never evict.
 ROW_CACHE_BYTES = 24 * 2**20
 
 
-def row_entry_bytes(n_channels: int, itemsize: int) -> int:
-    """Analytic bytes of one cache entry for rows of ``n_channels`` counts.
+def row_code_weights(tet, n_elements: int) -> tuple[np.ndarray, int]:
+    """Place values of the exact row code under ``tet``.
 
-    The key and energy (:data:`ROW_ENTRY_BYTES`) plus the row kept for the
-    check on every hit — the centre species and the counts — at
-    ``itemsize`` bytes per value (the :func:`row_dtype` of the TET).
-    ``tensorkmc_memory_model(row_cache=...)`` charges the same figure and
-    :meth:`RowEnergyCache.memory_bytes` reports it, so the model is
-    validated against live bytes exactly like delta snapshots.
+    Channel ``c = shell * n_elements + species`` counts at most the site
+    count ``m_s`` of its shell, so it is a digit of radix ``m_s + 1``; its
+    place value ``R_c`` is the product of the earlier channels' radices,
+    and the centre species (at most the vacancy code ``n_elements``) leads
+    with ``W0``, the product of all of them.  Returns ``(R, W0)``: the
+    ``(n_shells * n_elements,)`` int64 weights and ``W0``, so a row's code
+    is ``counts @ R + centre * W0``.
+
+    The codes span ``[0, W0 * (n_elements + 1))``: 1.2e4 at rcut 2.87,
+    1.3e9 at 4.8 and 1.95e18 at 6.5 for the binary alloy.  A span past
+    ``2**63`` (ternary at 6.5) raises :class:`ValueError`.
     """
-    return ROW_ENTRY_BYTES + int(itemsize) * (1 + int(n_channels))
-
-
-def row_dtype(tet, n_elements: int) -> np.dtype:
-    """Narrowest unsigned dtype of the rows stored under ``tet``.
-
-    A row holds the centre species — at most the vacancy code
-    ``n_elements`` — and neighbour counts, each at most the site count of
-    the TET's largest shell (24 at rcut 6.5), so every shipped TET stores
-    one byte per value.
-    """
-    largest_shell = int(np.bincount(np.asarray(tet.cet_shell)).max())
-    return np.min_scalar_type(max(largest_shell, int(n_elements)))
-
-
-def row_keys(center_types: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Additive 64-bit content address of each ``(centre, counts)`` row.
-
-    ``key = w_0·centre + Σ_j w_{1+j}·counts[:, j] (mod 2^64)`` with the
-    weights of :data:`ROW_KEY_WEIGHTS`, returned as int64; ``counts`` is
-    ``(n, C)`` and holds exact integers (any numeric dtype).  Equal rows
-    always share a key; distinct rows almost never do, and callers check
-    rows wherever a shared key would be acted on.
-    """
-    width = 1 + counts.shape[1]
-    if width > len(ROW_KEY_WEIGHTS):
+    sizes = np.bincount(np.asarray(tet.cet_shell), minlength=tet.n_shells)
+    weights = [1]  # Python ints: the span check must not wrap
+    for size in np.repeat(sizes, n_elements).tolist():
+        weights.append(weights[-1] * (size + 1))
+    centre_weight = weights.pop()
+    bits = (centre_weight * (int(n_elements) + 1) - 1).bit_length()
+    if bits > 63:
         raise ValueError(
-            f"rows of {width} columns exceed the {len(ROW_KEY_WEIGHTS)} "
-            f"row-key weights"
+            f"row codes of {tet.n_shells} shells x {n_elements} species "
+            f"need {bits} bits, more than the 63 an int64 holds"
         )
-    # Unsigned arithmetic wraps by definition; int64 views keep the bits.
-    weights = ROW_KEY_WEIGHTS[:width]
-    keys = counts.astype(np.int64).view(np.uint64) @ weights[1:]
-    keys += center_types.astype(np.int64).view(np.uint64) * weights[0]
-    return keys.view(np.int64)
-
-
-def stored_rows(
-    center_types: np.ndarray, counts: np.ndarray, dtype: np.dtype
-) -> np.ndarray:
-    """The rows ``[centre, counts...]`` a cache entry keeps and checks.
-
-    Stored as ``dtype`` (see :func:`row_dtype`); a value outside its range
-    raises :class:`ValueError` instead of wrapping onto another row.
-    """
-    rows = np.empty((len(center_types), 1 + counts.shape[1]), dtype=dtype)
-    if rows.size:
-        lo = min(center_types.min(), counts.min())
-        hi = max(center_types.max(), counts.max())
-        if lo < 0 or hi > np.iinfo(rows.dtype).max:
-            raise ValueError(
-                f"row values span [{lo}, {hi}], outside the {rows.dtype} "
-                f"row dtype"
-            )
-    rows[:, 0] = center_types
-    rows[:, 1:] = counts
-    return rows
+    return np.array(weights, dtype=np.int64), centre_weight
 
 
 def resolve_row_cache(potential) -> bool:
@@ -151,27 +102,27 @@ def resolve_row_cache(potential) -> bool:
 
 
 class RowEnergyCache:
-    """Content-addressed map from verified row keys to row energies.
+    """Content-addressed map from row codes to row energies.
 
     Parameters
     ----------
     max_bytes:
-        Resident-size budget in bytes (:func:`row_entry_bytes` per entry).
+        Resident-size budget in bytes (:data:`ROW_ENTRY_BYTES` per entry).
         Inserting past it evicts, second chance first, until the cache
         fits again.
     """
 
     def __init__(self, max_bytes: int = ROW_CACHE_BYTES) -> None:
-        # The row width and dtype are only known at the first insert,
-        # which checks again against the real entry size.
-        _check_budget(max_bytes, row_entry_bytes(1, 1))
+        if max_bytes < ROW_ENTRY_BYTES:
+            raise ValueError(
+                f"row cache budget {max_bytes} B cannot hold a single "
+                f"{ROW_ENTRY_BYTES} B entry"
+            )
         self.max_bytes = int(max_bytes)
-        # key -> slab slot, in eviction order (oldest first).
+        # code -> slab slot, in eviction order (oldest first).
         self._slot_of: OrderedDict[int, int] = OrderedDict()
-        # Slabs of stored rows, energies and reference bits; the first
-        # insert allocates them and so fixes the row width, the row dtype
-        # and the value dtype.
-        self._rows: np.ndarray | None = None
+        # Slabs of energies and reference bits; the first insert allocates
+        # them and so fixes the value dtype.
         self._values: np.ndarray | None = None
         self._referenced: np.ndarray | None = None
         self._n_slots = 0  # slab prefix ever handed out
@@ -203,24 +154,19 @@ class RowEnergyCache:
     def clear(self) -> None:
         """Drop all cached rows (counters are monotonic and persist)."""
         self._slot_of.clear()
-        self._rows = self._values = self._referenced = None
+        self._values = self._referenced = None
         self._n_slots = 0
         self._free = []
 
     # -- lookup / insert ----------------------------------------------
 
-    def lookup(
-        self, keys: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Probe the cache for each ``(key, row)`` pair.
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Probe the cache for each row code in ``keys``.
 
-        ``rows[i]`` is the :func:`stored_rows` row whose :func:`row_keys`
-        address is ``keys[i]``.  A probe hits only when the key is present
-        *and* the entry's stored row equals ``rows[i]``, so a key collision
-        is a miss.  Returns ``(found, values)`` where ``found`` is a boolean
-        mask and ``values`` holds the cached energies (in the cache's
-        value dtype) at found positions, zeros elsewhere.  Every hit sets
-        its entry's reference bit, which spares it at the next eviction.
+        Returns ``(found, values)`` where ``found`` is a boolean mask and
+        ``values`` holds the cached energies (in the cache's value dtype)
+        at found positions, zeros elsewhere.  Every hit sets its entry's
+        reference bit, which spares it at the next eviction.
         """
         n = len(keys)
         if not self._slot_of:
@@ -229,9 +175,8 @@ class RowEnergyCache:
             return np.zeros(n, dtype=bool), np.zeros(n, dtype=dtype)
         get = self._slot_of.get
         slots = np.array([get(k, -1) for k in keys.tolist()], dtype=np.intp)
-        # A probe without its key reads some other stored row; the key
-        # test masks it.  A present key whose row differs is a collision.
-        found = (slots >= 0) & (self._rows[slots] == rows).all(axis=1)
+        found = slots >= 0
+        # A probe without its code reads some other slot; ``found`` masks it.
         values = np.where(found, self._values[slots], 0)
         self._referenced[slots[found]] = True
         n_hits = int(np.count_nonzero(found))
@@ -239,32 +184,18 @@ class RowEnergyCache:
         self.misses += n - n_hits
         return found, values
 
-    def insert(
-        self, keys: np.ndarray, rows: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Store freshly evaluated rows and energies; enforce the budget.
+    def insert(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Store freshly evaluated row energies; enforce the budget.
 
-        A key already present takes the new row and energy (after a
-        collision the entry holds the newer row); a key repeated within
-        one call keeps its last row.  Rows of another dtype than the slab
-        raise :class:`ValueError`: a narrowing store could wrap a value.
+        A code already present takes the new energy; a code repeated
+        within one call keeps its last energy.
         """
         n = len(keys)
         if n == 0:
             return
-        if self._rows is None:
-            _check_budget(
-                self.max_bytes,
-                row_entry_bytes(rows.shape[1] - 1, rows.dtype.itemsize),
-            )
-            self._rows = np.empty((n, rows.shape[1]), dtype=rows.dtype)
+        if self._values is None:
             self._values = np.empty(n, dtype=values.dtype)
             self._referenced = np.empty(n, dtype=bool)
-        elif rows.dtype != self._rows.dtype:
-            raise ValueError(
-                f"rows of dtype {rows.dtype} cannot be stored in the cache's "
-                f"{self._rows.dtype} row slab"
-            )
         slot_of, free = self._slot_of, self._free
         latest = dict(zip(keys.tolist(), range(n)))
         slots = []
@@ -278,24 +209,19 @@ class RowEnergyCache:
                     self._n_slots += 1
             slot_of[key] = slot  # (re-)enters at the young end
             slots.append(slot)
-        extra = self._n_slots - len(self._rows)
+        extra = self._n_slots - len(self._values)
         if extra > 0:
-            extra = max(extra, len(self._rows))  # amortised doubling
-            self._rows = np.concatenate(
-                [self._rows, np.empty((extra, self._rows.shape[1]), rows.dtype)]
-            )
+            extra = max(extra, len(self._values))  # amortised doubling
             self._values = np.concatenate(
                 [self._values, np.empty(extra, self._values.dtype)]
             )
             self._referenced = np.concatenate(
                 [self._referenced, np.empty(extra, bool)]
             )
-        picked = list(latest.values())
-        self._rows[slots] = rows[picked]
-        self._values[slots] = values[picked]
+        self._values[slots] = values[list(latest.values())]
         referenced = self._referenced
         referenced[slots] = False
-        capacity = self.max_bytes // self._entry_bytes()
+        capacity = self.max_bytes // ROW_ENTRY_BYTES
         while len(slot_of) > capacity:
             key, slot = slot_of.popitem(last=False)
             if referenced[slot]:  # hit since it was queued: second chance
@@ -307,15 +233,12 @@ class RowEnergyCache:
 
     # -- accounting ----------------------------------------------------
 
-    def _entry_bytes(self) -> int:
-        return row_entry_bytes(self._rows.shape[1] - 1, self._rows.itemsize)
-
     def __len__(self) -> int:
         return len(self._slot_of)
 
     def memory_bytes(self) -> int:
         """Resident bytes under the analytic per-entry charge."""
-        return len(self) * self._entry_bytes() if len(self) else 0
+        return len(self) * ROW_ENTRY_BYTES
 
     @property
     def hit_rate(self) -> float:
@@ -345,10 +268,3 @@ class RowEnergyCache:
         out["row_cache_bytes"] = self.memory_bytes()
         return out
 
-
-def _check_budget(max_bytes: int, entry_bytes: int) -> None:
-    if max_bytes < entry_bytes:
-        raise ValueError(
-            f"row cache budget {max_bytes} B cannot hold a single "
-            f"{entry_bytes} B entry"
-        )

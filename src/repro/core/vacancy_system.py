@@ -16,9 +16,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..constants import N_ELEMENTS
+from ..constants import DESCRIPTOR_N_SETS, N_ELEMENTS
 from ..potentials.base import CountsPotential, counts_from_types
-from .rowcache import row_dtype, row_keys, stored_rows
+from .rowcache import resolve_row_cache, row_code_weights
 from .tet import TripleEncoding
 
 __all__ = [
@@ -32,13 +32,13 @@ __all__ = [
 ]
 
 #: Transient-memory budget of one chunk of the miss pipeline (encode ->
-#: row key -> dedup -> row-cache probe -> GEMM on misses).  Larger
+#: row code -> dedup -> row-cache probe -> GEMM on misses).  Larger
 #: batches are split into chunks of whole ``(vacancy, region row)`` pairs
 #: (9 trial-state rows each) of at most this many bytes' worth of rows
 #: (:func:`miss_chunk_rows`), so a cold refresh of every vacancy peaks at
-#: one chunk, not at the whole batch.  That is 26k rows (the rows of 11
-#: vacancies) at the paper's rcut 6.5 and 121k rows (227 vacancies) at
-#: rcut 2.87, far above any steady-state batch (~4k rows on ``serial_gemm``,
+#: one chunk, not at the whole batch.  That is 19k rows (the rows of 8
+#: vacancies) at the paper's rcut 6.5 and 24k rows (45 vacancies) at
+#: rcut 2.87, above any steady-state batch (~4k rows on ``serial_gemm``,
 #: ~6k in a ``campaign8`` round), which is never split.
 MISS_CHUNK_BYTES = 24 * 2**20
 
@@ -46,28 +46,35 @@ MISS_CHUNK_BYTES = 24 * 2**20
 def miss_row_bytes(tet: TripleEncoding, n_elements: int = N_ELEMENTS) -> int:
     """Peak transient bytes one ``(trial state, region site)`` row costs.
 
-    An upper bound on the miss pipeline's per-row transients, counted
-    from the arrays a row passes through, in the stage where most are
-    alive at once (the shell-count encode):
+    An upper bound on the miss pipeline's per-row transients with every
+    row a row-cache miss, counted from the arrays ``_pair_energies``
+    allocates:
 
-    * its share of the ``(9, n_all)`` one-byte trial states and its
-      one-byte centre species;
-    * the neighbour gather (one byte per local site) and the per-element
-      one-hot (a bool and a float32 per local site);
-    * the float32 counts plus the per-element matmul output;
-    * 8 int64/float64 scratch words: row keys and dedup's sort, group and
-      scatter indices, and the row's energy;
-    * the int64 key staging of every count (``row_keys``).
+    * its share (one ninth) of its pair's state-0 encode: the int64
+      neighbour-gather index, the one-byte neighbours and the per-element
+      bool and float32 one-hot (14 bytes per local site), and the float32
+      counts with their int64 copy for the row code (12 per channel);
+    * 16 int64 words: the states, patch indices, centres and row codes,
+      dedup's sort order, sorted codes, group counters and inverse, and
+      the unique codes, energies and (pair, state) indices of the misses;
+    * the missed row's float32 counts and their state-0 gather (8 bytes
+      per channel);
+    * 96 bytes of Python ints, lists and dict entries that the row-cache
+      probe or insert builds per unique code;
+    * the network potential's evaluation of the row: its float32 features
+      (``DESCRIPTOR_N_SETS`` per species), their standardised copy and the
+      per-species gather (the tiled GEMM's buffers are per tile, not per
+      row; a table potential needs less).
 
-    :func:`miss_chunk_rows` sizes chunks with it and
-    ``tensorkmc_memory_model`` charges it as the ``miss_transient`` term.
+    In a dilute alloy only a few per cent of the rows miss, so a chunk's
+    real peak is far below the figure.  :func:`miss_chunk_rows` sizes
+    chunks with it and ``tensorkmc_memory_model`` charges it as the
+    ``miss_transient`` term.
     """
     n_channels = tet.n_shells * n_elements
-    states = -(-tet.n_all // tet.n_region) + 1
-    encode = 6 * tet.n_local
-    counts = 4 * (n_channels + tet.n_shells)
-    scratch = 8 * (8 + n_channels)
-    return int(states + encode + counts + scratch)
+    encode = -(-(14 * tet.n_local + 12 * n_channels) // 9)
+    potential = 3 * 4 * DESCRIPTOR_N_SETS * n_elements
+    return int(encode + 8 * 16 + 8 * n_channels + 96 + potential)
 
 
 def miss_chunk_rows(tet: TripleEncoding, n_elements: int = N_ELEMENTS) -> int:
@@ -181,9 +188,6 @@ class VacancySystemEvaluator:
         self.potential = potential
         self.n_elements = getattr(potential, "n_elements", 2)
         self.vacancy_code = self.n_elements
-        #: Dtype of the rows the row cache stores (one byte per value for
-        #: every shipped TET); fixed here so it never depends on a batch.
-        self.row_dtype = row_dtype(tet, self.n_elements)
         # Optional persistent row-energy memoization (see attach_row_cache).
         self._row_cache = None
         self._n_states = 1 + tet.N_DIRECTIONS
@@ -243,6 +247,19 @@ class VacancySystemEvaluator:
         ] = 1.0
         self._shell_onehot = shell_onehot
         self._state_cols = np.arange(self._n_states, dtype=np.intp)
+        # Exact row codes (:func:`~repro.core.rowcache.row_code_weights`)
+        # key the dedup and the row cache, for the potentials dedup pays
+        # for: network potentials, where a duplicate row costs a GEMM stack.
+        # Table/EAM reductions evaluate every row, faster than the grouping
+        # that would remove duplicates.  The code is linear in the counts,
+        # so ``_patch_key`` (each patch row's code change) derives the swap
+        # states' codes from state 0's.
+        self._code_weights = None
+        if resolve_row_cache(potential):
+            self._code_weights, self._centre_weight = row_code_weights(
+                tet, self.n_elements
+            )
+            self._patch_key = table.astype(np.int64) @ self._code_weights
         # Reverse NET over *all* VET positions: base[p, r] is True when a
         # species change at VET position p touches region row r in the
         # current state — p sits in r's neighbour list, or p *is* r.
@@ -278,8 +295,8 @@ class VacancySystemEvaluator:
 
         The cache (a :class:`~repro.core.rowcache.RowEnergyCache`) is
         consulted wherever in-batch dedup runs: before each potential call
-        the unique rows are probed by key and row, only never-seen
-        rows go through the potential, and the fresh energies are inserted
+        the unique rows are probed by row code, only never-seen rows go
+        through the potential, and the fresh energies are inserted
         for the next batch.  Soundness is the dedup contract itself —
         ``batch_row_invariant`` guarantees a cached row's bits equal a
         fresh evaluation's — so the cache changes *when* rows are
@@ -293,38 +310,6 @@ class VacancySystemEvaluator:
     def row_cache(self):
         """The attached :class:`RowEnergyCache`, or ``None``."""
         return self._row_cache
-
-    def _unique_row_energies(self, dedup, center_types, flat_counts):
-        """Energies of every row, from the first row of its dedup group.
-
-        ``dedup`` is a non-``None`` result of :meth:`_dedup_rows`.  With a
-        row cache attached, those first rows are probed by key and row,
-        only the misses are evaluated through the potential (one smaller
-        GEMM stack), and the fresh energies are inserted.  Assembly is
-        pure scatter — no arithmetic touches any value on the way through
-        the cache — so the result is bit-identical to evaluating every
-        unique row fresh.
-        """
-        first, inverse, keys = dedup
-        centres, counts = center_types[first], flat_counts[first]
-        cache = self._row_cache
-        if cache is None:
-            return self.potential.energies_from_counts(centres, counts)[inverse]
-        cache.sync(self.potential)
-        ukeys = keys[first]
-        urows = stored_rows(
-            centres, counts.reshape(len(first), -1), self.row_dtype
-        )
-        found, energies = cache.lookup(ukeys, urows)
-        miss = np.flatnonzero(~found)
-        if miss.size:
-            fresh = self.potential.energies_from_counts(
-                centres[miss], counts[miss]
-            )
-            cache.insert(ukeys[miss], urows[miss], fresh)
-            energies = energies.astype(fresh.dtype, copy=False)
-            energies[miss] = fresh
-        return energies[inverse]
 
     def trial_vets(self, vet: np.ndarray) -> np.ndarray:
         """All trial states as a ``(9, n_all)`` array.
@@ -401,64 +386,25 @@ class VacancySystemEvaluator:
             migrating_species=nn_species,
         )
 
-    def _dedup_rows(self, center_types, counts):
-        """Group identical site rows, or ``None`` where dedup does not pay.
+    def _dedup_rows(self, keys):
+        """Group rows by their exact row code: ``(first, inverse)``.
 
-        Two rows are identical when they share the centre species and the
-        whole shell-counts signature — then a row-invariant potential is
-        guaranteed to produce bit-identical energies for both, so only one
-        row per group needs evaluating.  Returns ``None`` (no dedup) for
-        potentials without that guarantee, else
-        ``(first, inverse, keys)``: ``keys`` holds each row's
-        :func:`~repro.core.rowcache.row_keys` content address (the row
-        cache's key; counts are exact small integers), ``first`` the
-        leading row of each group and ``inverse`` each row's group, so row
-        ``first[inverse[i]]`` equals row ``i``.
-
-        Rows are grouped by key, and every row is then checked against
-        its group's first row: rows that share a key without being equal
-        (a collision) are split off as groups of their own, so a collision
-        costs an evaluation and never a wrong energy.  Every row width
-        takes this one path.
-
-        Only network potentials (``network_channels``) pay for the
-        grouping sort, where skipping duplicate rows saves whole GEMM
-        stacks; cheap tabulated/EAM reductions evaluate duplicates faster
-        than the sort that would remove them.  Either way the bits are the
-        same: duplicate rows of a row-invariant potential evaluate
-        identically.
+        ``first`` holds one row of each distinct code, in ascending code
+        order, and ``inverse`` each row's group, so ``keys[first[inverse]]``
+        equals ``keys``.  The code is injective over every row the TET can
+        produce (:func:`~repro.core.rowcache.row_code_weights`), so the rows
+        of a group are identical — same centre species, same shell counts —
+        and a row-invariant potential gives them bit-identical energies:
+        one row per group is evaluated.  One sort, and no row is compared.
         """
-        pot = self.potential
-        if not getattr(pot, "batch_row_invariant", False) or (
-            getattr(pot, "network_channels", None) is None
-        ):
-            return None
-        n_rows = int(counts.shape[0])
-        vals = counts.reshape(n_rows, -1)
-        keys = row_keys(center_types, vals)
-        # Group by one value sort (far cheaper than an argsort or
-        # np.unique) of the keys with each row's index in their low bits:
-        # the sort yields the permutation, the first row of each group
-        # leads it, and rows whose keys differ only in those low bits are
-        # split off by the row check below like any other collision.
-        bits = max(n_rows - 1, 1).bit_length()
-        tagged = np.sort((keys >> bits << bits) | np.arange(n_rows))
-        order = tagged & ((1 << bits) - 1)
-        group = tagged >> bits
-        starts = np.empty(n_rows, dtype=bool)
+        order = np.argsort(keys)
+        ordered = keys[order]
+        starts = np.empty(len(keys), dtype=bool)
         starts[:1] = True
-        np.not_equal(group[1:], group[:-1], out=starts[1:])
-        first = order[starts]
-        inverse = np.empty(n_rows, dtype=np.intp)
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        inverse = np.empty(len(keys), dtype=np.intp)
         inverse[order] = np.cumsum(starts) - 1
-        of = first[inverse]
-        same_centre = center_types[of] == center_types
-        same_counts = vals[of] == vals
-        if not (same_centre.all() and same_counts.all()):
-            clash = np.flatnonzero(~(same_centre & same_counts.all(axis=1)))
-            inverse[clash] = len(first) + np.arange(len(clash))
-            first = np.concatenate([first, clash])
-        return first, inverse, keys
+        return order[starts], inverse
 
     def evaluate_batch(self, vets: np.ndarray) -> StateEnergiesBatch:
         """Hop energetics of ``B`` vacancy systems in one fused pipeline.
@@ -634,13 +580,12 @@ class VacancySystemEvaluator:
             counts0[:, :, el] = np.matmul(
                 (neighbors == el).astype(np.float32), self._shell_onehot
             )
+        counts0 = counts0.reshape(n_pairs, -1)
         # Swap patches: in state j the centre (VET position 0, species
         # ``vac``) and the 1NN target (position j, species ``mig``) trade
-        # places.  The per-state count change is fetched from the
-        # precomputed ``_patch_table`` (see ``__init__``) in one fused
-        # ``(P, 9)`` row gather — the state-0 column indexes the table's
-        # all-zero block, so a single contiguous add over the whole
-        # ``(P, 9, S * E)`` tensor finishes the patched counts.
+        # places.  ``idx[p, j]`` is the row of the precomputed
+        # ``_patch_table`` (see ``__init__``) holding that state's count
+        # change; the state-0 column indexes the table's all-zero block.
         states = np.take(vets, base[:, None] + self._state_cols).astype(
             np.int64
         )                                                         # (P, 9)
@@ -648,8 +593,6 @@ class VacancySystemEvaluator:
         idx = np.take(self._patch_code, pair_r, axis=0)
         idx += vac[:, None] * self._patch_species
         idx += states
-        counts = np.take(self._patch_table, idx, axis=0)          # (P, 9, S*E)
-        counts += counts0.reshape(n_pairs, 1, -1)
         # Centre species of each row per state: the row's own site, except
         # that in state j the two swap positions trade species — a row *at*
         # position j holds the vacancy, and the centre's own row (position
@@ -659,18 +602,47 @@ class VacancySystemEvaluator:
             pair_r[:, None] == self._state_cols, vac[:, None], own[:, None]
         )
         centers = np.where((pair_r == 0)[:, None], states, centers)
-        center_types = centers.reshape(-1)
-        flat_counts = counts.reshape(-1, tet.n_shells, n_el)
-        dedup = self._dedup_rows(center_types, flat_counts)
-        if dedup is not None:
-            energies = self._unique_row_energies(
-                dedup, center_types, flat_counts
-            )
+        if self._code_weights is None:
+            # No dedup: one contiguous add patches the whole (P, 9, S * E)
+            # counts tensor and every row goes through the potential.
+            counts = np.take(self._patch_table, idx, axis=0)
+            counts += counts0[:, None]
+            return self.potential.energies_from_counts(
+                centers.reshape(-1), counts.reshape(-1, tet.n_shells, n_el)
+            ).reshape(n_pairs, n_states)
+        # Every row's code: state 0's, plus each state's patch code and
+        # centre term.
+        keys = np.take(self._patch_key, idx)
+        keys += (counts0.astype(np.int64) @ self._code_weights)[:, None]
+        keys += centers * self._centre_weight
+        keys = keys.reshape(-1)
+        first, inverse = self._dedup_rows(keys)
+        # Probe the row cache with the unique codes, then build the shell
+        # counts of the rows that missed, and only those, by the same
+        # exact-integer patch add.  Assembly is pure scatter, so the result
+        # is bit-identical to evaluating every row fresh.
+        cache = self._row_cache
+        if cache is None:
+            miss = np.ones(len(first), dtype=bool)
         else:
-            energies = self.potential.energies_from_counts(
-                center_types, flat_counts
+            cache.sync(self.potential)
+            found, energies = cache.lookup(keys[first])
+            miss = ~found
+        if miss.any():
+            rows = first[miss]
+            p, j = np.divmod(rows, n_states)
+            counts = np.take(self._patch_table, idx[p, j], axis=0)
+            counts += counts0[p]
+            fresh = self.potential.energies_from_counts(
+                centers[p, j], counts.reshape(-1, tet.n_shells, n_el)
             )
-        return energies.reshape(n_pairs, n_states)
+            if cache is None:
+                energies = fresh
+            else:
+                cache.insert(keys[rows], fresh)
+                energies = energies.astype(fresh.dtype, copy=False)
+                energies[miss] = fresh
+        return energies[inverse].reshape(n_pairs, n_states)
 
     def batch_from_row_energies(
         self, vets: np.ndarray, row_energies: np.ndarray

@@ -195,7 +195,7 @@ def load_checkpoint(
     engine.time = float(data["time"][0])
     engine.step_count = int(data["step_count"][0])
     # Restore the vacancy registry's slot order (it encodes event identity);
-    # restore_slot_order also resyncs the kernel's spatial invalidation index.
+    # restore_slot_order also marks every slot stale.
     stored = [None if s < 0 else int(s) for s in data["vacancy_slots"]]
     live = sorted(s for s in stored if s is not None)
     if live != sorted(int(s) for s in engine.cache.sites):

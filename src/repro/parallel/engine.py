@@ -16,11 +16,12 @@ Each rank drives the same :class:`~repro.core.kernel.EventKernel` and the
 same event body (:func:`~repro.core.loop.kmc_event`) as the serial engines,
 over its window's site store (:class:`~repro.core.loop.WindowSites`):
 per-vacancy rate rows live in the keyed cache, events are selected through
-the Fenwick tree in O(log n), and post-hop / post-exchange invalidation goes
-through the spatial-hash index in O(|changed|).  Vacancies
-entering or leaving a rank's box are added to / removed from the kernel
-registry at the post-cycle rescan (free-list slot recycling), and the sector
-restriction maps onto the kernel's active-slot set.
+the Fenwick tree in O(log n), and post-hop / post-exchange invalidation reads
+the TET backwards from each changed site (``WindowSites.footprint``) in
+O(|changed|).  Vacancies entering or leaving a rank's box are added to /
+removed from the kernel registry at the post-cycle rescan (free-list slot
+recycling), and the sector restriction maps onto the kernel's active-slot
+set.
 """
 
 from __future__ import annotations

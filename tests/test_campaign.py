@@ -184,6 +184,32 @@ class TestBitIdentity:
             assert r.summary["steps"] == r.executed
             assert "cache_hits" in r.summary
 
+    @pytest.mark.parametrize("pot", ["eam_small", "nnp_small"])
+    def test_replica_kernel_counters_equal_solo(self, request, tet_small, pot):
+        """A replica's kernel counts its work exactly like its solo run,
+        key by key: the fresh slots the step's refresh finds after the
+        shared call are misses, not hits.  The row-cache counters are the
+        campaign-wide cache's, so they are left out."""
+        base = _factory(request.getfixturevalue(pot), tet_small)
+        kernels = {}
+
+        def factory(spec):
+            engine = base(spec)
+            kernels[spec.name] = engine.kernel
+            return engine
+
+        specs = seed_sweep([0, 1], n_steps=50)
+        ReplicaCampaign(specs, factory).run()
+        for spec in specs:
+            solo = base(spec)
+            solo.run(n_steps=spec.n_steps)
+            want = solo.kernel.counters()
+            got = kernels[spec.name].counters()
+            for counts in (want, got):
+                for key in [k for k in counts if k.startswith("row_cache_")]:
+                    del counts[key]
+            assert got == want
+
 
 # ----------------------------------------------------------------------
 # Hot swap

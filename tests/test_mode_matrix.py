@@ -49,10 +49,9 @@ import pytest
 
 from repro.baseline import OpenKMCEngine, tensorkmc_memory_model
 from repro.campaign import ReplicaCampaign, ReplicaSpec, occupancy_digest
-from repro.constants import N_ELEMENTS
 from repro.core import vacancy_system
 from repro.core.engine import TensorKMCEngine
-from repro.core.rowcache import RowEnergyCache, row_dtype, row_entry_bytes
+from repro.core.rowcache import ROW_ENTRY_BYTES, RowEnergyCache
 from repro.core.vacancy_system import VacancySystemEvaluator, miss_row_bytes
 from repro.lattice import LatticeState
 from repro.parallel import SublatticeKMC
@@ -153,16 +152,15 @@ def _parallel_identity(sim):
     )
 
 
-def _with_row_cache(driver, row_cache, n_entries, tet):
+def _with_row_cache(driver, row_cache, n_entries):
     """``driver`` with its row cache detached (``off``), kept (``auto``) or
-    swapped for a budget of ``n_entries`` of ``tet``'s rows (``on``)."""
+    swapped for a budget of ``n_entries`` entries (``on``)."""
     if row_cache == "off":
         driver.attach_row_cache(None)
     elif row_cache == "on":
-        entry = row_entry_bytes(
-            tet.n_shells * N_ELEMENTS, row_dtype(tet, N_ELEMENTS).itemsize
+        driver.attach_row_cache(
+            RowEnergyCache(max_bytes=n_entries * ROW_ENTRY_BYTES)
         )
-        driver.attach_row_cache(RowEnergyCache(max_bytes=n_entries * entry))
     return driver
 
 
@@ -172,7 +170,7 @@ class TestGoldenTrajectories:
     def test_serial(self, request, tet_small, pot, row_cache):
         engine = _with_row_cache(
             _serial(tet_small, _potential(request, pot)),
-            row_cache, TINY_ENTRIES, tet_small,
+            row_cache, TINY_ENTRIES,
         )
         assert _serial_identity(engine) == _golden(pot)
         if pot == "nnp" and row_cache == "on":
@@ -185,7 +183,7 @@ class TestGoldenTrajectories:
     @ROW_CACHES
     def test_serial_wide_rows(self, tet_wide, nnp_wide, row_cache):
         engine = _with_row_cache(
-            _serial(tet_wide, nnp_wide), row_cache, TINY_ENTRIES, tet_wide
+            _serial(tet_wide, nnp_wide), row_cache, TINY_ENTRIES
         )
         assert _serial_identity(engine) == SERIAL_NNP_WIDE
         counters = engine.kernel.counters()
@@ -231,7 +229,7 @@ class TestGoldenTrajectories:
         sim = _parallel(
             tet_small, _potential(request, pot),
             lambda sim: _with_row_cache(
-                sim, row_cache, PARALLEL_ENTRIES, tet_small
+                sim, row_cache, PARALLEL_ENTRIES
             ),
         )
         got = _parallel_identity(sim)
@@ -369,7 +367,7 @@ class TestChunkBoundaries:
             vacancy_system, "MISS_CHUNK_BYTES", _pairs_budget(tet_small, 2)
         )
         engine = _with_row_cache(
-            _serial(tet_small, nnp_small), row_cache, TINY_ENTRIES, tet_small
+            _serial(tet_small, nnp_small), row_cache, TINY_ENTRIES
         )
         assert _serial_identity(engine) == SERIAL_NNP
         assert max(chunk_sizes["pairs"]) == 2
@@ -383,7 +381,7 @@ class TestChunkBoundaries:
             vacancy_system, "MISS_CHUNK_BYTES", _pairs_budget(tet_wide, 3)
         )
         engine = _with_row_cache(
-            _serial(tet_wide, nnp_wide), row_cache, TINY_ENTRIES, tet_wide
+            _serial(tet_wide, nnp_wide), row_cache, TINY_ENTRIES
         )
         assert _serial_identity(engine) == SERIAL_NNP_WIDE
         assert max(chunk_sizes["pairs"]) == 3
@@ -424,7 +422,8 @@ class TestBoundedColdRefresh:
         """A cold refresh peaks at one chunk, not at the whole batch.
 
         35 vacancies on the 4-shell TET are 43k rows: unchunked, about
-        8 MiB of scratch (the model's per-row figure says 20 MiB).  Under
+        3 MiB of scratch (the model's per-row figure, every row a miss,
+        says 47 MiB).  Under
         a 1 MiB budget the traced peak above the refresh's resident result
         must stay within the model's ``miss_transient`` plus a slack of
         16 B per row of the whole batch: the refresh's own O(batch)

@@ -5,11 +5,12 @@ energies across batches under the same ``batch_row_invariant`` contract
 that licenses in-batch dedup, so the observable guarantee is absolute:
 every fixed-seed trajectory (serial, parallel, campaign, resumed from a
 checkpoint) is bit-identical with the cache attached and detached —
-including when a tiny byte budget forces constant evict/re-insert cycling.  The additive
-64-bit row key is only an address: dedup and the cache both check the row
-itself, so the tests below force key collisions and require the exact
-energies anyway, and fuzz that grouping by key recovers the true distinct
-rows for any row width.
+including when a tiny byte budget forces constant evict/re-insert
+cycling.  The row code is the only thing dedup and the cache look at, so
+the oracle tests below check that it is exact: distinct admissible rows
+get distinct codes, the codes the evaluator derives for the swap states
+equal a full encode's, and every shipped TET's codes fit an int64 while
+a wider one is refused.
 """
 
 import copy
@@ -21,16 +22,13 @@ from hypothesis import strategies as st
 
 from repro.baseline.memory_model import tensorkmc_memory_model
 from repro.campaign import ReplicaCampaign, ReplicaSpec, occupancy_digest
-from repro.core import rowcache
 from repro.core.engine import TensorKMCEngine
 from repro.core.rowcache import (
     ROW_CACHE_BYTES,
+    ROW_ENTRY_BYTES,
     RowEnergyCache,
     resolve_row_cache,
-    row_dtype,
-    row_entry_bytes,
-    row_keys,
-    stored_rows,
+    row_code_weights,
 )
 from repro.core.vacancy_system import VacancySystemEvaluator
 from repro.io import (
@@ -43,14 +41,8 @@ from repro.lattice import LatticeState
 from repro.parallel import SublatticeKMC
 
 
-def _entries(*ids):
-    """Keys and distinct one-byte rows ``[i, i + 1, i + 2]`` (2 channels)."""
-    rows = np.array([[i, i + 1, i + 2] for i in ids], dtype=np.uint8)
-    return row_keys(rows[:, 0], rows[:, 1:]), rows
-
-
-#: Bytes of one :func:`_entries` row's cache entry.
-ENTRY = row_entry_bytes(2, 1)
+def _keys(*codes):
+    return np.array(codes, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +55,12 @@ class TestRowEnergyCacheUnit:
         cache = RowEnergyCache()
         for dtype in (np.float32, np.float64):
             cache.clear()
-            keys, rows = _entries(3, 7, 11)
+            keys = _keys(3, 7, 11)
             values = np.array(
                 [0.1, -4.000000001, np.pi], dtype=dtype
             )
-            cache.insert(keys, rows, values)
-            found, got = cache.lookup(keys, rows)
+            cache.insert(keys, values)
+            found, got = cache.lookup(keys)
             assert found.all()
             assert got.dtype == values.dtype
             # Bit-exact through the slab, not just close.
@@ -78,37 +70,30 @@ class TestRowEnergyCacheUnit:
 
     def test_lookup_counts_hits_and_misses(self):
         cache = RowEnergyCache()
-        keys, rows = _entries(1, 2, 3)
-        cache.insert(keys[:2], rows[:2], np.array([0.5, 1.5]))
-        found, _ = cache.lookup(keys, rows)
+        keys = _keys(1, 2, 3)
+        cache.insert(keys[:2], np.array([0.5, 1.5]))
+        found, _ = cache.lookup(keys)
         assert found.tolist() == [True, True, False]
         assert (cache.hits, cache.misses) == (2, 1)
         assert cache.hit_rate == pytest.approx(2.0 / 3.0)
 
-    def test_stored_row_mismatch_is_a_miss(self):
-        """A present key whose stored row differs from the probe's row
-        is a collision: a miss, never the stored energy."""
+    def test_reinsert_replaces_and_last_repeat_wins(self):
         cache = RowEnergyCache()
-        keys, rows = _entries(1, 2)
-        cache.insert(keys[:1], rows[:1], np.array([0.5]))
-        found, values = cache.lookup(keys[:1], rows[1:])
-        assert found.tolist() == [False] and values.tolist() == [0.0]
-        assert (cache.hits, cache.misses) == (0, 1)
-        # Inserting the other row under the same key replaces the entry.
-        cache.insert(keys[:1], rows[1:], np.array([2.5]))
-        assert len(cache) == 1
-        assert cache.lookup(keys[:1], rows[1:])[1].tolist() == [2.5]
-        assert not cache.lookup(keys[:1], rows[:1])[0].any()
+        keys = _keys(1, 2)
+        cache.insert(keys, np.array([0.5, 1.5]))
+        cache.insert(_keys(1, 1), np.array([2.5, 3.5]))
+        assert len(cache) == 2
+        assert cache.lookup(keys)[1].tolist() == [3.5, 1.5]
 
     def test_lru_eviction_order(self):
         # Budget for exactly two entries; touching key 1 must save it.
-        cache = RowEnergyCache(max_bytes=2 * ENTRY)
-        keys, rows = _entries(1, 2, 3)
-        cache.insert(keys[:2], rows[:2], np.array([1.0, 2.0]))
-        cache.lookup(keys[:1], rows[:1])  # key 1 is now hottest
-        cache.insert(keys[2:], rows[2:], np.array([3.0]))
+        cache = RowEnergyCache(max_bytes=2 * ROW_ENTRY_BYTES)
+        keys = _keys(1, 2, 3)
+        cache.insert(keys[:2], np.array([1.0, 2.0]))
+        cache.lookup(keys[:1])  # key 1 is now hottest
+        cache.insert(keys[2:], np.array([3.0]))
         assert cache.evictions == 1
-        found, values = cache.lookup(keys, rows)
+        found, values = cache.lookup(keys)
         assert found.tolist() == [True, False, True]
         # The evicted entry's slot was reused without disturbing the rest.
         assert values.tolist() == [1.0, 0.0, 3.0]
@@ -116,32 +101,29 @@ class TestRowEnergyCacheUnit:
     def test_second_chance_is_spent_once(self):
         """A hit spares its entry from one eviction sweep, which clears the
         bit: unless it is hit again, the entry goes at a later sweep."""
-        cache = RowEnergyCache(max_bytes=2 * ENTRY)
-        keys, rows = _entries(1, 2, 3, 4)
-        cache.insert(keys[:2], rows[:2], np.array([1.0, 2.0]))  # queue 1, 2
-        cache.lookup(keys[:1], rows[:1])  # 1 is hit
-        cache.insert(keys[2:3], rows[2:3], np.array([3.0]))  # 2 goes: 3, 1
-        cache.lookup(keys[2:3], rows[2:3])  # 3 is hit, 1 is not
-        cache.insert(keys[3:], rows[3:], np.array([4.0]))  # 1 goes
-        found, _ = cache.lookup(keys, rows)
+        cache = RowEnergyCache(max_bytes=2 * ROW_ENTRY_BYTES)
+        keys = _keys(1, 2, 3, 4)
+        cache.insert(keys[:2], np.array([1.0, 2.0]))  # queue 1, 2
+        cache.lookup(keys[:1])  # 1 is hit
+        cache.insert(keys[2:3], np.array([3.0]))  # 2 goes: 3, 1
+        cache.lookup(keys[2:3])  # 3 is hit, 1 is not
+        cache.insert(keys[3:], np.array([4.0]))  # 1 goes
+        found, _ = cache.lookup(keys)
         assert found.tolist() == [False, False, True, True]
         assert cache.evictions == 2
 
     def test_budget_too_small_rejected(self):
-        with pytest.raises(ValueError, match="cannot hold a single"):
-            RowEnergyCache(max_bytes=row_entry_bytes(1, 1) - 1)
-        # The real row width is checked when the first row arrives.
-        cache = RowEnergyCache(max_bytes=ENTRY - 1)
-        keys, rows = _entries(1)
-        with pytest.raises(ValueError, match=f"single {ENTRY} B entry"):
-            cache.insert(keys, rows, np.array([1.0]))
+        entry = ROW_ENTRY_BYTES
+        with pytest.raises(ValueError, match=f"single {entry} B entry"):
+            RowEnergyCache(max_bytes=entry - 1)
+        assert RowEnergyCache(max_bytes=entry).max_bytes == entry
 
     def test_sync_invalidates_on_epoch_change(self, nnp_small):
         cache = RowEnergyCache()
         cache.sync(nnp_small)
-        keys, rows = _entries(1)
-        cache.insert(keys, rows, np.array([1.0]))
-        cache.lookup(keys, rows)
+        keys = _keys(1)
+        cache.insert(keys, np.array([1.0]))
+        cache.lookup(keys)
         assert len(cache) == 1
         # Same potential, same epoch: contents survive.
         cache.sync(nnp_small)
@@ -170,19 +152,15 @@ class TestRowEnergyCacheUnit:
         assert len(cache) == 0  # contents stay cold
 
     def test_memory_bytes_matches_analytic_model(self, tet_small, tet_wide):
-        for tet in (tet_small, tet_wide):  # 4- and 8-count rows
-            width = 1 + tet.n_shells * 2  # centre + (shell, species) counts
-            values = np.arange(37)[:, None] + np.arange(width)
-            rows = stored_rows(values[:, 0], values[:, 1:], row_dtype(tet, 2))
-            cache = RowEnergyCache()
-            keys = row_keys(rows[:, 0], rows[:, 1:])
-            cache.insert(keys, rows, np.arange(37.0))
+        cache = RowEnergyCache()
+        cache.insert(np.arange(37, dtype=np.int64), np.arange(37.0))
+        for tet in (tet_small, tet_wide):
             report = tensorkmc_memory_model(
                 n_sites=1024, n_vacancies=4, tet=tet, row_cache=len(cache)
             )
             assert report["row_cache"] == cache.memory_bytes()
-            # Key and energy, plus the one-byte row kept for the hit check.
-            assert cache.memory_bytes() == 37 * (16 + width)
+        # The row code and the energy, whatever the row width.
+        assert cache.memory_bytes() == 37 * 16
 
     def test_summary_keys(self):
         cache = RowEnergyCache()
@@ -192,49 +170,6 @@ class TestRowEnergyCacheUnit:
             "row_cache_hit_rate", "row_cache_entries", "row_cache_bytes",
         ):
             assert key in summary
-
-
-class TestNarrowRows:
-    """Rows are stored one byte per value, and a value never wraps."""
-
-    def test_shipped_tets_store_one_byte_rows(
-        self, tet_small, tet_wide, tet_standard
-    ):
-        for tet in (tet_small, tet_wide, tet_standard):
-            assert row_dtype(tet, 2) == np.uint8
-        # Rcut 6.5: key and energy, then the centre and 16 counts.
-        assert row_entry_bytes(tet_standard.n_shells * 2, 1) == 33
-
-    def test_dtype_widens_with_the_largest_value(self):
-        class Tet:
-            cet_shell = np.zeros(300, dtype=np.int64)  # one 300-site shell
-
-        assert row_dtype(Tet, 2) == np.uint16
-        assert row_dtype(Tet, 70_000) == np.uint32
-
-    @pytest.mark.parametrize("bad", [256, -1])
-    @pytest.mark.parametrize("column", [0, 3])  # the centre, a count
-    def test_value_outside_the_row_dtype_raises(self, bad, column):
-        values = np.zeros((2, 4), dtype=np.int64)
-        values[1, column] = bad
-        centre, counts = values[:, 0], values[:, 1:].astype(np.float32)
-        with pytest.raises(ValueError, match="outside the uint8 row dtype"):
-            stored_rows(centre, counts, np.dtype(np.uint8))
-
-    def test_largest_value_fits(self):
-        counts = np.array([[0.0, 255.0]], dtype=np.float32)
-        rows = stored_rows(np.array([2]), counts, np.dtype(np.uint8))
-        assert rows.tolist() == [[2, 0, 255]]
-
-    def test_wider_rows_never_narrow_into_the_slab(self):
-        cache = RowEnergyCache()
-        keys, rows = _entries(1, 2)
-        cache.insert(keys[:1], rows[:1], np.array([1.0]))
-        wide = rows[1:].astype(np.int64)
-        wide[0, 1] += 256  # a uint8 store would wrap it back to row 2
-        with pytest.raises(ValueError, match="uint8 row slab"):
-            cache.insert(keys[1:], wide, np.array([2.0]))
-        assert len(cache) == 1
 
 
 class TestResolveRowCache:
@@ -260,128 +195,162 @@ class TestResolveRowCache:
 
 
 # ---------------------------------------------------------------------------
-# Row keys: grouping by key must recover the distinct rows exactly
+# Row codes: exact, derivable from state 0, and refused where they overflow
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def evaluator(tet_small, nnp_small):
-    """A dedup-enabled evaluator whose ``_dedup_rows`` we probe directly."""
-    return VacancySystemEvaluator(tet_small, nnp_small)
+def tets(tet_small, tet_wide, tet_standard):
+    """The shipped TETs by cutoff."""
+    return {2.87: tet_small, 4.8: tet_wide, 6.5: tet_standard}
 
 
-class TestPackedSignature:
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_injective_over_admissible_domain(self, evaluator, data):
-        """Dedup groups exactly the identical rows, for any row width.
+#: Every shipped (TET, species alphabet): binary at each cutoff, ternary
+#: at rcut 2.87.
+SHIPPED = [(2.87, 2), (4.8, 2), (6.5, 2), (2.87, 3)]
 
-        Rows of 1-24 channels with values 0-255 — wider than the old
-        one-byte-per-value packing could hold — must give as many groups
-        as there are distinct rows, and ``first[inverse]`` must rebuild
-        every row.
-        """
-        n_vals = data.draw(st.integers(min_value=1, max_value=24))
-        rows = data.draw(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=255),
-                    st.lists(
-                        st.integers(min_value=0, max_value=255),
-                        min_size=n_vals, max_size=n_vals,
-                    ),
-                ),
-                min_size=1, max_size=24,
-            )
+
+def _radices(tet, n_elements):
+    """Radix of each (shell, species) digit: the shell's site count + 1."""
+    sizes = np.bincount(np.asarray(tet.cet_shell), minlength=tet.n_shells)
+    return np.repeat(sizes, n_elements) + 1
+
+
+def _codes(tet, n_elements, centres, counts):
+    """Codes of ``(centre, flat counts)`` rows, formed as the evaluator
+    forms them: int64 ``counts @ R + centre * W0``."""
+    weights, centre_weight = row_code_weights(tet, n_elements)
+    counts = np.asarray(counts).astype(np.int64)
+    return counts @ weights + np.asarray(centres, np.int64) * centre_weight
+
+
+@st.composite
+def _admissible_row(draw, radices, n_elements):
+    """A centre in ``[0, n_elements]`` and, per shell, species counts that
+    sum to at most the shell's site count."""
+    centre = draw(st.integers(0, n_elements))
+    counts = []
+    for shell in range(len(radices) // n_elements):
+        left = int(radices[shell * n_elements]) - 1
+        for _ in range(n_elements):
+            count = draw(st.integers(0, left))
+            counts.append(count)
+            left -= count
+    return centre, tuple(counts)
+
+
+class _CountsNetwork:
+    """A cheap stand-in network potential: row-invariant, any alphabet."""
+
+    batch_row_invariant = True
+    network_channels = (1,)
+
+    def __init__(self, tet, n_elements=2):
+        self.n_shells = tet.n_shells
+        self.shell_distances = tet.shell_distances
+        self.n_elements = n_elements
+
+    def energies_from_counts(self, centres, counts):
+        flat = counts.reshape(len(counts), -1)
+        return flat.sum(axis=1, dtype=np.float64) + centres
+
+
+class TestRowCode:
+    @pytest.mark.parametrize("rcut,n_elements", SHIPPED)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_injective_over_admissible_domain(
+        self, tets, rcut, n_elements, data
+    ):
+        """Every admissible row decodes back from its code, so distinct
+        rows have distinct codes; int64 arithmetic is exact throughout."""
+        tet = tets[rcut]
+        radices = _radices(tet, n_elements)
+        rows = data.draw(st.lists(
+            _admissible_row(radices, n_elements), min_size=1, max_size=24
+        ))
+        codes = _codes(
+            tet, n_elements, [r[0] for r in rows], [r[1] for r in rows]
         )
-        center = np.array([r[0] for r in rows], dtype=np.int64)
-        counts = np.array([r[1] for r in rows], dtype=np.float32)
-        first, inverse, keys = evaluator._dedup_rows(center, counts)
-        truth = {(r[0], tuple(r[1])) for r in rows}
-        assert len(first) == len(truth)
-        assert np.array_equal(center[first][inverse], center)
-        assert np.array_equal(counts[first][inverse], counts)
-        assert np.array_equal(keys, row_keys(center, counts))
+        for (centre, counts), code in zip(rows, codes.tolist()):
+            digits = []
+            for radix in radices.tolist():
+                code, digit = divmod(code, radix)
+                digits.append(digit)
+            assert (code, tuple(digits)) == (centre, counts)
+        assert len(set(codes.tolist())) == len(set(rows))
 
-    def test_wide_fallback_keys_are_integer_exact(self, tet_small, nnp_small):
-        """Regression: >7-channel rows once went through a float32 staging
-        matrix whose 24-bit mantissa collapsed distinct large counts onto
-        one key.  Rows are integer-exact whatever their width."""
-        ev = VacancySystemEvaluator(tet_small, nnp_small)
-        center = np.zeros(2, dtype=np.int64)
-        wide = np.zeros((2, 8), dtype=np.float64)
-        wide[0, 0] = 2.0**24
-        wide[1, 0] = 2.0**24 + 1  # float32(2**24 + 1) == float32(2**24)
-        first, inverse, keys = ev._dedup_rows(center, wide)
-        assert len(first) == 2  # the two rows must NOT collapse
-        assert inverse[0] != inverse[1]
-        assert keys[0] != keys[1]
-
-
-class TestForcedCollision:
-    """Two distinct rows forced onto one key still get their own energies.
-
-    Weight columns 1 and 2 are made equal, so a row with one count in
-    column 1 and a row with one count in column 2 share a key.  Each
-    row's energy must equal a plain per-row potential evaluation.
-    """
-
-    @staticmethod
-    def _rows(monkeypatch, nnp, offset):
-        """Rows A, B, A, B whose keys differ by ``offset``."""
-        weights = rowcache.ROW_KEY_WEIGHTS.copy()
-        weights[2] = weights[1] + np.uint64(offset)
-        monkeypatch.setattr(rowcache, "ROW_KEY_WEIGHTS", weights)
-        center = np.zeros(4, dtype=np.int64)
-        counts = np.zeros((4, 2, 2), dtype=np.float32)
-        counts[[0, 2], 0, 0] = 1.0  # row A, twice
-        counts[[1, 3], 0, 1] = 1.0  # row B, twice
-        exact = nnp.energies_from_counts(center, counts)
-        assert exact[0] != exact[1]  # the collision would be visible
-        keys = row_keys(center, counts.reshape(4, -1))
-        assert keys[1] - keys[0] == offset
-        return center, counts, exact
-
-    @pytest.fixture()
-    def colliding(self, monkeypatch, nnp_small):
-        return self._rows(monkeypatch, nnp_small, 0)
-
-    def test_in_batch_dedup_splits_colliding_rows(self, evaluator, colliding):
-        center, counts, exact = colliding
-        dedup = evaluator._dedup_rows(center, counts)
-        first, inverse, _ = dedup
-        assert np.array_equal(counts[first[inverse]], counts)
-        got = evaluator._unique_row_energies(dedup, center, counts)
-        assert np.array_equal(got, exact)
-
-    def test_keys_differing_in_low_bits_stay_apart(
-        self, monkeypatch, evaluator, nnp_small
+    @pytest.mark.parametrize("rcut", [2.87, 4.8, 6.5])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vets=st.integers(1, 3),
+        vacancy_fraction=st.sampled_from([0.0, 0.05, 0.3]),
+    )
+    def test_derived_codes_equal_a_full_encode(
+        self, tets, rcut, seed, n_vets, vacancy_fraction
     ):
-        """Dedup sorts keys with the row index in their low bits, so keys
-        differing only there land in one group; the row check splits it."""
-        center, counts, exact = self._rows(monkeypatch, nnp_small, 1)
-        dedup = evaluator._dedup_rows(center, counts)
-        first, inverse, _ = dedup
-        assert np.array_equal(counts[first[inverse]], counts)
-        got = evaluator._unique_row_energies(dedup, center, counts)
-        assert np.array_equal(got, exact)
+        """The nine codes the evaluator derives per row from state 0 equal
+        the codes of the fully encoded ``region_features_counts`` rows,
+        and dedup groups exactly the equal codes."""
+        tet = tets[rcut]
+        ev = VacancySystemEvaluator(tet, _CountsNetwork(tet))
+        rng = np.random.default_rng(seed)
+        vets = rng.choice(
+            3, size=(n_vets, tet.n_all),
+            p=[0.8 - vacancy_fraction, 0.2, vacancy_fraction],
+        ).astype(np.uint8)
+        vets[:, tet.CENTER] = ev.vacancy_code
+        seen = []
+        dedup = ev._dedup_rows
 
-    def test_cache_hit_on_colliding_key_is_a_miss(
-        self, tet_small, nnp_small, colliding
-    ):
-        center, counts, exact = colliding
-        ev = VacancySystemEvaluator(tet_small, nnp_small)
-        cache = ev.attach_row_cache(RowEnergyCache())
-        for rows in ([0], [1]):  # A is cached, then B probes A's key
-            dedup = ev._dedup_rows(center[rows], counts[rows])
-            got = ev._unique_row_energies(dedup, center[rows], counts[rows])
-            assert np.array_equal(got, exact[rows])
-        assert (cache.hits, cache.misses) == (0, 2)
-        # B replaced A under the shared key, so B now hits.
-        dedup = ev._dedup_rows(center[[1]], counts[[1]])
-        got = ev._unique_row_energies(dedup, center[[1]], counts[[1]])
-        assert np.array_equal(got, exact[[1]])
-        assert (cache.hits, cache.misses) == (1, 2)
+        def spy(keys):
+            first, inverse = dedup(keys)
+            assert np.array_equal(keys[first][inverse], keys)
+            assert len(first) == len(np.unique(keys))
+            seen.append(keys)
+            return first, inverse
+
+        ev._dedup_rows = spy
+        ev.evaluate_batch(vets)
+        states = ev.trial_vets_batch(vets)  # (B, 9, n_all)
+        counts = ev.region_features_counts(states.reshape(-1, tet.n_all))
+        full = _codes(
+            tet, 2, states[:, :, : tet.n_region].ravel(),
+            counts.reshape(len(counts) * tet.n_region, -1),
+        ).reshape(n_vets, 9, tet.n_region)
+        # evaluate_batch lays rows out as (vacancy, region row, state).
+        assert np.array_equal(
+            np.concatenate(seen), full.transpose(0, 2, 1).ravel()
+        )
+
+    @pytest.mark.parametrize("rcut,n_elements", SHIPPED)
+    def test_largest_admissible_code_fits_int64(self, tets, rcut, n_elements):
+        tet = tets[rcut]
+        radices = _radices(tet, n_elements)
+        weights, centre_weight = row_code_weights(tet, n_elements)
+        # The vacancy centre, and every shell full of its last species: the
+        # leading digits at their largest.
+        largest = np.zeros(len(radices), dtype=np.int64)
+        largest[n_elements - 1 :: n_elements] = radices[::n_elements] - 1
+        exact = sum(
+            c * w for c, w in zip(largest.tolist(), weights.tolist())
+        ) + n_elements * centre_weight
+        code = _codes(tet, n_elements, [n_elements], largest[None])[0]
+        assert int(code) == exact < 2**63
+        # No admissible row, nor any row of in-range digits, codes higher.
+        assert centre_weight * (n_elements + 1) <= 2**63
+
+    def test_codes_that_do_not_fit_are_refused(self, tet_standard):
+        """Ternary at rcut 6.5 needs 91 bits: refused wherever codes are
+        used, while a potential that does not dedup never forms them."""
+        with pytest.raises(ValueError, match="need 91 bits"):
+            row_code_weights(tet_standard, 3)
+        ternary = _CountsNetwork(tet_standard, n_elements=3)
+        with pytest.raises(ValueError, match="need 91 bits"):
+            VacancySystemEvaluator(tet_standard, ternary)
+        ternary.network_channels = None  # a table potential: no dedup
+        VacancySystemEvaluator(tet_standard, ternary)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +396,8 @@ class TestSerialTrajectory:
     ):
         # A 16-entry budget far below the working set forces continuous
         # evict/re-insert churn; the trajectory must not notice.
-        entry = row_entry_bytes(
-            tet_small.n_shells * 2, row_dtype(tet_small, 2).itemsize
-        )
         engine = _serial_engine(tet_small, nnp_small)
-        engine.attach_row_cache(RowEnergyCache(max_bytes=16 * entry))
+        engine.attach_row_cache(RowEnergyCache(max_bytes=16 * ROW_ENTRY_BYTES))
         engine.run(n_steps=N_STEPS)
         assert (occupancy_digest(engine.lattice), engine.time) == serial_off
         assert engine.row_cache.evictions > 0
