@@ -441,6 +441,13 @@ class VacancySystemEvaluator:
                 f"VET batch must have shape (B, {self.tet.n_all}), "
                 f"got {vets.shape}"
             )
+        # A value outside the alphabet would be a centre digit past its
+        # radix, where row codes stop being injective, and a neighbour that
+        # no shell count sees.
+        if vets.size and (vets.min() < 0 or vets.max() > self.vacancy_code):
+            raise ValueError(
+                f"VET values must be species codes 0..{self.vacancy_code}"
+            )
         if np.any(vets[:, self.tet.CENTER] != self.vacancy_code):
             raise ValueError("every VET centre must be a vacancy")
         n_batch, n_region = vets.shape[0], self.tet.n_region

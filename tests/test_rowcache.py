@@ -353,6 +353,60 @@ class TestRowCode:
         VacancySystemEvaluator(tet_standard, ternary)
 
 
+class TestNarrowRows:
+    """A row is one int64 code, never wider than one byte per value, and a
+    value outside the species alphabet never reaches a code."""
+
+    def test_shipped_tets_store_one_byte_rows(
+        self, tet_small, tet_wide, tet_standard
+    ):
+        for tet in (tet_small, tet_wide, tet_standard):
+            radices = _radices(tet, 2)
+            assert radices.max() <= 256  # every count digit fits one byte
+            _, centre_weight = row_code_weights(tet, 2)
+            span_bits = (centre_weight * 3 - 1).bit_length()
+            assert span_bits <= min(8 * (len(radices) + 1), 63)
+        # Rcut 6.5: the code and the energy (the stored rows took 33 B).
+        assert ROW_ENTRY_BYTES == 8 + 8
+
+    @pytest.mark.parametrize("bad", [256, -1])
+    @pytest.mark.parametrize("column", [0, 3])  # the centre, a neighbour
+    def test_value_outside_the_row_dtype_raises(
+        self, tet_small, nnp_small, bad, column
+    ):
+        ev = VacancySystemEvaluator(tet_small, nnp_small)
+        vets = np.zeros((2, tet_small.n_all), dtype=np.int64)
+        vets[:, tet_small.CENTER] = ev.vacancy_code
+        vets[1, column] = bad
+        with pytest.raises(ValueError, match="must be species codes 0..2"):
+            ev.evaluate_batch(vets)
+
+
+class TestPackedSignature:
+    def test_wide_fallback_keys_are_integer_exact(self, tet_standard):
+        """Regression: >7-channel rows once went through a float32 staging
+        matrix whose mantissa collapsed distinct large counts onto one key.
+        At rcut 6.5 two rows one count apart have codes near 2**60 that
+        float64 cannot tell apart; dedup keeps them apart."""
+        ev = VacancySystemEvaluator(tet_standard, _CountsNetwork(tet_standard))
+        radices = _radices(tet_standard, 2)
+        counts = np.zeros((2, len(radices)), dtype=np.int64)
+        counts[:, 1::2] = radices[::2] - 1  # every shell full of species 1
+        counts[:, 1] -= 1
+        counts[0, 0] = 1  # one 1NN site of species 0 instead
+        keys = counts @ ev._code_weights + 2 * ev._centre_weight
+        exact = [
+            sum(c * w for c, w in zip(row, ev._code_weights.tolist()))
+            + 2 * ev._centre_weight
+            for row in counts.tolist()
+        ]
+        assert keys.tolist() == exact and exact[0] - exact[1] == 1
+        assert float(exact[0]) == float(exact[1])
+        first, inverse = ev._dedup_rows(keys)
+        assert len(first) == 2  # the two rows must NOT collapse
+        assert inverse[0] != inverse[1]
+
+
 # ---------------------------------------------------------------------------
 # Trajectory bit-identity: serial / parallel / campaign / resume
 # ---------------------------------------------------------------------------
