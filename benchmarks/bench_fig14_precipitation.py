@@ -25,6 +25,8 @@ from repro.lattice import LatticeState
 BOX = (14, 14, 14)
 N_STEPS = 8000
 TEMPERATURE = 600.0  # accelerated aging (paper: 573 K over microseconds)
+#: Vacancies planted on random sites.  ``randomize_alloy`` has already placed
+#: one (it never leaves a box without a vacancy), so the run holds 7.
 N_VACANCIES = 6
 
 

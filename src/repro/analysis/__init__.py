@@ -3,7 +3,6 @@
 from .diffusion import (
     DisplacementTracker,
     analytic_vacancy_diffusivity,
-    arrhenius_series,
     measure_vacancy_diffusivity,
 )
 from .clusters import (
@@ -12,24 +11,18 @@ from .clusters import (
     find_clusters,
     find_clusters_networkx,
 )
-from .order import sro_series, warren_cowley
-from .precipitation import PrecipitationStats, analyse_precipitation, isolated_series
-from .timeseries import TimeSeriesRecorder, run_with_snapshots
+from .order import warren_cowley
+from .precipitation import PrecipitationStats, analyse_precipitation
 
 __all__ = [
     "DisplacementTracker",
     "analytic_vacancy_diffusivity",
-    "arrhenius_series",
     "measure_vacancy_diffusivity",
     "DisjointSet",
     "cluster_sizes",
     "find_clusters",
     "find_clusters_networkx",
-    "sro_series",
     "warren_cowley",
     "PrecipitationStats",
     "analyse_precipitation",
-    "isolated_series",
-    "TimeSeriesRecorder",
-    "run_with_snapshots",
 ]

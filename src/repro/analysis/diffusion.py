@@ -50,27 +50,17 @@ class DisplacementTracker:
         self.times.append(event.time)
         self.msd.append(float(np.mean(np.sum(self.displacements**2, axis=1))))
 
-    def diffusivity(self, method: str = "endpoint", skip_fraction: float = 0.2) -> float:
+    def diffusivity(self) -> float:
         """Tracer diffusivity D in Angstrom^2 / s.
 
-        ``method="endpoint"`` (default) uses the unbiased estimator
-        ``<|R(t_end)|^2> / (6 t_end)``; a single trajectory's squared
-        displacement has O(1) relative variance, so average several walkers
-        (multiple slots and/or seeds).  ``method="fit"`` least-squares the
-        MSD-vs-time samples instead — lower variance on long multi-walker
-        runs, but biased by the correlated samples of short ones.
+        The unbiased endpoint estimator ``<|R(t_end)|^2> / (6 t_end)``; a
+        single trajectory's squared displacement has O(1) relative variance,
+        so average several walkers (multiple slots and/or seeds).
         """
-        times = np.asarray(self.times)
+        times = self.times
         if len(times) < 2 or times[-1] == times[0]:
             raise ValueError("not enough trajectory to estimate a diffusivity")
-        if method == "endpoint":
-            return float(self.msd[-1] / (6.0 * (times[-1] - times[0])))
-        if method == "fit":
-            msd = np.asarray(self.msd)
-            start = int(skip_fraction * len(times))
-            slope = np.polyfit(times[start:], msd[start:], 1)[0]
-            return float(slope) / 6.0
-        raise ValueError(f"unknown method {method!r}")
+        return float(self.msd[-1] / (6.0 * (times[-1] - times[0])))
 
 
 def analytic_vacancy_diffusivity(
@@ -88,7 +78,6 @@ def analytic_vacancy_diffusivity(
 def measure_vacancy_diffusivity(
     engine: SerialAKMCBase,
     n_steps: int,
-    method: str = "endpoint",
 ) -> Dict[str, float]:
     """Run an engine while tracking MSD; returns measured stats.
 
@@ -98,20 +87,7 @@ def measure_vacancy_diffusivity(
     tracker = DisplacementTracker(engine)
     engine.run(n_steps=n_steps, callback=tracker)
     return {
-        "D": tracker.diffusivity(method=method),
+        "D": tracker.diffusivity(),
         "hops": float(tracker.hops),
         "time": engine.time,
     }
-
-
-def arrhenius_series(
-    make_engine,
-    temperatures: List[float],
-    n_steps: int,
-) -> Dict[float, float]:
-    """Measured D(T) over a temperature list (``make_engine(T) -> engine``)."""
-    out: Dict[float, float] = {}
-    for t in temperatures:
-        engine = make_engine(t)
-        out[t] = measure_vacancy_diffusivity(engine, n_steps)["D"]
-    return out

@@ -30,7 +30,7 @@ import numpy as np
 from ..constants import CU
 from ..lattice.occupancy import LatticeState
 
-__all__ = ["warren_cowley", "sro_series"]
+__all__ = ["warren_cowley"]
 
 
 def warren_cowley(
@@ -74,13 +74,3 @@ def warren_cowley(
         else:
             out[s] = (p_same - concentration) / (1.0 - concentration)
     return out
-
-
-def sro_series(
-    lattice: LatticeState, rcut: float, species: int = CU
-) -> np.ndarray:
-    """Shell-ordered alpha values as an array (for time series / plots)."""
-    values = warren_cowley(lattice, rcut, species=species)
-    if not values:
-        return np.empty(0)
-    return np.array([values[s] for s in sorted(values)])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -12,6 +12,9 @@ from ..lattice.occupancy import LatticeState
 from .clusters import cluster_sizes, find_clusters
 
 __all__ = ["PrecipitationStats", "analyse_precipitation"]
+
+#: Smallest cluster counted as a precipitate (``n_clusters``, density).
+MIN_PRECIPITATE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,7 @@ class PrecipitationStats:
     max_size: int
     #: Mean size of clusters with >= 2 atoms (0 when none exist).
     mean_size: float
-    #: Precipitate number density in 1/m^3 (clusters >= min_size / volume).
+    #: Precipitate number density in 1/m^3 (clusters >= 2 atoms / volume).
     number_density: float
     #: Full size histogram: ``histogram[s]`` clusters of size ``s``.
     histogram: Dict[int, int]
@@ -39,18 +42,17 @@ def analyse_precipitation(
     time: float = 0.0,
     species: int = CU,
     max_shell: int = 1,
-    min_precipitate_size: int = 2,
 ) -> PrecipitationStats:
     """Cluster analysis of one lattice snapshot.
 
-    ``number_density`` counts clusters of at least ``min_precipitate_size``
-    atoms per cubic metre, the quantity the paper stabilises at
-    ~1.71e26 / m^3 in Sec. 5.
+    ``number_density`` counts clusters of at least
+    :data:`MIN_PRECIPITATE_SIZE` atoms per cubic metre, the quantity the
+    paper stabilises at ~1.71e26 / m^3 in Sec. 5.
     """
     clusters = find_clusters(lattice, species=species, max_shell=max_shell)
     sizes = cluster_sizes(clusters)
     isolated = int(np.sum(sizes == 1)) if sizes.size else 0
-    big = sizes[sizes >= min_precipitate_size] if sizes.size else np.array([], dtype=np.int64)
+    big = sizes[sizes >= MIN_PRECIPITATE_SIZE] if sizes.size else np.array([], dtype=np.int64)
     volume_m3 = lattice.volume * 1e-30  # A^3 -> m^3
     histogram: Dict[int, int] = {}
     for s in sizes:
@@ -64,8 +66,3 @@ def analyse_precipitation(
         number_density=float(big.size) / volume_m3,
         histogram=histogram,
     )
-
-
-def isolated_series(stats: List[PrecipitationStats]) -> np.ndarray:
-    """(time, isolated-count) series from a list of snapshots (Fig. 8 axes)."""
-    return np.array([[s.time, s.isolated] for s in stats], dtype=np.float64)

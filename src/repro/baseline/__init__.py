@@ -4,7 +4,6 @@ from .memory_model import (
     MB,
     format_table,
     openkmc_memory_model,
-    per_atom_bytes,
     tensorkmc_memory_model,
 )
 from .openkmc import OpenKMCEngine
@@ -13,7 +12,6 @@ __all__ = [
     "MB",
     "format_table",
     "openkmc_memory_model",
-    "per_atom_bytes",
     "tensorkmc_memory_model",
     "OpenKMCEngine",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..constants import N_ELEMENTS
+from ..constants import DESCRIPTOR_N_SETS, N_ELEMENTS
 from ..core.rowcache import ROW_ENTRY_BYTES
 from ..core.tet import TripleEncoding
 from ..core.vacancy_system import miss_transient_bytes
@@ -22,7 +22,6 @@ from ..potentials.tables import FeatureTable
 __all__ = [
     "openkmc_memory_model",
     "tensorkmc_memory_model",
-    "per_atom_bytes",
     "format_table",
     "MB",
 ]
@@ -34,8 +33,6 @@ MB = 1024.0 * 1024.0
 def openkmc_memory_model(
     n_sites: int,
     mode: str = "eam",
-    n_feature_dim: int = 32,
-    ghost_fraction: float = 0.0,
 ) -> Dict[str, float]:
     """Bytes of each OpenKMC per-atom array for an ``n_sites`` domain.
 
@@ -45,23 +42,19 @@ def openkmc_memory_model(
         Number of local lattice sites.
     mode:
         ``"eam"`` charges the classic ``E_V``/``E_R`` doubles; ``"nnp"``
-        charges per-atom feature vectors instead (the Sec. 4.3.4 analogy).
-    n_feature_dim:
-        Descriptor dimensions per element for ``"nnp"`` mode.
-    ghost_fraction:
-        Extra padded sites for POS_ID, as a fraction of ``n_sites``.
+        charges per-atom feature vectors instead (the Sec. 4.3.4 analogy),
+        :data:`~repro.constants.DESCRIPTOR_N_SETS` floats per element.
     """
-    padded = n_sites * (1.0 + ghost_fraction)
     report: Dict[str, float] = {
         "lattice": float(n_sites) * 1,  # uint8 occupancy
         "T": float(n_sites) * 4,  # int32 per-site type/flag array
-        "POS_ID": padded * 8,  # int64 dense lookup
+        "POS_ID": float(n_sites) * 8,  # int64 dense lookup
     }
     if mode == "eam":
         report["E_V"] = float(n_sites) * 8
         report["E_R"] = float(n_sites) * 8
     elif mode == "nnp":
-        report["features"] = float(n_sites) * N_ELEMENTS * n_feature_dim * 4
+        report["features"] = float(n_sites) * N_ELEMENTS * DESCRIPTOR_N_SETS * 4
     else:
         raise ValueError(f"unknown mode {mode!r}")
     report["total"] = sum(v for k, v in report.items() if k != "total")
@@ -128,11 +121,6 @@ def tensorkmc_memory_model(
     }
     report["total"] = sum(v for k, v in report.items() if k != "total")
     return report
-
-
-def per_atom_bytes(report: Dict[str, float], n_sites: int) -> float:
-    """Total bytes per lattice site of a memory report."""
-    return report["total"] / float(n_sites)
 
 
 def format_table(rows: Dict[str, Dict[str, float]], unit: float = MB) -> str:

@@ -52,7 +52,6 @@ class OpenKMCEngine(SerialAKMCBase):
         tet: TripleEncoding,
         temperature: float = TEMPERATURE_RPV,
         rng: Optional[np.random.Generator] = None,
-        feature_table: Optional[FeatureTable] = None,
         maintain_atom_arrays: bool = True,
     ) -> None:
         super().__init__(
@@ -71,10 +70,10 @@ class OpenKMCEngine(SerialAKMCBase):
         else:
             self.E_V = None
             self.E_R = None
-            table = feature_table or FeatureTable(tet.shell_distances)
-            self._table = table
+            self._table = FeatureTable(tet.shell_distances)
             self.features = np.zeros(
-                (n, self.evaluator.n_elements * table.n_dim), dtype=np.float32
+                (n, self.evaluator.n_elements * self._table.n_dim),
+                dtype=np.float32,
             )
         if self.maintain_atom_arrays:
             self.refresh_atom_arrays(range(n))

@@ -1,7 +1,7 @@
 """BCC lattice substrate: geometry, occupancy, indexing, and domain windows."""
 
 from .bcc import BCCGeometry, NeighborShells, first_nn_offsets
-from .domain import DomainBox, LocalWindow, ghost_cells_for_cutoff
+from .domain import DomainBox, LocalWindow
 from .indexing import DirectIndexer, PaddedWindow, PosIdIndexer
 from .occupancy import LatticeState
 
@@ -11,7 +11,6 @@ __all__ = [
     "first_nn_offsets",
     "DomainBox",
     "LocalWindow",
-    "ghost_cells_for_cutoff",
     "DirectIndexer",
     "PaddedWindow",
     "PosIdIndexer",

@@ -16,7 +16,7 @@ This module is purely geometric; occupancy lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -136,14 +136,6 @@ class BCCGeometry:
             shell_distances=shell_distances,
             shell_counts=shell_counts.astype(np.int64),
         )
-
-    def shell_table(self, rcut: float) -> List[Tuple[float, int]]:
-        """Convenience list of ``(distance, multiplicity)`` per shell."""
-        shells = self.shells_within(rcut)
-        return [
-            (float(d), int(c))
-            for d, c in zip(shells.shell_distances, shells.shell_counts)
-        ]
 
 
 def _group_shells(sorted_distances: np.ndarray, tol: float = 1e-8) -> Tuple[np.ndarray, np.ndarray]:

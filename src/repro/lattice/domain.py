@@ -17,18 +17,7 @@ import numpy as np
 from ..constants import FE, LATTICE_CONSTANT, VACANCY
 from .indexing import PaddedWindow
 
-__all__ = ["DomainBox", "LocalWindow", "ghost_cells_for_cutoff"]
-
-
-def ghost_cells_for_cutoff(rcut: float, a: float = LATTICE_CONSTANT) -> int:
-    """Ghost margin (in cubic cells) needed to cover an interaction cutoff.
-
-    A vacancy hop changes sites up to ``rcut + 1NN`` away from the moving
-    vacancy and its energy depends on neighbours another ``rcut`` out, so the
-    ghost margin must span ``2 * rcut`` plus one 1NN step.
-    """
-    reach = 2.0 * rcut + a * np.sqrt(3.0) / 2.0
-    return int(np.ceil(reach / a))
+__all__ = ["DomainBox", "LocalWindow"]
 
 
 @dataclass(frozen=True)
@@ -54,13 +43,6 @@ class DomainBox:
     @property
     def n_sites(self) -> int:
         return 2 * self.n_cells
-
-    def contains_cell(self, cell: np.ndarray) -> np.ndarray:
-        """Whether global cell coordinates (already wrapped) fall in the box."""
-        cell = np.asarray(cell, dtype=np.int64)
-        lo = np.array(self.lo, dtype=np.int64)
-        hi = np.array(self.hi, dtype=np.int64)
-        return np.all((cell >= lo) & (cell < hi), axis=-1)
 
 
 class LocalWindow:
@@ -116,12 +98,6 @@ class LocalWindow:
         dims = self._global_dims
         rel = rel - dims * np.round((rel - (np.array(self.padded_shape) - 1) / 2.0) / dims).astype(np.int64)
         return rel
-
-    def in_window(self, padded_cell: np.ndarray) -> np.ndarray:
-        """Whether padded cell coordinates fall inside the window."""
-        padded_cell = np.asarray(padded_cell, dtype=np.int64)
-        shape = np.array(self.padded_shape, dtype=np.int64)
-        return np.all((padded_cell >= 0) & (padded_cell < shape), axis=-1)
 
     def half_coords(self, s: np.ndarray, cell: np.ndarray) -> np.ndarray:
         """Window half-unit coordinates of sites (sublattice, padded cell)."""

@@ -55,15 +55,6 @@ class PaddedWindow:
         nx, ny, nz = self.local_shape
         return 2 * nx * ny * nz
 
-    @property
-    def n_padded_sites(self) -> int:
-        px, py, pz = self.padded_shape
-        return 2 * px * py * pz
-
-    @property
-    def n_ghost_sites(self) -> int:
-        return self.n_padded_sites - self.n_local_sites
-
     def is_local(self, i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Whether padded cell coordinates fall in the local (inner) box."""
         g = self.ghost

@@ -28,15 +28,14 @@ class LatticeState:
         ``(nx, ny, nz)`` number of cubic cells along each axis.
     a:
         Lattice constant in Angstrom.
-    fill:
-        Species code used to initialise every site (default Fe).
+    vacancy_code:
+        Species code marking vacant sites.  Every site starts as Fe.
     """
 
     def __init__(
         self,
         shape: Sequence[int],
         a: float = LATTICE_CONSTANT,
-        fill: int = FE,
         vacancy_code: int = VACANCY,
     ) -> None:
         nx, ny, nz = (int(v) for v in shape)
@@ -44,7 +43,7 @@ class LatticeState:
             raise ValueError(f"box shape must be positive, got {shape!r}")
         self.shape = (nx, ny, nz)
         self.geometry = BCCGeometry(a)
-        self.occupancy = np.full(2 * nx * ny * nz, fill, dtype=np.uint8)
+        self.occupancy = np.full(2 * nx * ny * nz, FE, dtype=np.uint8)
         self._dims = np.array([nx, ny, nz], dtype=np.int64)
         #: Species code marking vacant sites (``n_elements`` by convention;
         #: 2 for the default binary Fe-Cu system, 3 for a ternary, ...).
@@ -167,14 +166,6 @@ class LatticeState:
     # ------------------------------------------------------------------
     # Occupancy manipulation
     # ------------------------------------------------------------------
-    def species_of(self, ids: np.ndarray) -> np.ndarray:
-        """Species codes of the given site indices."""
-        return self.occupancy[np.asarray(ids, dtype=np.int64)]
-
-    def set_species(self, ids: np.ndarray, species: np.ndarray | int) -> None:
-        """Assign species codes to sites."""
-        self.occupancy[np.asarray(ids, dtype=np.int64)] = species
-
     def swap(self, id_a: int, id_b: int) -> None:
         """Exchange the occupants of two sites (one vacancy-hop event)."""
         occ = self.occupancy
@@ -202,37 +193,33 @@ class LatticeState:
         rng: np.random.Generator,
         cu_fraction: float,
         vacancy_fraction: float,
-        min_vacancies: int = 1,
     ) -> None:
         """Populate a random Fe-Cu solid solution with dilute vacancies.
 
         ``cu_fraction`` and ``vacancy_fraction`` are site fractions; the paper
-        uses 1.34 at.% Cu and 8e-4 at.% vacancies.  At least ``min_vacancies``
-        vacancies are placed so that small test boxes still evolve.
+        uses 1.34 at.% Cu and 8e-4 at.% vacancies.  At least one vacancy is
+        placed so that small test boxes still evolve.
         """
         if not 0.0 <= cu_fraction <= 1.0:
             raise ValueError(f"cu_fraction out of range: {cu_fraction!r}")
         if not 0.0 <= vacancy_fraction <= 1.0:
             raise ValueError(f"vacancy_fraction out of range: {vacancy_fraction!r}")
-        self.randomize_multicomponent(
-            rng, {CU: cu_fraction}, vacancy_fraction, min_vacancies
-        )
+        self.randomize_multicomponent(rng, {CU: cu_fraction}, vacancy_fraction)
 
     def randomize_multicomponent(
         self,
         rng: np.random.Generator,
         solute_fractions: dict,
         vacancy_fraction: float,
-        min_vacancies: int = 1,
     ) -> None:
         """Random solid solution with several solute species.
 
         ``solute_fractions`` maps species codes (1 .. n_elements-1) to site
-        fractions; the remainder is the host (Fe).  Vacancies are placed
-        with ``self.vacancy_code``.
+        fractions; the remainder is the host (Fe).  At least one vacancy is
+        placed, with ``self.vacancy_code``.
         """
         n = self.n_sites
-        n_vac = max(int(round(vacancy_fraction * n)), int(min_vacancies))
+        n_vac = max(int(round(vacancy_fraction * n)), 1)
         solute_counts = {
             int(code): int(round(frac * n))
             for code, frac in solute_fractions.items()
@@ -265,9 +252,9 @@ class LatticeState:
         """Site fraction of a species."""
         return float(self.species_counts()[species]) / self.n_sites
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        nfe, ncu, nvac = self.species_counts()
+    def __repr__(self) -> str:
+        counts = ", ".join(str(int(c)) for c in self.species_counts())
         return (
             f"LatticeState(shape={self.shape}, a={self.a}, "
-            f"Fe={nfe}, Cu={ncu}, vac={nvac})"
+            f"species_counts=[{counts}])"
         )

@@ -60,17 +60,15 @@ def generate_structures(
     n_structures: int = 540,
     cells: Sequence[int] = (2, 4, 4),
     a: float = LATTICE_CONSTANT,
-    cu_fraction_max: float = 0.25,
-    max_vacancies: int = 4,
-    displacement_sigmas: Tuple[float, float] = (0.01, 0.10),
     solute_codes: Sequence[int] = (CU,),
 ) -> List[Structure]:
     """Generate the paper's training ensemble labelled by the oracle.
 
     Each structure starts from a 64-site BCC supercell, substitutes a random
-    Cu fraction, removes 0-``max_vacancies`` atoms (sizes 60-64, as in the
-    paper), and applies Gaussian thermal displacements with a per-structure
-    amplitude so the force distribution has diverse magnitudes.
+    solute fraction of up to 25 % in total, removes 0-4 atoms (sizes 60-64,
+    as in the paper), and applies Gaussian thermal displacements with a
+    per-structure amplitude of 0.01-0.10 A so the force distribution has
+    diverse magnitudes.
     """
     base_positions, box = _bcc_supercell(cells, a)
     n_sites = base_positions.shape[0]
@@ -78,15 +76,15 @@ def generate_structures(
     for _ in range(n_structures):
         species = np.full(n_sites, FE, dtype=np.int64)
         for code in solute_codes:
-            frac = rng.uniform(0.0, cu_fraction_max / len(solute_codes))
+            frac = rng.uniform(0.0, 0.25 / len(solute_codes))
             species = np.where(
                 (rng.random(n_sites) < frac) & (species == FE), code, species
             )
-        n_vac = int(rng.integers(0, max_vacancies + 1))
+        n_vac = int(rng.integers(0, 5))
         keep = np.ones(n_sites, dtype=bool)
         if n_vac:
             keep[rng.choice(n_sites, size=n_vac, replace=False)] = False
-        sigma = rng.uniform(*displacement_sigmas)
+        sigma = rng.uniform(0.01, 0.10)
         positions = base_positions[keep] + rng.normal(0.0, sigma, (keep.sum(), 3))
         spec = species[keep]
         energy, forces = oracle.energy_and_forces(positions, spec, box)

@@ -33,6 +33,11 @@ from .model import NNPotential
 
 __all__ = ["Adam", "TrainingHistory", "NNPTrainer"]
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+#: Structures per mini-batch.
+BATCH_STRUCTURES = 32
+
 
 class Adam:
     """Adam optimiser over a list of parameter arrays (Kingma & Ba 2015)."""
@@ -41,15 +46,9 @@ class Adam:
         self,
         params: Sequence[np.ndarray],
         lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
     ) -> None:
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p, dtype=np.float64) for p in self.params]
         self.v = [np.zeros_like(p, dtype=np.float64) for p in self.params]
         self.t = 0
@@ -59,15 +58,15 @@ class Adam:
         if len(grads) != len(self.params):
             raise ValueError("gradient list length mismatch")
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             g64 = np.asarray(g, dtype=np.float64)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g64
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g64 * g64
-            update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g64
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g64 * g64
+            update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
             p -= update.astype(p.dtype)
 
 
@@ -154,7 +153,6 @@ class NNPTrainer:
         self,
         rng: np.random.Generator,
         n_epochs: int = 200,
-        batch_structures: int = 32,
         lr: float = 1e-3,
         lr_decay: float = 1.0,
         force_weight: float = 0.0,
@@ -179,8 +177,8 @@ class NNPTrainer:
             order = rng.permutation(n_structs)
             epoch_loss = 0.0
             n_batches = 0
-            for start in range(0, n_structs, batch_structures):
-                batch = order[start : start + batch_structures]
+            for start in range(0, n_structs, BATCH_STRUCTURES):
+                batch = order[start : start + BATCH_STRUCTURES]
                 loss = self._batch_step(batch, opt, force_weight)
                 epoch_loss += loss
                 n_batches += 1

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -89,28 +89,6 @@ class GridDecomposition:
             highs.append(hi)
         return DomainBox(lo=tuple(lows), hi=tuple(highs))
 
-    def owner_of_cell(self, cell: np.ndarray) -> np.ndarray:
-        """Rank owning each (wrapped) global cell coordinate."""
-        cell = np.mod(np.asarray(cell, dtype=np.int64), np.array(self.global_shape))
-        ranks = np.empty(cell.shape[:-1], dtype=np.int64)
-        axis_idx = []
-        for axis in range(3):
-            n = self.global_shape[axis]
-            p = self.grid[axis]
-            base, extra = divmod(n, p)
-            c = cell[..., axis]
-            # Invert _axis_bounds: leading `extra` ranks hold base+1 cells.
-            threshold = extra * (base + 1)
-            idx = np.where(
-                c < threshold,
-                c // (base + 1),
-                extra + (c - threshold) // max(base, 1),
-            )
-            axis_idx.append(idx)
-        px, py, pz = self.grid
-        ranks = (axis_idx[0] * py + axis_idx[1]) * pz + axis_idx[2]
-        return ranks
-
     def neighbors_of(self, rank: int) -> List[int]:
         """The (up to 26) distinct neighbouring ranks on the periodic grid."""
         coords = self.rank_coords(rank)
@@ -127,11 +105,3 @@ class GridDecomposition:
                     )
         out.discard(rank)
         return sorted(out)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "global_shape": self.global_shape,
-            "grid": self.grid,
-            "n_ranks": self.n_ranks,
-            "cells_per_rank": [self.box_of_rank(r).n_cells for r in range(self.n_ranks)],
-        }

@@ -84,10 +84,6 @@ class ScalingPoint:
     def cycle_time(self) -> float:
         return self.cycle_compute + self.cycle_comm + self.cycle_sync
 
-    def total_time(self, duration: float, t_stop: float) -> float:
-        """Wall time to simulate ``duration`` seconds of physical time."""
-        return self.cycle_time * duration / t_stop
-
 
 def _cycle_terms(
     params: ScalingParameters, atoms_per_cg: float, n_cgs: int

@@ -9,8 +9,6 @@ site in one cycle — boundary conflicts are impossible by construction.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..lattice.domain import DomainBox
@@ -61,13 +59,3 @@ class SectorGeometry:
         s = half[..., 0] & 1  # sublattice parity (shared by all components)
         cell = ((half - s[..., None]) >> 1) - ghost  # box-relative local cell
         return self.sector_of_local_cell(cell)
-
-    def sector_cell_bounds(self, sector: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Local-cell ``(lo, hi)`` bounds of one sector (box-relative)."""
-        if not 0 <= sector < N_SECTORS:
-            raise ValueError(f"sector must be in [0, 8), got {sector}")
-        shape = np.array(self.box.shape, dtype=np.int64)
-        bits = np.array([(sector >> 2) & 1, (sector >> 1) & 1, sector & 1])
-        lo = np.where(bits == 0, 0, self.mid)
-        hi = np.where(bits == 0, self.mid, shape)
-        return lo, hi

@@ -71,9 +71,6 @@ class CostLedger:
     def add_scalar(self, flops: float) -> None:
         self.scalar_flops += flops
 
-    def add_mpe(self, flops: float) -> None:
-        self.mpe_flops += flops
-
     # ------------------------------------------------------------------
     # Phase times
     # ------------------------------------------------------------------

@@ -1,17 +1,10 @@
-"""Precipitation statistics, time-series recording, snapshots, reports."""
+"""Precipitation statistics, snapshots, reports."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    PrecipitationStats,
-    TimeSeriesRecorder,
-    analyse_precipitation,
-    run_with_snapshots,
-)
-from repro.analysis.precipitation import isolated_series
+from repro.analysis import analyse_precipitation
 from repro.constants import CU, FE
-from repro.core import TensorKMCEngine
 from repro.io import ExperimentReport, load_lattice, save_lattice
 from repro.lattice import LatticeState
 
@@ -47,49 +40,6 @@ class TestPrecipitation:
         stats = analyse_precipitation(LatticeState((4, 4, 4)))
         assert stats.isolated == 0 and stats.max_size == 0
         assert stats.number_density == 0.0
-
-    def test_isolated_series(self):
-        stats = [
-            PrecipitationStats(0.0, 5, 0, 0, 0.0, 0.0, {}),
-            PrecipitationStats(1.0, 3, 1, 2, 2.0, 1.0, {}),
-        ]
-        arr = isolated_series(stats)
-        assert arr.shape == (2, 2)
-        assert arr[1, 1] == 3
-
-
-class TestTimeSeries:
-    def test_stride_sampling(self):
-        rec = TimeSeriesRecorder(probe=lambda t: t * 2, stride=1.0)
-
-        class _Ev:
-            def __init__(self, t):
-                self.time = t
-
-        for t in (0.3, 0.7, 1.2, 1.9, 3.4):
-            rec(_Ev(t))
-        # samples at first event >= 0.0, >= 1.0, >= 2.0, >= 3.0
-        assert rec.times == [0.3, 1.2, 3.4]
-        assert rec.values == [0.6, 2.4, 6.8]
-
-    def test_invalid_stride(self):
-        with pytest.raises(ValueError):
-            TimeSeriesRecorder(probe=lambda t: t, stride=0.0)
-
-    def test_run_with_snapshots(self, tet_small, eam_small):
-        lat = LatticeState((8, 8, 8))
-        lat.randomize_alloy(np.random.default_rng(1), 0.05, 0.003)
-        engine = TensorKMCEngine(
-            lat, eam_small, tet_small, temperature=900.0,
-            rng=np.random.default_rng(2),
-        )
-        rec = run_with_snapshots(
-            engine, probe=lambda t: engine.step_count, stride=1e-9, n_steps=20
-        )
-        assert rec.times[0] == 0.0
-        assert rec.times[-1] == pytest.approx(engine.time)
-        assert rec.values[-1] == 20
-        assert len(rec.times) >= 2
 
 
 class TestSnapshots:

@@ -91,11 +91,6 @@ class TestShells:
         with pytest.raises(ValueError):
             BCCGeometry().shells_within(-1.0)
 
-    def test_shell_table(self):
-        g = BCCGeometry()
-        table = g.shell_table(LATTICE_CONSTANT)
-        assert table[0][1] == 8 and table[1][1] == 6
-
     def test_scaling_with_lattice_constant(self):
         """Shell structure is scale-invariant in r/a."""
         small = BCCGeometry(a=1.0).shells_within(1.0)

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import (
     DisplacementTracker,
     analytic_vacancy_diffusivity,
-    arrhenius_series,
     cluster_sizes,
     find_clusters,
     measure_vacancy_diffusivity,
@@ -79,15 +78,6 @@ class TestMeasured:
         tracker = DisplacementTracker(engine)
         with pytest.raises(ValueError):
             tracker.diffusivity()
-
-    def test_arrhenius_series_monotone(self, tet_small, eam_small):
-        def make(t):
-            return _single_vacancy_engine(tet_small, eam_small, t, 11)
-
-        series = arrhenius_series(make, [700.0, 1100.0], n_steps=300)
-        # D rises steeply with temperature; even single-walker noise cannot
-        # flip a factor exp(-Ea/k (1/1100 - 1/700)) ~ 70.
-        assert series[1100.0] > series[700.0]
 
 
 class TestVoidFormation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.constants import CU, FE, VACANCY
-from repro.lattice import DomainBox, LatticeState, LocalWindow, ghost_cells_for_cutoff
+from repro.lattice import DomainBox, LatticeState, LocalWindow
 
 
 class TestDomainBox:
@@ -17,20 +17,6 @@ class TestDomainBox:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             DomainBox((2, 2, 2), (2, 4, 4))
-
-    def test_contains(self):
-        box = DomainBox((2, 2, 2), (5, 5, 5))
-        assert box.contains_cell(np.array([3, 4, 2]))
-        assert not box.contains_cell(np.array([5, 4, 2]))
-
-
-class TestGhostWidth:
-    def test_covers_double_cutoff(self):
-        g = ghost_cells_for_cutoff(6.5)
-        assert g >= int(np.ceil(2 * 6.5 / 2.87))
-
-    def test_small_cutoff(self):
-        assert ghost_cells_for_cutoff(2.87) >= 2
 
 
 class TestLocalWindow:

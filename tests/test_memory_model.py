@@ -7,7 +7,6 @@ from repro.baseline import (
     OpenKMCEngine,
     format_table,
     openkmc_memory_model,
-    per_atom_bytes,
     tensorkmc_memory_model,
 )
 from repro.core import TensorKMCEngine
@@ -95,10 +94,6 @@ class TestTensorKMCModel:
         tensor_mem = tensorkmc_memory_model(n_sites, n_vac, tet_standard, table)
         ratio = tensor_mem["total"] / open_mem["total"]
         assert ratio < 0.34  # paper: ~1/3 at runtime, far less on arrays
-
-    def test_per_atom_bytes(self):
-        rep = {"total": 1000.0}
-        assert per_atom_bytes(rep, 100) == 10.0
 
 
 class TestFormatting:

@@ -125,3 +125,11 @@ class TestSpecies:
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
             LatticeState((0, 3, 3))
+
+    @pytest.mark.parametrize("vacancy_code", [VACANCY, 3])
+    def test_repr_lists_every_species(self, vacancy_code):
+        st_ = LatticeState((2, 2, 2), vacancy_code=vacancy_code)
+        st_.occupancy[:3] = CU
+        st_.occupancy[3] = vacancy_code
+        counts = [12, 3] + [0] * (vacancy_code - 2) + [1]
+        assert f"species_counts={counts}" in repr(st_)

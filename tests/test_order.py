@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import sro_series, warren_cowley
+from repro.analysis import warren_cowley
 from repro.constants import CU, FE, VACANCY
 from repro.core import TensorKMCEngine
 from repro.lattice import LatticeState
@@ -49,13 +49,6 @@ class TestWarrenCowley:
         # isolated Cu: p_same = 0 -> alpha = -c/(1-c), tiny negative
         assert base[0] < 0.0
         assert base[0] == pytest.approx(-1 / 1023, rel=1e-6)
-
-    def test_sro_series_ordering(self):
-        lattice = LatticeState((8, 8, 8))
-        rng = np.random.default_rng(1)
-        lattice.occupancy[:] = np.where(rng.random(lattice.n_sites) < 0.1, CU, FE)
-        series = sro_series(lattice, rcut=6.5)
-        assert series.shape == (8,)  # eight shells at the standard cutoff
 
     def test_aging_increases_sro(self, tet_small, eam_small):
         """Thermal aging drives Cu clustering: alpha_1NN grows."""

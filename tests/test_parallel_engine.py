@@ -41,21 +41,9 @@ class TestSectorGeometry:
         counts = np.bincount(sectors)
         assert np.all(counts == 64)  # octants of an 8^3 box
 
-    def test_sector_bounds_match_membership(self):
-        geo = SectorGeometry(DomainBox((0, 0, 0), (8, 10, 12)), min_width_cells=4)
-        for s in range(N_SECTORS):
-            lo, hi = geo.sector_cell_bounds(s)
-            mid = (lo + hi) // 2
-            assert geo.sector_of_local_cell(mid) == s
-
     def test_too_small_box_rejected(self):
         with pytest.raises(ValueError):
             SectorGeometry(DomainBox((0, 0, 0), (6, 8, 8)), min_width_cells=4)
-
-    def test_invalid_sector(self):
-        geo = SectorGeometry(DomainBox((0, 0, 0), (8, 8, 8)), min_width_cells=4)
-        with pytest.raises(ValueError):
-            geo.sector_cell_bounds(8)
 
 
 class TestInvariants:

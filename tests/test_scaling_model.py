@@ -42,10 +42,6 @@ class TestStructure:
         pt = strong_scaling(paper_params, 1.92e12, [12000])[0]
         assert pt.cycle_compute > 10 * (pt.cycle_comm + pt.cycle_sync)
 
-    def test_total_time_scales_with_duration(self, paper_params):
-        pt = weak_scaling(paper_params, 128e6, [12000])[0]
-        assert pt.total_time(2e-7, 2e-8) == pytest.approx(10 * pt.cycle_time)
-
 
 class TestCalibrationTraffic:
     """The model is calibrated from CommStats, so CommStats must see *all*
