@@ -54,7 +54,7 @@ from ..constants import TEMPERATURE_RPV, VACANCY_CONCENTRATION
 from ..core.engine import SerialAKMCBase, TensorKMCEngine
 from ..core.kernel import NoMovesError
 from ..core.profiling import PhaseProfiler, merge_disjoint
-from ..core.rowcache import RowEnergyCache, resolve_row_cache
+from ..core.rowcache import RowEnergyCache
 from ..lattice import LatticeState
 
 __all__ = [
@@ -208,9 +208,8 @@ class ReplicaCampaign:
         a replica completes — budget exhausted or frozen — the next queued
         spec is admitted in its place at the start of the following round.
 
-    Every admitted replica that gets a row cache on its own (see
-    :func:`~repro.core.rowcache.resolve_row_cache`) is attached to *one*
-    campaign-wide :class:`~repro.core.rowcache.RowEnergyCache` instead — a
+    Every admitted replica's evaluator is attached to *one* campaign-wide
+    :class:`~repro.core.rowcache.RowEnergyCache` in place of its own — a
     seed sweep's replicas revisit the same dilute-matrix environments, and
     a temperature ladder shares *energies* outright (rates differ, the
     cached energies do not) — so the memo spans replicas and hot swaps.
@@ -246,9 +245,8 @@ class ReplicaCampaign:
         self.shared_pairs = 0
         self.max_shared_batch = 0
         self._evaluator = None  # batch-compatibility reference
-        #: The campaign-wide shared row-energy cache; created lazily at
-        #: first admission, once the potential is known.
-        self.row_cache: Optional[RowEnergyCache] = None
+        #: The campaign-wide shared row-energy cache.
+        self.row_cache = RowEnergyCache()
 
     def run(self) -> List[ReplicaResult]:
         """Execute the campaign; results are ordered like ``specs``."""
@@ -335,9 +333,9 @@ class ReplicaCampaign:
             "shared_pairs": self.shared_pairs,
             "max_shared_batch": self.max_shared_batch,
         }
-        if self.row_cache is not None:
-            out.update(self.row_cache.summary())
-        return merge_disjoint(out, self.profiler.summary())
+        return merge_disjoint(
+            out, self.row_cache.summary(), self.profiler.summary()
+        )
 
     # ------------------------------------------------------------------
     def _result(self, rep: _Replica) -> ReplicaResult:
@@ -363,9 +361,6 @@ class ReplicaCampaign:
         # shared `_evaluator` — it belongs to the first of them) consults
         # the same memo, so environments seen by any replica are hits for
         # all.
-        if resolve_row_cache(engine.potential):
-            if self.row_cache is None:
-                self.row_cache = RowEnergyCache()
-            engine.attach_row_cache(self.row_cache)
+        engine.evaluator.attach_row_cache(self.row_cache)
         self.admitted += 1
         return _Replica(index, spec, engine)

@@ -153,13 +153,12 @@ def _print_hot_path_summary(summary, events: int) -> None:
 
 
 def _print_row_cache_summary(summary) -> None:
-    """Row-energy cache hit rate + resident size (when a cache is active)."""
-    if "row_cache_hit_rate" in summary:
-        print(f"row_cache_hit_rate = {summary['row_cache_hit_rate']:.4f}")
-        print(
-            f"row_cache_resident_mb = "
-            f"{summary.get('row_cache_bytes', 0) / (1024.0 * 1024.0):.3f}"
-        )
+    """Row-energy cache hit rate + resident size."""
+    print(f"row_cache_hit_rate = {summary['row_cache_hit_rate']:.4f}")
+    print(
+        f"row_cache_resident_mb = "
+        f"{summary['row_cache_bytes'] / (1024.0 * 1024.0):.3f}"
+    )
 
 
 def _make_lattice(args) -> LatticeState:
@@ -188,14 +187,15 @@ def _load_potential(args, tet: TripleEncoding):
 
 
 def _cmd_run(args) -> int:
-    tet = TripleEncoding(rcut=args.rcut)
     if args.restart:
         from .io.checkpoint import load_checkpoint
 
+        tet = _tet_from_archive(args.restart)
         potential = _load_potential(args, tet)
-        engine = load_checkpoint(args.restart, potential)
+        engine = load_checkpoint(args.restart, potential, tet=tet)
         lattice = engine.lattice
     else:
+        tet = TripleEncoding(rcut=args.rcut)
         lattice = _make_lattice(args)
         potential = _load_potential(args, tet)
         engine = TensorKMCEngine(

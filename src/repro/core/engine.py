@@ -33,7 +33,7 @@ from .loop import LatticeSites, kmc_event
 from .profiling import PhaseProfiler, merge_disjoint
 from .propensity import FenwickPropensity
 from .rates import RateModel
-from .rowcache import RowEnergyCache, resolve_row_cache
+from .rowcache import RowEnergyCache
 from .tet import TripleEncoding
 from .vacancy_cache import VacancyCache
 from .vacancy_system import VacancySystemEvaluator
@@ -74,13 +74,12 @@ class SerialAKMCBase:
         :func:`repro.core.rates.residence_time`), so identical seeds give
         identical trajectories across engine variants.
 
-    A row-invariant network potential (the NNP family; see
-    :func:`~repro.core.rowcache.resolve_row_cache`) gets a persistent
+    The evaluator gets a persistent
     :class:`~repro.core.rowcache.RowEnergyCache` under its default byte
-    budget: unique-row energies are memoized across batches and steps, so
-    the rebuild phase looks recurring environments up instead of re-running
-    the GEMM stack.  A hit returns the bits a fresh evaluation would, so the
-    cache never changes a trajectory.
+    budget, whatever the potential: unique-row energies are memoized across
+    batches and steps, so the rebuild phase looks recurring environments up
+    instead of re-evaluating them.  A hit returns the bits a fresh
+    evaluation would, so the cache never changes a trajectory.
 
     Cache misses take the batched path — every stale vacancy queued since
     the last selection goes through one fused rebuild (the paper's
@@ -127,9 +126,7 @@ class SerialAKMCBase:
             keys=vac_sites,
             use_cache=self.use_cache,
         )
-        self.row_cache: Optional[RowEnergyCache] = None
-        if resolve_row_cache(potential):
-            self.attach_row_cache(RowEnergyCache())
+        self.evaluator.attach_row_cache(RowEnergyCache())
         self.time = 0.0
         self.step_count = 0
         self.events: List[KMCEvent] = []
@@ -224,17 +221,10 @@ class SerialAKMCBase:
                 callback(event)
         return executed
 
-    def attach_row_cache(self, cache):
-        """Install ``cache`` as the persistent row-energy memo.
-
-        Threads the cache into the evaluator (which consults it on every
-        dedup'd miss batch) and the kernel (which reports its counters);
-        the campaign uses this to swap every admitted replica onto one
-        shared cache.  Pass ``None`` to detach.  Returns the cache.
-        """
-        self.row_cache = cache
-        self.kernel.row_cache = cache
-        return self.evaluator.attach_row_cache(cache)
+    @property
+    def row_cache(self) -> Optional[RowEnergyCache]:
+        """The evaluator's row-energy cache (read-only view)."""
+        return self.evaluator.row_cache
 
     # ------------------------------------------------------------------
     def total_propensity(self) -> float:
@@ -259,13 +249,16 @@ class SerialAKMCBase:
     def summary(self) -> Dict[str, float]:
         """Merged engine + kernel instrumentation counters and phase times.
 
-        The three sources — kernel counters, the engine's step/clock state,
-        and the profiler's ``{phase}_seconds`` timings — share one flat
-        namespace; :func:`~repro.core.profiling.merge_disjoint` guarantees a
-        key collision raises instead of silently overwriting a counter.
+        The four sources — kernel counters, the row cache's counters, the
+        engine's step/clock state, and the profiler's ``{phase}_seconds``
+        timings — share one flat namespace;
+        :func:`~repro.core.profiling.merge_disjoint` guarantees a key
+        collision raises instead of silently overwriting a counter.
         """
+        cache = self.row_cache
         return merge_disjoint(
             self.kernel.summary(),
+            cache.summary() if cache is not None else {},
             {"steps": self.step_count, "time": self.time},
             self.profiler.summary(),
         )

@@ -139,14 +139,6 @@ class EventKernel:
         #: Physical active mask, or ``None`` meaning "all live slots" (the
         #: serial engines); the parallel driver narrows it per sector.
         self._active_mask: Optional[np.ndarray] = None
-        #: Optional row-energy cache whose counters this kernel reports
-        #: (:class:`~repro.core.rowcache.RowEnergyCache`).  The kernel does
-        #: not consult it — the evaluator does — it only folds the cache's
-        #: hits/misses/evictions into :meth:`counters`/:meth:`summary` so
-        #: engines and cycle stats see one counter namespace.  Left ``None``
-        #: on parallel rank kernels: their evaluator (and cache) is shared,
-        #: so the simulation merges the cache's counters exactly once.
-        self.row_cache = None
         # Slots :meth:`apply_refresh` stored since the last refresh: they
         # are that refresh's misses, not its reuses.
         self._applied = 0
@@ -398,17 +390,6 @@ class EventKernel:
             "selection_depth": self.stats.selection_depth,
             "rate_batches": self.stats.rate_batches,
             "batched_rows": self.stats.batched_rows,
-            # Always present (0 without a cache) so per-cycle counter
-            # deltas stay well-defined across configurations.
-            **(
-                self.row_cache.counters()
-                if self.row_cache is not None
-                else {
-                    "row_cache_hits": 0,
-                    "row_cache_misses": 0,
-                    "row_cache_evictions": 0,
-                }
-            ),
         }
 
     def summary(self) -> Dict[str, float]:
@@ -437,6 +418,4 @@ class EventKernel:
             if self.stats.invalidate_calls
             else 0.0
         )
-        if self.row_cache is not None:
-            out.update(self.row_cache.summary())
         return out

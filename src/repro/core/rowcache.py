@@ -88,19 +88,6 @@ def row_code_weights(tet, n_elements: int) -> tuple[np.ndarray, int]:
     return np.array(weights, dtype=np.int64), centre_weight
 
 
-def resolve_row_cache(potential) -> bool:
-    """Whether an engine on ``potential`` gets a row cache.
-
-    Exactly where in-batch dedup pays: ``batch_row_invariant`` potentials
-    that expose ``network_channels`` (the NNP family, where re-evaluating
-    a row costs a GEMM stack).  Table potentials go without, because a
-    table lookup is already about as cheap as a cache probe.
-    """
-    if not getattr(potential, "batch_row_invariant", False):
-        return False
-    return getattr(potential, "network_channels", None) is not None
-
-
 class RowEnergyCache:
     """Content-addressed map from row codes to row energies.
 

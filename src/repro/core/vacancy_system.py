@@ -18,7 +18,7 @@ import numpy as np
 
 from ..constants import DESCRIPTOR_N_SETS, N_ELEMENTS
 from ..potentials.base import CountsPotential, counts_from_types
-from .rowcache import resolve_row_cache, row_code_weights
+from .rowcache import row_code_weights
 from .tet import TripleEncoding
 
 __all__ = [
@@ -188,7 +188,7 @@ class VacancySystemEvaluator:
         self.potential = potential
         self.n_elements = getattr(potential, "n_elements", 2)
         self.vacancy_code = self.n_elements
-        # Optional persistent row-energy memoization (see attach_row_cache).
+        # Persistent row-energy memoization (see attach_row_cache).
         self._row_cache = None
         self._n_states = 1 + tet.N_DIRECTIONS
         # Shell of VET site t (centre / each 1NN) in each region site's
@@ -248,18 +248,13 @@ class VacancySystemEvaluator:
         self._shell_onehot = shell_onehot
         self._state_cols = np.arange(self._n_states, dtype=np.intp)
         # Exact row codes (:func:`~repro.core.rowcache.row_code_weights`)
-        # key the dedup and the row cache, for the potentials dedup pays
-        # for: network potentials, where a duplicate row costs a GEMM stack.
-        # Table/EAM reductions evaluate every row, faster than the grouping
-        # that would remove duplicates.  The code is linear in the counts,
-        # so ``_patch_key`` (each patch row's code change) derives the swap
-        # states' codes from state 0's.
-        self._code_weights = None
-        if resolve_row_cache(potential):
-            self._code_weights, self._centre_weight = row_code_weights(
-                tet, self.n_elements
-            )
-            self._patch_key = table.astype(np.int64) @ self._code_weights
+        # key the dedup and the row cache.  The code is linear in the
+        # counts, so ``_patch_key`` (each patch row's code change) derives
+        # the swap states' codes from state 0's.
+        self._code_weights, self._centre_weight = row_code_weights(
+            tet, self.n_elements
+        )
+        self._patch_key = table.astype(np.int64) @ self._code_weights
         # Reverse NET over *all* VET positions: base[p, r] is True when a
         # species change at VET position p touches region row r in the
         # current state — p sits in r's neighbour list, or p *is* r.
@@ -293,15 +288,16 @@ class VacancySystemEvaluator:
     def attach_row_cache(self, cache):
         """Memoize unique-row energies in ``cache`` from now on.
 
-        The cache (a :class:`~repro.core.rowcache.RowEnergyCache`) is
-        consulted wherever in-batch dedup runs: before each potential call
-        the unique rows are probed by row code, only never-seen rows go
-        through the potential, and the fresh energies are inserted
-        for the next batch.  Soundness is the dedup contract itself —
-        ``batch_row_invariant`` guarantees a cached row's bits equal a
-        fresh evaluation's — so the cache changes *when* rows are
-        evaluated, never their values.  Pass ``None`` to detach.  Returns
-        the cache for chaining.
+        The evaluator is the cache's one owner and its one reader: the
+        drivers attach a :class:`~repro.core.rowcache.RowEnergyCache` here
+        when they are built and expose it read-only as ``row_cache``.
+        After each in-batch dedup the unique rows are probed by row code,
+        only never-seen rows go through the potential, and the fresh
+        energies are inserted for the next batch.  Soundness is the dedup
+        contract itself — ``batch_row_invariant`` guarantees a cached
+        row's bits equal a fresh evaluation's — so the cache changes
+        *when* rows are evaluated, never their values.  Pass ``None`` to
+        detach.  Returns the cache for chaining.
         """
         self._row_cache = cache
         return cache
@@ -609,14 +605,6 @@ class VacancySystemEvaluator:
             pair_r[:, None] == self._state_cols, vac[:, None], own[:, None]
         )
         centers = np.where((pair_r == 0)[:, None], states, centers)
-        if self._code_weights is None:
-            # No dedup: one contiguous add patches the whole (P, 9, S * E)
-            # counts tensor and every row goes through the potential.
-            counts = np.take(self._patch_table, idx, axis=0)
-            counts += counts0[:, None]
-            return self.potential.energies_from_counts(
-                centers.reshape(-1), counts.reshape(-1, tet.n_shells, n_el)
-            ).reshape(n_pairs, n_states)
         # Every row's code: state 0's, plus each state's patch code and
         # centre term.
         keys = np.take(self._patch_key, idx)

@@ -148,8 +148,6 @@ def _row_cache_counters(cache) -> np.ndarray:
 
 def _restore_row_cache(cache, data) -> None:
     """Resume a cold cache's cumulative counters from ``data``."""
-    if cache is None:
-        return
     if "row_cache_counters" in data.files:
         cache.restore_counters(*(int(v) for v in data["row_cache_counters"]))
 

@@ -116,11 +116,6 @@ class NNPotential(CountsPotential):
         out *= self._inv_std
         return out
 
-    @property
-    def network_channels(self) -> Tuple[int, ...]:
-        """Layer widths of the atomistic networks (for Fig. 9 cost charging)."""
-        return self.networks.channels
-
     # ------------------------------------------------------------------
     # Rigid-lattice path (CountsPotential, used by the KMC engines)
     # ------------------------------------------------------------------

@@ -38,7 +38,7 @@ from ..core.kernel import EventKernel, NoMovesError
 from ..core.loop import WindowSites, kmc_event
 from ..core.profiling import PHASES, PhaseProfiler, merge_disjoint
 from ..core.rates import RateModel
-from ..core.rowcache import RowEnergyCache, resolve_row_cache
+from ..core.rowcache import RowEnergyCache
 from ..core.tet import TripleEncoding
 from ..core.vacancy_system import VacancySystemEvaluator
 from ..lattice.domain import LocalWindow
@@ -74,7 +74,7 @@ class CycleStats:
     #: Batched miss-path deltas: fused build calls and rows they produced.
     rate_batches: int = 0
     batched_rows: int = 0
-    #: Row-energy cache deltas (the shared persistent memo, when enabled).
+    #: Row-energy cache deltas (the ranks' shared persistent memo).
     row_cache_hits: int = 0
     row_cache_misses: int = 0
     row_cache_evictions: int = 0
@@ -301,14 +301,9 @@ class SublatticeKMC:
                 f"{evaluator.vacancy_code} (n_elements mismatch)"
             )
         rate_model = RateModel(temperature, ea0=ea0)
-        # One shared cache across all ranks (they share the evaluator); the
-        # rank kernels are left without a row_cache reference on purpose —
-        # `_kernel_counters` sums per-rank counters, so the shared cache's
-        # counters are merged exactly once at the simulation level instead.
+        # One cache shared by all ranks, through the evaluator they share.
         self.evaluator = evaluator
-        self.row_cache: Optional[RowEnergyCache] = None
-        if resolve_row_cache(potential):
-            self.attach_row_cache(RowEnergyCache())
+        evaluator.attach_row_cache(RowEnergyCache())
 
         occupancy4d = lattice.occupancy.reshape(2, *lattice.shape)
         self.ranks: List[RankState] = []
@@ -337,25 +332,21 @@ class SublatticeKMC:
         self.profiler = PhaseProfiler()
         self._executor = InlineExecutor(self)
 
-    def attach_row_cache(self, cache):
-        """Install ``cache`` as the ranks' shared row-energy memo, as
-        :meth:`~repro.core.engine.SerialAKMCBase.attach_row_cache` does for
-        one engine.  Pass ``None`` to detach.  Returns the cache."""
-        self.row_cache = self.evaluator.attach_row_cache(cache)
-        return cache
+    @property
+    def row_cache(self) -> Optional[RowEnergyCache]:
+        """The shared evaluator's row-energy cache (read-only view)."""
+        return self.evaluator.row_cache
 
     # ------------------------------------------------------------------
     def _kernel_counters(self) -> Dict[str, int]:
-        """Kernel instrumentation summed over all ranks (monotonic)."""
+        """Kernel instrumentation summed over all ranks, plus the shared
+        row cache's counters, merged once (monotonic)."""
         totals: Dict[str, int] = {}
         for rank in self.ranks:
             for key, value in rank.kernel.counters().items():
                 totals[key] = totals.get(key, 0) + int(value)
         if self.row_cache is not None:
-            # The cache is shared, not per-rank: merge its counters once
-            # (the rank kernels all reported zeros for these keys).
-            for key, value in self.row_cache.counters().items():
-                totals[key] = totals.get(key, 0) + int(value)
+            totals.update(self.row_cache.counters())
         return totals
 
     def _phase_totals(self) -> Dict[str, float]:
@@ -479,9 +470,7 @@ class SublatticeKMC:
         out["cycles"] = len(self.cycles)
         out["time"] = self.time
         if self.row_cache is not None:
-            out["row_cache_hit_rate"] = self.row_cache.hit_rate
-            out["row_cache_entries"] = len(self.row_cache)
-            out["row_cache_bytes"] = self.row_cache.memory_bytes()
+            out.update(self.row_cache.summary())
         phases = self._phase_totals()
         # Same no-silent-overwrite contract as the serial summary: the
         # counter namespace and the phase-timing namespace must stay

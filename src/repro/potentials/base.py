@@ -48,7 +48,9 @@ class CountsPotential(ABC):
     #: trajectories.  Implementations whose per-row result depends on the
     #: batch shape (e.g. raw float32 GEMM through BLAS, whose blocking
     #: changes with the row count) must set this to ``False``; the engines
-    #: then evaluate cache misses one vacancy system at a time.
+    #: then refuse them: building one raises :class:`ValueError`
+    #: (``DeltaRebuilder``), since dedup, the row cache and the delta
+    #: rebuild all rest on this contract.
     batch_row_invariant: bool = True
 
     #: Monotonic parameter-identity epoch.  Implementations whose energy

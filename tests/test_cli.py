@@ -44,6 +44,9 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "events = 40" in out
         assert "time_s = " in out
+        # EAM, the default potential, runs the row cache too.
+        assert "row_cache_hit_rate = " in out
+        assert "row_cache_resident_mb = " in out
         lattice, t = load_lattice(snap)
         assert t > 0
         assert lattice.shape == (8, 8, 8)
@@ -238,6 +241,13 @@ class TestTrainCommand:
             ])
 
 
+def _grab(out, key):
+    for line in out.splitlines():
+        if line.startswith(key):
+            return line
+    raise AssertionError(key)
+
+
 class TestRestart:
     def test_run_checkpoint_restart_continues(self, capsys, tmp_path):
         ck = str(tmp_path / "ck.npz")
@@ -257,12 +267,20 @@ class TestRestart:
             "run", "--box", "8", "--steps", "20", "--restart", ck,
         ]) == 0
         resumed = capsys.readouterr().out
-
-        def grab(out, key):
-            for line in out.splitlines():
-                if line.startswith(key):
-                    return line
-            raise AssertionError(key)
-
-        assert grab(resumed, "time_s") == grab(full, "time_s")
+        assert _grab(resumed, "time_s") == _grab(full, "time_s")
         assert "events = 40" in resumed  # step counter carried over
+
+    def test_restart_keeps_the_archived_cutoff(self, capsys, tmp_path):
+        """``--restart`` rebuilds the TET from the archive's cutoff, not
+        from ``--rcut``'s default, like ``resume`` does."""
+        ck = str(tmp_path / "ck.npz")
+        run = ["run", "--box", "6", "--rcut", "4.8", "--temperature", "800",
+               "--seed", "3"]
+        assert main(run + ["--steps", "10"]) == 0
+        full = capsys.readouterr().out
+        assert main(run + ["--steps", "5", "--checkpoint", ck]) == 0
+        capsys.readouterr()
+        assert main(["run", "--steps", "5", "--restart", ck]) == 0
+        resumed = capsys.readouterr().out
+        assert _grab(resumed, "time_s") == _grab(full, "time_s")
+        assert "events = 10" in resumed

@@ -156,9 +156,9 @@ def _with_row_cache(driver, row_cache, n_entries):
     """``driver`` with its row cache detached (``off``), kept (``auto``) or
     swapped for a budget of ``n_entries`` entries (``on``)."""
     if row_cache == "off":
-        driver.attach_row_cache(None)
+        driver.evaluator.attach_row_cache(None)
     elif row_cache == "on":
-        driver.attach_row_cache(
+        driver.evaluator.attach_row_cache(
             RowEnergyCache(max_bytes=n_entries * ROW_ENTRY_BYTES)
         )
     return driver
@@ -173,11 +173,11 @@ class TestGoldenTrajectories:
             row_cache, TINY_ENTRIES,
         )
         assert _serial_identity(engine) == _golden(pot)
-        if pot == "nnp" and row_cache == "on":
+        if row_cache != "off":
+            assert engine.row_cache.hits > 0
+        if row_cache == "on":
             # 16 entries: hits, evictions and re-inserts all cycle.
-            counters = engine.kernel.counters()
-            assert counters["row_cache_hits"] > 0
-            assert counters["row_cache_evictions"] > 0
+            assert engine.row_cache.evictions > 0
             assert len(engine.row_cache) == TINY_ENTRIES
 
     @ROW_CACHES
@@ -186,11 +186,10 @@ class TestGoldenTrajectories:
             _serial(tet_wide, nnp_wide), row_cache, TINY_ENTRIES
         )
         assert _serial_identity(engine) == SERIAL_NNP_WIDE
-        counters = engine.kernel.counters()
         if row_cache == "auto":
-            assert counters["row_cache_hits"] > 0
+            assert engine.row_cache.hits > 0
         if row_cache == "on":
-            assert counters["row_cache_evictions"] > 0
+            assert engine.row_cache.evictions > 0
             assert len(engine.row_cache) == TINY_ENTRIES
 
     @POTENTIALS
@@ -287,8 +286,7 @@ class TestChunkBoundaries:
     @staticmethod
     def _fresh_cache(evaluator):
         """A new row cache, so each call starts cold like a refresh."""
-        if getattr(evaluator.potential, "network_channels", None):
-            evaluator.attach_row_cache(RowEnergyCache())
+        evaluator.attach_row_cache(RowEnergyCache())
 
     @pytest.mark.parametrize("n_pairs", [1, 4, 64])
     def test_evaluate_rows(self, monkeypatch, batch, chunk_sizes, n_pairs):

@@ -13,8 +13,6 @@ equal a full encode's, and every shipped TET's codes fit an int64 while
 a wider one is refused.
 """
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +25,6 @@ from repro.core.rowcache import (
     ROW_CACHE_BYTES,
     ROW_ENTRY_BYTES,
     RowEnergyCache,
-    resolve_row_cache,
     row_code_weights,
 )
 from repro.core.vacancy_system import VacancySystemEvaluator
@@ -39,6 +36,7 @@ from repro.io import (
 )
 from repro.lattice import LatticeState
 from repro.parallel import SublatticeKMC
+from repro.potentials import EAMParameters, EAMPotential
 
 
 def _keys(*codes):
@@ -172,18 +170,22 @@ class TestRowEnergyCacheUnit:
             assert key in summary
 
 
-class TestResolveRowCache:
-    def test_auto_gates_like_dedup(self, tet_small, eam_small, nnp_small):
-        """One rule: a cache exactly for row-invariant network potentials."""
-        variant = copy.copy(nnp_small)
-        variant.batch_row_invariant = False
-        assert resolve_row_cache(nnp_small) is True
-        assert resolve_row_cache(eam_small) is False
-        assert resolve_row_cache(variant) is False
-        for pot, cached in ((nnp_small, True), (eam_small, False)):
+class TestEngineRowCache:
+    def test_every_engine_gets_the_evaluators_cache(
+        self, tet_small, eam_small, nnp_small
+    ):
+        """One rule: every driver, on every potential, attaches one cache
+        to its evaluator, and exposes it only as a read-only view."""
+        for pot in (nnp_small, eam_small):
             engine = _serial_engine(tet_small, pot)
-            assert (engine.row_cache is not None) is cached
-            assert engine.row_cache is engine.evaluator.row_cache
+            sim = _parallel_sim(tet_small, pot)
+            for driver in (engine, sim):
+                assert isinstance(driver.row_cache, RowEnergyCache)
+                assert driver.row_cache is driver.evaluator.row_cache
+                with pytest.raises(AttributeError):
+                    driver.row_cache = None
+                assert not hasattr(driver, "attach_row_cache")
+            assert not hasattr(engine.kernel, "row_cache")
 
     def test_engine_knob_validates_eagerly(
         self, tet_small, eam_small, alloy_lattice
@@ -243,7 +245,6 @@ class _CountsNetwork:
     """A cheap stand-in network potential: row-invariant, any alphabet."""
 
     batch_row_invariant = True
-    network_channels = (1,)
 
     def __init__(self, tet, n_elements=2):
         self.n_shells = tet.n_shells
@@ -342,15 +343,18 @@ class TestRowCode:
         assert centre_weight * (n_elements + 1) <= 2**63
 
     def test_codes_that_do_not_fit_are_refused(self, tet_standard):
-        """Ternary at rcut 6.5 needs 91 bits: refused wherever codes are
-        used, while a potential that does not dedup never forms them."""
+        """Ternary at rcut 6.5 needs 91 bits: every evaluator forms codes,
+        so a network and a table potential are both refused."""
         with pytest.raises(ValueError, match="need 91 bits"):
             row_code_weights(tet_standard, 3)
-        ternary = _CountsNetwork(tet_standard, n_elements=3)
-        with pytest.raises(ValueError, match="need 91 bits"):
-            VacancySystemEvaluator(tet_standard, ternary)
-        ternary.network_channels = None  # a table potential: no dedup
-        VacancySystemEvaluator(tet_standard, ternary)
+        for ternary in (
+            _CountsNetwork(tet_standard, n_elements=3),
+            EAMPotential(
+                tet_standard.shell_distances, EAMParameters.fe_cu_ni()
+            ),
+        ):
+            with pytest.raises(ValueError, match="need 91 bits"):
+                VacancySystemEvaluator(tet_standard, ternary)
 
 
 class TestNarrowRows:
@@ -427,7 +431,7 @@ def _serial_engine(tet, pot, **kw):
 def serial_off(tet_small, nnp_small):
     """Digest + clock of the cache-off NNP run every variant must hit."""
     engine = _serial_engine(tet_small, nnp_small)
-    engine.attach_row_cache(None)
+    engine.evaluator.attach_row_cache(None)
     engine.run(n_steps=N_STEPS)
     return occupancy_digest(engine.lattice), engine.time
 
@@ -451,28 +455,13 @@ class TestSerialTrajectory:
         # A 16-entry budget far below the working set forces continuous
         # evict/re-insert churn; the trajectory must not notice.
         engine = _serial_engine(tet_small, nnp_small)
-        engine.attach_row_cache(RowEnergyCache(max_bytes=16 * ROW_ENTRY_BYTES))
+        engine.evaluator.attach_row_cache(
+            RowEnergyCache(max_bytes=16 * ROW_ENTRY_BYTES)
+        )
         engine.run(n_steps=N_STEPS)
         assert (occupancy_digest(engine.lattice), engine.time) == serial_off
         assert engine.row_cache.evictions > 0
         assert len(engine.row_cache) <= 16
-
-    def test_on_mode_with_table_potential_is_inert(
-        self, tet_small, eam_small
-    ):
-        """A cache attached to an engine on a table potential is never
-        consulted (dedup never runs); the trajectory is unaffected."""
-        ref = _serial_engine(tet_small, eam_small)
-        assert ref.row_cache is None
-        ref.run(n_steps=N_STEPS)
-        engine = _serial_engine(tet_small, eam_small)
-        engine.attach_row_cache(RowEnergyCache())
-        engine.run(n_steps=N_STEPS)
-        assert occupancy_digest(engine.lattice) == occupancy_digest(
-            ref.lattice
-        )
-        assert engine.time == ref.time
-        assert (engine.row_cache.hits, engine.row_cache.misses) == (0, 0)
 
     def test_checkpoint_resume_is_cold_but_counters_persist(
         self, tmp_path, tet_small, nnp_small, serial_off
@@ -526,7 +515,7 @@ class TestParallelTrajectory:
 
     def test_cache_on_is_bit_identical(self, tet_small, nnp_small):
         off = _parallel_sim(tet_small, nnp_small)
-        off.attach_row_cache(None)
+        off.evaluator.attach_row_cache(None)
         assert off.evaluator.row_cache is None
         on = _parallel_sim(tet_small, nnp_small)
         assert on.row_cache is not None
@@ -552,7 +541,7 @@ class TestParallelTrajectory:
         self, tmp_path, tet_small, nnp_small
     ):
         ref = _parallel_sim(tet_small, nnp_small)
-        ref.attach_row_cache(None)
+        ref.evaluator.attach_row_cache(None)
         for _ in range(self.N_CYCLES):
             ref.cycle()
 
@@ -576,6 +565,30 @@ class TestParallelTrajectory:
         assert self._digest(resumed) == self._digest(ref)
 
 
+def _campaign_factory(tet, pot):
+    def factory(spec):
+        lattice = LatticeState((8, 8, 8))
+        lattice.randomize_alloy(
+            np.random.default_rng(9 + spec.seed), 0.05, 0.004
+        )
+        return TensorKMCEngine(
+            lattice, pot, tet, temperature=900.0,
+            rng=np.random.default_rng(10 + spec.seed),
+        )
+    return factory
+
+
+def _solo_runs(specs, factory):
+    """``(digest, clock)`` of each spec run alone with its cache detached."""
+    out = []
+    for spec in specs:
+        engine = factory(spec)
+        engine.evaluator.attach_row_cache(None)
+        engine.run(n_steps=spec.n_steps)
+        out.append((occupancy_digest(engine.lattice), engine.time))
+    return out
+
+
 class TestCampaignSharedCache:
     SPECS = [
         ReplicaSpec("r0", seed=0, n_steps=N_STEPS),
@@ -583,28 +596,11 @@ class TestCampaignSharedCache:
         ReplicaSpec("r2", seed=2, n_steps=N_STEPS),
     ]
 
-    def _factory(self, tet, pot):
-        def factory(spec):
-            lattice = LatticeState((8, 8, 8))
-            lattice.randomize_alloy(
-                np.random.default_rng(9 + spec.seed), 0.05, 0.004
-            )
-            return TensorKMCEngine(
-                lattice, pot, tet, temperature=900.0,
-                rng=np.random.default_rng(10 + spec.seed),
-            )
-        return factory
-
     def test_shared_cache_is_bit_identical_and_shared(
         self, tet_small, nnp_small
     ):
-        factory = self._factory(tet_small, nnp_small)
-        off = []
-        for spec in self.SPECS:
-            engine = factory(spec)
-            engine.attach_row_cache(None)
-            engine.run(n_steps=spec.n_steps)
-            off.append((occupancy_digest(engine.lattice), engine.time))
+        factory = _campaign_factory(tet_small, nnp_small)
+        off = _solo_runs(self.SPECS, factory)
         campaign = ReplicaCampaign(self.SPECS, factory)
         on = [(r.digest, r.time) for r in campaign.run()]
         assert on == off
@@ -619,5 +615,37 @@ class TestCampaignSharedCache:
                      {"mode": "sequential"}):
             with pytest.raises(TypeError):
                 ReplicaCampaign(
-                    self.SPECS, self._factory(tet_small, nnp_small), **knob
+                    self.SPECS, _campaign_factory(tet_small, nnp_small),
+                    **knob
                 )
+
+
+class TestTablePotentialCache:
+    """EAM, the CLI's default potential, takes the NNP's row path: row
+    codes, dedup and a row cache that is hit, not just harmless."""
+
+    def test_cache_is_live_and_bit_identical(self, tet_small, eam_small):
+        """Serial, parallel and campaign runs with the cache attached land
+        on the bits of the same runs detached, with hits > 0."""
+        serial = [_serial_engine(tet_small, eam_small) for _ in range(2)]
+        serial[1].evaluator.attach_row_cache(None)
+        for engine in serial:
+            engine.run(n_steps=N_STEPS)
+        on, off = ((occupancy_digest(e.lattice), e.time) for e in serial)
+        assert on == off
+        assert serial[0].row_cache.hits > 0
+
+        sims = [_parallel_sim(tet_small, eam_small) for _ in range(2)]
+        sims[1].evaluator.attach_row_cache(None)
+        for sim in sims:
+            sim.run(TestParallelTrajectory.N_CYCLES)
+        on, off = ((occupancy_digest(s.gather_global()), s.time) for s in sims)
+        assert on == off
+        assert sims[0].row_cache.hits > 0
+
+        specs = TestCampaignSharedCache.SPECS
+        factory = _campaign_factory(tet_small, eam_small)
+        campaign = ReplicaCampaign(specs, factory)
+        on = [(r.digest, r.time) for r in campaign.run()]
+        assert on == _solo_runs(specs, factory)
+        assert campaign.row_cache.hits > 0
