@@ -9,9 +9,10 @@ Paper (per Sec. 4.3):
 * overall: SW(opt) ~11x faster than the x86 TensorFlow version and ~17x
   faster than the TensorFlow/SWDNN Sunway version.
 
-The three platforms are evaluated with the machine models of
-``repro.sunway.spec`` on the workload of one vacancy-system evaluation
-(1 + 8 states) at both cutoffs; ordering and magnitudes are asserted.
+The three platforms are charged to cost ledgers under the machine specs of
+``repro.sunway.spec`` (x86 is ``EPYC_7452``) on the workload of one
+vacancy-system evaluation (1 + 8 states) at both cutoffs; ordering and
+magnitudes are asserted.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from repro.operators import (
     FastFeatureOperator,
     TileGEMMKernel,
 )
-from repro.operators.fused import layered_forward
+from repro.operators.fused import charge_layers, layered_forward
 from repro.potentials import FeatureTable
-from repro.sunway import EPYC_7452, SW26010_PRO, CostLedger
+from repro.sunway import EPYC_7452, SW26010_PRO, CostLedger, SunwaySpec
 
 
 @dataclass
@@ -44,6 +45,13 @@ class PlatformTimes:
     @property
     def total(self) -> float:
         return self.feature + self.energy
+
+
+def _gather_time(spec: SunwaySpec, nbytes: float) -> float:
+    """Modeled time of a serial gather loop reading ``nbytes`` scattered."""
+    ledger = CostLedger(spec)
+    ledger.add_random_access(nbytes)
+    return ledger.memory_time
 
 
 def _workload_times(rcut: float) -> Dict[str, PlatformTimes]:
@@ -58,15 +66,14 @@ def _workload_times(rcut: float) -> Dict[str, PlatformTimes]:
     net = nets.nets[0]
 
     # --- x86 (EPYC + libtensorflow, Fig. 11 'x86') -----------------------
-    x86_feature = gather_bytes / EPYC_7452.random_bandwidth
-    flops = sum(
-        2.0 * m * ci * co + 2.0 * m * co
-        for ci, co in zip(PAPER_CHANNELS[:-1], PAPER_CHANNELS[1:])
-    )
-    x86_energy = flops / (EPYC_7452.peak_flops * EPYC_7452.gemm_efficiency)
+    x86_feature = _gather_time(EPYC_7452, gather_bytes)
+    x86_energy = charge_layers(
+        CostLedger(EPYC_7452), m, PAPER_CHANNELS,
+        efficiency=EPYC_7452.gemm_efficiency,
+    ).compute_time
 
     # --- SW (MPE feature + SWDNN fused per-layer energy) -----------------
-    sw_feature = gather_bytes / SW26010_PRO.mpe_random_bandwidth
+    sw_feature = _gather_time(SW26010_PRO, gather_bytes)
     ledger = CostLedger(SW26010_PRO)
     x = np.zeros((m, PAPER_CHANNELS[0]), dtype=np.float32)
     layered_forward(

@@ -3,7 +3,7 @@
 from .conv import bias_add, conv1x1_loop, conv1x1_matmul, relu
 from .feature_op import FEATURE_ENTRY_BYTES, FastFeatureOperator, features_mpe_serial
 from .fused import charge_layers, fused_layer, layered_forward
-from .tilegemm import TileGEMMKernel, TilePlan, plan_tiles, tiled_matmul
+from .tilegemm import TileGEMMKernel, TilePlan, plan_tiles
 from .variants import (
     FUSED_GEMM_EFF,
     MATMUL_BLOCKING,
@@ -28,7 +28,6 @@ __all__ = [
     "TileGEMMKernel",
     "TilePlan",
     "plan_tiles",
-    "tiled_matmul",
     "FUSED_GEMM_EFF",
     "MATMUL_BLOCKING",
     "SIMD_GEMM_EFF",

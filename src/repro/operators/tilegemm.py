@@ -10,21 +10,20 @@ walks fixed ``m_block x k_pane`` LDM tiles in a fixed order regardless of
 how many atoms the MPE enqueued, which is why TensorKMC can batch NNP
 inference *and* keep the Fig. 8 bitwise cache-equivalence.
 
-This module reproduces that property in NumPy.  :func:`tiled_matmul` runs a
-float32 (or float64) matmul as a grid of **fixed-shape** GEMM calls — every
-row block is padded to exactly ``m_tile`` rows and every reduction panel to
-exactly ``k_tile`` columns, and the per-panel partial products are summed in
+:class:`TileGEMMKernel` reproduces that property in NumPy.  It runs the
+whole network as a grid of **fixed-shape** GEMM calls — every row block is
+padded to exactly ``m_tile`` rows and every reduction panel to exactly
+``k_tile`` columns, and the per-panel partial products are summed in
 ascending-``k`` order.  Because BLAS blocking depends only on the call
 shape, and every call has the same shape, each output row is a pure
 function of that row's input: bit-identical for a batch of 1, a batch of
 1000, or any permutation thereof (property-tested in
 ``tests/test_tilegemm.py``).
 
-:class:`TileGEMMKernel` chains tiled layers into the whole-network fused
-executor: it runs every NNP inference and is the operator Figs. 9-11 time
-and charge.  Its tile sizes come from the one LDM pane plan,
-:func:`plan_tiles`, so the modeled kernel and the executed arithmetic agree
-on their blocking.
+The kernel runs every NNP inference and is the operator Figs. 9-11 and
+Sec. 3.6 time and charge (:meth:`TileGEMMKernel.charge`).  Its tile sizes
+come from the one LDM pane plan, :func:`plan_tiles`, so the modeled kernel
+and the executed arithmetic agree on their blocking.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from ..sunway.costmodel import CostLedger
 from ..sunway.ldm import LDMBudget, LDMOverflowError
 from ..sunway.spec import SW26010_PRO, SunwaySpec
 
-__all__ = ["TilePlan", "plan_tiles", "tiled_matmul", "TileGEMMKernel"]
+__all__ = ["TilePlan", "plan_tiles", "TileGEMMKernel"]
 
 _F32 = 4
 
@@ -126,65 +125,6 @@ def plan_tiles(
         _pow2_floor(c_max), max(MIN_TILE, _pow2_floor(pane // (_F32 * c_max)))
     )
     return TilePlan(m_tile=int(m_tile), k_tile=int(k_tile), channels=channels)
-
-
-def _pad_rows(x, m_tile: int, dtype) -> np.ndarray:
-    """A ``(m_tile, k)`` C-contiguous block holding ``x`` in its top rows.
-
-    The pad rows are zero so downstream layers never see NaN/Inf garbage;
-    their outputs are sliced away, so they cannot influence real rows (GEMM
-    output row ``i`` reads input row ``i`` only).
-    """
-    blk = np.zeros((m_tile, x.shape[1]), dtype=dtype)
-    blk[: x.shape[0]] = x
-    return blk
-
-
-def tiled_matmul(
-    x: np.ndarray,
-    w: np.ndarray,
-    m_tile: int,
-    k_tile: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """``x @ w`` with a fixed blocking independent of ``x.shape[0]``.
-
-    Every GEMM call the routine issues has the exact shape
-    ``(m_tile, k_tile) @ (k_tile, n)`` — partial row blocks and partial
-    reduction panels are zero-padded up to it — and the per-panel partial
-    products accumulate in ascending-``k`` order.  Fixed shapes mean fixed
-    BLAS blocking, so row ``i`` of the result is bit-identical no matter
-    which other rows share the call or where in the batch it sits.
-
-    ``out``, when given, must be a fresh ``(m, n)`` array of the working
-    dtype; it is overwritten and returned.
-    """
-    x = np.asarray(x)
-    w = np.asarray(w)
-    dtype = np.result_type(x, w)
-    m, k = x.shape
-    n = w.shape[1]
-    if w.shape[0] != k:
-        raise ValueError(f"inner dims mismatch: {tuple(x.shape)} @ {tuple(w.shape)}")
-    if out is None:
-        out = np.empty((m, n), dtype=dtype)
-    for r0 in range(0, m, m_tile):
-        rows = min(m_tile, m - r0)
-        blk = x[r0 : r0 + rows]
-        if rows < m_tile:
-            blk = _pad_rows(blk, m_tile, dtype)
-        acc = np.zeros((m_tile, n), dtype=dtype)
-        for k0 in range(0, k, k_tile):
-            kk = min(k_tile, k - k0)
-            # Both operands are materialised as C-contiguous full-size tiles
-            # so every BLAS call sees the same shapes *and* layout.
-            xb = np.zeros((m_tile, k_tile), dtype=dtype)
-            xb[:, :kk] = blk[:, k0 : k0 + kk]
-            wb = np.zeros((k_tile, n), dtype=dtype)
-            wb[:kk] = w[k0 : k0 + kk]
-            acc += np.matmul(xb, wb)
-        out[r0 : r0 + rows] = acc[:rows]
-    return out
 
 
 class TileGEMMKernel:

@@ -11,7 +11,12 @@ rules:
   the un-hideable pipeline fill.
 
 These two rules are exactly what turns the same FLOP/byte totals into the
-Fig. 10 performance ladder.
+Fig. 10 performance ladder.  Ledgers are the only source of modeled
+operator numbers: two formulas fill them —
+:func:`~repro.operators.fused.charge_layers` for per-layer execution and
+:meth:`~repro.operators.tilegemm.TileGEMMKernel.charge` for big fusion —
+and Figs. 9-11 and Sec. 3.6 read arithmetic intensity, traffic and time off
+the result, on whichever :class:`SunwaySpec` machine they charge.
 """
 
 from __future__ import annotations
@@ -33,8 +38,6 @@ class CostLedger:
     simd_flops: float = 0.0
     #: Floating point operations executed scalar (no SIMD).
     scalar_flops: float = 0.0
-    #: Floating point operations executed on the MPE.
-    mpe_flops: float = 0.0
     #: Bytes moved between main memory and LDM via DMA (contiguous).
     dma_bytes: float = 0.0
     #: Bytes accessed from main memory with poor locality (gathers).
@@ -86,8 +89,6 @@ class CostLedger:
             t += self.scalar_flops / (
                 s.cpe_scalar_flops * s.n_cpes * max(self.scalar_efficiency, 1e-9)
             )
-        if self.mpe_flops:
-            t += self.mpe_flops / s.mpe_scalar_flops
         return t
 
     @property
@@ -111,7 +112,7 @@ class CostLedger:
 
     @property
     def total_flops(self) -> float:
-        return self.simd_flops + self.scalar_flops + self.mpe_flops
+        return self.simd_flops + self.scalar_flops
 
     @property
     def arithmetic_intensity(self) -> float:
@@ -133,7 +134,6 @@ class CostLedger:
         """Accumulate another ledger into this one (same spec)."""
         self.simd_flops += other.simd_flops
         self.scalar_flops += other.scalar_flops
-        self.mpe_flops += other.mpe_flops
         self.dma_bytes += other.dma_bytes
         self.random_bytes += other.random_bytes
         self.rma_bytes += other.rma_bytes

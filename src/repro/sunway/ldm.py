@@ -52,7 +52,3 @@ class LDMBudget:
     @property
     def available(self) -> int:
         return self.capacity - self.used
-
-    def fits(self, nbytes: int) -> bool:
-        """Whether an allocation of ``nbytes`` would succeed."""
-        return self.used + nbytes <= self.capacity

@@ -1,11 +1,12 @@
-"""SW26010-pro machine description — the simulated Sunway substrate.
+"""Machine descriptions for the modeled operator experiments (Figs. 9-11).
 
-We do not have the hardware, so the operator experiments (Figs. 9-11) run
-against this explicit machine model: every kernel executes *functionally* in
-NumPy while its cost is charged to the modeled core group.  Parameters are
-chosen to match the public SW26010-pro numbers and the paper's own roofline:
-the paper quotes a machine balance point of 43.63 FLOPs/Byte (Fig. 9), which
-pins ``peak_flops_sp / mem_bandwidth``.
+We do not have the hardware, so the operator experiments run against an
+explicit machine model: every kernel executes *functionally* in NumPy while
+its cost is charged to a :class:`~repro.sunway.costmodel.CostLedger` under
+one :class:`SunwaySpec`.  The reference instance is one SW26010-pro core
+group; its parameters match the public SW26010-pro numbers and the paper's
+own roofline: the paper quotes a machine balance point of 43.63 FLOPs/Byte
+(Fig. 9), which pins ``peak_flops_sp / mem_bandwidth``.
 
 Derived single-CG figures:
 
@@ -13,20 +14,26 @@ Derived single-CG figures:
 * main-memory bandwidth 51.2 GB/s  -> ridge 2.234e12 / 51.2e9 = 43.63 ✓
 * LDM 256 KiB per CPE, RMA ~8x main-memory bandwidth inside a CG
 
-The x86 comparison platform of Fig. 11 (AMD EPYC 7452, one core,
-libtensorflow) is modeled alongside.
+The other machines the paper compares against are the same description
+with other numbers: a Fugaku A64FX CMG (Sec. 3.6), where each core's share
+of the shared L2 plays the LDM and the L2 read bandwidth plays RMA, and the
+x86 platform of Fig. 11 (one AMD EPYC 7452 running libtensorflow).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["SunwaySpec", "X86Spec", "SW26010_PRO", "EPYC_7452"]
+__all__ = ["SunwaySpec", "SW26010_PRO", "FUGAKU_CMG", "EPYC_7452"]
 
 
 @dataclass(frozen=True)
 class SunwaySpec:
-    """One SW26010-pro core group (CG) and its CPE cluster."""
+    """One scheduling domain: a core group (CG) and its CPE cluster.
+
+    The defaults describe the SW26010-pro; other machines map their cores,
+    fast local store and sharing fabric onto the same fields.
+    """
 
     #: Number of CPEs in the cluster (8 x 8 mesh).
     n_cpes: int = 64
@@ -40,8 +47,6 @@ class SunwaySpec:
     #: Effective scalar (non-SIMD) throughput of one CPE (FLOP/s) for a
     #: naive convolution loop (no SIMD, no FMA pairing, little ILP).
     cpe_scalar_flops: float = 0.235e9
-    #: Effective scalar throughput of the MPE (FLOP/s).
-    mpe_scalar_flops: float = 2.2e9
     #: Main-memory (DMA) bandwidth shared by a CG (B/s).
     mem_bandwidth: float = 51.2e9
     #: Effective bandwidth of strided/random main-memory access from the
@@ -50,7 +55,8 @@ class SunwaySpec:
     #: Effective per-CPE bandwidth for scalar gather loops over LDM-resident
     #: tables (the fast feature operator's inner loop), B/s.
     ldm_gather_bandwidth: float = 1.875e9
-    #: Aggregate RMA bandwidth between CPEs of one CG (B/s).
+    #: Aggregate RMA bandwidth between CPEs of one CG (B/s): the fabric the
+    #: big-fusion operator shares its parameters over.
     rma_bandwidth: float = 400.0e9
     #: Per-DMA-transaction latency (s).
     dma_latency: float = 1.0e-6
@@ -68,27 +74,34 @@ class SunwaySpec:
         return self.peak_flops_sp / self.mem_bandwidth
 
 
-@dataclass(frozen=True)
-class X86Spec:
-    """One AMD EPYC 7452 core running libtensorflow (Fig. 11's 'x86')."""
-
-    #: Effective SP throughput of TensorFlow's FusedConv2D on the EPYC 7452
-    #: socket (libtensorflow_cc runs its kernels multi-threaded even from a
-    #: serial driver, which is how the paper's 'serial x86' is configured).
-    peak_flops: float = 180.0e9
-    gemm_efficiency: float = 0.65
-    #: Per-core share of memory bandwidth (B/s).
-    mem_bandwidth: float = 20.0e9
-    #: Effective bandwidth for gather-heavy scalar code (B/s) — large caches
-    #: make the EPYC far better at this than the MPE (paper Sec. 4.3.1 finds
-    #: the MPE ~5x slower on the feature gather).
-    random_bandwidth: float = 9.0e9
-
-    @property
-    def ridge_point(self) -> float:
-        return self.peak_flops * self.gemm_efficiency / self.mem_bandwidth
-
-
-#: Default instances used across the benchmarks.
+#: The reference machine: one SW26010-pro core group.
 SW26010_PRO = SunwaySpec()
-EPYC_7452 = X86Spec()
+
+#: One Fugaku A64FX core-memory group (Sec. 3.6): 12 compute cores, 8 MiB
+#: shared L2 (the paper quotes "8 MB for 12 computing nodes [cores]"), HBM2
+#: at 256 GB/s per CMG, ~1.7 TFLOPS SP (dual 512-bit SVE FMA at 2.2 GHz).
+#: The shared L2 takes the role RMA plays on the Sunway: each core's L2
+#: share is its "LDM" and the L2 read bandwidth carries parameter sharing.
+FUGAKU_CMG = SunwaySpec(
+    n_cpes=12,
+    ldm_bytes=8 * 1024 * 1024 // 12,
+    cpe_peak_flops=1.69e12 / 12,
+    gemm_efficiency=0.70,
+    mem_bandwidth=256.0e9,
+    rma_bandwidth=900.0e9,
+)
+
+#: Fig. 11's 'x86': TensorFlow's FusedConv2D on an AMD EPYC 7452, as one
+#: "CPE" whose SIMD peak is TensorFlow's effective SP throughput on the
+#: socket (libtensorflow_cc runs its kernels multi-threaded even from a
+#: serial driver, which is how the paper's 'serial x86' is configured).
+#: Gather-heavy scalar code reads at ``mpe_random_bandwidth``: large caches
+#: make the EPYC far better at it than the MPE (paper Sec. 4.3.1 finds the
+#: MPE ~5x slower on the feature gather).
+EPYC_7452 = SunwaySpec(
+    n_cpes=1,
+    cpe_peak_flops=180.0e9,
+    gemm_efficiency=0.65,
+    mem_bandwidth=20.0e9,
+    mpe_random_bandwidth=9.0e9,
+)

@@ -129,8 +129,3 @@ class TestLDMBudget:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             LDMBudget(100).alloc("a", -1)
-
-    def test_fits(self):
-        b = LDMBudget(100)
-        b.alloc("a", 90)
-        assert b.fits(10) and not b.fits(11)

@@ -1,19 +1,18 @@
 """XYZ export and the portability mapping (paper Sec. 3.6)."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from benchmarks.bench_portability import bigfusion_ledgers
 from repro.constants import CU, FE, PAPER_CHANNELS, VACANCY
 from repro.io.xyz import write_xyz, write_xyz_trajectory
 from repro.lattice import LatticeState
-from repro.sunway import (
-    FUGAKU_CMG,
-    compare_targets,
-    map_bigfusion,
-    sunway_target,
-)
+from repro.nnp import ElementNetworks
+from repro.operators import TileGEMMKernel, fig10_ladder
+from repro.sunway import FUGAKU_CMG, SW26010_PRO, LDMOverflowError
 
 
 @pytest.fixture()
@@ -68,36 +67,44 @@ class TestXYZ:
 
 
 class TestPortability:
-    def test_bigfusion_compute_bound_on_both_targets(self):
-        """Sec. 3.6: the data-centric design survives the port to Fugaku."""
-        mapped = compare_targets(PAPER_CHANNELS, 32 * 16 * 16)
-        assert set(mapped) == {"SW26010-pro CG", "Fugaku A64FX CMG"}
-        for m in mapped.values():
-            assert m.compute_bound
-            assert m.modeled_time > 0
+    """Sec. 3.6: the one big-fusion kernel, charged on both machines."""
 
-    def test_memory_traffic_is_target_independent(self):
-        m = 4096
-        sw = map_bigfusion(PAPER_CHANNELS, m, sunway_target())
-        fj = map_bigfusion(PAPER_CHANNELS, m, FUGAKU_CMG)
-        assert sw.mem_bytes == fj.mem_bytes  # first in + last out, always
+    @pytest.fixture(scope="class")
+    def net(self):
+        return ElementNetworks(PAPER_CHANNELS, np.random.default_rng(0)).nets[0]
+
+    def test_bigfusion_compute_bound_on_both_targets(self, net):
+        """Sec. 3.6: the data-centric design survives the port to Fugaku."""
+        ledgers = bigfusion_ledgers(net.weights, net.biases, 32 * 16 * 16)
+        assert set(ledgers) == {"SW26010-pro CG", "Fugaku A64FX CMG"}
+        for ledger in ledgers.values():
+            assert ledger.arithmetic_intensity > ledger.spec.ridge_point
+            assert ledger.overlapped_time() > 0
+
+    def test_memory_traffic_is_target_independent(self, net):
+        sw, fj = bigfusion_ledgers(net.weights, net.biases, 4096).values()
+        assert sw.total_bytes == fj.total_bytes  # first in + last out, always
         assert sw.arithmetic_intensity == fj.arithmetic_intensity
 
+    def test_sunway_charge_is_fig10_bigfusion_rung(self, net):
+        """Sec. 3.6 and Fig. 10 charge the same operator on the same machine."""
+        m = 32 * 16 * 16
+        sw = bigfusion_ledgers(net.weights, net.biases, m)["SW26010-pro CG"]
+        assert sw == fig10_ladder(net.weights, net.biases, m)[-1].ledger
+        assert sw.rma_bytes == 1_589_280
+
     def test_share_fabric_differs(self):
-        sw = sunway_target()
-        assert sw.share_bandwidth != FUGAKU_CMG.share_bandwidth
-        assert FUGAKU_CMG.n_cores == 12
+        assert SW26010_PRO.rma_bandwidth != FUGAKU_CMG.rma_bandwidth
+        assert FUGAKU_CMG.n_cpes == 12
 
-    def test_local_store_check(self):
-        from dataclasses import replace
-
-        tiny = replace(FUGAKU_CMG, local_store_bytes=1024)
-        with pytest.raises(ValueError):
-            map_bigfusion(PAPER_CHANNELS, 64, tiny)
+    def test_local_store_check(self, net):
+        tiny = replace(FUGAKU_CMG, ldm_bytes=1024)
+        with pytest.raises(LDMOverflowError):
+            TileGEMMKernel(net.weights, net.biases, spec=tiny)
 
     def test_ridge_points(self):
         # HBM2 makes the Fugaku CMG far less memory-starved than a CG.
-        assert FUGAKU_CMG.ridge_point < sunway_target().ridge_point
+        assert FUGAKU_CMG.ridge_point < SW26010_PRO.ridge_point
 
     def test_fe_constant_unused_guard(self):
         assert FE == 0  # anchors the XYZ symbol table

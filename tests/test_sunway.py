@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.constants import PAPER_CHANNELS
-from repro.sunway import (
-    EPYC_7452,
-    SW26010_PRO,
-    CostLedger,
-    analyse_network,
-    layer_flops,
-)
+from repro.nnp import ElementNetworks
+from repro.operators import TileGEMMKernel, charge_layers
+from repro.sunway import EPYC_7452, SW26010_PRO, CostLedger
+
+M = 32 * 16 * 16
 
 
 class TestSpec:
@@ -28,7 +26,7 @@ class TestSpec:
         )
 
     def test_x86_is_gather_friendlier(self):
-        assert EPYC_7452.random_bandwidth > SW26010_PRO.mpe_random_bandwidth
+        assert EPYC_7452.mpe_random_bandwidth > SW26010_PRO.mpe_random_bandwidth
 
 
 class TestCostLedger:
@@ -91,36 +89,44 @@ class TestCostLedger:
 
 
 class TestRooflineFig9:
+    """Fig. 9 reads one ``charge_layers`` ledger per layer (original) and
+    the big-fusion kernel's ledger (fused)."""
+
     @pytest.fixture(scope="class")
-    def analysis(self):
-        return analyse_network(32 * 16 * 16, PAPER_CHANNELS, SW26010_PRO)
+    def layers(self):
+        return [
+            charge_layers(CostLedger(SW26010_PRO), M, pair)
+            for pair in zip(PAPER_CHANNELS[:-1], PAPER_CHANNELS[1:])
+        ]
+
+    @pytest.fixture(scope="class")
+    def fused(self):
+        net = ElementNetworks(PAPER_CHANNELS, np.random.default_rng(0)).nets[0]
+        ledger = CostLedger(SW26010_PRO)
+        TileGEMMKernel(net.weights, net.biases).charge(ledger, M)
+        return ledger
 
     def test_layer_flops(self):
-        assert layer_flops(10, 4, 8) == 2 * 10 * 4 * 8 + 2 * 10 * 8
+        ledger = charge_layers(CostLedger(SW26010_PRO), 10, (4, 8))
+        assert ledger.total_flops == 2 * 10 * 4 * 8 + 2 * 10 * 8
 
-    def test_per_layer_ai_spans_paper_range(self, analysis):
+    def test_per_layer_ai_spans_paper_range(self, layers):
         """Paper: per-layer AI from 0.48 to 21.3 — all below the ridge."""
-        ais = analysis.per_layer_ai
+        ais = [l.arithmetic_intensity for l in layers]
         assert min(ais) == pytest.approx(0.5, abs=0.1)  # paper 0.48
         assert max(ais) < SW26010_PRO.ridge_point
 
-    def test_original_is_memory_bound(self, analysis):
-        assert analysis.original_bound == "memory"
+    def test_original_is_memory_bound(self, layers):
+        assert min(l.arithmetic_intensity for l in layers) < SW26010_PRO.ridge_point
 
-    def test_fused_is_compute_bound(self, analysis):
+    def test_fused_is_compute_bound(self, fused):
         """Paper: big-fusion AI ~509 >> ridge 43.6 -> compute bound."""
-        assert analysis.fused_ai > SW26010_PRO.ridge_point
-        assert analysis.fused_bound == "compute"
-        assert analysis.fused_ai > 300.0
+        assert fused.arithmetic_intensity > SW26010_PRO.ridge_point
+        assert fused.arithmetic_intensity > 300.0
 
-    def test_traffic_reduction(self, analysis):
+    def test_traffic_reduction(self, layers, fused):
         """Paper: 56 MB -> 2 MB; ours: ~32 MB -> ~2.1 MB (fewer passes
         counted), a >10x reduction either way."""
-        assert analysis.fused_bytes == pytest.approx(2.13e6, rel=0.05)
-        assert analysis.original_total_bytes / analysis.fused_bytes > 10.0
-
-    def test_attainable_performance(self, analysis):
-        low = analysis.attainable(0.5)
-        high = analysis.attainable(500.0)
-        assert low == pytest.approx(0.5 * SW26010_PRO.mem_bandwidth)
-        assert high == SW26010_PRO.peak_flops_sp
+        original = sum(l.total_bytes for l in layers)
+        assert fused.total_bytes == pytest.approx(2.13e6, rel=0.05)
+        assert original / fused.total_bytes > 10.0

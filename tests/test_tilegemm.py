@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from repro.nnp.network import AtomicNetwork, ElementNetworks
-from repro.operators.tilegemm import (
-    MAX_M_TILE,
-    MIN_TILE,
-    TileGEMMKernel,
-    plan_tiles,
-    tiled_matmul,
-)
+from repro.operators.tilegemm import MAX_M_TILE, MIN_TILE, TileGEMMKernel, plan_tiles
 from repro.sunway.costmodel import CostLedger
 from repro.sunway.ldm import LDMOverflowError
 from repro.sunway.spec import SW26010_PRO
@@ -38,71 +32,24 @@ def _net(channels=(64, 16, 8, 1), seed=0, dtype=np.float32):
     return AtomicNetwork(channels, np.random.default_rng(seed), dtype=dtype)
 
 
-class TestTiledMatmul:
-    def test_matches_blas_to_tolerance(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((137, 70)).astype(np.float32)
-        w = rng.standard_normal((70, 33)).astype(np.float32)
-        out = tiled_matmul(x, w, 32, 16)
-        np.testing.assert_allclose(out, x @ w, rtol=1e-5, atol=1e-5)
-
-    def test_float64_supported(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((21, 40))
-        w = rng.standard_normal((40, 5))
-        out = tiled_matmul(x, w, 8, 16)
-        assert out.dtype == np.float64
-        np.testing.assert_allclose(out, x @ w, rtol=1e-12)
-
-    def test_rejects_mismatched_inner_dims(self):
-        with pytest.raises(ValueError, match="inner dims"):
-            tiled_matmul(np.zeros((3, 4)), np.zeros((5, 2)), 8, 8)
-
-    def test_rows_are_batch_invariant(self):
-        """Row alone == row in batch == row after shuffle, bitwise."""
-        rng = np.random.default_rng(3)
-        for k, n in [(64, 16), (17, 3), (130, 1)]:
-            x = rng.standard_normal((101, k)).astype(np.float32)
-            w = rng.standard_normal((k, n)).astype(np.float32)
-            full = tiled_matmul(x, w, 32, 16)
-            for i in (0, 50, 100):
-                alone = tiled_matmul(x[i : i + 1], w, 32, 16)
-                assert np.array_equal(alone[0], full[i])
-            perm = rng.permutation(101)
-            assert np.array_equal(tiled_matmul(x[perm], w, 32, 16), full[perm])
-
-
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 class TestFuzzBatchSplitInvariance:
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        m=st.integers(min_value=1, max_value=90),
-        split=st.integers(min_value=1, max_value=90),
-        m_tile=st.sampled_from([8, 16, 32]),
-        k_tile=st.sampled_from([8, 16, 32]),
+        m=st.integers(min_value=1, max_value=600),
+        split=st.integers(min_value=1, max_value=300),
+        hidden=st.sampled_from([(16, 8), (20, 7), (33,)]),
     )
-    def test_every_split_gives_identical_rows(self, seed, m, split, m_tile, k_tile):
-        """B=1, B=split, B=m and a shuffle all agree bitwise per row."""
+    def test_every_split_gives_identical_rows(self, seed, m, split, hidden):
+        """B=split and B=m agree bitwise per row, across row tiles and with
+        partial reduction panels."""
         rng = np.random.default_rng(seed)
-        k, n = 48, 7
-        x = (rng.standard_normal((m, k)) * 10).astype(np.float32)
-        w = rng.standard_normal((k, n)).astype(np.float32)
-        full = tiled_matmul(x, w, m_tile, k_tile)
-        # Arbitrary contiguous split.
-        pieces = [
-            tiled_matmul(x[lo : lo + split], w, m_tile, k_tile)
-            for lo in range(0, m, split)
-        ]
+        kernel = TileGEMMKernel(*_weights_biases(_net((48, *hidden, 1), seed=seed)))
+        x = (rng.standard_normal((m, 48)) * 10).astype(np.float32)
+        full = kernel(x)
+        pieces = [kernel(x[lo : lo + split]) for lo in range(0, m, split)]
         assert np.array_equal(np.concatenate(pieces), full)
-        # Every row alone.
-        ones = np.concatenate(
-            [tiled_matmul(x[i : i + 1], w, m_tile, k_tile) for i in range(m)]
-        )
-        assert np.array_equal(ones, full)
-        # Shuffled order.
-        perm = rng.permutation(m)
-        assert np.array_equal(tiled_matmul(x[perm], w, m_tile, k_tile), full[perm])
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -133,6 +80,14 @@ class TestTileGEMMKernel:
         np.testing.assert_allclose(
             kernel(x)[:, 0], net.forward(x), rtol=1e-4, atol=1e-5
         )
+
+    def test_float64_supported(self):
+        net = _net(seed=2, dtype=np.float64)
+        kernel = TileGEMMKernel(net.weights, net.biases)
+        x = np.random.default_rng(2).standard_normal((21, 64))
+        out = kernel(x)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out[:, 0], net.forward(x), rtol=1e-12)
 
     def test_aliases_live_weights(self):
         """In-place weight updates (training) flow into the kernel."""
