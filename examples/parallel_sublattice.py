@@ -17,12 +17,7 @@ import numpy as np
 
 from repro import TripleEncoding
 from repro.lattice import LatticeState
-from repro.parallel import (
-    ScalingParameters,
-    SublatticeKMC,
-    parallel_efficiency,
-    strong_scaling,
-)
+from repro.parallel import SublatticeKMC
 from repro.potentials import EAMPotential
 
 
@@ -64,22 +59,6 @@ def main() -> None:
     assert np.array_equal(gathered.species_counts(), before), "atoms lost!"
     assert sim.check_ghost_consistency(), "ghost regions diverged!"
     print("  invariants: species conserved OK, ghost regions consistent OK")
-
-    # Extrapolate to the paper's strong-scaling configuration (Fig. 12).
-    events = max(sim.total_events, 1)
-    compute_per_event = sum(c.compute_seconds for c in sim.cycles) / events
-    params = ScalingParameters(
-        compute_seconds_per_event=2.0e-4,  # modeled CG event cost (Fig. 11)
-        events_per_atom_second=750.0,  # 573 K Fe-Cu workload density
-        bytes_per_boundary_cell=0.05,
-    )
-    points = strong_scaling(params, 1.92e12, [12000, 96000, 384000])
-    eff = parallel_efficiency(points)
-    print(f"\nprotocol-model extrapolation (python event cost measured: "
-          f"{compute_per_event * 1e3:.2f} ms):")
-    for p, e in zip(points, eff):
-        print(f"  {p.n_cores:>10,} cores: cycle {p.cycle_time * 1e3:7.2f} ms, "
-              f"efficiency {e * 100:5.1f}%")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 from .costmodel import CostLedger
 from .ldm import LDMBudget, LDMOverflowError
-from .spec import EPYC_7452, FUGAKU_CMG, SW26010_PRO, SunwaySpec
+from .spec import CORES_PER_CG, EPYC_7452, FUGAKU_CMG, SW26010_PRO, SunwaySpec
 
 __all__ = [
+    "CORES_PER_CG",
     "CostLedger",
     "LDMBudget",
     "LDMOverflowError",

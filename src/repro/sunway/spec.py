@@ -18,13 +18,27 @@ The other machines the paper compares against are the same description
 with other numbers: a Fugaku A64FX CMG (Sec. 3.6), where each core's share
 of the shared L2 plays the LDM and the L2 read bandwidth plays RMA, and the
 x86 platform of Fig. 11 (one AMD EPYC 7452 running libtensorflow).
+
+The network constants below complete the description for the scaling model
+of Figs. 12-13: one CG's links to its halo neighbours and the depth-wise
+cost of the per-cycle synchronisation allreduce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["SunwaySpec", "SW26010_PRO", "FUGAKU_CMG", "EPYC_7452"]
+__all__ = [
+    "SunwaySpec",
+    "SW26010_PRO",
+    "FUGAKU_CMG",
+    "EPYC_7452",
+    "CORES_PER_CG",
+    "NETWORK_BANDWIDTH",
+    "MESSAGE_LATENCY",
+    "ALLREDUCE_LATENCY",
+    "MESSAGES_PER_CYCLE",
+]
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,18 @@ class SunwaySpec:
 
 #: The reference machine: one SW26010-pro core group.
 SW26010_PRO = SunwaySpec()
+
+#: Cores per core group: the MPE plus its CPE cluster (1 + 64).
+CORES_PER_CG = SW26010_PRO.n_cpes + 1
+#: Point-to-point network bandwidth per CG (B/s).
+NETWORK_BANDWIDTH = 8.0e9
+#: Point-to-point message latency (s).
+MESSAGE_LATENCY = 2.0e-6
+#: Per-level latency of the synchronisation allreduce (s); the tree over P
+#: CGs is ``log2(P)`` levels deep.
+ALLREDUCE_LATENCY = 4.0e-6
+#: Neighbour messages per cycle: the 26-neighbour halo of a cubic subdomain.
+MESSAGES_PER_CYCLE = 26
 
 #: One Fugaku A64FX core-memory group (Sec. 3.6): 12 compute cores, 8 MiB
 #: shared L2 (the paper quotes "8 MB for 12 computing nodes [cores]"), HBM2
