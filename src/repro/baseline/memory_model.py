@@ -81,10 +81,12 @@ def tensorkmc_memory_model(
     whose live slots are all fresh.  Pass ``False`` for the paper's entry
     alone (Table 1).
     ``row_cache`` charges the persistent row-energy memo by resident entry
-    count at :data:`~repro.core.rowcache.ROW_ENTRY_BYTES` per entry (row
-    code and energy) — the same figure
-    :meth:`RowEnergyCache.memory_bytes` reports, so the analytic term is
-    validated against live bytes like the snapshots are.
+    count at :data:`~repro.core.rowcache.ROW_ENTRY_BYTES` per entry (the
+    open-addressing table's worst case: code, energy and reference bit in
+    up to four slots, plus half a ring slot each) — the same figure
+    :meth:`RowEnergyCache.memory_bytes` reports, and a bound on the
+    table's arrays, so the analytic term is validated against live bytes
+    like the snapshots are.
     In a dilute alloy the distinct-environment count saturates at a tiny,
     domain-independent value, so this term is O(1) in practice (and the
     cache's byte budget, :data:`~repro.core.rowcache.ROW_CACHE_BYTES` by

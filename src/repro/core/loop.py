@@ -31,9 +31,11 @@ hop), ``gather(keys)`` (from-scratch VET species codes, for
 ``p - o_i`` holds site ``p`` at VET position ``i`` (Eq. 4), so the
 candidate centres of a changed site are its flat id plus one precomputed
 offset vector per sublattice parity — no stored VET site ids and no
-distance test.  On the periodic lattice a site within reach of a box face
-wraps its centres along that axis; in a rank's window, where keys never
-leave the window, a centre past the edge is dropped by its key instead.
+distance test.  On the periodic lattice ``gather`` runs the same stencil
+forwards (the VET of the vacancy at ``p`` is ``p + o_i``), and either
+direction wraps a site within reach of a box face along that axis; in a
+rank's window, where keys never leave the window, a centre past the edge
+is dropped by its key instead.
 The stencil finds a slot through the vacancy code at its key, which every
 live registry key holds (``tests/test_loop_invariants.py``).
 """
@@ -117,6 +119,32 @@ def _stencil(offsets: np.ndarray, shape) -> Tuple[np.ndarray, np.ndarray]:
     return flat, shift
 
 
+def _periodic_stencil(offsets: np.ndarray, shape):
+    """:func:`_stencil` on a periodic box: the flat offsets, and per axis
+    the ``(2, n_all)`` cell shifts, the cells ``lo <= c < hi`` whose shifts
+    never leave the box, the box size and the flat stride."""
+    flat, shift = _stencil(offsets, shape)
+    nx, ny, nz = shape
+    axes = [
+        (np.ascontiguousarray(shift[..., a]), int(-shift[..., a].min()),
+         n - int(shift[..., a].max()), n, stride)
+        for a, (n, stride) in enumerate(((nx, ny * nz), (ny, nz), (nz, 1)))
+    ]
+    return flat, axes
+
+
+def _periodic_row(stencil, site: int, sub: int, cell) -> np.ndarray:
+    """The stencil's ``(n_all,)`` site ids around ``site`` (sublattice
+    ``sub``, cell ``cell``): one add, and a wrap on each axis within reach
+    of a box face."""
+    flat, axes = stencil
+    row = flat[sub] + site
+    for c, (shift, lo, hi, n, stride) in zip(cell, axes):
+        if not lo <= c < hi:
+            row -= (shift[sub] + c) // n * (n * stride)
+    return row
+
+
 class LatticeSites:
     """Flat site ids over a periodic lattice: the serial site store.
 
@@ -125,19 +153,12 @@ class LatticeSites:
 
     def __init__(self, lattice: LatticeState, tet: TripleEncoding) -> None:
         self.lattice = lattice
-        self._offsets = tet.all_offsets
         #: 1NN hop vectors as Python ints: the hop's coordinate arithmetic
         #: is scalar, array round-trips would dominate it.
         self._nn = [tuple(row) for row in tet.nn_offsets.tolist()]
-        self._offset, shift = _stencil(tet.all_offsets, lattice.shape)
-        #: Per axis: the centres' ``(2, n_all)`` cell shifts, the cells
-        #: ``lo <= c < hi`` whose shifts never leave the box, the flat stride.
-        nx, ny, nz = lattice.shape
-        self._axes = [
-            (np.ascontiguousarray(shift[..., a]), int(-shift[..., a].min()),
-             n - int(shift[..., a].max()), n, stride)
-            for a, (n, stride) in enumerate(((nx, ny * nz), (ny, nz), (nz, 1)))
-        ]
+        #: The TET backwards (a site's centres) and forwards (a centre's VET).
+        self._behind = _periodic_stencil(tet.all_offsets, lattice.shape)
+        self._ahead = _periodic_stencil(-tet.all_offsets, lattice.shape)
 
     def position_of(self, site):
         return self.lattice.half_of(site)
@@ -154,26 +175,20 @@ class LatticeSites:
     def gather(self, keys):
         """From-scratch VET codes of a key batch.
 
-        Keys are lattice sites and the VET offsets are BCC translations, so
-        every generated coordinate is a valid site and the parity check is
-        skipped.  The usual batch is a single key (the event's mover), so
-        the centre decomposition runs in Python scalars and only the
-        per-window work is vectorised — the modular arithmetic of
-        :meth:`~repro.lattice.occupancy.LatticeState.ids_from_half`, one
-        window at a time, so a cold start's transient stays one window.
+        The VET of the vacancy at site ``p`` holds the sites ``p + o_i``:
+        the forward stencil, one add per key plus a wrap on each axis
+        within reach of a box face.  The usual batch is a single key (the
+        event's mover), so the key's decomposition runs in Python scalars.
         """
         lattice = self.lattice
         nx, ny, nz = lattice.shape
-        offsets = self._offsets
-        vet_ids = np.empty((len(keys), offsets.shape[0]), dtype=np.int64)
-        for n, key in enumerate(keys):
-            vet_half = offsets + np.array(lattice.half_of(key), dtype=np.int64)
-            ss = vet_half[:, 0] & 1
-            cells = (vet_half - ss[:, None]) >> 1
-            cells %= lattice._dims
-            vet_ids[n] = (
-                (ss * nx + cells[:, 0]) * ny + cells[:, 1]
-            ) * nz + cells[:, 2]
+        n_all = self._ahead[0].shape[1]
+        vet_ids = np.empty((len(keys), n_all), dtype=np.int64)
+        for n, site in enumerate(keys):
+            rest, z = divmod(int(site), nz)
+            rest, y = divmod(rest, ny)
+            sub, x = divmod(rest, nx)
+            vet_ids[n] = _periodic_row(self._ahead, site, sub, (x, y, z))
         return lattice.occupancy[vet_ids]
 
     def footprint(self, points_half):
@@ -194,11 +209,7 @@ class LatticeSites:
             site = ((sub * nx + cell[0]) * ny + cell[1]) * nz + cell[2]
             if site in rows:
                 continue
-            row = self._offset[sub] + site
-            for c, (shift, lo, hi, n, stride) in zip(cell, self._axes):
-                if not lo <= c < hi:
-                    row -= (shift[sub] + c) // n * (n * stride)
-            rows[site] = row
+            rows[site] = _periodic_row(self._behind, site, sub, cell)
         centres = np.array(list(rows.values()))
         point, positions = np.nonzero(occupancy[centres] == lattice.vacancy_code)
         sites = np.fromiter(rows, dtype=np.int64, count=len(rows))

@@ -77,3 +77,8 @@ def tet_wide() -> TripleEncoding:
 @pytest.fixture(scope="session")
 def nnp_wide(tet_wide: TripleEncoding) -> NNPotential:
     return _random_nnp(tet_wide, 4.8)
+
+
+@pytest.fixture(scope="session")
+def nnp_standard(tet_standard: TripleEncoding) -> NNPotential:
+    return _random_nnp(tet_standard, RCUT_STANDARD)

@@ -14,6 +14,11 @@ each of their kernels must hold:
 * in every fresh slot, a delta snapshot whose ``(9, n_region)`` row
   energies equal a from-scratch ``evaluate_rows`` of that environment — for
   the campaign, rows spliced from the shared per-round call.
+
+Two checks sit below the kernel: the serial store's forward stencil
+gathers the sites the modular reference names, and every sampled row-cache
+entry holds the energy a fresh, cache-free evaluation of its decoded row
+gives, bit for bit.
 """
 
 import math
@@ -23,6 +28,8 @@ import pytest
 
 from repro.campaign import ReplicaCampaign, alloy_engine_factory, seed_sweep
 from repro.core.engine import TensorKMCEngine
+from repro.core.loop import LatticeSites
+from repro.core.rowcache import row_code_weights
 from repro.lattice import LatticeState
 from repro.parallel import SublatticeKMC
 
@@ -129,3 +136,79 @@ def test_kernel_invariants_after_events(request, tet_small, driver):
                 vet[None], np.zeros_like(rows), rows
             )
             assert np.array_equal(cache.row_e_of([slot])[0], scratch.T), slot
+
+
+@pytest.mark.parametrize(
+    "tet_name,shape", [("tet_small", (6, 7, 8)), ("tet_standard", (8, 9, 10))]
+)
+def test_gather_names_the_sites_of_the_modular_reference(
+    request, tet_name, shape
+):
+    """The forward stencil's VET site ids, for every site on a box face
+    and for random sites, equal ``ids_from_half`` of the key plus the TET
+    offsets."""
+    tet = request.getfixturevalue(tet_name)
+    lattice = LatticeState(shape)
+    sites = LatticeSites(lattice, tet)
+    _, *cell = lattice.site_coords(np.arange(lattice.n_sites))
+    on_face = np.zeros(lattice.n_sites, dtype=bool)
+    for c, n in zip(cell, shape):
+        on_face |= (c == 0) | (c == n - 1)
+    rng = np.random.default_rng(7)
+    keys = np.concatenate([
+        np.flatnonzero(on_face), rng.integers(0, lattice.n_sites, 64)
+    ])
+    # Occupancy that reads back each site's own id.
+    lattice.occupancy = np.arange(lattice.n_sites)
+    reference = lattice.ids_from_half(
+        lattice.half_coords(keys)[:, None, :] + tet.all_offsets
+    )
+    assert np.array_equal(sites.gather(keys.tolist()), reference)
+
+
+def _decode_rows(codes, tet, n_elements):
+    """Test-side inverse of ``row_code_weights``: ``(centres, counts)``."""
+    sizes = np.bincount(np.asarray(tet.cet_shell), minlength=tet.n_shells)
+    rest, digits = np.asarray(codes, dtype=np.int64), []
+    for radix in (np.repeat(sizes, n_elements) + 1).tolist():
+        rest, digit = np.divmod(rest, radix)
+        digits.append(digit)
+    return rest, np.stack(digits, axis=1)
+
+
+@pytest.mark.parametrize(
+    "tet_name,pot_name,shape",
+    [("tet_small", "nnp_small", (8, 8, 8)),
+     ("tet_standard", "nnp_standard", (12, 12, 12))],
+)
+def test_cached_row_energies_re_evaluate_bitwise(
+    request, tet_name, pot_name, shape
+):
+    """A sample of live row-cache entries, decoded to (centre, shell
+    counts) and evaluated in one fresh call with no cache, gives the stored
+    energies bit for bit."""
+    tet = request.getfixturevalue(tet_name)
+    pot = request.getfixturevalue(pot_name)
+    engine = TensorKMCEngine(
+        _alloy(shape, 9, 0.004), pot, tet,
+        temperature=900.0, rng=np.random.default_rng(10),
+    )
+    engine.run(n_steps=10)
+    cache = engine.row_cache
+    codes = cache._codes[cache._codes >= 0]
+    assert len(codes) == len(cache) > 0
+    sample = np.random.default_rng(3).choice(
+        codes, size=min(256, len(codes)), replace=False
+    )
+    found, cached = cache.lookup(sample)
+    assert found.all()
+    centres, counts = _decode_rows(sample, tet, pot.n_elements)
+    weights, centre_weight = row_code_weights(tet, pot.n_elements)
+    assert np.array_equal(counts @ weights + centres * centre_weight, sample)
+    fresh = pot.energies_from_counts(
+        centres,
+        counts.reshape(len(sample), tet.n_shells, pot.n_elements)
+        .astype(np.float32),
+    )
+    assert cached.dtype == fresh.dtype
+    assert cached.tobytes() == fresh.tobytes()
