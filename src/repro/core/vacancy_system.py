@@ -631,6 +631,17 @@ class VacancySystemEvaluator:
             fresh = self.potential.energies_from_counts(
                 centers[p, j], counts.reshape(-1, tet.n_shells, n_el)
             )
+            # A non-finite energy must never reach the cache, where it
+            # would surface much later as a propensity error.
+            bad = ~np.isfinite(fresh)
+            if bad.any():
+                pb, state = divmod(int(rows[bad].min()), n_states)
+                raise ValueError(
+                    f"non-finite row energy from "
+                    f"{type(self.potential).__name__} at batch row "
+                    f"{int(pair_b[pb])}, region row {int(pair_r[pb])}, "
+                    f"trial state {state}"
+                )
             if cache is None:
                 energies = fresh
             else:

@@ -39,10 +39,14 @@ class NNPotential(CountsPotential):
     """
 
     #: All rigid-lattice inference runs through the deterministic
-    #: tiled-GEMM kernel (:mod:`repro.operators.tilegemm`): every GEMM call
-    #: has a fixed ``(m_tile, k_tile)`` shape with partial products summed
-    #: in a fixed order, so each atom's energy is bit-identical whether it
-    #: is evaluated alone or inside any batch.  The engines therefore take
+    #: tiled-GEMM kernel (:mod:`repro.operators.tilegemm`): reduction
+    #: panels are fixed ``k_tile`` wide and summed in a fixed order, and
+    #: row blocks are ``m_tile`` rows or, for a launch's last block, a
+    #: multiple of 8.  A row's bits do not depend on how many 8-row groups
+    #: share its call (measured, and pinned by
+    #: ``tests/test_tilegemm.py::TestRowPaddingPremise``), so each atom's
+    #: energy is bit-identical whether it is evaluated alone or inside any
+    #: batch.  The engines therefore take
     #: the batched miss path for the NNP while the Fig. 8 cache-equivalence
     #: guarantee stays bitwise.
     batch_row_invariant = True

@@ -11,14 +11,19 @@ how many atoms the MPE enqueued, which is why TensorKMC can batch NNP
 inference *and* keep the Fig. 8 bitwise cache-equivalence.
 
 :class:`TileGEMMKernel` reproduces that property in NumPy.  It runs the
-whole network as a grid of **fixed-shape** GEMM calls — every row block is
-padded to exactly ``m_tile`` rows and every reduction panel to exactly
-``k_tile`` columns, and the per-panel partial products are summed in
-ascending-``k`` order.  Because BLAS blocking depends only on the call
-shape, and every call has the same shape, each output row is a pure
-function of that row's input: bit-identical for a batch of 1, a batch of
-1000, or any permutation thereof (property-tested in
-``tests/test_tilegemm.py``).
+whole network as a grid of GEMM calls over fixed tiles: every reduction
+panel is padded to exactly ``k_tile`` columns, every full row block has
+``m_tile`` rows, and a launch's last, partial row block is padded only to
+the next multiple of ``MIN_TILE`` (8) rows; the per-panel partial products
+are summed in ascending-``k`` order.  The premise is measured, not assumed:
+a row's bits do not depend on how many 8-row groups share its call.  On
+OpenBLAS (the build NumPy ships) every batch size from 1 to ``m_tile`` + 8,
+at several offsets, in float32 and float64, matches one large call bitwise,
+while padding to exactly the row count does not (a 1-row call differs).
+``tests/test_tilegemm.py::TestRowPaddingPremise`` pins both the premise on
+the bare BLAS and its consequence on the paper network.  So each output row
+is a pure function of that row's input: bit-identical for a batch of 1, a
+batch of 1000, or any permutation thereof.
 
 The kernel runs every NNP inference and is the operator Figs. 9-11 and
 Sec. 3.6 time and charge (:meth:`TileGEMMKernel.charge`).  Its tile sizes
@@ -42,16 +47,19 @@ __all__ = ["TilePlan", "plan_tiles", "TileGEMMKernel"]
 _F32 = 4
 
 #: Hard ceiling on the row-tile size.  The LDM plan can produce very large
-#: ``m_block`` values for small networks, but every call — including a
-#: single-VET scalar miss — pads its row block to the full ``m_tile``, so an
-#: unbounded tile would make the scalar path pay thousands of wasted rows
-#: per GEMM.  256 rows is the paper-scale ``m_block`` for the production
-#: (64, 128, ..., 1) networks; capping there keeps the padding overhead of a
-#: one-VET call below ~2x while leaving batched calls fully amortised.
+#: ``m_block`` values for small networks; 256 rows is the paper-scale
+#: ``m_block`` for the production (64, 128, ..., 1) networks.  A small
+#: launch pads only to a multiple of ``MIN_TILE``, so the cap bounds no
+#: host padding; it is kept because it fixes the modeled block count
+#: (``n_blocks`` in :meth:`TileGEMMKernel.charge`) and with it every
+#: Figs. 9-11 number.
 MAX_M_TILE = 256
 
 #: Floor for the tile sizes (a degenerate 1-row tile would devolve into the
-#: per-row scalar path).
+#: per-row scalar path), and the row-padding quantum: a launch's last,
+#: partial row block is padded up to a multiple of this many rows.  Padding
+#: to exactly the row count would break the row-invariance premise
+#: (``tests/test_tilegemm.py::TestRowPaddingPremise``).
 MIN_TILE = 8
 
 
@@ -61,10 +69,12 @@ class TilePlan:
 
     The plan is a pure function of the network shape and the machine spec —
     never of the batch size — which is the whole point: the accumulation
-    order it induces is identical for every call.
+    order it induces is identical for every call (a partial row block's
+    shorter call keeps it too, per the premise in the module docstring).
     """
 
-    #: Rows per GEMM call; every row block is padded to exactly this.
+    #: Rows per full GEMM row block; a launch's last, partial block is
+    #: padded only to the next multiple of ``MIN_TILE`` rows.
     m_tile: int
     #: Reduction-panel width; every K panel is padded to exactly this.
     k_tile: int
@@ -140,8 +150,10 @@ class TileGEMMKernel:
     Determinism contract
     --------------------
     The tile plan depends only on the network shape and the *canonical*
-    machine spec fixed at construction — never on the batch — so output row
-    ``i`` is a pure function of input row ``i``: evaluating an atom alone,
+    machine spec fixed at construction — never on the batch — and a row's
+    bits do not depend on how many 8-row groups share its GEMM call (the
+    measured premise of the module docstring), so output row ``i`` is a
+    pure function of input row ``i``: evaluating an atom alone,
     inside any batch, or at any batch position gives bit-identical energies.
     This is what lets :class:`~repro.nnp.model.NNPotential` declare
     ``batch_row_invariant = True`` and the engines take the batched miss
@@ -225,9 +237,14 @@ class TileGEMMKernel:
         activation on the last), identical in structure to
         :func:`~repro.operators.fused.fused_layer` but with the fixed-tile
         accumulation order described in the class docstring: every GEMM is
-        exactly ``(m_tile, k_tile) @ (k_tile, n)``, panels summed in
-        ascending-``k`` order.  The host walks the same per-block layer
-        chain as Algorithm 1 — each padded ``m_tile`` row block runs through
+        ``(mb, k_tile) @ (k_tile, n)``, with ``mb = m_tile`` for a full row
+        block and the row count rounded up to a multiple of ``MIN_TILE``
+        for the last, partial one; the first panel's product starts the
+        accumulator and later panels add in ascending-``k`` order.  A layer
+        whose width is a whole number of ``k_tile`` panels hands its
+        in-place ReLU output straight to the next layer; only a narrower
+        one is copied into a zero-padded panel.  The host walks the same
+        per-block layer chain as Algorithm 1 — each row block runs through
         *all* layers before the next block starts, mirroring the
         LDM-resident state flow of the modeled CPE kernel.
         """
@@ -243,30 +260,32 @@ class TileGEMMKernel:
         out = np.empty((m, self.channels[-1]), dtype=self.dtype)
         for r0 in range(0, m, mt):
             rows = min(mt, m - r0)
+            mb = -(-rows // MIN_TILE) * MIN_TILE
             # Row/column zero-padded activations: pad rows never feed back
             # into real rows (GEMM row purity) and pad columns multiply zero
             # weight rows, so both only add exact zeros to every
             # accumulation.
             hb = np.zeros(
-                (mt, self.plan.k_panels(self.channels[0]) * kt),
+                (mb, self.plan.k_panels(self.channels[0]) * kt),
                 dtype=self.dtype,
             )
             hb[:rows, : self.channels[0]] = x[r0 : r0 + rows]
             for l, (w, b) in enumerate(zip(self.weights, self.biases)):
                 n = w.shape[1]
                 lt = tiles[l]
-                acc = np.zeros((mt, n), dtype=self.dtype)
-                for i in range(len(lt)):
+                acc = np.matmul(hb[:, :kt], lt[0])
+                for i in range(1, len(lt)):
                     acc += np.matmul(hb[:, i * kt : (i + 1) * kt], lt[i])
                 acc += b
                 if l != last:
                     np.maximum(acc, 0.0, out=acc)
+                if l == last or n % kt == 0:
+                    hb = acc
+                else:
                     hb = np.zeros(
-                        (mt, self.plan.k_panels(n) * kt), dtype=self.dtype
+                        (mb, self.plan.k_panels(n) * kt), dtype=self.dtype
                     )
                     hb[:, :n] = acc
-                else:
-                    hb = acc
             out[r0 : r0 + rows] = hb[:rows]
         if ledger is not None:
             self.charge(ledger, m)
@@ -277,12 +296,15 @@ class TileGEMMKernel:
         """Charge one ``m``-row launch per Algorithm 1 (big-fusion flow).
 
         Each block iteration runs ``n_cpes`` state blocks of ``m_tile`` rows,
-        one per CPE.  FLOPs are charged for the useful rows (padding is an
-        artefact of the NumPy host, not of the modeled CPE kernel, whose
-        partial tiles simply run shorter loops); DMA covers the first input
-        and last output, and per block iteration the RMA operator flow
-        delivers the parameter set to each of the 8 CPE rows, one weight
-        pane per reduction panel.
+        one per CPE.  FLOPs are charged for the useful rows: the modeled CPE
+        kernel's partial tiles simply run shorter loops, and the NumPy
+        host's only padding (a partial block rounded up to ``MIN_TILE``
+        rows, plus zero columns up to a whole ``k_tile`` panel) is not
+        charged.  The charge does not depend on how the host pads, so
+        every modeled Figs. 9-11 number is unchanged by it.  DMA covers the
+        first input and last output, and per block iteration the RMA
+        operator flow delivers the parameter set to each of the 8 CPE rows,
+        one weight pane per reduction panel.
         """
         n_blocks = max(-(-m // (self.spec.n_cpes * self.plan.m_tile)), 1)
         gemm_flops = sum(

@@ -4,8 +4,15 @@ The property under test is the whole reason :mod:`repro.operators.tilegemm`
 exists: every output row must be a pure function of that row's input —
 bit-identical whether the row is computed alone, inside any batch split, or
 at any position after a shuffle.  Plain float32 BLAS GEMMs do *not* have
-this property (their blocking follows the row count); the fixed-shape
+this property (their blocking follows the row count); the fixed-tile
 padded tiling must restore it exactly.
+
+The kernel pads a launch's last, partial row block only to a multiple of
+``MIN_TILE`` (8) rows, so it rests on a measured premise: a row's bits do
+not depend on how many 8-row groups share its GEMM call.
+:class:`TestRowPaddingPremise` pins that premise on the bare BLAS and its
+consequence on the paper's 64-128-128-128-64-1 network; padding to exactly
+the row count fails the network sweep.
 """
 
 from __future__ import annotations
@@ -147,6 +154,63 @@ class TestTileGEMMKernel:
             np.testing.assert_allclose(
                 out[mask], net.forward(feats[mask]), rtol=1e-4, atol=1e-5
             )
+
+
+PAPER_CHANNELS = (64, 128, 128, 128, 64, 1)
+
+
+def _paper_kernel(dtype):
+    """The paper's 64-128-128-128-64-1 network on its real plan, with
+    non-zero biases so every ReLU layer carries mixed-sign rows."""
+    rng = np.random.default_rng(11)
+    net = _net(PAPER_CHANNELS, seed=11, dtype=dtype)
+    for b in net.biases:
+        b[:] = rng.standard_normal(b.shape).astype(dtype) * 0.5
+    return TileGEMMKernel(net.weights, net.biases, dtype=dtype)
+
+
+def _blas_name() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']} ({blas.get('openblas configuration')})"
+
+
+class TestRowPaddingPremise:
+    """The premise behind padding a partial row block only to a multiple of
+    ``MIN_TILE``: a row's bits do not depend on how many 8-row groups share
+    its GEMM call.  Pinned on the paper network's real plan."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_batch_size_matches_one_large_call(self, dtype):
+        kernel = _paper_kernel(dtype)
+        mt = kernel.plan.m_tile
+        assert (mt, kernel.plan.k_tile) == (128, 128)
+        rng = np.random.default_rng(12)
+        x = (rng.standard_normal((3 * mt + 5, 64)) * 3).astype(dtype)
+        full = kernel(x)
+        for offset in (0, 7, mt - 3):
+            for m in range(1, mt + 9):
+                got = kernel(x[offset : offset + m])
+                assert np.array_equal(got, full[offset : offset + m]), (
+                    f"{np.dtype(dtype).name}: batch of {m} rows at offset "
+                    f"{offset} differs from the {len(x)}-row call"
+                )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blas_rows_do_not_depend_on_8_row_groups(self, dtype):
+        kernel = _paper_kernel(dtype)
+        mt, kt = kernel.plan.m_tile, kernel.plan.k_tile
+        rng = np.random.default_rng(13)
+        for n in kernel.channels[1:]:
+            a = rng.standard_normal((mt, kt)).astype(dtype)
+            w = rng.standard_normal((kt, n)).astype(dtype)
+            ref = np.matmul(a, w)
+            for mb in range(MIN_TILE, mt + 1, MIN_TILE):
+                assert np.array_equal(np.matmul(a[:mb], w), ref[:mb]), (
+                    f"({mb}, {kt}) @ ({kt}, {n}) {np.dtype(dtype).name} rows "
+                    f"differ from the ({mt}, {kt}) call's on {_blas_name()}: "
+                    f"this BLAS breaks the row-padding premise of "
+                    f"TileGEMMKernel"
+                )
 
 
 class TestTilePlan:

@@ -6,6 +6,8 @@ from one vacancy system must equal the difference of *total lattice* energies
 before and after actually performing the swap.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -240,3 +242,45 @@ class TestDetailedBalance:
         assert rates_fwd[direction] / rates_back[reverse] == pytest.approx(
             expected, rel=1e-9
         )
+
+
+class TestNonFiniteEnergies:
+    """A non-finite energy from a bad potential is refused before the row
+    cache can store it, with the pair and state that produced it."""
+
+    def test_nan_bias_raises_and_cache_keeps_its_entries(self, tet_small):
+        from repro.core.rowcache import RowEnergyCache
+        from repro.nnp import ElementNetworks, NNPotential
+        from repro.potentials import FeatureTable
+
+        table = FeatureTable(tet_small.shell_distances)
+        nets = ElementNetworks((2 * table.n_dim, 16, 8, 1), np.random.default_rng(3))
+        model = NNPotential(table, nets, rcut=2.87)
+        evaluator = VacancySystemEvaluator(tet_small, model)
+        cache = evaluator.attach_row_cache(RowEnergyCache())
+
+        lattice = LatticeState((8, 8, 8))
+        rng = np.random.default_rng(5)
+        lattice.occupancy[:] = np.where(rng.random(lattice.n_sites) < 0.1, CU, FE)
+        vacs = [lattice.site_id(0, 2, 2, 2), lattice.site_id(1, 5, 5, 5)]
+        lattice.occupancy[vacs] = VACANCY
+        vets = np.stack([_vet_of(lattice, tet_small, v) for v in vacs])
+        n_region = tet_small.n_region
+        rows = np.arange(n_region)
+        evaluator.evaluate_rows(vets, np.zeros(n_region, dtype=np.intp), rows)
+        n_cached = len(cache)
+        assert n_cached > 0
+
+        for net in nets.nets.values():
+            net.biases[-1][:] = np.nan
+        with pytest.raises(ValueError) as err:
+            evaluator.evaluate_rows(vets, np.ones(n_region, dtype=np.intp), rows)
+        assert len(cache) == n_cached
+        msg = str(err.value)
+        assert "non-finite row energy from NNPotential" in msg
+        found = re.search(
+            r"batch row (\d+), region row (\d+), trial state (\d+)", msg
+        )
+        assert found is not None, msg
+        b, r, state = map(int, found.groups())
+        assert b == 1 and 0 <= r < n_region and 0 <= state <= tet_small.N_DIRECTIONS
