@@ -8,12 +8,13 @@ expensive evaluator (the NNP's tiled-GEMM inference in particular) sees a
 stream of tiny batches that waste its throughput.
 
 :class:`ReplicaCampaign` runs R replicas in one process and, once per round,
-refreshes every replica through the same miss path a solo engine uses, with
-the evaluation fused: each replica's :class:`~repro.core.delta.DeltaRebuilder`
-plans its refresh (every row of a from-scratch slot, only the dirty rows of
-a snapshot slot), *all* replicas' rows go through a single
+refreshes every replica with one :func:`~repro.core.kernel.refresh_many`
+call, the refresh a solo engine runs over its one kernel: each replica's
+:class:`~repro.core.delta.DeltaRebuilder` plans its refresh (every row of a
+from-scratch slot, only the dirty rows of a snapshot slot), *all* replicas'
+rows go through a single
 :meth:`~repro.core.vacancy_system.VacancySystemEvaluator.evaluate_batch_segments`
-call, and each rebuilder splices its rows back into its own snapshots — the
+call, and each rebuilder splices its rows into its own snapshot slab — the
 autobatching idea popularised by batched MD front-ends (independent systems
 share one forward pass) on top of the paper's keep-it-resident rebuild.  A
 replica that finishes (or freezes) is hot-swapped out for the next queued
@@ -28,10 +29,10 @@ potentials (per-row results independent of batch composition — see
 :class:`~repro.potentials.base.CountsPotential`); each replica plans and
 splices with its own rebuilder — its own site store and its own
 :class:`~repro.core.rates.RateModel` (temperatures may differ per replica) —
-and hands the entries back through
-:meth:`~repro.core.kernel.EventKernel.apply_refresh`.  Those entries carry
-row energies, so replica slots hold delta snapshots exactly as a solo
-run's do, and each replica's own invalidation patches them.  Each
+and stores through its own
+:meth:`~repro.core.kernel.EventKernel.apply_refresh`, so replica slots hold
+delta snapshots exactly as a solo run's do, and each replica's own
+invalidation patches them.  Each
 replica's subsequent :meth:`~repro.core.engine.SerialAKMCBase.step` — the
 solo event, unchanged — finds nothing stale and draws from its own RNG in
 the usual order, so every fixed-seed trajectory is bit-identical to running
@@ -52,7 +53,7 @@ import numpy as np
 
 from ..constants import TEMPERATURE_RPV, VACANCY_CONCENTRATION
 from ..core.engine import SerialAKMCBase, TensorKMCEngine
-from ..core.kernel import NoMovesError
+from ..core.kernel import NoMovesError, refresh_many
 from ..core.profiling import PhaseProfiler, merge_disjoint
 from ..core.rowcache import RowEnergyCache
 from ..lattice import LatticeState
@@ -68,9 +69,9 @@ __all__ = [
 ]
 
 #: Campaign phase names, in reporting order: replica admission/hot swap,
-#: the per-replica refresh plans, the shared potential call, the
-#: per-replica splice and store, and the per-replica KMC steps.
-CAMPAIGN_PHASES = ("admit", "gather", "evaluate", "scatter", "step")
+#: the round's one refresh over every replica, and the per-replica KMC
+#: steps.
+CAMPAIGN_PHASES = ("admit", "refresh", "step")
 
 
 @dataclass(frozen=True)
@@ -269,38 +270,17 @@ class ReplicaCampaign:
             if not active:
                 break
 
-            # Plan every in-flight replica's refresh: its from-scratch
-            # slots' rows and its snapshot slots' dirty rows.
-            work = []
-            with self.profiler.phase("gather"):
-                for rep in active:
-                    kernel = rep.engine.kernel
-                    stale = kernel.stale_batch()
-                    if stale.size:
-                        work.append((kernel, kernel.builder.plan(
-                            kernel.cache.keys_of(stale), stale
-                        )))
-
-            # One potential call for all replicas; row dedup operates
-            # across replica boundaries.
-            with self.profiler.phase("evaluate"):
-                rows = self._evaluator.evaluate_batch_segments(
-                    [(p.vets, p.pair_b, p.pair_r) for (_, p) in work]
-                )
-                if work:
-                    slots = sum(p.slots.size for (_, p) in work)
+            # One refresh for all replicas: each plans its own rows, one
+            # potential call (row dedup across replica boundaries), each
+            # splices and stores its own.
+            with self.profiler.phase("refresh"):
+                plans = refresh_many([rep.engine.kernel for rep in active])
+                if plans:
+                    slots = sum(p.slots.size for p in plans)
                     self.shared_batches += 1
                     self.shared_rows += slots
-                    self.shared_pairs += sum(len(r) for r in rows)
+                    self.shared_pairs += sum(p.pair_b.size for p in plans)
                     self.max_shared_batch = max(self.max_shared_batch, slots)
-
-            # Splice each replica's rows into its own snapshots, through
-            # its own rate model (temperatures may differ), and store them.
-            with self.profiler.phase("scatter"):
-                for (kernel, plan), r in zip(work, rows):
-                    kernel.apply_refresh(
-                        plan.slots, kernel.builder.splice(plan, r)
-                    )
 
             # One KMC event per replica; refresh inside step() finds
             # nothing stale, so each replica's RNG draw order matches its

@@ -6,7 +6,7 @@ from .profiling import PhaseProfiler
 from .propensity import FenwickPropensity, LinearPropensity, PropensityStore
 from .rates import RateModel, residence_time
 from .tet import TripleEncoding
-from .vacancy_cache import BatchEntries, VacancyCache
+from .vacancy_cache import VacancyCache
 from .vacancy_system import StateEnergies, VacancySystemEvaluator
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "RateModel",
     "residence_time",
     "TripleEncoding",
-    "BatchEntries",
     "VacancyCache",
     "StateEnergies",
     "VacancySystemEvaluator",

@@ -12,23 +12,23 @@ keep-it-resident argument applied to the encoded state itself):
   triples a change touches: it scatter-updates the stored VET snapshots and
   accumulates which region rows went dirty (via the evaluator's
   per-position dirty-row table).
-* :meth:`DeltaRebuilder.build_entries` — the delta-aware refresh: slots
-  with a snapshot re-rate only their dirty rows through
-  :meth:`~repro.core.vacancy_system.VacancySystemEvaluator.evaluate_rows`;
-  slots without one (fresh hops, recycled slots, post-restore) are gathered
-  from scratch.  Both sets share a single concatenated potential call, so
-  the per-call fixed cost is paid once per refresh, exactly as in the full
-  path.  It is :meth:`~DeltaRebuilder.plan` (the row worklist), one
-  ``evaluate_rows`` call and :meth:`~DeltaRebuilder.splice` (rows into
-  the snapshots, then rates); a campaign runs the same two halves around
-  one ``evaluate_batch_segments`` call over every replica's plan.
+* :meth:`DeltaRebuilder.build_entries` — the plan of a refresh: slots
+  with a snapshot re-rate only their dirty rows; slots without one (fresh
+  hops, recycled slots, cold starts, post-restore) are gathered from
+  scratch into the cache's VET slab and re-rate every row.
+  :func:`~repro.core.kernel.refresh_many` evaluates every kernel's plan in
+  one ``evaluate_batch_segments`` call (one kernel's goes straight to
+  :meth:`~repro.core.vacancy_system.VacancySystemEvaluator.evaluate_rows`),
+  so the per-call fixed cost is paid once per refresh.
+* :meth:`DeltaRebuilder.splice` — the re-rated rows go straight into the
+  cache's row-energy slab, and each slot's sums become its rates.
 
 Bit-exactness: patched VETs are exact integer species codes (identical to a
 re-gather), shell counts are exact integers in float32, and the shipped
 potentials are row-invariant (``batch_row_invariant``), so splicing freshly
-re-rated rows into the cached ``(B, 9, n_region)`` energy matrix reproduces
-the full build's matrix bit for bit — and the shared
-``batch_from_row_energies`` tail then yields bitwise-identical rates.
+re-rated rows into a slot's cached ``(9, n_region)`` energy block
+reproduces the full build's block bit for bit — and the shared
+``batch_from_totals`` tail then yields bitwise-identical rates.
 
 The drivers differ only in coordinate plumbing, which their site store
 (:mod:`repro.core.loop`) supplies: ``gather(keys)`` — from-scratch VET
@@ -46,22 +46,18 @@ from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
-from .vacancy_cache import BatchEntries
-from .vacancy_system import VacancySystemEvaluator
+from .vacancy_system import VacancySystemEvaluator, miss_chunk_rows
 
 __all__ = ["DeltaRebuilder", "RefreshPlan"]
 
 
 class RefreshPlan(NamedTuple):
-    """One refresh's worklist, between :meth:`DeltaRebuilder.plan` and
-    :meth:`DeltaRebuilder.splice`."""
+    """One refresh's worklist, from :meth:`DeltaRebuilder.build_entries`
+    to :meth:`DeltaRebuilder.splice`."""
 
     slots: np.ndarray
     #: ``(B, n_all)`` VET species codes of every slot in the batch.
     vets: np.ndarray
-    vets_current: bool
-    #: Batch positions of the slots holding a row-energy snapshot.
-    ready_local: np.ndarray
     #: ``(P,)`` batch position and region row of every row to re-rate.
     pair_b: np.ndarray
     pair_r: np.ndarray
@@ -90,7 +86,12 @@ class DeltaRebuilder:
         self.evaluator = evaluator
         self.rate_model = rate_model
         self.sites = sites
-        self._r_all = np.arange(evaluator.tet.n_region, dtype=np.intp)
+        tet = evaluator.tet
+        self._r_all = np.arange(tet.n_region, dtype=np.intp)
+        # Vacancies per splice sum: those whose rows fill one miss chunk.
+        chunk = miss_chunk_rows(tet, evaluator.n_elements)
+        n_rows = (1 + tet.N_DIRECTIONS) * tet.n_region
+        self._sum_group = max(1, chunk // n_rows)
 
     # ------------------------------------------------------------------
     # Invalidation payload: scatter lattice changes into the snapshots
@@ -118,92 +119,59 @@ class DeltaRebuilder:
     # ------------------------------------------------------------------
     def build_entries(
         self, keys: Sequence[Hashable], slots: np.ndarray
-    ) -> BatchEntries:
-        """Delta-aware batch build for the kernel's refresh.
-
-        :meth:`plan`, one :meth:`~VacancySystemEvaluator.evaluate_rows`
-        call, :meth:`splice`.  The returned :class:`BatchEntries` carries
-        each slot's snapshot, so the store marks every rebuilt slot
-        delta-ready for the next round.
-        """
-        plan = self.plan(keys, slots)
-        return self.splice(
-            plan,
-            self.evaluator.evaluate_rows(plan.vets, plan.pair_b, plan.pair_r),
-        )
-
-    def plan(self, keys: Sequence[Hashable], slots: np.ndarray) -> RefreshPlan:
+    ) -> RefreshPlan:
         """The row worklist of a refresh: every row of a from-scratch slot,
         only the dirty rows of a snapshot slot.
 
-        From-scratch slots (fresh hops, recycled slots, post-restore) are
-        gathered here; the rows are evaluated by the caller — the kernel's
-        own :meth:`build_entries`, or a campaign's one call over many
-        replicas' plans — and handed to :meth:`splice`.
+        From-scratch slots (fresh hops, recycled slots, cold starts,
+        post-restore) are gathered straight into the cache's VET slab, so
+        the whole batch is then one fancy read of it.  The rows are
+        evaluated by :func:`~repro.core.kernel.refresh_many` — one call over
+        every kernel's plan — and handed back to :meth:`splice`.
         """
         cache = self.cache
-        evaluator = self.evaluator
+        tet = self.evaluator.tet
         slots = np.asarray(slots, dtype=np.int64)
         ready = cache.delta_ready[slots]
-        ready_local = np.flatnonzero(ready)
-        full_local = np.flatnonzero(~ready)
+        full = np.flatnonzero(~ready)
+        if full.size:
+            cache.vets[slots[full]] = self.sites.gather([keys[i] for i in full])
+        vets = cache.vets[slots]
+        centres = vets[:, tet.CENTER]
+        bad = np.flatnonzero(centres != self.evaluator.vacancy_code)
+        if bad.size:
+            raise ValueError(
+                f"every VET centre must be a vacancy: vacancy {keys[bad[0]]!r} "
+                f"holds species {int(centres[bad[0]])}"
+            )
 
-        if ready_local.size == 0:
-            # Cold start / post-drop: every slot is a from-scratch build and
-            # the slot arrays may not exist yet, so the gather IS the batch.
-            vets = np.asarray(self.sites.gather(keys))
-            vets_current = False
-        else:
-            # Mixed batch: adopt the from-scratch gathers into the slot
-            # arrays, then read the whole batch back as one fancy gather —
-            # the snapshot slots' rows are already current (patched in
-            # place at invalidation time), so nothing is copied out only to
-            # be written back by the store.
-            if full_local.size:
-                cache.adopt_vets(
-                    slots[full_local],
-                    self.sites.gather([keys[i] for i in full_local]),
-                )
-            vets = cache.vets_of(slots)
-            vets_current = True
-        if np.any(vets[:, evaluator.tet.CENTER] != evaluator.vacancy_code):
-            raise ValueError("every VET centre must be a vacancy")
-
-        pair_b = np.repeat(full_local, self._r_all.size)
-        pair_r = np.tile(self._r_all, full_local.size)
-        if ready_local.size:
-            rb, rr = np.nonzero(cache.dirty_rows_of(slots[ready_local]))
-            pair_b = np.concatenate([pair_b, ready_local[rb]])
+        pair_b = np.repeat(full, self._r_all.size)
+        pair_r = np.tile(self._r_all, full.size)
+        ready_b = np.flatnonzero(ready)
+        if ready_b.size:
+            rb, rr = np.nonzero(cache.dirty_rows[slots[ready_b]])
+            pair_b = np.concatenate([pair_b, ready_b[rb]])
             pair_r = np.concatenate([pair_r, rr])
-        return RefreshPlan(
-            slots, vets, vets_current, ready_local, pair_b, pair_r
-        )
+        return RefreshPlan(slots, vets, pair_b, pair_r)
 
-    def splice(self, plan: RefreshPlan, rows: np.ndarray) -> BatchEntries:
-        """Entries of a planned refresh from its re-rated ``(P, 9)`` rows.
+    def splice(self, plan: RefreshPlan, rows: np.ndarray) -> np.ndarray:
+        """The ``(B, 8)`` rates of a planned refresh from its re-rated
+        ``(P, 9)`` rows.
 
-        The rows are scattered over the snapshot slots' cached energies,
-        folded into hop energetics and turned into rates by this driver's
-        own rate model.
+        The rows go straight into the cache's row-energy slab
+        (:meth:`~repro.core.vacancy_cache.VacancyCache.store_batch`).  Each
+        slot's C-contiguous ``(9, n_region)`` block is then summed in
+        float64 from the slab, a miss chunk's worth of vacancies at a time
+        so no copy of the whole batch's block is made, folded into hop
+        energetics and turned into rates by this driver's own rate model.
         """
-        n_states = 1 + self.evaluator.tet.N_DIRECTIONS
-        if plan.ready_local.size:
-            r_row_e = self.cache.row_e_of(plan.slots[plan.ready_local])
-            e_dtype = r_row_e.dtype
-        else:
-            e_dtype = rows.dtype if rows.size else np.float64
-        row_e = np.empty(
-            (plan.slots.size, n_states, self._r_all.size), dtype=e_dtype
-        )
-        if plan.ready_local.size:
-            row_e[plan.ready_local] = r_row_e
-        if plan.pair_b.size:
-            row_e[plan.pair_b, :, plan.pair_r] = rows
-
-        energies = self.evaluator.batch_from_row_energies(plan.vets, row_e)
-        return BatchEntries(
-            vets=plan.vets,
-            rates=self.rate_model.rates_batch(energies),
-            row_energies=row_e,
-            vets_current=plan.vets_current,
-        )
+        slots = plan.slots
+        self.cache.store_batch(slots, plan.pair_b, plan.pair_r, rows)
+        slab = self.cache.row_energies
+        step = self._sum_group
+        totals = np.concatenate([
+            np.sum(slab[slots[lo:lo + step]], axis=2, dtype=np.float64)
+            for lo in range(0, slots.size, step)
+        ])
+        energies = self.evaluator.batch_from_totals(plan.vets, totals)
+        return self.rate_model.rates_batch(energies)

@@ -18,11 +18,13 @@ live in separate implementations; this module owns them once:
   local vacancy density, not the size of the registry.
 
 Drivers parameterise the kernel with one miss-path builder — an object
-with ``build_entries(keys, slots)``, ``patch_entries(slots, positions,
-species)`` and the site store as ``sites`` (whose ``footprint`` the
-invalidation runs), the :class:`~repro.core.delta.DeltaRebuilder` in every
-engine.  The event body that drives a kernel is written once, in
-:func:`repro.core.loop.kmc_event`.
+with ``build_entries(keys, slots)`` (a refresh's plan), ``splice(plan,
+rows)``, ``patch_entries(slots, positions, species)``, its ``evaluator``
+and the site store as ``sites`` (whose ``footprint`` the invalidation
+runs), the :class:`~repro.core.delta.DeltaRebuilder` in every engine.
+Every refresh is :func:`refresh_many`, over one kernel or over a
+campaign's replicas.  The event body that drives a kernel is written once,
+in :func:`repro.core.loop.kmc_event`.
 
 Refresh and activation run as array sweeps over the cache's slot arrays.
 
@@ -35,17 +37,18 @@ surface through ``summary()`` and the parallel driver threads into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .propensity import FenwickPropensity
-from .vacancy_cache import BatchEntries, VacancyCache
+from .vacancy_cache import VacancyCache
 
 __all__ = [
     "NoMovesError",
     "KernelStats",
     "EventKernel",
+    "refresh_many",
     "select_direction",
 ]
 
@@ -78,6 +81,49 @@ def select_direction(rates: np.ndarray, remainder: float) -> int:
     return direction
 
 
+def refresh_many(kernels: Sequence["EventKernel"]) -> list:
+    """Refresh many kernels' stale slots through one potential call.
+
+    Per kernel, :meth:`EventKernel.stale_batch` and the builder's plan
+    (``builder.build_entries``); then one ``evaluate_batch_segments`` call
+    over every plan's rows, by the first kernel's evaluator, so row dedup
+    spans the kernels; then :meth:`EventKernel.apply_refresh` per kernel.
+    The kernels' evaluators must be batch-compatible (a campaign checks
+    each replica's at admission).  :meth:`EventKernel.refresh` is this
+    over one kernel.  Returns the plans, in kernel order (a kernel with
+    nothing stale has none).
+
+    A non-finite row energy is re-raised naming its vacancy's key, found
+    from the error's ``batch_row`` (a row of the stacked plans' VETs).
+    """
+    work = []
+    for kernel in kernels:
+        stale = kernel.stale_batch()
+        if stale.size:
+            keys = kernel.cache.keys_of(stale)
+            work.append((kernel, kernel.builder.build_entries(keys, stale)))
+    if not work:
+        return []
+    plans = [plan for _, plan in work]
+    try:
+        rows = work[0][0].builder.evaluator.evaluate_batch_segments(
+            [(p.vets, p.pair_b, p.pair_r) for p in plans]
+        )
+    except ValueError as err:
+        row = getattr(err, "batch_row", None)
+        if row is None:
+            raise
+        for kernel, plan in work:
+            if row < plan.slots.size:
+                key = kernel.key_of(int(plan.slots[row]))
+                raise ValueError(f"{err} (vacancy {key!r})") from err
+            row -= plan.slots.size
+        raise
+    for (kernel, plan), r in zip(work, rows):
+        kernel.apply_refresh(plan, r)
+    return plans
+
+
 @dataclass
 class KernelStats:
     """Selection-side instrumentation (cache counters live on the cache)."""
@@ -103,18 +149,20 @@ class EventKernel:
     Parameters
     ----------
     builder:
-        The miss path: ``build_entries(keys, slots)`` returns the stale
-        slots' entries in slot order — a
-        :class:`~repro.core.vacancy_cache.BatchEntries` (rates plus the
-        snapshot that makes the slots delta-ready) or a bare ``(B, 8)``
-        rate matrix (rates only) — and ``patch_entries(slots, positions,
-        species)`` scatters an invalidation's changes into the stored VET
-        snapshots of delta-ready slots (this is how invalidation carries
-        *what* changed instead of just *that* something changed).
+        The miss path.  ``build_entries(keys, slots)`` plans the stale
+        slots' refresh — a :class:`~repro.core.delta.RefreshPlan` of
+        ``slots``, their ``vets`` and the ``(pair_b, pair_r)`` rows to
+        re-rate, which ``builder.evaluator`` evaluates — and
+        ``splice(plan, rows)`` stores the rows in the snapshot slab and
+        returns the slots' ``(B, 8)`` rates.  ``patch_entries(slots,
+        positions, species)`` scatters an invalidation's changes into the
+        stored VET snapshots of delta-ready slots (this is how invalidation
+        carries *what* changed instead of just *that* something changed).
         ``builder.sites`` is the driver's site store, whose
         ``footprint(points_half)`` the invalidation runs (see
-        :mod:`repro.core.loop`).  The kernel hands the builder its cache as
-        ``builder.cache``.  Every engine passes a
+        :mod:`repro.core.loop`).  The kernel sizes its cache's snapshot
+        slabs from ``builder.evaluator.tet`` and hands the builder the cache
+        as ``builder.cache``.  Every engine passes a
         :class:`~repro.core.delta.DeltaRebuilder`.
     keys:
         Initial vacancy keys, one slot each, in registry order.
@@ -132,15 +180,16 @@ class EventKernel:
     ) -> None:
         self.builder = builder
         self.use_cache = bool(use_cache)
-        self.cache = VacancyCache(keys)
+        tet = builder.evaluator.tet
+        self.cache = VacancyCache(keys, tet.n_all, tet.n_region)
         builder.cache = self.cache
         self.store = FenwickPropensity(self.cache.n_slots)
         self.stats = KernelStats()
         #: Physical active mask, or ``None`` meaning "all live slots" (the
         #: serial engines); the parallel driver narrows it per sector.
         self._active_mask: Optional[np.ndarray] = None
-        # Slots :meth:`apply_refresh` stored since the last refresh: they
-        # are that refresh's misses, not its reuses.
+        # Slots :meth:`apply_refresh` stored since the last :meth:`refresh`
+        # counted reuses: they are misses, not reuses.
         self._applied = 0
 
     def _pad_active_mask(self) -> None:
@@ -235,13 +284,10 @@ class EventKernel:
     def stale_batch(self) -> np.ndarray:
         """Active stale slots, ascending, *without* rebuilding them.
 
-        This is the read-only prologue of :meth:`refresh`: cache-off
+        The prologue of every refresh (:func:`refresh_many`): cache-off
         semantics are applied (``use_cache=False`` drops every entry first)
         and the sector mask narrows the candidates, but the builder does
-        not run.  A caller that evaluates the batch externally — the
-        cross-replica campaign funnels many kernels' stale sets into one
-        fused potential call — hands the results back through
-        :meth:`apply_refresh`.
+        not run.
         """
         if not self.use_cache:
             self.invalidate_all()
@@ -250,64 +296,42 @@ class EventKernel:
             stale_mask = stale_mask & self._active_mask
         return np.flatnonzero(stale_mask)  # ascending, like the sorted set
 
-    def apply_refresh(self, stale: np.ndarray, entries) -> None:
-        """Scatter externally built entries for a :meth:`stale_batch` result.
+    def apply_refresh(self, plan, rows: np.ndarray) -> None:
+        """Store a planned refresh from its re-rated ``(P, 9)`` rows.
 
-        ``entries`` follows the ``build_entries`` return contract and must
-        line up with ``stale`` in slot order.  Stores, propensity updates,
-        and the miss counters are identical to the in-kernel rebuild, so a
-        trajectory driven through ``stale_batch`` + external evaluation +
-        ``apply_refresh`` is bit-identical to one driven by :meth:`refresh`
-        — only *where* the rows were evaluated differs.  Cache-hit (reuse)
-        accounting stays with :meth:`refresh`, which the driver still calls
-        afterwards: it finds these slots fresh and counts them as the
-        misses they were, so the pair counts exactly like one refresh.
+        ``builder.splice`` puts the rows into the snapshot slab and returns
+        the slots' rates; they go into the cache and the propensity tree in
+        one sweep.  The slots count as misses of the next :meth:`refresh`,
+        which counts reuses.
         """
-        stale = np.asarray(stale, dtype=np.int64)
-        self._store_entries(stale, entries)
-        self._applied += int(stale.size)
+        slots = plan.slots
+        n = int(slots.size)
+        rates = self.builder.splice(plan, rows)
+        self.cache.store_rates(slots, rates)
+        self.store.update_many(slots, self.cache.total_rates[slots])
+        self.stats.rate_batches += 1
+        self.stats.batched_rows += n
+        self.stats.max_batch_size = max(self.stats.max_batch_size, n)
+        self.stats.rates_evaluated += int(rates.size)
+        self._applied += n
 
     def refresh(self) -> None:
         """Bring every active slot up to date before selection.
 
-        Only stale slots are rebuilt (O(|stale| log n)); fresh active slots
-        count as cache hits.  Invalidation is deferred by design — slots
-        only mark stale until the next selection — so the whole stale set
-        goes through one ``builder.build_entries`` call here (post-hop,
-        post-ghost exchange, and cold starts alike).
+        Only stale slots are rebuilt, through :func:`refresh_many` over this
+        kernel alone; fresh active slots count as cache hits.  Invalidation
+        is deferred by design — slots only mark stale until the next
+        selection — so the whole stale set is one plan (post-hop, post-ghost
+        exchange, and cold starts alike).
         """
-        stale = self.stale_batch()
         cache = self.cache
         if self._active_mask is not None:
             n_active = int(np.count_nonzero(cache.live & self._active_mask))
         else:
             n_active = cache.n_live
-        if stale.size:
-            self._store_entries(
-                stale, self.builder.build_entries(cache.keys_of(stale), stale)
-            )
-        reused = n_active - int(stale.size) - self._applied
-        cache.stats.reuses += max(0, reused)
+        refresh_many([self])
+        cache.stats.reuses += max(0, n_active - self._applied)
         self._applied = 0
-
-    def _store_entries(self, stale: np.ndarray, entries) -> None:
-        """Scatter built entries into the cache + one propensity sweep."""
-        n = len(entries)
-        if n != stale.size:
-            raise RuntimeError(f"got {n} entries for {stale.size} stale slots")
-        if stale.size == 0:
-            return
-        self.stats.rate_batches += 1
-        self.stats.batched_rows += int(stale.size)
-        self.stats.max_batch_size = max(self.stats.max_batch_size, int(stale.size))
-        cache = self.cache
-        if isinstance(entries, BatchEntries):
-            cache.store_batch(stale, entries)
-            self.stats.rates_evaluated += int(entries.rates.size)
-        else:
-            cache.store_rates(stale, entries)
-            self.stats.rates_evaluated += int(entries.size)
-        self.store.update_many(stale, cache.total_rates[stale])
 
     @property
     def total(self) -> float:

@@ -35,34 +35,7 @@ import numpy as np
 from ..lattice.occupancy import LatticeState
 from .tet import TripleEncoding
 
-__all__ = ["BatchEntries", "VacancyCache"]
-
-
-@dataclass
-class BatchEntries:
-    """A batch of freshly built vacancy systems, still in array form.
-
-    Produced by the miss path (:meth:`~repro.core.delta.DeltaRebuilder.splice`,
-    which a campaign also runs after its shared call) and consumed whole by
-    :meth:`VacancyCache.store_batch` — the rows go straight from the
-    evaluator's output arrays into the cache's slot arrays.
-    """
-
-    #: ``(B, n_all)`` VET species codes.
-    vets: np.ndarray
-    #: ``(B, 8)`` per-direction rates in 1/s.
-    rates: np.ndarray
-    #: ``(B, 9, n_region)`` per-row trial-state energies: the snapshot the
-    #: next refresh re-rates only the dirty rows of.
-    row_energies: np.ndarray
-    #: True when ``vets`` is a fancy read of the cache's own
-    #: slot arrays (the delta build adopts fresh gathers up front via
-    #: :meth:`VacancyCache.adopt_vets`); :meth:`VacancyCache.store_batch`
-    #: then skips the redundant write-back.
-    vets_current: bool = False
-
-    def __len__(self) -> int:
-        return int(self.rates.shape[0])
+__all__ = ["VacancyCache"]
 
 
 @dataclass
@@ -103,17 +76,25 @@ class VacancyCache:
     * ``fresh[slot]`` — slot holds a valid cached entry (live and not stale);
     * ``rates[slot]`` / ``total_rates[slot]`` — the per-direction rate row
       and its sum;
-    * ``delta_ready[slot]`` — slot holds a snapshot (VET codes,
-      ``(9, n_region)`` row energies, dirty-row mask) that the delta
-      refresh may patch and re-rate; the snapshot arrays are allocated on
-      the first :meth:`store_batch` (rate-only drivers never pay for them).
+    * ``delta_ready[slot]`` — slot holds a snapshot that the delta refresh
+      may patch and re-rate: ``vets[slot]`` (the ``n_all`` VET species
+      codes), ``row_energies[slot]`` (the ``(9, n_region)`` trial-state
+      energies of its region rows) and ``dirty_rows[slot]`` (the rows an
+      invalidation patch touched since).  The refresh writes these slabs
+      in place, so a snapshot is never copied out and back.
 
     Entries beyond ``n_slots`` and parked slots always read ``live=False``,
     so vectorised sweeps can safely run over the whole physical arrays.
+    ``n_all`` and ``n_region`` size the snapshot slabs (the kernel passes
+    its TET's; a cache used standalone may leave them 0).
     """
 
-    def __init__(self, keys: Iterable[Hashable]) -> None:
+    def __init__(
+        self, keys: Iterable[Hashable], n_all: int = 0, n_region: int = 0
+    ) -> None:
         self.stats = CacheStats()
+        self._n_all = int(n_all)
+        self._n_region = int(n_region)
         self.set_keys(keys)
         if len(self._slot_of) != len(self._keys):
             raise ValueError("duplicate vacancy keys")
@@ -124,8 +105,7 @@ class VacancyCache:
     def _alloc(self, capacity: int) -> None:
         """(Re)allocate the slot arrays for ``capacity`` physical slots.
 
-        The snapshot arrays are dropped with every ``delta_ready`` bit and
-        re-created by the next :meth:`store_batch`.
+        Every ``delta_ready`` bit drops with the old snapshot slabs.
         """
         self._cap = int(capacity)
         self.live = np.zeros(self._cap, dtype=bool)
@@ -139,9 +119,11 @@ class VacancyCache:
         #: Stale-but-delta-ready is a valid state: the snapshot tracks the
         #: lattice through scatter patches while ``fresh`` is down.
         self.delta_ready = np.zeros(self._cap, dtype=bool)
-        self._vets: Optional[np.ndarray] = None
-        self._row_e: Optional[np.ndarray] = None
-        self._dirty_rows: Optional[np.ndarray] = None
+        self.vets = np.zeros((self._cap, self._n_all), dtype=np.uint8)
+        self.dirty_rows = np.zeros((self._cap, self._n_region), dtype=bool)
+        # Allocated by the first store, once the first evaluation's
+        # transients are freed: the slab reuses their pages (peak RSS).
+        self.row_energies: Optional[np.ndarray] = None
 
     def _grow(self, min_capacity: int) -> None:
         """Double the physical capacity, preserving every slot's rates.
@@ -159,18 +141,6 @@ class VacancyCache:
         self._alloc(new_cap)
         for name, arr in saved.items():
             getattr(self, name)[: arr.shape[0]] = arr
-
-    def _ensure_snapshot(self, batch: BatchEntries) -> None:
-        """Allocate the snapshot arrays from the first batch's shapes."""
-        if self._vets is not None:
-            return
-        n_all = int(batch.vets.shape[1])
-        _, n_states, n_region = batch.row_energies.shape
-        self._vets = np.zeros((self._cap, n_all), dtype=batch.vets.dtype)
-        self._row_e = np.zeros(
-            (self._cap, n_states, n_region), dtype=batch.row_energies.dtype
-        )
-        self._dirty_rows = np.zeros((self._cap, n_region), dtype=bool)
 
     # ------------------------------------------------------------------
     # Registry
@@ -309,46 +279,29 @@ class VacancyCache:
     # ------------------------------------------------------------------
     # Entries
     # ------------------------------------------------------------------
-    def _store(self, slots: np.ndarray, rates: np.ndarray) -> None:
-        """Rate rows, their sums, freshness and the rebuild count."""
+    def store_batch(self, slots, pair_b, pair_r, rows: np.ndarray) -> None:
+        """Scatter a refresh's re-rated ``(P, 9)`` rows into the slab.
+
+        Row ``p`` lands at region row ``pair_r[p]`` of slot
+        ``slots[pair_b[p]]``; a slot's other rows keep their snapshot
+        values.  Every slot becomes delta-ready with a clean dirty-row
+        mask (its VET codes are in :attr:`vets` since its plan).
+        """
+        if self.row_energies is None:
+            n_states = 1 + TripleEncoding.N_DIRECTIONS
+            self.row_energies = np.zeros((self._cap, n_states, self._n_region))
+        self.row_energies[slots[pair_b], :, pair_r] = rows
+        self.dirty_rows[slots] = False
+        self.delta_ready[slots] = True
+
+    def store_rates(self, slots: np.ndarray, rates: np.ndarray) -> None:
+        """Scatter a batch of ``(B, 8)`` rate rows: rates, their sums,
+        freshness and the rebuild count."""
+        rates = np.asarray(rates, dtype=np.float64)
         self.rates[slots] = rates
         self.total_rates[slots] = rates.sum(axis=1)
         self.fresh[slots] = True
         self.stats.rebuilds += int(slots.size)
-
-    def store_batch(self, slots: np.ndarray, batch: BatchEntries) -> None:
-        """Scatter a whole :class:`BatchEntries` into the slot arrays.
-
-        One fancy-indexed write per array; every stored slot becomes
-        delta-ready with a clean dirty-row mask.
-        """
-        slots = np.asarray(slots, dtype=np.int64)
-        if slots.size != len(batch):
-            raise ValueError(
-                f"store_batch got {slots.size} slots for {len(batch)} entries"
-            )
-        if slots.size == 0:
-            return
-        self._ensure_snapshot(batch)
-        if not batch.vets_current:
-            self._vets[slots] = batch.vets
-        self._row_e[slots] = batch.row_energies
-        self._dirty_rows[slots] = False
-        self.delta_ready[slots] = True
-        self._store(slots, np.asarray(batch.rates, dtype=np.float64))
-
-    def store_rates(self, slots: np.ndarray, rows: np.ndarray) -> None:
-        """Scatter a batch of bare rate rows (no snapshot)."""
-        slots = np.asarray(slots, dtype=np.int64)
-        rows = np.asarray(rows, dtype=np.float64)
-        if slots.size != rows.shape[0]:
-            raise ValueError(
-                f"store_rates got {slots.size} slots for {rows.shape[0]} rows"
-            )
-        if slots.size == 0:
-            return
-        self.delta_ready[slots] = False
-        self._store(slots, rows)
 
     def stale_mask(self) -> np.ndarray:
         """Boolean ``live & ~fresh`` over the physical slots (no copy)."""
@@ -427,8 +380,8 @@ class VacancyCache:
         duplicate pairs would make "old code" ill-defined.  Callers dedup
         before patching (ghost exchanges can report the same site twice).
         """
-        old = self._vets[slots, positions]
-        self._vets[slots, positions] = codes
+        old = self.vets[slots, positions]
+        self.vets[slots, positions] = codes
         return old
 
     def or_dirty_rows(self, slots: np.ndarray, masks: np.ndarray) -> None:
@@ -438,31 +391,8 @@ class VacancyCache:
         dirty several positions of the same slot.
         """
         np.logical_or.at(
-            self._dirty_rows, np.asarray(slots, dtype=np.int64), masks
+            self.dirty_rows, np.asarray(slots, dtype=np.int64), masks
         )
-
-    def adopt_vets(self, slots: np.ndarray, vets: np.ndarray) -> None:
-        """Write freshly gathered VET codes straight into the slot arrays.
-
-        The delta build calls this for its from-scratch subset *before*
-        evaluating, so the whole batch can then be read back as one fancy
-        gather and :meth:`store_batch` (``vets_current=True``) skips the
-        write-back.  The slot arrays must already exist — the delta build
-        only takes this path once at least one snapshot has been stored.
-        """
-        self._vets[slots] = vets
-
-    def vets_of(self, slots: np.ndarray) -> np.ndarray:
-        """Stored VET species codes for a batch of slots (fancy-read copy)."""
-        return self._vets[slots]
-
-    def row_e_of(self, slots: np.ndarray) -> np.ndarray:
-        """Stored per-row trial-state energies (fancy-read copy)."""
-        return self._row_e[slots]
-
-    def dirty_rows_of(self, slots: np.ndarray) -> np.ndarray:
-        """Pending dirty-row masks for a batch of slots (fancy-read copy)."""
-        return self._dirty_rows[slots]
 
     def memory_bytes(self) -> int:
         """Bytes held by live cache entries (the Table 1 'VAC Cache' row).
@@ -473,12 +403,12 @@ class VacancyCache:
         slots hold nothing usable.
         """
         held = self.live & self.fresh
+        ready = self.live & self.delta_ready
         total = int(np.count_nonzero(held)) * self.rates[0].nbytes
-        if self._vets is not None:
-            ready = self.live & self.delta_ready
-            total += int(np.count_nonzero(held & ready)) * self._vets[0].nbytes
+        total += int(np.count_nonzero(held & ready)) * self.vets[0].nbytes
+        if ready.any():  # then the row slab exists
             total += int(np.count_nonzero(ready)) * (
-                self._row_e[0].nbytes + self._dirty_rows[0].nbytes
+                self.row_energies[0].nbytes + self.dirty_rows[0].nbytes
             )
         return total
 

@@ -411,8 +411,8 @@ class VacancySystemEvaluator:
         counts per row, the eight swap states patched from them, the
         potential invoked once on the stacked ``B * 9 * n_region`` rows
         (for the NNP one batched GEMM stack instead of ``B`` small ones) —
-        and :meth:`batch_from_row_energies` sums each vacancy's
-        C-contiguous ``(9, n_region)`` block.
+        each vacancy's C-contiguous ``(9, n_region)`` block is summed in
+        float64 for :meth:`batch_from_totals`.
 
         Identical site rows (same centre species, same shell counts) are
         evaluated once and scattered back — the row-level analogue of the
@@ -455,7 +455,9 @@ class VacancySystemEvaluator:
         row_e = np.ascontiguousarray(
             rows.reshape(n_batch, n_region, self._n_states).transpose(0, 2, 1)
         )
-        return self.batch_from_row_energies(vets, row_e)
+        return self.batch_from_totals(
+            vets, np.sum(row_e, axis=2, dtype=np.float64)
+        )
 
     # ------------------------------------------------------------------
     # Cross-caller batching: one fused call over many engines' miss rows
@@ -486,20 +488,22 @@ class VacancySystemEvaluator:
         """One fused :meth:`evaluate_rows` over the row worklists of many
         callers.
 
-        ``segments`` holds one ``(vets, pair_b, pair_r)`` per caller (the
-        campaign passes each replica's :class:`~repro.core.delta.RefreshPlan`
-        worklist; segments without pairs are fine).  The VETs are stacked,
-        each caller's ``pair_b`` offset into the stack, and every pair is
-        evaluated through a *single* call — row dedup and the potential
-        call then run across the whole stack, so identical environments in
-        different replicas are evaluated once.  Returns each caller's
-        ``(P_i, 9)`` slice.  For row-invariant potentials every returned
+        ``segments`` holds one ``(vets, pair_b, pair_r)`` per caller
+        (:func:`~repro.core.kernel.refresh_many` passes each kernel's
+        :class:`~repro.core.delta.RefreshPlan` worklist; segments without
+        pairs are fine).  The VETs are stacked, each caller's ``pair_b``
+        offset into the stack, and every pair is evaluated through a
+        *single* call — row dedup and the potential call then run across
+        the whole stack, so identical environments in different replicas
+        are evaluated once; a lone segment goes straight to
+        :meth:`evaluate_rows`.  Returns each caller's ``(P_i, 9)`` slice.
+        For row-invariant potentials every returned
         row is bit-identical to the segment evaluating alone, which is what
         lets the campaign change *when* rows are evaluated without ever
         changing their values.
         """
-        if not segments:
-            return []
+        if len(segments) < 2:
+            return [self.evaluate_rows(*seg) for seg in segments]
         n_all = self.tet.n_all
         vets = [np.asarray(v).reshape(-1, n_all) for v, _, _ in segments]
         offsets = np.cumsum([0] + [len(v) for v in vets])
@@ -633,15 +637,18 @@ class VacancySystemEvaluator:
             )
             # A non-finite energy must never reach the cache, where it
             # would surface much later as a propensity error.
+            # ``batch_row`` lets a caller name the vacancy of the VET row.
             bad = ~np.isfinite(fresh)
             if bad.any():
                 pb, state = divmod(int(rows[bad].min()), n_states)
-                raise ValueError(
+                err = ValueError(
                     f"non-finite row energy from "
                     f"{type(self.potential).__name__} at batch row "
                     f"{int(pair_b[pb])}, region row {int(pair_r[pb])}, "
                     f"trial state {state}"
                 )
+                err.batch_row = int(pair_b[pb])
+                raise err
             if cache is None:
                 energies = fresh
             else:
@@ -650,19 +657,18 @@ class VacancySystemEvaluator:
                 energies[miss] = fresh
         return energies[inverse].reshape(n_pairs, n_states)
 
-    def batch_from_row_energies(
-        self, vets: np.ndarray, row_energies: np.ndarray
+    def batch_from_totals(
+        self, vets: np.ndarray, totals: np.ndarray
     ) -> StateEnergiesBatch:
-        """Fold a ``(B, 9, n_region)`` energy matrix into hop energetics.
+        """Fold ``(B, 9)`` trial-state energies into hop energetics.
 
-        The tail of :meth:`evaluate_batch` and of every refresh: each
-        vacancy's C-contiguous ``(9, n_region)`` block is summed in float64
-        (the same reduction order for a fresh and a spliced matrix), then
-        invalid hops are masked.
+        The tail of :meth:`evaluate_batch` and of every refresh.  Both
+        callers sum each vacancy's C-contiguous ``(9, n_region)`` row block
+        in float64, so a fresh and a spliced block reduce in the same
+        order; invalid hops are then masked.
         """
         vets = np.asarray(vets)
         n_dir = self.tet.N_DIRECTIONS
-        totals = np.sum(row_energies, axis=2, dtype=np.float64)
         nn_species = vets[:, 1 : 1 + n_dir]
         valid = nn_species != self.vacancy_code
         delta = np.where(valid, totals[:, 1:] - totals[:, :1], 0.0)

@@ -46,8 +46,8 @@ def _assert_snapshots_match_gather(kernel, sites, vet_of_key):
     slots = np.flatnonzero(cache.live[:n] & cache.delta_ready[:n])
     for slot in slots.tolist():
         key = kernel.key_of(slot)
-        assert np.array_equal(cache._vets[slot], vet_of_key(key))
-        assert np.array_equal(cache._vets[slot], sites.gather([key])[0])
+        assert np.array_equal(cache.vets[slot], vet_of_key(key))
+        assert np.array_equal(cache.vets[slot], sites.gather([key])[0])
     return slots
 
 
@@ -100,16 +100,16 @@ class TestSnapshotIntegrity:
             cache.live[:n] & cache.fresh[:n] & cache.delta_ready[:n]
         )
         if fresh.size:
-            assert not cache._dirty_rows[fresh].any()
+            assert not cache.dirty_rows[fresh].any()
             n_region = tet_small.n_region
             pair_b = np.repeat(np.arange(fresh.size), n_region)
             pair_r = np.tile(np.arange(n_region, dtype=np.intp), fresh.size)
             rows = engine.evaluator.evaluate_rows(
-                cache._vets[fresh], pair_b, pair_r
+                cache.vets[fresh], pair_b, pair_r
             )
-            expect = np.empty_like(cache._row_e[fresh])
+            expect = np.empty_like(cache.row_energies[fresh])
             expect[pair_b, :, pair_r] = rows
-            assert np.array_equal(expect, cache._row_e[fresh])
+            assert np.array_equal(expect, cache.row_energies[fresh])
 
     def test_rank_snapshots_equal_window_gather(self, tet_small, eam_small):
         """Rank snapshots match a from-scratch window gather — this also
@@ -155,11 +155,6 @@ class TestForcedFullFallbacks:
         cache.remove_slot(int(ready[0]))
         cache.invalidate_slots(ready[1:3])
         assert not cache.delta_ready[ready[:3]].any()
-
-    def test_scalar_and_rate_only_stores_drop(self, warm):
-        _, cache, ready = warm
-        cache.store_rates(ready[:2], np.full((2, 8), 0.5))
-        assert not cache.delta_ready[ready[:2]].any()
 
     def test_invalidate_all_drops_everything(self, warm):
         engine, cache, _ = warm

@@ -81,7 +81,7 @@ class TestEngineInvariants:
             assert cache.fresh[slot]
             vet, rates = engine.build_system(slot)
             assert np.array_equal(cache.rates[slot], rates)
-            assert np.array_equal(cache.vets_of([slot])[0], vet)
+            assert np.array_equal(cache.vets[slot], vet)
 
 
 class TestEvaluatorProperties:

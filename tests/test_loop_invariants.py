@@ -135,7 +135,7 @@ def test_kernel_invariants_after_events(request, tet_small, driver):
             scratch = evaluator.evaluate_rows(
                 vet[None], np.zeros_like(rows), rows
             )
-            assert np.array_equal(cache.row_e_of([slot])[0], scratch.T), slot
+            assert np.array_equal(cache.row_energies[slot], scratch.T), slot
 
 
 @pytest.mark.parametrize(

@@ -99,7 +99,7 @@ def _check_call(kernel, vet_sites_of, changed, points, code_at):
     # The snapshots now equal a fresh gather of every delta-ready slot.
     for slot in np.flatnonzero(cache.live & cache.delta_ready).tolist():
         vet = code_at(vet_sites_of(kernel.key_of(slot)))
-        assert np.array_equal(cache.vets_of([slot])[0], vet), slot
+        assert np.array_equal(cache.vets[slot], vet), slot
 
 
 # ----------------------------------------------------------------------
