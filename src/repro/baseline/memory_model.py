@@ -82,8 +82,8 @@ def tensorkmc_memory_model(
     alone (Table 1).
     ``row_cache`` charges the persistent row-energy memo by resident entry
     count at :data:`~repro.core.rowcache.ROW_ENTRY_BYTES` per entry (the
-    open-addressing table's worst case: code, energy and reference bit in
-    up to four slots, plus half a ring slot each) — the same figure
+    open-addressing table's worst case: code and energy in up to four
+    slots, 64 B) — the same figure
     :meth:`RowEnergyCache.memory_bytes` reports, and a bound on the
     table's arrays, so the analytic term is validated against live bytes
     like the snapshots are.

@@ -31,11 +31,11 @@ is a handful of array operations over the whole batch of codes, not a
 loop over them:
 
 * **Layout.**  A power-of-two table of int64 codes (row codes are
-  ``>= 0``, so ``-1`` marks an empty slot and ``-2`` a tombstone), and
-  beside it, slot for slot, a value slab in the dtype of the first insert
-  and a reference-bit array.  Energies round-trip through the slab in
-  their own dtype, so every bit is preserved.  A code's home slot is a
-  Fibonacci multiply-shift of its bits; collisions probe linearly.
+  ``>= 0``, so ``-1`` marks an empty slot), and beside it, slot for slot,
+  a value slab in the dtype of the first insert.  Energies round-trip
+  through the slab in their own dtype, so every bit is preserved.  A
+  code's home slot is a Fibonacci multiply-shift of its bits; collisions
+  probe linearly.
 * **Probe.**  A lookup resolves all its codes together: each reads its
   home slot, and the few that meet neither their code nor an empty slot
   read :data:`_WINDOW` slots a step until they do.  An insert probes the
@@ -45,24 +45,22 @@ loop over them:
   missed, with the table unchanged in between, so a lookup keeps its
   missed codes' probes until the next call and that insert takes them
   instead of probing again.
-* **Load factor.**  Live entries plus tombstones stay at most half the
-  table, so every probe ends at an empty slot.  An insert that would pass
-  one half rehashes first, in one vectorised pass that drops the
-  tombstones: the live codes sorted by their new home slot land at
-  ``i + max_{j <= i}(home_j - j)`` (``np.maximum.accumulate``), which is
-  where inserting them one by one in that order would put them.  The new
-  table is the smallest power of two over twice the entries it must hold,
-  so a live entry costs at most four slots (:data:`ROW_ENTRY_BYTES`).
-* **Tombstones.**  Eviction turns a slot into a tombstone, which a probe
-  walks through and an insert may reuse.
-* **Second-chance ring.**  The byte budget (:data:`ROW_CACHE_BYTES`
-  unless the constructor is given another) is enforced by second-chance
-  eviction over an int64 ring of slots in insert order (one ring slot per
-  two table slots).  A hit sets its entry's reference bit; eviction pops
-  from the old end, sending an entry whose bit is set back to the young
-  end with the bit cleared instead of dropping it.  A re-inserted code
-  takes its new energy and moves to the young end; within one insert the
-  last repeat of a code wins.
+* **Load factor.**  Entries stay at most half the table, so every probe
+  ends at an empty slot.  An insert that would pass one half rehashes
+  first, in one vectorised pass: the codes sorted by their new home slot
+  land at ``i + max_{j <= i}(home_j - j)`` (``np.maximum.accumulate``),
+  which is where inserting them one by one in that order would put them.
+  The new table is the smallest power of two over twice the entries it
+  must hold, so an entry costs at most four slots
+  (:data:`ROW_ENTRY_BYTES`).
+* **Budget.**  The byte budget (:data:`ROW_CACHE_BYTES` unless the
+  constructor is given another) is a bound, not a replacement policy: an
+  insert whose new codes would take the cache past it first drops every
+  entry (each counts as an eviction), and the cache then holds exactly
+  the insert's codes, or the last ones that fit.  A code already present
+  takes its new energy in place; within one insert the last repeat of a
+  code wins.  A hit returns the bits a fresh evaluation would, so a flush
+  only changes *when* a row is evaluated again, never its energy.
 
 Contents are deliberately *not* checkpointed — a restart rebuilds the
 cache from cold, bit-identically — but the monotonic hit/miss/eviction
@@ -73,9 +71,8 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Empty and tombstone markers of the code table (row codes are >= 0).
+#: Empty marker of the code table (row codes are >= 0).
 _EMPTY = -1
-_TOMBSTONE = -2
 
 #: Smallest table: four slots hold one entry at load one half.
 _MIN_SLOTS = 4
@@ -88,22 +85,20 @@ _STEPS = np.arange(_WINDOW)
 #: int64 of the same bits.
 _FIBONACCI = np.int64(0x9E3779B97F4A7C15 - 2**64)
 
-#: Worst-case resident bytes of one live entry: a table slot holds an
-#: int64 code, a value of at most 8 bytes and a one-byte reference bit,
-#: plus half an int64 ring slot; a rehash leaves the table more than a
-#: quarter full, and its entry count does not fall below that until the
-#: next rehash or clear, so an entry owns at most four slots:
-#: ``4 * (8 + 8 + 1 + 8 / 2) = 84``.  ``tensorkmc_memory_model(
-#: row_cache=...)`` charges the same figure and
-#: :meth:`RowEnergyCache.memory_bytes` reports it, and the cache's arrays
-#: never take more (``tests/test_rowcache.py``).
-ROW_ENTRY_BYTES = 4 * (8 + 8 + 1 + 8 // 2)
+#: Worst-case resident bytes of one entry: a table slot holds an int64
+#: code and a value of at most 8 bytes; a rehash leaves the table more
+#: than a quarter full, and its entry count does not fall below that until
+#: the next rehash or clear, so an entry owns at most four slots:
+#: ``4 * (8 + 8) = 64``.  ``tensorkmc_memory_model(row_cache=...)`` charges
+#: the same figure and :meth:`RowEnergyCache.memory_bytes` reports it, and
+#: the cache's arrays never take more (``tests/test_rowcache.py``).
+ROW_ENTRY_BYTES = 4 * (8 + 8)
 
 #: Default resident-size budget of a :class:`RowEnergyCache`: one miss
 #: chunk's worth (``MISS_CHUNK_BYTES``), so the cache at most doubles the
 #: miss pipeline's share of ``tensorkmc_memory_model``'s peak.  That is
-#: about 300k entries; a 20 s run of the rcut 6.5 benchmark workload meets
-#: about 54k distinct rows, so steady runs never evict.
+#: 393,216 entries; a 20 s run of the rcut 6.5 benchmark workload meets
+#: about 54k distinct rows, so steady runs never flush.
 ROW_CACHE_BYTES = 24 * 2**20
 
 
@@ -143,8 +138,7 @@ class RowEnergyCache:
     ----------
     max_bytes:
         Resident-size budget in bytes (:data:`ROW_ENTRY_BYTES` per entry).
-        Inserting past it evicts, second chance first, until the cache
-        fits again.
+        An insert whose new codes would pass it drops every entry first.
     """
 
     def __init__(self, max_bytes: int = ROW_CACHE_BYTES) -> None:
@@ -181,18 +175,12 @@ class RowEnergyCache:
 
     def clear(self) -> None:
         """Drop all cached rows (counters are monotonic and persist)."""
-        # The table, slot for slot: codes, values (allocated by the first
-        # insert, which fixes their dtype) and reference bits.
+        # The table, slot for slot: codes and values (allocated by the
+        # first insert, which fixes their dtype).
         self._codes = np.empty(0, dtype=np.int64)
         self._values: np.ndarray | None = None
-        self._referenced = np.empty(0, dtype=bool)
         self._shift = 64  # 64 - log2(table slots)
         self._live = 0
-        self._used = 0  # live entries plus tombstones
-        # The live slots in insert order, the oldest at ``_head``.
-        self._ring = np.empty(0, dtype=np.int64)
-        self._head = 0
-        self._n_queued = 0
         # The codes the last lookup missed and the empty slots where their
         # probes stopped, until the next insert or lookup.
         self._probed: tuple[np.ndarray, np.ndarray] | None = None
@@ -204,8 +192,7 @@ class RowEnergyCache:
 
         Returns ``(found, values)`` where ``found`` is a boolean mask and
         ``values`` holds the cached energies (in the cache's value dtype)
-        at found positions, zeros elsewhere.  Every hit sets its entry's
-        reference bit, which spares it at the next eviction.
+        at found positions, zeros elsewhere.
         """
         keys = np.asarray(keys, dtype=np.int64)
         n = len(keys)
@@ -215,9 +202,8 @@ class RowEnergyCache:
             dtype = np.float64 if self._values is None else self._values.dtype
             return np.zeros(n, dtype=bool), np.zeros(n, dtype=dtype)
         slots, found = self._find(keys)
-        # A missed code's slot is empty: its value is 0 and its bit clear.
+        # A missed code's slot is empty, and its value 0.
         values = self._values[slots]
-        self._referenced[slots] = found
         n_hits = int(np.count_nonzero(found))
         if n_hits < n:
             # The insert that brings the missed codes takes their probes.
@@ -230,9 +216,10 @@ class RowEnergyCache:
     def insert(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Store freshly evaluated row energies; enforce the budget.
 
-        A code already present takes the new energy and moves to the
-        young end; a code repeated within one call keeps its last energy,
-        at the place of its first.
+        A code already present takes the new energy; a code repeated within
+        one call keeps its last energy.  If the new codes would take the
+        cache past its budget, every entry is dropped first and the cache
+        keeps the call's codes, the last ones if they do not all fit.
         """
         keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values)
@@ -248,40 +235,23 @@ class RowEnergyCache:
         elif len(self._codes):
             slots, present = self._find(keys)
         else:
-            slots = np.empty(len(keys), dtype=np.intp)
-            present = np.zeros(len(keys), dtype=bool)
-        # Every code joins the young end, in batch order: a present one
-        # from its slot, with the new energy; a new one from the empty slot
-        # where its probe stopped.
+            slots, present = None, np.zeros(len(keys), dtype=bool)
         new = ~present
         n_new = int(np.count_nonzero(new))
+        capacity = self.max_bytes // ROW_ENTRY_BYTES
+        if self._live + n_new > capacity:
+            # Flush: the table is rebuilt from the call's codes alone.
+            self.evictions += self._live
+            self._codes, self._live = self._codes[:0], 0
+            self._rehash(keys[-capacity:], values[-capacity:])
+            return
         if n_new < len(keys):
             self._values[slots[present]] = values[present]
-            self._referenced[slots[present]] = False
-            self._unqueue(slots[present])
-        spared = None
-        excess = self._live + n_new - self.max_bytes // ROW_ENTRY_BYTES
-        if excess > 0:
-            dropped, spared = self._evict(excess, len(keys))
-            gone = slots[:dropped][present[:dropped]]
-            self._codes[gone] = _TOMBSTONE
-            self._live -= len(gone)
-            keys, values = keys[dropped:], values[dropped:]
-            slots, present = slots[dropped:], present[dropped:]
-            new = ~present
-            n_new = int(np.count_nonzero(new))
-        if self._used + n_new > len(self._codes) // 2:
-            moved, slots[new] = self._rehash(keys[new], values[new])
-            slots[present] = moved[slots[present]]
-            if spared is not None:
-                spared = moved[spared]
-        elif n_new == len(keys):
-            slots = self._place(keys, values, slots)
+            keys, values, slots = keys[new], values[new], slots[new]
+        if 2 * (self._live + n_new) > len(self._codes):
+            self._rehash(keys, values)
         else:
-            slots[new] = self._place(keys[new], values[new], slots[new])
-        if spared is not None:
-            slots = np.concatenate([slots, spared])
-        self._push(slots)
+            self._place(keys, values, slots)
 
     # -- the table -----------------------------------------------------
 
@@ -323,51 +293,41 @@ class RowEnergyCache:
 
     def _place(
         self, keys: np.ndarray, values: np.ndarray, at: np.ndarray
-    ) -> np.ndarray:
-        """Store absent, distinct codes; returns their slots.
+    ) -> None:
+        """Store absent, distinct codes.
 
         ``at`` is where each code's probe stopped: an empty slot on its
         path, so the code is written there and read back.  Of several codes
         that stopped at one slot the one whose code reads back wins; each
         other one then, step by step, reads :data:`_WINDOW` slots from
-        where it stands and writes its code into the first free one (empty
-        or a tombstone), until its code reads back.
+        where it stands and writes its code into the first empty one,
+        until its code reads back.
         """
         codes = self._codes
         mask = len(codes) - 1
         slots = at
         codes[slots] = keys
-        won = codes[slots] == keys
-        self._used += int(np.count_nonzero(won))
-        pending = np.flatnonzero(~won)
+        pending = np.flatnonzero(codes[slots] != keys)
         at = slots[pending]
         while pending.size:
             probe = (at[:, None] + _STEPS) & mask
-            seen = codes[probe]
-            free = seen < 0
-            first = free.argmax(axis=1)
-            rows = np.flatnonzero(free[np.arange(len(pending)), first])
+            empty = codes[probe] == _EMPTY
+            first = empty.argmax(axis=1)
+            rows = np.flatnonzero(empty[np.arange(len(pending)), first])
             target = probe[rows, first[rows]]
             codes[target] = keys[pending[rows]]
             won = codes[target] == keys[pending[rows]]
             slots[pending[rows[won]]] = target[won]
-            self._used += int(np.count_nonzero(
-                seen[rows[won], first[rows[won]]] == _EMPTY
-            ))
-            at = at + np.where(free.any(axis=1), first, _WINDOW)
+            at = at + np.where(empty.any(axis=1), first, _WINDOW)
             left = np.ones(len(pending), dtype=bool)
             left[rows[won]] = False
             pending, at = pending[left], at[left]
         self._values[slots] = values
         self._live += len(keys)
-        return slots
 
-    def _rehash(
-        self, keys: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Rebuild the table with the live entries and the absent, distinct
-        ``keys``, at most half full; tombstones are dropped.  Returns the
-        old-slot -> new-slot map and the slots of ``keys``.
+    def _rehash(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Rebuild the table with the entries and the absent, distinct
+        ``keys``, at most half full.
 
         The codes are bulk-loaded in order of their new home slots: the
         ``i``-th lands at ``i + max_{j <= i}(home_j - j)``, and the run that
@@ -375,7 +335,6 @@ class RowEnergyCache:
         code, exactly as one-by-one linear-probing inserts would.
         """
         old = np.flatnonzero(self._codes >= 0)
-        moved = np.empty(len(self._codes), dtype=np.intp)
         n = len(old) + len(keys)
         n_slots = max(_MIN_SLOTS, 1 << (2 * n).bit_length())
         dtype = values.dtype if self._values is None else self._values.dtype
@@ -383,9 +342,6 @@ class RowEnergyCache:
         entries = (
             np.concatenate([self._values[old], values]).astype(dtype)
             if self._values is not None else values
-        )
-        referenced = np.concatenate(
-            [self._referenced[old], np.zeros(len(keys), dtype=bool)]
         )
         self._codes = np.full(n_slots, _EMPTY, dtype=np.int64)
         self._shift = 65 - n_slots.bit_length()
@@ -404,67 +360,7 @@ class RowEnergyCache:
         self._codes[slots] = codes
         self._values = np.zeros(n_slots, dtype=dtype)  # empty slots hold 0
         self._values[slots] = entries
-        self._referenced = np.zeros(n_slots, dtype=bool)
-        self._referenced[slots] = referenced
-        moved[old] = slots[: len(old)]
-        ring = np.empty(n_slots // 2, dtype=np.int64)
-        ring[: self._n_queued] = moved[self._queued()]
-        self._ring, self._head = ring, 0
-        self._live = self._used = n
-        return moved, slots[len(old):]
-
-    # -- the second-chance ring ----------------------------------------
-
-    def _queued(self, n: int | None = None) -> np.ndarray:
-        """The ``n`` oldest queued slots (all of them by default)."""
-        n = self._n_queued if n is None else n
-        return self._ring[(self._head + np.arange(n)) & (len(self._ring) - 1)]
-
-    def _push(self, slots: np.ndarray) -> None:
-        """Queue slots at the young end."""
-        ring, n = self._ring, len(slots)
-        first = (self._head + self._n_queued) & (len(ring) - 1)
-        if first + n <= len(ring):
-            ring[first : first + n] = slots
-        else:
-            ring[(first + np.arange(n)) & (len(ring) - 1)] = slots
-        self._n_queued += n
-
-    def _unqueue(self, slots: np.ndarray) -> None:
-        """Take present slots out of the ring (they re-queue at the young
-        end); the ring closes up behind them."""
-        queued = self._queued()
-        keep = queued[~np.isin(queued, slots)]
-        self._ring[: len(keep)] = keep
-        self._head, self._n_queued = 0, len(keep)
-
-    def _evict(self, excess: int, n_batch: int) -> tuple[int, np.ndarray]:
-        """Evict ``excess`` entries by second chance, from the ring and
-        then from the ``n_batch`` codes of an insert, which join the young
-        end behind it.  Returns how many of those codes go (the first
-        ones) and the slots spared, which re-queue behind them.
-
-        The ring pops oldest first: a referenced entry loses its bit and is
-        spared, an unreferenced one goes.  The insert's codes are
-        unreferenced, so whatever excess is left takes the first of them.
-        The sweep never comes back round to the spared entries: they were
-        in the cache before the insert, so they fit in the budget.
-        """
-        ring, referenced = self._ring, self._referenced
-        self.evictions += excess
-        spared = []
-        while excess and self._n_queued:
-            slot = int(ring[self._head])
-            self._head = (self._head + 1) & (len(ring) - 1)
-            self._n_queued -= 1
-            if referenced[slot]:  # hit since it was queued: second chance
-                referenced[slot] = False
-                spared.append(slot)
-            else:
-                self._codes[slot] = _TOMBSTONE
-                self._live -= 1
-                excess -= 1
-        return excess, np.array(spared, dtype=np.intp)
+        self._live = n
 
     # -- accounting ----------------------------------------------------
 

@@ -33,11 +33,6 @@ class Structure:
     def n_atoms(self) -> int:
         return int(self.species.shape[0])
 
-    @property
-    def composition(self) -> Tuple[int, int]:
-        """(n_Fe, n_Cu)."""
-        return int(np.sum(self.species == FE)), int(np.sum(self.species == CU))
-
 
 def _bcc_supercell(
     cells: Sequence[int], a: float

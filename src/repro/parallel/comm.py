@@ -98,12 +98,6 @@ class CommStats:
     barriers: int = 0
     collectives: int = 0
 
-    def merge(self, other: "CommStats") -> None:
-        self.messages_sent += other.messages_sent
-        self.bytes_sent += other.bytes_sent
-        self.barriers += other.barriers
-        self.collectives += other.collectives
-
 
 @dataclass
 class FaultStats:

@@ -130,15 +130,3 @@ class CostLedger:
         """Modeled time with DMA/RMA hidden behind compute (double buffering)."""
         return max(self.compute_time, self.memory_time, self.rma_time)
 
-    def merge(self, other: "CostLedger") -> None:
-        """Accumulate another ledger into this one (same spec)."""
-        self.simd_flops += other.simd_flops
-        self.scalar_flops += other.scalar_flops
-        self.dma_bytes += other.dma_bytes
-        self.random_bytes += other.random_bytes
-        self.rma_bytes += other.rma_bytes
-        self.dma_transactions += other.dma_transactions
-        self.rma_transactions += other.rma_transactions
-        for key, value in other.notes.items():
-            self.notes[key] = self.notes.get(key, 0.0) + value
-

@@ -29,7 +29,11 @@ import pytest
 from repro.campaign import ReplicaCampaign, alloy_engine_factory, seed_sweep
 from repro.core.engine import TensorKMCEngine
 from repro.core.loop import LatticeSites
-from repro.core.rowcache import row_code_weights
+from repro.core.rowcache import (
+    ROW_ENTRY_BYTES,
+    RowEnergyCache,
+    row_code_weights,
+)
 from repro.lattice import LatticeState
 from repro.parallel import SublatticeKMC
 
@@ -177,12 +181,20 @@ def _decode_rows(codes, tet, n_elements):
 
 
 @pytest.mark.parametrize(
-    "tet_name,pot_name,shape",
-    [("tet_small", "nnp_small", (8, 8, 8)),
-     ("tet_standard", "nnp_standard", (12, 12, 12))],
+    "tet_name,pot_name,shape,entries",
+    [("tet_small", "nnp_small", (8, 8, 8), None),
+     ("tet_standard", "nnp_standard", (12, 12, 12), None),
+     # A budget far below the working set: the run flushes the cache, and
+     # the entries loaded since hold fresh energies too.
+     ("tet_small", "nnp_small", (8, 8, 8), 16)],
+    ids=[
+        "tet_small-nnp_small-shape0",
+        "tet_standard-nnp_standard-shape1",
+        "tet_small-nnp_small-flushed",
+    ],
 )
 def test_cached_row_energies_re_evaluate_bitwise(
-    request, tet_name, pot_name, shape
+    request, tet_name, pot_name, shape, entries
 ):
     """A sample of live row-cache entries, decoded to (centre, shell
     counts) and evaluated in one fresh call with no cache, gives the stored
@@ -193,8 +205,14 @@ def test_cached_row_energies_re_evaluate_bitwise(
         _alloy(shape, 9, 0.004), pot, tet,
         temperature=900.0, rng=np.random.default_rng(10),
     )
+    if entries is not None:
+        engine.evaluator.attach_row_cache(
+            RowEnergyCache(max_bytes=entries * ROW_ENTRY_BYTES)
+        )
     engine.run(n_steps=10)
     cache = engine.row_cache
+    if entries is not None:
+        assert cache.evictions > 0
     codes = cache._codes[cache._codes >= 0]
     assert len(codes) == len(cache) > 0
     sample = np.random.default_rng(3).choice(

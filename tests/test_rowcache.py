@@ -13,8 +13,6 @@ equal a full encode's, and every shipped TET's codes fit an int64 while
 a wider one is refused.
 """
 
-from collections import deque
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,43 +89,43 @@ class TestRowEnergyCacheUnit:
         assert len(cache) == 2
         assert cache.lookup(keys)[1].tolist() == [3.5, 1.5]
 
-    def test_lru_eviction_order(self):
-        # Budget for exactly two entries; touching key 1 must save it.
-        cache = RowEnergyCache(max_bytes=2 * ROW_ENTRY_BYTES)
-        keys = _keys(1, 2, 3)
-        cache.insert(keys[:2], np.array([1.0, 2.0]))
-        cache.lookup(keys[:1])  # key 1 is now hottest
-        cache.insert(keys[2:], np.array([3.0]))
-        assert cache.evictions == 1
-        found, values = cache.lookup(keys)
-        assert found.tolist() == [True, False, True]
-        # The evicted entry's slot was reused without disturbing the rest.
-        assert values.tolist() == [1.0, 0.0, 3.0]
+    def test_an_insert_past_the_budget_flushes(self):
+        """An insert whose new codes would pass the budget drops every
+        entry first: the cache holds exactly the insert's codes, and each
+        entry dropped counts as an eviction."""
+        cache = RowEnergyCache(max_bytes=3 * ROW_ENTRY_BYTES)
+        cache.insert(_keys(1, 2, 3), np.array([1.0, 2.0, 3.0]))
+        cache.lookup(_keys(1))  # a hit spares nothing
+        cache.insert(_keys(4, 5), np.array([4.0, 5.0]))
+        found, values = cache.lookup(_keys(1, 2, 3, 4, 5))
+        assert found.tolist() == [False, False, False, True, True]
+        assert values[3:].tolist() == [4.0, 5.0]
+        assert (len(cache), cache.evictions) == (2, 3)
 
-    def test_second_chance_is_spent_once(self):
-        """A hit spares its entry from one eviction sweep, which clears the
-        bit: unless it is hit again, the entry goes at a later sweep."""
+    def test_an_insert_larger_than_the_budget_keeps_its_last_codes(self):
         cache = RowEnergyCache(max_bytes=2 * ROW_ENTRY_BYTES)
-        keys = _keys(1, 2, 3, 4)
-        cache.insert(keys[:2], np.array([1.0, 2.0]))  # queue 1, 2
-        cache.lookup(keys[:1])  # 1 is hit
-        cache.insert(keys[2:3], np.array([3.0]))  # 2 goes: 3, 1
-        cache.lookup(keys[2:3])  # 3 is hit, 1 is not
-        cache.insert(keys[3:], np.array([4.0]))  # 1 goes
-        found, _ = cache.lookup(keys)
+        cache.insert(_keys(1), np.array([1.0]))
+        cache.insert(_keys(5, 6, 7, 6), np.array([5.0, 6.0, 7.0, 8.0]))
+        # Codes in order of their first place, each with its last energy.
+        found, values = cache.lookup(_keys(1, 5, 6, 7))
         assert found.tolist() == [False, False, True, True]
-        assert cache.evictions == 2
+        assert values[2:].tolist() == [8.0, 7.0]
+        assert (len(cache), cache.evictions) == (2, 1)
 
-    def test_a_re_inserted_code_can_be_evicted_at_once(self):
-        """Re-inserted codes join the young end in batch order, so an
-        eviction that passes the whole ring takes the first of them."""
+    def test_overwriting_a_present_code_does_not_flush(self):
+        """Only new codes count against the budget: a full cache takes new
+        energies for its codes in place.  A present code that comes with a
+        new one past the budget is flushed with the rest and re-inserted."""
         cache = RowEnergyCache(max_bytes=2 * ROW_ENTRY_BYTES)
-        cache.insert(_keys(1, 2), np.array([1.0, 2.0]))  # queue 1, 2
-        cache.insert(_keys(1, 3, 4), np.array([5.0, 3.0, 4.0]))
-        # Queue 2, 1, 3, 4 over a budget of two: 2 goes, then 1.
-        found, values = cache.lookup(_keys(1, 2, 3, 4))
-        assert found.tolist() == [False, False, True, True]
-        assert values[2:].tolist() == [3.0, 4.0]
+        cache.insert(_keys(1, 2), np.array([1.0, 2.0]))
+        cache.insert(_keys(2, 1), np.array([3.0, 4.0]))
+        found, values = cache.lookup(_keys(1, 2))
+        assert found.all() and values.tolist() == [4.0, 3.0]
+        assert (len(cache), cache.evictions) == (2, 0)
+        cache.insert(_keys(2, 3), np.array([5.0, 6.0]))
+        found, values = cache.lookup(_keys(1, 2, 3))
+        assert found.tolist() == [False, True, True]
+        assert values[1:].tolist() == [5.0, 6.0]
         assert (len(cache), cache.evictions) == (2, 2)
 
     def test_budget_too_small_rejected(self):
@@ -236,8 +234,8 @@ _CODES = st.lists(
 
 
 class RowCacheMachine(RuleBasedStateMachine):
-    """The table against a reference model: a dict of energies and a deque
-    in insert order, evicted by second chance, op for op."""
+    """The table against a reference model: a dict of energies, flushed
+    by an insert that passes the budget, op for op."""
 
     @initialize(
         entries=st.integers(2, 64),
@@ -247,7 +245,7 @@ class RowCacheMachine(RuleBasedStateMachine):
     def start(self, entries, slack, dtype):
         self.cache = RowEnergyCache(entries * ROW_ENTRY_BYTES + slack)
         self.capacity, self.dtype = entries, dtype
-        self.energy, self.referenced, self.order = {}, {}, deque()
+        self.energy = {}
         self.counts = [0, 0, 0]  # hits, misses, evictions
         self.potentials = [_Potential(), _Potential()]
         self.token = None
@@ -258,19 +256,11 @@ class RowCacheMachine(RuleBasedStateMachine):
     def _insert(self, keys, values):
         self.cache.insert(np.array(keys, dtype=np.int64), values)
         latest = dict(zip(keys, values))  # first place, last value
-        for key, value in latest.items():
-            if key in self.energy:
-                self.order.remove(key)
-            self.energy[key], self.referenced[key] = value, False
-            self.order.append(key)
-        while len(self.order) > self.capacity:
-            key = self.order.popleft()
-            if self.referenced[key]:
-                self.referenced[key] = False
-                self.order.append(key)
-            else:
-                del self.energy[key], self.referenced[key]
-                self.counts[2] += 1
+        if len(self.energy.keys() | latest.keys()) > self.capacity:
+            self.counts[2] += len(self.energy)
+            self.energy.clear()
+            latest = dict(list(latest.items())[-self.capacity:])
+        self.energy.update(latest)
 
     def _lookup(self, keys):
         found, values = self.cache.lookup(np.array(keys, dtype=np.int64))
@@ -279,9 +269,6 @@ class RowCacheMachine(RuleBasedStateMachine):
             [self.energy[k] for k in keys if k in self.energy], self.dtype
         )
         assert values[found].tobytes() == expected.tobytes()
-        for key in keys:
-            if key in self.energy:
-                self.referenced[key] = True
         self.counts[0] += int(found.sum())
         self.counts[1] += len(keys) - int(found.sum())
         return found
@@ -321,7 +308,7 @@ class RowCacheMachine(RuleBasedStateMachine):
     @rule()
     def clear(self):
         self.cache.clear()
-        self.energy.clear(), self.referenced.clear(), self.order.clear()
+        self.energy.clear()
 
     @rule(which=st.integers(0, 1), bump=st.booleans())
     def sync(self, which, bump):
@@ -552,9 +539,9 @@ class TestNarrowRows:
             _, centre_weight = row_code_weights(tet, 2)
             span_bits = (centre_weight * 3 - 1).bit_length()
             assert span_bits <= min(8 * (len(radices) + 1), 63)
-        # Rcut 6.5: up to four table slots of code, energy and reference
-        # bit, plus half a ring slot each (the stored rows took 33 B).
-        assert ROW_ENTRY_BYTES == 4 * (8 + 8 + 1 + 4)
+        # Rcut 6.5: up to four table slots of code and energy (the stored
+        # rows took 33 B).
+        assert ROW_ENTRY_BYTES == 4 * (8 + 8)
 
     @pytest.mark.parametrize("bad", [256, -1])
     @pytest.mark.parametrize("column", [0, 3])  # the centre, a neighbour

@@ -67,26 +67,6 @@ class TestCostLedger:
         ledger.add_dma(50.0)
         assert ledger.arithmetic_intensity == pytest.approx(2.0)
 
-    def test_merge(self):
-        a = CostLedger(SW26010_PRO)
-        b = CostLedger(SW26010_PRO)
-        a.add_simd(10)
-        b.add_simd(5)
-        b.add_rma(100, transactions=2)
-        a.merge(b)
-        assert a.simd_flops == 15
-        assert a.rma_bytes == 100
-        assert a.rma_transactions == 2
-
-    def test_merge_accumulates_notes(self):
-        a = CostLedger(SW26010_PRO)
-        b = CostLedger(SW26010_PRO)
-        a.notes["rate_eval_vets"] = 3.0
-        b.notes["rate_eval_vets"] = 4.0
-        b.notes["n_blocks"] = 2.0
-        a.merge(b)
-        assert a.notes == {"rate_eval_vets": 7.0, "n_blocks": 2.0}
-
 
 class TestRooflineFig9:
     """Fig. 9 reads one ``charge_layers`` ledger per layer (original) and
