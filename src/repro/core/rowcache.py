@@ -38,13 +38,12 @@ loop over them:
   probe linearly.
 * **Probe.**  A lookup resolves all its codes together: each reads its
   home slot, and the few that meet neither their code nor an empty slot
-  read :data:`_WINDOW` slots a step until they do.  An insert probes the
-  same way, then writes each new code into the empty slot where its probe
-  stopped (and reads it back: of two codes that stopped at one slot, one
-  probes on).  The evaluator inserts exactly the codes its lookup just
-  missed, with the table unchanged in between, so a lookup keeps its
-  missed codes' probes until the next call and that insert takes them
-  instead of probing again.
+  read :data:`_WINDOW` slots a step until they do.  An insert probes its
+  own codes the same way, then writes each new code into the empty slot
+  where its probe stopped (and reads it back: of two codes that stopped
+  at one slot, one probes on).  The evaluator looks up the code of every
+  row of a batch and inserts only the distinct codes that missed, so an
+  insert is a small fraction of the lookup before it.
 * **Load factor.**  Entries stay at most half the table, so every probe
   ends at an empty slot.  An insert that would pass one half rehashes
   first, in one vectorised pass: the codes sorted by their new home slot
@@ -181,9 +180,6 @@ class RowEnergyCache:
         self._values: np.ndarray | None = None
         self._shift = 64  # 64 - log2(table slots)
         self._live = 0
-        # The codes the last lookup missed and the empty slots where their
-        # probes stopped, until the next insert or lookup.
-        self._probed: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- lookup / insert ----------------------------------------------
 
@@ -192,11 +188,11 @@ class RowEnergyCache:
 
         Returns ``(found, values)`` where ``found`` is a boolean mask and
         ``values`` holds the cached energies (in the cache's value dtype)
-        at found positions, zeros elsewhere.
+        at found positions, zeros elsewhere.  Every key counts as one hit
+        or one miss, repeats included: the evaluator probes every row.
         """
         keys = np.asarray(keys, dtype=np.int64)
         n = len(keys)
-        self._probed = None
         if not self._live:
             self.misses += n
             dtype = np.float64 if self._values is None else self._values.dtype
@@ -205,10 +201,6 @@ class RowEnergyCache:
         # A missed code's slot is empty, and its value 0.
         values = self._values[slots]
         n_hits = int(np.count_nonzero(found))
-        if n_hits < n:
-            # The insert that brings the missed codes takes their probes.
-            missed = ~found
-            self._probed = keys[missed], slots[missed]
         self.hits += n_hits
         self.misses += n - n_hits
         return found, values
@@ -227,12 +219,7 @@ class RowEnergyCache:
             return
         if np.count_nonzero(keys[1:] <= keys[:-1]):  # the evaluator's ascend
             keys, values = _last_repeat_wins(keys, values)
-        probed, self._probed = self._probed, None
-        if probed is not None and np.array_equal(keys, probed[0]):
-            # The codes the last lookup missed: the table is unchanged
-            # since, so its probes stand.
-            slots, present = probed[1], np.zeros(len(keys), dtype=bool)
-        elif len(self._codes):
+        if len(self._codes):
             slots, present = self._find(keys)
         else:
             slots, present = None, np.zeros(len(keys), dtype=bool)

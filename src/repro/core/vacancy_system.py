@@ -32,12 +32,12 @@ __all__ = [
 ]
 
 #: Transient-memory budget of one chunk of the miss pipeline (encode ->
-#: row code -> dedup -> row-cache probe -> GEMM on misses).  Larger
+#: row code -> row-cache probe -> dedup of misses -> GEMM).  Larger
 #: batches are split into chunks of whole ``(vacancy, region row)`` pairs
 #: (9 trial-state rows each) of at most this many bytes' worth of rows
 #: (:func:`miss_chunk_rows`), so a cold refresh of every vacancy peaks at
-#: one chunk, not at the whole batch.  That is 19k rows (the rows of 8
-#: vacancies) at the paper's rcut 6.5 and 24k rows (45 vacancies) at
+#: one chunk, not at the whole batch.  That is 18k rows (the rows of 8
+#: vacancies) at the paper's rcut 6.5 and 23k rows (42 vacancies) at
 #: rcut 2.87, above any steady-state batch (~4k rows on ``serial_gemm``,
 #: ~6k in a ``campaign8`` round), which is never split.
 MISS_CHUNK_BYTES = 24 * 2**20
@@ -47,20 +47,25 @@ def miss_row_bytes(tet: TripleEncoding, n_elements: int = N_ELEMENTS) -> int:
     """Peak transient bytes one ``(trial state, region site)`` row costs.
 
     An upper bound on the miss pipeline's per-row transients with every
-    row a row-cache miss, counted from the arrays ``_pair_energies``
-    allocates:
+    row a distinct row-cache miss, summed over the arrays
+    ``_pair_energies`` allocates as if none were freed:
 
     * its share (one ninth) of its pair's state-0 encode: the int64
       neighbour-gather index, the one-byte neighbours and the per-element
       bool and float32 one-hot (14 bytes per local site), and the float32
       counts with their int64 copy for the row code (12 per channel);
-    * 16 int64 words: the states, patch indices, centres and row codes,
-      dedup's sort order, sorted codes, group counters and inverse, and
-      the unique codes, energies and (pair, state) indices of the misses;
+    * 34 int64 words: 7 to code the row (state-gather index, states,
+      patch index, two centre passes, code, centre term), 7 to probe it in
+      the row cache (the hash's two passes, slot, held code, unresolved
+      probes, ``lookup``'s value, missed-row index), 7 to group the misses
+      (codes, sort order, sorted codes, counters and their shift, inverse,
+      first rows) and 13 for the distinct misses (row, pair and state
+      indices, patch indices, centres, codes, the insert's own probe (4),
+      fresh energies, their scatter, the cast of ``lookup``'s values);
+    * 11 bytes of masks, ``lookup``'s found mask and its complement among
+      them;
     * the missed row's float32 counts and their state-0 gather (8 bytes
       per channel);
-    * 96 bytes of Python ints, lists and dict entries that the row-cache
-      probe or insert builds per unique code;
     * the network potential's evaluation of the row: its float32 features
       (``DESCRIPTOR_N_SETS`` per species), their standardised copy and the
       per-species gather (the tiled GEMM's buffers are per tile, not per
@@ -74,7 +79,7 @@ def miss_row_bytes(tet: TripleEncoding, n_elements: int = N_ELEMENTS) -> int:
     n_channels = tet.n_shells * n_elements
     encode = -(-(14 * tet.n_local + 12 * n_channels) // 9)
     potential = 3 * 4 * DESCRIPTOR_N_SETS * n_elements
-    return int(encode + 8 * 16 + 8 * n_channels + 96 + potential)
+    return int(encode + 8 * 34 + 11 + 8 * n_channels + potential)
 
 
 def miss_chunk_rows(tet: TripleEncoding, n_elements: int = N_ELEMENTS) -> int:
@@ -286,14 +291,15 @@ class VacancySystemEvaluator:
     # Persistent row-energy memoization
     # ------------------------------------------------------------------
     def attach_row_cache(self, cache):
-        """Memoize unique-row energies in ``cache`` from now on.
+        """Memoize row energies in ``cache`` from now on.
 
         The evaluator is the cache's one owner and its one reader: the
         drivers attach a :class:`~repro.core.rowcache.RowEnergyCache` here
         when they are built and expose it read-only as ``row_cache``.
-        After each in-batch dedup the unique rows are probed by row code,
-        only never-seen rows go through the potential, and the fresh
-        energies are inserted for the next batch.  Soundness is the dedup
+        Every row of a batch is probed by its row code; only the rows that
+        missed are deduplicated, only never-seen rows go through the
+        potential, and their fresh energies are inserted for the next
+        batch.  With no cache every row misses.  Soundness is the dedup
         contract itself — ``batch_row_invariant`` guarantees a cached
         row's bits equal a fresh evaluation's — so the cache changes
         *when* rows are evaluated, never their values.  Pass ``None`` to
@@ -385,13 +391,15 @@ class VacancySystemEvaluator:
     def _dedup_rows(self, keys):
         """Group rows by their exact row code: ``(first, inverse)``.
 
-        ``first`` holds one row of each distinct code, in ascending code
-        order, and ``inverse`` each row's group, so ``keys[first[inverse]]``
-        equals ``keys``.  The code is injective over every row the TET can
-        produce (:func:`~repro.core.rowcache.row_code_weights`), so the rows
-        of a group are identical — same centre species, same shell counts —
-        and a row-invariant potential gives them bit-identical energies:
-        one row per group is evaluated.  One sort, and no row is compared.
+        ``keys`` are the codes of the rows that missed the row cache (every
+        row when none is attached).  ``first`` holds one row of each
+        distinct code, in ascending code order, and ``inverse`` each row's
+        group, so ``keys[first[inverse]]`` equals ``keys``.  The code is
+        injective over every row the TET can produce
+        (:func:`~repro.core.rowcache.row_code_weights`), so the rows of a
+        group are identical — same centre species, same shell counts — and
+        a row-invariant potential gives them bit-identical energies: one
+        row per group is evaluated.  One sort, and no row is compared.
         """
         order = np.argsort(keys)
         ordered = keys[order]
@@ -414,14 +422,16 @@ class VacancySystemEvaluator:
         each vacancy's C-contiguous ``(9, n_region)`` block is summed in
         float64 for :meth:`batch_from_totals`.
 
-        Identical site rows (same centre species, same shell counts) are
-        evaluated once and scattered back — the row-level analogue of the
-        paper's VET hash cache (Sec. 3.4).  Trial states of one vacancy
-        differ only near the swapped pair and neighbouring systems overlap,
-        so in a dilute alloy the unique-row fraction is tiny.  Dedup is
-        sound *only* for row-invariant potentials (``batch_row_invariant``):
-        an identical row must produce identical bits no matter which batch
-        it lands in.
+        Every row's code is probed in the row cache first; the rows that
+        miss are grouped by code, and identical site rows (same centre
+        species, same shell counts) are evaluated once and scattered back —
+        the row-level analogue of the paper's VET hash cache (Sec. 3.4).
+        Trial states of one vacancy differ only near the swapped pair and
+        neighbouring systems overlap, so in a dilute alloy the unique-row
+        fraction is tiny.  The cache and dedup are sound *only* for
+        row-invariant potentials (``batch_row_invariant``): an identical
+        row must produce identical bits no matter which batch it lands
+        in.
 
         Per-row results are bit-identical to :meth:`evaluate` for every
         shipped potential: the counts are exact integers either way, the
@@ -615,20 +625,21 @@ class VacancySystemEvaluator:
         keys += (counts0.astype(np.int64) @ self._code_weights)[:, None]
         keys += centers * self._centre_weight
         keys = keys.reshape(-1)
-        first, inverse = self._dedup_rows(keys)
-        # Probe the row cache with the unique codes, then build the shell
-        # counts of the rows that missed, and only those, by the same
-        # exact-integer patch add.  Assembly is pure scatter, so the result
-        # is bit-identical to evaluating every row fresh.
+        # Probe the row cache with every row's code; only the rows that
+        # missed are grouped by code, and one row of each group has its
+        # shell counts built, by the same exact-integer patch add, and
+        # evaluated.  Assembly is pure scatter, so the result is
+        # bit-identical to evaluating every row fresh.
         cache = self._row_cache
         if cache is None:
-            miss = np.ones(len(first), dtype=bool)
+            missed = np.arange(len(keys))
         else:
             cache.sync(self.potential)
-            found, energies = cache.lookup(keys[first])
-            miss = ~found
-        if miss.any():
-            rows = first[miss]
+            found, energies = cache.lookup(keys)
+            missed = np.flatnonzero(~found)
+        if missed.size:
+            first, inverse = self._dedup_rows(keys[missed])
+            rows = missed[first]
             p, j = np.divmod(rows, n_states)
             counts = np.take(self._patch_table, idx[p, j], axis=0)
             counts += counts0[p]
@@ -650,12 +661,12 @@ class VacancySystemEvaluator:
                 err.batch_row = int(pair_b[pb])
                 raise err
             if cache is None:
-                energies = fresh
+                energies = fresh[inverse]
             else:
                 cache.insert(keys[rows], fresh)
                 energies = energies.astype(fresh.dtype, copy=False)
-                energies[miss] = fresh
-        return energies[inverse].reshape(n_pairs, n_states)
+                energies[missed] = fresh[inverse]
+        return energies.reshape(n_pairs, n_states)
 
     def batch_from_totals(
         self, vets: np.ndarray, totals: np.ndarray
