@@ -106,6 +106,7 @@ class SerialAKMCBase:
     ) -> None:
         if abs(lattice.a - tet.geometry.a) > 1e-12:
             raise ValueError("lattice constant mismatch between lattice and TET")
+        tet.check_box(lattice.shape)
         self.lattice = lattice
         self.potential = potential
         self.tet = tet

@@ -22,7 +22,7 @@ the paper's r_cut = 6.5 A this gives ``N_local = 112`` and ``N_region = 253``
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -57,6 +57,9 @@ class TripleEncoding:
         ``all_offsets`` of the j-th neighbour of region site i.
     shell_distances:
         ``(n_shells,)`` shell distances in Angstrom.
+    min_box_cells:
+        Fewest cubic cells per axis a periodic box needs for this cutoff
+        (:meth:`check_box`).
     """
 
     #: VET index of the centre site.
@@ -83,8 +86,10 @@ class TripleEncoding:
             )
         self.nn_offsets = first_shell  # lexicographic order, deterministic
 
-        self._build_site_lists()
-        self._build_net()
+        # Two CET offsets of a site differ by up to twice the largest CET
+        # component, so a box of fewer cells aliases them to one site.
+        self.min_box_cells = int(np.max(np.abs(self.cet_offsets))) + 1
+        self._build_tables()
         # Any lattice change within this radius of a system's centre can
         # alter its VET -> used by the vacancy cache for invalidation.
         self.invalidation_radius = float(
@@ -103,64 +108,46 @@ class TripleEncoding:
         )
 
     # ------------------------------------------------------------------
-    def _build_site_lists(self) -> None:
-        """Construct the canonical region / outer site lists."""
-        center = np.zeros((1, 3), dtype=np.int64)
-        # Region: centre, its neighbours, and the neighbours of its 1NN sites.
-        region_parts = [center, self.cet_offsets]
-        for nn in self.nn_offsets:
-            region_parts.append(nn[None, :] + self.cet_offsets)
-        region = _unique_rows(np.concatenate(region_parts, axis=0))
-        # Outer: neighbours of region sites that are not themselves in region.
-        all_parts = [region]
-        reach = (region[:, None, :] + self.cet_offsets[None, :, :]).reshape(-1, 3)
-        all_parts.append(reach)
-        everything = _unique_rows(np.concatenate(all_parts, axis=0))
+    def _build_tables(self) -> None:
+        """Canonical site lists and the NET, by fancy indexing into one cube
+        of every reachable offset: ``2 c + 1`` half-units per component, for
+        ``c`` the largest CET component (a 1NN hop plus two CET offsets)."""
+        cet = self.cet_offsets
+        reach = 2 * int(np.max(np.abs(cet))) + 1
+        shape = (2 * reach + 1,) * 3
 
-        region_keys = {tuple(r) for r in region}
-        nn_keys = [tuple(v) for v in self.nn_offsets]
-        special = {(0, 0, 0)} | set(nn_keys)
+        def cells(rows: np.ndarray):
+            return tuple(np.moveaxis(rows + reach, -1, 0))
 
-        def sort_block(rows: np.ndarray) -> np.ndarray:
+        def sorted_rows(mask: np.ndarray) -> np.ndarray:
+            rows = np.argwhere(mask) - reach
             d = self.geometry.offset_distance(rows)
-            order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], d))
-            return rows[order]
+            return rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], d))]
 
-        region_rest = sort_block(
-            np.array(
-                [r for r in region if tuple(r) not in special], dtype=np.int64
-            ).reshape(-1, 3)
-        )
-        outer = sort_block(
-            np.array(
-                [r for r in everything if tuple(r) not in region_keys],
-                dtype=np.int64,
-            ).reshape(-1, 3)
-        )
-        ordered = [center, self.nn_offsets, region_rest, outer]
-        self.all_offsets = np.concatenate(ordered, axis=0)
-        self.n_region = 1 + self.N_DIRECTIONS + region_rest.shape[0]
+        # Region: centre, its neighbours, and the neighbours of its 1NN sites.
+        hubs = np.concatenate([np.zeros((1, 3), dtype=np.int64), self.nn_offsets])
+        in_region = np.zeros(shape, dtype=bool)
+        in_region[cells(hubs[:, None, :] + cet)] = True
+        in_region[cells(hubs[0])] = True
+        # Outer: neighbours of region sites that are not themselves in region.
+        in_outer = np.zeros(shape, dtype=bool)
+        in_outer[cells((np.argwhere(in_region) - reach)[:, None, :] + cet)] = True
+        in_outer &= ~in_region
+        in_region[cells(hubs)] = False
+        region_rest = sorted_rows(in_region)
+        self.all_offsets = np.concatenate([hubs, region_rest, sorted_rows(in_outer)])
+        self.n_region = len(hubs) + len(region_rest)
         self.n_all = self.all_offsets.shape[0]
         self.n_out = self.n_all - self.n_region
 
-    def _build_net(self) -> None:
-        """NET: neighbour indices of every region site, into ``all_offsets``."""
-        index: Dict[Tuple[int, int, int], int] = {
-            tuple(v): i for i, v in enumerate(self.all_offsets)
-        }
-        net = np.empty((self.n_region, self.n_local), dtype=np.int32)
-        for i in range(self.n_region):
-            base = self.all_offsets[i]
-            for j, off in enumerate(self.cet_offsets):
-                key = tuple(base + off)
-                try:
-                    net[i, j] = index[key]
-                except KeyError as exc:  # pragma: no cover - construction bug
-                    raise AssertionError(
-                        f"neighbour {key} of region site {i} missing from "
-                        "the vacancy-system site list"
-                    ) from exc
-        self.net_ids = net
+        # NET: neighbour indices of every region site, into ``all_offsets``.
+        index = np.full(shape, -1, dtype=np.int32)
+        index[cells(self.all_offsets)] = np.arange(self.n_all, dtype=np.int32)
+        self.net_ids = index[cells(self.all_offsets[: self.n_region, None, :] + cet)]
+        if np.any(self.net_ids < 0):  # pragma: no cover - construction bug
+            raise AssertionError(
+                "a region site's neighbour is missing from the site list"
+            )
 
     # ------------------------------------------------------------------
     def direction_vet_index(self, direction: int) -> int:
@@ -168,6 +155,16 @@ class TripleEncoding:
         if not 0 <= direction < self.N_DIRECTIONS:
             raise ValueError(f"direction must be in [0, 8), got {direction}")
         return 1 + direction
+
+    def check_box(self, shape) -> None:
+        """Raise :class:`ValueError` if a periodic box of ``shape`` cells is
+        below :attr:`min_box_cells` along any axis."""
+        if min(shape) < self.min_box_cells:
+            raise ValueError(
+                f"box {tuple(int(n) for n in shape)} is too small for "
+                f"rcut={self.rcut:g} A: every axis needs at least "
+                f"{self.min_box_cells} cells"
+            )
 
     def describe(self) -> Dict[str, float]:
         """Size summary (the Sec. 4.1.1 numbers)."""
@@ -188,7 +185,3 @@ class TripleEncoding:
             f"n_region={d['n_region']}, n_all={d['n_all']})"
         )
 
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Unique integer rows (order not preserved)."""
-    return np.unique(rows, axis=0)

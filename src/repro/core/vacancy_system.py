@@ -197,11 +197,11 @@ class VacancySystemEvaluator:
         self._row_cache = None
         self._n_states = 1 + tet.N_DIRECTIONS
         # Shell of VET site t (centre / each 1NN) in each region site's
-        # neighbour list, or -1 when t is out of its range.
+        # neighbour list, or -1 when t is out of its range (a NET row lists
+        # distinct sites, so each (t, r) is written at most once).
         shell_of = np.full((self._n_states, tet.n_region), -1, dtype=np.int16)
-        for t in range(self._n_states):
-            rows, cols = np.nonzero(tet.net_ids == t)
-            shell_of[t, rows] = tet.cet_shell[cols]
+        rows, cols = np.nonzero(tet.net_ids < self._n_states)
+        shell_of[tet.net_ids[rows, cols], rows] = tet.cet_shell[cols]
         # Count-patch lookup table for the row-level re-rate kernel.  The
         # swap patch of row r in state j — centre (species ``vac``) and 1NN
         # target (species ``mig``) trading places — depends only on the tiny
@@ -216,21 +216,19 @@ class VacancySystemEvaluator:
         # per-row gather.
         n_sh = tet.n_shells + 1          # shell index + 1, -1 -> 0
         n_sp = self.n_elements + 1       # species codes incl. the vacancy
+        n_el = self.n_elements
+        in_shell = np.arange(n_sh)[:, None] - 1 == np.arange(tet.n_shells)
+        is_el = np.arange(n_sp)[:, None] == np.arange(n_el)
+        d_shell = in_shell[:, None, :].astype(np.int64) - in_shell[None, :, :]
+        d_el = is_el[None, :, :].astype(np.int64) - is_el[:, None, :]
         table = np.zeros(
-            ((n_sh * n_sh + 1) * n_sp * n_sp,
-             tet.n_shells * self.n_elements),
+            ((n_sh * n_sh + 1) * n_sp * n_sp, tet.n_shells * n_el),
             dtype=np.float32,
         )
-        for a in range(n_sh):            # sh0 + 1
-            for b in range(n_sh):        # shj + 1
-                for v in range(n_sp):    # vac species code
-                    for m in range(n_sp):  # mig species code
-                        row = ((a * n_sh + b) * n_sp + v) * n_sp + m
-                        for s in range(tet.n_shells):
-                            for el in range(self.n_elements):
-                                table[row, s * self.n_elements + el] = (
-                                    (a - 1 == s) - (b - 1 == s)
-                                ) * ((m == el) - (v == el))
+        # Axes (sh0 + 1, shj + 1, vac, mig, shell, element), flattened.
+        table[: n_sh * n_sh * n_sp * n_sp] = (
+            d_shell[:, :, None, None, :, None] * d_el[None, None, :, :, None, :]
+        ).reshape(-1, tet.n_shells * n_el)
         self._patch_table = table
         code = np.empty((tet.n_region, self._n_states), dtype=np.int64)
         code[:, 0] = n_sh * n_sh * n_sp * n_sp

@@ -284,6 +284,7 @@ class SublatticeKMC:
     ) -> None:
         if sector_mode not in ("sublattice", "naive"):
             raise ValueError(f"unknown sector_mode {sector_mode!r}")
+        tet.check_box(lattice.shape)
         self.sector_mode = sector_mode
         self.proximity_violations = 0
         self.global_shape = lattice.shape

@@ -1,8 +1,14 @@
 """CLI: all five subcommands end-to-end."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.io import load_lattice
 from repro.nnp.model import NNPotential
@@ -67,6 +73,38 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "row_cache_hit_rate = " in out
         assert "row_cache_resident_mb = " in out
+
+    @pytest.mark.parametrize(
+        "argv", [["--box", "2"], ["--box", "4", "--rcut", "6.5"]]
+    )
+    def test_box_below_the_cutoff_minimum_is_refused(self, argv, tmp_path):
+        """Below ``TripleEncoding.min_box_cells`` two neighbours of a site
+        are one lattice site, so the rates obey no global energy."""
+        with pytest.raises(ValueError, match="too small for rcut"):
+            main(["run", *argv, "--vacancies", "0.1", "--steps", "5",
+                  "--snapshot", str(tmp_path / "final.npz")])
+
+
+class TestImportSet:
+    def test_drivers_never_import_numpy_ma(self, tmp_path):
+        """``np.unique`` without index arguments imports ``numpy.ma``
+        (about 1 MiB of RSS); no ``run`` or ``parallel`` path needs it."""
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "main(['run', '--box', '6', '--steps', '20', '--seed', '1'])\n"
+            "main(['parallel', '--box', '16', '--ranks', '2', '--cycles', '2',"
+            " '--temperature', '900', '--vacancies', '0.003'])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+            text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
 
 
 class TestParallelCommand:

@@ -199,7 +199,7 @@ class TestOpenKMCArrays:
 class TestFrozenSystem:
     def test_no_moves_raises(self, tet_small, eam_small):
         """A fully-vacant lattice has no valid hops: NoMovesError."""
-        tiny = LatticeState((2, 2, 2))
+        tiny = LatticeState((3, 3, 3))
         tiny.occupancy[:] = VACANCY
         frozen = TensorKMCEngine(
             tiny, eam_small, tet_small, rng=np.random.default_rng(0)
