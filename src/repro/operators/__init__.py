@@ -1,8 +1,8 @@
-"""Sunway operator kernels: conv, fusion, big-fusion, and feature operators."""
+"""Sunway operators: the big-fusion NNP inference kernel and the cost
+formulas of the per-layer, feature and Fig. 10 ladder operators."""
 
-from .conv import bias_add, conv1x1_loop, conv1x1_matmul, relu
-from .feature_op import FEATURE_ENTRY_BYTES, FastFeatureOperator, features_mpe_serial
-from .fused import charge_layers, fused_layer, layered_forward
+from .feature_op import FEATURE_ENTRY_BYTES, charge_features, feature_ldm_budget
+from .fused import charge_layers
 from .tilegemm import TileGEMMKernel, TilePlan, plan_tiles
 from .variants import (
     FUSED_GEMM_EFF,
@@ -15,16 +15,10 @@ from .variants import (
 )
 
 __all__ = [
-    "bias_add",
-    "conv1x1_loop",
-    "conv1x1_matmul",
-    "relu",
     "FEATURE_ENTRY_BYTES",
-    "FastFeatureOperator",
-    "features_mpe_serial",
+    "charge_features",
+    "feature_ldm_budget",
     "charge_layers",
-    "fused_layer",
-    "layered_forward",
     "TileGEMMKernel",
     "TilePlan",
     "plan_tiles",

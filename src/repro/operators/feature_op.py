@@ -1,36 +1,27 @@
-"""Feature operators — paper Sec. 3.4 and the Fig. 11 'Feature' bars.
+"""Fast feature operator — paper Sec. 3.4 and the Fig. 11 'Feature' bars.
 
-Computing the tabulated descriptor (Eq. 6) is a pure gather/accumulate task.
-Two executors are provided:
-
-* :func:`features_mpe_serial` — the reference loop, the way the MPE-serial
-  (and x86) versions run: for every state, every region site, every
-  neighbour, fetch the neighbour's species and accumulate the pre-computed
-  TABLE row.  Memory-bound on scattered accesses.
-* :class:`FastFeatureOperator` — the paper's CPE-parallel operator: region
-  sites are assigned to CPEs circularly, the NET/VET/TABLE live in LDM, and
-  all ``1 + N_f`` states are produced in one batch.  Functionally this is the
-  vectorised counts path of the production engine; the ledger charges the
-  modeled LDM-gather cost.
-
-Both produce bit-identical features (asserted in the tests).
+Computing the tabulated descriptor (Eq. 6) of a vacancy system is a pure
+gather/accumulate task: for each of the ``1 + N_f`` states, every region
+site and every neighbour, fetch the neighbour's species and accumulate the
+pre-computed TABLE row.  The program runs that encode in
+:class:`~repro.core.vacancy_system.VacancySystemEvaluator`; this module is
+the paper's CPE-parallel operator as a cost.  Region sites are assigned to
+CPEs circularly, the NET/VET/TABLE live in LDM, and all states are produced
+in one batch.  :func:`charge_features` charges that operator to a ledger
+and :func:`feature_ldm_budget` checks that its buffers fit one CPE's LDM.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..constants import N_ELEMENTS, VACANCY
+from ..constants import N_ELEMENTS
 from ..core.tet import TripleEncoding
-from ..potentials.base import counts_from_types
-from ..potentials.tables import FeatureTable
 from ..sunway.costmodel import CostLedger
 from ..sunway.ldm import LDMBudget
 from ..sunway.spec import SW26010_PRO, SunwaySpec
 
-__all__ = ["features_mpe_serial", "FastFeatureOperator", "FEATURE_ENTRY_BYTES"]
+__all__ = ["FEATURE_ENTRY_BYTES", "charge_features", "feature_ldm_budget"]
 
 #: Effective bytes touched per (state, site, neighbour) gather entry:
 #: neighbour id (int32) + species (byte) + shell (byte) + the accumulated
@@ -38,99 +29,50 @@ __all__ = ["features_mpe_serial", "FastFeatureOperator", "FEATURE_ENTRY_BYTES"]
 #: feature cost model.
 FEATURE_ENTRY_BYTES = 16.0
 
+_F32 = 4
 
-def features_mpe_serial(
-    states: np.ndarray,
-    tet: TripleEncoding,
-    table: FeatureTable,
-    ledger: Optional[CostLedger] = None,
-) -> np.ndarray:
-    """Reference serial feature computation (MPE-style nested loops).
 
-    Parameters
-    ----------
-    states:
-        ``(n_states, n_all)`` VETs (state 0 plus the trial final states).
+def charge_features(
+    ledger: CostLedger, tet: TripleEncoding, n_dim: int
+) -> CostLedger:
+    """Charge the features of one vacancy system (``1 + N_f`` states) to
+    ``ledger``.
 
-    Returns
-    -------
-    ``(n_states, n_region, n_elements * n_dim)`` float32 features.
+    The per-CPE scalar gather over LDM-resident tables is charged as an
+    equivalent-cost DMA entry, so the composition rules apply uniformly;
+    the VETs in (one byte a site) and the float32 features out are real DMA.
+    ``ledger.notes["gather_time"]`` records the gather.  Returns ``ledger``.
     """
-    states = np.asarray(states)
-    n_states = states.shape[0]
-    n_dim = table.n_dim
-    out = np.zeros(
-        (n_states, tet.n_region, N_ELEMENTS * n_dim), dtype=np.float32
+    spec = ledger.spec
+    n_states = 1 + tet.N_DIRECTIONS
+    entries = n_states * tet.n_region * tet.n_local
+    gather_time = entries * FEATURE_ENTRY_BYTES / (
+        spec.n_cpes * spec.ldm_gather_bandwidth
     )
-    table32 = table.table.astype(np.float32)
-    for s in range(n_states):
-        vet = states[s]
-        for i in range(tet.n_region):
-            row = out[s, i]
-            for j in range(tet.n_local):
-                t = vet[tet.net_ids[i, j]]
-                if t == VACANCY:
-                    continue
-                shell = tet.cet_shell[j]
-                row[t * n_dim : (t + 1) * n_dim] += table32[shell]
-    if ledger is not None:
-        entries = n_states * tet.n_region * tet.n_local
-        ledger.add_random_access(entries * FEATURE_ENTRY_BYTES)
-    return out
+    ledger.add_dma(gather_time * spec.mem_bandwidth, transactions=0)
+    ledger.add_dma(
+        n_states * tet.n_all + n_states * tet.n_region * N_ELEMENTS * n_dim * _F32,
+        transactions=2,
+    )
+    ledger.notes["gather_time"] = gather_time
+    return ledger
 
 
-class FastFeatureOperator:
-    """The CPE-parallel fast feature operator (paper Sec. 3.4).
+def feature_ldm_budget(
+    tet: TripleEncoding, n_dim: int, spec: SunwaySpec = SW26010_PRO
+) -> LDMBudget:
+    """One CPE's LDM buffers of the fast feature operator.
 
-    Construction verifies the LDM residency claim: the NET, a VET copy, the
-    TABLE, and the per-CPE feature block must fit in one CPE's scratchpad —
-    this is exactly what the triple encoding makes possible and what
-    OpenKMC's whole-domain ``lattice`` array makes impossible (Sec. 2.4).
+    The NET, a VET copy, the float32 TABLE and the CPE's block of features
+    must all fit in one scratchpad — what the triple encoding makes possible
+    and OpenKMC's whole-domain ``lattice`` array makes impossible (Sec. 2.4).
+    Raises :class:`~repro.sunway.ldm.LDMOverflowError` when they do not.
     """
-
-    def __init__(
-        self,
-        tet: TripleEncoding,
-        table: FeatureTable,
-        spec: SunwaySpec = SW26010_PRO,
-    ) -> None:
-        self.tet = tet
-        self.table = table
-        self.spec = spec
-        n_dim = table.n_dim
-        budget = LDMBudget(spec.ldm_bytes)
-        budget.alloc("NET", tet.net_ids.nbytes + tet.cet_shell.nbytes)
-        budget.alloc("VET", tet.n_all * 1)
-        budget.alloc("TABLE", table.table.nbytes)
-        n_states = 1 + tet.N_DIRECTIONS
-        sites_per_cpe = int(np.ceil(tet.n_region / spec.n_cpes))
-        budget.alloc(
-            "features", n_states * sites_per_cpe * N_ELEMENTS * n_dim * 4
-        )
-        self.ldm = budget
-        self.sites_per_cpe = sites_per_cpe
-
-    def __call__(
-        self, states: np.ndarray, ledger: Optional[CostLedger] = None
-    ) -> np.ndarray:
-        """Features of all states' region sites; see :func:`features_mpe_serial`."""
-        states = np.asarray(states)
-        neighbor_types = states[:, self.tet.net_ids]
-        counts = counts_from_types(
-            neighbor_types, self.tet.cet_shell, self.tet.n_shells
-        )
-        feats = self.table.features_from_counts(counts).astype(np.float32)
-        if ledger is not None:
-            n_states = states.shape[0]
-            entries = n_states * self.tet.n_region * self.tet.n_local
-            spec = self.spec
-            # Per-CPE scalar gather over LDM-resident tables.
-            gather_bytes = entries * FEATURE_ENTRY_BYTES
-            gather_time = gather_bytes / (spec.n_cpes * spec.ldm_gather_bandwidth)
-            # Model the LDM gather as an equivalent-cost DMA-phase entry so
-            # the composition rules apply uniformly.
-            ledger.add_dma(gather_time * spec.mem_bandwidth, transactions=0)
-            # VET in / features out through real DMA.
-            ledger.add_dma(states.nbytes + feats.nbytes, transactions=2)
-            ledger.notes["gather_time"] = gather_time
-        return feats
+    budget = LDMBudget(spec.ldm_bytes)
+    budget.alloc("NET", tet.net_ids.nbytes + tet.cet_shell.nbytes)
+    budget.alloc("VET", tet.n_all)
+    budget.alloc("TABLE", tet.n_shells * n_dim * _F32)
+    n_states = 1 + tet.N_DIRECTIONS
+    sites_per_cpe = int(np.ceil(tet.n_region / spec.n_cpes))
+    budget.alloc("features", n_states * sites_per_cpe * N_ELEMENTS * n_dim * _F32)
+    return budget

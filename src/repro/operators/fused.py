@@ -1,36 +1,22 @@
-"""Fused (Conv2D + Bias + ReLU) layer and the per-layer network executors.
+"""The per-layer network execution as a cost (paper Figs. 9 and 10).
 
-``fused_layer`` merges the three element-wise passes into one kernel (paper
-Fig. 6b) — bias and ReLU happen "in the registers" right after the GEMM.
-``layered_forward`` executes a whole network one layer at a time, optionally
-unfused; it is the SWDNN/TensorFlow-style execution whose per-layer
-main-memory round trips the big-fusion operator eliminates.
-``charge_layers`` is the one cost formula of that execution, shared by
-``layered_forward`` and the Fig. 10 ladder.
+``charge_layers`` charges the SWDNN/TensorFlow-style execution of a network
+one layer at a time, optionally with the bias and ReLU passes unfused: the
+per-layer main-memory round trips the big-fusion operator
+(:class:`~repro.operators.tilegemm.TileGEMMKernel`) eliminates.  It is the
+one cost formula of Fig. 9's per-layer operators, the four per-layer rungs
+of the Fig. 10 ladder and Fig. 11's SW energy bar.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..sunway.costmodel import CostLedger
 
-__all__ = ["fused_layer", "charge_layers", "layered_forward"]
+__all__ = ["charge_layers"]
 
 _F32 = 4
-
-
-def fused_layer(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, last: bool = False
-) -> np.ndarray:
-    """One fused (GEMM + bias + ReLU) layer; no activation on the last layer."""
-    out = np.matmul(x, w)
-    out += b
-    if not last:
-        np.maximum(out, 0.0, out=out)
-    return out
 
 
 def charge_layers(
@@ -82,36 +68,3 @@ def charge_layers(
             # separate bias and ReLU sweeps: read + write each.
             ledger.add_dma(4 * _F32 * m * c_out, transactions=4)
     return ledger
-
-
-def layered_forward(
-    x: np.ndarray,
-    weights: Sequence[np.ndarray],
-    biases: Sequence[np.ndarray],
-    fused: bool = True,
-    ledger: Optional[CostLedger] = None,
-    gemm_efficiency: float = 0.38,
-) -> np.ndarray:
-    """Per-layer network execution with optional cost accounting.
-
-    With ``fused=False`` the bias and ReLU passes run as separate sweeps.
-    When ``ledger`` is given, the execution is charged to it by
-    :func:`charge_layers` on the SIMD pipes at ``gemm_efficiency``.
-    """
-    if ledger is not None:
-        channels = [weights[0].shape[0]] + [w.shape[1] for w in weights]
-        charge_layers(
-            ledger, x.shape[0], channels, fused=fused, efficiency=gemm_efficiency
-        )
-    h = x
-    n_layers = len(weights)
-    for l, (w, b) in enumerate(zip(weights, biases)):
-        last = l == n_layers - 1
-        if fused:
-            h = fused_layer(h, w, b, last=last)
-        else:
-            h = h @ w
-            h = h + b
-            if not last:
-                h = np.maximum(h, 0.0)
-    return h

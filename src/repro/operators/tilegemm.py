@@ -234,13 +234,14 @@ class TileGEMMKernel:
         """Run the fused network on ``(m, c_in)`` features -> ``(m, c_out)``.
 
         Arithmetic is bias + ReLU fused after each tiled layer (no
-        activation on the last), identical in structure to
-        :func:`~repro.operators.fused.fused_layer` but with the fixed-tile
-        accumulation order described in the class docstring: every GEMM is
-        ``(mb, k_tile) @ (k_tile, n)``, with ``mb = m_tile`` for a full row
-        block and the row count rounded up to a multiple of ``MIN_TILE``
-        for the last, partial one; the first panel's product starts the
-        accumulator and later panels add in ascending-``k`` order.  A layer
+        activation on the last), the layers of
+        :meth:`~repro.nnp.network.AtomicNetwork.forward` but with the
+        fixed-tile accumulation order described in the class docstring:
+        every GEMM is ``(mb, k_tile) @ (k_tile, n)``, with ``mb = m_tile``
+        for a full row block and the row count rounded up to a multiple of
+        ``MIN_TILE`` for the last, partial one; the first panel's product
+        starts the accumulator and later panels add in ascending-``k``
+        order.  A layer
         whose width is a whole number of ``k_tile`` panels hands its
         in-place ReLU output straight to the next layer; only a narrower
         one is copied into a zero-padded panel.  The host walks the same

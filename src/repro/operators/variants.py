@@ -1,7 +1,7 @@
 """The Fig. 10 optimisation ladder — five operator variants, one workload.
 
-Each variant evaluates the same NNP batch; they differ in *how* the modeled
-machine executes it:
+Each variant is a cost ledger of the same NNP batch; they differ in *how*
+the modeled machine executes it:
 
 ========  ============================================================
 variant   execution model
@@ -29,13 +29,13 @@ both side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ..sunway.costmodel import CostLedger
 from ..sunway.spec import SW26010_PRO, SunwaySpec
-from .fused import charge_layers, layered_forward
+from .fused import charge_layers
 from .tilegemm import TileGEMMKernel
 
 __all__ = ["OperatorVariant", "fig10_ladder", "MATMUL_BLOCKING", "SIMD_GEMM_EFF", "FUSED_GEMM_EFF"]
@@ -53,8 +53,6 @@ class OperatorVariant:
     """One rung of the Fig. 10 ladder."""
 
     name: str
-    #: Functional executor: features (m, c_in) -> energies column (m, 1).
-    run: Callable[[np.ndarray], np.ndarray]
     #: Modeled execution time in seconds.
     modeled_time: float
     ledger: CostLedger
@@ -81,10 +79,7 @@ def fig10_ladder(
     def per_layer(name: str, fused: bool, **charge) -> OperatorVariant:
         ledger = charge_layers(CostLedger(spec), m, channels, fused=fused, **charge)
         return OperatorVariant(
-            name=name,
-            run=lambda x: layered_forward(x, weights, biases, fused=fused),
-            modeled_time=ledger.serial_time(),
-            ledger=ledger,
+            name=name, modeled_time=ledger.serial_time(), ledger=ledger
         )
 
     kernel = TileGEMMKernel(weights, biases, spec=spec)
@@ -99,8 +94,8 @@ def fig10_ladder(
         per_layer("simd", False, efficiency=SIMD_GEMM_EFF),
         per_layer("fusion", True, efficiency=FUSED_GEMM_EFF),
         OperatorVariant(
-            name="bigfusion", run=kernel,
-            modeled_time=bf_ledger.overlapped_time(), ledger=bf_ledger,
+            name="bigfusion", modeled_time=bf_ledger.overlapped_time(),
+            ledger=bf_ledger,
         ),
     ]
 

@@ -12,11 +12,12 @@ rules:
 
 These two rules are exactly what turns the same FLOP/byte totals into the
 Fig. 10 performance ladder.  Ledgers are the only source of modeled
-operator numbers: two formulas fill them —
+operator numbers: two formulas fill them for the network —
 :func:`~repro.operators.fused.charge_layers` for per-layer execution and
 :meth:`~repro.operators.tilegemm.TileGEMMKernel.charge` for big fusion —
-and Figs. 9-11 and Sec. 3.6 read arithmetic intensity, traffic and time off
-the result, on whichever :class:`SunwaySpec` machine they charge.
+and :func:`~repro.operators.feature_op.charge_features` for the feature
+operator.  Figs. 9-11 and Sec. 3.6 read arithmetic intensity, traffic and
+time off the result, on whichever :class:`SunwaySpec` machine they charge.
 """
 
 from __future__ import annotations

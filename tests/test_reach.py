@@ -24,9 +24,6 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Names nothing in the program reaches but that stay, with the reason.
 KEEP = {
     "find_clusters_networkx": "reference the union-find cluster finder is tested against",
-    "conv1x1_matmul": "reference the loop and fused operators are tested against",
-    "bias_add": "reference the fused operator is tested against",
-    "relu": "reference the fused operator is tested against",
     "OpenKMCEngine.atom_energy_from_arrays": "only check that the baseline's Eq. 7 arrays are right",
     "SerialAKMCBase.build_system": "scalar (vet, rates) oracle of the batched evaluation",
     "first_nn_offsets": "helper of the geometry and occupancy tests",
@@ -39,7 +36,6 @@ KEEP = {
     "_species_name": "io/ waits for the run reporter that replaces it",
     "save_events": "io/ waits for the run reporter that replaces it",
     "replay_events": "io/ waits for the run reporter that replaces it",
-    "features_mpe_serial": "reference the fast feature operator is tested against",
     "window_images": "reference the vectorised ghost apply is tested against",
     "LocalWindow.is_local_half": "reference the scalar RankState.is_local is tested against",
     "SectorGeometry.sector_of_half": "reference the scalar RankState.sector_of is tested against",
