@@ -29,6 +29,18 @@ def _throughput(engine) -> float:
     return N_STEPS / (time.perf_counter() - t0)
 
 
+def _best_interleaved(makers, rounds: int = 3) -> Dict[str, float]:
+    """Best-of-``rounds`` events/s of each engine maker, timed interleaved
+    (A B A B ...), a fresh engine each time: a slow phase of a shared host
+    or a concurrent process then slows every maker's rounds alike instead
+    of one maker's only."""
+    best = {name: 0.0 for name in makers}
+    for _ in range(rounds):
+        for name, make in makers.items():
+            best[name] = max(best[name], _throughput(make()))
+    return best
+
+
 def _make(rcut, nnp_tiny, cached=True, seed=3):
     tet = TripleEncoding(rcut=rcut)
     if nnp_tiny is not None and rcut == 2.87:
@@ -46,13 +58,16 @@ def _make(rcut, nnp_tiny, cached=True, seed=3):
 
 
 def test_throughput_matrix(nnp_tiny, experiment_reports, benchmark):
+    # The one asserted comparison: both modes timed interleaved, best of 3.
+    eam = _best_interleaved({
+        "cached": lambda: _make(2.87, None),
+        "cache-all": lambda: _make(2.87, None, cached=False),
+    })
     rows: Dict[str, float] = {}
-    rows["EAM, rcut 2.87, cached"] = _throughput(_make(2.87, None))
+    rows["EAM, rcut 2.87, cached"] = eam["cached"]
     rows["NNP, rcut 2.87, cached"] = _throughput(_make(2.87, nnp_tiny))
     rows["EAM, rcut 6.5, cached"] = _throughput(_make(6.5, None))
-    rows["EAM, rcut 2.87, cache-all"] = _throughput(
-        _make(2.87, None, cached=False)
-    )
+    rows["EAM, rcut 2.87, cache-all"] = eam["cache-all"]
 
     report = ExperimentReport(
         "Throughput", "KMC events/second (Python, one core, 10^3-cell box)"

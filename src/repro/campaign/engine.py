@@ -9,30 +9,35 @@ stream of tiny batches that waste its throughput.
 
 :class:`ReplicaCampaign` runs R replicas in one process and, once per round,
 refreshes every replica with one :func:`~repro.core.kernel.refresh_many`
-call, the refresh a solo engine runs over its one kernel: each replica's
-:class:`~repro.core.delta.DeltaRebuilder` plans its refresh (every row of a
-from-scratch slot, only the dirty rows of a snapshot slot), *all* replicas'
-rows go through a single
+call, the refresh a solo engine runs over its one kernel.  The replicas'
+vacancy caches live in one :class:`~repro.core.vacancy_cache.SlotPool`, a
+contiguous block each, so the round's bookkeeping runs once over the pool:
+one stale sweep, one plan (every row of a from-scratch slot, only the dirty
+rows of a snapshot slot; each mover gathered through its own replica's
+site store), one splice into the pooled snapshot slab and one rate store,
+with one ``rates_batch`` per distinct rate model.  *All* replicas' rows go
+through a single
 :meth:`~repro.core.vacancy_system.VacancySystemEvaluator.evaluate_batch_segments`
-call, and each rebuilder splices its rows into its own snapshot slab — the
-autobatching idea popularised by batched MD front-ends (independent systems
-share one forward pass) on top of the paper's keep-it-resident rebuild.  A
-replica that finishes (or freezes) is hot-swapped out for the next queued
-spec so the shared batch stays full.  Cross-replica deduplication comes for
-free: the row dedup of the shared call sees identical vacancy environments
-from *different* replicas (common in a seed sweep's dilute matrix) and
-evaluates them once.
+call — the autobatching idea popularised by batched MD front-ends
+(independent systems share one forward pass) on top of the paper's
+keep-it-resident rebuild.  A replica that finishes (or freezes) is
+hot-swapped out for the next queued spec, which takes over its block of
+the pool, so the shared batch stays full.  Cross-replica deduplication
+comes for free: the row dedup of the shared call sees identical vacancy
+environments from *different* replicas (common in a seed sweep's dilute
+matrix) and evaluates them once.
 
 **Bit-identity.**  The campaign changes *when and where* rows are evaluated,
 never their values.  Its engines only accept ``batch_row_invariant``
 potentials (per-row results independent of batch composition — see
-:class:`~repro.potentials.base.CountsPotential`); each replica plans and
-splices with its own rebuilder — its own site store and its own
-:class:`~repro.core.rates.RateModel` (temperatures may differ per replica) —
-and stores through its own
-:meth:`~repro.core.kernel.EventKernel.apply_refresh`, so replica slots hold
-delta snapshots exactly as a solo run's do, and each replica's own
-invalidation patches them.  Each
+:class:`~repro.potentials.base.CountsPotential`); every slot of the pool
+goes through the same elementwise operations as in a solo refresh, each
+replica's movers are gathered by its own site store and its slots rated by
+its own :class:`~repro.core.rates.RateModel` (temperatures may differ per
+replica), and the pooled slots and rows are ordered replica-major as one
+plan per replica would be.  Then each replica updates its own propensity
+tree and counters, so replica slots hold delta snapshots exactly as a solo
+run's do, and each replica's own invalidation patches them.  Each
 replica's subsequent :meth:`~repro.core.engine.SerialAKMCBase.step` — the
 solo event, unchanged — finds nothing stale and draws from its own RNG in
 the usual order, so every fixed-seed trajectory is bit-identical to running
@@ -56,6 +61,7 @@ from ..core.engine import SerialAKMCBase, TensorKMCEngine
 from ..core.kernel import NoMovesError, refresh_many
 from ..core.profiling import PhaseProfiler, merge_disjoint
 from ..core.rowcache import RowEnergyCache
+from ..core.vacancy_cache import SlotPool
 from ..lattice import LatticeState
 
 __all__ = [
@@ -214,6 +220,9 @@ class ReplicaCampaign:
     seed sweep's replicas revisit the same dilute-matrix environments, and
     a temperature ladder shares *energies* outright (rates differ, the
     cached energies do not) — so the memo spans replicas and hot swaps.
+    Every admitted replica's vacancy cache likewise moves into the
+    campaign's :attr:`pool`; a retired replica's block is freed for the
+    next newcomer.
     """
 
     def __init__(
@@ -248,6 +257,9 @@ class ReplicaCampaign:
         self._evaluator = None  # batch-compatibility reference
         #: The campaign-wide shared row-energy cache.
         self.row_cache = RowEnergyCache()
+        #: The slot pool every in-flight replica's cache lives in (made
+        #: at the first admission, sized by its TET).
+        self.pool: Optional[SlotPool] = None
 
     def run(self) -> List[ReplicaResult]:
         """Execute the campaign; results are ordered like ``specs``."""
@@ -264,15 +276,15 @@ class ReplicaCampaign:
                 while queue and len(active) < self.max_in_flight:
                     rep = self._admit(*queue.popleft())
                     if rep.done:
-                        results[rep.index] = self._result(rep)
+                        self._retire(rep, results)
                     else:
                         active.append(rep)
             if not active:
                 break
 
-            # One refresh for all replicas: each plans its own rows, one
-            # potential call (row dedup across replica boundaries), each
-            # splices and stores its own.
+            # One refresh for all replicas: one plan over the pool, one
+            # potential call (row dedup across replica boundaries), one
+            # splice and store; each replica updates its own tree.
             with self.profiler.phase("refresh"):
                 plans = refresh_many([rep.engine.kernel for rep in active])
                 if plans:
@@ -296,7 +308,7 @@ class ReplicaCampaign:
 
             retired = [rep for rep in active if rep.done]
             for rep in retired:
-                results[rep.index] = self._result(rep)
+                self._retire(rep, results)
                 active.remove(rep)
 
         assert all(r is not None for r in results)
@@ -328,10 +340,17 @@ class ReplicaCampaign:
             summary=rep.engine.summary(),
         )
 
+    def _retire(self, rep: _Replica, results: list) -> None:
+        """Record a finished replica and free its block of the pool."""
+        results[rep.index] = self._result(rep)
+        self.pool.release(rep.engine.kernel.cache)
+
     def _admit(self, index: int, spec: ReplicaSpec) -> _Replica:
         engine = self.engine_factory(spec)
         if self._evaluator is None:
             self._evaluator = engine.evaluator
+            tet = engine.evaluator.tet
+            self.pool = SlotPool(tet.n_all, tet.n_region)
         elif not self._evaluator.batch_compatible(engine.evaluator):
             raise ValueError(
                 f"replica {spec.name!r} is not batch-compatible with the "
@@ -342,5 +361,8 @@ class ReplicaCampaign:
         # the same memo, so environments seen by any replica are hits for
         # all.
         engine.evaluator.attach_row_cache(self.row_cache)
+        # One slot pool too: the round's refresh plans, splices and stores
+        # every replica's stale slots in one pass over it.
+        self.pool.admit(engine.kernel.cache)
         self.admitted += 1
         return _Replica(index, spec, engine)

@@ -49,6 +49,20 @@ class RateModel:
         # One slot per species code plus the vacancy code (never indexed for
         # valid hops, but keeps fancy indexing safe).
         self._ea0 = np.concatenate([np.asarray(values), [np.inf]])
+        self._params = (
+            self.temperature, self.attempt_frequency, self._ea0.tobytes()
+        )
+        self._hash = hash(self._params)
+
+    def __eq__(self, other) -> bool:
+        """Equal parameters give equal rates, bit for bit: a refresh rates
+        the slots of equal models in one :meth:`rates_batch`."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._params == other._params
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def migration_energies(self, energies: StateEnergies) -> np.ndarray:
         """Per-direction activation energies E_a (eV); invalid hops -> inf."""

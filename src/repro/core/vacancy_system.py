@@ -159,6 +159,15 @@ class StateEnergiesBatch:
     def __len__(self) -> int:
         return int(self.initial.shape[0])
 
+    def take(self, idx: np.ndarray) -> "StateEnergiesBatch":
+        """The sub-batch of vacancies ``idx``."""
+        return StateEnergiesBatch(
+            initial=self.initial[idx],
+            delta=self.delta[idx],
+            valid=self.valid[idx],
+            migrating_species=self.migrating_species[idx],
+        )
+
     def row(self, b: int) -> StateEnergies:
         """Scalar view of vacancy ``b`` (arrays are views into the batch)."""
         return StateEnergies(

@@ -14,12 +14,14 @@ def _cache(keys):
 
 def _store(cache, slot):
     """Store one delta-ready entry in ``slot``, as a refresh does: the VET
-    into its slab, every region row's energies, then the rates."""
+    into its slab, every region row's energies, then the rates, and the
+    kernel counts the rebuild."""
     slots = np.array([slot])
     cache.vets[slot] = slot
     cache.store_batch(slots, np.zeros(3, dtype=np.intp), np.arange(3),
                       np.zeros((3, 9)))
     cache.store_rates(slots, np.ones((1, 8)))
+    cache.stats.rebuilds += 1
 
 
 def _stale(cache):
